@@ -144,15 +144,15 @@ impl MessiIndex {
     ///
     /// ## Append-safety invariant (audited for live ingest)
     ///
-    /// `grown` must be a **new** `Dataset` whose backing buffer starts
-    /// with this index's series bit-for-bit — growth is always
-    /// copy-on-grow (see [`Dataset::concat`]). Existing leaf entries
-    /// keep their `u32` local positions and simply re-resolve against
-    /// `grown`; the old dataset's buffer, and every outstanding query
-    /// view pinned to it, stays untouched and valid until its last
-    /// `Arc` drops. No code path in this crate grows a `Dataset` buffer
-    /// in place, so an in-flight query on the old epoch can never
-    /// observe a reallocation.
+    /// `grown` must start with this index's series bit-for-bit. It is
+    /// normally a longer view of the **same** allocation — growth is
+    /// append-in-place ([`Dataset::append_with`]) — or, after a capacity
+    /// growth, a view of the one copy that replaced it. Either way
+    /// existing leaf entries keep their `u32` local positions and simply
+    /// re-resolve against `grown`, and nothing this index (or any
+    /// in-flight query on the old epoch) can see is moved or rewritten:
+    /// a view never covers bytes beyond its own length, and the bytes it
+    /// does cover are never written again.
     ///
     /// Returns [`IngestError::PositionOverflow`] when the grown
     /// collection would exceed the per-index `u32` local-position

@@ -1,34 +1,28 @@
-//! The [`DeltaIndex`]: an epoch/RCU seam over a
-//! [`ShardedIndex`](crate::shard::ShardedIndex) that absorbs appended
-//! series while queries keep reading immutable published state.
-//!
-//! ## The seam
+//! The [`DeltaIndex`]: the epoch/RCU seam of [live ingest](super).
 //!
 //! At any instant the live index is one **epoch**: an immutable
-//! `(index + executor, sealed overlay)` pair behind an `Arc`. Queries
-//! clone the current epoch's `Arc` (a brief `RwLock` read for the
-//! pointer itself — never held across query work) and run entirely
-//! against that snapshot; writers build a *successor* epoch and swap
-//! the pointer. Two successor shapes exist:
+//! `(index + executor, collection view)` pair behind an `Arc`. The view
+//! is `[0, total)` of the collection buffer; the index covers its first
+//! `core_len` series and the tail is the **overlay**. Queries clone the
+//! epoch's `Arc` (a brief `RwLock` read, never held across query work)
+//! and run against that snapshot; writers publish a *successor*:
 //!
-//! * **Ingest** — the batch is sealed as its own immutable segment and
-//!   pushed onto the overlay; the heavy index core is shared with the
-//!   previous epoch untouched. O(batch) work, no arena rebuild.
-//! * **Republish** — the overlay is flattened: the base collection is
-//!   copy-on-grown ([`Dataset::concat`]), only the root subtrees that
-//!   received entries are rebuilt
-//!   ([`MessiIndex::insert_batch`](crate::MessiIndex::insert_batch) via
-//!   [`ShardedIndex::absorb`](crate::shard::ShardedIndex::absorb)), and
-//!   a fresh prewarmed executor is published. Old epochs stay valid —
-//!   and allocation-free to query — until their last reader drops.
+//! * **Ingest** — the batch is written once into the buffer's spare
+//!   capacity ([`Dataset::append_with`]) and the successor's view is
+//!   longer; the index core is shared untouched. O(batch) work.
+//! * **Republish** — the same view goes to
+//!   [`ShardedIndex::absorb`](crate::shard::ShardedIndex::absorb), which
+//!   rebuilds only the root subtrees that received entries, and a fresh
+//!   prewarmed executor is published. Old epochs stay valid and
+//!   allocation-free to query until their last reader drops: a view
+//!   never covers bytes beyond its own length, and nothing below it is
+//!   ever rewritten.
 //!
-//! Overlay segments are answered by a brute-force scan with the *same*
-//! distance kernels the engine uses at an infinite abandon bound, so
-//! merged answers are bit-identical to a fresh build over the grown
-//! collection (`tests/ingest_equivalence.rs` pins this across the whole
-//! objective × metric × schedule matrix).
+//! The overlay is scanned with the engine's own distance kernels at an
+//! infinite abandon bound, so merged answers are bit-identical to a
+//! fresh build over the grown collection (`tests/ingest_equivalence.rs`).
 
-use super::log::{dataset_fingerprint, DeltaLog, ReplayReport};
+use super::log::{DeltaLog, ReplayReport};
 use super::{check_position_ceiling, IngestError};
 use crate::config::QueryConfig;
 use crate::exact::QueryAnswer;
@@ -89,7 +83,7 @@ pub struct IngestStats {
     pub epoch: u64,
     /// Age of the published index core (resets on republish).
     pub epoch_age: Duration,
-    /// Series currently in the sealed overlay (not yet flattened).
+    /// Series currently in the overlay (not yet flattened).
     pub overlay_series: u64,
     /// Total live series (base + overlay).
     pub total_series: u64,
@@ -101,27 +95,40 @@ pub struct IngestStats {
     pub republishes: u64,
     /// Total wall-clock spent republishing since boot.
     pub republish_time: Duration,
+    /// Inline republishes that failed after their batch was accepted
+    /// (the overlay is kept).
+    pub republish_failures: u64,
     /// Current delta-log size in bytes (0 when running without a log).
     pub log_bytes: u64,
 }
 
-/// One published epoch: the immutable index core plus the sealed
-/// overlay segments appended since the core was built.
+/// One published epoch: the immutable index core plus the view of the
+/// collection buffer it answers over.
 struct Epoch {
     core: Arc<EpochCore>,
-    /// Sealed overlay segments, oldest first. Each is an independent
-    /// immutable `Dataset`; segment series occupy global positions
-    /// `core.index.num_series() ..` in arrival order.
-    overlay: Vec<Arc<Dataset>>,
-    /// Total series across `overlay` (cached).
-    overlay_len: u64,
+    /// The whole live collection; everything past the core's
+    /// `core_len()` series is the overlay, in arrival order.
+    data: Arc<Dataset>,
     /// Monotonic epoch id.
     id: u64,
 }
 
 impl Epoch {
-    fn total_series(&self) -> u64 {
-        self.core.index.num_series() + self.overlay_len
+    fn core_len(&self) -> usize {
+        self.core.index.dataset().len()
+    }
+
+    fn overlay_len(&self) -> usize {
+        self.data.len() - self.core_len()
+    }
+
+    /// The whole overlay lands in the last shard at the next republish:
+    /// enforce its `u32` ceiling at acceptance, so republish never fails
+    /// on positions.
+    fn check_room(&self, incoming: usize) -> Result<(), IngestError> {
+        let index = &self.core.index;
+        let last_local = index.shard(index.num_shards() - 1).num_series() + self.overlay_len();
+        check_position_ceiling(last_local as u64, incoming as u64)
     }
 }
 
@@ -166,11 +173,15 @@ impl EpochCore {
     }
 }
 
-/// Writer-side state, serialized under one mutex: the optional delta
-/// log handle. (The epoch pointer itself is swapped under its own
-/// `RwLock`; this mutex only orders writers against each other.)
-struct WriterState {
-    log: Option<DeltaLog>,
+/// Monotonic accounting behind [`DeltaIndex::stats`].
+#[derive(Default)]
+struct Counters {
+    batches: AtomicU64,
+    series_ingested: AtomicU64,
+    republishes: AtomicU64,
+    republish_micros: AtomicU64,
+    republish_failures: AtomicU64,
+    log_bytes: AtomicU64,
 }
 
 /// A live, growable MESSI index: a [`ShardedIndex`] behind an
@@ -182,41 +193,41 @@ pub struct DeltaIndex {
     /// The published epoch. Readers hold the lock only long enough to
     /// clone the `Arc`; writers only long enough to store a new one.
     published: RwLock<Arc<Epoch>>,
-    /// Serializes writers (insert/republish/compact) and owns the log.
-    writer: Mutex<WriterState>,
+    /// Serializes writers (insert/republish/compact) and owns the
+    /// optional delta log.
+    writer: Mutex<Option<DeltaLog>>,
     options: IngestOptions,
+    series_len: usize,
     /// Last prewarm configuration — republish warms the fresh executor
     /// with it before the swap, keeping the no-alloc discipline across
     /// epochs.
     warm: Mutex<QueryConfig>,
-    batches: AtomicU64,
-    series_ingested: AtomicU64,
-    republishes: AtomicU64,
-    republish_micros: AtomicU64,
-    log_bytes: AtomicU64,
+    counts: Counters,
+    /// Makes the next republish fail (regression tests only).
+    #[cfg(test)]
+    fail_next_republish: std::sync::atomic::AtomicBool,
 }
 
 impl DeltaIndex {
     /// Wraps a built index as epoch 0, without durability (no delta
     /// log — inserts are accepted in memory only).
     pub fn new(index: ShardedIndex, options: IngestOptions) -> Self {
-        let core = EpochCore::new(Arc::new(index));
+        let data = Arc::clone(index.dataset());
+        let series_len = data.series_len();
         let epoch = Arc::new(Epoch {
-            core,
-            overlay: Vec::new(),
-            overlay_len: 0,
+            core: EpochCore::new(Arc::new(index)),
+            data,
             id: 0,
         });
         Self {
             published: RwLock::new(epoch),
-            writer: Mutex::new(WriterState { log: None }),
+            writer: Mutex::new(None),
             options,
+            series_len,
             warm: Mutex::new(QueryConfig::default()),
-            batches: AtomicU64::new(0),
-            series_ingested: AtomicU64::new(0),
-            republishes: AtomicU64::new(0),
-            republish_micros: AtomicU64::new(0),
-            log_bytes: AtomicU64::new(0),
+            counts: Counters::default(),
+            #[cfg(test)]
+            fail_next_republish: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -226,25 +237,36 @@ impl DeltaIndex {
     /// handle so every subsequent [`DeltaIndex::insert_batch`] is
     /// appended and fsynced before it becomes queryable.
     ///
-    /// The returned [`ReplayReport`] says how many batches were
-    /// recovered and whether a torn tail was dropped.
+    /// Replay decodes every frame straight into the collection buffer
+    /// and publishes them together, so it republishes at most once
+    /// however long the log is. The returned [`ReplayReport`] says how
+    /// many batches were recovered and whether a torn tail was dropped.
     pub fn with_log(
         index: ShardedIndex,
         options: IngestOptions,
         path: &Path,
     ) -> Result<(Self, ReplayReport), IngestError> {
-        let series_len = index.dataset().series_len();
-        let base_len = index.dataset().len() as u64;
-        let fingerprint = dataset_fingerprint(index.dataset());
-        let (log, batches, report) = DeltaLog::open(path, series_len, base_len, fingerprint)?;
+        let (log, frames, report) = DeltaLog::open(path, index.dataset())?;
         let live = Self::new(index, options);
-        for batch in &batches {
-            // Replay in memory only — these batches are already in the
-            // log (the handle is installed after the loop).
-            live.ingest(batch, false)?;
+        {
+            let mut writer = live.writer.lock();
+            if report.series > 0 {
+                // In memory only — these batches are already in the log
+                // (the handle is installed below).
+                let epoch = live.snapshot();
+                epoch.check_room(report.series)?;
+                let data = epoch
+                    .data
+                    .append_with(report.series, |dst| frames.decode_into(dst));
+                let replayed = data.view(epoch.data.len(), data.len());
+                if let Some((pos, index)) = replayed.find_non_finite() {
+                    return Err(IngestError::NonFinite { pos, index });
+                }
+                live.publish(&mut writer, &epoch, data, report.batches as u64);
+            }
+            live.counts.log_bytes.store(log.bytes(), Ordering::Relaxed);
+            *writer = Some(log);
         }
-        live.log_bytes.store(log.bytes(), Ordering::Relaxed);
-        live.writer.lock().log = Some(log);
         Ok((live, report))
     }
 
@@ -264,81 +286,91 @@ impl DeltaIndex {
     /// Rejects (typed, atomically — nothing is logged or published on
     /// error): empty batches, shape mismatches, non-finite values, and
     /// batches that would push the absorbing shard past the `u32`
-    /// local-position ceiling.
+    /// local-position ceiling. Once the batch is durable and visible the
+    /// call returns `Ok` even if the inline republish it triggered fails
+    /// (overlay kept, [`IngestStats::republish_failures`] counts it,
+    /// `republished` is `false`): an error there would make clients
+    /// re-send a batch that is already in.
     pub fn insert_batch(&self, batch: &Dataset) -> Result<IngestReport, IngestError> {
-        self.ingest(batch, true)
-    }
-
-    fn ingest(&self, batch: &Dataset, durable: bool) -> Result<IngestReport, IngestError> {
+        // Validation needs no lock: reject before queueing behind other
+        // writers.
         if batch.is_empty() {
             return Err(IngestError::EmptyBatch);
         }
-        let mut writer = self.writer.lock();
-        let epoch = self.snapshot();
-        let series_len = epoch.core.index.dataset().series_len();
-        if batch.series_len() != series_len {
+        if batch.series_len() != self.series_len {
             return Err(IngestError::ShapeMismatch {
-                expected: series_len,
+                expected: self.series_len,
                 got: batch.series_len(),
             });
         }
         if let Some((pos, index)) = batch.find_non_finite() {
             return Err(IngestError::NonFinite { pos, index });
         }
-        // The whole overlay lands in the last shard at the next
-        // republish — enforce its u32 ceiling now, so acceptance is
-        // the only gate (republish can then never fail on positions).
-        let shards = epoch.core.index.num_shards();
-        let last_local = epoch.core.index.shard(shards - 1).num_series() as u64 + epoch.overlay_len;
-        check_position_ceiling(last_local, batch.len() as u64)?;
+        let mut writer = self.writer.lock();
+        let epoch = self.snapshot();
+        epoch.check_room(batch.len())?;
 
         // Durability before visibility: the log append fsyncs.
-        if durable {
-            if let Some(log) = writer.log.as_mut() {
-                log.append(batch)?;
-                self.log_bytes.store(log.bytes(), Ordering::Relaxed);
-            }
+        if let Some(log) = writer.as_mut() {
+            log.append(batch)?;
+            self.counts.log_bytes.store(log.bytes(), Ordering::Relaxed);
         }
+        // The one copy after the log write, into spare capacity no
+        // published view covers.
+        let data = epoch
+            .data
+            .append_with(batch.len(), |dst| dst.copy_from_slice(batch.as_flat()));
+        Ok(self.publish(&mut writer, &epoch, data, 1))
+    }
 
-        // Seal the batch as an immutable segment of our own (the
-        // caller's buffer may alias something it later mutates).
-        let sealed = Arc::new(
-            Dataset::from_flat(batch.as_flat().to_vec(), series_len)
-                .expect("validated batch shape"),
-        );
-        let mut overlay = epoch.overlay.clone();
-        overlay.push(sealed);
-        let overlay_len = epoch.overlay_len + batch.len() as u64;
+    /// Publishes `data` — `epoch`'s collection grown by `batches`
+    /// already-durable batches — as the successor epoch and applies the
+    /// size trigger. Infallible by design: see
+    /// [`DeltaIndex::insert_batch`].
+    fn publish(
+        &self,
+        writer: &mut Option<DeltaLog>,
+        epoch: &Epoch,
+        data: Dataset,
+        batches: u64,
+    ) -> IngestReport {
+        let accepted = data.len() - epoch.data.len();
         let next = Arc::new(Epoch {
             core: Arc::clone(&epoch.core),
-            overlay,
-            overlay_len,
-            id: epoch.id + 1,
+            data: Arc::new(data),
+            id: epoch.id + batches,
         });
+        let overlay_len = next.overlay_len();
         *self.published.write() = next;
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.series_ingested
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.counts.batches.fetch_add(batches, Ordering::Relaxed);
+        self.counts
+            .series_ingested
+            .fetch_add(accepted as u64, Ordering::Relaxed);
 
-        let mut republished = false;
-        if self.options.republish_after > 0 && overlay_len as usize >= self.options.republish_after
-        {
-            republished = self.republish_locked(&mut writer)?;
-        }
+        let due = self.options.republish_after > 0 && overlay_len >= self.options.republish_after;
+        let republished = due
+            && self.republish_locked(writer).unwrap_or_else(|e| {
+                self.counts
+                    .republish_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                eprintln!(
+                    "messi: inline republish failed, overlay of {overlay_len} series kept: {e}"
+                );
+                false
+            });
         let now = self.snapshot();
-        Ok(IngestReport {
-            accepted: batch.len(),
-            total_series: now.total_series(),
+        IngestReport {
+            accepted,
+            total_series: now.data.len() as u64,
             epoch: now.id,
             republished,
-        })
+        }
     }
 
     /// Flattens the overlay into a fresh index core now (regardless of
     /// triggers). Returns `true` if there was anything to flatten.
     pub fn republish(&self) -> Result<bool, IngestError> {
-        let mut writer = self.writer.lock();
-        self.republish_locked(&mut writer)
+        self.republish_locked(&mut self.writer.lock())
     }
 
     /// Applies the cadence trigger: republishes iff the overlay is
@@ -346,47 +378,39 @@ impl DeltaIndex {
     /// [`IngestOptions::max_epoch_age`]. The serve loop calls this on
     /// idle ticks.
     pub fn maybe_republish(&self) -> Result<bool, IngestError> {
-        let Some(max_age) = self.options.max_epoch_age else {
-            return Ok(false);
-        };
-        {
-            let epoch = self.snapshot();
-            if epoch.overlay_len == 0 || epoch.core.published_at.elapsed() <= max_age {
-                return Ok(false);
-            }
-        }
-        let mut writer = self.writer.lock();
-        self.republish_locked(&mut writer)
+        let epoch = self.snapshot();
+        let due = self.options.max_epoch_age.is_some_and(|max_age| {
+            epoch.overlay_len() > 0 && epoch.core.published_at.elapsed() > max_age
+        });
+        Ok(due && self.republish()?)
     }
 
-    fn republish_locked(&self, _writer: &mut WriterState) -> Result<bool, IngestError> {
+    fn republish_locked(&self, _writer: &mut Option<DeltaLog>) -> Result<bool, IngestError> {
         let epoch = self.snapshot();
-        if epoch.overlay.is_empty() {
+        if epoch.overlay_len() == 0 {
             return Ok(false);
         }
+        #[cfg(test)]
+        if self.fail_next_republish.swap(false, Ordering::Relaxed) {
+            return Err(IngestError::Corrupt("injected republish failure".into()));
+        }
         let started = Instant::now();
-        // Copy-on-grow: a brand-new backing buffer; every outstanding
-        // view of the old dataset stays pinned to the old buffer.
-        let grown = epoch
-            .core
-            .index
-            .dataset()
-            .concat(epoch.overlay.iter().map(Arc::as_ref))
-            .map_err(|e| IngestError::Corrupt(e.to_string()))?;
-        let index = epoch.core.index.absorb(Arc::new(grown))?;
+        // No data movement: the grown collection is the view this epoch
+        // already answers over; the index only points into it.
+        let index = epoch.core.index.absorb(Arc::clone(&epoch.data))?;
         let core = EpochCore::new(Arc::new(index));
         // Warm the fresh executor *before* the swap so queries landing
         // on the new epoch stay allocation-free from the first one.
         core.prewarm(&self.warm.lock().clone());
         let next = Arc::new(Epoch {
             core,
-            overlay: Vec::new(),
-            overlay_len: 0,
+            data: Arc::clone(&epoch.data),
             id: epoch.id + 1,
         });
         *self.published.write() = next;
-        self.republishes.fetch_add(1, Ordering::Relaxed);
-        self.republish_micros
+        self.counts.republishes.fetch_add(1, Ordering::Relaxed);
+        self.counts
+            .republish_micros
             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
         Ok(true)
     }
@@ -400,20 +424,16 @@ impl DeltaIndex {
         self.republish_locked(&mut writer)?;
         let epoch = self.snapshot();
         let dataset = epoch.core.index.dataset();
-        if let Some(log) = writer.log.as_mut() {
-            log.reset(
-                dataset.series_len(),
-                dataset.len() as u64,
-                dataset_fingerprint(dataset),
-            )?;
-            self.log_bytes.store(log.bytes(), Ordering::Relaxed);
+        if let Some(log) = writer.as_mut() {
+            log.reset(dataset)?;
+            self.counts.log_bytes.store(log.bytes(), Ordering::Relaxed);
         }
         Ok(dataset.len() as u64)
     }
 
     /// Answers one query against the live index: the published arenas
     /// through the epoch's warm executor, plus a brute-force scan of
-    /// the sealed overlay with the engine's own kernels at an infinite
+    /// the overlay with the engine's own kernels at an infinite
     /// abandon bound, merged with the executor's exact tie-break order.
     /// Positions are global and stable across republishes.
     ///
@@ -442,12 +462,11 @@ impl DeltaIndex {
         let epoch = self.snapshot();
         let (answers, mut stats, alloc_events, per_shard) =
             epoch.core.exec.run_one_traced(query, spec, config);
-        if epoch.overlay_len == 0 {
+        if epoch.overlay_len() == 0 {
             return (answers, stats, alloc_events, per_shard);
         }
-        let overlay = overlay_candidates(&epoch, query, spec, config);
-        stats.real_distance_calcs += overlay.len() as u64;
-        let answers = merge_overlay(spec, answers, overlay);
+        stats.real_distance_calcs += epoch.overlay_len() as u64;
+        let answers = merge_overlay(&epoch, query, spec, config, answers);
         (answers, stats, alloc_events, per_shard)
     }
 
@@ -467,12 +486,12 @@ impl DeltaIndex {
 
     /// Total live series (base + overlay).
     pub fn num_series(&self) -> u64 {
-        self.snapshot().total_series()
+        self.snapshot().data.len() as u64
     }
 
     /// Length of every indexed series.
     pub fn series_len(&self) -> usize {
-        self.snapshot().core.index.dataset().series_len()
+        self.series_len
     }
 
     /// The published epoch id (bumps on every insert and republish).
@@ -486,94 +505,70 @@ impl DeltaIndex {
         IngestStats {
             epoch: epoch.id,
             epoch_age: epoch.core.published_at.elapsed(),
-            overlay_series: epoch.overlay_len,
-            total_series: epoch.total_series(),
-            batches: self.batches.load(Ordering::Relaxed),
-            series_ingested: self.series_ingested.load(Ordering::Relaxed),
-            republishes: self.republishes.load(Ordering::Relaxed),
-            republish_time: Duration::from_micros(self.republish_micros.load(Ordering::Relaxed)),
-            log_bytes: self.log_bytes.load(Ordering::Relaxed),
+            overlay_series: epoch.overlay_len() as u64,
+            total_series: epoch.data.len() as u64,
+            batches: self.counts.batches.load(Ordering::Relaxed),
+            series_ingested: self.counts.series_ingested.load(Ordering::Relaxed),
+            republishes: self.counts.republishes.load(Ordering::Relaxed),
+            republish_time: Duration::from_micros(
+                self.counts.republish_micros.load(Ordering::Relaxed),
+            ),
+            republish_failures: self.counts.republish_failures.load(Ordering::Relaxed),
+            log_bytes: self.counts.log_bytes.load(Ordering::Relaxed),
         }
     }
 }
 
 impl std::fmt::Debug for DeltaIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("DeltaIndex")
-            .field("epoch", &s.epoch)
-            .field("total_series", &s.total_series)
-            .field("overlay_series", &s.overlay_series)
-            .field("republishes", &s.republishes)
-            .finish_non_exhaustive()
+        write!(f, "DeltaIndex({:?})", self.stats())
     }
 }
 
-/// Brute-force distances from `query` to every overlay series, using
-/// the *same* kernels the engine's refinement step uses, at an
-/// infinite abandon bound so the computed value is the full distance
-/// (both kernels only return early with a value `>= bound`; at
-/// `f32::INFINITY` they never abandon). This is what makes merged
-/// answers bit-identical to a fresh build over the grown collection.
-fn overlay_candidates(
+/// Merges the engine's answers with a brute-force scan of the overlay
+/// under the ordering the sharded gather uses: ascending `(dist_sq,
+/// pos)` with `total_cmp` on the distance. The scan uses the *same*
+/// kernels as the engine's refinement step at an infinite abandon bound
+/// (they only return early with a value `>= bound`, so never), which is
+/// what makes merged answers bit-identical to a fresh build over the
+/// grown collection.
+fn merge_overlay(
     epoch: &Epoch,
     query: &[f32],
     spec: &QuerySpec,
     config: &QueryConfig,
-) -> Vec<QueryAnswer> {
-    let mut pos = epoch.core.index.num_series();
-    let mut out = Vec::with_capacity(epoch.overlay_len as usize);
-    for segment in &epoch.overlay {
-        for series in segment.iter() {
-            let dist_sq = match spec.metric {
-                MetricSpec::Euclidean => {
-                    ed_sq_early_abandon_with(config.kernel, query, series, f32::INFINITY)
-                }
-                MetricSpec::Dtw(params) => {
-                    dtw_sq_early_abandon(query, series, params, f32::INFINITY)
-                }
-            };
-            out.push(QueryAnswer { pos, dist_sq });
-            pos += 1;
-        }
-    }
-    out
-}
-
-/// Merges engine answers with overlay candidates under the same
-/// ordering the sharded gather uses: ascending `(dist_sq, pos)` with
-/// `total_cmp` on the distance.
-fn merge_overlay(
-    spec: &QuerySpec,
-    engine: Vec<QueryAnswer>,
-    overlay: Vec<QueryAnswer>,
+    mut answers: Vec<QueryAnswer>,
 ) -> Vec<QueryAnswer> {
     let by_dist =
         |a: &QueryAnswer, b: &QueryAnswer| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos));
+    let scan = epoch.data.iter().enumerate().skip(epoch.core_len());
+    let overlay = scan.map(|(pos, series)| QueryAnswer {
+        pos: pos as u64,
+        dist_sq: match spec.metric {
+            MetricSpec::Euclidean => {
+                ed_sq_early_abandon_with(config.kernel, query, series, f32::INFINITY)
+            }
+            MetricSpec::Dtw(params) => dtw_sq_early_abandon(query, series, params, f32::INFINITY),
+        },
+    });
     match spec.objective {
         Objective::Exact | Objective::Approx { .. } => {
-            let best = engine
-                .into_iter()
-                .chain(overlay)
-                .min_by(by_dist)
-                .expect("exact/approximate always answers");
-            vec![best]
+            let best = answers.into_iter().chain(overlay).min_by(by_dist);
+            return vec![best.expect("exact/approximate always answers")];
         }
         Objective::Knn { k } => {
-            let mut all: Vec<QueryAnswer> = engine.into_iter().chain(overlay).collect();
-            all.sort_by(by_dist);
-            all.truncate(k);
-            all
+            answers.extend(overlay);
+            answers.sort_by(by_dist);
+            answers.truncate(k);
         }
+        // The engine admits `dist < next_up(ε²)`, i.e. `dist ≤ ε²` for
+        // finite distances — mirror that bound exactly.
         Objective::Range { epsilon_sq } => {
-            // The engine admits `dist < next_up(ε²)`, i.e. `dist ≤ ε²`
-            // for finite distances — mirror that bound exactly.
-            let mut all = engine;
-            all.extend(overlay.into_iter().filter(|a| a.dist_sq <= epsilon_sq));
-            all.sort_by(by_dist);
-            all
+            answers.extend(overlay.filter(|a| a.dist_sq <= epsilon_sq));
+            answers.sort_by(by_dist);
         }
     }
+    answers
 }
 
 #[cfg(test)]
@@ -589,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_seals_overlay_and_bumps_epoch() {
+    fn insert_extends_overlay_and_bumps_epoch() {
         let live = live_index(200, 2);
         assert_eq!(live.epoch(), 0);
         assert_eq!(live.num_series(), 200);
@@ -674,5 +669,51 @@ mod tests {
         assert_eq!(live.stats().overlay_series, 0);
         assert_eq!(live.stats().republishes, 1);
         assert_eq!(live.num_series(), 110);
+    }
+
+    /// Regression: a batch that is already durable and visible must be
+    /// acknowledged even when the inline republish it triggers fails —
+    /// an `Err` here becomes a 500 on `/ingest`, the client retries, and
+    /// the same series land twice.
+    #[test]
+    fn failed_inline_republish_still_acknowledges_the_batch() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
+        let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
+        let log = std::env::temp_dir().join(format!(
+            "messi-delta-republish-failure-{}.log",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&log);
+        let options = IngestOptions {
+            republish_after: 4,
+            max_epoch_age: None,
+        };
+        let (live, _) = DeltaIndex::with_log(index, options, &log).expect("fresh log");
+        let batch = gen::generate(DatasetKind::RandomWalk, 5, 6);
+
+        live.fail_next_republish.store(true, Ordering::Relaxed);
+        let report = live
+            .insert_batch(&batch)
+            .expect("durable + visible means acknowledged");
+        assert_eq!((report.accepted, report.total_series), (5, 105));
+        assert!(!report.republished);
+        let stats = live.stats();
+        assert_eq!(stats.overlay_series, 5, "overlay kept");
+        assert_eq!((stats.republishes, stats.republish_failures), (0, 1));
+        let config = QueryConfig::for_tests();
+        let (hit, _) = live.query(batch.series(2), &QuerySpec::exact(), &config);
+        assert_eq!((hit[0].pos, hit[0].dist_sq), (102, 0.0));
+
+        // The next trigger flattens everything, and the log holds each
+        // acknowledged batch exactly once.
+        assert!(live.insert_batch(&batch).expect("second").republished);
+        assert_eq!(live.stats().overlay_series, 0);
+        drop(live);
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
+        let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
+        let (_, replay) =
+            DeltaIndex::with_log(index, IngestOptions::default(), &log).expect("reopen");
+        assert_eq!((replay.batches, replay.series), (2, 10));
+        std::fs::remove_file(&log).expect("cleanup log");
     }
 }

@@ -25,6 +25,7 @@ use messi_series::io::{fnv1a64, fnv1a64_f32, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Magic bytes opening every delta log.
@@ -77,6 +78,39 @@ pub struct ReplayReport {
     pub dropped_bytes: u64,
 }
 
+/// The whole frames [`DeltaLog::open`] found, still in their on-disk
+/// encoding: replay decodes every value exactly once, straight into the
+/// collection buffer ([`LogFrames::decode_into`]), with no per-batch
+/// `Dataset` in between.
+#[derive(Debug, Default)]
+pub struct LogFrames {
+    raw: Vec<u8>,
+    /// Byte range of each frame's values inside `raw`, in append order.
+    values: Vec<Range<usize>>,
+}
+
+impl LogFrames {
+    /// Decodes every frame's values, back to back in append order, into
+    /// `dst` — `ReplayReport::series × series_len` values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` has a different length.
+    pub fn decode_into(&self, mut dst: &mut [f32]) {
+        for range in &self.values {
+            let (head, rest) = dst.split_at_mut(range.len() / 4);
+            for (v, bytes) in head.iter_mut().zip(self.raw[range.clone()].chunks_exact(4)) {
+                *v = f32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+            }
+            dst = rest;
+        }
+        assert!(
+            dst.is_empty(),
+            "destination longer than the replayed frames"
+        );
+    }
+}
+
 /// An open, append-position delta log.
 ///
 /// Created by [`DeltaLog::open`], which also replays whatever frames the
@@ -90,27 +124,21 @@ pub struct DeltaLog {
 }
 
 impl DeltaLog {
-    /// Opens (or creates) the delta log at `path` for the dataset with
-    /// the given shape and content fingerprint, replaying any frames
-    /// already present.
+    /// Opens (or creates) the delta log at `path` that extends the
+    /// collection `base`.
     ///
     /// A fresh/empty file gets a header and replays nothing. An existing
-    /// file must carry a matching header; its frames are decoded into
-    /// batches (returned in append order for the caller to re-ingest),
-    /// and a torn tail is reported loudly on stderr and truncated so the
-    /// log ends on its last whole frame.
+    /// file must carry a header matching `base`; its whole frames are
+    /// returned (checked, not yet decoded) for the caller to replay, and
+    /// a torn tail is reported loudly on stderr and truncated so the log
+    /// ends on its last whole frame.
     ///
     /// # Errors
     ///
     /// [`LogError::Mismatch`] when the header pins a different dataset,
     /// [`LogError::Corrupt`] when the header itself is damaged, and
     /// [`LogError::Io`] for filesystem failures.
-    pub fn open(
-        path: &Path,
-        series_len: usize,
-        base_len: u64,
-        base_fingerprint: u64,
-    ) -> Result<(Self, Vec<Dataset>, ReplayReport), LogError> {
+    pub fn open(path: &Path, base: &Dataset) -> Result<(Self, LogFrames, ReplayReport), LogError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -120,57 +148,43 @@ impl DeltaLog {
         let file_len = file.metadata()?.len();
         if file_len == 0 {
             let mut log = Self { file, bytes: 0 };
-            log.write_header(series_len, base_len, base_fingerprint)?;
-            return Ok((log, Vec::new(), ReplayReport::default()));
+            log.reset(base)?;
+            return Ok((log, LogFrames::default(), ReplayReport::default()));
         }
 
         let mut raw = Vec::with_capacity(file_len as usize);
         file.read_to_end(&mut raw)?;
-        let (batches, report) = decode_log(&raw, path, series_len, base_len, base_fingerprint)?;
-        let good = file_len - report.dropped_bytes;
+        let (values, report) = decode_log(&raw, path, base)?;
+        let bytes = file_len - report.dropped_bytes;
         if report.torn {
-            file.set_len(good)?;
+            file.set_len(bytes)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(good))?;
-        Ok((Self { file, bytes: good }, batches, report))
+        file.seek(SeekFrom::Start(bytes))?;
+        Ok((Self { file, bytes }, LogFrames { raw, values }, report))
     }
 
-    /// (Re)writes the header and truncates every frame — the compaction
-    /// tail step, after the grown dataset and snapshot have been saved.
+    /// Truncates every frame and (re)writes the header over `base` — how
+    /// a fresh log starts, and the compaction tail step after the grown
+    /// dataset and snapshot have been saved.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn reset(
-        &mut self,
-        series_len: usize,
-        base_len: u64,
-        base_fingerprint: u64,
-    ) -> Result<(), LogError> {
+    pub fn reset(&mut self, base: &Dataset) -> Result<(), LogError> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
-        self.bytes = 0;
-        self.write_header(series_len, base_len, base_fingerprint)
-    }
-
-    fn write_header(
-        &mut self,
-        series_len: usize,
-        base_len: u64,
-        base_fingerprint: u64,
-    ) -> Result<(), LogError> {
         let mut w = PayloadWriter::new();
         w.put_bytes(LOG_MAGIC);
         w.put_u16(LOG_VERSION);
-        w.put_u32(series_len as u32);
-        w.put_u64(base_len);
-        w.put_u64(base_fingerprint);
+        w.put_u32(base.series_len() as u32);
+        w.put_u64(base.len() as u64);
+        w.put_u64(fnv1a64_f32(base.as_flat()));
         let bytes = w.into_bytes();
         debug_assert_eq!(bytes.len() as u64, HEADER_LEN);
         self.file.write_all(&bytes)?;
         self.file.sync_data()?;
-        self.bytes += bytes.len() as u64;
+        self.bytes = HEADER_LEN;
         Ok(())
     }
 
@@ -181,16 +195,16 @@ impl DeltaLog {
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, batch: &Dataset) -> Result<(), LogError> {
+        let values = batch.as_flat();
         let mut w = PayloadWriter::new();
+        w.put_u32((4 + values.len() * 4) as u32);
         w.put_u32(batch.len() as u32);
-        for v in batch.as_flat() {
+        for v in values {
             w.put_f32(*v);
         }
-        let payload = w.into_bytes();
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let mut frame = w.into_bytes();
+        let checksum = fnv1a64(&frame[4..]);
+        frame.extend_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         self.bytes += frame.len() as u64;
@@ -203,15 +217,14 @@ impl DeltaLog {
     }
 }
 
-/// Decodes a whole log image: validated header, then frames until the
-/// buffer runs dry or the tail tears.
+/// Checks a whole log image: a header that pins `base` (length *and*
+/// content fingerprint), then frames until the buffer runs dry or the
+/// tail tears. Returns the byte range of every whole frame's values.
 fn decode_log(
     raw: &[u8],
     path: &Path,
-    series_len: usize,
-    base_len: u64,
-    base_fingerprint: u64,
-) -> Result<(Vec<Dataset>, ReplayReport), LogError> {
+    base: &Dataset,
+) -> Result<(Vec<Range<usize>>, ReplayReport), LogError> {
     let corrupt = |msg: String| LogError::Corrupt(msg);
     if (raw.len() as u64) < HEADER_LEN {
         return Err(corrupt(format!(
@@ -233,6 +246,7 @@ fn decode_log(
     let log_series_len = r.take_u32().map_err(|e| corrupt(e.into()))?;
     let log_base_len = r.take_u64().map_err(|e| corrupt(e.into()))?;
     let log_fp = r.take_u64().map_err(|e| corrupt(e.into()))?;
+    let (series_len, base_len) = (base.series_len(), base.len() as u64);
     if log_series_len as usize != series_len {
         return Err(LogError::Mismatch(format!(
             "log is for series of length {log_series_len}, dataset has {series_len}"
@@ -244,6 +258,7 @@ fn decode_log(
              (was the dataset rebuilt without compacting the log?)"
         )));
     }
+    let base_fingerprint = fnv1a64_f32(base.as_flat());
     if log_fp != base_fingerprint {
         return Err(LogError::Mismatch(format!(
             "log base fingerprint {log_fp:#018x} does not match the dataset's \
@@ -251,17 +266,17 @@ fn decode_log(
         )));
     }
 
-    let mut batches = Vec::new();
+    let mut frames = Vec::new();
     let mut report = ReplayReport::default();
     let mut off = HEADER_LEN as usize;
     while off < raw.len() {
-        match decode_frame(&raw[off..], series_len) {
-            Some(batch) => {
-                let frame_len = 12 + 4 + batch.len() * series_len * 4;
-                off += frame_len;
+        match check_frame(&raw[off..], series_len) {
+            Some(count) => {
+                let values = off + 8..off + 8 + count * series_len * 4;
+                off = values.end + 8;
                 report.batches += 1;
-                report.series += batch.len();
-                batches.push(batch);
+                report.series += count;
+                frames.push(values);
             }
             None => {
                 report.torn = true;
@@ -279,12 +294,13 @@ fn decode_log(
             }
         }
     }
-    Ok((batches, report))
+    Ok((frames, report))
 }
 
-/// Decodes one frame from the front of `buf`, or `None` if the bytes do
-/// not form a whole, checksum-valid, well-shaped frame (= torn tail).
-fn decode_frame(buf: &[u8], series_len: usize) -> Option<Dataset> {
+/// The series count of the frame at the front of `buf`, or `None` if the
+/// bytes do not form a whole, checksum-valid, well-shaped frame (= torn
+/// tail). The frame's values start 8 bytes in (length prefix + count).
+fn check_frame(buf: &[u8], series_len: usize) -> Option<usize> {
     if buf.len() < 4 {
         return None;
     }
@@ -300,20 +316,7 @@ fn decode_frame(buf: &[u8], series_len: usize) -> Option<Dataset> {
     }
     let mut r = PayloadReader::new(payload);
     let count = r.take_u32().ok()? as usize;
-    if count == 0 || r.remaining() != count * series_len * 4 {
-        return None;
-    }
-    let mut values = Vec::with_capacity(count * series_len);
-    for _ in 0..count * series_len {
-        values.push(r.take_f32().ok()?);
-    }
-    Dataset::from_flat(values, series_len).ok()
-}
-
-/// Content fingerprint of a dataset's visible values — what the log
-/// header pins its base to.
-pub(crate) fn dataset_fingerprint(dataset: &Dataset) -> u64 {
-    fnv1a64_f32(dataset.as_flat())
+    (count != 0 && r.remaining() == count * series_len * 4).then_some(count)
 }
 
 #[cfg(test)]
@@ -334,11 +337,22 @@ mod tests {
         Dataset::from_flat(values, series_len).unwrap()
     }
 
+    /// What a replay of `frames` appends, and what `batches` hold.
+    fn decoded(frames: &LogFrames, report: &ReplayReport, series_len: usize) -> Vec<f32> {
+        let mut out = vec![0.0; report.series * series_len];
+        frames.decode_into(&mut out);
+        out
+    }
+
+    fn flat(batches: &[&Dataset]) -> Vec<f32> {
+        batches.iter().flat_map(|b| b.as_flat().to_vec()).collect()
+    }
+
     #[test]
     fn round_trips_batches_across_reopen() {
         let path = tmp("roundtrip");
-        let (mut log, replayed, report) = DeltaLog::open(&path, 8, 100, 42).unwrap();
-        assert!(replayed.is_empty() && !report.torn);
+        let (mut log, _, report) = DeltaLog::open(&path, &batch(0.0, 100, 8)).unwrap();
+        assert!(report.batches == 0 && !report.torn);
         let b1 = batch(1.0, 3, 8);
         let b2 = batch(2.0, 5, 8);
         log.append(&b1).unwrap();
@@ -346,30 +360,30 @@ mod tests {
         let bytes = log.bytes();
         drop(log);
 
-        let (log, replayed, report) = DeltaLog::open(&path, 8, 100, 42).unwrap();
+        let (log, replayed, report) = DeltaLog::open(&path, &batch(0.0, 100, 8)).unwrap();
         assert_eq!(log.bytes(), bytes);
         assert_eq!(report.batches, 2);
         assert_eq!(report.series, 8);
         assert!(!report.torn);
-        assert_eq!(replayed, vec![b1, b2]);
+        assert_eq!(decoded(&replayed, &report, 8), flat(&[&b1, &b2]));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn rejects_logs_for_other_datasets() {
         let path = tmp("mismatch");
-        let (log, _, _) = DeltaLog::open(&path, 8, 100, 42).unwrap();
+        let (log, _, _) = DeltaLog::open(&path, &batch(0.0, 100, 8)).unwrap();
         drop(log);
         assert!(matches!(
-            DeltaLog::open(&path, 16, 100, 42),
+            DeltaLog::open(&path, &batch(0.0, 50, 16)),
             Err(LogError::Mismatch(_))
         ));
         assert!(matches!(
-            DeltaLog::open(&path, 8, 99, 42),
+            DeltaLog::open(&path, &batch(0.0, 99, 8)),
             Err(LogError::Mismatch(_))
         ));
         assert!(matches!(
-            DeltaLog::open(&path, 8, 100, 43),
+            DeltaLog::open(&path, &batch(0.5, 100, 8)),
             Err(LogError::Mismatch(_))
         ));
         std::fs::remove_file(&path).unwrap();
@@ -378,7 +392,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_prefix_recovered() {
         let path = tmp("torn");
-        let (mut log, _, _) = DeltaLog::open(&path, 4, 10, 7).unwrap();
+        let (mut log, _, _) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
         let b1 = batch(3.0, 2, 4);
         let b2 = batch(4.0, 3, 4);
         log.append(&b1).unwrap();
@@ -392,11 +406,11 @@ mod tests {
         raw.extend_from_slice(&[0xAB; 17]);
         std::fs::write(&path, &raw).unwrap();
 
-        let (log, replayed, report) = DeltaLog::open(&path, 4, 10, 7).unwrap();
+        let (log, replayed, report) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
         assert!(report.torn);
         assert_eq!(report.dropped_bytes, 21);
         assert_eq!(report.batches, 2);
-        assert_eq!(replayed, vec![b1.clone(), b2.clone()]);
+        assert_eq!(decoded(&replayed, &report, 4), flat(&[&b1, &b2]));
         assert_eq!(log.bytes(), good, "file truncated back to last frame");
         drop(log);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good);
@@ -406,23 +420,23 @@ mod tests {
         let last = raw.len() - 10;
         raw[last] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let (_, replayed, report) = DeltaLog::open(&path, 4, 10, 7).unwrap();
+        let (_, replayed, report) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
         assert!(report.torn);
         assert_eq!(report.batches, 1, "only the first frame survives");
-        assert_eq!(replayed, vec![b1]);
+        assert_eq!(decoded(&replayed, &report, 4), flat(&[&b1]));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reset_truncates_to_a_fresh_header() {
         let path = tmp("reset");
-        let (mut log, _, _) = DeltaLog::open(&path, 4, 10, 7).unwrap();
+        let (mut log, _, _) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
         log.append(&batch(1.0, 2, 4)).unwrap();
-        log.reset(4, 12, 99).unwrap();
+        log.reset(&batch(9.0, 12, 4)).unwrap();
         assert_eq!(log.bytes(), HEADER_LEN);
         drop(log);
-        let (log, replayed, report) = DeltaLog::open(&path, 4, 12, 99).unwrap();
-        assert!(replayed.is_empty() && !report.torn);
+        let (log, _, report) = DeltaLog::open(&path, &batch(9.0, 12, 4)).unwrap();
+        assert!(report.batches == 0 && !report.torn);
         assert_eq!(log.bytes(), HEADER_LEN);
         std::fs::remove_file(&path).unwrap();
     }

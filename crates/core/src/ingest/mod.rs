@@ -3,27 +3,29 @@
 //!
 //! A built index is immutable; this module grows one anyway. The
 //! [`DeltaIndex`] wraps a [`ShardedIndex`](crate::shard::ShardedIndex)
-//! behind an epoch/RCU publication seam: appended series accumulate as
-//! small immutable *sealed overlay* segments that queries brute-force
-//! alongside the published arenas, and a republish step flattens the
-//! overlay into fresh [`TreeArena`](crate::node::TreeArena)s (rebuilding
-//! only the root subtrees that actually received entries) before
-//! swapping in the next epoch. Readers never take a lock on the arena
-//! read path — they clone an `Arc` snapshot of the current epoch and
-//! query it to completion even while writers publish successors.
+//! behind an epoch/RCU publication seam. The collection is one buffer
+//! that grows **in place**: an appended batch is written once into
+//! spare capacity no published view covers, and the next epoch's view
+//! of the collection is simply longer. The tail the index does not
+//! cover yet is the *overlay*, which queries brute-force alongside the
+//! published arenas; a republish hands the same view to the index
+//! (rebuilding only the root subtrees that received entries — no series
+//! moves) and swaps in the next epoch. Readers take no lock on the read
+//! path: they clone an `Arc` snapshot of the current epoch and query it
+//! to completion even while writers publish successors.
 //!
 //! Durability is a framed, checksummed delta log ([`DeltaLog`]): every
 //! accepted batch is appended and fsynced before it becomes queryable,
-//! boot replays the log over the snapshot, and compaction re-saves the
-//! grown collection and truncates the log. Torn tails are detected by
-//! checksum, reported loudly, and dropped — the intact prefix is
-//! recovered.
+//! boot decodes the log straight into the collection buffer and
+//! republishes once, and compaction re-saves the grown collection and
+//! truncates the log. Torn tails are detected by checksum, reported
+//! loudly, and dropped — the intact prefix is recovered.
 
 mod delta;
 mod log;
 
 pub use delta::{DeltaIndex, IngestOptions, IngestReport, IngestStats};
-pub use log::{DeltaLog, LogError, ReplayReport};
+pub use log::{DeltaLog, LogError, LogFrames, ReplayReport};
 
 /// What went wrong accepting an ingest batch.
 #[derive(Debug)]

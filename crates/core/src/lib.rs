@@ -73,7 +73,8 @@
 //!   families), graceful drain, and the matching load-smoke client.
 //! * [`ingest`] — live ingest: the [`DeltaIndex`] epoch/RCU seam that
 //!   absorbs appended series while queries keep reading immutable
-//!   published arenas plus a sealed-delta overlay, republishing fresh
+//!   published arenas plus an overlay appended in place to the
+//!   collection buffer, republishing fresh
 //!   arenas on size/cadence triggers, with a framed checksummed delta
 //!   log for durability (replayed by `--load`, truncated by
 //!   `messi compact`).

@@ -184,6 +184,7 @@ pub fn encode_prometheus(
         series_ingested,
         republishes,
         republish_time,
+        republish_failures,
         log_bytes,
     } = *ingest;
     family(
@@ -204,7 +205,7 @@ pub fn encode_prometheus(
         &mut out,
         "messi_ingest_delta_series",
         "gauge",
-        "Series in the sealed overlay, not yet flattened into arenas.",
+        "Series in the overlay, not yet flattened into arenas.",
         overlay_series,
     );
     family(
@@ -241,6 +242,13 @@ pub fn encode_prometheus(
         "counter",
         "Summed republish wall time in seconds.",
         format_args!("{:.6}", republish_time.as_secs_f64()),
+    );
+    family(
+        &mut out,
+        "messi_ingest_republish_failures_total",
+        "counter",
+        "Inline republishes that failed after their batch was accepted (overlay kept).",
+        republish_failures,
     );
     family(
         &mut out,
@@ -454,6 +462,7 @@ mod tests {
             series_ingested: 17,
             republishes: 2,
             republish_time: Duration::from_millis(250),
+            republish_failures: 1,
             log_bytes: 4096,
         };
         let text = encode_prometheus(&metrics, &admission, true, &ingest);
@@ -532,6 +541,7 @@ mod tests {
         expect_exactly_once("\nmessi_ingest_series_total 17\n".to_string());
         expect_exactly_once("\nmessi_ingest_republishes_total 2\n".to_string());
         expect_exactly_once("\nmessi_ingest_republish_seconds_total 0.250000\n".to_string());
+        expect_exactly_once("\nmessi_ingest_republish_failures_total 1\n".to_string());
         expect_exactly_once("\nmessi_ingest_log_bytes 4096\n".to_string());
 
         // Per-shard families: the scatter's per-shard stats land under

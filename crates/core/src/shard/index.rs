@@ -217,7 +217,9 @@ impl ShardedIndex {
     }
 
     /// A grown copy of this index over `grown` — a dataset that starts
-    /// with this index's series and appends new ones at the tail.
+    /// with this index's series and appends new ones at the tail,
+    /// normally a longer view of the same buffer
+    /// ([`Dataset::append_with`]); no series is copied here either way.
     ///
     /// Only the **last** shard is rebuilt (via
     /// [`MessiIndex::insert_batch`], which reuses every untouched root

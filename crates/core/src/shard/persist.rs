@@ -294,7 +294,7 @@ mod tests {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 21));
         let (built, _) = ShardedIndex::build(Arc::clone(&data), 3, &IndexConfig::for_tests());
         // Grow past the canonical balanced split: the last shard
-        // absorbs 7 appended series (copy-on-grow, see Dataset::concat).
+        // absorbs 7 appended series (see Dataset::append_with).
         let extra = gen::generate(DatasetKind::RandomWalk, 7, 22);
         let grown = Arc::new(data.concat([&extra]).expect("same shape"));
         let absorbed = built.absorb(Arc::clone(&grown)).expect("absorb");

@@ -1,13 +1,69 @@
 //! The in-memory dataset: the paper's `RawData` array.
 //!
 //! MESSI assumes the raw data series live in one contiguous in-memory
-//! array (Fig. 2 of the paper). [`Dataset`] is exactly that: a flat
-//! `Vec<f32>` storing `len()` series of `series_len()` points back to
-//! back. Series are addressed by their position index, which is what the
-//! index tree stores next to each iSAX summary.
+//! array (Fig. 2 of the paper). [`Dataset`] is exactly that: one flat
+//! `f32` allocation storing `len()` series of `series_len()` points back
+//! to back. Series are addressed by their position index, which is what
+//! the index tree stores next to each iSAX summary — the index only
+//! *points into* the array, so the array can grow at its tail
+//! ([`Dataset::append_with`]) without moving a series.
 
 use crate::error::{Error, Result};
+use std::mem::ManuallyDrop;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The one heap allocation behind a [`Dataset`] and all of its views.
+///
+/// `[0, cap)` is initialised memory. `committed` splits it: everything
+/// below has been claimed by exactly one [`Dataset::append_with`] call
+/// (or was there at construction) and is never written again once the
+/// view naming it exists; everything above is spare capacity nobody
+/// reads. `committed` only grows, and only by compare-and-swap.
+struct Buffer {
+    ptr: NonNull<f32>,
+    /// Initialised values in the allocation.
+    cap: usize,
+    /// Capacity the allocation goes back to `Vec` with on drop.
+    alloc_cap: usize,
+    committed: AtomicUsize,
+}
+
+impl Buffer {
+    /// Takes over `values`' allocation: `values.len()` initialised
+    /// values, of which the first `committed` are already claimed.
+    fn new(values: Vec<f32>, committed: usize) -> Self {
+        assert!(committed <= values.len(), "committed beyond the buffer");
+        let mut values = ManuallyDrop::new(values);
+        Self {
+            ptr: NonNull::new(values.as_mut_ptr()).expect("Vec pointers are never null"),
+            cap: values.len(),
+            alloc_cap: values.capacity(),
+            committed: AtomicUsize::new(committed),
+        }
+    }
+}
+
+impl Drop for Buffer {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` and `alloc_cap` are the pointer and capacity of
+        // the `Vec<f32>` that `new` took apart without freeing, and
+        // nothing else frees them; length 0 is valid for any capacity
+        // and `f32` has no destructor to skip.
+        drop(unsafe { Vec::from_raw_parts(self.ptr.as_ptr(), 0, self.alloc_cap) });
+    }
+}
+
+// SAFETY: `ptr` owns a heap allocation of plain `f32`s, so moving the
+// buffer between threads is fine. Sharing it is sound because the only
+// reads go through `Dataset::as_flat`, over a range that was completely
+// written before the view naming it was created, and the only writes go
+// through `Dataset::append_with`, into a range its caller claimed
+// exclusively by CAS on `committed` and that no view covers yet.
+unsafe impl Send for Buffer {}
+// SAFETY: as above.
+unsafe impl Sync for Buffer {}
 
 /// A collection of fixed-length data series stored contiguously in memory.
 ///
@@ -21,22 +77,46 @@ use std::sync::Arc;
 /// of series without duplicating a single float. Equality compares the
 /// *visible* values, so a view equals an owned copy of the same range.
 ///
-/// **Append-safety invariant:** a backing buffer is immutable for the
-/// lifetime of its `Arc` — no API grows or mutates `values` in place, so
-/// no append can ever reallocate a buffer out from under an outstanding
-/// view mid-query. Growth is always *copy-on-grow*: [`Dataset::concat`]
-/// builds a brand-new buffer and leaves every existing view pinning the
-/// old one alive. Live ingest relies on this: published shard views stay
-/// valid forever, and a republished index simply swaps to the new
-/// buffer.
-#[derive(Debug, Clone)]
+/// **Append-safety invariant:** growth is *append-in-place,
+/// publish-by-length*. A dataset is a window `(buffer, offset, len)` and
+/// never observes a byte beyond its own length; the values it does cover
+/// were written before it existed and are never written again. The
+/// buffer may own spare capacity past every view: that region has one
+/// writer at a time — [`Dataset::append_with`] claims
+/// `[committed, committed + n)` by compare-and-swap, fills it, and only
+/// then returns a longer view of the *same* allocation. Nothing is ever
+/// moved or reallocated under an outstanding view; when the capacity is
+/// exhausted (or someone else already extended the buffer) the grower
+/// copies once into a new buffer with fixed geometric headroom (×1.5)
+/// and old views keep pinning the old one. Live ingest relies on this:
+/// the index only points into the collection, so republishing costs
+/// O(new series), not O(collection).
+#[derive(Clone)]
 pub struct Dataset {
-    values: Arc<Vec<f32>>,
-    /// First visible value inside `values` (0 for owned datasets).
+    buf: Arc<Buffer>,
+    /// First visible value inside the buffer (0 for owned datasets).
     offset: usize,
     /// Number of visible values (a whole number of series).
     len_values: usize,
     series_len: usize,
+}
+
+/// Geometric headroom of a growth copy: the new buffer reserves another
+/// `1 / HEADROOM_DIV` of the grown size as spare capacity (factor 1.5),
+/// so a collection that grows from `a` to `b` series reallocates at most
+/// `⌈log₁.₅(b / a)⌉` times. Untouched spare pages cost address space,
+/// not resident memory.
+const HEADROOM_DIV: usize = 2;
+
+impl std::fmt::Debug for Dataset {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dataset")
+            .field("len", &self.len())
+            .field("series_len", &self.series_len)
+            .field("offset", &self.offset)
+            .field("capacity_values", &self.buf.cap)
+            .finish()
+    }
 }
 
 impl PartialEq for Dataset {
@@ -64,7 +144,7 @@ impl Dataset {
         }
         let len_values = values.len();
         Ok(Self {
-            values: Arc::new(values),
+            buf: Arc::new(Buffer::new(values, len_values)),
             offset: 0,
             len_values,
             series_len,
@@ -88,7 +168,7 @@ impl Dataset {
             self.len()
         );
         Self {
-            values: Arc::clone(&self.values),
+            buf: Arc::clone(&self.buf),
             offset: self.offset + start * self.series_len,
             len_values: (end - start) * self.series_len,
             series_len: self.series_len,
@@ -164,7 +244,13 @@ impl Dataset {
     /// its window).
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
-        &self.values[self.offset..self.offset + self.len_values]
+        // SAFETY: every constructor keeps `offset + len_values` within
+        // `committed <= cap` of the allocation `self.buf` keeps alive,
+        // the range was fully written before this view was created, and
+        // `append_with` only ever writes at or beyond `committed`.
+        unsafe {
+            std::slice::from_raw_parts(self.buf.ptr.as_ptr().add(self.offset), self.len_values)
+        }
     }
 
     /// Iterates over all series in position order.
@@ -214,14 +300,77 @@ impl Dataset {
         None
     }
 
-    /// A new dataset holding this dataset's series followed by every
-    /// series of `tails`, in order — the *copy-on-grow* primitive live
-    /// ingest republishes through.
+    /// This dataset grown by `count` series that `fill` writes — the one
+    /// growth primitive (live ingest, log replay and [`Dataset::concat`]
+    /// all go through it). `fill` receives exactly the
+    /// `count * series_len` new values, zero-initialised, and must
+    /// overwrite all of them.
     ///
-    /// The values are copied into a freshly allocated backing buffer;
-    /// `self` and `tails` (and any views of them) are left untouched and
-    /// remain valid, which is what keeps in-flight queries safe while an
-    /// index grows (see the type-level append-safety invariant).
+    /// When the view ends where the buffer's committed region ends and
+    /// the spare capacity fits, the new values are written **in place**
+    /// and the result is a longer view of the same allocation: `self`,
+    /// its clones and sub-views are untouched and still valid, and no
+    /// existing byte moves. Otherwise — capacity exhausted, or another
+    /// owner of the buffer extended it first — the visible window is
+    /// copied once into a new buffer with geometric headroom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grown size overflows `usize`.
+    pub fn append_with(&self, count: usize, fill: impl FnOnce(&mut [f32])) -> Self {
+        if count == 0 {
+            return self.clone();
+        }
+        let n = count
+            .checked_mul(self.series_len)
+            .expect("appended size overflows usize");
+        let end = self.offset + self.len_values;
+        let grown_end = end.checked_add(n).expect("grown size overflows usize");
+        // AcqRel/Acquire: `committed` publishes no data by itself (views
+        // travel between threads through `Arc`s and locks, which order
+        // the writes below before any read); the CAS only arbitrates
+        // which grower owns `[end, grown_end)`.
+        if grown_end <= self.buf.cap
+            && self
+                .buf
+                .committed
+                .compare_exchange(end, grown_end, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            // SAFETY: `[end, grown_end)` lies inside the allocation
+            // (`grown_end <= cap`) and is initialised (zeroed at
+            // allocation). The CAS moved `committed` from `end` to
+            // `grown_end`, and `committed` never decreases, so no other
+            // grower can claim an overlapping range; every existing view
+            // ends at or below the old `committed`, so nothing reads the
+            // range until the view returned below is handed out.
+            let dst = unsafe { std::slice::from_raw_parts_mut(self.buf.ptr.as_ptr().add(end), n) };
+            fill(dst);
+            return Self {
+                buf: Arc::clone(&self.buf),
+                offset: self.offset,
+                len_values: self.len_values + n,
+                series_len: self.series_len,
+            };
+        }
+        let needed = self.len_values + n;
+        // `vec![0.0; _]` is a zeroed allocation: the spare pages are
+        // initialised for `fill` calls to come without being touched now.
+        let mut values = vec![0.0f32; needed + needed.div_ceil(HEADROOM_DIV)];
+        values[..self.len_values].copy_from_slice(self.as_flat());
+        fill(&mut values[self.len_values..needed]);
+        Self {
+            buf: Arc::new(Buffer::new(values, needed)),
+            offset: 0,
+            len_values: needed,
+            series_len: self.series_len,
+        }
+    }
+
+    /// A dataset holding this dataset's series followed by every series
+    /// of `tails`, in order: a thin wrapper over
+    /// [`Dataset::append_with`], so `self` and `tails` (and any views of
+    /// them) stay untouched and valid.
     ///
     /// # Errors
     ///
@@ -240,13 +389,14 @@ impl Dataset {
                 });
             }
         }
-        let extra: usize = tails.iter().map(|t| t.len_values).sum();
-        let mut values = Vec::with_capacity(self.len_values + extra);
-        values.extend_from_slice(self.as_flat());
-        for t in &tails {
-            values.extend_from_slice(t.as_flat());
-        }
-        Self::from_flat(values, self.series_len)
+        let count = tails.iter().map(|t| t.len()).sum();
+        Ok(self.append_with(count, |mut dst| {
+            for t in &tails {
+                let (head, rest) = dst.split_at_mut(t.len_values);
+                head.copy_from_slice(t.as_flat());
+                dst = rest;
+            }
+        }))
     }
 
     /// Brute-force scan: position and squared Euclidean distance of the
@@ -424,9 +574,21 @@ mod tests {
         assert!(ds.view(2, 2).is_empty());
     }
 
+    fn ramp(start: usize, count: usize, series_len: usize) -> Vec<f32> {
+        (start * series_len..(start + count) * series_len)
+            .map(|v| v as f32)
+            .collect()
+    }
+
+    fn append(ds: &Dataset, values: &[f32]) -> Dataset {
+        ds.append_with(values.len() / ds.series_len(), |dst| {
+            dst.copy_from_slice(values)
+        })
+    }
+
     #[test]
-    fn concat_copies_into_a_new_buffer() {
-        let base = Dataset::from_flat((0..8).map(|v| v as f32).collect(), 4).unwrap();
+    fn concat_leaves_every_outstanding_view_untouched() {
+        let base = Dataset::from_flat(ramp(0, 2, 4), 4).unwrap();
         let view = base.view(1, 2); // outstanding window over the old buffer
         let tail = Dataset::from_flat(vec![9.0; 4], 4).unwrap();
         let grown = base.concat([&tail]).unwrap();
@@ -434,24 +596,177 @@ mod tests {
         assert_eq!(grown.series(0), base.series(0));
         assert_eq!(grown.series(1), base.series(1));
         assert_eq!(grown.series(2), tail.series(0));
-        // Copy-on-grow: the new dataset has its own allocation, and the
-        // outstanding view still points into the untouched old buffer.
+        // `from_flat` adopts the vec without headroom, so the first
+        // growth copies; the outstanding view still points into the
+        // untouched old buffer.
         assert!(!std::ptr::eq(
-            grown.series(0).as_ptr(),
-            base.series(0).as_ptr()
+            grown.as_flat().as_ptr(),
+            base.as_flat().as_ptr()
         ));
         assert!(std::ptr::eq(
             view.series(0).as_ptr(),
             base.series(1).as_ptr()
         ));
         assert_eq!(view.series(0), &[4.0, 5.0, 6.0, 7.0]);
-        // Empty tail list is a plain copy; mismatched shapes are refused.
+        // The copy bought headroom: growing again stays in place, and
+        // the shorter views never see the new series.
+        let again = grown.concat([&tail]).unwrap();
+        assert!(std::ptr::eq(
+            again.as_flat().as_ptr(),
+            grown.as_flat().as_ptr()
+        ));
+        assert_eq!(again.len(), 4);
+        assert_eq!(grown.len(), 3);
+        assert_eq!(again.view(0, 3), grown);
+        // Empty tail list changes nothing; mismatched shapes are refused.
         assert_eq!(base.concat([]).unwrap(), base);
         let odd = Dataset::from_flat(vec![0.0; 2], 2).unwrap();
         assert!(matches!(
             base.concat([&odd]),
             Err(Error::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn growth_within_capacity_keeps_the_pointer_and_reallocations_are_logarithmic() {
+        let initial = 10usize;
+        let mut ds = Dataset::from_flat(ramp(0, initial, 8), 8).unwrap();
+        let mut ptr = ds.as_flat().as_ptr();
+        let mut reallocations = 0u32;
+        let mut in_place_streak = 0usize;
+        let mut longest_streak = 0usize;
+        while ds.len() < 1000 {
+            let before = ds.clone();
+            ds = append(&ds, &ramp(ds.len(), 3, 8));
+            assert_eq!(ds.view(0, before.len()), before, "prefix preserved");
+            if std::ptr::eq(ds.as_flat().as_ptr(), ptr) {
+                in_place_streak += 1;
+            } else {
+                reallocations += 1;
+                ptr = ds.as_flat().as_ptr();
+                longest_streak = longest_streak.max(in_place_streak);
+                in_place_streak = 0;
+            }
+        }
+        assert_eq!(ds.as_flat(), &ramp(0, ds.len(), 8)[..]);
+        let bound = ((ds.len() as f64 / initial as f64).ln() / 1.5f64.ln()).ceil() as u32;
+        assert!(
+            reallocations <= bound,
+            "{reallocations} reallocations growing {initial} -> {} (bound {bound})",
+            ds.len()
+        );
+        assert!(
+            longest_streak.max(in_place_streak) >= 50,
+            "appends stay in place"
+        );
+    }
+
+    #[test]
+    fn a_buffer_someone_else_extended_is_copied_not_overwritten() {
+        // Give the buffer headroom, then fork two owners off one view.
+        let base = append(
+            &Dataset::from_flat(ramp(0, 4, 4), 4).unwrap(),
+            &ramp(4, 1, 4),
+        );
+        let (a, b) = (base.clone(), base.clone());
+        let a2 = append(&a, &[1.0; 8]);
+        let b2 = append(&b, &[2.0; 4]);
+        assert!(std::ptr::eq(a2.as_flat().as_ptr(), base.as_flat().as_ptr()));
+        assert!(!std::ptr::eq(
+            b2.as_flat().as_ptr(),
+            base.as_flat().as_ptr()
+        ));
+        assert_eq!(a2.view(0, 5), base);
+        assert_eq!(b2.view(0, 5), base);
+        assert_eq!(a2.view(5, 7).as_flat(), &[1.0; 8]);
+        assert_eq!(b2.view(5, 6).as_flat(), &[2.0; 4]);
+        // A sub-view that does not end at the committed mark copies too.
+        let inner = append(&a2.view(1, 3), &[3.0; 4]);
+        assert_eq!(inner.len(), 3);
+        assert_eq!(inner.series(0), a2.series(1));
+        assert_eq!(a2.series(5), &[1.0; 4], "the extended region is intact");
+    }
+
+    /// Stress of the claim / write / publish window with the
+    /// interleaving forced from inside `fill`, which runs after the CAS
+    /// claim and before the longer view exists: two owners of one view
+    /// are both inside their fill (a barrier holds them there) while
+    /// readers keep checksumming the shared prefix.
+    #[test]
+    fn racing_growers_and_pinned_readers_under_injected_yields() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const LEN: usize = 16;
+        for round in 0..20usize {
+            let seed = append(
+                &Dataset::from_flat(ramp(0, 32, LEN), LEN).unwrap(),
+                &ramp(32, 8, LEN),
+            );
+            let expected = ramp(0, 40, LEN);
+            let in_fill = Barrier::new(2);
+            let stop = AtomicBool::new(false);
+            let grow = |tag: f32| {
+                let mut view = seed.clone();
+                let mut won = false;
+                // First append races the other owner for the same range;
+                // later ones run in place and then across a growth copy.
+                for step in 0..24usize {
+                    let count = 1 + (round + step) % 5;
+                    view = view.append_with(count, |dst| {
+                        if step == 0 {
+                            in_fill.wait();
+                        }
+                        for (i, v) in dst.iter_mut().enumerate() {
+                            if i % 7 == 0 {
+                                std::thread::yield_now();
+                            }
+                            *v = tag + step as f32;
+                        }
+                    });
+                    if step == 0 {
+                        won = std::ptr::eq(view.as_flat().as_ptr(), seed.as_flat().as_ptr());
+                    }
+                    std::thread::yield_now();
+                }
+                (view, won)
+            };
+            let ((a, a_won), (b, b_won)) = std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let pinned = seed.clone();
+                        while !stop.load(Ordering::Relaxed) {
+                            assert_eq!(pinned.as_flat(), &expected[..]);
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                let a = s.spawn(|| grow(1000.0));
+                let b = s.spawn(|| grow(2000.0));
+                let joined = (a.join(), b.join());
+                stop.store(true, Ordering::Relaxed);
+                (joined.0.expect("grower a"), joined.1.expect("grower b"))
+            });
+            assert!(
+                a_won != b_won,
+                "exactly one owner extends the shared buffer in place"
+            );
+            for (view, tag) in [(&a, 1000.0f32), (&b, 2000.0)] {
+                assert_eq!(&view.as_flat()[..expected.len()], &expected[..]);
+                let mut pos = 40;
+                for step in 0..24usize {
+                    for _ in 0..1 + (round + step) % 5 {
+                        assert_eq!(
+                            view.series(pos),
+                            &[tag + step as f32; LEN],
+                            "round {round}: an owner sees only its own series"
+                        );
+                        pos += 1;
+                    }
+                }
+                assert_eq!(pos, view.len());
+            }
+        }
     }
 
     #[test]

@@ -288,7 +288,7 @@ non-zero on any client/server error, or when fewer than --min-shed
 sheds were observed.
 
 Ingested series are absorbed behind an epoch seam: queries keep
-answering from the published index plus a small sealed overlay, and a
+answering from the published index plus a small overlay, and a
 background republish folds the overlay into fresh index arenas after
 --republish-after series (default 4096) or when the epoch outlives 5s.
 With --ingest-log every accepted batch is appended to a framed,
