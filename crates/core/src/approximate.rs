@@ -33,18 +33,13 @@
 //! the exact objectives.
 
 use crate::config::QueryConfig;
-use crate::engine::ShardSlot;
-use crate::engine::{
-    self, ApproxObjective, DtwMetric, Engine, EuclideanMetric, QueryContext, TableSpec,
-};
+use crate::engine::{ApproxObjective, QueryContext, ShardRun, SharedBound};
 use crate::exact::QueryAnswer;
+use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::shard::global_pos;
-use crate::stats::{QueryStats, SharedQueryStats, StopReason, TimeBreakdown};
+use crate::shard::{global_pos, ShardReturn};
+use crate::stats::{QueryStats, StopReason, TimeBreakdown};
 use messi_series::distance::dtw::DtwParams;
-use messi_series::distance::lb_keogh::Envelope;
-use messi_series::paa::paa;
-use std::time::Instant;
 
 /// Validates the δ-ε parameter pair.
 ///
@@ -74,27 +69,66 @@ fn budget_for(index: &MessiIndex, delta: f32) -> Option<u64> {
     }
 }
 
-/// The ng-approximate short circuit (`delta = 0`): the home-leaf seed
-/// *is* the answer. Assembles the stats for a query whose whole life was
-/// its initialization phase.
-fn ng_answer(
-    dist_sq: f32,
-    pos: u64,
-    t_start: Instant,
-    config: &QueryConfig,
-) -> (QueryAnswer, QueryStats) {
-    let total_time = t_start.elapsed();
-    let stats = QueryStats {
-        total_time,
-        initial_bsf_dist_sq: dist_sq,
-        stop_reason: Some(StopReason::HomeLeafOnly),
-        breakdown: config.collect_breakdown.then(|| TimeBreakdown {
-            init_ns: total_time.as_nanos() as u64,
-            ..TimeBreakdown::default()
-        }),
-        ..QueryStats::default()
-    };
-    (QueryAnswer { pos, dist_sq }, stats)
+/// The search step of δ-ε-approximate 1-NN over one shard (either
+/// metric), from `seed`, the best `(distance², local position)` of the
+/// shard's home leaf. The ε-inflated pruning bound composes with the
+/// cross-shard BSF when `shared` is set (the shared bound holds raw
+/// distances; inflation is applied at read time); one shard without it
+/// *is* the single-index search.
+///
+/// In ng mode (`delta = 0`) the seed is the answer and the engine never
+/// runs: the shard's whole life was its initialization phase. Across
+/// shards every shard then answers from its *own* home leaf and the
+/// gather keeps the best — a (free) strengthening of the single-index ng
+/// answer.
+pub(crate) fn search(
+    mut run: ShardRun<'_, '_>,
+    seed: (f32, u32),
+    epsilon: f32,
+    delta: f32,
+    shared: Option<&SharedBound>,
+) -> ShardReturn {
+    let (d0, p0) = seed;
+    if delta == 0.0 {
+        let total_time = run.from.elapsed();
+        let stats = QueryStats {
+            lb_distance_calcs: run.stats.lb_distance_calcs.get(),
+            // The mode's entire work is the leaf scan: report it. The
+            // DTW seed counted its cascade; the Euclidean seed counts
+            // nothing (exact search deliberately leaves its seed scan
+            // unreported) but ran one early-abandoning real distance
+            // per entry of the leaf.
+            real_distance_calcs: match run.plan.dtw {
+                Some(_) => run.stats.real_distance_calcs.get(),
+                None => run
+                    .index
+                    .home_leaf_entries(&run.plan.sax, &run.plan.paa)
+                    .len() as u64,
+            },
+            total_time,
+            initial_bsf_dist_sq: d0,
+            stop_reason: Some(StopReason::HomeLeafOnly),
+            breakdown: run.config.collect_breakdown.then(|| TimeBreakdown {
+                init_ns: total_time.as_nanos() as u64,
+                ..TimeBreakdown::default()
+            }),
+            ..QueryStats::default()
+        };
+        let pos = global_pos(run.offset, p0);
+        return (vec![QueryAnswer { pos, dist_sq: d0 }], stats);
+    }
+
+    let budget = budget_for(run.index, delta);
+    let objective = ApproxObjective::new(run.config.bsf, d0, p0, epsilon, budget, shared);
+    let mut stats = run.run(&objective);
+    let (dist_sq, pos) = objective.answer();
+    if d0.is_finite() {
+        stats.initial_bsf_dist_sq = d0;
+    }
+    stats.approx_inflation_prunes = objective.inflation_prunes();
+    stats.stop_reason = Some(objective.stop_reason());
+    let pos = global_pos(run.offset, pos);
+    (vec![QueryAnswer { pos, dist_sq }], stats)
 }
 
 /// δ-ε-approximate 1-NN search under Euclidean distance.
@@ -150,97 +184,8 @@ pub fn approx_search_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (QueryAnswer, QueryStats) {
-    approx_search_sharded(index, query, epsilon, delta, config, ctx, ShardSlot::solo())
-}
-
-/// [`approx_search_with`] as one shard of a sharded scatter: positions
-/// are globalized through `slot.offset`, and the ε-inflated pruning
-/// bound composes with the cross-shard BSF when `slot.shared` is set
-/// (the shared bound holds raw distances; inflation is applied at read
-/// time). In ng mode (`delta = 0`) every shard scans its *own* home
-/// leaf and the gather step keeps the best — a (free) strengthening of
-/// the single-index ng answer. [`ShardSlot::solo`] *is* the
-/// single-index search, byte for byte.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn approx_search_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon: f32,
-    delta: f32,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    slot: ShardSlot<'_>,
-) -> (QueryAnswer, QueryStats) {
-    config.validate();
-    validate_params(epsilon, delta);
-    let t_start = Instant::now();
-
-    // Seed from the home leaf — for ng mode this is the whole query.
-    let (query_sax, query_paa) = index.summarize_query(query);
-    if delta == 0.0 {
-        let entries = index.home_leaf_entries(&query_sax, &query_paa);
-        let (d0, p0) = index.scan_entries_ed(entries, query, config.kernel);
-        let mut out = ng_answer(d0, global_pos(slot.offset, p0), t_start, config);
-        // The mode's entire work is the leaf scan: one early-abandoning
-        // real distance per entry — report it, matching the DTW ng path
-        // (exact search deliberately leaves its seed scan uncounted, so
-        // this stays out of `seed_approximate` itself).
-        out.1.real_distance_calcs = entries.len() as u64;
-        return out;
-    }
-    let (d0, p0) = index.seed_approximate(query, &query_sax, &query_paa, config.kernel);
-    if let Some(shared) = slot.shared {
-        shared.update_min(d0);
-    }
-
-    let objective = ApproxObjective::new(
-        config.bsf,
-        d0,
-        p0,
-        epsilon,
-        budget_for(index, delta),
-        slot.shared,
-    );
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Point(&query_paa),
-        Some(config),
-    );
-    let metric = EuclideanMetric::new(index, query, &query_paa, scratch.table, config.kernel);
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let (dist_sq, pos) = objective.answer();
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    stats.initial_bsf_dist_sq = d0;
-    stats.approx_inflation_prunes = objective.inflation_prunes();
-    stats.stop_reason = Some(objective.stop_reason());
-    (
-        QueryAnswer {
-            pos: global_pos(slot.offset, pos),
-            dist_sq,
-        },
-        stats,
-    )
+    let spec = QuerySpec::approximate(epsilon, delta);
+    crate::shard::answer_solo_one(index, query, &spec, config, ctx)
 }
 
 /// δ-ε-approximate 1-NN search under banded DTW: the same contract as
@@ -284,124 +229,8 @@ pub fn approx_search_dtw_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (QueryAnswer, QueryStats) {
-    approx_search_dtw_sharded(
-        index,
-        query,
-        epsilon,
-        delta,
-        params,
-        config,
-        ctx,
-        ShardSlot::solo(),
-    )
-}
-
-/// [`approx_search_dtw_with`] as one shard of a sharded scatter; see
-/// [`approx_search_sharded`] for the slot contract.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn approx_search_dtw_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon: f32,
-    delta: f32,
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    slot: ShardSlot<'_>,
-) -> (QueryAnswer, QueryStats) {
-    config.validate();
-    validate_params(epsilon, delta);
-    let t_start = Instant::now();
-    let segments = index.sax_config().segments;
-
-    let (query_sax, query_paa) = index.summarize_query(query);
-    let env = Envelope::new(query, params);
-
-    // Seed from the home leaf through the LB_Keogh → DTW cascade.
-    let stats = SharedQueryStats::new();
-    let (d0, p0) = crate::dtw::seed_bsf_dtw(
-        index,
-        query,
-        &query_sax,
-        &query_paa,
-        &env,
-        params,
-        config.kernel,
-        &stats,
-    );
-    if delta == 0.0 {
-        // ng mode still reports the cascade's seed-scan counters.
-        let mut out = ng_answer(d0, global_pos(slot.offset, p0), t_start, config);
-        out.1.lb_distance_calcs = stats.lb_distance_calcs.get();
-        out.1.real_distance_calcs = stats.real_distance_calcs.get();
-        return out;
-    }
-    if let Some(shared) = slot.shared {
-        shared.update_min(d0);
-    }
-
-    // The envelope PAAs feed the engine's mindist table — only the full
-    // traversal needs them, so ng mode above never pays for them.
-    let paa_lower = paa(&env.lower, segments);
-    let paa_upper = paa(&env.upper, segments);
-    let objective = ApproxObjective::new(
-        config.bsf,
-        d0,
-        p0,
-        epsilon,
-        budget_for(index, delta),
-        slot.shared,
-    );
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Envelope(&paa_lower, &paa_upper),
-        Some(config),
-    );
-    let metric = DtwMetric::new(
-        index,
-        query,
-        &env,
-        params,
-        &paa_lower,
-        &paa_upper,
-        scratch.table,
-        config.kernel,
-    );
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let (dist_sq, pos) = objective.answer();
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    if d0.is_finite() {
-        stats.initial_bsf_dist_sq = d0;
-    }
-    stats.approx_inflation_prunes = objective.inflation_prunes();
-    stats.stop_reason = Some(objective.stop_reason());
-    (
-        QueryAnswer {
-            pos: global_pos(slot.offset, pos),
-            dist_sq,
-        },
-        stats,
-    )
+    let spec = QuerySpec::approximate(epsilon, delta).with_dtw(params);
+    crate::shard::answer_solo_one(index, query, &spec, config, ctx)
 }
 
 #[cfg(test)]

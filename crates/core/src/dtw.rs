@@ -18,18 +18,15 @@
 //! [`crate::range::range_search_dtw`].
 
 use crate::config::QueryConfig;
-use crate::engine::{
-    self, DtwMetric, Engine, NearestObjective, QueryContext, ShardSlot, TableSpec,
-};
+use crate::engine::QueryContext;
 use crate::exact::QueryAnswer;
+use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::shard::global_pos;
-use crate::stats::{QueryStats, SharedQueryStats};
+use crate::stats::{LocalStats, QueryStats};
 use messi_series::distance::dtw::{dtw_sq_early_abandon, DtwParams};
 use messi_series::distance::lb_keogh::{lb_keogh_sq_early_abandon_with, Envelope};
 use messi_series::distance::Kernel;
 use messi_series::paa::paa;
-use std::time::Instant;
 
 /// Exact DTW 1-NN search over `index` with a Sakoe-Chiba band.
 ///
@@ -63,125 +60,54 @@ pub fn exact_search_dtw_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (QueryAnswer, QueryStats) {
-    exact_search_dtw_sharded(index, query, params, config, ctx, ShardSlot::solo())
+    let spec = QuerySpec::exact().with_dtw(params);
+    crate::shard::answer_solo_one(index, query, &spec, config, ctx)
 }
 
-/// [`exact_search_dtw_with`] as one shard of a sharded scatter; see
-/// [`crate::exact::exact_search_sharded`] for the slot contract.
-pub(crate) fn exact_search_dtw_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    slot: ShardSlot<'_>,
-) -> (QueryAnswer, QueryStats) {
-    config.validate();
-    let t_start = Instant::now();
-    let segments = index.sax_config().segments;
-
-    // Envelope and its PAA: the "query summary" of DTW search.
-    let (query_sax, query_paa) = index.summarize_query(query);
-    let env = Envelope::new(query, params);
-    let paa_lower = paa(&env.lower, segments);
-    let paa_upper = paa(&env.upper, segments);
-
-    // Initial BSF: cascade-scan the query's home leaf.
-    let stats = SharedQueryStats::new();
-    let (d0, p0) = seed_bsf_dtw(
-        index,
-        query,
-        &query_sax,
-        &query_paa,
-        &env,
-        params,
-        config.kernel,
-        &stats,
-    );
-    if let Some(shared) = slot.shared {
-        shared.update_min(d0);
-    }
-    let objective = NearestObjective::new(config.bsf, d0, p0, slot.shared);
-
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Envelope(&paa_lower, &paa_upper),
-        Some(config),
-    );
-    let metric = DtwMetric::new(
-        index,
-        query,
-        &env,
-        params,
-        &paa_lower,
-        &paa_upper,
-        scratch.table,
-        config.kernel,
-    );
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let (dist_sq, pos) = objective.answer();
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    if d0.is_finite() {
-        stats.initial_bsf_dist_sq = d0;
-    }
-    (
-        QueryAnswer {
-            pos: global_pos(slot.offset, pos),
-            dist_sq,
-        },
-        stats,
-    )
+/// The "query summary" of DTW search, the envelope half of a
+/// [`QueryPlan`](crate::engine::QueryPlan): the LB_Keogh envelope
+/// around the query and the PAAs of its two series, which feed the
+/// envelope mindist table and the node-level bound.
+pub(crate) struct DtwPlan {
+    pub(crate) env: Envelope,
+    pub(crate) params: DtwParams,
+    pub(crate) paa_lower: Vec<f32>,
+    pub(crate) paa_upper: Vec<f32>,
 }
 
-/// Scans the query's home leaf with the LB_Keogh → DTW cascade to seed
-/// the BSF — the shared [`MessiIndex::home_leaf_entries`] walk (greedy
-/// fallback when the home subtree is empty) with DTW's distance cascade.
-/// Also the ng-approximate answer under DTW ([`crate::approximate`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn seed_bsf_dtw(
-    index: &MessiIndex,
-    query: &[f32],
-    query_sax: &messi_sax::word::SaxWord,
-    query_paa: &[f32],
+impl DtwPlan {
+    pub(crate) fn new(query: &[f32], params: DtwParams, segments: usize) -> Self {
+        let env = Envelope::new(query, params);
+        Self {
+            paa_lower: paa(&env.lower, segments),
+            paa_upper: paa(&env.upper, segments),
+            env,
+            params,
+        }
+    }
+}
+
+/// The raw-series levels of the DTW cascade for one candidate at
+/// `bound` — LB_Keogh, then banded DTW with early abandoning — counted
+/// in `local`; `None` when LB_Keogh pruned it. The engine's leaf scans
+/// and home-leaf seeding both run entries through this (the
+/// ng-approximate answer under DTW is the home leaf's minimum).
+#[inline]
+pub(crate) fn cascade(
+    kernel: Kernel,
     env: &Envelope,
     params: DtwParams,
-    kernel: Kernel,
-    stats: &SharedQueryStats,
-) -> (f32, u32) {
-    let mut best = (f32::INFINITY, u32::MAX);
-    for e in index.home_leaf_entries(query_sax, query_paa) {
-        let candidate = index.dataset.series(e.pos as usize);
-        stats.lb_distance_calcs.inc();
-        if lb_keogh_sq_early_abandon_with(kernel, env, candidate, best.0) >= best.0 {
-            continue;
-        }
-        stats.real_distance_calcs.inc();
-        let d = dtw_sq_early_abandon(query, candidate, params, best.0);
-        if d < best.0 {
-            best = (d, e.pos);
-        }
+    query: &[f32],
+    candidate: &[f32],
+    bound: f32,
+    local: &mut LocalStats,
+) -> Option<f32> {
+    local.lb += 1;
+    if lb_keogh_sq_early_abandon_with(kernel, env, candidate, bound) >= bound {
+        return None;
     }
-    best
+    local.real += 1;
+    Some(dtw_sq_early_abandon(query, candidate, params, bound))
 }
 
 #[cfg(test)]

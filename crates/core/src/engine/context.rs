@@ -96,17 +96,10 @@ impl<'a> QueryContext<'a> {
         self.alloc_events
     }
 
-    /// Readies the scratch for one query: refills the mindist table per
-    /// `spec`, and — when `config` demands a queue phase — resets the
-    /// queue set to the effective queue count and re-arms the barrier.
-    /// Returns borrowed views whose lifetime pins the context for the
-    /// duration of the query.
-    pub(crate) fn prepare(
-        &mut self,
-        sax: SaxConfig,
-        spec: TableSpec<'_>,
-        queued: Option<&QueryConfig>,
-    ) -> Scratch<'_, 'a> {
+    /// The plan step's share of the scratch: refills the mindist table
+    /// per `spec`. The table depends on the query alone, so one fill
+    /// serves every shard a walk then searches through this context.
+    pub(crate) fn fill_table(&mut self, sax: SaxConfig, spec: TableSpec<'_>) {
         match &mut self.table {
             Some(table) if table.segments() == sax.segments => match spec {
                 TableSpec::Point(paa) => table.refill(paa, sax),
@@ -122,8 +115,18 @@ impl<'a> QueryContext<'a> {
                 self.alloc_events += 1;
             }
         }
+    }
 
-        let uses_queues = queued.is_some();
+    /// Readies the scratch for one engine run over the table filled by
+    /// [`QueryContext::fill_table`]: when `queued` demands a queue phase,
+    /// resets the queue set to the effective queue count and re-arms the
+    /// barrier. Returns borrowed views whose lifetime pins the context
+    /// for the duration of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no table was filled.
+    pub(crate) fn scratch(&mut self, queued: Option<&QueryConfig>) -> Scratch<'_, 'a> {
         if let Some(config) = queued {
             let nq = effective_queue_count(config);
             match &mut self.queues {
@@ -144,19 +147,10 @@ impl<'a> QueryContext<'a> {
                 slot => *slot = Some(SenseBarrier::new(config.num_workers)),
             }
         }
-
         Scratch {
-            queues: if uses_queues {
-                self.queues.as_ref()
-            } else {
-                None
-            },
-            barrier: if uses_queues {
-                self.barrier.as_ref()
-            } else {
-                None
-            },
-            table: self.table.as_ref().expect("table prepared above"),
+            queues: queued.and(self.queues.as_ref()),
+            barrier: queued.and(self.barrier.as_ref()),
+            table: self.table.as_ref().expect("fill_table runs first"),
         }
     }
 }
@@ -205,21 +199,23 @@ mod tests {
             ..QueryConfig::for_tests()
         };
         let mut ctx = QueryContext::new();
+        ctx.fill_table(sax, TableSpec::Point(&paa));
         {
-            let scratch = ctx.prepare(sax, TableSpec::Point(&paa), Some(&config));
+            let scratch = ctx.scratch(Some(&config));
             assert_eq!(scratch.queues.unwrap().len(), 2);
             assert_eq!(scratch.barrier.unwrap().parties(), 3);
         }
         let after_first = ctx.alloc_events();
         assert!(after_first > 0);
-        // Identical shape: zero further allocation events.
-        {
-            let _ = ctx.prepare(sax, TableSpec::Point(&paa), Some(&config));
-        }
+        // Identical shape — a second query, or the next shard of the
+        // same walk over the same table: zero further allocation events.
+        ctx.fill_table(sax, TableSpec::Point(&paa));
+        let _ = ctx.scratch(Some(&config));
+        let _ = ctx.scratch(Some(&config));
         assert_eq!(ctx.alloc_events(), after_first);
         // Queue-less preparation reuses the table and ignores the queues.
         {
-            let scratch = ctx.prepare(sax, TableSpec::Point(&paa), None);
+            let scratch = ctx.scratch(None);
             assert!(scratch.queues.is_none());
             assert!(scratch.barrier.is_none());
         }
@@ -229,13 +225,9 @@ mod tests {
             num_queues: 7,
             ..config.clone()
         };
-        {
-            let _ = ctx.prepare(sax, TableSpec::Point(&paa), Some(&grown));
-        }
+        let _ = ctx.scratch(Some(&grown));
         assert_eq!(ctx.alloc_events(), after_first + 1);
-        {
-            let _ = ctx.prepare(sax, TableSpec::Point(&paa), Some(&config));
-        }
+        let _ = ctx.scratch(Some(&config));
         assert_eq!(ctx.alloc_events(), after_first + 1);
     }
 

@@ -60,7 +60,7 @@ pub(crate) struct Engine<'e, 'a> {
     /// Whether adjacent surviving leaves of one run may be coalesced
     /// into a single queued/scanned [`LeafRun`] (the per-query
     /// [`RunBatchPolicy`](crate::config::RunBatchPolicy) and the
-    /// `MESSI_NO_RUN_BATCH` escape hatch, resolved by the adapter).
+    /// `MESSI_NO_RUN_BATCH` escape hatch, resolved by the caller).
     /// The driver additionally honors the objective's veto.
     pub(crate) coalesce: bool,
 }

@@ -20,14 +20,15 @@
 //! because every SIMD kernel's scalar twin is bit-identical, forcing
 //! either kernel returns the same answers.
 
+use crate::dtw::DtwPlan;
 use crate::index::MessiIndex;
 use crate::node::{LeafEntry, LeafRun};
 use crate::stats::LocalStats;
 use messi_sax::mindist::{mindist_sq_node, mindist_sq_node_env, MindistTable};
 use messi_sax::word::NodeWord;
-use messi_series::distance::dtw::{dtw_sq_early_abandon, DtwParams};
+use messi_series::distance::dtw::DtwParams;
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
-use messi_series::distance::lb_keogh::{lb_keogh_sq_early_abandon_with, Envelope};
+use messi_series::distance::lb_keogh::Envelope;
 use messi_series::distance::Kernel;
 
 /// How the engine computes lower bounds and real distances. Statically
@@ -121,6 +122,8 @@ impl Metric for EuclideanMetric<'_> {
 pub(crate) struct DtwMetric<'q> {
     index: &'q MessiIndex,
     query: &'q [f32],
+    // The query's [`DtwPlan`], field by field: the leaf scan reads these
+    // per entry, and one fewer pointer hop measured ~2 % on DTW queries.
     env: &'q Envelope,
     params: DtwParams,
     paa_lower: &'q [f32],
@@ -131,24 +134,20 @@ pub(crate) struct DtwMetric<'q> {
 }
 
 impl<'q> DtwMetric<'q> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         index: &'q MessiIndex,
         query: &'q [f32],
-        env: &'q Envelope,
-        params: DtwParams,
-        paa_lower: &'q [f32],
-        paa_upper: &'q [f32],
+        dtw: &'q DtwPlan,
         table: &'q MindistTable,
         kernel: Kernel,
     ) -> Self {
         Self {
             index,
             query,
-            env,
-            params,
-            paa_lower,
-            paa_upper,
+            env: &dtw.env,
+            params: dtw.params,
+            paa_lower: &dtw.paa_lower,
+            paa_upper: &dtw.paa_upper,
             table,
             kernel,
             use_simd: kernel.uses_simd(),
@@ -177,19 +176,17 @@ impl Metric for DtwMetric<'_> {
 
     #[inline]
     fn entry_distance(&self, entry: &LeafEntry, bound: f32, local: &mut LocalStats) -> Option<f32> {
-        // Level 2: LB_Keogh on the raw candidate.
+        // Levels 2 and 3: LB_Keogh on the raw candidate, then full
+        // banded DTW.
         let candidate = self.index.dataset.series(entry.pos as usize);
-        local.lb += 1;
-        if lb_keogh_sq_early_abandon_with(self.kernel, self.env, candidate, bound) >= bound {
-            return None;
-        }
-        // Level 3: full banded DTW.
-        local.real += 1;
-        Some(dtw_sq_early_abandon(
+        crate::dtw::cascade(
+            self.kernel,
+            self.env,
+            self.params,
             self.query,
             candidate,
-            self.params,
             bound,
-        ))
+            local,
+        )
     }
 }

@@ -21,23 +21,25 @@
 //!   δ-derived early-termination budget.
 //! * [`QueryContext`] — reusable scratch (queue set, barrier, mindist
 //!   table) so batch workloads stop paying per-query allocations.
+//! * `QueryPlan` / `ShardRun` (private) — the plan → seed → search steps
+//!   of a query, written once: the plan picks the metric, the caller
+//!   the objective.
 //!
 //! [`crate::exact`], [`crate::knn`], [`crate::range`], [`crate::dtw`],
-//! and [`crate::approximate`] are thin adapters that pick a (metric,
-//! objective) pair, seed the bound, and hand control to the driver. Any
-//! metric composes with any objective — DTW k-NN, DTW range, and DTW
-//! δ-ε-approximate queries cost no extra code.
+//! and [`crate::approximate`] hold what is particular to their cell —
+//! the objective to run, how its bound is seeded, what its answer and
+//! statistics are. Any metric composes with any objective — DTW k-NN,
+//! DTW range, and DTW δ-ε-approximate queries cost no extra code.
 
 mod context;
 mod driver;
 mod metric;
 mod objective;
+mod plan;
 
 pub use context::QueryContext;
 
-pub(crate) use context::TableSpec;
-pub(crate) use driver::{run, Engine};
-pub(crate) use metric::{DtwMetric, EuclideanMetric};
 pub(crate) use objective::{
-    ApproxObjective, KnnObjective, NearestObjective, RangeObjective, ShardSlot, SharedBound,
+    ApproxObjective, KnnObjective, NearestObjective, RangeObjective, SharedBound,
 };
+pub(crate) use plan::{QueryPlan, ShardRun};

@@ -69,30 +69,6 @@ impl SharedBound {
     }
 }
 
-/// Where one single-index search sits inside a sharded scatter: the
-/// shard's global position offset plus the cross-shard bound it shares
-/// (if its objective shares one). [`ShardSlot::solo`] — offset 0, no
-/// shared bound — makes every adapter byte-for-byte the classic
-/// single-index search, so the solo path pays nothing for shardability.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardSlot<'s> {
-    /// Global position of this shard's first series
-    /// (see [`crate::shard::global_pos`]).
-    pub offset: u64,
-    /// Cross-shard 1-NN/approximate bound, when part of a scatter.
-    pub shared: Option<&'s SharedBound>,
-}
-
-impl ShardSlot<'_> {
-    /// The single-index (non-sharded) slot.
-    pub(crate) fn solo() -> Self {
-        Self {
-            offset: 0,
-            shared: None,
-        }
-    }
-}
-
 /// BSF implementation selected by [`BsfPolicy`], with static dispatch in
 /// the hot paths.
 #[derive(Debug)]

@@ -15,18 +15,16 @@
 //! finished, the BSF *is* the exact answer.
 //!
 //! All of that machinery lives in [`crate::engine`], shared with k-NN,
-//! range, and DTW search; this module is the thin adapter that pairs the
-//! Euclidean metric with the 1-NN objective and seeds the BSF from the
-//! approximate search (Fig. 4a).
+//! range, and DTW search; this module holds the 1-NN objective's search
+//! step — a BSF seeded from the approximate search (Fig. 4a) — and the
+//! Euclidean entry points.
 
 use crate::config::QueryConfig;
-use crate::engine::{
-    self, Engine, EuclideanMetric, NearestObjective, QueryContext, ShardSlot, TableSpec,
-};
+use crate::engine::{NearestObjective, QueryContext, ShardRun, SharedBound};
+use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::shard::global_pos;
-use crate::stats::{QueryStats, SharedQueryStats};
-use std::time::Instant;
+use crate::shard::{global_pos, ShardReturn};
+use crate::stats::QueryStats;
 
 /// The result of an exact similarity-search query.
 ///
@@ -76,70 +74,28 @@ pub fn exact_search_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (QueryAnswer, QueryStats) {
-    exact_search_sharded(index, query, config, ctx, ShardSlot::solo())
+    crate::shard::answer_solo_one(index, query, &QuerySpec::exact(), config, ctx)
 }
 
-/// [`exact_search_with`] running as one shard of a sharded scatter: hit
-/// positions are globalized through `slot.offset` and, when
-/// `slot.shared` is set, the BSF is published to / pruned against the
-/// cross-shard bound. With [`ShardSlot::solo`] this *is* the
-/// single-index search, byte for byte.
-pub(crate) fn exact_search_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    slot: ShardSlot<'_>,
-) -> (QueryAnswer, QueryStats) {
-    config.validate();
-    let t_start = Instant::now();
-
-    // ---- Initialization: summarize the query, seed the BSF (Fig. 4a) ----
-    let (query_sax, query_paa) = index.summarize_query(query);
-    let (d0, p0) = index.seed_approximate(query, &query_sax, &query_paa, config.kernel);
-    if let Some(shared) = slot.shared {
-        shared.update_min(d0);
-    }
-    let objective = NearestObjective::new(config.bsf, d0, p0, slot.shared);
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Point(&query_paa),
-        Some(config),
-    );
-    let metric = EuclideanMetric::new(index, query, &query_paa, scratch.table, config.kernel);
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    // ---- Search workers (Alg. 6), run by the shared engine ----
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
+/// The search step of exact 1-NN over one shard (either metric): a
+/// shrinking BSF seeded with `seed`, the best `(distance², local
+/// position)` of the shard's home leaf (Fig. 4a). With `shared` set the
+/// BSF is published to, and pruned against, the cross-shard bound;
+/// without it — one shard, offset 0 — this *is* the classic single-index
+/// search. The shard's answer comes back under its global position.
+pub(crate) fn search(
+    mut run: ShardRun<'_, '_>,
+    seed: (f32, u32),
+    shared: Option<&SharedBound>,
+) -> ShardReturn {
+    let objective = NearestObjective::new(run.config.bsf, seed.0, seed.1, shared);
+    let mut stats = run.run(&objective);
     let (dist_sq, pos) = objective.answer();
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    stats.initial_bsf_dist_sq = d0;
-    (
-        QueryAnswer {
-            pos: global_pos(slot.offset, pos),
-            dist_sq,
-        },
-        stats,
-    )
+    if seed.0.is_finite() {
+        stats.initial_bsf_dist_sq = seed.0;
+    }
+    let pos = global_pos(run.offset, pos);
+    (vec![QueryAnswer { pos, dist_sq }], stats)
 }
 
 #[cfg(test)]

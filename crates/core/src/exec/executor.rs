@@ -1,10 +1,11 @@
 //! The pooled query executor.
 
-use super::spec::{MetricSpec, Objective, QuerySpec, Schedule};
+use super::spec::{QuerySpec, Schedule};
 use crate::config::QueryConfig;
 use crate::engine::QueryContext;
 use crate::exact::QueryAnswer;
 use crate::index::MessiIndex;
+use crate::shard::answer_solo;
 use crate::stats::{QueryStats, QueryStatsAggregate};
 use messi_series::Dataset;
 use messi_sync::{Dispenser, SlotPool, WorkerPool};
@@ -107,7 +108,7 @@ impl<'a> QueryExecutor<'a> {
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats) {
         let mut ctx = self.contexts.checkout().unwrap_or_default();
-        let out = answer_one(self.index, query, spec, config, &mut ctx);
+        let out = answer_solo(self.index, query, spec, config, &mut ctx);
         self.contexts.checkin(ctx);
         out
     }
@@ -126,7 +127,7 @@ impl<'a> QueryExecutor<'a> {
     ) -> (Vec<QueryAnswer>, QueryStats, u64) {
         let mut ctx = self.contexts.checkout().unwrap_or_default();
         let before = ctx.alloc_events();
-        let (answers, stats) = answer_one(self.index, query, spec, config, &mut ctx);
+        let (answers, stats) = answer_solo(self.index, query, spec, config, &mut ctx);
         let delta = ctx.alloc_events().saturating_sub(before);
         self.contexts.checkin(ctx);
         (answers, stats, delta)
@@ -172,7 +173,7 @@ impl<'a> QueryExecutor<'a> {
         let mut held = Vec::with_capacity(self.contexts.capacity());
         for _ in 0..self.contexts.capacity() {
             let mut ctx = self.contexts.checkout().unwrap_or_default();
-            let _ = answer_one(self.index, query, spec, config, &mut ctx);
+            let _ = answer_solo(self.index, query, spec, config, &mut ctx);
             held.push(ctx);
         }
         for ctx in held {
@@ -192,7 +193,7 @@ impl<'a> QueryExecutor<'a> {
         let mut ctx = self.contexts.checkout().unwrap_or_default();
         let mut warm = WarmupCheck::default();
         for q in queries.iter() {
-            let (ans, stats) = answer_one(self.index, q, spec, config, &mut ctx);
+            let (ans, stats) = answer_solo(self.index, q, spec, config, &mut ctx);
             warm.observe(&ctx);
             agg.add(&stats);
             answers.push(ans);
@@ -225,7 +226,7 @@ impl<'a> QueryExecutor<'a> {
             let mut warm = WarmupCheck::default();
             while let Some(qi) = dispenser.next() {
                 let (ans, stats) =
-                    answer_one(self.index, queries.series(qi), spec, &per_query, &mut ctx);
+                    answer_solo(self.index, queries.series(qi), spec, &per_query, &mut ctx);
                 warm.observe(&ctx);
                 local_agg.add(&stats);
                 *slots[qi].lock() = Some(ans);
@@ -238,52 +239,6 @@ impl<'a> QueryExecutor<'a> {
             .map(|s| s.into_inner().expect("every query answered"))
             .collect();
         (answers, agg.into_inner())
-    }
-}
-
-/// The single Metric × Objective dispatch chokepoint: every query in the
-/// repository — single-shot or batched, either schedule — funnels through
-/// this match into the engine adapters. Adding a metric or an objective
-/// means adding one arm here, not a new traversal.
-fn answer_one<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    spec: &QuerySpec,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    match (spec.metric, spec.objective) {
-        (MetricSpec::Euclidean, Objective::Exact) => {
-            let (ans, stats) = crate::exact::exact_search_with(index, query, config, ctx);
-            (vec![ans], stats)
-        }
-        (MetricSpec::Euclidean, Objective::Knn { k }) => {
-            crate::knn::exact_knn_with(index, query, k, config, ctx)
-        }
-        (MetricSpec::Euclidean, Objective::Range { epsilon_sq }) => {
-            crate::range::range_search_with(index, query, epsilon_sq, config, ctx)
-        }
-        (MetricSpec::Dtw(params), Objective::Exact) => {
-            let (ans, stats) = crate::dtw::exact_search_dtw_with(index, query, params, config, ctx);
-            (vec![ans], stats)
-        }
-        (MetricSpec::Dtw(params), Objective::Knn { k }) => {
-            crate::knn::exact_knn_dtw_with(index, query, k, params, config, ctx)
-        }
-        (MetricSpec::Dtw(params), Objective::Range { epsilon_sq }) => {
-            crate::range::range_search_dtw_with(index, query, epsilon_sq, params, config, ctx)
-        }
-        (MetricSpec::Euclidean, Objective::Approx { epsilon, delta }) => {
-            let (ans, stats) =
-                crate::approximate::approx_search_with(index, query, epsilon, delta, config, ctx);
-            (vec![ans], stats)
-        }
-        (MetricSpec::Dtw(params), Objective::Approx { epsilon, delta }) => {
-            let (ans, stats) = crate::approximate::approx_search_dtw_with(
-                index, query, epsilon, delta, params, config, ctx,
-            );
-            (vec![ans], stats)
-        }
     }
 }
 

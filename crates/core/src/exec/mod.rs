@@ -25,8 +25,10 @@
 //! compatibility wrappers, the `MessiIndex::search*` methods are batches
 //! of one, and the CLI's `bench-query` subcommand is a command-line
 //! spelling of `(QuerySpec, Schedule)`. Everything below is shared: the
-//! executor adds **no** traversal logic of its own — each dispatch arm
-//! calls the corresponding `*_with` engine adapter.
+//! executor adds **no** traversal logic of its own — every query is the
+//! one-shard case of the plan → seed → search walk that
+//! [`crate::shard`] also runs over many shards, and the `*_with` engine
+//! entry points are that same walk under a fixed spec.
 
 mod executor;
 mod spec;

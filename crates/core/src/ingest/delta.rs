@@ -122,6 +122,23 @@ impl Epoch {
         self.data.len() - self.core_len()
     }
 
+    /// Folds the overlay's brute-force scan ([`merge_overlay`]) into what
+    /// the published arenas answered; nothing to do while it is empty.
+    fn with_overlay(
+        &self,
+        query: &[f32],
+        spec: &QuerySpec,
+        config: &QueryConfig,
+        answers: Vec<QueryAnswer>,
+        mut stats: QueryStats,
+    ) -> (Vec<QueryAnswer>, QueryStats) {
+        if self.overlay_len() == 0 {
+            return (answers, stats);
+        }
+        stats.real_distance_calcs += self.overlay_len() as u64;
+        (merge_overlay(self, query, spec, config, answers), stats)
+    }
+
     /// The whole overlay lands in the last shard at the next republish:
     /// enforce its `u32` ceiling at acceptance, so republish never fails
     /// on positions.
@@ -447,8 +464,9 @@ impl DeltaIndex {
         spec: &QuerySpec,
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        let (answers, stats, _, _) = self.query_traced(query, spec, config);
-        (answers, stats)
+        let epoch = self.snapshot();
+        let (answers, stats) = epoch.core.exec.run_one(query, spec, config);
+        epoch.with_overlay(query, spec, config, answers, stats)
     }
 
     /// [`DeltaIndex::query`] plus the executor's allocation-event count
@@ -460,13 +478,9 @@ impl DeltaIndex {
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats, u64, Vec<QueryStats>) {
         let epoch = self.snapshot();
-        let (answers, mut stats, alloc_events, per_shard) =
+        let (answers, stats, alloc_events, per_shard) =
             epoch.core.exec.run_one_traced(query, spec, config);
-        if epoch.overlay_len() == 0 {
-            return (answers, stats, alloc_events, per_shard);
-        }
-        stats.real_distance_calcs += epoch.overlay_len() as u64;
-        let answers = merge_overlay(&epoch, query, spec, config, answers);
+        let (answers, stats) = epoch.with_overlay(query, spec, config, answers, stats);
         (answers, stats, alloc_events, per_shard)
     }
 

@@ -6,8 +6,8 @@
 //! every bound is checked against the *k-th best* distance (which is
 //! `+inf` until k candidates exist, so nothing is pruned prematurely).
 //! The traversal, queues, and leaf-scan cascade are [`crate::engine`]'s;
-//! this module contributes the `KnnSet` bound, the home-leaf seeding,
-//! and the Euclidean/DTW adapters.
+//! this module contributes the `KnnSet` bound, its home-leaf seed and
+//! search steps, and the Euclidean/DTW entry points.
 //!
 //! The candidate set is a small mutex-protected max-heap with a cached
 //! atomic bound, the same trick as the BSF: reads in the hot loop are a
@@ -15,21 +15,16 @@
 //! which (like BSF updates, §III-B) happens a handful of times per query.
 
 use crate::config::QueryConfig;
-use crate::engine::{
-    self, DtwMetric, Engine, EuclideanMetric, KnnObjective, QueryContext, TableSpec,
-};
+use crate::engine::{KnnObjective, QueryContext, QueryPlan, ShardRun};
 use crate::exact::QueryAnswer;
+use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::shard::global_pos;
-use crate::stats::{QueryStats, SharedQueryStats};
-use messi_series::distance::dtw::{dtw_sq_early_abandon, DtwParams};
-use messi_series::distance::euclidean::ed_sq_early_abandon_with;
-use messi_series::distance::lb_keogh::{lb_keogh_sq_early_abandon_with, Envelope};
-use messi_series::paa::paa;
+use crate::shard::{global_pos, Shard, ShardReturn};
+use crate::stats::{LocalStats, QueryStats};
+use messi_series::distance::dtw::DtwParams;
 use parking_lot::Mutex;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
 
 /// Max-heap item: the worst current candidate sits on top. Positions
 /// are global u64s (see [`crate::shard::global_pos`]) so one `KnnSet`
@@ -162,80 +157,43 @@ pub fn exact_knn_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (Vec<QueryAnswer>, QueryStats) {
-    let knn = KnnSet::new(k);
-    let stats = exact_knn_shared(index, query, &knn, 0, config, ctx);
-    (knn.into_sorted(), stats)
+    crate::shard::answer_solo(index, query, &QuerySpec::knn(k), config, ctx)
 }
 
-/// [`exact_knn_with`] running as one shard of a sharded scatter: the
-/// caller owns the [`KnnSet`] (shared by every shard, so the k-th-best
-/// bound is automatically global) and reads the merged answers out of
-/// it after all shards finish; `offset` globalizes this shard's
-/// positions. With an unshared set and offset 0 this *is* the
-/// single-index search, byte for byte.
-pub(crate) fn exact_knn_shared<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    knn: &KnnSet,
-    offset: u64,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> QueryStats {
-    config.validate();
-    let t_start = Instant::now();
-
-    let (query_sax, query_paa) = index.summarize_query(query);
-
-    // Seed: scan the query's home leaf so the bound starts tight, exactly
-    // like 1-NN's approximate search but keeping all k candidates.
-    for e in index.home_leaf_entries(&query_sax, &query_paa) {
+/// The seed step of k-NN (either metric): scans the shard's home leaf
+/// into `knn` so the k-th-best bound starts tight, exactly like 1-NN's
+/// approximate search but keeping all k candidates. The set is shared by
+/// every shard of a scatter, so each leaf is scanned against the bound
+/// the leaves before it left behind. Returns the best distance offered
+/// (`+inf` if none) — the shard's rank in a seed-ordered walk. Uncounted,
+/// like the Euclidean 1-NN seed.
+pub(crate) fn seed(plan: &QueryPlan<'_>, shard: Shard<'_>, knn: &KnnSet) -> f32 {
+    let mut best = f32::INFINITY;
+    let mut uncounted = LocalStats::default();
+    for e in shard.index.home_leaf_entries(&plan.sax, &plan.paa) {
         let bound = knn.bound();
-        let d = ed_sq_early_abandon_with(
-            config.kernel,
-            query,
-            index.dataset.series(e.pos as usize),
-            bound,
-        );
-        if d < bound {
-            knn.offer(d, global_pos(offset, e.pos));
+        match plan.seed_distance(shard.index, e.pos, bound, &mut uncounted) {
+            Some(d) if d < bound => {
+                knn.offer(d, global_pos(shard.offset, e.pos));
+                best = best.min(d);
+            }
+            _ => {}
         }
     }
+    best
+}
+
+/// The search step of k-NN over one shard (either metric). The caller
+/// owns `knn` and reads the merged answers out of it once every shard
+/// has finished, so the shard itself returns none; with an unshared set
+/// and offset 0 this *is* the single-index search.
+pub(crate) fn search(mut run: ShardRun<'_, '_>, knn: &KnnSet) -> ShardReturn {
     let initial_bound = knn.bound();
-
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Point(&query_paa),
-        Some(config),
-    );
-    let metric = EuclideanMetric::new(index, query, &query_paa, scratch.table, config.kernel);
-    let objective = KnnObjective::new(knn, offset);
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
+    let mut stats = run.run(&KnnObjective::new(knn, run.offset));
     if initial_bound.is_finite() {
         stats.initial_bsf_dist_sq = initial_bound;
     }
-    stats
+    (Vec::new(), stats)
 }
 
 /// Exact k-NN under banded DTW: the k series minimizing the DTW distance
@@ -269,88 +227,8 @@ pub fn exact_knn_dtw_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (Vec<QueryAnswer>, QueryStats) {
-    let knn = KnnSet::new(k);
-    let stats = exact_knn_dtw_shared(index, query, &knn, 0, params, config, ctx);
-    (knn.into_sorted(), stats)
-}
-
-/// [`exact_knn_dtw_with`] as one shard of a sharded scatter; see
-/// [`exact_knn_shared`] for the sharing contract.
-pub(crate) fn exact_knn_dtw_shared<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    knn: &KnnSet,
-    offset: u64,
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> QueryStats {
-    config.validate();
-    let t_start = Instant::now();
-    let segments = index.sax_config().segments;
-
-    let (query_sax, query_paa) = index.summarize_query(query);
-    let env = Envelope::new(query, params);
-    let paa_lower = paa(&env.lower, segments);
-    let paa_upper = paa(&env.upper, segments);
-
-    // Seed from the home leaf through the LB_Keogh → DTW cascade.
-    for e in index.home_leaf_entries(&query_sax, &query_paa) {
-        let bound = knn.bound();
-        let candidate = index.dataset.series(e.pos as usize);
-        if lb_keogh_sq_early_abandon_with(config.kernel, &env, candidate, bound) >= bound {
-            continue;
-        }
-        let d = dtw_sq_early_abandon(query, candidate, params, bound);
-        if d < bound {
-            knn.offer(d, global_pos(offset, e.pos));
-        }
-    }
-    let initial_bound = knn.bound();
-
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Envelope(&paa_lower, &paa_upper),
-        Some(config),
-    );
-    let metric = DtwMetric::new(
-        index,
-        query,
-        &env,
-        params,
-        &paa_lower,
-        &paa_upper,
-        scratch.table,
-        config.kernel,
-    );
-    let objective = KnnObjective::new(knn, offset);
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let mut stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    if initial_bound.is_finite() {
-        stats.initial_bsf_dist_sq = initial_bound;
-    }
-    stats
+    let spec = QuerySpec::knn(k).with_dtw(params);
+    crate::shard::answer_solo(index, query, &spec, config, ctx)
 }
 
 #[cfg(test)]

@@ -11,16 +11,13 @@
 //! every line of driver code.
 
 use crate::config::QueryConfig;
-use crate::engine::{
-    self, DtwMetric, Engine, EuclideanMetric, QueryContext, RangeObjective, TableSpec,
-};
+use crate::engine::{QueryContext, RangeObjective, ShardRun};
 use crate::exact::QueryAnswer;
+use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::stats::{QueryStats, SharedQueryStats};
+use crate::shard::ShardReturn;
+use crate::stats::QueryStats;
 use messi_series::distance::dtw::DtwParams;
-use messi_series::distance::lb_keogh::Envelope;
-use messi_series::paa::paa;
-use std::time::Instant;
 
 /// Exact range search: all series with squared Euclidean distance
 /// `<= epsilon_sq`, sorted ascending by distance (position breaks ties).
@@ -68,53 +65,18 @@ pub fn range_search_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (Vec<QueryAnswer>, QueryStats) {
-    range_search_sharded(index, query, epsilon_sq, config, ctx, 0)
+    crate::shard::answer_solo(index, query, &QuerySpec::range(epsilon_sq), config, ctx)
 }
 
-/// [`range_search_with`] as one shard of a sharded scatter: hit
-/// positions are globalized through `offset`
-/// ([`crate::shard::global_pos`]). Range search shares no bound across
-/// shards — ε is fixed — so the gather step simply merges the per-shard
-/// sorted hit lists. Offset 0 *is* the single-index search.
-pub(crate) fn range_search_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon_sq: f32,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    offset: u64,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    config.validate();
-    let t_start = Instant::now();
-    let objective = RangeObjective::new(epsilon_sq, offset);
-    let (_, query_paa) = index.summarize_query(query);
-    let scratch = ctx.prepare(index.sax_config(), TableSpec::Point(&query_paa), None);
-    let metric = EuclideanMetric::new(index, query, &query_paa, scratch.table, config.kernel);
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let answers = objective.into_sorted();
-    let stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    (answers, stats)
+/// The search step of ε-range over one shard (either metric): the
+/// shard's matches, ascending, under global positions. Range search has
+/// no seed step and shares no bound across shards — ε is fixed — so a
+/// gather merges the per-shard lists; one shard at offset 0 *is* the
+/// single-index search.
+pub(crate) fn search(mut run: ShardRun<'_, '_>, epsilon_sq: f32) -> ShardReturn {
+    let objective = RangeObjective::new(epsilon_sq, run.offset);
+    let stats = run.run(&objective);
+    (objective.into_sorted(), stats)
 }
 
 /// Exact range search under banded DTW: all series with squared DTW
@@ -155,73 +117,8 @@ pub fn range_search_dtw_with<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (Vec<QueryAnswer>, QueryStats) {
-    range_search_dtw_sharded(index, query, epsilon_sq, params, config, ctx, 0)
-}
-
-/// [`range_search_dtw_with`] as one shard of a sharded scatter; see
-/// [`range_search_sharded`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn range_search_dtw_sharded<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon_sq: f32,
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-    offset: u64,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    config.validate();
-    let t_start = Instant::now();
-    let segments = index.sax_config().segments;
-    let objective = RangeObjective::new(epsilon_sq, offset);
-    assert_eq!(
-        query.len(),
-        index.sax_config().series_len,
-        "query length must match indexed series length"
-    );
-    let env = Envelope::new(query, params);
-    let paa_lower = paa(&env.lower, segments);
-    let paa_upper = paa(&env.upper, segments);
-    let scratch = ctx.prepare(
-        index.sax_config(),
-        TableSpec::Envelope(&paa_lower, &paa_upper),
-        None,
-    );
-    let metric = DtwMetric::new(
-        index,
-        query,
-        &env,
-        params,
-        &paa_lower,
-        &paa_upper,
-        scratch.table,
-        config.kernel,
-    );
-    let stats = SharedQueryStats::new();
-    let init_ns = t_start.elapsed().as_nanos() as u64;
-
-    engine::run(
-        &Engine {
-            index,
-            scratch,
-            stats: &stats,
-            queue_policy: config.queue_policy,
-            num_workers: config.num_workers,
-            collect_breakdown: config.collect_breakdown,
-            coalesce: config.run_batching(),
-        },
-        &metric,
-        &objective,
-    );
-
-    let answers = objective.into_sorted();
-    let stats = stats.finish(
-        t_start.elapsed(),
-        init_ns,
-        config.num_workers as u64,
-        config.collect_breakdown,
-    );
-    (answers, stats)
+    let spec = QuerySpec::range(epsilon_sq).with_dtw(params);
+    crate::shard::answer_solo(index, query, &spec, config, ctx)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! exporting it is a compile error, not a silent observability gap.
 
 use crate::stats::{QueryStats, QueryStatsAggregate, TimeBreakdown};
-use messi_sync::Counter;
+use messi_sync::{Counter, WorkerPool};
 use parking_lot::Mutex;
 use std::time::Instant;
 
@@ -34,6 +34,9 @@ pub struct ServerMetrics {
     /// Per-query scratch allocation events observed after warm-up —
     /// stays 0 on a healthy daemon (the zero-alloc invariant, live).
     pub query_alloc_events: Counter,
+    /// [`WorkerPool::nested_spawns`] when the daemon started; the export
+    /// is the count since.
+    nested_spawns_at_start: u64,
     /// The folded stats of every answered query.
     agg: Mutex<QueryStatsAggregate>,
     /// Per-shard folds of the same queries (index = shard id), fed by
@@ -51,6 +54,7 @@ impl ServerMetrics {
             http_client_errors: Counter::new(),
             query_failures: Counter::new(),
             query_alloc_events: Counter::new(),
+            nested_spawns_at_start: WorkerPool::nested_spawns(),
             agg: Mutex::new(QueryStatsAggregate::default()),
             shard_aggs: (0..num_shards)
                 .map(|_| Mutex::new(QueryStatsAggregate::default()))
@@ -60,7 +64,8 @@ impl ServerMetrics {
 
     /// Folds one answered query into the aggregate; `alloc_delta` is the
     /// context's allocation-event delta across the query and `per_shard`
-    /// the scatter's per-shard stats (one entry per shard).
+    /// the scatter's per-shard stats (one entry per shard). Each lock is
+    /// held for a handful of integer adds — nothing allocates or sorts.
     pub fn record_query(&self, stats: &QueryStats, alloc_delta: u64, per_shard: &[QueryStats]) {
         self.agg.lock().add(stats);
         self.query_alloc_events.add(alloc_delta);
@@ -171,6 +176,13 @@ pub fn encode_prometheus(
         "Per-query scratch allocations observed after warm-up (should stay 0).",
         metrics.query_alloc_events.get(),
     );
+    family(
+        &mut out,
+        "messi_pool_nested_spawns_total",
+        "counter",
+        "OS threads spawned inside requests by nested worker-pool use since start (should stay 0 with query_workers = 1).",
+        WorkerPool::nested_spawns().saturating_sub(metrics.nested_spawns_at_start),
+    );
 
     // Live-ingest families: destructured exhaustively like the query
     // aggregate, so a new IngestStats field is a compile error here
@@ -262,7 +274,7 @@ pub fn encode_prometheus(
     // field fails this function (and the covering unit test) at compile
     // time until it is exported below.
     let agg = metrics.aggregate();
-    let QueryStatsAggregate {
+    let &QueryStatsAggregate {
         queries,
         lb_distance_calcs,
         real_distance_calcs,
@@ -271,8 +283,8 @@ pub fn encode_prometheus(
         budget_stops,
         total_time,
         breakdown,
-        latencies_us: _, // exported below as quantile gauges via `agg`
-    } = agg.clone();
+        latency_us: _, // exported below as quantile gauges via `agg`
+    } = &agg;
     family(
         &mut out,
         "messi_queries_total",
@@ -324,7 +336,7 @@ pub fn encode_prometheus(
     );
     out.push_str(
         "# HELP messi_query_latency_us Per-query latency quantiles in microseconds \
-         (nearest-rank over the daemon's lifetime).\n\
+         (nearest-rank over the daemon's lifetime, from fixed buckets at most 3.1 % wide).\n\
          # TYPE messi_query_latency_us gauge\n",
     );
     for (label, p) in [("0.5", 50.0), ("0.99", 99.0), ("1.0", 100.0)] {
@@ -476,7 +488,7 @@ mod tests {
             budget_stops,
             total_time: _,
             breakdown,
-            latencies_us: _,
+            latency_us: _,
         } = metrics.aggregate();
         let TimeBreakdown {
             init_ns,
@@ -531,6 +543,7 @@ mod tests {
         expect_exactly_once("\nmessi_admission_inflight 1\n".to_string());
         expect_exactly_once("\nmessi_admission_capacity 4\n".to_string());
         expect_exactly_once("\nmessi_query_alloc_events_total 0\n".to_string());
+        assert_eq!(text.matches("\nmessi_pool_nested_spawns_total ").count(), 1);
 
         // Live-ingest families, one sample each.
         expect_exactly_once("\nmessi_ingest_epoch 5\n".to_string());

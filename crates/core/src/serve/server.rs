@@ -17,9 +17,16 @@
 //!
 //! Queries pass a bounded [`Admission`] gate: when `admission` permits
 //! are in flight, further queries get `503` + `Retry-After` instead of
-//! queueing unboundedly. Handlers answer queries *on their own thread*
-//! (`query_workers = 1` runs the engine inline, no pool dispatch), so
-//! concurrency comes from the handler pool and stays bounded end to end.
+//! queueing unboundedly. Handlers answer queries *on their own thread*:
+//! a handler is a pool worker, so the sharded executor walks the shards
+//! inline — every shard seeded first, then searched in ascending seed
+//! order (see [`crate::shard::ShardedExecutor`]) — and with
+//! `query_workers = 1` each shard's engine runs inline too. No thread is
+//! spawned and no pool is entered per request, whatever the shard
+//! count, so concurrency comes from the handler pool and stays bounded
+//! end to end; `messi_pool_nested_spawns_total` on `/metrics` counts any
+//! exception (`query_workers > 1` forks that many scoped search workers
+//! per shard, which the engine's barrier requires to run concurrently).
 //!
 //! Shutdown is cooperative: when the `shutdown` flag flips (SIGTERM /
 //! Ctrl-C via [`shutdown_flag`], or any writer in-process), the acceptor
@@ -57,8 +64,11 @@ pub struct ServeConfig {
     /// Admission-gate capacity for `/query` (`0` = drain mode: shed
     /// every query while health/metrics stay up).
     pub admission: usize,
-    /// Search workers *per query* (default 1: the engine runs inline on
-    /// the handler thread and concurrency comes from `threads`).
+    /// Search workers *per query* (default 1: every shard's engine runs
+    /// inline on the handler thread, one shard after the other, and
+    /// concurrency comes from `threads`). Above 1 each shard's search
+    /// forks that many scoped threads per request — handlers are pool
+    /// workers, so the process pool cannot be entered from them.
     pub query_workers: usize,
     /// Collect the Fig. 13 per-phase breakdown for every query so
     /// `/metrics` exports per-phase time (small timing overhead).
@@ -246,6 +256,13 @@ fn accept_loop(
 
 /// Serves one (possibly keep-alive) connection to completion.
 fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &AtomicBool) {
+    // The sharded executor walks shards inline only for pool workers; a
+    // handler hosted on a plain thread would scatter every request over
+    // the process pool instead.
+    debug_assert!(
+        WorkerPool::on_worker_thread(),
+        "connection handlers must run on pool workers"
+    );
     if stream.set_read_timeout(Some(IDLE_TICK)).is_err()
         || stream
             .set_write_timeout(Some(Duration::from_secs(5)))

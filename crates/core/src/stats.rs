@@ -268,41 +268,32 @@ pub struct QueryStatsAggregate {
     /// when at least one aggregated query collected one (i.e. ran with
     /// `QueryConfig::collect_breakdown`).
     pub breakdown: Option<TimeBreakdown>,
-    /// Per-query wall times in microseconds (saturating; one entry per
-    /// aggregated query, unordered) — what the latency percentiles are
-    /// computed from. Four bytes per query keeps thousand-query batches
-    /// cheap to carry and merge.
-    pub latencies_us: Vec<u32>,
+    /// Per-query wall times in microseconds, bucketed — what the latency
+    /// percentiles are computed from, in constant memory however long
+    /// the aggregate lives.
+    pub latency_us: LatencyHistogram,
 }
 
 impl QueryStatsAggregate {
-    /// An aggregate of exactly one query — the unit every fold starts
-    /// from, so [`QueryStatsAggregate::merge`] is the single place where
-    /// aggregate fields are combined (a field added here and in `merge`
-    /// flows through every batch path automatically).
-    pub fn of_query(s: &QueryStats) -> Self {
-        Self {
-            queries: 1,
-            lb_distance_calcs: s.lb_distance_calcs,
-            real_distance_calcs: s.real_distance_calcs,
-            bsf_updates: s.bsf_updates,
-            approx_inflation_prunes: s.approx_inflation_prunes,
-            budget_stops: (s.stop_reason == Some(StopReason::BudgetExhausted)) as u64,
-            total_time: s.total_time,
-            breakdown: s.breakdown,
-            latencies_us: vec![s.total_time.as_micros().min(u128::from(u32::MAX)) as u32],
-        }
-    }
-
-    /// Folds one query's stats into the aggregate.
+    /// Folds one query's stats into the aggregate: plain adds, no
+    /// allocation (the serve daemon does this under a lock, per query).
     pub fn add(&mut self, s: &QueryStats) {
-        self.merge(&Self::of_query(s));
+        self.queries += 1;
+        self.lb_distance_calcs += s.lb_distance_calcs;
+        self.real_distance_calcs += s.real_distance_calcs;
+        self.bsf_updates += s.bsf_updates;
+        self.approx_inflation_prunes += s.approx_inflation_prunes;
+        self.budget_stops += (s.stop_reason == Some(StopReason::BudgetExhausted)) as u64;
+        self.total_time += s.total_time;
+        self.breakdown = sum_breakdowns(self.breakdown, s.breakdown);
+        self.latency_us
+            .record(s.total_time.as_micros().min(u128::from(u32::MAX)) as u32);
     }
 
     /// Folds another aggregate into this one (e.g. a worker's local
-    /// aggregate into the batch total). Every field of the aggregate is
-    /// combined here and nowhere else — batch paths must not merge
-    /// field-by-field inline, which silently drops fields added later.
+    /// aggregate into the batch total). The exhaustive destructuring
+    /// makes a field added later a compile error here until it is
+    /// combined — batch paths must not merge field-by-field inline.
     pub fn merge(&mut self, other: &Self) {
         let Self {
             queries,
@@ -313,7 +304,7 @@ impl QueryStatsAggregate {
             budget_stops,
             total_time,
             breakdown,
-            latencies_us,
+            latency_us,
         } = other;
         self.queries += queries;
         self.lb_distance_calcs += lb_distance_calcs;
@@ -322,11 +313,8 @@ impl QueryStatsAggregate {
         self.approx_inflation_prunes += approx_inflation_prunes;
         self.budget_stops += budget_stops;
         self.total_time += *total_time;
-        self.breakdown = match (self.breakdown, *breakdown) {
-            (Some(a), Some(b)) => Some(a + b),
-            (a, b) => a.or(b),
-        };
-        self.latencies_us.extend_from_slice(latencies_us);
+        self.breakdown = sum_breakdowns(self.breakdown, *breakdown);
+        self.latency_us.merge(latency_us);
     }
 
     /// Mean query time.
@@ -363,15 +351,117 @@ impl QueryStatsAggregate {
 
     /// Nearest-rank latency percentile over the recorded per-query wall
     /// times, in microseconds (`p` in 0..=100); `None` before any query
-    /// is aggregated. `p = 100` is the maximum.
+    /// is aggregated. See [`LatencyHistogram::percentile`] for the
+    /// resolution; `p = 100` is the exact maximum.
     pub fn latency_percentile_us(&self, p: f64) -> Option<u32> {
-        if self.latencies_us.is_empty() {
+        self.latency_us.percentile(p)
+    }
+}
+
+/// Component-wise sum of two optional breakdowns (absent = not
+/// collected, not zero).
+pub(crate) fn sum_breakdowns(
+    a: Option<TimeBreakdown>,
+    b: Option<TimeBreakdown>,
+) -> Option<TimeBreakdown> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a + b),
+        (a, b) => a.or(b),
+    }
+}
+
+/// A fixed-size latency histogram over the whole `u32` microsecond
+/// range: values below 64 µs have a bucket each, above that every
+/// power-of-two octave splits into 32 equal buckets, so a bucket is never
+/// wider than 1/32 (3.1 %) of the values it holds. Recording is two
+/// adds, merging is an element-wise add, and the memory is the same
+/// after a week of uptime as after one query.
+#[derive(Clone)]
+pub struct LatencyHistogram {
+    counts: [u64; Self::BUCKETS],
+    total: u64,
+    max_us: u32,
+}
+
+impl LatencyHistogram {
+    /// Sub-buckets per octave, as a power of two.
+    const SUB_BITS: u32 = 5;
+    /// One row of `2^SUB_BITS` buckets per shift `0..=31 - SUB_BITS`,
+    /// plus the first row's linear lower half.
+    const BUCKETS: usize = ((32 - Self::SUB_BITS + 1) << Self::SUB_BITS) as usize;
+
+    /// The bucket holding `us`: its row is the bit shift that brings
+    /// `us` under `2^(SUB_BITS + 1)`, its column the shifted value.
+    #[inline]
+    fn locate(us: u32) -> usize {
+        let top = 31 - (us | 1).leading_zeros();
+        let shift = top.saturating_sub(Self::SUB_BITS);
+        ((shift << Self::SUB_BITS) + (us >> shift)) as usize
+    }
+
+    /// Records one latency.
+    #[inline]
+    pub fn record(&mut self, us: u32) {
+        self.counts[Self::locate(us)] += 1;
+        self.total += 1;
+        self.max_us = self.max_us.max(us);
+    }
+
+    /// Folds `other` in.
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.total += other.total;
+        self.max_us = self.max_us.max(other.max_us);
+    }
+
+    /// Latencies recorded.
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+
+    /// Nearest-rank percentile (`p` in 0..=100): the upper bound of the
+    /// bucket holding the rank-th smallest latency, capped at the
+    /// tracked maximum — at most 3.1 % above the true value, exact below
+    /// 64 µs and at `p = 100`. `None` while empty.
+    pub fn percentile(&self, p: f64) -> Option<u32> {
+        if self.total == 0 {
             return None;
         }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        let rank = (((p / 100.0) * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let mut seen = 0u64;
+        for (bucket, count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                // Invert `locate`: the bucket's row shift, then the
+                // largest value whose shifted prefix lands in it.
+                let shift = (bucket as u32 >> Self::SUB_BITS).saturating_sub(1);
+                let prefix = bucket as u64 - (u64::from(shift) << Self::SUB_BITS);
+                let upper = ((prefix + 1) << shift) - 1;
+                return Some(upper.min(u64::from(self.max_us)) as u32);
+            }
+        }
+        Some(self.max_us)
+    }
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self {
+            counts: [0; Self::BUCKETS],
+            total: 0,
+            max_us: 0,
+        }
+    }
+}
+
+impl std::fmt::Debug for LatencyHistogram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LatencyHistogram")
+            .field("count", &self.total)
+            .field("max_us", &self.max_us)
+            .finish()
     }
 }
 
@@ -433,7 +523,8 @@ mod tests {
         assert_eq!(a.real_distance_calcs, 10);
         assert_eq!(a.bsf_updates, 5);
         assert_eq!(a.total_time, Duration::from_millis(5));
-        assert_eq!(a.latencies_us, vec![3_000, 1_000, 1_000]);
+        assert_eq!(a.latency_us.count(), 3);
+        assert_eq!(a.latency_percentile_us(100.0), Some(3_000));
         // Merging an empty aggregate is the identity.
         let snapshot = a.clone();
         a.merge(&QueryStatsAggregate::default());
@@ -508,6 +599,45 @@ mod tests {
         assert_eq!(agg.latency_percentile_us(99.0), Some(99));
         assert_eq!(agg.latency_percentile_us(100.0), Some(100));
         assert_eq!(agg.latency_percentile_us(0.0), Some(1));
+    }
+
+    #[test]
+    fn latency_histogram_is_bounded_in_error_and_exact_at_the_maximum() {
+        // A deterministic spread over six decades, 1 µs to ~70 min.
+        let mut values: Vec<u32> = (0..40_000u64)
+            .map(|i| (1 + i * i * 3 % 4_000_000_007) as u32)
+            .chain([0, 1, 63, 64, 65, u32::MAX - 1])
+            .collect();
+        let mut hist = LatencyHistogram::default();
+        for &v in &values {
+            hist.record(v);
+        }
+        values.sort_unstable();
+        for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+            let rank = ((p / 100.0) * values.len() as f64).ceil() as usize;
+            let exact = values[rank.clamp(1, values.len()) - 1];
+            let got = hist.percentile(p).expect("non-empty");
+            assert!(got >= exact, "p{p}: {got} under the true {exact}");
+            assert!(
+                f64::from(got) <= f64::from(exact) * 1.05,
+                "p{p}: {got} more than 5 % over {exact}"
+            );
+        }
+        assert_eq!(hist.percentile(100.0), Some(u32::MAX - 1), "max is exact");
+
+        // Merging is an element-wise add: two halves equal the whole.
+        let (lo, hi) = values.split_at(values.len() / 3);
+        let mut merged = LatencyHistogram::default();
+        let mut other = LatencyHistogram::default();
+        lo.iter().for_each(|&v| merged.record(v));
+        hi.iter().for_each(|&v| other.record(v));
+        merged.merge(&other);
+        assert_eq!(merged.count(), hist.count());
+        for p in [10.0, 50.0, 99.0, 100.0] {
+            assert_eq!(merged.percentile(p), hist.percentile(p));
+        }
+        // Constant memory: the type has no heap part to grow.
+        assert!(std::mem::size_of::<LatencyHistogram>() < 8 * 1024);
     }
 
     #[test]

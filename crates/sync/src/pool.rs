@@ -18,12 +18,16 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 std::thread_local! {
     static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
+
+/// Scoped threads spawned by [`WorkerPool::run`]'s nested fallback,
+/// process-wide. A statistic: it publishes no other data.
+static NESTED_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
 /// Lifetime-erased job pointer (`&dyn Fn(usize) + Sync`).
 #[derive(Clone, Copy)]
@@ -125,19 +129,41 @@ impl WorkerPool {
         self.shared.size.fetch_max(handles.len(), Ordering::AcqRel);
     }
 
+    /// Whether the calling thread is a worker of *any* pool — i.e. it is
+    /// already one of several parallel parties, and a `run` issued from
+    /// it would take the nested fallback. Callers whose parties do not
+    /// need each other (a shard scatter, a batch) check this and do the
+    /// work inline instead.
+    pub fn on_worker_thread() -> bool {
+        IS_POOL_WORKER.with(|w| w.get())
+    }
+
+    /// Scoped threads spawned so far by nested [`WorkerPool::run`] calls,
+    /// process-wide (see there). A serving process exports it: each one
+    /// is an OS thread created and joined inside a request.
+    pub fn nested_spawns() -> u64 {
+        NESTED_SPAWNS.load(Ordering::Relaxed)
+    }
+
     /// Runs `f(pid)` on `parties` workers (pids `0..parties`) and waits
     /// for all of them. Grows the pool if needed.
     ///
-    /// Reentrant calls from inside a pool worker fall back to plain
-    /// scoped threads (correct, just slower) to avoid self-deadlock.
+    /// A call from inside a pool worker (any pool's) cannot be handed to
+    /// the pool without risking self-deadlock, so it spawns `parties`
+    /// fresh scoped OS threads per call — a cost of tens of microseconds
+    /// each, counted in [`WorkerPool::nested_spawns`]. Only parties that
+    /// must run concurrently (the barrier-coupled search workers of one
+    /// multi-worker query) should reach it; independent parties check
+    /// [`WorkerPool::on_worker_thread`] and run inline.
     ///
     /// # Panics
     ///
     /// Re-raises a panic if any worker's job panicked.
     pub fn run<'env>(&self, parties: usize, f: &(dyn Fn(usize) + Sync + 'env)) {
         let parties = parties.max(1);
-        if IS_POOL_WORKER.with(|w| w.get()) {
+        if Self::on_worker_thread() {
             // Nested use: run on fresh scoped threads instead.
+            NESTED_SPAWNS.fetch_add(parties as u64, Ordering::Relaxed);
             std::thread::scope(|s| {
                 for pid in 0..parties {
                     let f = &f;
@@ -241,7 +267,6 @@ fn worker_loop(shared: &Shared, id: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn runs_every_pid_exactly_once() {
@@ -336,13 +361,18 @@ mod tests {
     fn nested_run_falls_back_to_scoped_threads() {
         let pool = WorkerPool::global();
         let total = AtomicU64::new(0);
+        assert!(!WorkerPool::on_worker_thread(), "the test thread is plain");
+        let before = WorkerPool::nested_spawns();
         pool.run(2, &|_| {
+            assert!(WorkerPool::on_worker_thread());
             // Reentrant call from a pool worker.
             WorkerPool::global().run(3, &|_| {
                 total.fetch_add(1, Ordering::SeqCst);
             });
         });
         assert_eq!(total.load(Ordering::SeqCst), 6);
+        // Other tests of this binary may nest concurrently: at least ours.
+        assert!(WorkerPool::nested_spawns() >= before + 6);
     }
 
     #[test]

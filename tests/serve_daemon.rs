@@ -11,8 +11,25 @@ use messi::index::serve::{self, Client, IndexServer, ServeConfig, ServeSummary, 
 use messi::prelude::*;
 use messi::{DeltaIndex, IngestOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
+
+/// One test compares the process's thread count before and after its
+/// load and reads a process-wide counter, so it needs the process to
+/// itself: it holds this exclusively, every other test shared.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    PROCESS
+        .read()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    PROCESS
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// The daemon serves a sharded index (2 shards here) behind a live
 /// [`DeltaIndex`], so these tests cover the scatter-gather and the
@@ -74,6 +91,7 @@ fn parse_json(body: &[u8]) -> messi::index::serve::json::Json {
 
 #[test]
 fn daemon_answers_every_objective_over_real_sockets() {
+    let _shared = shared();
     let (data, index) = build_index(400, 21);
     let q = data.series(3).to_vec();
     let (_, summary) = with_daemon(
@@ -158,6 +176,7 @@ fn daemon_answers_every_objective_over_real_sockets() {
 
 #[test]
 fn metrics_and_health_reflect_daemon_state() {
+    let _shared = shared();
     let (data, index) = build_index(300, 22);
     let q = data.series(0).to_vec();
     let ((), summary) = with_daemon(ServeConfig::default(), &index, |addr| {
@@ -194,6 +213,7 @@ fn metrics_and_health_reflect_daemon_state() {
 
 #[test]
 fn drain_mode_sheds_every_query_and_load_smoke_reports_it() {
+    let _shared = shared();
     let (data, index) = build_index(300, 23);
     let bodies: Vec<Vec<u8>> = (0..4).map(|i| body_for("", data.series(i))).collect();
     let (report, summary) = with_daemon(
@@ -235,6 +255,7 @@ fn drain_mode_sheds_every_query_and_load_smoke_reports_it() {
 
 #[test]
 fn concurrent_load_smoke_answers_everything_once_warm() {
+    let _shared = shared();
     let (data, index) = build_index(500, 24);
     let bodies: Vec<Vec<u8>> = (0..8)
         .map(|i| body_for("\"objective\":\"knn\",\"k\":3,", data.series(i * 7)))
@@ -271,6 +292,7 @@ fn concurrent_load_smoke_answers_everything_once_warm() {
 
 #[test]
 fn readiness_gates_queries_until_prewarm_finishes() {
+    let _shared = shared();
     // A daemon that is bound but not yet serving refuses connections;
     // once serving, readiness flips only after prewarm. The in-process
     // route-level gating is covered by unit tests — here we check the
@@ -282,6 +304,63 @@ fn readiness_gates_queries_until_prewarm_finishes() {
         assert_eq!(resp.status, 200, "wait_ready returned → health is green");
     });
     assert_eq!(summary.served, 0);
+}
+
+/// Threads of this process right now (Linux; 0 where procfs is absent,
+/// which makes the before/after comparison vacuous there).
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, Iterator::count)
+}
+
+#[test]
+fn a_two_shard_daemon_answers_on_its_handler_threads_alone() {
+    let _alone = exclusive();
+    let (data, index) = build_index(600, 28);
+    let bodies: Vec<Vec<u8>> = (0..25).map(|i| body_for("", data.series(i * 23))).collect();
+    let config = ServeConfig {
+        threads: 2,
+        admission: 4,
+        query_workers: 1,
+        ..ServeConfig::default()
+    };
+    let ((report, metrics, threads), summary) = with_daemon(config, &index, |addr| {
+        let before = thread_count();
+        // Two keep-alive connections, one per handler, 100 queries each.
+        let report = serve::run_load_smoke(
+            addr,
+            &bodies,
+            &SmokeConfig {
+                clients: 2,
+                per_client: 100,
+                retry: true,
+                max_attempts: 50,
+            },
+        );
+        let threads = (before, thread_count());
+        let mut client = Client::connect(addr).expect("connect");
+        let metrics = client.request("GET", "/metrics", b"").expect("metrics");
+        let text = String::from_utf8(metrics.body).expect("utf-8 metrics");
+        (report, text, threads)
+    });
+    assert_eq!(report.ok, 200, "{report:?}");
+    assert_eq!(report.shed + report.transport_errors, 0, "{report:?}");
+    assert_eq!(summary.served, 200);
+    assert_eq!(summary.failures, 0);
+    // Every query walked both shards inline on its handler thread: no
+    // thread was spawned for it, and the walk's one context stayed warm.
+    assert!(
+        metrics.contains("\nmessi_pool_nested_spawns_total 0\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\nmessi_query_alloc_events_total 0\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\nmessi_shard_queries_total{shard=\"1\"} 200\n"),
+        "both shards answered every query: {metrics}"
+    );
+    assert_eq!(threads.0, threads.1, "the load changed the thread count");
 }
 
 fn ingest_body(rows: &[Vec<f32>]) -> Vec<u8> {
@@ -297,6 +376,7 @@ fn ingest_body(rows: &[Vec<f32>]) -> Vec<u8> {
 
 #[test]
 fn ingest_endpoint_appends_durably_and_a_reboot_replays_the_log() {
+    let _shared = shared();
     let log = std::env::temp_dir().join(format!("messi-daemon-ingest-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&log);
     let data = Arc::new(messi::series::gen::generate(
@@ -364,6 +444,7 @@ fn ingest_endpoint_appends_durably_and_a_reboot_replays_the_log() {
 
 #[test]
 fn oversized_and_malformed_requests_do_not_kill_the_connection_pool() {
+    let _shared = shared();
     let (data, index) = build_index(200, 26);
     let q = data.series(0).to_vec();
     let ((), summary) = with_daemon(ServeConfig::default(), &index, |addr| {
