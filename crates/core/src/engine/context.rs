@@ -96,6 +96,18 @@ impl<'a> QueryContext<'a> {
         self.alloc_events
     }
 
+    /// Performs exactly the allocations (and `alloc_events` increments)
+    /// this context's first query under `sax` and `config` would — table,
+    /// queue set, barrier — without running one; a no-op on a context
+    /// already in that shape. What executor `prewarm` does to every slot.
+    pub fn shape(&mut self, sax: SaxConfig, config: &QueryConfig) {
+        if self.table.as_ref().map(MindistTable::segments) != Some(sax.segments) {
+            let paa = [0.0; messi_sax::MAX_SEGMENTS];
+            self.fill_table(sax, TableSpec::Point(&paa[..sax.segments]));
+        }
+        let _ = self.scratch(Some(config));
+    }
+
     /// The plan step's share of the scratch: refills the mindist table
     /// per `spec`. The table depends on the query alone, so one fill
     /// serves every shard a walk then searches through this context.

@@ -5,7 +5,7 @@ use crate::config::QueryConfig;
 use crate::engine::QueryContext;
 use crate::exact::QueryAnswer;
 use crate::index::MessiIndex;
-use crate::shard::answer_solo;
+use crate::shard::{answer_solo, prewarm_pool};
 use crate::stats::{QueryStats, QueryStatsAggregate};
 use messi_series::Dataset;
 use messi_sync::{Dispenser, SlotPool, WorkerPool};
@@ -164,21 +164,16 @@ impl<'a> QueryExecutor<'a> {
         }
     }
 
-    /// Warms every pool slot: runs `query` once per slot under `spec`,
-    /// holding the contexts so each slot is visited exactly once, then
-    /// parks them all. A server frontend calls this at startup so the
-    /// first real queries already run allocation-free; the zero-alloc
-    /// tests use it to make warm-up deterministic.
+    /// Warms every pool slot: each slot is *shaped*
+    /// ([`QueryContext::shape`] — the allocations its first query under
+    /// `config` would make, made without running it), then `query` is
+    /// answered once under `spec` through one of them, so the index
+    /// pages a first query walks are resident. Every slot then answers
+    /// with an `alloc_events` delta of 0 from its first query on. A
+    /// server frontend calls this at startup; the zero-alloc tests use
+    /// it to make warm-up deterministic.
     pub fn prewarm(&self, query: &[f32], spec: &QuerySpec, config: &QueryConfig) {
-        let mut held = Vec::with_capacity(self.contexts.capacity());
-        for _ in 0..self.contexts.capacity() {
-            let mut ctx = self.contexts.checkout().unwrap_or_default();
-            let _ = answer_solo(self.index, query, spec, config, &mut ctx);
-            held.push(ctx);
-        }
-        for ctx in held {
-            self.contexts.checkin(ctx);
-        }
+        prewarm_pool(&self.contexts, self.index, query, spec, config);
     }
 
     /// Intra-query scheduling: queries sequential, each parallel inside.

@@ -12,11 +12,16 @@
 //!   longer; the index core is shared untouched. O(batch) work.
 //! * **Republish** — the same view goes to
 //!   [`ShardedIndex::absorb`](crate::shard::ShardedIndex::absorb), which
-//!   rebuilds only the root subtrees that received entries, and a fresh
-//!   prewarmed executor is published. Old epochs stay valid and
-//!   allocation-free to query until their last reader drops: a view
-//!   never covers bytes beyond its own length, and nothing below it is
-//!   ever rewritten.
+//!   grows the last shard by *insertion*
+//!   ([`MessiIndex::insert_batch`](crate::index::MessiIndex::insert_batch):
+//!   one merge pass — overlay entries appended to their home leaves in
+//!   position order, only overflowing leaves re-split, untouched
+//!   subtrees spliced from borrowed slices — equal, record for record,
+//!   to a sequential build over the grown collection). A fresh executor
+//!   is then prewarmed — every context shaped, one query per shard —
+//!   and published. Old epochs stay valid and allocation-free to query
+//!   until their last reader drops: a view never covers bytes beyond
+//!   its own length, and nothing below it is ever rewritten.
 //!
 //! The overlay is scanned with the engine's own distance kernels at an
 //! infinite abandon bound, so merged answers are bit-identical to a
@@ -182,7 +187,8 @@ impl EpochCore {
         })
     }
 
-    /// Warms every pooled context so first queries on this core are
+    /// Warms every pooled context — shaped, plus one query per shard
+    /// ([`ShardedExecutor::prewarm`]) — so first queries on this core are
     /// allocation-free (the serve path asserts this via `alloc_events`).
     fn prewarm(&self, config: &QueryConfig) {
         let query = self.index.dataset().series(0).to_vec();
@@ -263,7 +269,7 @@ impl DeltaIndex {
         options: IngestOptions,
         path: &Path,
     ) -> Result<(Self, ReplayReport), IngestError> {
-        let (log, frames, report) = DeltaLog::open(path, index.dataset())?;
+        let (log, frames, report) = DeltaLog::open(path, index.dataset(), index.hashed_prefix())?;
         let live = Self::new(index, options);
         {
             let mut writer = live.writer.lock();

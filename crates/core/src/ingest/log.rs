@@ -21,7 +21,7 @@
 //! reported on stderr, and truncated away so the next append starts
 //! from the last durable frame.
 
-use messi_series::io::{fnv1a64, fnv1a64_f32, PayloadReader, PayloadWriter};
+use messi_series::io::{fnv1a64, Fnv1a, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -133,12 +133,21 @@ impl DeltaLog {
     /// a torn tail is reported loudly on stderr and truncated so the log
     /// ends on its last whole frame.
     ///
+    /// `hashed` is `(n, fingerprint of base's first n series)` when the
+    /// caller already verified one — a snapshot load does, for shard 0 —
+    /// so the base fingerprint continues from it instead of hashing
+    /// those bytes a second time.
+    ///
     /// # Errors
     ///
     /// [`LogError::Mismatch`] when the header pins a different dataset,
     /// [`LogError::Corrupt`] when the header itself is damaged, and
     /// [`LogError::Io`] for filesystem failures.
-    pub fn open(path: &Path, base: &Dataset) -> Result<(Self, LogFrames, ReplayReport), LogError> {
+    pub fn open(
+        path: &Path,
+        base: &Dataset,
+        hashed: Option<(usize, u64)>,
+    ) -> Result<(Self, LogFrames, ReplayReport), LogError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -148,13 +157,13 @@ impl DeltaLog {
         let file_len = file.metadata()?.len();
         if file_len == 0 {
             let mut log = Self { file, bytes: 0 };
-            log.reset(base)?;
+            log.write_header(base, base_fingerprint(base, hashed))?;
             return Ok((log, LogFrames::default(), ReplayReport::default()));
         }
 
         let mut raw = Vec::with_capacity(file_len as usize);
         file.read_to_end(&mut raw)?;
-        let (values, report) = decode_log(&raw, path, base)?;
+        let (values, report) = decode_log(&raw, path, base, hashed)?;
         let bytes = file_len - report.dropped_bytes;
         if report.torn {
             file.set_len(bytes)?;
@@ -172,6 +181,10 @@ impl DeltaLog {
     ///
     /// Propagates filesystem failures.
     pub fn reset(&mut self, base: &Dataset) -> Result<(), LogError> {
+        self.write_header(base, base_fingerprint(base, None))
+    }
+
+    fn write_header(&mut self, base: &Dataset, fingerprint: u64) -> Result<(), LogError> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         let mut w = PayloadWriter::new();
@@ -179,7 +192,7 @@ impl DeltaLog {
         w.put_u16(LOG_VERSION);
         w.put_u32(base.series_len() as u32);
         w.put_u64(base.len() as u64);
-        w.put_u64(fnv1a64_f32(base.as_flat()));
+        w.put_u64(fingerprint);
         let bytes = w.into_bytes();
         debug_assert_eq!(bytes.len() as u64, HEADER_LEN);
         self.file.write_all(&bytes)?;
@@ -196,12 +209,12 @@ impl DeltaLog {
     /// Propagates filesystem failures.
     pub fn append(&mut self, batch: &Dataset) -> Result<(), LogError> {
         let values = batch.as_flat();
-        let mut w = PayloadWriter::new();
-        w.put_u32((4 + values.len() * 4) as u32);
+        let payload_len = 4 + values.len() * 4;
+        // The whole frame in one reservation: length, payload, checksum.
+        let mut w = PayloadWriter::with_capacity(4 + payload_len + 8);
+        w.put_u32(payload_len as u32);
         w.put_u32(batch.len() as u32);
-        for v in values {
-            w.put_f32(*v);
-        }
+        w.put_f32_slice(values);
         let mut frame = w.into_bytes();
         let checksum = fnv1a64(&frame[4..]);
         frame.extend_from_slice(&checksum.to_le_bytes());
@@ -217,6 +230,17 @@ impl DeltaLog {
     }
 }
 
+/// The FNV-1a fingerprint of `base`'s values, continued from `hashed` —
+/// `(n, fingerprint of the first n series)` — when the caller has one.
+fn base_fingerprint(base: &Dataset, hashed: Option<(usize, u64)>) -> u64 {
+    let (covered, mut h) = match hashed {
+        Some((n, state)) if n <= base.len() => (n, Fnv1a::resumed(state)),
+        _ => (0, Fnv1a::new()),
+    };
+    h.update_f32(&base.as_flat()[covered * base.series_len()..]);
+    h.finish()
+}
+
 /// Checks a whole log image: a header that pins `base` (length *and*
 /// content fingerprint), then frames until the buffer runs dry or the
 /// tail tears. Returns the byte range of every whole frame's values.
@@ -224,6 +248,7 @@ fn decode_log(
     raw: &[u8],
     path: &Path,
     base: &Dataset,
+    hashed: Option<(usize, u64)>,
 ) -> Result<(Vec<Range<usize>>, ReplayReport), LogError> {
     let corrupt = |msg: String| LogError::Corrupt(msg);
     if (raw.len() as u64) < HEADER_LEN {
@@ -258,7 +283,7 @@ fn decode_log(
              (was the dataset rebuilt without compacting the log?)"
         )));
     }
-    let base_fingerprint = fnv1a64_f32(base.as_flat());
+    let base_fingerprint = base_fingerprint(base, hashed);
     if log_fp != base_fingerprint {
         return Err(LogError::Mismatch(format!(
             "log base fingerprint {log_fp:#018x} does not match the dataset's \
@@ -330,6 +355,11 @@ mod tests {
         dir
     }
 
+    /// Opens with nothing hashed beforehand.
+    fn open(path: &Path, base: &Dataset) -> Result<(DeltaLog, LogFrames, ReplayReport), LogError> {
+        DeltaLog::open(path, base, None)
+    }
+
     fn batch(seed: f32, count: usize, series_len: usize) -> Dataset {
         let values: Vec<f32> = (0..count * series_len)
             .map(|i| (i as f32 * 0.25 + seed).sin())
@@ -351,7 +381,7 @@ mod tests {
     #[test]
     fn round_trips_batches_across_reopen() {
         let path = tmp("roundtrip");
-        let (mut log, _, report) = DeltaLog::open(&path, &batch(0.0, 100, 8)).unwrap();
+        let (mut log, _, report) = open(&path, &batch(0.0, 100, 8)).unwrap();
         assert!(report.batches == 0 && !report.torn);
         let b1 = batch(1.0, 3, 8);
         let b2 = batch(2.0, 5, 8);
@@ -360,7 +390,7 @@ mod tests {
         let bytes = log.bytes();
         drop(log);
 
-        let (log, replayed, report) = DeltaLog::open(&path, &batch(0.0, 100, 8)).unwrap();
+        let (log, replayed, report) = open(&path, &batch(0.0, 100, 8)).unwrap();
         assert_eq!(log.bytes(), bytes);
         assert_eq!(report.batches, 2);
         assert_eq!(report.series, 8);
@@ -372,18 +402,18 @@ mod tests {
     #[test]
     fn rejects_logs_for_other_datasets() {
         let path = tmp("mismatch");
-        let (log, _, _) = DeltaLog::open(&path, &batch(0.0, 100, 8)).unwrap();
+        let (log, _, _) = open(&path, &batch(0.0, 100, 8)).unwrap();
         drop(log);
         assert!(matches!(
-            DeltaLog::open(&path, &batch(0.0, 50, 16)),
+            open(&path, &batch(0.0, 50, 16)),
             Err(LogError::Mismatch(_))
         ));
         assert!(matches!(
-            DeltaLog::open(&path, &batch(0.0, 99, 8)),
+            open(&path, &batch(0.0, 99, 8)),
             Err(LogError::Mismatch(_))
         ));
         assert!(matches!(
-            DeltaLog::open(&path, &batch(0.5, 100, 8)),
+            open(&path, &batch(0.5, 100, 8)),
             Err(LogError::Mismatch(_))
         ));
         std::fs::remove_file(&path).unwrap();
@@ -392,7 +422,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_prefix_recovered() {
         let path = tmp("torn");
-        let (mut log, _, _) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
+        let (mut log, _, _) = open(&path, &batch(0.0, 10, 4)).unwrap();
         let b1 = batch(3.0, 2, 4);
         let b2 = batch(4.0, 3, 4);
         log.append(&b1).unwrap();
@@ -406,7 +436,7 @@ mod tests {
         raw.extend_from_slice(&[0xAB; 17]);
         std::fs::write(&path, &raw).unwrap();
 
-        let (log, replayed, report) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
+        let (log, replayed, report) = open(&path, &batch(0.0, 10, 4)).unwrap();
         assert!(report.torn);
         assert_eq!(report.dropped_bytes, 21);
         assert_eq!(report.batches, 2);
@@ -420,7 +450,7 @@ mod tests {
         let last = raw.len() - 10;
         raw[last] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
-        let (_, replayed, report) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
+        let (_, replayed, report) = open(&path, &batch(0.0, 10, 4)).unwrap();
         assert!(report.torn);
         assert_eq!(report.batches, 1, "only the first frame survives");
         assert_eq!(decoded(&replayed, &report, 4), flat(&[&b1]));
@@ -428,14 +458,40 @@ mod tests {
     }
 
     #[test]
+    fn a_resumed_base_fingerprint_pins_the_same_dataset() {
+        use messi_series::io::fnv1a64_f32;
+        let path = tmp("resumed");
+        let base = batch(0.0, 100, 8);
+        let prefix = |n: usize| Some((n, fnv1a64_f32(&base.as_flat()[..n * 8])));
+        // Created from a resumed fingerprint, reopened from a full hash
+        // and from every other split: one header, one dataset.
+        let (mut log, _, _) = DeltaLog::open(&path, &base, prefix(37)).unwrap();
+        log.append(&batch(1.0, 3, 8)).unwrap();
+        drop(log);
+        for hashed in [None, prefix(0), prefix(1), prefix(37), prefix(100)] {
+            let (_, _, report) = DeltaLog::open(&path, &base, hashed).unwrap();
+            assert_eq!((report.batches, report.series), (1, 3), "{hashed:?}");
+        }
+        // A prefix that is not this dataset's still fails loudly.
+        assert!(matches!(
+            DeltaLog::open(&path, &base, Some((37, 0xDEAD_BEEF))),
+            Err(LogError::Mismatch(_))
+        ));
+        // A prefix longer than the dataset cannot be resumed from: full hash.
+        let (_, _, report) = DeltaLog::open(&path, &base, Some((101, 7))).unwrap();
+        assert_eq!(report.batches, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn reset_truncates_to_a_fresh_header() {
         let path = tmp("reset");
-        let (mut log, _, _) = DeltaLog::open(&path, &batch(0.0, 10, 4)).unwrap();
+        let (mut log, _, _) = open(&path, &batch(0.0, 10, 4)).unwrap();
         log.append(&batch(1.0, 2, 4)).unwrap();
         log.reset(&batch(9.0, 12, 4)).unwrap();
         assert_eq!(log.bytes(), HEADER_LEN);
         drop(log);
-        let (log, _, report) = DeltaLog::open(&path, &batch(9.0, 12, 4)).unwrap();
+        let (log, _, report) = open(&path, &batch(9.0, 12, 4)).unwrap();
         assert!(report.batches == 0 && !report.torn);
         assert_eq!(log.bytes(), HEADER_LEN);
         std::fs::remove_file(&path).unwrap();

@@ -9,8 +9,9 @@
 //! of the collection is simply longer. The tail the index does not
 //! cover yet is the *overlay*, which queries brute-force alongside the
 //! published arenas; a republish hands the same view to the index
-//! (rebuilding only the root subtrees that received entries — no series
-//! moves) and swaps in the next epoch. Readers take no lock on the read
+//! (which inserts the overlay into the last shard's leaves in one merge
+//! pass — no series moves, no subtree is rebuilt unless a leaf
+//! overflows) and swaps in the next epoch. Readers take no lock on the read
 //! path: they clone an `Arc` snapshot of the current epoch and query it
 //! to completion even while writers publish successors.
 //!

@@ -60,7 +60,7 @@
 //! entry counts alone (`forest_groups`), so builds, baselines, and the
 //! snapshot loader regroup identically — and snapshots still serialize
 //! per key by slicing each per-key subtree back out of its forest
-//! (`TreeArena::key_subtree_raw`), keeping the format byte-identical.
+//! (`TreeArena::subtree_part`, rebased), keeping the format byte-identical.
 
 use messi_sax::split::choose_split;
 use messi_sax::word::{NodeWord, SaxWord};
@@ -123,69 +123,84 @@ pub(crate) fn forest_groups(counts: &[usize]) -> Vec<std::ops::Range<usize>> {
     groups
 }
 
-/// Assembles one arena from one or more per-key subtrees given as raw
-/// parts `(key, preorder node records, pool entries)` with ascending
-/// keys and subtree-local ids/offsets. A single part becomes a plain
-/// per-key arena; several parts are joined under the synthetic iSAX
-/// trie described in the module docs.
-pub(crate) fn assemble_forest(
-    parts: Vec<(usize, Vec<NodeRecord>, Vec<LeafEntry>)>,
-    segments: usize,
-) -> TreeArena {
-    debug_assert!(parts.windows(2).all(|w| w[0].0 < w[1].0));
-    if parts.len() == 1 {
-        let (_, nodes, entries) = parts.into_iter().next().expect("one part");
-        return TreeArena::assemble(nodes, entries);
+/// One per-key subtree as *borrowed* raw parts — a whole arena, or a
+/// slice of a forest or of scratch holding many subtrees back to back.
+/// Child ids and pool offsets in `nodes` count from `node_base` /
+/// `pool_base`, the subtree's start in the storage it was sliced from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RawPart<'a> {
+    pub(crate) key: usize,
+    pub(crate) nodes: &'a [NodeRecord],
+    pub(crate) entries: &'a [LeafEntry],
+    pub(crate) node_base: u32,
+    pub(crate) pool_base: u32,
+}
+
+impl RawPart<'_> {
+    /// The part's records moved to start at node id `node_to` and pool
+    /// offset `pool_to`.
+    pub(crate) fn rebased(
+        &self,
+        node_to: u32,
+        pool_to: u32,
+    ) -> impl Iterator<Item = NodeRecord> + '_ {
+        self.nodes.iter().map(move |n| {
+            let (from, to) = if n.tag == LEAF_TAG {
+                (self.pool_base, pool_to)
+            } else {
+                (self.node_base, node_to)
+            };
+            NodeRecord {
+                lo: n.lo - from + to,
+                hi: n.hi - from + to,
+                ..*n
+            }
+        })
     }
+}
+
+/// Assembles one arena from one or more per-key subtrees with ascending
+/// keys — the one assembly behind builds, baselines, snapshot loads and
+/// absorbs. A single part becomes a plain per-key arena; several are
+/// joined under the synthetic iSAX trie described in the module docs.
+/// The layout is derived once, on the assembled arena.
+pub(crate) fn assemble_forest(parts: &[RawPart<'_>], segments: usize) -> TreeArena {
+    debug_assert!(parts.windows(2).all(|w| w[0].key < w[1].key));
     // A path-compressed binary trie over k distinct keys has exactly
     // k - 1 internal nodes.
-    let total_nodes = parts.iter().map(|p| p.1.len()).sum::<usize>() + (parts.len() - 1);
-    let total_entries = parts.iter().map(|p| p.2.len()).sum::<usize>();
+    let total_nodes = parts.iter().map(|p| p.nodes.len()).sum::<usize>() + (parts.len() - 1);
+    let total_entries = parts.iter().map(|p| p.entries.len()).sum::<usize>();
     let mut nodes = Vec::with_capacity(total_nodes);
     let mut pool = Vec::with_capacity(total_entries);
-    splice_forest(&parts, 0, parts.len(), segments, &mut nodes, &mut pool);
+    splice_forest(parts, segments, &mut nodes, &mut pool);
     debug_assert_eq!(nodes.len(), total_nodes);
     debug_assert_eq!(pool.len(), total_entries);
     TreeArena::assemble(nodes, pool)
 }
 
-/// Recursive splice step of [`assemble_forest`] over `parts[lo..hi]`:
-/// emits (in preorder) either the lone per-key subtree rebased to the
-/// current output position, or a synthetic inner node splitting the key
-/// range on its first disagreeing segment. Returns the emitted root id.
+/// Recursive splice step of [`assemble_forest`]: emits (in preorder)
+/// either the lone per-key subtree rebased to the current output
+/// position, or a synthetic inner node splitting the key range on its
+/// first disagreeing segment. Returns the emitted root id.
 fn splice_forest(
-    parts: &[(usize, Vec<NodeRecord>, Vec<LeafEntry>)],
-    lo: usize,
-    hi: usize,
+    parts: &[RawPart<'_>],
     segments: usize,
     nodes: &mut Vec<NodeRecord>,
     pool: &mut Vec<LeafEntry>,
 ) -> NodeId {
-    if hi - lo == 1 {
-        let base = nodes.len() as u32;
-        let pool_base = pool.len() as u32;
-        let (_, part_nodes, part_entries) = &parts[lo];
-        nodes.extend(part_nodes.iter().map(|n| {
-            let mut rec = *n;
-            if rec.tag == LEAF_TAG {
-                rec.lo += pool_base;
-                rec.hi += pool_base;
-            } else {
-                rec.lo += base;
-                rec.hi += base;
-            }
-            rec
-        }));
-        pool.extend_from_slice(part_entries);
-        return base;
+    let my = nodes.len();
+    if let [part] = parts {
+        nodes.extend(part.rebased(my as u32, pool.len() as u32));
+        pool.extend_from_slice(part.entries);
+        return my as NodeId;
     }
     // Which key bits all members of the range share. Segment i's key bit
     // sits at position `segments - 1 - i` (segment 0 is the key's MSB).
     let mut all_or = 0usize;
     let mut all_and = usize::MAX;
-    for p in &parts[lo..hi] {
-        all_or |= p.0;
-        all_and &= p.0;
+    for p in parts {
+        all_or |= p.key;
+        all_and &= p.key;
     }
     let disagree = all_or & !all_and;
     debug_assert_ne!(disagree, 0, "duplicate keys in a forest group");
@@ -204,19 +219,16 @@ fn splice_forest(
     // exactly one boundary.
     let at = usize::BITS as usize - 1 - disagree.leading_zeros() as usize;
     let split = segments - 1 - at;
-    let mid = lo + parts[lo..hi].partition_point(|p| (p.0 >> at) & 1 == 0);
-    debug_assert!(lo < mid && mid < hi);
-    let my = nodes.len();
+    let (left, right) = parts.split_at(parts.partition_point(|p| (p.key >> at) & 1 == 0));
+    debug_assert!(!left.is_empty() && !right.is_empty());
     nodes.push(NodeRecord {
         word,
         tag: split as u8,
         lo: 0,
         hi: 0,
     });
-    let left = splice_forest(parts, lo, mid, segments, nodes, pool);
-    let right = splice_forest(parts, mid, hi, segments, nodes, pool);
-    nodes[my].lo = left;
-    nodes[my].hi = right;
+    nodes[my].lo = splice_forest(left, segments, nodes, pool);
+    nodes[my].hi = splice_forest(right, segments, nodes, pool);
     my as NodeId
 }
 
@@ -710,7 +722,7 @@ impl TreeArena {
     }
 
     /// Raw node records (test-only: the snapshot writer slices per-key
-    /// subtrees out via [`TreeArena::key_subtree_raw`] instead).
+    /// subtrees out via [`TreeArena::subtree_part`] instead).
     #[cfg(test)]
     pub(crate) fn raw_nodes(&self) -> &[NodeRecord] {
         &self.nodes
@@ -720,13 +732,6 @@ impl TreeArena {
     #[cfg(test)]
     pub(crate) fn raw_entries(&self) -> &[LeafEntry] {
         &self.entries
-    }
-
-    /// Consumes the arena back into its raw parts (the forest regrouping
-    /// path of [`crate::index::MessiIndex::from_parts`]); the derived
-    /// layout is dropped and rebuilt by the receiving assembly.
-    pub(crate) fn into_raw(self) -> (Vec<NodeRecord>, Vec<LeafEntry>) {
-        (self.nodes, self.entries)
     }
 
     /// Preorder extent of the subtree rooted at `id`: `(one past the
@@ -747,29 +752,64 @@ impl TreeArena {
         (rightmost + 1, pool_lo, pool_hi)
     }
 
-    /// The subtree rooted at `id` as standalone raw parts: node records
-    /// rebased to ids `0..n` and pool offsets `0..m`, plus the entry
-    /// slice. Inverse of the [`assemble_forest`] splice — serializing a
-    /// forest member this way reproduces the exact bytes the per-key
-    /// subtree would have written on its own, which is what keeps the
-    /// snapshot format unchanged.
-    pub(crate) fn key_subtree_raw(&self, id: NodeId) -> (Vec<NodeRecord>, &[LeafEntry]) {
+    /// The subtree rooted at `id`, filed under `key`, as borrowed raw
+    /// parts: slices of this arena's storage, with the bases that make
+    /// them relocatable. Inverse of the [`assemble_forest`] splice.
+    pub(crate) fn subtree_part(&self, key: usize, id: NodeId) -> RawPart<'_> {
         let (node_end, pool_lo, pool_hi) = self.subtree_extent(id);
-        let nodes = self.nodes[id as usize..node_end as usize]
-            .iter()
-            .map(|n| {
-                let mut rec = *n;
-                if rec.tag == LEAF_TAG {
-                    rec.lo -= pool_lo;
-                    rec.hi -= pool_lo;
-                } else {
-                    rec.lo -= id;
-                    rec.hi -= id;
-                }
-                rec
-            })
-            .collect();
-        (nodes, &self.entries[pool_lo as usize..pool_hi as usize])
+        RawPart {
+            key,
+            nodes: &self.nodes[id as usize..node_end as usize],
+            entries: &self.entries[pool_lo as usize..pool_hi as usize],
+            node_base: id,
+            pool_base: pool_lo,
+        }
+    }
+
+    /// The paper's insert (Alg. 4 lines 7–11) on a flat subtree: appends
+    /// to `nodes` / `pool` (ids and offsets absolute in them) the subtree
+    /// at `id` after inserting `arrivals` — `(key, home leaf id, entry)`,
+    /// ascending by leaf, then in insertion order. Each leaf appends its
+    /// arrivals, found at the front of the list since leaf ids ascend in
+    /// preorder; only a leaf pushed past capacity is re-split, through
+    /// `builder` seeded with its word and old entries, and spliced back.
+    /// Returns the arrivals homed after this subtree.
+    pub(crate) fn grow_subtree<'r>(
+        &self,
+        id: NodeId,
+        arrivals: &'r [(usize, NodeId, LeafEntry)],
+        builder: &mut SubtreeBuilder,
+        nodes: &mut Vec<NodeRecord>,
+        pool: &mut Vec<LeafEntry>,
+    ) -> &'r [(usize, NodeId, LeafEntry)] {
+        let n = self.nodes[id as usize];
+        let my = nodes.len();
+        if n.tag != LEAF_TAG {
+            nodes.push(n);
+            nodes[my].lo = nodes.len() as NodeId;
+            let arrivals = self.grow_subtree(n.lo, arrivals, builder, nodes, pool);
+            nodes[my].hi = nodes.len() as NodeId;
+            return self.grow_subtree(n.hi, arrivals, builder, nodes, pool);
+        }
+        let old = &self.entries[n.lo as usize..n.hi as usize];
+        let (mine, rest) = arrivals.split_at(arrivals.partition_point(|a| a.1 == id));
+        let overflows = !mine.is_empty() && old.len() + mine.len() > builder.leaf_capacity;
+        let mine = mine.iter().map(|a| a.2);
+        if overflows {
+            builder.begin(n.word);
+            old.iter()
+                .copied()
+                .chain(mine)
+                .for_each(|e| builder.insert(e));
+            builder.finish_into(nodes, pool);
+        } else {
+            let lo = pool.len() as u32;
+            pool.extend_from_slice(old);
+            pool.extend(mine);
+            let hi = pool.len() as u32;
+            nodes.push(NodeRecord { lo, hi, ..n });
+        }
+        rest
     }
 
     /// Verifies that the stored derived layout (SoA pool + run metadata)
@@ -1149,21 +1189,28 @@ impl SubtreeBuilder {
     ///
     /// Panics if called before [`SubtreeBuilder::begin`].
     pub fn finish(&mut self) -> TreeArena {
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        let mut pool = Vec::with_capacity(self.entries.len());
+        self.finish_into(&mut nodes, &mut pool);
+        let arena = TreeArena::assemble(nodes, pool);
+        debug_assert!(arena.allocation_flat(), "arena storage reallocated");
+        arena
+    }
+
+    /// [`SubtreeBuilder::finish`] without the arena: appends the subtree's
+    /// preorder records and pool entries to `nodes` / `pool` (ids and
+    /// offsets absolute in them) and resets the scratch — for callers
+    /// that splice it into a larger arena, whose layout is derived once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`SubtreeBuilder::begin`].
+    pub(crate) fn finish_into(&mut self, nodes: &mut Vec<NodeRecord>, pool: &mut Vec<LeafEntry>) {
         assert!(!self.nodes.is_empty(), "finish before begin");
-        let mut nodes: Vec<NodeRecord> = Vec::with_capacity(self.nodes.len());
-        let mut pool: Vec<LeafEntry> = Vec::with_capacity(self.entries.len());
-        let (node_cap, pool_cap) = (nodes.capacity(), pool.capacity());
-        self.emit(0, &mut nodes, &mut pool);
-        debug_assert_eq!(nodes.len(), self.nodes.len(), "every node emitted once");
-        debug_assert_eq!(pool.len(), self.entries.len(), "every entry emitted once");
-        debug_assert_eq!(nodes.capacity(), node_cap, "node array reallocated");
-        debug_assert_eq!(pool.capacity(), pool_cap, "entry pool reallocated");
+        self.emit(0, nodes, pool);
         self.nodes.clear();
         self.entries.clear();
         self.next.clear();
-        let arena = TreeArena::assemble(nodes, pool);
-        debug_assert!(arena.allocation_flat(), "derived layout reallocated");
-        arena
     }
 
     /// Emits the scratch node `sid` (and its subtree) in preorder,
@@ -1588,16 +1635,11 @@ mod tests {
             .iter()
             .map(|(k, a)| (*k, a.raw_nodes().to_vec(), a.raw_entries().to_vec()))
             .collect();
-        let forest = assemble_forest(
-            built
-                .into_iter()
-                .map(|(k, a)| {
-                    let (n, e) = a.into_raw();
-                    (k, n, e)
-                })
-                .collect(),
-            segments,
-        );
+        let parts: Vec<RawPart<'_>> = built
+            .iter()
+            .map(|(k, a)| a.subtree_part(*k, TreeArena::ROOT))
+            .collect();
+        let forest = assemble_forest(&parts, segments);
         // k member subtrees need exactly k−1 synthetic spine nodes, and
         // the spliced storage stays capacity-tight with a clean derived
         // layout.
@@ -1631,10 +1673,11 @@ mod tests {
                 };
             }
             assert_eq!(forest.word(id), &node_word_for_root_key(*key, segments));
-            let (got_nodes, got_entries) = forest.key_subtree_raw(id);
+            let got = forest.subtree_part(*key, id);
+            let got_nodes: Vec<NodeRecord> = got.rebased(0, 0).collect();
             assert_eq!(&got_nodes, nodes, "key {key}: sliced nodes differ");
             assert_eq!(
-                got_entries,
+                got.entries,
                 &entries[..],
                 "key {key}: sliced entries differ"
             );

@@ -299,17 +299,18 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
         // bytes a solo per-key arena would have written, so the format
         // is unchanged by forest grouping and old snapshots stay
         // readable (and re-writable) bit for bit.
-        let (nodes, entries) = index.key_raw_parts(key).expect("touched ⇒ present");
+        let (arena, root) = index.key_root(key).expect("touched ⇒ present");
+        let part = arena.subtree_part(key, root);
         w.put_u32(key as u32);
-        w.put_u32(nodes.len() as u32);
-        w.put_u32(entries.len() as u32);
-        for rec in &nodes {
+        w.put_u32(part.nodes.len() as u32);
+        w.put_u32(part.entries.len() as u32);
+        for rec in part.rebased(0, 0) {
             put_node_word(&mut w, &rec.word);
             w.put_u8(rec.tag);
             w.put_u32(rec.lo);
             w.put_u32(rec.hi);
         }
-        for e in entries {
+        for e in part.entries {
             w.put_bytes(e.sax.symbols());
             w.put_u32(e.pos);
         }
@@ -450,7 +451,8 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
         }
     }
 
-    let index = MessiIndex::from_parts(dataset, config, subtrees);
+    let mut index = MessiIndex::from_parts(dataset, config, subtrees);
+    index.data_fingerprint = Some(data_hash);
     // The scales are derivable state: `from_parts` already rederived
     // them from the sax config. The persisted copy exists so a snapshot
     // is self-describing — but it must never *override* the derivation
@@ -703,7 +705,8 @@ mod tests {
         // The snapshot stores per-key subtrees (sliced back out of any
         // forest grouping), so the first subtree's node count comes from
         // the same slicing the writer uses — not the arena's total.
-        let (first_nodes, _) = index.key_raw_parts(first_key).expect("touched");
+        let (arena, root) = index.key_root(first_key).expect("touched");
+        let first_nodes = arena.subtree_part(first_key, root).nodes;
         let first_entry_sax_at = num_subtrees_at
             + 4 // num_subtrees
             + SUBTREE_HEADER_BYTES

@@ -279,6 +279,27 @@ pub(crate) fn answer_solo<'a>(
     )
 }
 
+/// Shapes every slot of `pool` ([`QueryContext::shape`]), answers `query`
+/// once against `index` through one of them, and parks them all.
+pub(crate) fn prewarm_pool<'a>(
+    pool: &SlotPool<QueryContext<'a>>,
+    index: &'a MessiIndex,
+    query: &[f32],
+    spec: &QuerySpec,
+    config: &QueryConfig,
+) {
+    let mut held: Vec<QueryContext<'a>> = (0..pool.capacity())
+        .map(|_| pool.checkout().unwrap_or_default())
+        .collect();
+    for ctx in &mut held {
+        ctx.shape(index.sax_config(), config);
+    }
+    let _ = answer_solo(index, query, spec, config, &mut held[0]);
+    for ctx in held {
+        pool.checkin(ctx);
+    }
+}
+
 /// [`answer_solo`] for the 1-NN cells, which answer exactly one series.
 pub(crate) fn answer_solo_one<'a>(
     index: &'a MessiIndex,
@@ -533,22 +554,16 @@ impl<'a> ShardedExecutor<'a> {
         (answers, agg.into_inner())
     }
 
-    /// Warms every slot of every shard pool by running `query` against
-    /// the owning shard once per slot, then parks all contexts — the
-    /// sharded counterpart of
-    /// [`crate::exec::QueryExecutor::prewarm`], used by the serve
-    /// daemon so first real queries run allocation-free.
+    /// Warms every slot of every shard pool — the sharded counterpart of
+    /// [`crate::exec::QueryExecutor::prewarm`], with the same
+    /// post-condition: every slot is shaped ([`QueryContext::shape`]),
+    /// then `query` is answered once per pool against the owning shard
+    /// (to touch its index pages). The serve daemon calls this at boot,
+    /// and the live index on every republish, so first real queries run
+    /// allocation-free.
     pub fn prewarm(&self, query: &[f32], spec: &QuerySpec, config: &QueryConfig) {
         for (pool, shard) in self.contexts.iter().zip(&self.shards) {
-            let mut held = Vec::with_capacity(pool.capacity());
-            for _ in 0..pool.capacity() {
-                let mut ctx = pool.checkout().unwrap_or_default();
-                let _ = answer_solo(shard.index, query, spec, config, &mut ctx);
-                held.push(ctx);
-            }
-            for ctx in held {
-                pool.checkin(ctx);
-            }
+            prewarm_pool(pool, shard.index, query, spec, config);
         }
     }
 }

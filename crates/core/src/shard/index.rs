@@ -221,10 +221,13 @@ impl ShardedIndex {
     /// normally a longer view of the same buffer
     /// ([`Dataset::append_with`]); no series is copied here either way.
     ///
-    /// Only the **last** shard is rebuilt (via
-    /// [`MessiIndex::insert_batch`], which reuses every untouched root
-    /// subtree's arena verbatim); all earlier shards are shared with
-    /// `self` through their `Arc`s. The contiguous-partition invariant
+    /// Only the **last** shard grows — by insertion, through
+    /// [`MessiIndex::insert_batch`]'s one merge pass: new entries are
+    /// appended to their home leaves in position order, only a leaf
+    /// pushed past capacity is re-split, untouched root subtrees are
+    /// spliced from borrowed slices, and the result equals a sequential
+    /// build over the shard's grown range. All earlier shards are shared
+    /// with `self` through their `Arc`s. The contiguous-partition invariant
     /// is preserved — the last shard simply covers a longer tail — but
     /// the split is no longer the canonical balanced one, so snapshot
     /// loading validates the manifest's recorded partition rather than
@@ -258,6 +261,14 @@ impl ShardedIndex {
             offsets: self.offsets.clone(),
             dataset: grown,
         })
+    }
+
+    /// `(n, FNV-1a fingerprint)` of the collection's first `n` series,
+    /// when shard 0 (which starts at global position 0) came from a
+    /// snapshot load that verified it.
+    pub(crate) fn hashed_prefix(&self) -> Option<(usize, u64)> {
+        let first = &self.shards[0];
+        first.data_fingerprint.map(|fp| (first.num_series(), fp))
     }
 
     /// The full collection this index covers.

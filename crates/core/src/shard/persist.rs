@@ -290,6 +290,30 @@ mod tests {
     }
 
     #[test]
+    fn a_loaded_index_carries_shard_zeros_verified_fingerprint() {
+        use messi_series::io::fnv1a64_f32;
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 301, 23));
+        for n in [1usize, 3] {
+            let (built, _) = ShardedIndex::build(Arc::clone(&data), n, &IndexConfig::for_tests());
+            assert_eq!(built.hashed_prefix(), None, "nothing verified at build");
+            let dir = tmp_dir(&format!("fingerprint-{n}"));
+            save_sharded(&built, &dir).expect("save");
+            let loaded = load_sharded(&dir, Arc::clone(&data)).expect("load");
+            let first = loaded.shard(0).num_series();
+            let values = &data.as_flat()[..first * data.series_len()];
+            assert_eq!(loaded.hashed_prefix(), Some((first, fnv1a64_f32(values))));
+            // Absorbing replaces the last shard: with one shard nothing
+            // verified is left, with more shard 0 is shared as it was.
+            let extra = gen::generate(DatasetKind::RandomWalk, 5, 24);
+            let grown = Arc::new(data.concat([&extra]).expect("same shape"));
+            let absorbed = loaded.absorb(grown).expect("absorb");
+            let expected = (n > 1).then(|| loaded.hashed_prefix()).flatten();
+            assert_eq!(absorbed.hashed_prefix(), expected);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn grown_non_canonical_partition_round_trips() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 21));
         let (built, _) = ShardedIndex::build(Arc::clone(&data), 3, &IndexConfig::for_tests());

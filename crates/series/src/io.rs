@@ -110,11 +110,25 @@ impl Fnv1a {
         Self(Self::OFFSET)
     }
 
+    /// A hasher continued from `state`, the [`Fnv1a::finish`] value of an
+    /// earlier one: FNV-1a's state after a byte prefix *is* that prefix's
+    /// hash, so hashing the rest from here equals hashing the whole.
+    pub fn resumed(state: u64) -> Self {
+        Self(state)
+    }
+
     /// Mixes `bytes` into the state.
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Mixes `values` in by their little-endian bit patterns.
+    pub fn update_f32(&mut self, values: &[f32]) {
+        for v in values {
+            self.update(&v.to_le_bytes());
         }
     }
 
@@ -138,9 +152,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// over the whole collection at load time).
 pub fn fnv1a64_f32(values: &[f32]) -> u64 {
     let mut h = Fnv1a::new();
-    for v in values {
-        h.update(&v.to_le_bytes());
-    }
+    h.update_f32(values);
     h.finish()
 }
 
@@ -154,6 +166,14 @@ impl PayloadWriter {
     /// An empty payload.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty payload with room for `bytes` bytes, for writers that
+    /// know their final size.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Appends one byte.
@@ -179,6 +199,16 @@ impl PayloadWriter {
     /// Appends an `f32` as its little-endian bit pattern.
     pub fn put_f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends every value as [`PayloadWriter::put_f32`] would, in one
+    /// pass over one reservation.
+    pub fn put_f32_slice(&mut self, values: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * 4, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Appends raw bytes verbatim.
@@ -397,5 +427,44 @@ mod tests {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         assert_eq!(fnv1a64_f32(&values), fnv1a64(&bytes));
+    }
+
+    #[test]
+    fn resumed_hash_equals_one_shot_on_random_splits() {
+        // A deterministic xorshift stream of values and split points:
+        // hashing a prefix, then resuming from its hash over the rest,
+        // must equal hashing the whole — what lets a restart hash shard
+        // 0's bytes once.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0usize, 1, 2, 7, 256, 1_000] {
+            let values: Vec<f32> = (0..len).map(|_| f32::from_bits(next() as u32)).collect();
+            let whole = fnv1a64_f32(&values);
+            for _ in 0..8 {
+                let cut = (next() as usize) % (len + 1);
+                let mut h = Fnv1a::resumed(fnv1a64_f32(&values[..cut]));
+                h.update_f32(&values[cut..]);
+                assert_eq!(h.finish(), whole, "len {len} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_f32_put_matches_per_value_puts() {
+        let values = [1.0f32, -2.5, 0.0, f32::MAX, f32::MIN_POSITIVE];
+        let mut one_by_one = PayloadWriter::new();
+        one_by_one.put_u32(7);
+        for v in values {
+            one_by_one.put_f32(v);
+        }
+        let mut bulk = PayloadWriter::with_capacity(4 + values.len() * 4);
+        bulk.put_u32(7);
+        bulk.put_f32_slice(&values);
+        assert_eq!(bulk.into_bytes(), one_by_one.into_bytes());
     }
 }
