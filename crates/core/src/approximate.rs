@@ -96,13 +96,15 @@ pub(crate) fn search(
             // The mode's entire work is the leaf scan: report it. The
             // DTW seed counted its cascade; the Euclidean seed counts
             // nothing (exact search deliberately leaves its seed scan
-            // unreported) but ran one early-abandoning real distance
-            // per entry of the leaf.
+            // unreported): report one candidate per entry of the leaf,
+            // each bounded and — unless its bound ruled it out —
+            // measured with the early-abandoning kernel.
             real_distance_calcs: match run.plan.dtw {
                 Some(_) => run.stats.real_distance_calcs.get(),
                 None => run
                     .index
-                    .home_leaf_entries(&run.plan.sax, &run.plan.paa)
+                    .home_leaf_run(&run.plan.sax, &run.plan.paa, Some(run.ctx.table()))
+                    .entries
                     .len() as u64,
             },
             total_time,

@@ -357,10 +357,11 @@ mod tests {
                 "arena {i}: storage is not capacity-tight"
             );
         }
-        // Storage totals are consistent with the per-arena sums.
+        // Storage totals are consistent with the per-arena sums, plus
+        // the root block's 4 bytes per arena.
         assert_eq!(
             index.node_storage_bytes(),
-            index.arenas().iter().map(|a| a.node_bytes()).sum::<usize>()
+            index.arenas().iter().map(|a| a.node_bytes()).sum::<usize>() + 4 * index.arenas().len()
         );
         assert_eq!(index.num_entries(), 800);
     }

@@ -1,7 +1,7 @@
 //! Reusable per-worker query scratch.
 //!
 //! Every query needs a set of concurrent priority queues, a barrier, and
-//! a per-query mindist lookup table (16 × 256 floats). Allocating these
+//! a per-query mindist lookup table (16 × 512 floats). Allocating these
 //! from scratch per query is noise for one interactive query but real
 //! overhead on the batch hot path — ParIS+ (PAPERS.md) attributes part
 //! of its win to keeping exactly this machinery allocation-free across
@@ -129,6 +129,12 @@ impl<'a> QueryContext<'a> {
         }
     }
 
+    /// The table [`QueryContext::fill_table`] last filled (panics if
+    /// none was) — what the seed step filters the home leaf with.
+    pub(crate) fn table(&self) -> &MindistTable {
+        self.table.as_ref().expect("fill_table runs first")
+    }
+
     /// Readies the scratch for one engine run over the table filled by
     /// [`QueryContext::fill_table`]: when `queued` demands a queue phase,
     /// resets the queue set to the effective queue count and re-arms the
@@ -162,7 +168,7 @@ impl<'a> QueryContext<'a> {
         Scratch {
             queues: queued.and(self.queues.as_ref()),
             barrier: queued.and(self.barrier.as_ref()),
-            table: self.table.as_ref().expect("fill_table runs first"),
+            table: self.table(),
         }
     }
 }

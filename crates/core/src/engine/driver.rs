@@ -3,15 +3,23 @@
 //! One implementation of MESSI's query skeleton, statically specialized
 //! over a [`Metric`] × [`SearchObjective`] pair:
 //!
-//! 1. **Tree pass** — workers claim root subtrees via Fetch&Inc, prune
-//!    nodes whose metric lower bound reaches the objective's bound, and
-//!    either insert surviving *leaves* into the shared priority queues
-//!    (round-robin, Alg. 7) or — in queue-less mode — scan them on the
-//!    spot. Adjacent surviving leaves of the same arena leaf run are
-//!    coalesced into one queued [`LeafRun`], so the batched mindist
-//!    kernel later sees full 8-wide chunks instead of ~6-entry
-//!    fragments (disabled by `MESSI_NO_RUN_BATCH`, per-query policy, or
-//!    a δ-budgeted objective — see
+//! 1. **Tree pass** — workers claim *chunks* of [`ROOT_CHUNK`] arenas
+//!    (one Fetch&Inc per chunk), bound the chunk's roots in one sweep of
+//!    the index's packed root block
+//!    ([`MindistTable::root_bounds`](messi_sax::MindistTable::root_bounds))
+//!    and dereference **only the arenas whose root survives** — nine in
+//!    ten die there at paper-default leaf sizes. A survivor is descended
+//!    with the same table's node bound (its root neither re-bounded nor
+//!    re-counted); nodes whose bound reaches the objective's bound are
+//!    pruned, and surviving *leaves* are either inserted into the shared
+//!    priority queues (round-robin, Alg. 7) or — in queue-less mode —
+//!    scanned on the spot. The objective's bound is read per arena at
+//!    its turn, so the pruning decisions and counters are those of a
+//!    one-arena-at-a-time walk. Adjacent surviving leaves of the same
+//!    arena leaf run are coalesced into one queued [`LeafRun`], so the
+//!    batched mindist kernel later sees full 8-wide chunks instead of
+//!    ~6-entry fragments (disabled by `MESSI_NO_RUN_BATCH`, per-query
+//!    policy, or a δ-budgeted objective — see
 //!    [`SearchObjective::coalescing_allowed`]).
 //! 2. **Barrier** — queued objectives only: insertion must complete
 //!    before ordered processing starts (Alg. 6 line 7).
@@ -46,8 +54,12 @@ use crate::config::QueuePolicy;
 use crate::index::MessiIndex;
 use crate::node::{LeafRun, NodeId, TreeArena};
 use crate::stats::{LocalStats, SharedQueryStats};
+use messi_sax::MindistTable;
 use messi_sync::{ConcurrentMinQueue, Dispenser, QueueSet, SenseBarrier};
 use std::time::Instant;
+
+/// Arenas claimed per Fetch&Inc — one root-block sweep.
+const ROOT_CHUNK: usize = 8;
 
 /// Everything one engine run shares across its search workers.
 pub(crate) struct Engine<'e, 'a> {
@@ -130,7 +142,7 @@ pub(crate) fn run<M: Metric, O: SearchObjective>(
     metric: &M,
     objective: &O,
 ) {
-    let dispenser = Dispenser::new(engine.index.arenas.len());
+    let dispenser = Dispenser::new(engine.index.roots.len().div_ceil(ROOT_CHUNK));
     let worker = |pid: usize| {
         let mut local = LocalStats::default();
         let mut timers = PhaseTimers::new(engine.collect_breakdown);
@@ -198,27 +210,28 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
     // pending run never spans two workers' leaves.
     let t_phase = Instant::now();
     let mut cursor = pid % nq;
-    while let Some(i) = dispenser.next() {
-        let arena = &engine.index.arenas[i];
-        let mut pending: Option<PendingRun> = None;
-        insert_subtree(
-            engine,
-            metric,
-            objective,
-            queues,
-            arena,
-            TreeArena::ROOT,
-            coalesce,
-            &mut pending,
-            &mut cursor,
-            local,
-            timers,
-            results,
-        );
-        if let Some(p) = pending {
-            push_pending(engine, queues, arena, p, &mut cursor, local, timers);
-        }
-    }
+    tree_pass(
+        engine.index,
+        metric,
+        objective,
+        dispenser,
+        coalesce,
+        local,
+        results,
+        // Timed as queue-insertion work; `inserted` counts member
+        // leaves, not queue operations, so it is independent of
+        // coalescing.
+        &mut |run, key, local, _| {
+            local.inserted += run.leaf_count() as u64;
+            timers.timed(
+                |t| &mut t.pq_insert_ns,
+                || match engine.queue_policy {
+                    QueuePolicy::SharedRoundRobin => queues.push_round_robin(&mut cursor, key, run),
+                    QueuePolicy::PerWorkerLocal => queues.queue(cursor).push(key, run),
+                },
+            );
+        },
+    );
     if timers.enabled {
         // Tree-pass time excludes the queue insertions counted separately.
         timers.tree_pass_ns +=
@@ -269,24 +282,21 @@ fn scan_worker<M: Metric, O: SearchObjective>(
 ) {
     let coalesce = engine.coalesce && objective.coalescing_allowed();
     let t_phase = Instant::now();
-    while let Some(i) = dispenser.next() {
-        let arena = &engine.index.arenas[i];
-        let mut pending: Option<PendingRun> = None;
-        scan_subtree(
-            metric,
-            objective,
-            arena,
-            TreeArena::ROOT,
-            coalesce,
-            &mut pending,
-            local,
-            timers,
-            results,
-        );
-        if let Some(p) = pending {
-            scan_pending(metric, objective, arena, p, local, timers, results);
-        }
-    }
+    tree_pass(
+        engine.index,
+        metric,
+        objective,
+        dispenser,
+        coalesce,
+        local,
+        results,
+        &mut |run, _, local, results| {
+            timers.timed(
+                |t| &mut t.dist_calc_ns,
+                || scan_run(metric, objective, run, local, results),
+            );
+        },
+    );
     if timers.enabled {
         // The leaf scans are counted as distance-calculation time.
         timers.tree_pass_ns +=
@@ -323,129 +333,93 @@ fn accumulate(
     }
 }
 
-/// Pushes an accumulated run onto the queues (timed as queue-insertion
-/// work, like the per-leaf pushes it replaces). `inserted` counts
-/// member leaves, not queue operations, so the counter is independent
-/// of coalescing.
-#[inline]
-fn push_pending<'a>(
-    engine: &Engine<'_, 'a>,
-    queues: &QueueSet<LeafRun<'a>>,
-    arena: &'a TreeArena,
-    p: PendingRun,
-    cursor: &mut usize,
-    local: &mut LocalStats,
-    timers: &mut PhaseTimers,
-) {
-    let run = arena.leaf_run(p.ord_lo, p.ord_hi);
-    timers.timed(
-        |t| &mut t.pq_insert_ns,
-        || match engine.queue_policy {
-            QueuePolicy::SharedRoundRobin => queues.push_round_robin(cursor, p.key, run),
-            QueuePolicy::PerWorkerLocal => queues.queue(*cursor).push(p.key, run),
-        },
-    );
-    local.inserted += u64::from(p.ord_hi - p.ord_lo);
-}
-
-/// Scans an accumulated run immediately (queue-less mode), timed as
-/// distance-calculation work.
-#[inline]
-fn scan_pending<M: Metric, O: SearchObjective>(
-    metric: &M,
-    objective: &O,
-    arena: &TreeArena,
-    p: PendingRun,
-    local: &mut LocalStats,
-    timers: &mut PhaseTimers,
-    results: &mut O::Local,
-) {
-    let run = arena.leaf_run(p.ord_lo, p.ord_hi);
-    timers.timed(
-        |t| &mut t.dist_calc_ns,
-        || scan_run(metric, objective, run, local, results),
-    );
-}
-
-/// Recursive subtree traversal (Alg. 7): prune by node lower bound,
-/// insert surviving leaves into the queues round-robin. Queue entries
-/// are [`LeafRun`]s — one or more consecutive member leaves of an arena
-/// leaf run, viewed through the run's SoA symbol block, all a later
-/// scan needs, flat in the arena's pools. The preorder walk visits
-/// leaves in ascending ordinal order, which is what lets `pending`
-/// coalesce neighbors with a plain consecutiveness check.
+/// The tree pass of either worker kind (Alg. 6 lines 3–6): claims arena
+/// chunks until the dispenser runs dry, sweeps each chunk's roots from
+/// the root block, and descends the survivors; `flush` receives every
+/// completed run of surviving leaves with its key — to queue it or
+/// scan it.
 #[allow(clippy::too_many_arguments)]
-fn insert_subtree<'a, M: Metric, O: SearchObjective>(
-    engine: &Engine<'_, 'a>,
+fn tree_pass<'a, M: Metric, O: SearchObjective>(
+    index: &'a MessiIndex,
     metric: &M,
     objective: &O,
-    queues: &QueueSet<LeafRun<'a>>,
+    dispenser: &Dispenser,
+    coalesce: bool,
+    local: &mut LocalStats,
+    results: &mut O::Local,
+    flush: &mut impl FnMut(LeafRun<'a>, f32, &mut LocalStats, &mut O::Local),
+) {
+    let (table, use_simd) = metric.lookup();
+    let mut lbs = [0.0f32; ROOT_CHUNK];
+    while let Some(chunk) = dispenser.next() {
+        let lo = chunk * ROOT_CHUNK;
+        let roots = &index.roots[lo..index.roots.len().min(lo + ROOT_CHUNK)];
+        table.root_bounds(roots, use_simd, &mut lbs);
+        for (arena, &d) in index.arenas[lo..].iter().zip(&lbs[..roots.len()]) {
+            local.lb += 1;
+            local.node_lb += 1;
+            if d >= objective.bound() {
+                objective.on_prune(results, d);
+                continue; // the whole arena is pruned, untouched
+            }
+            local.arenas_descended += 1;
+            let mut pending = None;
+            descend(
+                table,
+                objective,
+                arena,
+                TreeArena::ROOT,
+                d,
+                coalesce,
+                &mut pending,
+                local,
+                results,
+                flush,
+            );
+            if let Some(p) = pending {
+                flush(arena.leaf_run(p.ord_lo, p.ord_hi), p.key, local, results);
+            }
+        }
+    }
+}
+
+/// Recursive subtree traversal (Alg. 7) below a node whose bound `d`
+/// already survived: a leaf joins the pending run, an inner node bounds
+/// each child by table lookup and descends the ones that survive. The
+/// preorder walk visits leaves in ascending ordinal order, which is what
+/// lets `pending` coalesce neighbors with a plain consecutiveness check.
+#[allow(clippy::too_many_arguments)]
+fn descend<'a, O: SearchObjective>(
+    table: &MindistTable,
+    objective: &O,
     arena: &'a TreeArena,
     id: NodeId,
+    d: f32,
     coalesce: bool,
     pending: &mut Option<PendingRun>,
-    cursor: &mut usize,
     local: &mut LocalStats,
-    timers: &mut PhaseTimers,
     results: &mut O::Local,
+    flush: &mut impl FnMut(LeafRun<'a>, f32, &mut LocalStats, &mut O::Local),
 ) {
-    let d = metric.node_lower_bound(arena.word(id));
-    local.lb += 1;
-    if d >= objective.bound() {
-        objective.on_prune(results, d);
-        return; // the whole subtree is pruned
-    }
     if arena.is_leaf(id) {
         let ord = arena.leaf_ordinal(id);
         if let Some(p) = accumulate(arena, pending, coalesce, ord, d) {
-            push_pending(engine, queues, arena, p, cursor, local, timers);
+            flush(arena.leaf_run(p.ord_lo, p.ord_hi), p.key, local, results);
         }
-    } else {
-        let (left, right) = arena.children(id);
-        insert_subtree(
-            engine, metric, objective, queues, arena, left, coalesce, pending, cursor, local,
-            timers, results,
-        );
-        insert_subtree(
-            engine, metric, objective, queues, arena, right, coalesce, pending, cursor, local,
-            timers, results,
-        );
-    }
-}
-
-/// Queue-less traversal: prune by node lower bound, scan surviving
-/// leaves immediately (coalesced into runs when allowed).
-#[allow(clippy::too_many_arguments)]
-fn scan_subtree<M: Metric, O: SearchObjective>(
-    metric: &M,
-    objective: &O,
-    arena: &TreeArena,
-    id: NodeId,
-    coalesce: bool,
-    pending: &mut Option<PendingRun>,
-    local: &mut LocalStats,
-    timers: &mut PhaseTimers,
-    results: &mut O::Local,
-) {
-    let d = metric.node_lower_bound(arena.word(id));
-    local.lb += 1;
-    if d >= objective.bound() {
-        objective.on_prune(results, d);
         return;
     }
-    if arena.is_leaf(id) {
-        let ord = arena.leaf_ordinal(id);
-        if let Some(p) = accumulate(arena, pending, coalesce, ord, d) {
-            scan_pending(metric, objective, arena, p, local, timers, results);
+    let (left, right) = arena.children(id);
+    for child in [left, right] {
+        let d = table.node_lower_bound(arena.word(child));
+        local.lb += 1;
+        local.node_lb += 1;
+        if d >= objective.bound() {
+            objective.on_prune(results, d); // the whole subtree is pruned
+        } else {
+            descend(
+                table, objective, arena, child, d, coalesce, pending, local, results, flush,
+            );
         }
-    } else {
-        let (left, right) = arena.children(id);
-        scan_subtree(
-            metric, objective, arena, left, coalesce, pending, local, timers, results,
-        );
-        scan_subtree(
-            metric, objective, arena, right, coalesce, pending, local, timers, results,
-        );
     }
 }
 
@@ -518,19 +492,21 @@ fn process_queue<M: Metric, O: SearchObjective>(
 /// each per-entry lower bound is computed independently of the chunking
 /// (bit-identical whether the entry is scanned alone or mid-run).
 #[inline]
-fn scan_run<M: Metric, O: SearchObjective>(
+pub(super) fn scan_run<M: Metric, O: SearchObjective>(
     metric: &M,
     objective: &O,
     run: LeafRun<'_>,
     local: &mut LocalStats,
     results: &mut O::Local,
 ) {
+    let (table, use_simd) = metric.lookup();
+    let (stride, run_base) = (run.stride as usize, run.base as usize);
     let n = run.entries.len();
     let mut lbs = [0.0f32; 8];
     let mut base = 0;
     while base < n {
         let len = (n - base).min(8);
-        metric.leaf_lower_bounds(&run, base, len, &mut lbs);
+        table.mindist_sq_soa(run.cols, stride, run_base + base, len, use_simd, &mut lbs);
         for (lb, entry) in lbs[..len].iter().zip(&run.entries[base..base + len]) {
             local.lb += 1;
             let bound = objective.bound();

@@ -1,14 +1,16 @@
 //! Distance metrics: how bounds and real distances are computed.
 //!
-//! The second axis of the engine's (metric × objective) matrix. A
-//! [`Metric`] supplies the node-level lower bound used for subtree
-//! pruning and the per-entry cascade run on leaf contents: a *batched*
-//! mindist pass over the leaf's struct-of-arrays symbol columns (8
-//! entries per call, SIMD gathers or the bit-identical scalar twin), then
-//! per surviving entry the remaining lower bounds and the
-//! early-abandoning real distance — exactly the Fig. 4/Alg. 9 structure
-//! for Euclidean search and the three-level
-//! `mindist_env ≤ LB_Keogh ≤ DTW` cascade of §IV (Fig. 19) for DTW.
+//! The second axis of the engine's (metric × objective) matrix. Both
+//! metrics bound by **one lookup**: the query's [`MindistTable`] — filled
+//! from its PAA for Euclidean search, from its LB_Keogh envelope's PAAs
+//! for DTW — holds the contribution of every region of every
+//! cardinality, so the driver resolves arena roots (8 per sweep), inner
+//! nodes and leaf entries (8 per SoA chunk, SIMD or the bit-identical
+//! scalar twin) from it without asking which metric it serves. What a
+//! [`Metric`] adds is the rest of the per-entry cascade: the
+//! early-abandoning real distance of Fig. 4/Alg. 9 for Euclidean search,
+//! LB_Keogh then banded DTW (§IV, Fig. 19's
+//! `mindist_env ≤ LB_Keogh ≤ DTW`) for DTW.
 //!
 //! Any metric composes with any objective, which is what makes DTW k-NN
 //! and DTW ε-range queries fall out of the same driver that answers the
@@ -22,10 +24,9 @@
 
 use crate::dtw::DtwPlan;
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, LeafRun};
+use crate::node::LeafEntry;
 use crate::stats::LocalStats;
-use messi_sax::mindist::{mindist_sq_node, mindist_sq_node_env, MindistTable};
-use messi_sax::word::NodeWord;
+use messi_sax::mindist::MindistTable;
 use messi_series::distance::dtw::DtwParams;
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
 use messi_series::distance::lb_keogh::Envelope;
@@ -33,17 +34,12 @@ use messi_series::distance::Kernel;
 
 /// How the engine computes lower bounds and real distances. Statically
 /// dispatched; implementations hold per-query read-only state (query,
-/// PAA/envelope, mindist table) by reference.
+/// envelope, mindist table) by reference.
 pub(crate) trait Metric: Sync {
-    /// Lower bound for a tree node during traversal (Alg. 7 line 1).
-    fn node_lower_bound(&self, word: &NodeWord) -> f32;
-
-    /// Mindist lower bounds for the chunk `[base, base + len)` (with
-    /// `len <= 8`) of a leaf run's entry span, written into `out[..len]`
-    /// — computed from the run's SoA symbol block, one table gather per
-    /// segment, so the cascade's first level streams sequential cache
-    /// lines across every member leaf of the run.
-    fn leaf_lower_bounds(&self, run: &LeafRun<'_>, base: usize, len: usize, out: &mut [f32; 8]);
+    /// The query's mindist table — the node bound of Alg. 7 line 1, the
+    /// root sweep and the batched leaf-entry bound are all lookups in it
+    /// — and whether its batched kernels take the SIMD path.
+    fn lookup(&self) -> (&MindistTable, bool);
 
     /// Continues the cascade for one entry that survived the batched
     /// mindist: any remaining lower bounds against `bound`, then the
@@ -59,7 +55,6 @@ pub(crate) trait Metric: Sync {
 pub(crate) struct EuclideanMetric<'q> {
     index: &'q MessiIndex,
     query: &'q [f32],
-    query_paa: &'q [f32],
     table: &'q MindistTable,
     kernel: Kernel,
     use_simd: bool,
@@ -69,14 +64,12 @@ impl<'q> EuclideanMetric<'q> {
     pub(crate) fn new(
         index: &'q MessiIndex,
         query: &'q [f32],
-        query_paa: &'q [f32],
         table: &'q MindistTable,
         kernel: Kernel,
     ) -> Self {
         Self {
             index,
             query,
-            query_paa,
             table,
             kernel,
             use_simd: kernel.uses_simd(),
@@ -86,20 +79,8 @@ impl<'q> EuclideanMetric<'q> {
 
 impl Metric for EuclideanMetric<'_> {
     #[inline]
-    fn node_lower_bound(&self, word: &NodeWord) -> f32 {
-        mindist_sq_node(self.query_paa, &self.index.scales, word)
-    }
-
-    #[inline]
-    fn leaf_lower_bounds(&self, run: &LeafRun<'_>, base: usize, len: usize, out: &mut [f32; 8]) {
-        self.table.mindist_sq_soa(
-            run.cols,
-            run.stride as usize,
-            run.base as usize + base,
-            len,
-            self.use_simd,
-            out,
-        );
+    fn lookup(&self) -> (&MindistTable, bool) {
+        (self.table, self.use_simd)
     }
 
     #[inline]
@@ -126,8 +107,6 @@ pub(crate) struct DtwMetric<'q> {
     // per entry, and one fewer pointer hop measured ~2 % on DTW queries.
     env: &'q Envelope,
     params: DtwParams,
-    paa_lower: &'q [f32],
-    paa_upper: &'q [f32],
     table: &'q MindistTable,
     kernel: Kernel,
     use_simd: bool,
@@ -146,8 +125,6 @@ impl<'q> DtwMetric<'q> {
             query,
             env: &dtw.env,
             params: dtw.params,
-            paa_lower: &dtw.paa_lower,
-            paa_upper: &dtw.paa_upper,
             table,
             kernel,
             use_simd: kernel.uses_simd(),
@@ -157,21 +134,9 @@ impl<'q> DtwMetric<'q> {
 
 impl Metric for DtwMetric<'_> {
     #[inline]
-    fn node_lower_bound(&self, word: &NodeWord) -> f32 {
-        mindist_sq_node_env(self.paa_lower, self.paa_upper, &self.index.scales, word)
-    }
-
-    #[inline]
-    fn leaf_lower_bounds(&self, run: &LeafRun<'_>, base: usize, len: usize, out: &mut [f32; 8]) {
-        // Level 1: envelope mindist on the iSAX summaries, batched.
-        self.table.mindist_sq_soa(
-            run.cols,
-            run.stride as usize,
-            run.base as usize + base,
-            len,
-            self.use_simd,
-            out,
-        );
+    fn lookup(&self) -> (&MindistTable, bool) {
+        // Level 1 of the cascade: the envelope mindist, by table.
+        (self.table, self.use_simd)
     }
 
     #[inline]

@@ -240,11 +240,23 @@ pub(crate) struct KnnObjective<'s> {
     set: &'s KnnSet,
     /// Global position of this shard's first series; 0 when solo.
     offset: u64,
+    /// The best distance this objective has offered.
+    best_offered: SharedBound,
 }
 
 impl<'s> KnnObjective<'s> {
     pub(crate) fn new(set: &'s KnnSet, offset: u64) -> Self {
-        Self { set, offset }
+        Self {
+            set,
+            offset,
+            best_offered: SharedBound::new(),
+        }
+    }
+
+    /// The best distance offered so far (`+inf` if none) — after the
+    /// seed step, the shard's rank in a seed-ordered walk.
+    pub(crate) fn best_offered(&self) -> f32 {
+        self.best_offered.load()
     }
 }
 
@@ -259,6 +271,7 @@ impl SearchObjective for KnnObjective<'_> {
 
     #[inline]
     fn offer(&self, _local: &mut (), dist_sq: f32, pos: u32) -> bool {
+        self.best_offered.update_min(dist_sq);
         self.set.offer(dist_sq, global_pos(self.offset, pos))
     }
 

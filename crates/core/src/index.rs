@@ -2,13 +2,13 @@
 
 use crate::config::IndexConfig;
 use crate::node::{
-    assemble_forest, forest_groups, LeafEntry, NodeId, RawPart, SubtreeBuilder, TreeArena,
+    assemble_forest, forest_groups, LeafEntry, LeafRun, NodeId, RawPart, SubtreeBuilder, TreeArena,
 };
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
-use messi_sax::mindist::mindist_sq_node;
+use messi_sax::mindist::MindistTable;
 use messi_sax::root_key::{node_word_for_root_key, root_key};
-use messi_sax::word::SaxWord;
+use messi_sax::word::{RootWord, SaxWord};
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
 use messi_series::distance::Kernel;
 use messi_series::Dataset;
@@ -40,6 +40,10 @@ pub struct MessiIndex {
     /// root subtrees share one arena under a synthetic trie spine (see
     /// [`crate::node`]'s forest docs); a dense subtree gets its own.
     pub(crate) arenas: Vec<TreeArena>,
+    /// The **root block**: every arena's root word packed into four
+    /// bytes, parallel to `arenas`; derived like the arenas' `cols`,
+    /// never serialised.
+    pub(crate) roots: Vec<RootWord>,
     /// Root key → index into `arenas` ([`EMPTY_SLOT`] = empty subtree).
     /// Several member keys of one forest map to the same arena.
     pub(crate) slots: Vec<u32>,
@@ -123,6 +127,7 @@ impl MessiIndex {
             dataset,
             config,
             sax_config,
+            roots: root_block(&arenas),
             arenas,
             slots,
             touched,
@@ -289,6 +294,7 @@ impl MessiIndex {
         let index = Self {
             dataset: grown,
             touched: parts.iter().map(|p| p.key).collect(),
+            roots: root_block(&arenas),
             arenas,
             slots,
             data_fingerprint: None,
@@ -348,6 +354,12 @@ impl MessiIndex {
         &self.arenas
     }
 
+    /// The root block, parallel to [`MessiIndex::arenas`] — what the tree
+    /// pass sweeps 8 roots at a time before it dereferences an arena.
+    pub fn roots(&self) -> &[RootWord] {
+        &self.roots
+    }
+
     /// The per-key subtree root of `key`, if non-empty: its arena plus
     /// the node id of the first fully refined word on `key`'s path —
     /// the arena root itself for a solo subtree, or the member root
@@ -397,9 +409,11 @@ impl MessiIndex {
         self.arenas.iter().flat_map(TreeArena::run_shapes).collect()
     }
 
-    /// Bytes held by all node arenas (the flat per-subtree node arrays).
+    /// Bytes held by all node arenas (the flat per-subtree node arrays)
+    /// and the root block.
     pub fn node_storage_bytes(&self) -> usize {
-        self.arenas.iter().map(TreeArena::node_bytes).sum()
+        self.arenas.iter().map(TreeArena::node_bytes).sum::<usize>()
+            + self.roots.capacity() * std::mem::size_of::<RootWord>()
     }
 
     /// Bytes held by all leaf-entry pools.
@@ -429,6 +443,11 @@ impl MessiIndex {
     /// Exact 1-NN search (Alg. 5–9): a batch of one through the
     /// [`crate::exec`] layer. Returns the answer and per-query
     /// statistics.
+    ///
+    /// Every point of `query` must be finite. A NaN or infinite point
+    /// leaves no distance below the initial `+inf` bound, so the answer
+    /// is `pos = u32::MAX` at `dist_sq = +inf` — no series at all; the
+    /// daemon rejects such a query before it gets here.
     pub fn search(
         &self,
         query: &[f32],
@@ -647,10 +666,10 @@ impl MessiIndex {
 
     /// Low-level ng-approximate search for callers that already computed
     /// the query's iSAX word and PAA: returns
-    /// `(squared distance, position)` — the initial BSF of Alg. 5. This is
-    /// the single objective-backed home-leaf path; the exact-search
-    /// seeding, the ParIS baselines, and every approximate mode all
-    /// funnel through it (via [`MessiIndex::home_leaf_entries`]).
+    /// `(squared distance, position)` of an *unfiltered* scan of the home
+    /// leaf ([`MessiIndex::home_leaf_run`]) — what the ParIS baselines
+    /// seed with, and the reference the engine's lower-bound-filtered
+    /// seed step is tested against.
     #[doc(hidden)]
     pub fn seed_approximate(
         &self,
@@ -659,25 +678,10 @@ impl MessiIndex {
         query_paa: &[f32],
         kernel: Kernel,
     ) -> (f32, u32) {
-        self.scan_entries_ed(self.home_leaf_entries(query_sax, query_paa), query, kernel)
-    }
-
-    /// Scans a slice of leaf entries with the early-abandoning Euclidean
-    /// kernel, returning the best `(squared distance, position)`.
-    pub(crate) fn scan_entries_ed(
-        &self,
-        entries: &[LeafEntry],
-        query: &[f32],
-        kernel: Kernel,
-    ) -> (f32, u32) {
         let mut best = (f32::INFINITY, u32::MAX);
-        for e in entries {
-            let d = ed_sq_early_abandon_with(
-                kernel,
-                query,
-                self.dataset.series(e.pos as usize),
-                best.0,
-            );
+        for e in self.home_leaf_run(query_sax, query_paa, None).entries {
+            let candidate = self.dataset.series(e.pos as usize);
+            let d = ed_sq_early_abandon_with(kernel, query, candidate, best.0);
             if d < best.0 {
                 best = (d, e.pos);
             }
@@ -685,35 +689,60 @@ impl MessiIndex {
         best
     }
 
-    /// The packed entries of the query's *home leaf*: one descent from
-    /// the query's root subtree following its summary bits. When the home
-    /// subtree is empty the walk falls back to the subtree with the
-    /// smallest node mindist and descends greedily by mindist — the
-    /// returned leaf always holds real series. This is the one home-leaf
-    /// walk in the repository: ED and DTW seeding and all approximate
-    /// modes scan exactly this slice (each with its own distance
-    /// cascade).
-    pub(crate) fn home_leaf_entries(&self, query_sax: &SaxWord, query_paa: &[f32]) -> &[LeafEntry] {
+    /// The query's *home leaf* as a scannable run: one descent from the
+    /// query's root subtree following its summary bits, or — when that
+    /// subtree is empty — from the arena whose root has the smallest
+    /// mindist, greedily by mindist, so the leaf always holds real
+    /// series. The one home-leaf walk in the repository: ED and DTW
+    /// seeding and all approximate modes scan exactly this leaf.
+    ///
+    /// The fallback bounds nodes against the query's *point* PAA under
+    /// either metric: `point_table` is its table when the caller has one
+    /// filled (a Euclidean query's context), else one is built.
+    pub(crate) fn home_leaf_run(
+        &self,
+        query_sax: &SaxWord,
+        query_paa: &[f32],
+        point_table: Option<&MindistTable>,
+    ) -> LeafRun<'_> {
         let segments = self.sax_config.segments;
-        let key = root_key(query_sax, segments);
-        if let Some(arena) = self.root(key) {
+        let (arena, leaf) = match self.root(root_key(query_sax, segments)) {
             // The query's key is a member of this arena, so containment
             // holds down the whole walk — through the synthetic spine
             // (whose refined bits are bits all member keys share) and
             // the per-key subtree alike.
-            let id = arena.descend_by_sax(TreeArena::ROOT, query_sax, segments);
-            return arena.leaf_entries(id);
+            Some(arena) => (
+                arena,
+                arena.descend_by_sax(TreeArena::ROOT, query_sax, segments),
+            ),
+            None => match point_table {
+                Some(table) => self.fallback_leaf(query_sax, table),
+                None => {
+                    self.fallback_leaf(query_sax, &MindistTable::new(query_paa, self.sax_config))
+                }
+            },
+        };
+        let ord = arena.leaf_ordinal(leaf);
+        arena.leaf_run(ord, ord + 1)
+    }
+
+    /// The home-leaf walk of a query whose home subtree is empty: the
+    /// first arena of minimal root bound (one root-block sweep), then the
+    /// query's own bits where it is on the path, mindist elsewhere.
+    fn fallback_leaf(&self, query_sax: &SaxWord, table: &MindistTable) -> (&TreeArena, NodeId) {
+        let segments = self.sax_config.segments;
+        let use_simd = Kernel::Auto.uses_simd();
+        let mut best = (f32::INFINITY, 0);
+        let mut lbs = [0.0f32; 8];
+        for (c, chunk) in self.roots.chunks(8).enumerate() {
+            table.root_bounds(chunk, use_simd, &mut lbs);
+            for (k, &d) in lbs[..chunk.len()].iter().enumerate() {
+                if d < best.0 {
+                    best = (d, c * 8 + k);
+                }
+            }
         }
-        // Empty home subtree: greedy-best entry point instead.
-        let arena = self
-            .arenas
-            .iter()
-            .min_by(|a, b| {
-                let da = mindist_sq_node(query_paa, &self.scales, a.word(TreeArena::ROOT));
-                let db = mindist_sq_node(query_paa, &self.scales, b.word(TreeArena::ROOT));
-                da.total_cmp(&db)
-            })
-            .expect("index is never empty");
+        let arena = &self.arenas[best.1];
         let mut id = TreeArena::ROOT;
         while !arena.is_leaf(id) {
             let (left, right) = arena.children(id);
@@ -727,20 +756,26 @@ impl MessiIndex {
                 } else {
                     left
                 }
+            } else if table.node_lower_bound(arena.word(left))
+                <= table.node_lower_bound(arena.word(right))
+            {
+                // Off the query's own path (fallback entry): the closer
+                // child by node mindist.
+                left
             } else {
-                // Off the query's own path (fallback entry): pick the
-                // closer child by node mindist.
-                let dl = mindist_sq_node(query_paa, &self.scales, arena.word(left));
-                let dr = mindist_sq_node(query_paa, &self.scales, arena.word(right));
-                if dl <= dr {
-                    left
-                } else {
-                    right
-                }
+                right
             };
         }
-        arena.leaf_entries(id)
+        (arena, id)
     }
+}
+
+/// Packs every arena's root word into the contiguous root block.
+fn root_block(arenas: &[TreeArena]) -> Vec<RootWord> {
+    arenas
+        .iter()
+        .map(|arena| RootWord::pack(arena.word(TreeArena::ROOT)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -825,6 +860,47 @@ mod tests {
         let check =
             messi_series::distance::euclidean::ed_sq(&q, index.dataset().series(pos as usize));
         assert_eq!(check, 0.0);
+    }
+
+    #[test]
+    fn empty_home_key_enters_the_first_arena_of_minimal_root_mindist() {
+        // The fallback's root-block sweep and table descent against the
+        // branchy oracle it replaced: `min_by` over every root's
+        // `mindist_sq_node` (first minimum wins), then the closer child.
+        use messi_sax::mindist::mindist_sq_node;
+        let index = small_index();
+        let segments = index.sax_config.segments;
+        let queries = gen::queries::generate_queries_with_len(DatasetKind::RandomWalk, 300, 5, 256);
+        let mut taken = 0;
+        for q in queries.iter() {
+            let (sax, paa) = index.summarize_query(q);
+            if index.root(root_key(&sax, segments)).is_some() {
+                continue;
+            }
+            taken += 1;
+            let bound =
+                |arena: &TreeArena, id| mindist_sq_node(&paa, &index.scales, arena.word(id));
+            let want = index
+                .arenas
+                .iter()
+                .min_by(|a, b| bound(a, TreeArena::ROOT).total_cmp(&bound(b, TreeArena::ROOT)))
+                .expect("index is never empty");
+            let mut id = TreeArena::ROOT;
+            while !want.is_leaf(id) {
+                let (left, right) = want.children(id);
+                let right_side = if want.word(id).contains(&sax, segments) {
+                    want.word(id).child_of(&sax, want.split_segment(id))
+                } else {
+                    bound(want, left) > bound(want, right)
+                };
+                id = if right_side { right } else { left };
+            }
+            let table = MindistTable::new(&paa, index.sax_config);
+            let (arena, leaf) = index.fallback_leaf(&sax, &table);
+            assert!(std::ptr::eq(arena, want), "entered a different arena");
+            assert_eq!(leaf, id);
+        }
+        assert!(taken >= 5, "only {taken} queries took the fallback");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! every bound is checked against the *k-th best* distance (which is
 //! `+inf` until k candidates exist, so nothing is pruned prematurely).
 //! The traversal, queues, and leaf-scan cascade are [`crate::engine`]'s;
-//! this module contributes the `KnnSet` bound, its home-leaf seed and
-//! search steps, and the Euclidean/DTW entry points.
+//! this module contributes the `KnnSet` bound, its search step, and the
+//! Euclidean/DTW entry points.
 //!
 //! The candidate set is a small mutex-protected max-heap with a cached
 //! atomic bound, the same trick as the BSF: reads in the hot loop are a
@@ -15,12 +15,12 @@
 //! which (like BSF updates, §III-B) happens a handful of times per query.
 
 use crate::config::QueryConfig;
-use crate::engine::{KnnObjective, QueryContext, QueryPlan, ShardRun};
+use crate::engine::{KnnObjective, QueryContext, ShardRun};
 use crate::exact::QueryAnswer;
 use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::shard::{global_pos, Shard, ShardReturn};
-use crate::stats::{LocalStats, QueryStats};
+use crate::shard::ShardReturn;
+use crate::stats::QueryStats;
 use messi_series::distance::dtw::DtwParams;
 use parking_lot::Mutex;
 use std::collections::BinaryHeap;
@@ -158,29 +158,6 @@ pub fn exact_knn_with<'a>(
     ctx: &mut QueryContext<'a>,
 ) -> (Vec<QueryAnswer>, QueryStats) {
     crate::shard::answer_solo(index, query, &QuerySpec::knn(k), config, ctx)
-}
-
-/// The seed step of k-NN (either metric): scans the shard's home leaf
-/// into `knn` so the k-th-best bound starts tight, exactly like 1-NN's
-/// approximate search but keeping all k candidates. The set is shared by
-/// every shard of a scatter, so each leaf is scanned against the bound
-/// the leaves before it left behind. Returns the best distance offered
-/// (`+inf` if none) — the shard's rank in a seed-ordered walk. Uncounted,
-/// like the Euclidean 1-NN seed.
-pub(crate) fn seed(plan: &QueryPlan<'_>, shard: Shard<'_>, knn: &KnnSet) -> f32 {
-    let mut best = f32::INFINITY;
-    let mut uncounted = LocalStats::default();
-    for e in shard.index.home_leaf_entries(&plan.sax, &plan.paa) {
-        let bound = knn.bound();
-        match plan.seed_distance(shard.index, e.pos, bound, &mut uncounted) {
-            Some(d) if d < bound => {
-                knn.offer(d, global_pos(shard.offset, e.pos));
-                best = best.min(d);
-            }
-            _ => {}
-        }
-    }
-    best
 }
 
 /// The search step of k-NN over one shard (either metric). The caller

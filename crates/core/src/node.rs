@@ -175,6 +175,11 @@ pub(crate) fn assemble_forest(parts: &[RawPart<'_>], segments: usize) -> TreeAre
     splice_forest(parts, segments, &mut nodes, &mut pool);
     debug_assert_eq!(nodes.len(), total_nodes);
     debug_assert_eq!(pool.len(), total_entries);
+    // What lets the index pack every arena root into a `RootWord`.
+    debug_assert!(
+        (0..MAX_SEGMENTS).all(|s| nodes[0].word.bits(s) <= 1),
+        "arena root refined past one bit per segment"
+    );
     TreeArena::assemble(nodes, pool)
 }
 

@@ -277,6 +277,8 @@ pub fn encode_prometheus(
     let &QueryStatsAggregate {
         queries,
         lb_distance_calcs,
+        node_lb_calcs,
+        arenas_descended,
         real_distance_calcs,
         bsf_updates,
         approx_inflation_prunes,
@@ -298,6 +300,20 @@ pub fn encode_prometheus(
         "counter",
         "Lower-bound (mindist) distance calculations (Fig. 17a).",
         lb_distance_calcs,
+    );
+    family(
+        &mut out,
+        "messi_query_node_lb_calcs_total",
+        "counter",
+        "Of the lower-bound calculations, those made for tree nodes (arena roots included).",
+        node_lb_calcs,
+    );
+    family(
+        &mut out,
+        "messi_query_arenas_descended_total",
+        "counter",
+        "Arenas whose root survived its bound and were descended.",
+        arenas_descended,
     );
     family(
         &mut out,
@@ -398,6 +414,18 @@ pub fn encode_prometheus(
     );
     labeled(
         &mut out,
+        "messi_shard_query_node_lb_calcs_total",
+        "Node-level lower-bound calculations performed by this shard.",
+        |a| a.node_lb_calcs.to_string(),
+    );
+    labeled(
+        &mut out,
+        "messi_shard_query_arenas_descended_total",
+        "Arenas this shard descended past their root.",
+        |a| a.arenas_descended.to_string(),
+    );
+    labeled(
+        &mut out,
         "messi_shard_query_real_distance_calcs_total",
         "Real (ED/DTW) distance calculations performed by this shard.",
         |a| a.real_distance_calcs.to_string(),
@@ -425,6 +453,8 @@ mod tests {
         metrics.record_query(
             &QueryStats {
                 lb_distance_calcs: 100,
+                node_lb_calcs: 30,
+                arenas_descended: 6,
                 real_distance_calcs: 40,
                 bsf_updates: 11,
                 approx_inflation_prunes: 3,
@@ -443,6 +473,8 @@ mod tests {
             &[
                 QueryStats {
                     lb_distance_calcs: 60,
+                    node_lb_calcs: 20,
+                    arenas_descended: 5,
                     real_distance_calcs: 39,
                     ..Default::default()
                 },
@@ -482,6 +514,8 @@ mod tests {
         let QueryStatsAggregate {
             queries,
             lb_distance_calcs,
+            node_lb_calcs,
+            arenas_descended,
             real_distance_calcs,
             bsf_updates,
             approx_inflation_prunes,
@@ -505,6 +539,12 @@ mod tests {
         expect_exactly_once(format!("\nmessi_queries_total {queries}\n"));
         expect_exactly_once(format!(
             "\nmessi_query_lb_distance_calcs_total {lb_distance_calcs}\n"
+        ));
+        expect_exactly_once(format!(
+            "\nmessi_query_node_lb_calcs_total {node_lb_calcs}\n"
+        ));
+        expect_exactly_once(format!(
+            "\nmessi_query_arenas_descended_total {arenas_descended}\n"
         ));
         expect_exactly_once(format!(
             "\nmessi_query_real_distance_calcs_total {real_distance_calcs}\n"
@@ -570,6 +610,10 @@ mod tests {
         expect_exactly_once(
             "messi_shard_query_lb_distance_calcs_total{shard=\"0\"} 60\n".to_string(),
         );
+        expect_exactly_once("messi_shard_query_node_lb_calcs_total{shard=\"0\"} 20\n".to_string());
+        expect_exactly_once(
+            "messi_shard_query_arenas_descended_total{shard=\"0\"} 5\n".to_string(),
+        );
 
         // Exposition-format hygiene: every sample has HELP + TYPE.
         let samples = text
@@ -580,10 +624,10 @@ mod tests {
         let helps = text.lines().filter(|l| l.starts_with("# HELP ")).count();
         assert_eq!(types, helps);
         // The phase family contributes 5 samples under one TYPE, the
-        // latency family 3 quantiles under one TYPE; each of the 4
+        // latency family 3 quantiles under one TYPE; each of the 6
         // per-shard families contributes one sample per shard (2 shards
         // here).
-        assert_eq!(samples, types + 4 + 2 + 4);
+        assert_eq!(samples, types + 4 + 2 + 6);
     }
 
     #[test]

@@ -82,8 +82,15 @@ pub fn decode_query(body: &[u8], series_len: usize) -> Result<(QuerySpec, Vec<f3
     for (i, v) in series_json.iter().enumerate() {
         let x = v
             .as_f64()
-            .ok_or_else(|| err(format!("`series[{i}]` is not a number")))?;
-        series.push(x as f32);
+            .ok_or_else(|| err(format!("`series[{i}]` is not a number")))? as f32;
+        // JSON numbers are finite f64s, but one beyond f32 range narrows
+        // to ±∞ — which the engine answers with no neighbour at all.
+        if !x.is_finite() {
+            return Err(err(format!(
+                "`series[{i}]` is not finite as a 32-bit float"
+            )));
+        }
+        series.push(x);
     }
 
     // --- the objective, with per-objective field rules ---
@@ -399,6 +406,10 @@ mod tests {
             (
                 b"{\"series\":[1,\"x\",3,4,5,6,7,8]}".to_vec(),
                 "`series[1]` is not a number",
+            ),
+            (
+                b"{\"series\":[1,2,3,-1e39,5,6,7,8]}".to_vec(),
+                "`series[3]` is not finite",
             ),
         ] {
             let e = decode_query(&raw, LEN).unwrap_err();

@@ -47,12 +47,13 @@
 
 use super::ShardedIndex;
 use crate::config::QueryConfig;
-use crate::engine::{QueryContext, QueryPlan, ShardRun, SharedBound};
+use crate::engine::{KnnObjective, QueryContext, QueryPlan, ShardRun, SharedBound};
 use crate::exact::QueryAnswer;
 use crate::exec::{Objective, QuerySpec, Schedule};
 use crate::index::MessiIndex;
 use crate::knn::KnnSet;
 use crate::stats::{sum_breakdowns, QueryStats, QueryStatsAggregate, SharedQueryStats, StopReason};
+use messi_sax::MindistTable;
 use messi_series::Dataset;
 use messi_sync::{Dispenser, SlotPool, WorkerPool};
 use parking_lot::Mutex;
@@ -125,17 +126,24 @@ impl<'q> Scatter<'q> {
     /// The seed step for one shard: 1-NN objectives scan the home leaf
     /// and publish its best distance to the cross-shard bound, k-NN
     /// offers it into the shared set, range search has nothing to seed.
-    fn seed(&self, shard: Shard<'_>) -> Seed {
+    fn seed(&self, shard: Shard<'_>, table: &MindistTable) -> Seed {
         let stats = SharedQueryStats::new();
         let best = match self.objective {
             Objective::Exact | Objective::Approx { .. } => {
-                let best = self.plan.seed_nearest(shard.index, &stats);
+                let best = self.plan.seed_nearest(shard.index, table, &stats);
                 if let Some(bound) = &self.bound {
                     bound.update_min(best.0);
                 }
                 best
             }
-            Objective::Knn { .. } => (crate::knn::seed(&self.plan, shard, self.knn()), u32::MAX),
+            // Uncounted under either metric. The set is shared, so each
+            // home leaf is scanned against the bound the leaves before it
+            // left behind; the shard ranks by the best distance it offered.
+            Objective::Knn { .. } => {
+                let objective = KnnObjective::new(self.knn(), shard.offset);
+                let _uncounted = self.plan.seed(shard.index, table, &objective);
+                (objective.best_offered(), u32::MAX)
+            }
             Objective::Range { .. } => (f32::INFINITY, u32::MAX),
         };
         Seed { best, stats }
@@ -189,8 +197,12 @@ impl<'q> Scatter<'q> {
         mut from: Instant,
     ) -> Vec<(usize, ShardReturn)> {
         ctx.fill_table(shards[0].index.sax_config(), self.plan.table_spec());
-        let mut seeded: Vec<(usize, Seed)> =
-            shards.iter().map(|&s| self.seed(s)).enumerate().collect();
+        let table = ctx.table();
+        let mut seeded: Vec<(usize, Seed)> = shards
+            .iter()
+            .map(|&s| self.seed(s, table))
+            .enumerate()
+            .collect();
         seeded.sort_by(|a, b| a.1.best.0.total_cmp(&b.1.best.0));
         seeded
             .into_iter()
@@ -586,6 +598,8 @@ fn merge_shard_stats<'s>(
     let mut initial = f32::INFINITY;
     for s in per_shard {
         out.lb_distance_calcs += s.lb_distance_calcs;
+        out.node_lb_calcs += s.node_lb_calcs;
+        out.arenas_descended += s.arenas_descended;
         out.real_distance_calcs += s.real_distance_calcs;
         out.bsf_updates += s.bsf_updates;
         out.nodes_inserted += s.nodes_inserted;

@@ -36,7 +36,7 @@ mod index;
 mod persist;
 
 pub use exec::ShardedExecutor;
-pub(crate) use exec::{answer_solo, answer_solo_one, prewarm_pool, Shard, ShardReturn};
+pub(crate) use exec::{answer_solo, answer_solo_one, prewarm_pool, ShardReturn};
 pub use index::ShardedIndex;
 pub use persist::{load_sharded, save_sharded};
 

@@ -110,6 +110,10 @@ pub struct QueryStats {
     /// both node mindists during traversal and per-entry mindists during
     /// queue processing (Fig. 17a).
     pub lb_distance_calcs: u64,
+    /// The node-level share of `lb_distance_calcs` (arena roots included).
+    pub node_lb_calcs: u64,
+    /// Arenas whose root survived its bound and were dereferenced.
+    pub arenas_descended: u64,
     /// Real (Euclidean or DTW) distance calculations performed (Fig. 17b).
     pub real_distance_calcs: u64,
     /// Times the shared BSF was improved (§III-B reports 10–12 per query).
@@ -158,6 +162,10 @@ impl QueryStats {
 pub struct LocalStats {
     /// Lower-bound distance calculations.
     pub lb: u64,
+    /// Of `lb`, those computed for tree nodes.
+    pub node_lb: u64,
+    /// Arenas descended past their root.
+    pub arenas_descended: u64,
     /// Real distance calculations.
     pub real: u64,
     /// Successful BSF improvements.
@@ -174,6 +182,8 @@ impl LocalStats {
     /// Adds this worker's counts into the shared accumulator.
     pub fn flush(&self, stats: &SharedQueryStats) {
         stats.lb_distance_calcs.add(self.lb);
+        stats.node_lb_calcs.add(self.node_lb);
+        stats.arenas_descended.add(self.arenas_descended);
         stats.real_distance_calcs.add(self.real);
         stats.bsf_updates.add(self.bsf_updates);
         stats.nodes_inserted.add(self.inserted);
@@ -188,6 +198,10 @@ impl LocalStats {
 pub struct SharedQueryStats {
     /// See [`QueryStats::lb_distance_calcs`].
     pub lb_distance_calcs: Counter,
+    /// See [`QueryStats::node_lb_calcs`].
+    pub node_lb_calcs: Counter,
+    /// See [`QueryStats::arenas_descended`].
+    pub arenas_descended: Counter,
     /// See [`QueryStats::real_distance_calcs`].
     pub real_distance_calcs: Counter,
     /// See [`QueryStats::bsf_updates`].
@@ -225,6 +239,8 @@ impl SharedQueryStats {
     ) -> QueryStats {
         QueryStats {
             lb_distance_calcs: self.lb_distance_calcs.get(),
+            node_lb_calcs: self.node_lb_calcs.get(),
+            arenas_descended: self.arenas_descended.get(),
             real_distance_calcs: self.real_distance_calcs.get(),
             bsf_updates: self.bsf_updates.get(),
             nodes_inserted: self.nodes_inserted.get(),
@@ -253,6 +269,10 @@ pub struct QueryStatsAggregate {
     pub queries: u64,
     /// Sum of lower-bound distance calculations.
     pub lb_distance_calcs: u64,
+    /// Sum of the node-level lower-bound calculations among them.
+    pub node_lb_calcs: u64,
+    /// Sum of arenas descended past their root.
+    pub arenas_descended: u64,
     /// Sum of real distance calculations.
     pub real_distance_calcs: u64,
     /// Sum of BSF updates.
@@ -280,6 +300,8 @@ impl QueryStatsAggregate {
     pub fn add(&mut self, s: &QueryStats) {
         self.queries += 1;
         self.lb_distance_calcs += s.lb_distance_calcs;
+        self.node_lb_calcs += s.node_lb_calcs;
+        self.arenas_descended += s.arenas_descended;
         self.real_distance_calcs += s.real_distance_calcs;
         self.bsf_updates += s.bsf_updates;
         self.approx_inflation_prunes += s.approx_inflation_prunes;
@@ -298,6 +320,8 @@ impl QueryStatsAggregate {
         let Self {
             queries,
             lb_distance_calcs,
+            node_lb_calcs,
+            arenas_descended,
             real_distance_calcs,
             bsf_updates,
             approx_inflation_prunes,
@@ -308,6 +332,8 @@ impl QueryStatsAggregate {
         } = other;
         self.queries += queries;
         self.lb_distance_calcs += lb_distance_calcs;
+        self.node_lb_calcs += node_lb_calcs;
+        self.arenas_descended += arenas_descended;
         self.real_distance_calcs += real_distance_calcs;
         self.bsf_updates += bsf_updates;
         self.approx_inflation_prunes += approx_inflation_prunes;

@@ -15,23 +15,27 @@
 //!
 //! MESSI computes mindists in two places with very different volume:
 //!
-//! * **Node mindist** during tree traversal (Alg. 7 line 1) — a few per
-//!   node, variable cardinality: [`mindist_sq_node`].
+//! * **Node mindist** during tree traversal (Alg. 7 line 1) — one per
+//!   node met, variable cardinality.
 //! * **Leaf-entry mindist** when draining priority queues (Alg. 9
 //!   line 2) — one per candidate series, full cardinality, the hot loop.
-//!   For this we precompute a per-query [`MindistTable`] (16 × 256
-//!   contributions), turning each mindist into 16 table lookups; the SIMD
-//!   version performs the lookups with AVX2 gathers. This is the "SIMD
-//!   ... for the computation of the lower bound distances" of §II-A (the
-//!   branches are resolved at table-build time, once per query, instead
-//!   of once per candidate).
+//!
+//! Both are lookups in one per-query [`MindistTable`] holding the
+//! contribution of every region of every cardinality, so a bound is
+//! `segments` loads and adds; the SIMD leaf kernels perform the loads
+//! with AVX2 gathers and the root sweep bounds 8 arena roots per call.
+//! This is the "SIMD ... for the computation of the lower bound
+//! distances" of §II-A (the branches are resolved at table-build time,
+//! once per query, instead of once per candidate). The branchy
+//! [`mindist_sq_node`] / [`mindist_sq_node_env`] remain as the test
+//! oracle and for callers outside the query path.
 //!
 //! The `*_env` variants take a LB_Keogh envelope instead of a single PAA
 //! vector and lower-bound the *DTW* distance (Fig. 19's MESSI-DTW).
 
-use crate::breakpoints::{region_lower, region_upper};
+use crate::breakpoints::{self, region_lower, region_upper};
 use crate::convert::SaxConfig;
-use crate::word::{NodeWord, SaxWord, CARD_BITS, MAX_CARDINALITY};
+use crate::word::{NodeWord, RootWord, SaxWord, CARD_BITS, MAX_CARDINALITY};
 
 /// Per-segment gap between a query PAA value and a breakpoint region.
 #[inline]
@@ -137,12 +141,61 @@ pub fn mindist_sq_leaf_scalar(query_paa: &[f32], scales: &[f32], word: &SaxWord)
     sum
 }
 
-/// Per-query lookup table of mindist contributions.
+// # Design: node bounds by lookup
+//
+// **Context.** MESSI bounds every node its traversal meets and prunes
+// before touching entries (Alg. 7 line 1). The leaf level was a table
+// lookup from the start; the node level was `mindist_sq_node` — per
+// segment a `bits == 0` branch, two `OnceLock` loads and two edge-symbol
+// branches, 60–85 ns a node, behind a pointer hop into each arena.
+//
+// **Goals.** One table bounds every node of either metric branch-free
+// with the same float the branchy functions return; arena roots are
+// bounded from a packed block before any arena is dereferenced; the
+// home-leaf seed fetches a series only when its bound is below the best.
+//
+// **Non-goals.** An iterative `subtree_end` walk or an SoA block for
+// inner nodes; seeding later shards against the cross-shard bound; any
+// option — the 16 × 256 table is replaced, not kept beside this one.
+//
+// **Decisions** (`serve-exact`: 100 k series, 2 shards, noisy members;
+// traced per query, before → after; CHANGES.md lists every run).
+// * *One `segments × 512` table.* Region `(bits, prefix)` sits at slot
+//   `(1 << bits) - 1 + prefix`: slot 0 the unrefined segment (0.0), 1–2
+//   the level every arena root uses, 255.. the leaf kernels' row. A node
+//   bound is `segments` loads summed in segment order, `to_bits()`-equal
+//   to `mindist_sq_node[_env]` (13 ns against 64–68), so no pruning
+//   decision moves. With the root block — 1 157 roots a query, 1 066
+//   pruned there, 2.6 ns each — `engine.tree_pass_us` 169 → 45.
+// * *The fill got cheaper with twice the slots.* Per segment the
+//   distances to the 255 breakpoints are taken once and every slot is
+//   `scale · (below + above)²`, the `gap` expression bit for bit:
+//   `sax.table_fill_ns` 5 400 → 2 300 (a per-slot `region_lower/upper`
+//   fill measured 25 000).
+// * *The filtered seed removes the slow mode of `init`.* A random-walk
+//   home leaf holds up to 2 000 entries of 1 KB each; skipping those
+//   whose bound has reached the best so far cannot change the seed (the
+//   update test is strict): `engine.init_us` 136 → 73.
+
+/// Slots per segment row: every region of every cardinality (2⁹ − 1),
+/// padded to a power of two.
+const ROW: usize = 2 * MAX_CARDINALITY;
+
+/// Offset of the full-cardinality regions — what leaf entries store —
+/// within a row.
+const LEAF: usize = MAX_CARDINALITY - 1;
+
+/// Per-query lookup table of mindist contributions, for every region of
+/// every cardinality.
 ///
-/// `table[i * 256 + s]` holds `lenᵢ · gap(qᵢ, region(s))²` — the exact
-/// contribution of segment `i` having symbol `s`. A leaf-entry mindist is
-/// then `segments` dependent-free lookups, which the AVX2 kernel performs
-/// as two 8-lane gathers.
+/// `table[i * 512 + (1 << bits) - 1 + prefix]` holds
+/// `lenᵢ · gap(qᵢ, region(prefix, bits))²` — the exact contribution of
+/// segment `i` carrying the `bits`-bit symbol `prefix` (slot 0, the
+/// unrefined segment, holds 0). A node bound
+/// ([`MindistTable::node_lower_bound`]) and a leaf-entry mindist are then
+/// `segments` dependent-free lookups; the AVX2 kernels gather 8 entries'
+/// lookups per segment, or bound 8 arena roots from the one-bit slots
+/// ([`MindistTable::root_bounds`]).
 ///
 /// ```
 /// use messi_sax::convert::{sax_word, SaxConfig};
@@ -172,8 +225,7 @@ impl MindistTable {
     ///
     /// Panics if `query_paa.len() != config.segments`.
     pub fn new(query_paa: &[f32], config: SaxConfig) -> Self {
-        assert_eq!(query_paa.len(), config.segments, "PAA length mismatch");
-        Self::build(config, |i, bl, bu| gap(query_paa[i], bl, bu))
+        Self::from_envelope(query_paa, query_paa, config)
     }
 
     /// Builds the table for a LB_Keogh envelope (PAA of lower/upper
@@ -183,62 +235,34 @@ impl MindistTable {
     ///
     /// Panics on length mismatches.
     pub fn from_envelope(paa_lower: &[f32], paa_upper: &[f32], config: SaxConfig) -> Self {
-        assert_eq!(paa_lower.len(), config.segments, "PAA length mismatch");
-        assert_eq!(paa_upper.len(), config.segments, "PAA length mismatch");
-        Self::build(config, |i, bl, bu| {
-            gap_env(paa_lower[i], paa_upper[i], bl, bu)
-        })
-    }
-
-    fn build(config: SaxConfig, gap_of: impl Fn(usize, f32, f32) -> f32) -> Self {
         let mut this = Self {
             segments: config.segments,
-            table: vec![0.0f32; config.segments * MAX_CARDINALITY],
+            table: vec![0.0f32; config.segments * ROW],
         };
-        this.fill(config, gap_of);
+        this.refill_from_envelope(paa_lower, paa_upper, config);
         this
     }
 
-    /// Recomputes every entry in place for a new query. Allocation-free:
-    /// the reusable query context calls this between batch queries so the
-    /// 16 × 256-float table is paid for once per context, not per query.
-    fn fill(&mut self, config: SaxConfig, gap_of: impl Fn(usize, f32, f32) -> f32) {
-        assert_eq!(
-            config.segments, self.segments,
-            "refill requires a matching segment count"
-        );
-        let bits = CARD_BITS as u8;
-        for i in 0..config.segments {
-            // Segment length, computed without materializing the bounds
-            // vector (`segment_scales` allocates; this path must not).
-            let (start, end) =
-                messi_series::paa::segment_range(config.series_len, config.segments, i);
-            let scale = (end - start) as f32;
-            let row = &mut self.table[i * MAX_CARDINALITY..(i + 1) * MAX_CARDINALITY];
-            for (s, slot) in row.iter_mut().enumerate() {
-                let g = gap_of(
-                    i,
-                    region_lower(s as u16, bits),
-                    region_upper(s as u16, bits),
-                );
-                *slot = scale * g * g;
-            }
-        }
-    }
-
     /// In-place variant of [`MindistTable::new`]: recomputes the table for
-    /// a new query PAA without reallocating.
+    /// a new query PAA without reallocating — a point is the envelope
+    /// whose two ends coincide.
     ///
     /// # Panics
     ///
     /// Panics if `query_paa.len() != config.segments` or the segment count
     /// differs from the one this table was built with.
     pub fn refill(&mut self, query_paa: &[f32], config: SaxConfig) {
-        assert_eq!(query_paa.len(), config.segments, "PAA length mismatch");
-        self.fill(config, |i, bl, bu| gap(query_paa[i], bl, bu));
+        self.refill_from_envelope(query_paa, query_paa, config);
     }
 
-    /// In-place variant of [`MindistTable::from_envelope`].
+    /// In-place variant of [`MindistTable::from_envelope`]: recomputes
+    /// every slot. Allocation-free — the reusable query context calls
+    /// this between queries, so the table is paid for once per context.
+    ///
+    /// A region `[bl, bu]` of segment `i` contributes `scale · g²` with
+    /// `g = (bl − upperᵢ).max(0) + (lowerᵢ − bu).max(0)`, the `gap` /
+    /// `gap_env` expression: at most one term is positive, and the ±∞
+    /// ends of the axis contribute 0 as they do through the `max` there.
     ///
     /// # Panics
     ///
@@ -251,9 +275,44 @@ impl MindistTable {
     ) {
         assert_eq!(paa_lower.len(), config.segments, "PAA length mismatch");
         assert_eq!(paa_upper.len(), config.segments, "PAA length mismatch");
-        self.fill(config, |i, bl, bu| {
-            gap_env(paa_lower[i], paa_upper[i], bl, bu)
-        });
+        assert_eq!(
+            config.segments, self.segments,
+            "refill requires a matching segment count"
+        );
+        let breakpoints = breakpoints::table();
+        // Distance to each full-cardinality region boundary, seen as a
+        // region's lower end (`below`) or upper end (`above`). Boundary
+        // `b` is breakpoint `b - 1`; 0 and 256 are −∞ and +∞.
+        let mut below = [0.0f32; MAX_CARDINALITY + 1];
+        let mut above = [0.0f32; MAX_CARDINALITY + 1];
+        for (i, row) in self.table.chunks_exact_mut(ROW).enumerate() {
+            // Segment length, computed without materializing the bounds
+            // vector (`segment_scales` allocates; this path must not).
+            let (start, end) =
+                messi_series::paa::segment_range(config.series_len, config.segments, i);
+            let scale = (end - start) as f32;
+            for (j, &b) in breakpoints.iter().enumerate() {
+                below[j + 1] = (b - paa_upper[i]).max(0.0);
+                above[j + 1] = (paa_lower[i] - b).max(0.0);
+            }
+            // Level `bits` holds 2^bits regions, each `width` boundaries
+            // wide: region `p` spans boundaries `p·width ..= (p+1)·width`.
+            // The leaf level (width 1, half of all slots) is contiguous
+            // and vectorizes; the coarser ones stride.
+            let (coarse, leaf) = row[..LEAF + MAX_CARDINALITY].split_at_mut(LEAF);
+            for bits in 0..CARD_BITS {
+                let width = MAX_CARDINALITY >> bits;
+                let level = &mut coarse[(1 << bits) - 1..(2 << bits) - 1];
+                for (p, slot) in level.iter_mut().enumerate() {
+                    let g = below[p * width] + above[(p + 1) * width];
+                    *slot = scale * g * g;
+                }
+            }
+            for ((slot, lo), hi) in leaf.iter_mut().zip(&below).zip(&above[1..]) {
+                let g = lo + hi;
+                *slot = scale * g * g;
+            }
+        }
     }
 
     /// Number of segments the table covers.
@@ -262,13 +321,96 @@ impl MindistTable {
         self.segments
     }
 
+    /// Lower bound for a tree node of any cardinality mix (Alg. 7
+    /// line 1): one lookup per segment, summed in ascending segment
+    /// order — bit for bit what [`mindist_sq_node`] (point table) or
+    /// [`mindist_sq_node_env`] (envelope table) computes with branches.
+    #[inline]
+    pub fn node_lower_bound(&self, node: &NodeWord) -> f32 {
+        let mut sum = 0.0f32;
+        for (i, row) in self.table.chunks_exact(ROW).enumerate() {
+            sum += row[(1usize << node.bits(i)) - 1 + node.symbol(i) as usize];
+        }
+        sum
+    }
+
+    /// [`MindistTable::node_lower_bound`] for up to 8 packed arena roots
+    /// at once, written into `out[..roots.len()]`. Roots map to vector
+    /// lanes and the segments are walked in order, so every lane sums
+    /// exactly as the scalar twin does; a full chunk of 8 takes the AVX2
+    /// kernel when `use_simd` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `roots.len() > 8`.
+    #[inline]
+    pub fn root_bounds(&self, roots: &[RootWord], use_simd: bool, out: &mut [f32; 8]) {
+        assert!(roots.len() <= 8, "root chunk out of bounds");
+        #[cfg(target_arch = "x86_64")]
+        if use_simd && roots.len() == 8 {
+            // SAFETY: exactly 8 roots, asserted above; `use_simd` is only
+            // true after `simd_available()` confirmed AVX2.
+            unsafe { self.root_bounds_avx2(roots, out) };
+            return;
+        }
+        let _ = use_simd;
+        self.root_bounds_scalar(roots, out);
+    }
+
+    /// Scalar twin of the root sweep: per root, the one-bit slots summed
+    /// in ascending segment order.
+    pub fn root_bounds_scalar(&self, roots: &[RootWord], out: &mut [f32; 8]) {
+        for (root, slot) in roots.iter().zip(out.iter_mut()) {
+            let mut sum = 0.0f32;
+            for (i, row) in self.table.chunks_exact(ROW).enumerate() {
+                sum += row[root.slot(i)];
+            }
+            *slot = sum;
+        }
+    }
+
+    /// AVX2 root sweep: per segment, each lane selects slot 1 or 2 by its
+    /// root's first bit and keeps it only where the segment is refined
+    /// (else +0.0, which is what slot 0 holds); plain per-lane adds.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 on the executing CPU and `roots.len() == 8`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn root_bounds_avx2(&self, roots: &[RootWord], out: &mut [f32; 8]) {
+        #[allow(clippy::wildcard_imports)]
+        use core::arch::x86_64::*;
+        debug_assert_eq!(roots.len(), 8);
+        // SAFETY (whole block): `RootWord` is a transparent `u32`, so 8
+        // roots are the 32 bytes of the unaligned load; `out` has exactly
+        // 8 lanes for the store; rows are indexed with bounds checks.
+        unsafe {
+            let words = _mm256_loadu_si256(roots.as_ptr() as *const __m256i);
+            let one = _mm256_set1_epi32(1);
+            let mut acc = _mm256_setzero_ps();
+            for (i, row) in self.table.chunks_exact(ROW).enumerate() {
+                let w = _mm256_srl_epi32(words, _mm_cvtsi32_si128(i as i32));
+                let refined = _mm256_cmpeq_epi32(_mm256_and_si256(w, one), one);
+                let high = _mm256_slli_epi32(w, 15); // first bit → sign bit
+                let value = _mm256_blendv_ps(
+                    _mm256_set1_ps(row[1]),
+                    _mm256_set1_ps(row[2]),
+                    _mm256_castsi256_ps(high),
+                );
+                acc = _mm256_add_ps(acc, _mm256_and_ps(value, _mm256_castsi256_ps(refined)));
+            }
+            _mm256_storeu_ps(out.as_mut_ptr(), acc);
+        }
+    }
+
     /// Scalar table-lookup mindist (used when AVX2 is unavailable or the
     /// segment count is not 16).
     #[inline]
     pub fn mindist_sq_scalar(&self, word: &SaxWord) -> f32 {
         let mut sum = 0.0f32;
         for i in 0..self.segments {
-            sum += self.table[i * MAX_CARDINALITY + word.symbol(i) as usize];
+            sum += self.table[i * ROW + LEAF + word.symbol(i) as usize];
         }
         sum
     }
@@ -296,14 +438,14 @@ impl MindistTable {
         use core::arch::x86_64::*;
         debug_assert_eq!(self.segments, 16);
         // SAFETY (whole block): `word.symbols()` is 16 contiguous bytes;
-        // indices are sym + 256·i < 16·256 = table length.
+        // indices are 512·i + 255 + sym < 16·512 = table length.
         unsafe {
-            let base = self.table.as_ptr();
+            let base = self.table.as_ptr().add(LEAF);
             let syms = _mm_loadu_si128(word.symbols().as_ptr() as *const __m128i);
             let lo = _mm256_cvtepu8_epi32(syms);
             let hi = _mm256_cvtepu8_epi32(_mm_srli_si128(syms, 8));
-            let off_lo = _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792);
-            let off_hi = _mm256_setr_epi32(2048, 2304, 2560, 2816, 3072, 3328, 3584, 3840);
+            let off_lo = _mm256_setr_epi32(0, 512, 1024, 1536, 2048, 2560, 3072, 3584);
+            let off_hi = _mm256_setr_epi32(4096, 4608, 5120, 5632, 6144, 6656, 7168, 7680);
             let idx_lo = _mm256_add_epi32(lo, off_lo);
             let idx_hi = _mm256_add_epi32(hi, off_hi);
             let v_lo = _mm256_i32gather_ps(base, idx_lo, 4);
@@ -400,7 +542,7 @@ impl MindistTable {
             let mut sum = 0.0f32;
             for s in 0..self.segments {
                 let sym = cols[s * n + base + lane] as usize;
-                sum += self.table[s * MAX_CARDINALITY + sym];
+                sum += self.table[s * ROW + LEAF + sym];
             }
             *slot = sum;
         }
@@ -435,14 +577,14 @@ impl MindistTable {
         // SAFETY (whole block): per segment `s < segments`, the four byte
         // reads at `s*n + base .. +4` stay inside `cols` (`base + 4 <=
         // base + len <= n`, block len `>= segments*n`); each table index
-        // is `sym + 256·s < segments·256` = table length; the store
+        // is `512·s + 255 + sym < segments·512` = table length; the store
         // writes lanes 0..4 of the 8-lane `out`.
         unsafe {
             let mut acc = _mm_setzero_ps();
             let tbl = self.table.as_ptr();
             for s in 0..self.segments {
                 let p = cols.as_ptr().add(s * n + base);
-                let row = tbl.add(s * MAX_CARDINALITY);
+                let row = tbl.add(s * ROW + LEAF);
                 let quad = _mm_setr_ps(
                     *row.add(usize::from(*p)),
                     *row.add(usize::from(*p.add(1))),
@@ -457,7 +599,7 @@ impl MindistTable {
             let mut sum = 0.0f32;
             for s in 0..self.segments {
                 let sym = cols[s * n + base + lane] as usize;
-                sum += self.table[s * MAX_CARDINALITY + sym];
+                sum += self.table[s * ROW + LEAF + sym];
             }
             *slot = sum;
         }
@@ -478,8 +620,8 @@ impl MindistTable {
         use core::arch::x86_64::*;
         // SAFETY (whole block): per segment `s < segments`, the 8-byte load
         // at `s*n + base` stays inside `cols` (`base + 8 <= n`, block len
-        // `>= segments*n`); gather indices are `sym + 256·s < segments·256`
-        // = table length; `out` has exactly 8 lanes for the store.
+        // `>= segments*n`); gather indices are `512·s + 255 + sym <
+        // segments·512` = table length; `out` has exactly 8 lanes.
         unsafe {
             let mut acc = _mm256_setzero_ps();
             let tbl = self.table.as_ptr();
@@ -488,7 +630,7 @@ impl MindistTable {
                 let syms = _mm_loadl_epi64(p as *const __m128i);
                 let idx = _mm256_add_epi32(
                     _mm256_cvtepu8_epi32(syms),
-                    _mm256_set1_epi32((s * MAX_CARDINALITY) as i32),
+                    _mm256_set1_epi32((s * ROW + LEAF) as i32),
                 );
                 acc = _mm256_add_ps(acc, _mm256_i32gather_ps(tbl, idx, 4));
             }

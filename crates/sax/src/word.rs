@@ -215,9 +215,51 @@ impl NodeWord {
     }
 }
 
+/// A root-level [`NodeWord`] packed into four bytes. An arena root
+/// carries at most one bit per segment — a root-key word, or the shared
+/// first bits of a forest spine — so bit `i` says whether segment `i` is
+/// refined and bit `16 + i` holds its one-bit symbol. The index keeps one
+/// per arena, contiguously ([`crate::MindistTable::root_bounds`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct RootWord(u32);
+
+impl RootWord {
+    /// Packs `word`. A segment refined past one bit — no build produces
+    /// such a root, and validation rejects a snapshot that holds one —
+    /// keeps its first bit only: a looser bound, never a wrong one.
+    pub fn pack(word: &NodeWord) -> Self {
+        let mut packed = 0u32;
+        for i in 0..MAX_SEGMENTS {
+            let bits = word.bits(i);
+            if bits > 0 {
+                let first = u32::from(word.symbol(i) >> (bits - 1));
+                packed |= (1 | first << 16) << i;
+            }
+        }
+        Self(packed)
+    }
+
+    /// Segment `i`'s slot in a mindist-table row: 0 when unrefined, else
+    /// `1 + first bit` (the `(1 << bits) - 1 + prefix` of one bit).
+    #[inline]
+    pub fn slot(self, i: usize) -> usize {
+        let w = self.0 >> i;
+        ((w & 1) * (1 + ((w >> 16) & 1))) as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn root_word_packs_one_bit_per_segment() {
+        let w = RootWord::pack(&NodeWord::new(&[1, 0, 0, 0b10], &[1, 1, 0, 2]));
+        assert_eq!([w.slot(0), w.slot(1), w.slot(2)], [2, 1, 0]);
+        assert_eq!(w.slot(3), 2, "a deeper segment keeps its first bit");
+        assert_eq!(RootWord::pack(&NodeWord::root()), RootWord(0));
+    }
 
     #[test]
     fn sax_word_prefixes() {

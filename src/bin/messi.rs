@@ -983,8 +983,11 @@ fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
         agg.latency_percentile_us(100.0).unwrap_or(0),
     );
     println!(
-        "pruning: {:.1} lb calcs/query · {:.1} real calcs/query · {:.1} bsf updates/query",
+        "pruning: {:.1} lb calcs/query ({:.1} at nodes, {:.1} arenas descended) · \
+         {:.1} real calcs/query · {:.1} bsf updates/query",
         agg.mean_lb_calcs(),
+        agg.node_lb_calcs as f64 / n,
+        agg.arenas_descended as f64 / n,
         agg.mean_real_calcs(),
         agg.bsf_updates as f64 / n
     );
@@ -1067,6 +1070,7 @@ fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
              \"shards\":{},\"available_cores\":{},\"run_batch\":{},\"queries\":{},\
              \"wall_us\":{},\"qps\":{:.3},\"mean_query_us\":{},\
              \"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"lb_calcs_per_query\":{:.3},\
+             \"node_lb_calcs_per_query\":{:.3},\"arenas_descended_per_query\":{:.3},\
              \"real_calcs_per_query\":{:.3},\"bsf_updates\":{},\"budget_stops\":{},\
              \"total_answers\":{}{}{}}}",
             match objective {
@@ -1097,6 +1101,8 @@ fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
             agg.latency_percentile_us(99.0).unwrap_or(0),
             agg.latency_percentile_us(100.0).unwrap_or(0),
             agg.mean_lb_calcs(),
+            agg.node_lb_calcs as f64 / n,
+            agg.arenas_descended as f64 / n,
             agg.mean_real_calcs(),
             agg.bsf_updates,
             agg.budget_stops,
@@ -1175,11 +1181,13 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         .map_err(|e| CliError::Runtime(format!("serve: {e}")))?;
     println!(
         "serve: drained cleanly — served={} shed={} failures={} \
-         lb_calcs={} real_calcs={} query_seconds={:.3}",
+         lb_calcs={} node_lb_calcs={} arenas_descended={} real_calcs={} query_seconds={:.3}",
         summary.served,
         summary.shed,
         summary.failures,
         summary.aggregate.lb_distance_calcs,
+        summary.aggregate.node_lb_calcs,
+        summary.aggregate.arenas_descended,
         summary.aggregate.real_distance_calcs,
         summary.aggregate.total_time.as_secs_f64(),
     );

@@ -10,6 +10,11 @@
 //!   `Kernel::Scalar`: squared Euclidean distance (plain and
 //!   early-abandoning), LB_Keogh (plain and early-abandoning), and the
 //!   batched struct-of-arrays mindist.
+//! * **Bound level** — the table's node bound is `to_bits()`-equal to
+//!   the branchy `mindist_sq_node` / `mindist_sq_node_env` oracles for
+//!   every cardinality mix, the packed root block bounds each arena as
+//!   its root word does (built, grown and reloaded), and the 8-wide root
+//!   sweep equals its scalar twin at every chunk length.
 //! * **Query level** — a full search under forced-SIMD and
 //!   forced-scalar kernels returns bit-identical answers (position and
 //!   `dist_sq` bits) for every objective × metric cell. Run single-
@@ -24,13 +29,17 @@
 // of this size overflow the default 128 limit.
 #![recursion_limit = "256"]
 
+use messi::index::node::TreeArena;
 use messi::prelude::*;
+use messi::sax::breakpoints;
 use messi::sax::convert::SaxConfig;
-use messi::sax::mindist::MindistTable;
+use messi::sax::mindist::{mindist_sq_node, mindist_sq_node_env, segment_scales, MindistTable};
+use messi::sax::word::{NodeWord, RootWord};
 use messi::series::distance::euclidean::{ed_sq_early_abandon_with, ed_sq_with};
 use messi::series::distance::lb_keogh::{
     lb_keogh_sq_early_abandon_with, lb_keogh_sq_with, Envelope,
 };
+use messi::series::distance::simd::simd_available;
 use messi::series::gen::{self, DatasetKind};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -293,5 +302,188 @@ proptest! {
             let b = index.search_approximate(q, Kernel::Scalar);
             assert_same_answer("approx/ng", (a.pos, a.dist_sq), (b.pos, b.dist_sq));
         }
+    }
+}
+
+/// A deterministic pseudo-random node word over `segments` segments
+/// mixing every cardinality 0..=8, with the lowest and the top symbol of
+/// a cardinality (the ±∞ regions) forced on a share of the segments.
+fn node_word(segments: usize, seed: u64) -> NodeWord {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state >> 33
+    };
+    let bits: Vec<u8> = (0..segments).map(|_| (next() % 9) as u8).collect();
+    let symbols: Vec<u16> = bits
+        .iter()
+        .map(|&b| {
+            let top = (1u64 << b) - 1;
+            match next() % 4 {
+                0 => 0,
+                1 => top as u16,
+                _ => (next() % (top + 1)) as u16,
+            }
+        })
+        .collect();
+    NodeWord::new(&symbols, &bits)
+}
+
+/// A PAA vector whose values mix ordinary magnitudes with values sitting
+/// exactly on a breakpoint.
+fn paa_on_breakpoints(segments: usize, seed: u64) -> Vec<f32> {
+    let table = breakpoints::table();
+    series(segments, seed, 1.0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| match (seed as usize + i) % 3 {
+            0 => table[(seed as usize * 31 + i * 17) % table.len()],
+            _ => v,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn table_node_bound_equals_the_branchy_oracles(
+        wide in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let segments = [8usize, 16][wide];
+        let config = SaxConfig::new(segments, 256);
+        let scales = segment_scales(config);
+        let paa = paa_on_breakpoints(segments, seed);
+        // An envelope around the point query: lower <= paa <= upper.
+        let lower: Vec<f32> = paa.iter().map(|v| v - 0.25).collect();
+        let upper: Vec<f32> = paa_on_breakpoints(segments, seed + 7)
+            .iter()
+            .zip(&paa)
+            .map(|(u, v)| v + u.abs())
+            .collect();
+        let point = MindistTable::new(&paa, config);
+        let envelope = MindistTable::from_envelope(&lower, &upper, config);
+        // Refilled tables (from a different query, of the other kind)
+        // must equal the fresh ones slot for slot.
+        let mut refilled_point = envelope.clone();
+        refilled_point.refill(&paa, config);
+        let mut refilled_envelope = point.clone();
+        refilled_envelope.refill_from_envelope(&lower, &upper, config);
+        for k in 0..32 {
+            let word = node_word(segments, seed * 32 + k);
+            let oracle = mindist_sq_node(&paa, &scales, &word);
+            let got = point.node_lower_bound(&word);
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "point {} vs {}", got, oracle);
+            prop_assert_eq!(refilled_point.node_lower_bound(&word).to_bits(), oracle.to_bits());
+            let oracle = mindist_sq_node_env(&lower, &upper, &scales, &word);
+            let got = envelope.node_lower_bound(&word);
+            prop_assert_eq!(got.to_bits(), oracle.to_bits(), "envelope {} vs {}", got, oracle);
+            prop_assert_eq!(refilled_envelope.node_lower_bound(&word).to_bits(), oracle.to_bits());
+        }
+    }
+
+    #[test]
+    fn root_sweep_equals_its_scalar_twin_at_every_chunk_length(
+        wide in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let segments = [8usize, 16][wide];
+        let config = SaxConfig::new(segments, 256);
+        let table = MindistTable::new(&paa_on_breakpoints(segments, seed), config);
+        // Root-shaped words: at most one bit per segment.
+        let words: Vec<NodeWord> = (0..8u64)
+            .map(|k| {
+                let r = seed * 8 + k;
+                let bits: Vec<u8> = (0..segments).map(|i| ((r >> i) & 1) as u8).collect();
+                let symbols: Vec<u16> = (0..segments)
+                    .map(|i| ((r >> (16 + i)) & 1) as u16 * u16::from(bits[i]))
+                    .collect();
+                NodeWord::new(&symbols, &bits)
+            })
+            .collect();
+        let roots: Vec<RootWord> = words.iter().map(RootWord::pack).collect();
+        for len in 1..=8usize {
+            let mut scalar = [0.0f32; 8];
+            table.root_bounds_scalar(&roots[..len], &mut scalar);
+            // `simd_available()` is false under MESSI_FORCE_SCALAR=1:
+            // the dispatcher then takes the scalar twin on both arms.
+            for use_simd in [false, simd_available()] {
+                let mut swept = [0.0f32; 8];
+                table.root_bounds(&roots[..len], use_simd, &mut swept);
+                for lane in 0..len {
+                    prop_assert_eq!(swept[lane].to_bits(), scalar[lane].to_bits());
+                    prop_assert_eq!(
+                        scalar[lane].to_bits(),
+                        table.node_lower_bound(&words[lane]).to_bits(),
+                        "len {} lane {}", len, lane
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every arena's packed root must bound exactly as its root word does.
+fn assert_root_block_matches(tag: &str, index: &MessiIndex, table: &MindistTable, paa: &[f32]) {
+    assert_eq!(index.roots().len(), index.arenas().len(), "{tag}");
+    for (i, (arena, root)) in index.arenas().iter().zip(index.roots()).enumerate() {
+        let word = arena.word(TreeArena::ROOT);
+        let mut swept = [0.0f32; 8];
+        table.root_bounds(std::slice::from_ref(root), simd_available(), &mut swept);
+        assert_eq!(
+            swept[0].to_bits(),
+            table.node_lower_bound(word).to_bits(),
+            "{tag}: arena {i}"
+        );
+        assert_eq!(
+            swept[0].to_bits(),
+            mindist_sq_node(paa, index.scales(), word).to_bits(),
+            "{tag}: arena {i} vs oracle"
+        );
+    }
+}
+
+#[test]
+fn root_block_bounds_every_arena_as_its_root_word_does() {
+    // The test configuration builds solo arenas (dense keys), the default
+    // one forest arenas under synthetic spines; both are then grown by
+    // `insert_batch` and round-tripped through a snapshot.
+    for (tag, config) in [
+        ("for_tests", IndexConfig::for_tests()),
+        ("default", IndexConfig::default()),
+    ] {
+        let full = gen::generate(DatasetKind::RandomWalk, 1_200, 97);
+        let len = full.series_len();
+        let base = Arc::new(
+            messi::series::Dataset::from_flat(full.as_flat()[..900 * len].to_vec(), len).unwrap(),
+        );
+        let full = Arc::new(full);
+        let (index, _) = MessiIndex::build(base, &config);
+        let query = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 97);
+        let (_, paa) = index.summarize_query(query.series(0));
+        let table = MindistTable::new(&paa, index.sax_config());
+        assert_root_block_matches(&format!("{tag} built"), &index, &table, &paa);
+        let segments = index.sax_config().segments;
+        let solo =
+            |arena: &TreeArena| (0..segments).all(|s| arena.word(TreeArena::ROOT).bits(s) == 1);
+        if tag == "default" {
+            assert!(!index.arenas().iter().all(solo), "no forest arena");
+        } else {
+            assert!(index.arenas().iter().any(solo), "no solo arena");
+        }
+
+        let grown = index.insert_batch(Arc::clone(&full), 900).expect("absorb");
+        assert_root_block_matches(&format!("{tag} grown"), &grown, &table, &paa);
+
+        let path =
+            std::env::temp_dir().join(format!("messi-root-block-{tag}-{}.msx", std::process::id()));
+        messi::save_index(&grown, &path).expect("save");
+        let loaded = messi::load_index(&path, full).expect("load");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(loaded.roots(), grown.roots(), "{tag}: derived on load");
+        assert_root_block_matches(&format!("{tag} loaded"), &loaded, &table, &paa);
     }
 }

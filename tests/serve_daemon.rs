@@ -480,6 +480,18 @@ fn oversized_and_malformed_requests_do_not_kill_the_connection_pool() {
             .request("POST", "/query", b"{\"series\":[1,2,3],\"surprise\":1}")
             .expect("400");
         assert_eq!(resp.status, 400);
+
+        // So is a finite JSON number that narrows to an infinite f32:
+        // the engine would "answer" it with no series at distance inf.
+        let mut vals: Vec<String> = q.iter().map(|x| format!("{x}")).collect();
+        vals[5] = "1e39".to_string();
+        let body = format!("{{\"series\":[{}]}}", vals.join(","));
+        let resp = client
+            .request("POST", "/query", body.as_bytes())
+            .expect("400");
+        assert_eq!(resp.status, 400);
+        let text = String::from_utf8_lossy(&resp.body);
+        assert!(text.contains("`series[5]` is not finite"), "{text}");
     });
     assert_eq!(summary.served, 1);
     assert_eq!(summary.failures, 0);
