@@ -107,6 +107,7 @@ pub(crate) fn search(
                     .entries
                     .len() as u64,
             },
+            seed_real_calcs: run.stats.seed_real_calcs.get(),
             total_time,
             initial_bsf_dist_sq: d0,
             stop_reason: Some(StopReason::HomeLeafOnly),

@@ -77,8 +77,14 @@ pub struct QueryContext<'a> {
     queues: Option<QueueSet<LeafRun<'a>>>,
     barrier: Option<SenseBarrier>,
     table: Option<MindistTable>,
+    /// The seed step's per-entry bounds of one home leaf.
+    leaf_bounds: Vec<f32>,
     alloc_events: u64,
 }
+
+/// Entries the bounds buffer is built for: the largest leaf a default
+/// build makes ([`crate::IndexConfig::leaf_capacity`]).
+const LEAF_BOUNDS_HINT: usize = 2_000;
 
 impl<'a> QueryContext<'a> {
     /// Creates an empty context. Nothing is allocated until the first
@@ -88,10 +94,12 @@ impl<'a> QueryContext<'a> {
     }
 
     /// Number of scratch (re)allocation events so far: building or
-    /// growing the queue set, or building a mindist table for a new
-    /// segment count. A batch that reuses its context sees this counter
-    /// stay flat after the first query — the acceptance signal for the
-    /// allocation-free batch hot path.
+    /// growing the queue set, building a mindist table (and with it the
+    /// seed's bounds buffer) for a new segment count, or growing that
+    /// buffer for a leaf beyond the default capacity. A batch that
+    /// reuses its context sees this counter stay flat after the first
+    /// query — the acceptance signal for the allocation-free batch hot
+    /// path.
     pub fn alloc_events(&self) -> u64 {
         self.alloc_events
     }
@@ -124,9 +132,32 @@ impl<'a> QueryContext<'a> {
                         MindistTable::from_envelope(lower, upper, sax)
                     }
                 });
+                self.leaf_bounds.reserve(LEAF_BOUNDS_HINT);
                 self.alloc_events += 1;
             }
         }
+    }
+
+    /// The seed step's share of the scratch: the filled table, and the
+    /// lower bound of every entry of `run` under it — computed once, 8
+    /// entries per kernel call, into the context's own buffer.
+    pub(crate) fn run_bounds(
+        &mut self,
+        run: &LeafRun<'_>,
+        use_simd: bool,
+    ) -> (&MindistTable, &[f32]) {
+        let table = self.table.as_ref().expect("fill_table runs first");
+        let n = run.entries.len();
+        let padded = n.next_multiple_of(8);
+        self.alloc_events += u64::from(padded > self.leaf_bounds.capacity());
+        self.leaf_bounds.resize(padded, 0.0);
+        let (stride, base) = (run.stride as usize, run.base as usize);
+        for (i, chunk) in self.leaf_bounds.chunks_exact_mut(8).enumerate() {
+            let out = chunk.try_into().expect("chunks of 8");
+            let len = (n - 8 * i).min(8);
+            table.mindist_sq_soa(run.cols, stride, base + 8 * i, len, use_simd, out);
+        }
+        (table, &self.leaf_bounds[..n])
     }
 
     /// The table [`QueryContext::fill_table`] last filled (panics if

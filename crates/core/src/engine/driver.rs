@@ -52,7 +52,7 @@ use super::metric::Metric;
 use super::objective::SearchObjective;
 use crate::config::QueuePolicy;
 use crate::index::MessiIndex;
-use crate::node::{LeafRun, NodeId, TreeArena};
+use crate::node::{LeafEntry, LeafRun, NodeId, TreeArena};
 use crate::stats::{LocalStats, SharedQueryStats};
 use messi_sax::MindistTable;
 use messi_sync::{ConcurrentMinQueue, Dispenser, QueueSet, SenseBarrier};
@@ -484,15 +484,12 @@ fn process_queue<M: Metric, O: SearchObjective>(
 /// Scans one leaf run (Alg. 9): the metric's first lower bound runs
 /// *batched*, 8 entries at a time, over the run's struct-of-arrays
 /// symbol block — full-width chunks straddle member-leaf boundaries,
-/// which is the whole point of coalescing; each survivor then continues
-/// through the metric's remaining cascade and its early-abandoning real
-/// distance, offered to the objective on survival. The bound is
-/// re-fetched per entry, so a concurrent BSF improvement tightens
-/// pruning mid-run exactly as the old entry-at-a-time sweep did, and
-/// each per-entry lower bound is computed independently of the chunking
-/// (bit-identical whether the entry is scanned alone or mid-run).
+/// which is the whole point of coalescing; each chunk then goes through
+/// [`scan_bounded`]. Each per-entry lower bound is computed
+/// independently of the chunking (bit-identical whether the entry is
+/// scanned alone or mid-run).
 #[inline]
-pub(super) fn scan_run<M: Metric, O: SearchObjective>(
+fn scan_run<M: Metric, O: SearchObjective>(
     metric: &M,
     objective: &O,
     run: LeafRun<'_>,
@@ -507,18 +504,38 @@ pub(super) fn scan_run<M: Metric, O: SearchObjective>(
     while base < n {
         let len = (n - base).min(8);
         table.mindist_sq_soa(run.cols, stride, run_base + base, len, use_simd, &mut lbs);
-        for (lb, entry) in lbs[..len].iter().zip(&run.entries[base..base + len]) {
-            local.lb += 1;
-            let bound = objective.bound();
-            if *lb >= bound {
-                continue;
-            }
-            if let Some(d) = metric.entry_distance(entry, bound, local) {
-                if d < bound && objective.offer(results, d, entry.pos) {
-                    local.bsf_updates += 1;
-                }
+        let entries = &run.entries[base..base + len];
+        scan_bounded(metric, objective, entries, &lbs[..len], local, results);
+        base += len;
+    }
+}
+
+/// The entry half of a leaf scan, over `entries` whose batched lower
+/// bounds are `lbs`: each survivor continues through the metric's
+/// remaining cascade and its early-abandoning real distance, offered to
+/// the objective on survival. The bound is re-fetched per entry, so a
+/// concurrent BSF improvement tightens pruning mid-run exactly as the
+/// old entry-at-a-time sweep did. The seed step calls this directly,
+/// over a whole home leaf it bounded up front.
+#[inline]
+pub(super) fn scan_bounded<M: Metric, O: SearchObjective>(
+    metric: &M,
+    objective: &O,
+    entries: &[LeafEntry],
+    lbs: &[f32],
+    local: &mut LocalStats,
+    results: &mut O::Local,
+) {
+    for (lb, entry) in lbs.iter().zip(entries) {
+        local.lb += 1;
+        let bound = objective.bound();
+        if *lb >= bound {
+            continue;
+        }
+        if let Some(d) = metric.entry_distance(entry, bound, local) {
+            if d < bound && objective.offer(results, d, entry.pos) {
+                local.bsf_updates += 1;
             }
         }
-        base += len;
     }
 }

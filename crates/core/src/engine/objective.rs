@@ -523,7 +523,7 @@ impl SearchObjective for ApproxObjective<'_> {
 /// nothing is accepted — an unbounded query would silently return no
 /// matches).
 #[inline]
-fn next_up(x: f32) -> f32 {
+pub(super) fn next_up(x: f32) -> f32 {
     if x == 0.0 {
         f32::from_bits(1)
     } else if x.is_infinite() {

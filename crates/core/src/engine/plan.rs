@@ -8,7 +8,9 @@
 //!   or which shard of one, is searched.
 //! * *Seed* ([`QueryPlan::seed`]): scan a shard's home leaf so its bound
 //!   starts tight (Alg. 5 lines 3–6), through the engine's own leaf-scan
-//!   cascade.
+//!   cascade — bounds for the whole leaf first, then (1-NN) the
+//!   smallest-bound entry's real distance, then the entries in order
+//!   against that bound.
 //! * *Search* ([`ShardRun::run`]): one engine run — tree pass + queue
 //!   phase — over one shard under the cell's objective.
 //!
@@ -18,14 +20,13 @@
 use super::context::{QueryContext, TableSpec};
 use super::driver::{self, Engine};
 use super::metric::{DtwMetric, EuclideanMetric, Metric};
-use super::objective::{NearestObjective, SearchObjective};
+use super::objective::{next_up, NearestObjective, SearchObjective};
 use crate::config::{BsfPolicy, QueryConfig};
 use crate::dtw::DtwPlan;
 use crate::exec::MetricSpec;
 use crate::index::MessiIndex;
 use crate::stats::{LocalStats, QueryStats, SharedQueryStats};
 use messi_sax::word::SaxWord;
-use messi_sax::MindistTable;
 use messi_series::distance::Kernel;
 use std::time::Instant;
 
@@ -81,45 +82,61 @@ impl<'q> QueryPlan<'q> {
     /// `objective` so its bound starts tight, and returns what the scan
     /// counts towards the shard's statistics.
     ///
-    /// Euclidean: the engine's own [`driver::scan_run`] — batched table
-    /// bounds first, a series fetched only when its bound is below the
-    /// objective's — uncounted (exact search reports its traversal's
-    /// work, not its seed's). The filter cannot change the seed: offers
-    /// must be strictly below the bound an entry is skipped at. DTW:
-    /// every entry through LB_Keogh, then banded DTW, counted like the
-    /// engine's entry cascade — a DTW query's counts include its seed's,
-    /// so the envelope-mindist filter stays out of it.
+    /// Euclidean: the leaf's entries are bounded once, batched
+    /// ([`QueryContext::run_bounds`]), then scanned in order by the
+    /// engine's own [`driver::scan_bounded`] — a series fetched only
+    /// when its bound is below the objective's — counted only as
+    /// `seed_real` (exact search reports its traversal's work, not its
+    /// seed's). The filter cannot change the seed: offers must be
+    /// strictly below the bound an entry is skipped at. `best_first`
+    /// (1-NN objectives only) takes the real distance `d*` of the
+    /// smallest-bound entry before the scan and starts it from the bound
+    /// `next_up(d*)` — offered without a position — instead of +∞: with
+    /// the neighbour in the leaf, almost every other entry is skipped
+    /// unfetched. The scan's answer stands: the minimum is at most `d*`,
+    /// so its first holder is still offered — `next_up` keeps an earlier
+    /// entry at exactly `d*` eligible — and nothing after it is.
+    ///
+    /// DTW: every entry through LB_Keogh, then banded DTW, counted like
+    /// the engine's entry cascade — a DTW query's counts include its
+    /// seed's, so neither the envelope-mindist filter nor `best_first`
+    /// touches it.
     pub(crate) fn seed<O: SearchObjective>(
         &self,
         index: &MessiIndex,
-        table: &MindistTable,
+        ctx: &mut QueryContext<'_>,
         objective: &O,
+        best_first: bool,
     ) -> LocalStats {
-        // `table` is the query's point table only under ED.
-        let point_table = self.dtw.is_none().then_some(table);
-        let run = index.home_leaf_run(&self.sax, &self.paa, point_table);
         let mut counted = LocalStats::default();
-        let mut results = O::Local::default();
-        match &self.dtw {
-            None => {
-                let metric = EuclideanMetric::new(index, self.query, table, self.kernel);
-                let uncounted = &mut LocalStats::default();
-                driver::scan_run(&metric, objective, run, uncounted, &mut results);
-            }
-            Some(dtw) => {
-                let metric = DtwMetric::new(index, self.query, dtw, table, self.kernel);
-                for e in run.entries {
-                    let bound = objective.bound();
-                    match metric.entry_distance(e, bound, &mut counted) {
-                        Some(d) if d < bound => {
-                            objective.offer(&mut results, d, e.pos);
-                        }
-                        _ => {}
+        let mut found = O::Local::default();
+        if let Some(dtw) = &self.dtw {
+            let run = index.home_leaf_run(&self.sax, &self.paa, None);
+            let metric = DtwMetric::new(index, self.query, dtw, ctx.table(), self.kernel);
+            for e in run.entries {
+                let bound = objective.bound();
+                match metric.entry_distance(e, bound, &mut counted) {
+                    Some(d) if d < bound => {
+                        objective.offer(&mut found, d, e.pos);
                     }
+                    _ => {}
                 }
             }
+            counted.seed_real = counted.real;
+        } else {
+            let run = index.home_leaf_run(&self.sax, &self.paa, Some(ctx.table()));
+            let (table, bounds) = ctx.run_bounds(&run, self.kernel.uses_simd());
+            let metric = EuclideanMetric::new(index, self.query, table, self.kernel);
+            let (entries, mut scan) = (run.entries, LocalStats::default());
+            let tightest = || (0..bounds.len()).min_by(|&a, &b| bounds[a].total_cmp(&bounds[b]));
+            if let Some(i) = best_first.then(tightest).flatten() {
+                let d = metric.entry_distance(&entries[i], f32::INFINITY, &mut scan);
+                objective.offer(&mut found, next_up(d.expect("no further bound")), u32::MAX);
+            }
+            driver::scan_bounded(&metric, objective, entries, bounds, &mut scan, &mut found);
+            counted.seed_real = scan.real;
         }
-        objective.absorb(results);
+        objective.absorb(found);
         counted
     }
 
@@ -130,11 +147,11 @@ impl<'q> QueryPlan<'q> {
     pub(crate) fn seed_nearest(
         &self,
         index: &MessiIndex,
-        table: &MindistTable,
+        ctx: &mut QueryContext<'_>,
         stats: &SharedQueryStats,
     ) -> (f32, u32) {
         let best = NearestObjective::new(BsfPolicy::Atomic, f32::INFINITY, u32::MAX, None);
-        self.seed(index, table, &best).flush(stats);
+        self.seed(index, ctx, &best, true).flush(stats);
         best.answer()
     }
 }
@@ -243,12 +260,11 @@ mod tests {
         let plan = QueryPlan::new(index, query, MetricSpec::Euclidean, Kernel::Auto);
         let mut ctx = QueryContext::new();
         ctx.fill_table(index.sax_config(), plan.table_spec());
-        let table = ctx.table();
         let leaf = index.home_leaf_run(&plan.sax, &plan.paa, None).entries;
 
         // 1-NN: same distance bits, same position, nothing counted.
         let stats = SharedQueryStats::new();
-        let got = plan.seed_nearest(index, table, &stats);
+        let got = plan.seed_nearest(index, &mut ctx, &stats);
         let want = index.seed_approximate(query, &plan.sax, &plan.paa, plan.kernel);
         assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
         assert_eq!(
@@ -272,7 +288,7 @@ mod tests {
             let offset = 1_000;
             let seeded = KnnSet::new(k);
             let objective = crate::engine::KnnObjective::new(&seeded, offset);
-            let _uncounted = plan.seed(index, table, &objective);
+            let _uncounted = plan.seed(index, &mut ctx, &objective, false);
             let rank = objective.best_offered();
             let reference = KnnSet::new(k);
             let mut best = f32::INFINITY;
@@ -325,6 +341,141 @@ mod tests {
         for q in queries.iter().chain([data.series(40)]) {
             assert_seed_equivalence(&index, q);
         }
+    }
+
+    /// One leaf of series a few exact binary fractions away from a
+    /// query, so distances add up without rounding and ties are ties in
+    /// every bit: returns the index over `plants` (in position order)
+    /// and the query. `Far(k)` moves one whole segment (its PAA, hence
+    /// its bound, with it); `Near` alternates ±1/32 inside every segment
+    /// (same PAA as the query: bound 0, the leaf's smallest);
+    /// `NearShifted` is at `Near`'s distance with segment 0 moved one
+    /// way (a positive bound).
+    #[derive(Clone, Copy)]
+    enum Plant {
+        Far(usize),
+        Near,
+        NearShifted,
+    }
+
+    fn planted(plants: &[Plant]) -> (MessiIndex, Vec<f32>) {
+        let query: Vec<f32> = (0..256)
+            .map(|i| {
+                let square = if (i / 16) % 2 == 0 { 1.0 } else { -1.0 };
+                square + ((i * 37 % 17) as f32 - 8.0) / 64.0
+            })
+            .collect();
+        let mut values = Vec::new();
+        for &plant in plants {
+            values.extend(query.iter().enumerate().map(|(i, &q)| match plant {
+                Plant::Far(k) if i / 16 == k % 16 => q + (k + 4) as f32 / 16.0,
+                Plant::Far(_) => q,
+                Plant::NearShifted if i < 16 => q + 1.0 / 32.0,
+                Plant::Near | Plant::NearShifted => q + [1.0, -1.0][i % 2] / 32.0,
+            }));
+        }
+        let data = Arc::new(Dataset::from_flat(values, 256).unwrap());
+        let (index, _) = MessiIndex::build(data, &IndexConfig::default());
+        assert_eq!(index.num_leaves(), 1);
+        (index, query)
+    }
+
+    /// `(bound, distance bits)` of every entry of `query`'s home leaf.
+    fn leaf_profile(index: &MessiIndex, query: &[f32]) -> Vec<(f32, u32)> {
+        let plan = QueryPlan::new(index, query, MetricSpec::Euclidean, Kernel::Auto);
+        let mut ctx = QueryContext::new();
+        ctx.fill_table(index.sax_config(), plan.table_spec());
+        let run = index.home_leaf_run(&plan.sax, &plan.paa, None);
+        let (_, bounds) = ctx.run_bounds(&run, plan.kernel.uses_simd());
+        let dist = |e: &crate::node::LeafEntry| {
+            let series = index.dataset.series(e.pos as usize);
+            ed_sq_early_abandon_with(plan.kernel, query, series, f32::INFINITY).to_bits()
+        };
+        bounds
+            .iter()
+            .copied()
+            .zip(run.entries.iter().map(dist))
+            .collect()
+    }
+
+    #[test]
+    fn best_bound_first_seed_keeps_the_first_of_a_tie() {
+        use Plant::{Far, Near, NearShifted};
+        // The entry at the minimum distance sits before, after, and on
+        // both sides of the smallest-bound entry; and the smallest bound
+        // belongs to the last entry of the leaf.
+        for (plants, tightest, winner) in [
+            (vec![Far(0), NearShifted, Far(1), Near, Far(2)], 3, 1),
+            (vec![Far(0), Near, Far(1), NearShifted, Far(2)], 1, 1),
+            (vec![NearShifted, Far(0), Near, Near, NearShifted], 2, 0),
+            (vec![Far(0), Far(1), Far(2), Far(3), Near], 4, 4),
+        ] {
+            let (index, query) = planted(&plants);
+            let profile = leaf_profile(&index, &query);
+            let min_bound = profile.iter().map(|p| p.0).fold(f32::INFINITY, f32::min);
+            assert_eq!(
+                profile.iter().position(|p| p.0 == min_bound),
+                Some(tightest)
+            );
+            let min_dist = profile.iter().map(|p| p.1).min().unwrap();
+            assert_eq!(profile[tightest].1, min_dist, "ties are exact");
+            assert_eq!(profile.iter().position(|p| p.1 == min_dist), Some(winner));
+            assert_seed_equivalence(&index, &query);
+
+            let plan = QueryPlan::new(&index, &query, MetricSpec::Euclidean, Kernel::Scalar);
+            let mut ctx = QueryContext::new();
+            ctx.fill_table(index.sax_config(), plan.table_spec());
+            let got = plan.seed_nearest(&index, &mut ctx, &SharedQueryStats::new());
+            assert_eq!(got, (f32::from_bits(min_dist), winner as u32), "scalar");
+        }
+    }
+
+    #[test]
+    fn best_bound_first_seed_of_a_one_entry_leaf_and_of_an_empty_home_key() {
+        let (index, query) = planted(&[Plant::Far(5)]);
+        assert_eq!(leaf_profile(&index, &query).len(), 1);
+        assert_seed_equivalence(&index, &query);
+
+        // The mirrored query files under a root key no series has: the
+        // seed falls back to the closest arena's leaf.
+        let (index, query) = planted(&[Plant::Far(0), Plant::Near, Plant::Far(1)]);
+        let mirrored: Vec<f32> = query.iter().map(|v| -v).collect();
+        let (sax, _) = index.summarize_query(&mirrored);
+        let key = messi_sax::root_key::root_key(&sax, index.sax_config().segments);
+        assert!(index.root(key).is_none());
+        assert_eq!(leaf_profile(&index, &mirrored).len(), 3);
+        assert_seed_equivalence(&index, &mirrored);
+    }
+
+    /// Noisy copies of dataset members over two shards — the serving
+    /// workload: bounding the home leaf first and starting from its
+    /// smallest-bound entry fetches far fewer series than the in-order
+    /// scan from +∞, for the same seed.
+    #[test]
+    fn best_bound_first_seed_fetches_fewer_series_than_the_in_order_scan() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 12_000, 31));
+        let (sharded, _) =
+            crate::shard::ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::default());
+        let queries = gen::queries::noisy_queries_from_dataset(&data, 100, 0.1, 31);
+        let (mut first, mut in_order) = (0, 0);
+        for q in queries.iter() {
+            for shard in 0..2 {
+                let index = sharded.shard(shard);
+                let plan = QueryPlan::new(index, q, MetricSpec::Euclidean, Kernel::Auto);
+                let mut ctx = QueryContext::new();
+                ctx.fill_table(index.sax_config(), plan.table_spec());
+                let stats = SharedQueryStats::new();
+                let got = plan.seed_nearest(index, &mut ctx, &stats);
+                first += stats.seed_real_calcs.get();
+                let scan = NearestObjective::new(BsfPolicy::Atomic, f32::INFINITY, u32::MAX, None);
+                in_order += plan.seed(index, &mut ctx, &scan, false).seed_real;
+                assert_eq!(got, scan.answer());
+            }
+        }
+        assert!(
+            first * 10 <= in_order * 7,
+            "{first} fetches best-bound-first, {in_order} in order"
+        );
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl MessiIndex {
     /// One merge pass, the paper's insert on flat arenas: the new series
     /// are summarised, routed, and sorted by `(root key, leaf, position)`;
     /// each key they reach is grown **leaf-locally**
-    /// ([`TreeArena::grow_subtree`] — only a leaf pushed past
+    /// (`TreeArena::grow_subtree` — only a leaf pushed past
     /// `leaf_capacity` is re-split); old and new keys are then walked
     /// together, ascending, and every forest arena emitted directly,
     /// untouched subtrees spliced from borrowed slices. The result equals,

@@ -29,8 +29,10 @@ pub struct ClientResponse {
 /// A blocking keep-alive HTTP/1.1 connection to the daemon.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: BufReader<TcpStream>,
+    /// The rendered request, then each header line of the response.
+    out: Vec<u8>,
+    line: String,
 }
 
 impl Client {
@@ -40,32 +42,35 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-        let writer = stream.try_clone()?;
         Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
+            stream: BufReader::new(stream),
+            out: Vec::new(),
+            line: String::new(),
         })
     }
 
-    /// Sends one request and reads the response off the same connection.
+    /// Sends one request — rendered whole, written once — and reads the
+    /// response off the same connection.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<ClientResponse> {
+        self.out.clear();
         write!(
-            self.writer,
+            self.out,
             "{method} {path} HTTP/1.1\r\nHost: messi\r\nContent-Length: {}\r\n\r\n",
             body.len()
         )?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
-        read_response(&mut self.reader)
+        self.out.extend_from_slice(body);
+        self.stream.get_mut().write_all(&self.out)?;
+        read_response(&mut self.stream, &mut self.line)
     }
 }
 
 /// Parses one response from any [`BufRead`] (unit-tested without
-/// sockets, mirroring the server's request parser).
-fn read_response<R: BufRead>(r: &mut R) -> io::Result<ClientResponse> {
+/// sockets, mirroring the server's request parser), every header line
+/// through the caller's `line`.
+fn read_response<R: BufRead>(r: &mut R, line: &mut String) -> io::Result<ClientResponse> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    line.clear();
+    if r.read_line(line)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before status line",
@@ -84,8 +89,8 @@ fn read_response<R: BufRead>(r: &mut R) -> io::Result<ClientResponse> {
     let mut retry_after = None;
     let mut close = false;
     loop {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
+        line.clear();
+        if r.read_line(line)? == 0 {
             return Err(bad("truncated response headers"));
         }
         let line = line.trim_end();
@@ -376,7 +381,7 @@ mod tests {
     fn parses_a_response_with_retry_after() {
         let raw: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\n\
                            Retry-After: 2\r\nConnection: close\r\n\r\nbusy";
-        let resp = read_response(&mut BufReader::new(raw)).unwrap();
+        let resp = read_response(&mut BufReader::new(raw), &mut String::new()).unwrap();
         assert_eq!(resp.status, 503);
         assert_eq!(resp.retry_after, Some(2));
         assert_eq!(resp.body, b"busy");
@@ -391,7 +396,8 @@ mod tests {
             &b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab"[..], // short body
             &b""[..],
         ] {
-            assert!(read_response(&mut BufReader::new(raw)).is_err(), "{raw:?}");
+            let parsed = read_response(&mut BufReader::new(raw), &mut String::new());
+            assert!(parsed.is_err(), "{raw:?}");
         }
     }
 
@@ -450,6 +456,7 @@ mod tests {
                     s.spawn(move || {
                         let mut writer = stream.try_clone().unwrap();
                         let mut reader = BufReader::new(stream);
+                        let mut out = Vec::new();
                         while let Ok(Some(req)) = read_request(&mut reader) {
                             assert_eq!(req.path, "/query");
                             let n = served.fetch_add(1, Ordering::SeqCst);
@@ -458,7 +465,7 @@ mod tests {
                             } else {
                                 Response::json(200, "{\"answers\":[]}".into())
                             };
-                            if resp.write_to(&mut writer, false).is_err() {
+                            if resp.write_to(&mut writer, false, &mut out).is_err() {
                                 break;
                             }
                         }

@@ -39,6 +39,8 @@ pub enum HttpError {
     BadRequest(&'static str),
     /// Declared `Content-Length` above [`MAX_BODY_BYTES`] → `413`.
     PayloadTooLarge,
+    /// The rest of a started request did not arrive in time → `408`.
+    Timeout,
     /// Transport failure (no response possible).
     Io(io::Error),
 }
@@ -50,6 +52,7 @@ impl HttpError {
         match self {
             HttpError::BadRequest(_) => Some(400),
             HttpError::PayloadTooLarge => Some(413),
+            HttpError::Timeout => Some(408),
             HttpError::Io(_) => None,
         }
     }
@@ -61,6 +64,7 @@ impl HttpError {
             HttpError::PayloadTooLarge => {
                 format!("request body exceeds {MAX_BODY_BYTES} bytes")
             }
+            HttpError::Timeout => "request not received in time".to_string(),
             HttpError::Io(e) => e.to_string(),
         }
     }
@@ -68,7 +72,10 @@ impl HttpError {
 
 impl From<io::Error> for HttpError {
     fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
+        match e.kind() {
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => HttpError::Timeout,
+            _ => HttpError::Io(e),
+        }
     }
 }
 
@@ -77,6 +84,7 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             HttpError::PayloadTooLarge => write!(f, "payload too large"),
+            HttpError::Timeout => write!(f, "request timed out"),
             HttpError::Io(e) => write!(f, "i/o: {e}"),
         }
     }
@@ -84,12 +92,16 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Reads one line (up to CRLF or LF), rejecting lines over
+/// Reads one line (up to CRLF or LF) into `buf`, the one buffer every
+/// line of a request goes through, rejecting lines over
 /// [`MAX_LINE_BYTES`]. Returns `None` on clean EOF before any byte.
-fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
-    let mut buf = Vec::new();
+fn read_line<'b, R: BufRead>(
+    r: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<&'b str>, HttpError> {
+    buf.clear();
     let mut limited = r.take(MAX_LINE_BYTES as u64 + 1);
-    let n = limited.read_until(b'\n', &mut buf)?;
+    let n = limited.read_until(b'\n', buf)?;
     if n == 0 {
         return Ok(None);
     }
@@ -104,7 +116,7 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
     if buf.last() == Some(&b'\r') {
         buf.pop();
     }
-    String::from_utf8(buf)
+    std::str::from_utf8(buf)
         .map(Some)
         .map_err(|_| HttpError::BadRequest("non-UTF-8 header data"))
 }
@@ -114,7 +126,8 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
 /// Returns `Ok(None)` if the peer closed the connection cleanly before
 /// sending a request line (the normal end of a keep-alive session).
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
-    let Some(request_line) = read_line(r)? else {
+    let mut line = Vec::new();
+    let Some(request_line) = read_line(r, &mut line)? else {
         return Ok(None);
     };
     let mut parts = request_line.split(' ');
@@ -129,6 +142,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
     if !path.starts_with('/') {
         return Err(HttpError::BadRequest("request target must be absolute"));
     }
+    let (method, path) = (method.to_string(), path.to_string());
     let mut close = match version {
         "HTTP/1.1" => false,
         "HTTP/1.0" => true,
@@ -140,33 +154,27 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
         if parsed_headers > MAX_HEADERS {
             return Err(HttpError::BadRequest("too many headers"));
         }
-        let line = read_line(r)?.ok_or(HttpError::BadRequest("truncated headers"))?;
+        let line = read_line(r, &mut line)?.ok_or(HttpError::BadRequest("truncated headers"))?;
         if line.is_empty() {
             break;
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest("malformed header"));
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| HttpError::BadRequest("invalid content-length"))?;
+        let (name, value) = (name.trim(), value.trim());
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value
+                .parse()
+                .map_err(|_| HttpError::BadRequest("invalid content-length"))?;
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::BadRequest("transfer-encoding not supported"));
+        } else if name.eq_ignore_ascii_case("connection") {
+            let v = value.to_ascii_lowercase();
+            if v.contains("close") {
+                close = true;
+            } else if v.contains("keep-alive") {
+                close = false;
             }
-            "transfer-encoding" => {
-                return Err(HttpError::BadRequest("transfer-encoding not supported"));
-            }
-            "connection" => {
-                let v = value.to_ascii_lowercase();
-                if v.contains("close") {
-                    close = true;
-                } else if v.contains("keep-alive") {
-                    close = false;
-                }
-            }
-            _ => {}
         }
     }
 
@@ -176,8 +184,8 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError>
     let mut body = vec![0u8; content_length];
     r.read_exact(&mut body)?;
     Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
+        method,
+        path,
         body,
         close,
     }))
@@ -239,6 +247,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             413 => "Payload Too Large",
             500 => "Internal Server Error",
@@ -247,12 +256,16 @@ impl Response {
         }
     }
 
-    /// Serializes the response. `close` controls the `Connection` header
+    /// Serializes the response — head and body rendered into `out`, the
+    /// caller's reused buffer — and sends it in **one** `write_all`: on
+    /// an unbuffered `TCP_NODELAY` socket every `write` is its own `send`
+    /// and its own segment. `close` controls the `Connection` header
     /// (the server echoes the client's keep-alive choice, and forces
     /// close while draining for shutdown).
-    pub fn write_to<W: Write>(&self, w: &mut W, close: bool) -> io::Result<()> {
+    pub fn write_to<W: Write>(&self, w: &mut W, close: bool, out: &mut Vec<u8>) -> io::Result<()> {
+        out.clear();
         write!(
-            w,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             self.reason(),
@@ -260,14 +273,15 @@ impl Response {
             self.body.len()
         )?;
         if let Some(seconds) = self.retry_after {
-            write!(w, "Retry-After: {seconds}\r\n")?;
+            write!(out, "Retry-After: {seconds}\r\n")?;
         }
         write!(
-            w,
+            out,
             "Connection: {}\r\n\r\n",
             if close { "close" } else { "keep-alive" }
         )?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(&self.body);
+        w.write_all(out)?;
         w.flush()
     }
 }
@@ -393,11 +407,142 @@ mod tests {
         assert!(read_request(&mut reader).unwrap().is_none());
     }
 
+    /// A transport that hands out its bytes one fragment per `read`.
+    struct Fragments(std::collections::VecDeque<&'static [u8]>);
+
+    impl Read for Fragments {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(next) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = next.len().min(buf.len());
+            buf[..n].copy_from_slice(&next[..n]);
+            if n < next.len() {
+                self.0.push_front(&next[n..]);
+            }
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn requests_arriving_in_fragments_parse_and_leave_the_next_one_buffered() {
+        // A header split across two reads, LF-only lines, the body in
+        // three fragments — the last one carrying a pipelined request.
+        let mut reader = io::BufReader::new(Fragments(
+            [
+                &b"POST /query HTTP/1.1\nContent-Le"[..],
+                b"ngth: 9\nHost: x\n\nab",
+                b"cdef",
+                b"ghiGET /healthz HTTP/1.1\r\n\r\n",
+            ]
+            .into(),
+        ));
+        let first = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (first.path.as_str(), &first.body[..]),
+            ("/query", &b"abcdefghi"[..])
+        );
+        assert_eq!(reader.buffer(), b"GET /healthz HTTP/1.1\r\n\r\n");
+        let second = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/healthz")
+        );
+        assert!(read_request(&mut reader).unwrap().is_none());
+    }
+
+    #[test]
+    fn line_and_header_caps_sit_exactly_at_their_limits() {
+        // A line may end at its byte MAX_LINE_BYTES + 1 and no later;
+        // 64 headers pass, the 65th does not.
+        let target = "a".repeat(MAX_LINE_BYTES + 1 - "GET / HTTP/1.1\r\n".len());
+        let raw = format!("GET /{target} HTTP/1.1\r\n\r\n");
+        assert_eq!(
+            parse(raw.as_bytes()).unwrap().unwrap().path.len(),
+            target.len() + 1
+        );
+        let raw = format!("GET /{target}a HTTP/1.1\r\n\r\n");
+        assert!(parse(raw.as_bytes())
+            .unwrap_err()
+            .detail()
+            .contains("too long"));
+
+        let headers = |n: usize| {
+            let lines: String = (0..n).map(|i| format!("X-H{i}: v\r\n")).collect();
+            format!("GET / HTTP/1.1\r\n{lines}\r\n")
+        };
+        assert!(parse(headers(MAX_HEADERS).as_bytes()).is_ok());
+        let err = parse(headers(MAX_HEADERS + 1).as_bytes()).unwrap_err();
+        assert!(err.detail().contains("too many headers"));
+    }
+
+    /// A `Write` double that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The rendering before responses were buffered: every fragment
+    /// written straight to the sink.
+    fn piecewise(resp: &Response, close: bool) -> Vec<u8> {
+        let mut w = Vec::new();
+        write!(
+            w,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            resp.status,
+            resp.reason(),
+            resp.content_type,
+            resp.body.len()
+        )
+        .unwrap();
+        if let Some(seconds) = resp.retry_after {
+            write!(w, "Retry-After: {seconds}\r\n").unwrap();
+        }
+        let connection = if close { "close" } else { "keep-alive" };
+        write!(w, "Connection: {connection}\r\n\r\n").unwrap();
+        w.extend_from_slice(&resp.body);
+        w
+    }
+
+    #[test]
+    fn every_response_is_one_write_of_the_same_bytes() {
+        let mut out = b"left over from the previous response".to_vec();
+        for resp in [
+            Response::json(200, "{\"answers\":[]}".into()),
+            Response::text(200, "ok\n"),
+            Response::text(503, "warming up\n").with_retry_after(1),
+            Response::error(400, "bad \"quote\"\n"),
+            Response::error(503, "server saturated").with_retry_after(1),
+            Response::error(408, "request not received in time"),
+            Response::text(200, ""),
+        ] {
+            for close in [false, true] {
+                let mut w = CountingWriter::default();
+                resp.write_to(&mut w, close, &mut out).unwrap();
+                assert_eq!(w.writes, 1, "{resp:?}");
+                assert_eq!(w.bytes, piecewise(&resp, close), "{resp:?}");
+            }
+        }
+    }
+
     #[test]
     fn response_wire_format_is_exact() {
         let mut out = Vec::new();
         Response::text(200, "ok\n")
-            .write_to(&mut out, false)
+            .write_to(&mut Vec::new(), false, &mut out)
             .unwrap();
         let s = String::from_utf8(out).unwrap();
         assert_eq!(
@@ -409,7 +554,7 @@ mod tests {
         let mut out = Vec::new();
         Response::error(503, "overloaded")
             .with_retry_after(1)
-            .write_to(&mut out, true)
+            .write_to(&mut Vec::new(), true, &mut out)
             .unwrap();
         let s = String::from_utf8(out).unwrap();
         assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{s}");

@@ -280,6 +280,7 @@ pub fn encode_prometheus(
         node_lb_calcs,
         arenas_descended,
         real_distance_calcs,
+        seed_real_calcs,
         bsf_updates,
         approx_inflation_prunes,
         budget_stops,
@@ -321,6 +322,13 @@ pub fn encode_prometheus(
         "counter",
         "Real (ED/DTW) distance calculations (Fig. 17b).",
         real_distance_calcs,
+    );
+    family(
+        &mut out,
+        "messi_query_seed_real_distance_calcs_total",
+        "counter",
+        "Real distance calculations of the seed step's home-leaf scans.",
+        seed_real_calcs,
     );
     family(
         &mut out,
@@ -432,6 +440,12 @@ pub fn encode_prometheus(
     );
     labeled(
         &mut out,
+        "messi_shard_query_seed_real_distance_calcs_total",
+        "Real distance calculations of this shard's home-leaf seed scans.",
+        |a| a.seed_real_calcs.to_string(),
+    );
+    labeled(
+        &mut out,
         "messi_shard_query_seconds_total",
         "Summed per-shard query wall time in seconds.",
         |a| format!("{:.6}", a.total_time.as_secs_f64()),
@@ -456,6 +470,7 @@ mod tests {
                 node_lb_calcs: 30,
                 arenas_descended: 6,
                 real_distance_calcs: 40,
+                seed_real_calcs: 9,
                 bsf_updates: 11,
                 approx_inflation_prunes: 3,
                 stop_reason: Some(StopReason::BudgetExhausted),
@@ -476,6 +491,7 @@ mod tests {
                     node_lb_calcs: 20,
                     arenas_descended: 5,
                     real_distance_calcs: 39,
+                    seed_real_calcs: 7,
                     ..Default::default()
                 },
                 QueryStats {
@@ -517,6 +533,7 @@ mod tests {
             node_lb_calcs,
             arenas_descended,
             real_distance_calcs,
+            seed_real_calcs,
             bsf_updates,
             approx_inflation_prunes,
             budget_stops,
@@ -548,6 +565,9 @@ mod tests {
         ));
         expect_exactly_once(format!(
             "\nmessi_query_real_distance_calcs_total {real_distance_calcs}\n"
+        ));
+        expect_exactly_once(format!(
+            "\nmessi_query_seed_real_distance_calcs_total {seed_real_calcs}\n"
         ));
         expect_exactly_once(format!("\nmessi_query_bsf_updates_total {bsf_updates}\n"));
         expect_exactly_once(format!(
@@ -608,6 +628,9 @@ mod tests {
             "messi_shard_query_real_distance_calcs_total{shard=\"1\"} 1\n".to_string(),
         );
         expect_exactly_once(
+            "messi_shard_query_seed_real_distance_calcs_total{shard=\"0\"} 7\n".to_string(),
+        );
+        expect_exactly_once(
             "messi_shard_query_lb_distance_calcs_total{shard=\"0\"} 60\n".to_string(),
         );
         expect_exactly_once("messi_shard_query_node_lb_calcs_total{shard=\"0\"} 20\n".to_string());
@@ -624,10 +647,10 @@ mod tests {
         let helps = text.lines().filter(|l| l.starts_with("# HELP ")).count();
         assert_eq!(types, helps);
         // The phase family contributes 5 samples under one TYPE, the
-        // latency family 3 quantiles under one TYPE; each of the 6
+        // latency family 3 quantiles under one TYPE; each of the 7
         // per-shard families contributes one sample per shard (2 shards
         // here).
-        assert_eq!(samples, types + 4 + 2 + 6);
+        assert_eq!(samples, types + 4 + 2 + 7);
     }
 
     #[test]

@@ -422,6 +422,55 @@ mod tests {
     }
 
     #[test]
+    fn series_decode_is_exact_on_odd_spellings_and_total_on_hostile_ones() {
+        // Whitespace everywhere, exponents, a signed zero, fields on both
+        // sides of the series: the same bits as the literals.
+        let body = " {\t\"objective\" : \"knn\",\"series\" :\n[ 1 , 2.5e0,\r\n-0 , 4E-2,\
+                    5e+1 ,6,7,3.4028235e38 ] , \"k\":2 } ";
+        let (spec, series) = decode_query(body.as_bytes(), LEN).unwrap();
+        assert_eq!(spec.objective, Objective::Knn { k: 2 });
+        let want = [1.0f32, 2.5, -0.0, 0.04, 50.0, 6.0, 7.0, f32::MAX];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&series), bits(&want));
+
+        let deep = format!(
+            "{{\"series\":[1,2,3,4,5,6,7,{}8{}]}}",
+            "[".repeat(40),
+            "]".repeat(40)
+        );
+        for (raw, needle) in [
+            (
+                r#"{"series":[1,2,3,4,5,6,7,8],"series":[1,2,3,4,5,6,7,8]}"#,
+                "duplicate key `series`",
+            ),
+            (
+                r#"{"series":[1,2,3,4,5,6,7,[8]]}"#,
+                "`series[7]` is not a number",
+            ),
+            (
+                r#"{"series":[1,"x",3,4,5,1e39,7,8]}"#,
+                "`series[1]` is not a number",
+            ),
+            (
+                r#"{"series":[1,2,3,4,5,1e39,7,"x"]}"#,
+                "`series[5]` is not finite",
+            ),
+            (r#"{"series":[1,2,3,4,5,1e999,7,8]}"#, "number out of range"),
+            (r#"{"series":{"0":1}}"#, "must be an array of numbers"),
+            (&deep, "nesting too deep"),
+        ] {
+            let e = decode_query(raw.as_bytes(), LEN).unwrap_err();
+            assert!(e.0.contains(needle), "{raw} → {e}");
+        }
+        // A valid body cut at any byte is an error, never a panic.
+        let whole = body.trim_end().as_bytes();
+        assert!(decode_query(whole, LEN).is_ok());
+        for cut in 0..whole.len() {
+            assert!(decode_query(&whole[..cut], LEN).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
     fn decodes_and_rejects_ingest_bodies() {
         let ds = decode_ingest(br#"{"series":[[1,2,3,4,5,6,7,8],[8,7,6,5,4,3,2,1]]}"#, LEN)
             .expect("well-formed batch");

@@ -28,6 +28,13 @@
 //! exception (`query_workers > 1` forks that many scoped search workers
 //! per shard, which the engine's barrier requires to run concurrently).
 //!
+//! Each exchange costs the socket one read and one write: a response is
+//! rendered head and body into the handler's reused buffer and leaves in
+//! a single `write_all` (on a `TCP_NODELAY` stream every write is its
+//! own `send`), the acceptor's saturation shed included. A request has
+//! two seconds from its first byte to arrive in full, whatever its
+//! sender's pace, or it is answered `408` and closed.
+//!
 //! Shutdown is cooperative: when the `shutdown` flag flips (SIGTERM /
 //! Ctrl-C via [`shutdown_flag`], or any writer in-process), the acceptor
 //! stops, in-flight requests finish and are answered, idle keep-alive
@@ -35,11 +42,11 @@
 //! [`IndexServer::serve`] returns a [`ServeSummary`] for the final stats
 //! line.
 
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use messi_sync::{BoundedChannel, WorkerPool};
 
@@ -55,6 +62,9 @@ use messi_series::distance::Kernel;
 /// How long an idle keep-alive connection may sit between requests
 /// before the handler re-checks the shutdown flag. Bounds drain latency.
 const IDLE_TICK: Duration = Duration::from_millis(250);
+/// How long a request may take to arrive in full, from its first byte:
+/// a client dripping bytes inside every [`IDLE_TICK`] pins no handler.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Tuning knobs of the daemon.
 #[derive(Debug, Clone)]
@@ -222,6 +232,7 @@ fn accept_loop(
     live: &DeltaIndex,
     shutdown: &AtomicBool,
 ) {
+    let mut out = Vec::new();
     while !shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -233,7 +244,7 @@ fn accept_loop(
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
                     let _ = Response::error(503, "server saturated")
                         .with_retry_after(1)
-                        .write_to(&mut stream, true);
+                        .write_to(&mut stream, true, &mut out);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -254,7 +265,24 @@ fn accept_loop(
     }
 }
 
-/// Serves one (possibly keep-alive) connection to completion.
+/// A connection as its handler reads it: once a request's first byte is
+/// in, `deadline` is when its last must be.
+struct Deadline {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.deadline.is_some_and(|at| Instant::now() >= at) {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.read(buf)
+    }
+}
+
+/// Serves one (possibly keep-alive) connection to completion. Every
+/// response leaves in one write, from one buffer the handler reuses.
 fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &AtomicBool) {
     // The sharded executor walks shards inline only for pool workers; a
     // handler hosted on a plain thread would scatter every request over
@@ -271,10 +299,11 @@ fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &Atomi
         return;
     }
     let _ = stream.set_nodelay(true);
-    let Ok(mut write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Deadline {
+        stream,
+        deadline: None,
+    });
+    let mut out = Vec::new();
     loop {
         if shutdown.load(Ordering::Relaxed) {
             break;
@@ -282,6 +311,7 @@ fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &Atomi
         // Idle tick: wait for the next request to start (or the peer to
         // leave) without committing to a full parse, so drain latency is
         // bounded by IDLE_TICK even with idle keep-alive clients parked.
+        reader.get_mut().deadline = None;
         match reader.fill_buf() {
             Ok([]) => break, // peer closed
             Ok(_) => {}
@@ -297,7 +327,10 @@ fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &Atomi
             }
             Err(_) => break,
         }
-        match http::read_request(&mut reader) {
+        reader.get_mut().deadline = Some(Instant::now() + REQUEST_DEADLINE);
+        let request = http::read_request(&mut reader);
+        let stream = &mut reader.get_mut().stream;
+        match request {
             Ok(Some(req)) => {
                 // Force close while draining so the client re-connects
                 // elsewhere instead of parking on a dying daemon.
@@ -307,7 +340,7 @@ fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &Atomi
                 if (400..500).contains(&response.status) {
                     state.metrics.http_client_errors.inc();
                 }
-                if response.write_to(&mut write_half, close).is_err() || close {
+                if response.write_to(stream, close, &mut out).is_err() || close {
                     break;
                 }
             }
@@ -316,7 +349,7 @@ fn handle_connection(state: &ServeState<'_>, stream: TcpStream, shutdown: &Atomi
                 if let Some(status) = e.status() {
                     state.metrics.http_requests.inc();
                     state.metrics.http_client_errors.inc();
-                    let _ = Response::error(status, &e.detail()).write_to(&mut write_half, true);
+                    let _ = Response::error(status, &e.detail()).write_to(stream, true, &mut out);
                 }
                 break; // framing is lost either way
             }

@@ -53,7 +53,6 @@ use crate::exec::{Objective, QuerySpec, Schedule};
 use crate::index::MessiIndex;
 use crate::knn::KnnSet;
 use crate::stats::{sum_breakdowns, QueryStats, QueryStatsAggregate, SharedQueryStats, StopReason};
-use messi_sax::MindistTable;
 use messi_series::Dataset;
 use messi_sync::{Dispenser, SlotPool, WorkerPool};
 use parking_lot::Mutex;
@@ -126,22 +125,24 @@ impl<'q> Scatter<'q> {
     /// The seed step for one shard: 1-NN objectives scan the home leaf
     /// and publish its best distance to the cross-shard bound, k-NN
     /// offers it into the shared set, range search has nothing to seed.
-    fn seed(&self, shard: Shard<'_>, table: &MindistTable) -> Seed {
+    fn seed(&self, shard: Shard<'_>, ctx: &mut QueryContext<'_>) -> Seed {
         let stats = SharedQueryStats::new();
         let best = match self.objective {
             Objective::Exact | Objective::Approx { .. } => {
-                let best = self.plan.seed_nearest(shard.index, table, &stats);
+                let best = self.plan.seed_nearest(shard.index, ctx, &stats);
                 if let Some(bound) = &self.bound {
                     bound.update_min(best.0);
                 }
                 best
             }
-            // Uncounted under either metric. The set is shared, so each
-            // home leaf is scanned against the bound the leaves before it
-            // left behind; the shard ranks by the best distance it offered.
+            // Counted only as seed work, under either metric. The set is
+            // shared, so each home leaf is scanned against the bound the
+            // leaves before it left behind; the shard ranks by the best
+            // distance it offered.
             Objective::Knn { .. } => {
                 let objective = KnnObjective::new(self.knn(), shard.offset);
-                let _uncounted = self.plan.seed(shard.index, table, &objective);
+                let scan = self.plan.seed(shard.index, ctx, &objective, false);
+                stats.seed_real_calcs.add(scan.seed_real);
                 (objective.best_offered(), u32::MAX)
             }
             Objective::Range { .. } => (f32::INFINITY, u32::MAX),
@@ -197,10 +198,9 @@ impl<'q> Scatter<'q> {
         mut from: Instant,
     ) -> Vec<(usize, ShardReturn)> {
         ctx.fill_table(shards[0].index.sax_config(), self.plan.table_spec());
-        let table = ctx.table();
         let mut seeded: Vec<(usize, Seed)> = shards
             .iter()
-            .map(|&s| self.seed(s, table))
+            .map(|&s| self.seed(s, ctx))
             .enumerate()
             .collect();
         seeded.sort_by(|a, b| a.1.best.0.total_cmp(&b.1.best.0));
@@ -329,7 +329,7 @@ pub(crate) fn answer_solo_one<'a>(
 /// full [`QuerySpec`] matrix under both [`Schedule`]s.
 ///
 /// Per query, every shard's engine runs and the results are merged; how
-/// depends on who is asking (see the [module docs](self)):
+/// depends on who is asking (see the design note atop `shard/exec.rs`):
 ///
 /// * A caller on a plain thread — [`ShardedExecutor::run_one`], a
 ///   [`Schedule::IntraQuery`] batch — gets the shards *concurrently*, one
@@ -601,6 +601,7 @@ fn merge_shard_stats<'s>(
         out.node_lb_calcs += s.node_lb_calcs;
         out.arenas_descended += s.arenas_descended;
         out.real_distance_calcs += s.real_distance_calcs;
+        out.seed_real_calcs += s.seed_real_calcs;
         out.bsf_updates += s.bsf_updates;
         out.nodes_inserted += s.nodes_inserted;
         out.nodes_popped += s.nodes_popped;

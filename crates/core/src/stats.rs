@@ -116,6 +116,9 @@ pub struct QueryStats {
     pub arenas_descended: u64,
     /// Real (Euclidean or DTW) distance calculations performed (Fig. 17b).
     pub real_distance_calcs: u64,
+    /// Real distance calculations of the seed step's home-leaf scan — its
+    /// own count: a Euclidean seed is in no other counter.
+    pub seed_real_calcs: u64,
     /// Times the shared BSF was improved (§III-B reports 10–12 per query).
     pub bsf_updates: u64,
     /// Leaf nodes inserted into priority queues.
@@ -168,6 +171,8 @@ pub struct LocalStats {
     pub arenas_descended: u64,
     /// Real distance calculations.
     pub real: u64,
+    /// Real distance calculations of a seed scan.
+    pub seed_real: u64,
     /// Successful BSF improvements.
     pub bsf_updates: u64,
     /// Leaf nodes inserted into priority queues.
@@ -185,6 +190,7 @@ impl LocalStats {
         stats.node_lb_calcs.add(self.node_lb);
         stats.arenas_descended.add(self.arenas_descended);
         stats.real_distance_calcs.add(self.real);
+        stats.seed_real_calcs.add(self.seed_real);
         stats.bsf_updates.add(self.bsf_updates);
         stats.nodes_inserted.add(self.inserted);
         stats.nodes_popped.add(self.popped);
@@ -204,6 +210,8 @@ pub struct SharedQueryStats {
     pub arenas_descended: Counter,
     /// See [`QueryStats::real_distance_calcs`].
     pub real_distance_calcs: Counter,
+    /// See [`QueryStats::seed_real_calcs`].
+    pub seed_real_calcs: Counter,
     /// See [`QueryStats::bsf_updates`].
     pub bsf_updates: Counter,
     /// See [`QueryStats::nodes_inserted`].
@@ -242,6 +250,7 @@ impl SharedQueryStats {
             node_lb_calcs: self.node_lb_calcs.get(),
             arenas_descended: self.arenas_descended.get(),
             real_distance_calcs: self.real_distance_calcs.get(),
+            seed_real_calcs: self.seed_real_calcs.get(),
             bsf_updates: self.bsf_updates.get(),
             nodes_inserted: self.nodes_inserted.get(),
             nodes_popped: self.nodes_popped.get(),
@@ -275,6 +284,8 @@ pub struct QueryStatsAggregate {
     pub arenas_descended: u64,
     /// Sum of real distance calculations.
     pub real_distance_calcs: u64,
+    /// Sum of the seed scans' real distance calculations.
+    pub seed_real_calcs: u64,
     /// Sum of BSF updates.
     pub bsf_updates: u64,
     /// Sum of ε-inflation prunes over the batch (approximate queries).
@@ -303,6 +314,7 @@ impl QueryStatsAggregate {
         self.node_lb_calcs += s.node_lb_calcs;
         self.arenas_descended += s.arenas_descended;
         self.real_distance_calcs += s.real_distance_calcs;
+        self.seed_real_calcs += s.seed_real_calcs;
         self.bsf_updates += s.bsf_updates;
         self.approx_inflation_prunes += s.approx_inflation_prunes;
         self.budget_stops += (s.stop_reason == Some(StopReason::BudgetExhausted)) as u64;
@@ -323,6 +335,7 @@ impl QueryStatsAggregate {
             node_lb_calcs,
             arenas_descended,
             real_distance_calcs,
+            seed_real_calcs,
             bsf_updates,
             approx_inflation_prunes,
             budget_stops,
@@ -335,6 +348,7 @@ impl QueryStatsAggregate {
         self.node_lb_calcs += node_lb_calcs;
         self.arenas_descended += arenas_descended;
         self.real_distance_calcs += real_distance_calcs;
+        self.seed_real_calcs += seed_real_calcs;
         self.bsf_updates += bsf_updates;
         self.approx_inflation_prunes += approx_inflation_prunes;
         self.budget_stops += budget_stops;

@@ -496,3 +496,67 @@ fn oversized_and_malformed_requests_do_not_kill_the_connection_pool() {
     assert_eq!(summary.served, 1);
     assert_eq!(summary.failures, 0);
 }
+
+#[test]
+fn a_dripping_client_is_answered_408_and_cannot_pin_a_handler() {
+    use std::io::{Read as _, Write as _};
+    use std::time::Instant;
+    let _shared = shared();
+    let (_, index) = build_index(200, 27);
+    let config = ServeConfig {
+        threads: 3,
+        ..ServeConfig::default()
+    };
+    // Asserted after the daemon is down: a failure inside `with_daemon`
+    // would leave it serving.
+    let ((health, dripped), _) = with_daemon(config, &index, |addr| {
+        // Two of the three handlers are held mid-header by clients that
+        // send one byte every 200 ms — always inside the handler's 250 ms
+        // read tick, so no single read ever times out.
+        let start = Instant::now();
+        let drippers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+                raw.set_nodelay(true).expect("nodelay");
+                // Waiting 200 ms for an answer paces the drip.
+                raw.set_read_timeout(Some(Duration::from_millis(200)))
+                    .expect("read timeout");
+                std::thread::spawn(move || {
+                    let mut resp = Vec::new();
+                    for byte in b"GET /healthz HTTP/1.1\r\nX-Slow: ".iter().cycle() {
+                        if raw.write_all(&[*byte]).is_err() {
+                            break;
+                        }
+                        let mut chunk = [0u8; 512];
+                        match raw.read(&mut chunk) {
+                            Ok(n) => {
+                                resp.extend_from_slice(&chunk[..n]);
+                                let _ = raw.read_to_end(&mut resp);
+                                break;
+                            }
+                            Err(_) if start.elapsed() > Duration::from_secs(8) => break,
+                            Err(_) => {} // nothing yet: drip on
+                        }
+                    }
+                    (String::from_utf8_lossy(&resp).into_owned(), start.elapsed())
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(300));
+
+        // The third handler still answers a fresh connection at once.
+        let mut client = Client::connect(addr).expect("connect");
+        let health = client.request("GET", "/healthz", b"").map(|r| r.status);
+        let dripped: Vec<_> = drippers.into_iter().map(|d| d.join()).collect();
+        (health, dripped)
+    });
+    assert_eq!(health.expect("healthz"), 200);
+    // Each dripper is cut off by the total read deadline (2 s from its
+    // first byte), not kept for as long as it keeps dripping.
+    for dripper in dripped {
+        let (resp, after) = dripper.expect("dripper thread");
+        assert!(resp.starts_with("HTTP/1.1 408 "), "got: {resp:?}");
+        assert!(resp.contains("Connection: close"), "{resp}");
+        assert!(after < Duration::from_secs(6), "closed after {after:?}");
+    }
+}
