@@ -14,9 +14,9 @@
 //! MESSI-DTW beats by >3 orders of magnitude.
 
 use messi_core::{QueryAnswer, QueryConfig, QueryStats};
-use messi_series::distance::dtw::{dtw_sq_early_abandon, DtwParams};
+use messi_series::distance::dtw::{cascade_sq, DtwParams};
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
-use messi_series::distance::lb_keogh::{lb_keogh_sq_early_abandon, Envelope};
+use messi_series::distance::lb_keogh::Envelope;
 use messi_series::distance::Kernel;
 use messi_series::Dataset;
 use parking_lot::Mutex;
@@ -80,32 +80,23 @@ pub fn ucr_parallel(
 }
 
 /// Serial UCR Suite DTW scan: LB_Keogh cascade + early-abandoning banded
-/// DTW over every series (the non-parallel Fig. 19 reference).
+/// DTW over every series (the non-parallel Fig. 19 reference) — the
+/// parallel scan with one worker and the default kernel.
 pub fn ucr_serial_dtw(
     dataset: &Dataset,
     query: &[f32],
     params: DtwParams,
 ) -> (QueryAnswer, QueryStats) {
-    let t_start = Instant::now();
-    let env = Envelope::new(query, params);
-    let mut real_calcs = 0u64;
-    let mut best = (f32::INFINITY, u32::MAX);
-    for (pos, s) in dataset.iter().enumerate() {
-        if lb_keogh_sq_early_abandon(&env, s, best.0) >= best.0 {
-            continue;
-        }
-        real_calcs += 1;
-        let d = dtw_sq_early_abandon(query, s, params, best.0);
-        if d < best.0 {
-            best = (d, pos as u32);
-        }
-    }
-    let (ans, mut stats) = answer(best, dataset.len() as u64, t_start);
-    stats.real_distance_calcs = real_calcs;
-    (ans, stats)
+    let serial = QueryConfig {
+        num_workers: 1,
+        ..QueryConfig::default()
+    };
+    ucr_parallel_dtw(dataset, query, params, &serial)
 }
 
-/// UCR Suite-P DTW: the parallel DTW scan of Fig. 19.
+/// UCR Suite-P DTW: the parallel DTW scan of Fig. 19. Each worker runs
+/// its part through [`cascade_sq`] — LB_Keogh, then DTW abandoning on
+/// UCR's cumulative LB_Keogh bound — against its own best.
 ///
 /// # Panics
 ///
@@ -137,13 +128,11 @@ pub fn ucr_parallel_dtw(
                 let mut real_calcs = 0u64;
                 for pos in start..end {
                     let s = dataset.series(pos);
-                    if lb_keogh_sq_early_abandon(env, s, best.0) >= best.0 {
-                        continue;
-                    }
-                    real_calcs += 1;
-                    let d = dtw_sq_early_abandon(query, s, params, best.0);
-                    if d < best.0 {
-                        best = (d, pos as u32);
+                    if let Some(d) = cascade_sq(config.kernel, env, params, query, s, best.0) {
+                        real_calcs += 1;
+                        if d < best.0 {
+                            best = (d, pos as u32);
+                        }
                     }
                 }
                 results.lock().push((best, real_calcs));

@@ -23,8 +23,8 @@ use crate::exact::QueryAnswer;
 use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
 use crate::stats::{LocalStats, QueryStats};
-use messi_series::distance::dtw::{dtw_sq_early_abandon, DtwParams};
-use messi_series::distance::lb_keogh::{lb_keogh_sq_early_abandon_with, Envelope};
+use messi_series::distance::dtw::{cascade_sq, DtwParams};
+use messi_series::distance::lb_keogh::Envelope;
 use messi_series::distance::Kernel;
 use messi_series::paa::paa;
 
@@ -88,10 +88,11 @@ impl DtwPlan {
 }
 
 /// The raw-series levels of the DTW cascade for one candidate at
-/// `bound` — LB_Keogh, then banded DTW with early abandoning — counted
-/// in `local`; `None` when LB_Keogh pruned it. The engine's leaf scans
-/// and home-leaf seeding both run entries through this (the
-/// ng-approximate answer under DTW is the home leaf's minimum).
+/// `bound` — [`cascade_sq`]: LB_Keogh, then banded DTW abandoning on
+/// the LB_Keogh suffix — counted in `local`; `None` when LB_Keogh
+/// pruned it. The engine's leaf scans and home-leaf seeding both run
+/// entries through this (the ng-approximate answer under DTW is the
+/// home leaf's minimum).
 #[inline]
 pub(crate) fn cascade(
     kernel: Kernel,
@@ -103,11 +104,9 @@ pub(crate) fn cascade(
     local: &mut LocalStats,
 ) -> Option<f32> {
     local.lb += 1;
-    if lb_keogh_sq_early_abandon_with(kernel, env, candidate, bound) >= bound {
-        return None;
-    }
-    local.real += 1;
-    Some(dtw_sq_early_abandon(query, candidate, params, bound))
+    let d = cascade_sq(kernel, env, params, query, candidate, bound);
+    local.real += u64::from(d.is_some());
+    d
 }
 
 #[cfg(test)]

@@ -122,37 +122,35 @@ impl Envelope {
 }
 
 /// Squared LB_Keogh lower bound of the DTW distance between the enveloped
-/// query and `candidate`.
+/// query and `candidate`, by the plain formula a point at a time.
 ///
 /// # Panics
 ///
-/// Panics (debug) if lengths differ.
+/// Panics if lengths differ.
 #[inline]
 pub fn lb_keogh_sq(env: &Envelope, candidate: &[f32]) -> f32 {
-    lb_keogh_sq_early_abandon(env, candidate, f32::INFINITY)
-}
-
-/// Early-abandoning squared LB_Keogh: exact if `< bound`, otherwise some
-/// value `>= bound`.
-#[inline]
-pub fn lb_keogh_sq_early_abandon(env: &Envelope, candidate: &[f32], bound: f32) -> f32 {
     // Hard assert: the zip below would silently truncate on mismatch,
-    // weakening the lower bound; one usize compare is free next to the
-    // loop.
+    // weakening the lower bound.
     assert_eq!(env.upper.len(), candidate.len());
     let mut sum = 0.0f32;
-    // Branchless body: out-of-envelope excursion clamped to 0.
-    // max(0, c-U) + max(0, L-c): at most one term is non-zero.
+    // Branchless body: max(0, c-U) + max(0, L-c), at most one non-zero.
     for ((&c, &upper), &lower) in candidate.iter().zip(&env.upper).zip(&env.lower) {
-        let above = (c - upper).max(0.0);
-        let below = (lower - c).max(0.0);
-        let d = above + below;
+        let d = (c - upper).max(0.0) + (lower - c).max(0.0);
         sum += d * d;
-        if sum >= bound {
-            return sum;
-        }
     }
     sum
+}
+
+/// UCR Suite's cumulative LB_Keogh: `suffix[t]` becomes the contribution
+/// of `candidate[t..]`, summed from the back, and `suffix[n]` zero.
+pub fn lb_keogh_suffix(env: &Envelope, candidate: &[f32], suffix: &mut [f32]) {
+    let mut sum = 0.0f32;
+    suffix[candidate.len()] = sum;
+    for (t, &c) in candidate.iter().enumerate().rev() {
+        let d = c - c.max(env.lower[t]).min(env.upper[t]);
+        sum += d * d;
+        suffix[t] = sum;
+    }
 }
 
 /// Scalar twin of the AVX LB_Keogh kernel: clamp-into-envelope form,
@@ -361,9 +359,9 @@ mod tests {
         let env = Envelope::new(&q, DtwParams { window: 12 });
         let exact = lb_keogh_sq(&env, &c);
         assert!(exact > 0.0);
-        let d = lb_keogh_sq_early_abandon(&env, &c, exact / 10.0);
+        let d = lb_keogh_sq_early_abandon_with(Kernel::Scalar, &env, &c, exact / 10.0);
         assert!(d >= exact / 10.0);
-        let d = lb_keogh_sq_early_abandon(&env, &c, exact * 2.0);
+        let d = lb_keogh_sq_early_abandon_with(Kernel::Scalar, &env, &c, exact * 2.0);
         assert!(approx_eq(d, exact, 1e-4));
     }
 

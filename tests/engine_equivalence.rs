@@ -400,3 +400,76 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over a stream of words.
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every DTW cell through `MessiIndex::search*_dtw` — exact, k-NN
+/// (k = 5), range, approximate at δ = 0 and δ = 0.5 — over 1 500 series
+/// × 20 queries, one worker, one queue, per-leaf scans: for each cell a
+/// fingerprint of every answer's `(pos, dist_sq bits)` and every query's
+/// `(lb, real, bsf)` counters, then the counter totals. Taken with a DTW
+/// kernel that abandoned on the row minimum alone, so a kernel that
+/// returns another float, or abandons a candidate below its bound, moves
+/// a row.
+#[test]
+fn dtw_answers_and_counters_are_pinned() {
+    const PINNED: [(u64, u64, u64, u64); 5] = [
+        (13_277_969_894_379_988_540, 32_092, 4_541, 47),
+        (6_506_541_954_168_986_733, 35_411, 5_788, 244),
+        (3_856_107_632_402_343_845, 43_463, 9_670, 0),
+        (2_502_101_147_935_613_698, 326, 249, 0),
+        (6_614_520_271_468_012_373, 25_129, 3_774, 17),
+    ];
+    let data = Arc::new(messi::series::gen::generate(
+        DatasetKind::RandomWalk,
+        1_500,
+        2_512,
+    ));
+    let queries = messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 20, 2_512);
+    let params = DtwParams::paper_default(data.series_len());
+    let sequential = IndexConfig {
+        num_workers: 1,
+        ..IndexConfig::for_tests()
+    };
+    let (index, _) = MessiIndex::build(Arc::clone(&data), &sequential);
+    let config = QueryConfig {
+        num_workers: 1,
+        num_queues: 1,
+        run_batch: messi::index::RunBatchPolicy::PerLeaf,
+        ..QueryConfig::default()
+    };
+    let mut rows = [(0xcbf2_9ce4_8422_2325u64, 0u64, 0u64, 0u64); 5];
+    let mut record = |cell: usize, answers: &[QueryAnswer], stats: QueryStats| {
+        let row = &mut rows[cell];
+        for a in answers {
+            row.0 = fnv1a(fnv1a(row.0, a.pos), u64::from(a.dist_sq.to_bits()));
+        }
+        let counters = [
+            stats.lb_distance_calcs,
+            stats.real_distance_calcs,
+            stats.bsf_updates,
+        ];
+        row.0 = counters.iter().fold(row.0, |h, &c| fnv1a(h, c));
+        row.1 += counters[0];
+        row.2 += counters[1];
+        row.3 += counters[2];
+    };
+    for q in queries.iter() {
+        let (nn, stats) = index.search_dtw(q, params, &config);
+        record(0, &[nn], stats);
+        let (knn, stats) = index.search_knn_dtw(q, 5, params, &config);
+        record(1, &knn, stats);
+        let (within, stats) = index.search_range_dtw(q, nn.dist_sq * 4.0 + 1.0, params, &config);
+        record(2, &within, stats);
+        for (cell, delta) in [(3, 0.0), (4, 0.5)] {
+            let (a, stats) = index.search_approximate_bounded_dtw(q, 0.1, delta, params, &config);
+            record(cell, &[a], stats);
+        }
+    }
+    assert_eq!(rows, PINNED);
+}

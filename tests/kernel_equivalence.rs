@@ -9,7 +9,10 @@
 //!   every dispatcher returns the same bits under `Kernel::Simd` and
 //!   `Kernel::Scalar`: squared Euclidean distance (plain and
 //!   early-abandoning), LB_Keogh (plain and early-abandoning), and the
-//!   batched struct-of-arrays mindist.
+//!   batched struct-of-arrays mindist. The banded DTW kernel, which has
+//!   no SIMD twin, is held to `dtw_sq_reference`'s bits in both argument
+//!   orders, and abandoning on the LB_Keogh suffix never drops a value
+//!   below its bound.
 //! * **Bound level** — the table's node bound is `to_bits()`-equal to
 //!   the branchy `mindist_sq_node` / `mindist_sq_node_env` oracles for
 //!   every cardinality mix, the packed root block bounds each arena as
@@ -35,9 +38,12 @@ use messi::sax::breakpoints;
 use messi::sax::convert::SaxConfig;
 use messi::sax::mindist::{mindist_sq_node, mindist_sq_node_env, segment_scales, MindistTable};
 use messi::sax::word::{NodeWord, RootWord};
+use messi::series::distance::dtw::{
+    cascade_sq, dtw_sq, dtw_sq_early_abandon, dtw_sq_early_abandon_suffix, dtw_sq_reference,
+};
 use messi::series::distance::euclidean::{ed_sq_early_abandon_with, ed_sq_with};
 use messi::series::distance::lb_keogh::{
-    lb_keogh_sq_early_abandon_with, lb_keogh_sq_with, Envelope,
+    lb_keogh_sq_early_abandon_with, lb_keogh_sq_with, lb_keogh_suffix, Envelope,
 };
 use messi::series::distance::simd::simd_available;
 use messi::series::gen::{self, DatasetKind};
@@ -122,6 +128,42 @@ proptest! {
             ea_simd.to_bits(), ea_scalar.to_bits(),
             "lb_keogh_ea n={} bound={} {} vs {}", n, bound, ea_simd, ea_scalar
         );
+    }
+
+    #[test]
+    fn dtw_kernel_is_bit_identical_to_the_reference(
+        shape in (1usize..300, 0u64..1_000_000),
+        scale in scale_strategy(),
+        window_pick in 0usize..6,
+    ) {
+        let (n, seed) = shape;
+        let a = series(n, seed, scale);
+        let b = series(n, seed.wrapping_add(3), scale);
+        let p = DtwParams { window: [0, 1, n / 10, n / 2, n, 10 * n][window_pick] };
+        let exact = dtw_sq_reference(&a, &b, p);
+        let (ab, ba) = (dtw_sq(&a, &b, p), dtw_sq(&b, &a, p));
+        prop_assert_eq!(ab.to_bits(), exact.to_bits(), "dtw n={} {:?} {} vs {}", n, p, ab, exact);
+        prop_assert_eq!(ba.to_bits(), exact.to_bits(), "dtw swapped n={} {:?}", n, p);
+
+        // UCR's cumulative bound, rows over `a` against `b`'s envelope:
+        // nothing below the bound is abandoned, and an abandoned value
+        // is at least the bound.
+        let env = Envelope::new(&b, p);
+        let mut suffix = vec![0.0; n + 1];
+        lb_keogh_suffix(&env, &a, &mut suffix);
+        let tight = exact.next_up();
+        let got = dtw_sq_early_abandon_suffix(&a, &b, p, tight, &suffix);
+        prop_assert_eq!(got.to_bits(), exact.to_bits(), "suffix n={} {:?}", n, p);
+        for bound in [exact, exact / 2.0, 0.0] {
+            prop_assert!(dtw_sq_early_abandon_suffix(&a, &b, p, bound, &suffix) >= bound);
+            prop_assert!(dtw_sq_early_abandon(&a, &b, p, bound) >= bound);
+        }
+        for kernel in [SIMD, SCALAR] {
+            match cascade_sq(kernel, &env, p, &b, &a, tight) {
+                Some(d) => prop_assert_eq!(d.to_bits(), exact.to_bits(), "cascade n={} {:?}", n, p),
+                None => prop_assert!(lb_keogh_sq_early_abandon_with(kernel, &env, &a, tight) >= tight),
+            }
+        }
     }
 
     #[test]
