@@ -23,8 +23,8 @@
 //!   until their last reader drops: a view never covers bytes beyond
 //!   its own length, and nothing below it is ever rewritten.
 //!
-//! The overlay is scanned with the engine's own distance kernels at an
-//! infinite abandon bound, so merged answers are bit-identical to a
+//! The overlay is scanned with the engine's own distance kernels at a
+//! bound no answer reaches, so merged answers are bit-identical to a
 //! fresh build over the grown collection (`tests/ingest_equivalence.rs`).
 
 use super::log::{DeltaLog, ReplayReport};
@@ -548,10 +548,10 @@ impl std::fmt::Debug for DeltaIndex {
 /// Merges the engine's answers with a brute-force scan of the overlay
 /// under the ordering the sharded gather uses: ascending `(dist_sq,
 /// pos)` with `total_cmp` on the distance. The scan uses the *same*
-/// kernels as the engine's refinement step at an infinite abandon bound
-/// (they only return early with a value `>= bound`, so never), which is
-/// what makes merged answers bit-identical to a fresh build over the
-/// grown collection.
+/// kernels as the engine's refinement step, exact below their abandon
+/// bound: +∞, or for 1-NN DTW `next_up` (one bit pattern up) of the
+/// engine's answer, which every overlay position sorts after. So merged
+/// answers are bit-identical to a fresh build over the grown collection.
 fn merge_overlay(
     epoch: &Epoch,
     query: &[f32],
@@ -561,6 +561,12 @@ fn merge_overlay(
 ) -> Vec<QueryAnswer> {
     let by_dist =
         |a: &QueryAnswer, b: &QueryAnswer| a.dist_sq.total_cmp(&b.dist_sq).then(a.pos.cmp(&b.pos));
+    let dtw_bound = match (spec.objective, answers.first()) {
+        (Objective::Exact | Objective::Approx { .. }, Some(best)) if best.dist_sq.is_finite() => {
+            f32::from_bits(best.dist_sq.to_bits() + 1)
+        }
+        _ => f32::INFINITY,
+    };
     let scan = epoch.data.iter().enumerate().skip(epoch.core_len());
     let overlay = scan.map(|(pos, series)| QueryAnswer {
         pos: pos as u64,
@@ -568,7 +574,7 @@ fn merge_overlay(
             MetricSpec::Euclidean => {
                 ed_sq_early_abandon_with(config.kernel, query, series, f32::INFINITY)
             }
-            MetricSpec::Dtw(params) => dtw_sq_early_abandon(query, series, params, f32::INFINITY),
+            MetricSpec::Dtw(params) => dtw_sq_early_abandon(query, series, params, dtw_bound),
         },
     });
     match spec.objective {
@@ -595,6 +601,7 @@ fn merge_overlay(
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use messi_series::distance::dtw::DtwParams;
     use messi_series::gen::{self, DatasetKind};
 
     fn live_index(count: usize, shards: usize) -> DeltaIndex {
@@ -638,6 +645,46 @@ mod tests {
         assert_eq!(after, before, "positions are stable across republish");
         // Idempotent when the overlay is empty.
         assert!(!live.republish().expect("republish"));
+    }
+
+    #[test]
+    fn bounded_dtw_overlay_scan_answers_as_a_fresh_build() {
+        // The overlay's 1-NN DTW scan abandons at next_up of the engine's
+        // answer. An overlay series that is the answer, and one that ties
+        // it bit for bit, must still come out as a fresh build's answer.
+        let config = QueryConfig::for_tests();
+        let spec = QuerySpec::exact().with_dtw(DtwParams::paper_default(256));
+        let base = gen::generate(DatasetKind::RandomWalk, 200, 42);
+        let live = live_index(200, 2);
+        let noisy: Vec<f32> = base
+            .series(17)
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + ((i % 5) as f32 - 2.0) * 0.05)
+            .collect();
+        let (engine, _) = live.query(&noisy, &spec, &config);
+        let mut flat = gen::generate(DatasetKind::RandomWalk, 6, 11)
+            .as_flat()
+            .to_vec();
+        flat.extend_from_slice(base.series(engine[0].pos as usize));
+        let batch = Dataset::from_flat(flat, 256).expect("shape ok");
+        live.insert_batch(&batch).expect("accepted");
+
+        let mut grown = base.as_flat().to_vec();
+        grown.extend_from_slice(batch.as_flat());
+        let grown = Arc::new(Dataset::from_flat(grown, 256).expect("shape ok"));
+        let (fresh, _) = ShardedIndex::build(grown, 2, &IndexConfig::for_tests());
+        let fresh = DeltaIndex::new(fresh, IngestOptions::default());
+        for (tag, query, pos) in [
+            ("tie", noisy.as_slice(), engine[0].pos),
+            ("overlay answer", batch.series(3), 203),
+        ] {
+            let (got, _) = live.query(query, &spec, &config);
+            let (want, _) = fresh.query(query, &spec, &config);
+            let bits = |a: &QueryAnswer| (a.pos, a.dist_sq.to_bits());
+            assert_eq!(bits(&got[0]), bits(&want[0]), "{tag}");
+            assert_eq!(got[0].pos, pos, "{tag}");
+        }
     }
 
     #[test]

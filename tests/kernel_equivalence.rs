@@ -9,10 +9,12 @@
 //!   every dispatcher returns the same bits under `Kernel::Simd` and
 //!   `Kernel::Scalar`: squared Euclidean distance (plain and
 //!   early-abandoning), LB_Keogh (plain and early-abandoning), and the
-//!   batched struct-of-arrays mindist. The banded DTW kernel, which has
-//!   no SIMD twin, is held to `dtw_sq_reference`'s bits in both argument
-//!   orders, and abandoning on the LB_Keogh suffix never drops a value
-//!   below its bound.
+//!   batched struct-of-arrays mindist. Both banded DTW kernels — the AVX2
+//!   anti-diagonal wavefront and its scalar twin, the row kernel — are
+//!   held to `dtw_sq_reference`'s bits in both argument orders, at every
+//!   register-block edge of the wavefront's band and past its register
+//!   limit; abandoning on the LB_Keogh suffix never drops a value below
+//!   its bound, and an abandoned value is at least the bound.
 //! * **Bound level** — the table's node bound is `to_bits()`-equal to
 //!   the branchy `mindist_sq_node` / `mindist_sq_node_env` oracles for
 //!   every cardinality mix, the packed root block bounds each arena as
@@ -162,6 +164,52 @@ proptest! {
             match cascade_sq(kernel, &env, p, &b, &a, tight) {
                 Some(d) => prop_assert_eq!(d.to_bits(), exact.to_bits(), "cascade n={} {:?}", n, p),
                 None => prop_assert!(lb_keogh_sq_early_abandon_with(kernel, &env, &a, tight) >= tight),
+            }
+        }
+    }
+
+    #[test]
+    fn dtw_kernels_hold_the_reference_at_every_register_edge(
+        shape in (1usize..300, 0u64..1_000_000),
+        scale in scale_strategy(),
+        edge in (1usize..=8, 0usize..5),
+    ) {
+        // The wavefront holds 2P + 1 = 2⌊(w + 1)/2⌋ + 1 lanes in V
+        // vectors: w = 8V − 3, 8V − 2 fill 8V − 1 lanes, w = 8V − 1, 8V
+        // spill one lane into vector V + 1 (past V = 8, onto the row
+        // kernel), and w = 100 is past the register limit.
+        let (n, seed) = shape;
+        let (vectors, pick) = edge;
+        let window = if pick == 4 { 100 } else { 8 * vectors - 3 + pick };
+        let p = DtwParams { window };
+        let a = series(n, seed, scale);
+        let b = series(n, seed.wrapping_add(5), scale);
+        let exact = dtw_sq_reference(&a, &b, p);
+        let tight = exact.next_up();
+        for (rows, cols) in [(&a, &b), (&b, &a)] {
+            let d = dtw_sq(rows, cols, p);
+            prop_assert_eq!(d.to_bits(), exact.to_bits(), "dtw n={} {:?} {} vs {}", n, p, d, exact);
+            let env = Envelope::new(cols, p);
+            let mut suffix = vec![0.0; n + 1];
+            lb_keogh_suffix(&env, rows, &mut suffix);
+            let d = dtw_sq_early_abandon_suffix(rows, cols, p, tight, &suffix);
+            prop_assert_eq!(d.to_bits(), exact.to_bits(), "suffix n={} {:?}", n, p);
+            for bound in [exact, exact / 2.0, 0.0] {
+                prop_assert!(dtw_sq_early_abandon_suffix(rows, cols, p, bound, &suffix) >= bound);
+                prop_assert!(dtw_sq_early_abandon(rows, cols, p, bound) >= bound);
+            }
+            for kernel in [SIMD, SCALAR] {
+                match cascade_sq(kernel, &env, p, cols, rows, tight) {
+                    Some(d) => prop_assert_eq!(
+                        d.to_bits(), exact.to_bits(), "cascade {:?} n={} {:?}", kernel, n, p
+                    ),
+                    None => prop_assert!(lb_keogh_sq_early_abandon_with(kernel, &env, rows, tight) >= tight),
+                }
+                for bound in [exact, exact / 2.0, 0.0] {
+                    if let Some(d) = cascade_sq(kernel, &env, p, cols, rows, bound) {
+                        prop_assert!(d >= bound, "cascade {:?} n={} {:?}: {} < {}", kernel, n, p, d, bound);
+                    }
+                }
             }
         }
     }
