@@ -28,18 +28,15 @@
 //!   deterministic; at `epsilon = 0` *and* `delta = 1` every comparison
 //!   is bit-identical to exact search.
 //!
-//! Both metrics compose: Euclidean ([`approx_search`]) and banded DTW
-//! ([`approx_search_dtw`]) share every line of driver code, exactly like
-//! the exact objectives.
+//! This module holds the search step of every approximate query
+//! (`MessiIndex::search_approximate_bounded(_dtw)`, or an executor),
+//! under either metric, exactly like the exact objectives.
 
-use crate::config::QueryConfig;
-use crate::engine::{ApproxObjective, QueryContext, ShardRun, SharedBound};
+use crate::engine::{ApproxObjective, ShardRun, SharedBound};
 use crate::exact::QueryAnswer;
-use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
 use crate::shard::{global_pos, ShardReturn};
 use crate::stats::{QueryStats, StopReason, TimeBreakdown};
-use messi_series::distance::dtw::DtwParams;
 
 /// Validates the δ-ε parameter pair.
 ///
@@ -134,112 +131,11 @@ pub(crate) fn search(
     (vec![QueryAnswer { pos, dist_sq }], stats)
 }
 
-/// δ-ε-approximate 1-NN search under Euclidean distance.
-///
-/// ```
-/// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
-/// use messi_series::gen::{self, DatasetKind};
-/// use std::sync::Arc;
-///
-/// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 400, 5));
-/// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
-/// let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 5);
-///
-/// // ε = 0.1, δ = 1: deterministically within 1.1× of the true NN.
-/// let (approx, _) = messi_core::approximate::approx_search(
-///     &index, queries.series(0), 0.1, 1.0, &QueryConfig::for_tests());
-/// let (_, true_nn) = data.nearest_neighbor_brute_force(queries.series(0));
-/// assert!(approx.dist_sq <= 1.1 * 1.1 * true_nn * (1.0 + 1e-3));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `epsilon` is negative or non-finite, `delta` is outside
-/// `[0, 1]`, the query length mismatches, or the configuration is
-/// invalid.
-pub fn approx_search(
-    index: &MessiIndex,
-    query: &[f32],
-    epsilon: f32,
-    delta: f32,
-    config: &QueryConfig,
-) -> (QueryAnswer, QueryStats) {
-    approx_search_with(
-        index,
-        query,
-        epsilon,
-        delta,
-        config,
-        &mut QueryContext::new(),
-    )
-}
-
-/// [`approx_search`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`approx_search`].
-pub fn approx_search_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon: f32,
-    delta: f32,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (QueryAnswer, QueryStats) {
-    let spec = QuerySpec::approximate(epsilon, delta);
-    crate::shard::answer_solo_one(index, query, &spec, config, ctx)
-}
-
-/// δ-ε-approximate 1-NN search under banded DTW: the same contract as
-/// [`approx_search`], with the `(1+ε)` guarantee measured in DTW
-/// distance and the usual `mindist_env ≤ LB_Keogh ≤ DTW` cascade doing
-/// the pruning.
-///
-/// # Panics
-///
-/// As [`approx_search`].
-pub fn approx_search_dtw(
-    index: &MessiIndex,
-    query: &[f32],
-    epsilon: f32,
-    delta: f32,
-    params: DtwParams,
-    config: &QueryConfig,
-) -> (QueryAnswer, QueryStats) {
-    approx_search_dtw_with(
-        index,
-        query,
-        epsilon,
-        delta,
-        params,
-        config,
-        &mut QueryContext::new(),
-    )
-}
-
-/// [`approx_search_dtw`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`approx_search`].
-pub fn approx_search_dtw_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon: f32,
-    delta: f32,
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (QueryAnswer, QueryStats) {
-    let spec = QuerySpec::approximate(epsilon, delta).with_dtw(params);
-    crate::shard::answer_solo_one(index, query, &spec, config, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IndexConfig;
+    use crate::config::{IndexConfig, QueryConfig};
+    use messi_series::distance::dtw::DtwParams;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
 
@@ -259,7 +155,7 @@ mod tests {
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 4, 91);
         let config = QueryConfig::for_tests();
         for q in queries.iter() {
-            let (ans, stats) = approx_search(&index, q, 0.0, 1.0, &config);
+            let (ans, stats) = index.search_approximate_bounded(q, 0.0, 1.0, &config);
             let (_, bf) = data.nearest_neighbor_brute_force(q);
             assert!((ans.dist_sq - bf).abs() <= 1e-3 * bf.max(1.0));
             assert_eq!(stats.stop_reason, Some(StopReason::Completed));
@@ -275,7 +171,7 @@ mod tests {
         for epsilon in [0.05f32, 0.3, 1.0] {
             let factor = (1.0 + epsilon) * (1.0 + epsilon);
             for q in queries.iter() {
-                let (ans, stats) = approx_search(&index, q, epsilon, 1.0, &config);
+                let (ans, stats) = index.search_approximate_bounded(q, epsilon, 1.0, &config);
                 let (_, bf) = data.nearest_neighbor_brute_force(q);
                 assert!(
                     ans.dist_sq <= factor * bf * (1.0 + 1e-3),
@@ -293,7 +189,7 @@ mod tests {
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 93);
         let config = QueryConfig::for_tests();
         for q in queries.iter() {
-            let (ans, stats) = approx_search(&index, q, 0.0, 0.0, &config);
+            let (ans, stats) = index.search_approximate_bounded(q, 0.0, 0.0, &config);
             assert_eq!(stats.stop_reason, Some(StopReason::HomeLeafOnly));
             assert_eq!(stats.nodes_inserted, 0, "no tree pass ran");
             assert_eq!(stats.nodes_popped, 0);
@@ -318,7 +214,7 @@ mod tests {
         };
         let mut exhausted = 0;
         for q in queries.iter() {
-            let (_, stats) = approx_search(&index, q, 0.0, 0.02, &config);
+            let (_, stats) = index.search_approximate_bounded(q, 0.0, 0.02, &config);
             match stats.stop_reason {
                 Some(StopReason::BudgetExhausted) => exhausted += 1,
                 Some(StopReason::Completed) => {}
@@ -339,7 +235,7 @@ mod tests {
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 95);
         let config = QueryConfig::for_tests();
         for q in queries.iter() {
-            let (ans, stats) = approx_search_dtw(&index, q, 0.2, 1.0, params, &config);
+            let (ans, stats) = index.search_approximate_bounded_dtw(q, 0.2, 1.0, params, &config);
             let bf = data
                 .iter()
                 .map(|s| dtw_sq(q, s, params))
@@ -358,7 +254,7 @@ mod tests {
     fn rejects_out_of_range_delta() {
         let (_, index) = setup(50, 96);
         let q = index.dataset().series(0).to_vec();
-        approx_search(&index, &q, 0.0, 1.5, &QueryConfig::for_tests());
+        index.search_approximate_bounded(&q, 0.0, 1.5, &QueryConfig::for_tests());
     }
 
     #[test]
@@ -366,6 +262,6 @@ mod tests {
     fn rejects_negative_epsilon() {
         let (_, index) = setup(50, 97);
         let q = index.dataset().series(0).to_vec();
-        approx_search(&index, &q, -0.5, 1.0, &QueryConfig::for_tests());
+        index.search_approximate_bounded(&q, -0.5, 1.0, &QueryConfig::for_tests());
     }
 }

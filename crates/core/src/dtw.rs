@@ -13,56 +13,18 @@
 //! Node pruning and queue priorities use the envelope mindist; leaf
 //! entries are filtered by envelope mindist, then LB_Keogh on the raw
 //! candidate, and only survivors pay the full banded-DTW cost (with early
-//! abandoning against the BSF). The same metric composes with the k-NN
-//! and range objectives — see [`crate::knn::exact_knn_dtw`] and
-//! [`crate::range::range_search_dtw`].
+//! abandoning against the BSF). The metric composes with every
+//! objective — `MessiIndex::search_dtw`, `search_knn_dtw`,
+//! `search_range_dtw` and `search_approximate_bounded_dtw`, or any
+//! [`QuerySpec::with_dtw`](crate::exec::QuerySpec::with_dtw) through an
+//! executor. This module holds the metric's query summary and the
+//! raw-series cascade the engine runs per candidate.
 
-use crate::config::QueryConfig;
-use crate::engine::QueryContext;
-use crate::exact::QueryAnswer;
-use crate::exec::QuerySpec;
-use crate::index::MessiIndex;
-use crate::stats::{LocalStats, QueryStats};
+use crate::stats::LocalStats;
 use messi_series::distance::dtw::{cascade_sq, DtwParams};
 use messi_series::distance::lb_keogh::Envelope;
 use messi_series::distance::Kernel;
 use messi_series::paa::paa;
-
-/// Exact DTW 1-NN search over `index` with a Sakoe-Chiba band.
-///
-/// Returns the position of the series minimizing the banded DTW distance
-/// to `query`, its squared DTW cost, and query statistics (where
-/// `real_distance_calcs` counts full DTW evaluations and
-/// `lb_distance_calcs` counts mindist *and* LB_Keogh evaluations).
-///
-/// # Panics
-///
-/// Panics if the query length differs from the indexed series length or
-/// the configuration is invalid.
-pub fn exact_search_dtw(
-    index: &MessiIndex,
-    query: &[f32],
-    params: DtwParams,
-    config: &QueryConfig,
-) -> (QueryAnswer, QueryStats) {
-    exact_search_dtw_with(index, query, params, config, &mut QueryContext::new())
-}
-
-/// [`exact_search_dtw`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`exact_search_dtw`].
-pub fn exact_search_dtw_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (QueryAnswer, QueryStats) {
-    let spec = QuerySpec::exact().with_dtw(params);
-    crate::shard::answer_solo_one(index, query, &spec, config, ctx)
-}
 
 /// The "query summary" of DTW search, the envelope half of a
 /// [`QueryPlan`](crate::engine::QueryPlan): the LB_Keogh envelope
@@ -112,7 +74,9 @@ pub(crate) fn cascade(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IndexConfig;
+    use crate::config::{IndexConfig, QueryConfig};
+    use crate::exec::{QueryExecutor, QuerySpec};
+    use crate::index::MessiIndex;
     use messi_series::distance::dtw::dtw_sq;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
@@ -139,7 +103,7 @@ mod tests {
         let params = DtwParams::paper_default(256);
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 4, 31);
         for q in queries.iter() {
-            let (ans, stats) = exact_search_dtw(&index, q, params, &QueryConfig::for_tests());
+            let (ans, stats) = index.search_dtw(q, params, &QueryConfig::for_tests());
             let (bf_pos, bf_dist) = brute_force_dtw(&data, q, params);
             assert!(
                 (ans.dist_sq - bf_dist).abs() <= 1e-3 * bf_dist.max(1.0),
@@ -165,7 +129,7 @@ mod tests {
         let params = DtwParams::paper_default(128);
         let queries = gen::queries::generate_queries(DatasetKind::Sald, 3, 8);
         for q in queries.iter() {
-            let (ans, _) = exact_search_dtw(&index, q, params, &QueryConfig::for_tests());
+            let (ans, _) = index.search_dtw(q, params, &QueryConfig::for_tests());
             let (_, bf_dist) = brute_force_dtw(&data, q, params);
             assert!((ans.dist_sq - bf_dist).abs() <= 1e-3 * bf_dist.max(1.0));
         }
@@ -177,7 +141,7 @@ mod tests {
         let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
         let q = data.series(5).to_vec();
         let params = DtwParams::paper_default(256);
-        let (ans, _) = exact_search_dtw(&index, &q, params, &QueryConfig::for_tests());
+        let (ans, _) = index.search_dtw(&q, params, &QueryConfig::for_tests());
         assert_eq!(ans.dist_sq, 0.0);
     }
 
@@ -187,13 +151,9 @@ mod tests {
         let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 2, 3);
         for q in queries.iter() {
-            let (dtw_ans, _) = exact_search_dtw(
-                &index,
-                q,
-                DtwParams { window: 0 },
-                &QueryConfig::for_tests(),
-            );
-            let (ed_ans, _) = crate::exact::exact_search(&index, q, &QueryConfig::for_tests());
+            let (dtw_ans, _) =
+                index.search_dtw(q, DtwParams { window: 0 }, &QueryConfig::for_tests());
+            let (ed_ans, _) = index.search(q, &QueryConfig::for_tests());
             assert!(
                 (dtw_ans.dist_sq - ed_ans.dist_sq).abs() <= 1e-3 * ed_ans.dist_sq.max(1.0),
                 "{} vs {}",
@@ -212,14 +172,16 @@ mod tests {
         let params = DtwParams::paper_default(256);
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 41);
         let config = QueryConfig::for_tests();
-        let mut ctx = QueryContext::new();
+        // One pooled context answers every query.
+        let exec = QueryExecutor::with_capacity(&index, 1);
+        let dtw = QuerySpec::exact().with_dtw(params);
         for q in queries.iter() {
-            let (dtw_ans, _) = exact_search_dtw_with(&index, q, params, &config, &mut ctx);
+            let (dtw_ans, _) = exec.run_one(q, &dtw, &config);
             let (_, bf) = brute_force_dtw(&data, q, params);
-            assert!((dtw_ans.dist_sq - bf).abs() <= 1e-3 * bf.max(1.0));
-            let (ed_ans, _) = crate::exact::exact_search_with(&index, q, &config, &mut ctx);
+            assert!((dtw_ans[0].dist_sq - bf).abs() <= 1e-3 * bf.max(1.0));
+            let (ed_ans, _) = exec.run_one(q, &QuerySpec::exact(), &config);
             let (_, ed_bf) = data.nearest_neighbor_brute_force(q);
-            assert!((ed_ans.dist_sq - ed_bf).abs() <= 1e-3 * ed_bf.max(1.0));
+            assert!((ed_ans[0].dist_sq - ed_bf).abs() <= 1e-3 * ed_bf.max(1.0));
         }
     }
 }

@@ -12,11 +12,12 @@
 //! hold `LeafRun<'a>` views (spans of one or more member leaves of an
 //! arena leaf run — the packed entry slice plus the run's SoA symbol
 //! block) between the traversal and processing phases. Create one
-//! context per batch (or per pool worker for
-//! inter-query parallelism) and pass it to the `*_with` query variants —
-//! or let the pooled [`crate::exec::QueryExecutor`] manage a whole
-//! `SlotPool` of them (contexts are `Send`, so the lock-free checkout/
-//! checkin handoff moves them freely between request threads).
+//! context per query stream and pass it to
+//! [`crate::exact::exact_search_with`] — or let the pooled executor
+//! ([`crate::exec::QueryExecutor`], [`crate::shard::ShardedExecutor`])
+//! manage a `SlotPool` of them per shard (contexts are `Send`, so the
+//! lock-free checkout/checkin handoff moves them freely between request
+//! threads).
 //! [`QueryContext::alloc_events`] counts how many times scratch had to
 //! be (re)built, so a steady batch shows a flat counter after its first
 //! query.

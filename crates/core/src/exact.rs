@@ -16,14 +16,15 @@
 //!
 //! All of that machinery lives in [`crate::engine`], shared with k-NN,
 //! range, and DTW search; this module holds the 1-NN objective's search
-//! step — a BSF seeded from the approximate search (Fig. 4a) — and the
-//! Euclidean entry points.
+//! step — a BSF seeded from the approximate search (Fig. 4a) — under
+//! either metric, and [`exact_search_with`], the one query entry point
+//! over a caller-owned context.
 
 use crate::config::QueryConfig;
 use crate::engine::{NearestObjective, QueryContext, ShardRun, SharedBound};
 use crate::exec::QuerySpec;
 use crate::index::MessiIndex;
-use crate::shard::{global_pos, ShardReturn};
+use crate::shard::{answer_solo, global_pos, ShardReturn};
 use crate::stats::QueryStats;
 
 /// The result of an exact similarity-search query.
@@ -47,34 +48,22 @@ impl QueryAnswer {
     }
 }
 
-/// Exact 1-NN search over `index` (Alg. 5).
+/// Exact 1-NN search over `index` (Alg. 5) through caller-provided
+/// scratch: `ctx` is reset (not reallocated) per query, so a stream of
+/// queries runs without per-query queue or mindist-table allocations.
 ///
 /// # Panics
 ///
 /// Panics if the query length differs from the indexed series length, or
 /// the configuration is invalid.
-pub fn exact_search(
-    index: &MessiIndex,
-    query: &[f32],
-    config: &QueryConfig,
-) -> (QueryAnswer, QueryStats) {
-    exact_search_with(index, query, config, &mut QueryContext::new())
-}
-
-/// [`exact_search`] with caller-provided scratch: `ctx` is reset (not
-/// reallocated) per query, which is how the batch paths run whole
-/// workloads without per-query queue or mindist-table allocations.
-///
-/// # Panics
-///
-/// As [`exact_search`].
 pub fn exact_search_with<'a>(
     index: &'a MessiIndex,
     query: &[f32],
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (QueryAnswer, QueryStats) {
-    crate::shard::answer_solo_one(index, query, &QuerySpec::exact(), config, ctx)
+    let (mut answers, stats) = answer_solo(index, query, &QuerySpec::exact(), config, ctx);
+    (answers.pop().expect("1-NN search always answers"), stats)
 }
 
 /// The search step of exact 1-NN over one shard (either metric): a
@@ -112,7 +101,7 @@ mod tests {
     }
 
     fn assert_exact(index: &MessiIndex, query: &[f32], config: &QueryConfig) -> QueryStats {
-        let (ans, stats) = exact_search(index, query, config);
+        let (ans, stats) = index.search(query, config);
         let (bf_pos, bf_dist) = index.dataset().nearest_neighbor_brute_force(query);
         assert!(
             (ans.dist_sq - bf_dist).abs() <= 1e-3 * bf_dist.max(1.0),
@@ -192,7 +181,7 @@ mod tests {
     fn member_query_finds_itself() {
         let index = build(200, 66);
         let q = index.dataset().series(17).to_vec();
-        let (ans, _) = exact_search(&index, &q, &QueryConfig::for_tests());
+        let (ans, _) = index.search(&q, &QueryConfig::for_tests());
         assert_eq!(ans.dist_sq, 0.0);
         assert_eq!(ans.distance(), 0.0);
     }
@@ -219,7 +208,7 @@ mod tests {
             collect_breakdown: true,
             ..QueryConfig::for_tests()
         };
-        let (_, stats) = exact_search(&index, queries.series(0), &config);
+        let (_, stats) = index.search(queries.series(0), &config);
         let b = stats.breakdown.expect("breakdown requested");
         assert!(b.init_ns > 0);
         assert!(b.total_ns() > 0);
@@ -243,7 +232,7 @@ mod tests {
         };
         let (index, _) = MessiIndex::build(data, &config);
         let q = base.series(1).to_vec();
-        let (ans, _) = exact_search(&index, &q, &QueryConfig::for_tests());
+        let (ans, _) = index.search(&q, &QueryConfig::for_tests());
         assert_eq!(ans.dist_sq, 0.0);
     }
 

@@ -1,25 +1,17 @@
-//! The pooled query executor.
+//! The single-index face of the pooled query executor.
 
 use super::spec::{QuerySpec, Schedule};
 use crate::config::QueryConfig;
-use crate::engine::QueryContext;
 use crate::exact::QueryAnswer;
 use crate::index::MessiIndex;
-use crate::shard::{answer_solo, prewarm_pool};
+use crate::shard::{Shard, ShardedExecutor};
 use crate::stats::{QueryStats, QueryStatsAggregate};
 use messi_series::Dataset;
-use messi_sync::{Dispenser, SlotPool, WorkerPool};
-use parking_lot::Mutex;
 
-/// A pooled query-execution frontend over one [`MessiIndex`].
-///
-/// The executor owns a [`SlotPool`] of warm [`QueryContext`]s — one per
-/// concurrent query worker, checked out and in without locks — and
-/// answers single queries ([`QueryExecutor::run_one`]) and batches
-/// ([`QueryExecutor::run_batch`]) for every cell of the
-/// [`QuerySpec`] matrix under either [`Schedule`]. After warm-up, the
-/// per-query hot path performs zero queue or mindist-table allocations
-/// (debug builds assert this through [`QueryContext::alloc_events`]).
+/// The pooled query executor over one [`MessiIndex`]: the one-shard
+/// instance of [`ShardedExecutor`], whose every query is the inline walk
+/// — the classic single-index search — answering single queries and
+/// batches for every [`QuerySpec`] under either [`Schedule`].
 ///
 /// ```
 /// use messi_core::exec::{QuerySpec, Schedule};
@@ -49,10 +41,7 @@ use parking_lot::Mutex;
 /// assert_eq!(top1[0], answers[0][0]);
 /// ```
 #[derive(Debug)]
-pub struct QueryExecutor<'a> {
-    index: &'a MessiIndex,
-    contexts: SlotPool<QueryContext<'a>>,
-}
+pub struct QueryExecutor<'a>(ShardedExecutor<'a>);
 
 impl<'a> QueryExecutor<'a> {
     /// Creates an executor whose context pool matches the process worker
@@ -68,87 +57,44 @@ impl<'a> QueryExecutor<'a> {
     ///
     /// Panics if `capacity == 0`.
     pub fn with_capacity(index: &'a MessiIndex, capacity: usize) -> Self {
-        Self {
-            index,
-            contexts: SlotPool::new(capacity),
-        }
-    }
-
-    /// The index this executor serves.
-    pub fn index(&self) -> &'a MessiIndex {
-        self.index
+        let shard = vec![Shard { index, offset: 0 }];
+        Self(ShardedExecutor::over(shard, capacity))
     }
 
     /// Number of currently parked warm contexts.
     pub fn warm_contexts(&self) -> usize {
-        self.contexts.parked()
+        self.0.warm_contexts()
     }
 
-    /// Sum of [`QueryContext::alloc_events`] over the parked contexts —
-    /// the observable behind the zero-allocation-after-warm-up tests
-    /// (requires exclusive access so no checkout can race the count).
+    /// As [`ShardedExecutor::warm_alloc_events`].
     pub fn warm_alloc_events(&mut self) -> u64 {
-        self.contexts.iter_mut().map(|c| c.alloc_events()).sum()
+        self.0.warm_alloc_events()
     }
 
-    /// Answers one query: checkout a warm context (or build one cold),
-    /// dispatch the spec through the engine, check the context back in.
-    ///
-    /// Exact 1-NN returns exactly one answer; k-NN up to `k`, ascending;
-    /// range every match, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query length mismatches the index, the configuration
-    /// is invalid, `k == 0`, or `epsilon_sq` is negative or NaN.
+    /// As [`ShardedExecutor::run_one`].
     pub fn run_one(
         &self,
         query: &[f32],
         spec: &QuerySpec,
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats) {
-        let mut ctx = self.contexts.checkout().unwrap_or_default();
-        let out = answer_solo(self.index, query, spec, config, &mut ctx);
-        self.contexts.checkin(ctx);
-        out
+        self.0.run_one(query, spec, config)
     }
 
     /// As [`QueryExecutor::run_one`], additionally reporting the
     /// context's allocation-event delta across this query — the
     /// zero-allocation-after-warm-up invariant as a live per-query
-    /// observable (0 on a warm context). The serve daemon sums it into
-    /// its `messi_query_alloc_events_total` metric, so a dashboard shows
-    /// scratch churn the moment a regression ships.
+    /// observable (0 on a warm context).
     pub fn run_one_traced(
         &self,
         query: &[f32],
         spec: &QuerySpec,
         config: &QueryConfig,
     ) -> (Vec<QueryAnswer>, QueryStats, u64) {
-        let mut ctx = self.contexts.checkout().unwrap_or_default();
-        let before = ctx.alloc_events();
-        let (answers, stats) = answer_solo(self.index, query, spec, config, &mut ctx);
-        let delta = ctx.alloc_events().saturating_sub(before);
-        self.contexts.checkin(ctx);
-        (answers, stats, delta)
+        self.0.answer(query, spec, config, None)
     }
 
-    /// Answers a whole batch of queries under `schedule`.
-    ///
-    /// Returns one answer list per query, in query order, plus the
-    /// aggregate statistics (including the summed Fig. 13 breakdown when
-    /// `config.collect_breakdown` is set).
-    ///
-    /// Under [`Schedule::IntraQuery`] each query uses the full worker
-    /// complement of `config`; under [`Schedule::InterQuery`] the queries
-    /// are dispensed across `parallelism` pool workers and
-    /// `config.num_workers`/`num_queues` are ignored (each query runs
-    /// with one worker and one queue).
-    ///
-    /// # Panics
-    ///
-    /// As [`QueryExecutor::run_one`]; additionally if an inter-query
-    /// schedule's `parallelism` is zero.
+    /// As [`ShardedExecutor::run_batch`].
     pub fn run_batch(
         &self,
         queries: &Dataset,
@@ -156,104 +102,12 @@ impl<'a> QueryExecutor<'a> {
         schedule: Schedule,
         config: &QueryConfig,
     ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
-        match schedule {
-            Schedule::IntraQuery => self.run_batch_intra(queries, spec, config),
-            Schedule::InterQuery { parallelism } => {
-                self.run_batch_inter(queries, spec, parallelism, config)
-            }
-        }
+        self.0.run_batch(queries, spec, schedule, config)
     }
 
-    /// Warms every pool slot: each slot is *shaped*
-    /// ([`QueryContext::shape`] — the allocations its first query under
-    /// `config` would make, made without running it), then `query` is
-    /// answered once under `spec` through one of them, so the index
-    /// pages a first query walks are resident. Every slot then answers
-    /// with an `alloc_events` delta of 0 from its first query on. A
-    /// server frontend calls this at startup; the zero-alloc tests use
-    /// it to make warm-up deterministic.
+    /// As [`ShardedExecutor::prewarm`].
     pub fn prewarm(&self, query: &[f32], spec: &QuerySpec, config: &QueryConfig) {
-        prewarm_pool(&self.contexts, self.index, query, spec, config);
-    }
-
-    /// Intra-query scheduling: queries sequential, each parallel inside.
-    fn run_batch_intra(
-        &self,
-        queries: &Dataset,
-        spec: &QuerySpec,
-        config: &QueryConfig,
-    ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut agg = QueryStatsAggregate::default();
-        let mut ctx = self.contexts.checkout().unwrap_or_default();
-        let mut warm = WarmupCheck::default();
-        for q in queries.iter() {
-            let (ans, stats) = answer_solo(self.index, q, spec, config, &mut ctx);
-            warm.observe(&ctx);
-            agg.add(&stats);
-            answers.push(ans);
-        }
-        self.contexts.checkin(ctx);
-        (answers, agg)
-    }
-
-    /// Inter-query scheduling: queries parallel, each sequential inside.
-    fn run_batch_inter(
-        &self,
-        queries: &Dataset,
-        spec: &QuerySpec,
-        parallelism: usize,
-        config: &QueryConfig,
-    ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
-        assert!(parallelism > 0, "parallelism must be positive");
-        let per_query = QueryConfig {
-            num_workers: 1,
-            num_queues: 1,
-            ..config.clone()
-        };
-        let dispenser = Dispenser::new(queries.len());
-        let slots: Vec<Mutex<Option<Vec<QueryAnswer>>>> =
-            (0..queries.len()).map(|_| Mutex::new(None)).collect();
-        let agg = Mutex::new(QueryStatsAggregate::default());
-        WorkerPool::global().run(parallelism.min(queries.len().max(1)), &|_pid| {
-            let mut local_agg = QueryStatsAggregate::default();
-            let mut ctx = self.contexts.checkout().unwrap_or_default();
-            let mut warm = WarmupCheck::default();
-            while let Some(qi) = dispenser.next() {
-                let (ans, stats) =
-                    answer_solo(self.index, queries.series(qi), spec, &per_query, &mut ctx);
-                warm.observe(&ctx);
-                local_agg.add(&stats);
-                *slots[qi].lock() = Some(ans);
-            }
-            agg.lock().merge(&local_agg);
-            self.contexts.checkin(ctx);
-        });
-        let answers = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every query answered"))
-            .collect();
-        (answers, agg.into_inner())
-    }
-}
-
-/// Debug-build guard for the pooled zero-allocation invariant: the first
-/// observed query may (re)build scratch; every later query in the same
-/// checkout must leave the context's allocation counter untouched.
-#[derive(Default)]
-struct WarmupCheck(Option<u64>);
-
-impl WarmupCheck {
-    #[inline]
-    fn observe(&mut self, ctx: &QueryContext<'_>) {
-        match self.0 {
-            None => self.0 = Some(ctx.alloc_events()),
-            Some(warm) => debug_assert_eq!(
-                ctx.alloc_events(),
-                warm,
-                "per-query scratch allocation after pooled warm-up"
-            ),
-        }
+        self.0.prewarm(query, spec, config);
     }
 }
 
@@ -261,6 +115,7 @@ impl WarmupCheck {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use crate::shard::ShardedIndex;
     use messi_series::distance::dtw::DtwParams;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
@@ -287,30 +142,50 @@ mod tests {
     #[test]
     fn both_schedules_agree_for_every_spec() {
         let (data, index, queries) = setup();
-        let config = QueryConfig::for_tests();
         let exec = index.executor();
         // A radius around the first query's 1-NN keeps range non-trivial.
         let (_, nn) = data.nearest_neighbor_brute_force(queries.series(0));
-        for spec in all_specs(data.series_len(), nn * 2.0) {
-            let (intra, agg_a) = exec.run_batch(&queries, &spec, Schedule::IntraQuery, &config);
-            let (inter, agg_b) = exec.run_batch(
-                &queries,
-                &spec,
-                Schedule::InterQuery { parallelism: 4 },
-                &config,
-            );
-            assert_eq!(agg_a.queries, queries.len() as u64);
-            assert_eq!(agg_b.queries, queries.len() as u64);
-            assert_eq!(intra.len(), inter.len());
-            for (qi, (a, b)) in intra.iter().zip(&inter).enumerate() {
-                assert_eq!(a.len(), b.len(), "{spec:?} query {qi}");
-                for (x, y) in a.iter().zip(b) {
-                    assert!(
-                        (x.dist_sq - y.dist_sq).abs() <= 1e-3 * y.dist_sq.max(1.0),
-                        "{spec:?} query {qi}: {} vs {}",
-                        x.dist_sq,
-                        y.dist_sq
-                    );
+        let one_worker = QueryConfig {
+            num_workers: 1,
+            num_queues: 1,
+            ..QueryConfig::for_tests()
+        };
+        for config in [QueryConfig::for_tests(), one_worker] {
+            for spec in all_specs(data.series_len(), nn * 2.0) {
+                let (intra, agg_a) = exec.run_batch(&queries, &spec, Schedule::IntraQuery, &config);
+                assert_eq!(agg_a.queries, queries.len() as u64);
+                // 8 and 32 workers exceed the batch of 6.
+                for parallelism in [1, 3, 8, 32] {
+                    let inter = Schedule::InterQuery { parallelism };
+                    let (inter, agg_b) = exec.run_batch(&queries, &spec, inter, &config);
+                    assert_eq!(agg_b.queries, queries.len() as u64);
+                    assert_eq!(intra.len(), inter.len());
+                    for (qi, (a, b)) in intra.iter().zip(&inter).enumerate() {
+                        assert_eq!(a.len(), b.len(), "{spec:?} query {qi}");
+                        for (x, y) in a.iter().zip(b) {
+                            assert!(
+                                (x.dist_sq - y.dist_sq).abs() <= 1e-3 * y.dist_sq.max(1.0),
+                                "{spec:?} query {qi}: {} vs {}",
+                                x.dist_sq,
+                                y.dist_sq
+                            );
+                        }
+                        if spec == QuerySpec::exact() {
+                            // Exact and in query order, at every parallelism.
+                            let (_, bf) = data.nearest_neighbor_brute_force(queries.series(qi));
+                            assert!(
+                                (b[0].dist_sq - bf).abs() <= 1e-3 * bf.max(1.0),
+                                "parallelism={parallelism} query={qi}"
+                            );
+                        }
+                    }
+                    if config.num_workers == 1 {
+                        // One worker: both schedules run the same
+                        // deterministic search, so the counters agree.
+                        assert_eq!(agg_a.lb_distance_calcs, agg_b.lb_distance_calcs);
+                        assert_eq!(agg_a.real_distance_calcs, agg_b.real_distance_calcs);
+                        assert_eq!(agg_a.bsf_updates, agg_b.bsf_updates);
+                    }
                 }
             }
         }
@@ -361,25 +236,29 @@ mod tests {
         let (data, index, queries) = setup();
         let config = QueryConfig::for_tests();
         let parallelism = 3;
-        let mut exec = QueryExecutor::with_capacity(&index, parallelism);
-        exec.prewarm(queries.series(0), &QuerySpec::exact(), &config);
-        assert_eq!(exec.warm_contexts(), parallelism);
-        let warmed = exec.warm_alloc_events();
-        assert!(warmed > 0, "prewarm builds the scratch");
+        let (sharded, _) = ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::for_tests());
+        let mut single = QueryExecutor::with_capacity(&index, parallelism);
+        let mut two_shards = ShardedExecutor::with_capacity(&sharded, parallelism);
+        for (shards, exec) in [(1, &mut single.0), (2, &mut two_shards)] {
+            exec.prewarm(queries.series(0), &QuerySpec::exact(), &config);
+            assert_eq!(exec.warm_contexts(), shards * parallelism);
+            let warmed = exec.warm_alloc_events();
+            assert!(warmed > 0, "prewarm builds the scratch");
 
-        // Every spec × schedule: the second identical batch must not
-        // touch the allocator (the first may reshape queue sets).
-        let (_, nn) = data.nearest_neighbor_brute_force(queries.series(0));
-        for spec in all_specs(data.series_len(), nn * 2.0) {
-            for schedule in [Schedule::IntraQuery, Schedule::InterQuery { parallelism }] {
-                let _ = exec.run_batch(&queries, &spec, schedule, &config);
-                let after_first = exec.warm_alloc_events();
-                let _ = exec.run_batch(&queries, &spec, schedule, &config);
-                assert_eq!(
-                    exec.warm_alloc_events(),
-                    after_first,
-                    "{spec:?} {schedule:?}: repeat batch allocated scratch"
-                );
+            // Every spec × schedule: the second identical batch must not
+            // touch the allocator (the first may reshape queue sets).
+            let (_, nn) = data.nearest_neighbor_brute_force(queries.series(0));
+            for spec in all_specs(data.series_len(), nn * 2.0) {
+                for schedule in [Schedule::IntraQuery, Schedule::InterQuery { parallelism }] {
+                    let _ = exec.run_batch(&queries, &spec, schedule, &config);
+                    let after_first = exec.warm_alloc_events();
+                    let _ = exec.run_batch(&queries, &spec, schedule, &config);
+                    assert_eq!(
+                        exec.warm_alloc_events(),
+                        after_first,
+                        "N={shards} {spec:?} {schedule:?}: repeat batch allocated scratch"
+                    );
+                }
             }
         }
     }

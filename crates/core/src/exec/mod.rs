@@ -14,21 +14,22 @@
 //!   (the paper's protocol — queries sequential, each using all Ns
 //!   workers) or inter-query (queries dispensed across workers, each
 //!   answered single-threadedly for throughput).
-//! * [`QueryExecutor`] — owns the index handle plus a lock-free
-//!   [`messi_sync::SlotPool`] of warm [`crate::engine::QueryContext`]s,
-//!   and dispatches any spec under any schedule through **one**
-//!   chokepoint. After warm-up the per-query hot path performs zero
-//!   queue or mindist-table allocations; [`QueryExecutor::prewarm`]
-//!   makes that state reachable before the first real query.
+//! * [`QueryExecutor`] — the single-index face of the one pooled
+//!   executor, [`crate::shard::ShardedExecutor`]: its one-shard instance.
+//!   It owns a lock-free [`messi_sync::SlotPool`] of warm
+//!   [`crate::engine::QueryContext`]s and dispatches any spec under any
+//!   schedule through **one** chokepoint. After warm-up the per-query
+//!   hot path performs zero queue or mindist-table allocations;
+//!   [`QueryExecutor::prewarm`] makes that state reachable before the
+//!   first real query.
 //!
-//! Everything above this layer is thin: [`crate::batch`] is two
-//! compatibility wrappers, the `MessiIndex::search*` methods are batches
-//! of one, and the CLI's `bench-query` subcommand is a command-line
-//! spelling of `(QuerySpec, Schedule)`. Everything below is shared: the
-//! executor adds **no** traversal logic of its own — every query is the
-//! one-shard case of the plan → seed → search walk that
-//! [`crate::shard`] also runs over many shards, and the `*_with` engine
-//! entry points are that same walk under a fixed spec.
+//! Everything above this layer is thin: the `MessiIndex::search*`
+//! methods are one query each, and the CLI's `bench-query` subcommand is
+//! a command-line spelling of `(QuerySpec, Schedule)`. Everything below
+//! is shared: the executor adds **no** traversal logic of its own —
+//! every query is the plan → seed → search walk over a shard list, one
+//! shard for a single index, and [`crate::exact::exact_search_with`] is
+//! that same walk through a caller-owned context.
 
 mod executor;
 mod spec;

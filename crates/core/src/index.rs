@@ -429,14 +429,13 @@ impl MessiIndex {
     /// over this index — the batch/concurrency frontend serving every
     /// objective × metric combination with warm per-worker contexts.
     /// Hold one executor for a whole workload (batches, a server loop);
-    /// the `search*` convenience methods below create a transient one
-    /// per call.
+    /// the `search*` convenience methods below answer one query each
+    /// through a fresh context instead.
     pub fn executor(&self) -> crate::exec::QueryExecutor<'_> {
         crate::exec::QueryExecutor::new(self)
     }
 
-    /// Exact 1-NN search (Alg. 5–9): a batch of one through the
-    /// [`crate::exec`] layer. Returns the answer and per-query
+    /// Exact 1-NN search (Alg. 5–9). Returns the answer and per-query
     /// statistics.
     ///
     /// Every point of `query` must be finite. A NaN or infinite point
@@ -453,6 +452,23 @@ impl MessiIndex {
     }
 
     /// Exact k-NN search: the `k` nearest series, ascending by distance.
+    /// Returns fewer than `k` answers only when the dataset holds fewer
+    /// than `k` series.
+    ///
+    /// ```
+    /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+    /// use messi_series::gen::{self, DatasetKind};
+    /// use std::sync::Arc;
+    ///
+    /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 500, 1));
+    /// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    /// let query = data.series(3).to_vec();
+    ///
+    /// let (top3, _) = index.search_knn(&query, 3, &QueryConfig::for_tests());
+    /// assert_eq!(top3.len(), 3);
+    /// assert_eq!(top3[0].pos, 3, "a member query's nearest neighbor is itself");
+    /// assert!(top3[0].dist_sq <= top3[1].dist_sq);
+    /// ```
     ///
     /// # Panics
     ///
@@ -468,7 +484,24 @@ impl MessiIndex {
     }
 
     /// Exact ε-range search: every series with squared distance
-    /// `<= epsilon_sq`, ascending.
+    /// `<= epsilon_sq`, ascending (position breaks ties).
+    /// `config.num_queues` and `config.bsf` are ignored (no BSF exists —
+    /// the bound is the fixed ε²).
+    ///
+    /// ```
+    /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+    /// use messi_series::gen::{self, DatasetKind};
+    /// use std::sync::Arc;
+    ///
+    /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 2));
+    /// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    /// let query = data.series(7).to_vec();
+    ///
+    /// // Radius 0 returns the query's exact duplicates (itself, here).
+    /// let (hits, _) = index.search_range(&query, 0.0, &QueryConfig::for_tests());
+    /// assert!(hits.iter().any(|a| a.pos == 7));
+    /// assert!(hits.iter().all(|a| a.dist_sq == 0.0));
+    /// ```
     ///
     /// # Panics
     ///
@@ -538,15 +571,15 @@ impl MessiIndex {
         )
     }
 
-    /// One query as a batch of one: a single-slot executor answers it so
-    /// every public search method funnels through the exec dispatch.
+    /// One query: a one-shard walk through a fresh context.
     fn run_single(
         &self,
         query: &[f32],
         spec: &crate::exec::QuerySpec,
         config: &crate::config::QueryConfig,
     ) -> (Vec<crate::exact::QueryAnswer>, crate::stats::QueryStats) {
-        crate::exec::QueryExecutor::with_capacity(self, 1).run_one(query, spec, config)
+        let mut ctx = crate::engine::QueryContext::new();
+        crate::shard::answer_solo(self, query, spec, config, &mut ctx)
     }
 
     /// *ng-approximate* 1-NN search ("no guarantees"): one descent to the
@@ -594,10 +627,25 @@ impl MessiIndex {
     ///   bit-for-bit.
     ///
     /// `tests/approximate.rs` measures and asserts the guarantee against
-    /// brute force. See [`crate::approximate`] for the underlying
-    /// adapters and [`QueryStats`](crate::stats::QueryStats) fields
-    /// `stop_reason` / `approx_inflation_prunes` for the early-
-    /// termination accounting.
+    /// brute force. See [`crate::approximate`] for the search step and
+    /// [`QueryStats`](crate::stats::QueryStats) fields `stop_reason` /
+    /// `approx_inflation_prunes` for the early-termination accounting.
+    ///
+    /// ```
+    /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
+    /// use messi_series::gen::{self, DatasetKind};
+    /// use std::sync::Arc;
+    ///
+    /// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 400, 5));
+    /// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+    /// let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 5);
+    ///
+    /// // ε = 0.1, δ = 1: deterministically within 1.1× of the true NN.
+    /// let (approx, _) =
+    ///     index.search_approximate_bounded(queries.series(0), 0.1, 1.0, &QueryConfig::for_tests());
+    /// let (_, true_nn) = data.nearest_neighbor_brute_force(queries.series(0));
+    /// assert!(approx.dist_sq <= 1.1 * 1.1 * true_nn * (1.0 + 1e-3));
+    /// ```
     ///
     /// # Panics
     ///

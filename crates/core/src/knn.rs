@@ -6,22 +6,17 @@
 //! every bound is checked against the *k-th best* distance (which is
 //! `+inf` until k candidates exist, so nothing is pruned prematurely).
 //! The traversal, queues, and leaf-scan cascade are [`crate::engine`]'s;
-//! this module contributes the `KnnSet` bound, its search step, and the
-//! Euclidean/DTW entry points.
+//! this module contributes the `KnnSet` bound and the search step of
+//! every k-NN query (`MessiIndex::search_knn(_dtw)`, or an executor).
 //!
 //! The candidate set is a small mutex-protected max-heap with a cached
 //! atomic bound, the same trick as the BSF: reads in the hot loop are a
 //! single atomic load; the lock is only taken on candidate insertion,
 //! which (like BSF updates, §III-B) happens a handful of times per query.
 
-use crate::config::QueryConfig;
-use crate::engine::{KnnObjective, QueryContext, ShardRun};
+use crate::engine::{KnnObjective, ShardRun};
 use crate::exact::QueryAnswer;
-use crate::exec::QuerySpec;
-use crate::index::MessiIndex;
 use crate::shard::ShardReturn;
-use crate::stats::QueryStats;
-use messi_series::distance::dtw::DtwParams;
 use parking_lot::Mutex;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -112,54 +107,6 @@ impl KnnSet {
     }
 }
 
-/// Exact k-NN search: the k nearest series, ascending by distance.
-///
-/// Returns fewer than `k` answers only when the dataset holds fewer than
-/// `k` series.
-///
-/// ```
-/// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
-/// use messi_series::gen::{self, DatasetKind};
-/// use std::sync::Arc;
-///
-/// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 500, 1));
-/// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
-/// let query = data.series(3).to_vec();
-///
-/// let (top3, _) = messi_core::knn::exact_knn(&index, &query, 3, &QueryConfig::for_tests());
-/// assert_eq!(top3.len(), 3);
-/// assert_eq!(top3[0].pos, 3, "a member query's nearest neighbor is itself");
-/// assert!(top3[0].dist_sq <= top3[1].dist_sq);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `k == 0`, the query length mismatches, or the configuration
-/// is invalid.
-pub fn exact_knn(
-    index: &MessiIndex,
-    query: &[f32],
-    k: usize,
-    config: &QueryConfig,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    exact_knn_with(index, query, k, config, &mut QueryContext::new())
-}
-
-/// [`exact_knn`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`exact_knn`].
-pub fn exact_knn_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    k: usize,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    crate::shard::answer_solo(index, query, &QuerySpec::knn(k), config, ctx)
-}
-
 /// The search step of k-NN over one shard (either metric). The caller
 /// owns `knn` and reads the merged answers out of it once every shard
 /// has finished, so the shard itself returns none; with an unshared set
@@ -173,45 +120,12 @@ pub(crate) fn search(mut run: ShardRun<'_, '_>, knn: &KnnSet) -> ShardReturn {
     (Vec::new(), stats)
 }
 
-/// Exact k-NN under banded DTW: the k series minimizing the DTW distance
-/// to `query`, ascending. The bound cascade is the same three-level
-/// `mindist_env ≤ LB_Keogh ≤ DTW` chain as [`crate::dtw`] — the engine
-/// composes it with the k-NN objective for free.
-///
-/// # Panics
-///
-/// As [`exact_knn`].
-pub fn exact_knn_dtw(
-    index: &MessiIndex,
-    query: &[f32],
-    k: usize,
-    params: DtwParams,
-    config: &QueryConfig,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    exact_knn_dtw_with(index, query, k, params, config, &mut QueryContext::new())
-}
-
-/// [`exact_knn_dtw`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`exact_knn`].
-pub fn exact_knn_dtw_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    k: usize,
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    let spec = QuerySpec::knn(k).with_dtw(params);
-    crate::shard::answer_solo(index, query, &spec, config, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::IndexConfig;
+    use crate::config::{IndexConfig, QueryConfig};
+    use crate::index::MessiIndex;
+    use messi_series::distance::dtw::DtwParams;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
 
@@ -233,7 +147,7 @@ mod tests {
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 4, 13);
         for q in queries.iter() {
             for k in [1usize, 3, 10, 25] {
-                let (got, _) = exact_knn(&index, q, k, &QueryConfig::for_tests());
+                let (got, _) = index.search_knn(q, k, &QueryConfig::for_tests());
                 let expect = brute_force_knn(&data, q, k);
                 assert_eq!(got.len(), k);
                 for (g, (_, ed)) in got.iter().zip(&expect) {
@@ -261,7 +175,7 @@ mod tests {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 8, 5));
         let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 5);
-        let (got, _) = exact_knn(&index, queries.series(0), 20, &QueryConfig::for_tests());
+        let (got, _) = index.search_knn(queries.series(0), 20, &QueryConfig::for_tests());
         assert_eq!(got.len(), 8);
     }
 
@@ -271,8 +185,8 @@ mod tests {
         let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 17);
         for q in queries.iter() {
-            let (knn, _) = exact_knn(&index, q, 1, &QueryConfig::for_tests());
-            let (one, _) = crate::exact::exact_search(&index, q, &QueryConfig::for_tests());
+            let (knn, _) = index.search_knn(q, 1, &QueryConfig::for_tests());
+            let (one, _) = index.search(q, &QueryConfig::for_tests());
             assert!((knn[0].dist_sq - one.dist_sq).abs() <= 1e-4 * one.dist_sq.max(1.0));
         }
     }
@@ -286,7 +200,7 @@ mod tests {
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 2, 19);
         for q in queries.iter() {
             for k in [1usize, 5] {
-                let (got, stats) = exact_knn_dtw(&index, q, k, params, &QueryConfig::for_tests());
+                let (got, stats) = index.search_knn_dtw(q, k, params, &QueryConfig::for_tests());
                 let mut expect: Vec<(usize, f32)> = data
                     .iter()
                     .enumerate()
@@ -321,7 +235,7 @@ mod tests {
             ..QueryConfig::for_tests()
         };
         for q in queries.iter() {
-            let (got, stats) = exact_knn(&index, q, 5, &config);
+            let (got, stats) = index.search_knn(q, 5, &config);
             let expect = brute_force_knn(&data, q, 5);
             for (g, (_, ed)) in got.iter().zip(&expect) {
                 assert!((g.dist_sq - ed).abs() <= 1e-3 * ed.max(1.0));

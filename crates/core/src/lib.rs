@@ -43,26 +43,27 @@
 //!   drain driver (Alg. 5–9) parameterized by a metric (Euclidean or
 //!   DTW) and a search objective (1-NN, k-NN, or ε-range), plus the
 //!   reusable per-worker [`engine::QueryContext`] scratch.
-//! * [`exact`] — exact 1-NN search (Alg. 5–9, Fig. 4), in single-queue
-//!   (SQ) and multi-queue (MQ) modes; an adapter over [`engine`].
-//! * [`knn`] — exact k-NN search (the paper's k-NN classification
-//!   application, §I), Euclidean and DTW; an adapter over [`engine`].
-//! * [`range`] — exact ε-range search (the companion similarity-search
-//!   primitive of the iSAX index family), Euclidean and DTW; an adapter
-//!   over [`engine`] in its queue-less mode.
-//! * [`approximate`] — ng- and δ-ε-approximate 1-NN search with error
-//!   bounds (the journal version's fourth query mode), Euclidean and
-//!   DTW; an adapter over [`engine`] with an ε-inflated bound and a
-//!   δ-derived early-termination budget.
-//! * [`exec`] — the pooled query-execution layer: a
-//!   [`exec::QueryExecutor`] owning warm per-worker contexts, serving
+//! * The objective search steps, each the per-shard step of every query
+//!   of its objective, under either metric (queries themselves go
+//!   through the `MessiIndex::search*` methods or an executor):
+//!   * [`exact`] — exact 1-NN (Alg. 5–9, Fig. 4), in single-queue (SQ)
+//!     and multi-queue (MQ) modes, plus [`exact::exact_search_with`],
+//!     the one entry point over a caller-owned context;
+//!   * [`knn`] — exact k-NN (the paper's k-NN classification
+//!     application, §I);
+//!   * [`range`] — exact ε-range (the companion similarity-search
+//!     primitive of the iSAX index family), the engine's queue-less mode;
+//!   * [`approximate`] — ng- and δ-ε-approximate 1-NN with error bounds
+//!     (the journal version's fourth query mode): an ε-inflated bound
+//!     and a δ-derived early-termination budget.
+//! * [`dtw`] — the DTW metric (Fig. 19): the LB_Keogh envelope summary
+//!   and the raw-series cascade every objective runs under DTW.
+//! * [`exec`] — the pooled query-execution layer: [`exec::QueryExecutor`],
+//!   the single-index face of the one pooled executor
+//!   ([`ShardedExecutor`]), owning warm per-worker contexts and serving
 //!   any objective × metric as single queries or batches under
 //!   intra-query (paper protocol) or inter-query (throughput)
 //!   scheduling.
-//! * [`batch`] — compatibility wrappers over [`exec`]: the historical
-//!   1-NN `search_batch` / `search_batch_interquery` entry points.
-//! * [`dtw`] — exact DTW 1-NN search via LB_Keogh envelopes (Fig. 19);
-//!   an adapter over [`engine`].
 //! * [`stats`] — build/query statistics: distance-calculation counters
 //!   (Fig. 17) and per-phase time breakdown (Fig. 13), now reported
 //!   uniformly by every objective.
@@ -90,7 +91,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod approximate;
-pub mod batch;
 pub mod build;
 pub mod config;
 pub mod dtw;

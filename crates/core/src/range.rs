@@ -6,67 +6,12 @@
 //! search is the fixed-bound objective: the pruning bound is ε² instead
 //! of a shrinking BSF, so no priority order and no barrier are needed —
 //! [`crate::engine`] runs in queue-less mode, scanning surviving leaves
-//! during the traversal itself. Both metrics compose: Euclidean range
-//! ([`range_search`]) and banded-DTW range ([`range_search_dtw`]) share
-//! every line of driver code.
+//! during the traversal itself. This module holds the search step of
+//! every range query (`MessiIndex::search_range(_dtw)`, or an executor),
+//! under either metric.
 
-use crate::config::QueryConfig;
-use crate::engine::{QueryContext, RangeObjective, ShardRun};
-use crate::exact::QueryAnswer;
-use crate::exec::QuerySpec;
-use crate::index::MessiIndex;
+use crate::engine::{RangeObjective, ShardRun};
 use crate::shard::ShardReturn;
-use crate::stats::QueryStats;
-use messi_series::distance::dtw::DtwParams;
-
-/// Exact range search: all series with squared Euclidean distance
-/// `<= epsilon_sq`, sorted ascending by distance (position breaks ties).
-///
-/// `config.num_queues` and `config.bsf` are ignored (no BSF exists —
-/// the bound is the fixed ε²).
-///
-/// ```
-/// use messi_core::{IndexConfig, MessiIndex, QueryConfig};
-/// use messi_series::gen::{self, DatasetKind};
-/// use std::sync::Arc;
-///
-/// let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 2));
-/// let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
-/// let query = data.series(7).to_vec();
-///
-/// // Radius 0 returns the query's exact duplicates (itself, here).
-/// let (hits, _) = messi_core::range::range_search(&index, &query, 0.0, &QueryConfig::for_tests());
-/// assert!(hits.iter().any(|a| a.pos == 7));
-/// assert!(hits.iter().all(|a| a.dist_sq == 0.0));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `epsilon_sq` is negative or NaN, the query length differs
-/// from the indexed series length, or the configuration is invalid.
-pub fn range_search(
-    index: &MessiIndex,
-    query: &[f32],
-    epsilon_sq: f32,
-    config: &QueryConfig,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    range_search_with(index, query, epsilon_sq, config, &mut QueryContext::new())
-}
-
-/// [`range_search`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`range_search`].
-pub fn range_search_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon_sq: f32,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    crate::shard::answer_solo(index, query, &QuerySpec::range(epsilon_sq), config, ctx)
-}
 
 /// The search step of ε-range over one shard (either metric): the
 /// shard's matches, ascending, under global positions. Range search has
@@ -79,52 +24,12 @@ pub(crate) fn search(mut run: ShardRun<'_, '_>, epsilon_sq: f32) -> ShardReturn 
     (objective.into_sorted(), stats)
 }
 
-/// Exact range search under banded DTW: all series with squared DTW
-/// distance `<= epsilon_sq`, sorted ascending by distance. Pruning uses
-/// the `mindist_env ≤ LB_Keogh ≤ DTW` cascade of [`crate::dtw`], so
-/// every reported hit (and no non-hit) satisfies the DTW radius.
-///
-/// # Panics
-///
-/// As [`range_search`].
-pub fn range_search_dtw(
-    index: &MessiIndex,
-    query: &[f32],
-    epsilon_sq: f32,
-    params: DtwParams,
-    config: &QueryConfig,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    range_search_dtw_with(
-        index,
-        query,
-        epsilon_sq,
-        params,
-        config,
-        &mut QueryContext::new(),
-    )
-}
-
-/// [`range_search_dtw`] with caller-provided reusable scratch.
-///
-/// # Panics
-///
-/// As [`range_search`].
-pub fn range_search_dtw_with<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    epsilon_sq: f32,
-    params: DtwParams,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (Vec<QueryAnswer>, QueryStats) {
-    let spec = QuerySpec::range(epsilon_sq).with_dtw(params);
-    crate::shard::answer_solo(index, query, &spec, config, ctx)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::IndexConfig;
+    use crate::config::{IndexConfig, QueryConfig};
+    use crate::exec::{QueryExecutor, QuerySpec};
+    use crate::index::MessiIndex;
+    use messi_series::distance::dtw::DtwParams;
     use messi_series::distance::euclidean::ed_sq_scalar;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
@@ -162,7 +67,7 @@ mod tests {
             let (_, nn) = data.nearest_neighbor_brute_force(q);
             for factor in [0.5f32, 1.01, 2.0, 5.0] {
                 let eps = nn * factor;
-                let (got, stats) = range_search(&index, q, eps, &QueryConfig::for_tests());
+                let (got, stats) = index.search_range(q, eps, &QueryConfig::for_tests());
                 let expect = brute_force_range(&data, q, eps);
                 // Every clearly-inside member must be found …
                 for (pos, d) in &expect {
@@ -193,13 +98,13 @@ mod tests {
         let (data, index) = setup(200, 72);
         // A member query matches itself (and any exact duplicates).
         let q = data.series(11).to_vec();
-        let (got, _) = range_search(&index, &q, 0.0, &QueryConfig::for_tests());
+        let (got, _) = index.search_range(&q, 0.0, &QueryConfig::for_tests());
         assert!(!got.is_empty());
         assert!(got.iter().all(|a| a.dist_sq == 0.0));
         assert!(got.iter().any(|a| a.pos == 11));
         // A non-member query matches nothing.
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 72);
-        let (got, _) = range_search(&index, queries.series(0), 0.0, &QueryConfig::for_tests());
+        let (got, _) = index.search_range(queries.series(0), 0.0, &QueryConfig::for_tests());
         assert!(got.is_empty());
     }
 
@@ -211,7 +116,7 @@ mod tests {
         // the full collection (ε² = +inf once produced a NaN bound that
         // silently matched nothing).
         for eps in [f32::MAX, f32::INFINITY] {
-            let (got, _) = range_search(&index, queries.series(0), eps, &QueryConfig::for_tests());
+            let (got, _) = index.search_range(queries.series(0), eps, &QueryConfig::for_tests());
             assert_eq!(got.len(), 150, "eps = {eps}");
             for w in got.windows(2) {
                 assert!(w[0].dist_sq <= w[1].dist_sq);
@@ -223,7 +128,7 @@ mod tests {
     fn range_prunes() {
         let (_, index) = setup(800, 74);
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 1, 74);
-        let (_, stats) = range_search(&index, queries.series(0), 1.0, &QueryConfig::for_tests());
+        let (_, stats) = index.search_range(queries.series(0), 1.0, &QueryConfig::for_tests());
         assert!(
             stats.real_distance_calcs < 800 / 4,
             "tiny ε should prune hard ({} real calcs)",
@@ -246,7 +151,7 @@ mod tests {
             for factor in [1.01f32, 3.0] {
                 let eps = nn * factor;
                 let (got, stats) =
-                    range_search_dtw(&index, q, eps, params, &QueryConfig::for_tests());
+                    index.search_range_dtw(q, eps, params, &QueryConfig::for_tests());
                 let expect: Vec<(u64, f32)> = data
                     .iter()
                     .enumerate()
@@ -281,15 +186,14 @@ mod tests {
         let (data, index) = setup(300, 78);
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 5, 78);
         let config = QueryConfig::for_tests();
-        let mut ctx = QueryContext::new();
-        let mut warm = None;
-        for q in queries.iter() {
+        // One pooled context answers every query.
+        let exec = QueryExecutor::with_capacity(&index, 1);
+        for (qi, q) in queries.iter().enumerate() {
             let (_, nn) = data.nearest_neighbor_brute_force(q);
-            let (got, _) = range_search_with(&index, q, nn * 2.0, &config, &mut ctx);
+            let (got, _, allocs) = exec.run_one_traced(q, &QuerySpec::range(nn * 2.0), &config);
             assert!(!got.is_empty());
-            match warm {
-                None => warm = Some(ctx.alloc_events()),
-                Some(w) => assert_eq!(ctx.alloc_events(), w),
+            if qi > 0 {
+                assert_eq!(allocs, 0);
             }
         }
     }
@@ -299,6 +203,6 @@ mod tests {
     fn rejects_negative_epsilon() {
         let (_, index) = setup(10, 75);
         let q = index.dataset().series(0).to_vec();
-        range_search(&index, &q, -1.0, &QueryConfig::for_tests());
+        index.search_range(&q, -1.0, &QueryConfig::for_tests());
     }
 }

@@ -1,6 +1,6 @@
-//! The [`ShardedExecutor`]: scatter-gather query answering over a
-//! [`ShardedIndex`], and the one walk every query in the repository
-//! takes through its shards.
+//! The [`ShardedExecutor`]: the one pooled executor — scatter-gather
+//! query answering over a [`ShardedIndex`], or over one index — and the
+//! one walk every query in the repository takes through its shards.
 //!
 //! # Design: seed-first shard walk
 //!
@@ -19,9 +19,8 @@
 //! * One shard is the same code: a single index is a one-shard walk
 //!   without a shared bound, byte for byte the classic search.
 //!
-//! **Non-goals.** Merging this executor with
-//! [`crate::exec::QueryExecutor`]; a work-stealing pool; caching seeds
-//! per shard; anything about the daemon's JSON decode.
+//! **Non-goals.** A work-stealing pool; caching seeds per shard;
+//! anything about the daemon's JSON decode.
 //!
 //! **Decisions** (each measured: 100 k series, 2 shards, 2 cores, exact
 //! 1-NN of noisy dataset members).
@@ -44,6 +43,13 @@
 //!   [`WorkerPool::on_worker_thread`] — not from a setting: there is no
 //!   option, and no scatter reaches [`WorkerPool::run`]'s nested
 //!   scoped-thread fallback (it used to, once per daemon request).
+//! * *This is the only pooled executor;* [`crate::exec::QueryExecutor`]
+//!   is its one-shard instance, whose every query is the inline walk.
+//!   Probed before the merge (2-core Xeon, W = 2, 10 alternating
+//!   rounds, against this executor over `ShardedIndex::from_single` of
+//!   a saved and reloaded copy): answers and `lb`/`node_lb`/`real`
+//!   counters identical at W = 1; median round p50 ED 200 k × 256
+//!   82.1 → 80.9 µs, DTW 20 k 738 → 730 µs, merged faster in 7/10.
 
 use super::ShardedIndex;
 use crate::config::QueryConfig;
@@ -270,10 +276,9 @@ fn answer_inline<'a>(
     scatter.gather(returns, t_start.elapsed(), per_shard)
 }
 
-/// One query against one index: the one-shard walk behind
-/// [`crate::exec::QueryExecutor`] and every `*_with` entry point.
-/// Exact 1-NN and approximate return exactly one answer; k-NN up to `k`,
-/// ascending; range every match, ascending.
+/// One query against one index on the calling thread, through `ctx`:
+/// the one-shard walk behind [`crate::exact::exact_search_with`] and the
+/// `MessiIndex::search*` methods.
 pub(crate) fn answer_solo<'a>(
     index: &'a MessiIndex,
     query: &[f32],
@@ -281,82 +286,30 @@ pub(crate) fn answer_solo<'a>(
     config: &QueryConfig,
     ctx: &mut QueryContext<'a>,
 ) -> (Vec<QueryAnswer>, QueryStats) {
-    answer_inline(
-        &[Shard { index, offset: 0 }],
-        query,
-        spec,
-        config,
-        ctx,
-        None,
-    )
+    let shard = [Shard { index, offset: 0 }];
+    answer_inline(&shard, query, spec, config, ctx, None)
 }
 
-/// Shapes every slot of `pool` ([`QueryContext::shape`]), answers `query`
-/// once against `index` through one of them, and parks them all.
-pub(crate) fn prewarm_pool<'a>(
-    pool: &SlotPool<QueryContext<'a>>,
-    index: &'a MessiIndex,
-    query: &[f32],
-    spec: &QuerySpec,
-    config: &QueryConfig,
-) {
-    let mut held: Vec<QueryContext<'a>> = (0..pool.capacity())
-        .map(|_| pool.checkout().unwrap_or_default())
-        .collect();
-    for ctx in &mut held {
-        ctx.shape(index.sax_config(), config);
-    }
-    let _ = answer_solo(index, query, spec, config, &mut held[0]);
-    for ctx in held {
-        pool.checkin(ctx);
-    }
-}
-
-/// [`answer_solo`] for the 1-NN cells, which answer exactly one series.
-pub(crate) fn answer_solo_one<'a>(
-    index: &'a MessiIndex,
-    query: &[f32],
-    spec: &QuerySpec,
-    config: &QueryConfig,
-    ctx: &mut QueryContext<'a>,
-) -> (QueryAnswer, QueryStats) {
-    let (mut answers, stats) = answer_solo(index, query, spec, config, ctx);
-    (answers.pop().expect("1-NN search always answers"), stats)
-}
-
-/// A pooled scatter-gather frontend over one [`ShardedIndex`]: the
-/// sharded counterpart of [`crate::exec::QueryExecutor`], answering the
-/// full [`QuerySpec`] matrix under both [`Schedule`]s.
+/// The pooled query executor — the only one: scatter-gather over the
+/// shards of a [`ShardedIndex`], or over one index as the one-shard
+/// instance [`crate::exec::QueryExecutor`] wraps. It answers the full
+/// [`QuerySpec`] matrix as single queries or batches under either
+/// [`Schedule`], through lock-free pools of warm [`QueryContext`]s; after
+/// warm-up the per-query hot path performs zero queue or mindist-table
+/// allocations (debug-build batches assert it).
 ///
-/// Per query, every shard's engine runs and the results are merged; how
-/// depends on who is asking (see the design note atop `shard/exec.rs`):
-///
-/// * A caller on a plain thread — [`ShardedExecutor::run_one`], a
-///   [`Schedule::IntraQuery`] batch — gets the shards *concurrently*, one
-///   process-pool party each, splitting `config.num_workers` between
-///   them. Each party seeds its own shard and publishes to the shared
-///   bound, so whichever shard tightens it first prunes the others in
-///   flight.
-/// * A caller that already is a pool worker — a serve-daemon handler, a
-///   [`Schedule::InterQuery`] batch worker — walks the shards *inline*
-///   on its own thread: every shard is seeded first, then searched in
-///   ascending seed order with the full `config.num_workers` each. No
-///   thread is spawned and no pool is entered. Walked in shard-id order
-///   instead, a shard ahead of the neighbour's would prune against its
-///   own seed only — measured at 2.9 × the work of a single index.
-///
-/// 1-NN objectives share one atomic cross-shard BSF; k-NN shares one
-/// `KnnSet` keyed by global positions (the k-th-best bound is
-/// automatically collection-global); range search shares nothing (the
-/// bound is the fixed ε²) and concatenates. Per-shard [`QueryStats`] are
-/// summed through the same counters the single-index path reports, so
-/// batch aggregation flows through [`QueryStatsAggregate`] unchanged.
-///
-/// With one shard there is no shared bound and nothing to scatter: the
-/// walk is byte-identical to [`crate::exec::QueryExecutor`].
+/// A caller on a plain thread ([`ShardedExecutor::run_one`], a
+/// [`Schedule::IntraQuery`] batch) gets the shards *concurrently*, one
+/// process-pool party each, splitting `config.num_workers` between them.
+/// A caller that already is a pool worker (a daemon handler, a
+/// [`Schedule::InterQuery`] batch worker) walks them *inline*, seed-first
+/// (see the design note atop `shard/exec.rs`). With one shard every query
+/// is the inline walk, byte for byte the classic single-index search.
 #[derive(Debug)]
 pub struct ShardedExecutor<'a> {
-    index: &'a ShardedIndex,
+    /// The index [`ShardedExecutor::index`] reports; `None` only inside
+    /// a [`crate::exec::QueryExecutor`], which never exposes it.
+    index: Option<&'a ShardedIndex>,
     shards: Vec<Shard<'a>>,
     /// One warm-context pool per shard, so a concurrent scatter finds a
     /// context for every party; an inline walk serves all its shards
@@ -378,27 +331,49 @@ impl<'a> ShardedExecutor<'a> {
     ///
     /// Panics if `capacity == 0`.
     pub fn with_capacity(index: &'a ShardedIndex, capacity: usize) -> Self {
-        let n = index.num_shards();
+        let shards = (0..index.num_shards())
+            .map(|i| Shard {
+                index: index.shard(i),
+                offset: index.shard_offset(i),
+            })
+            .collect();
         Self {
-            index,
-            shards: (0..n)
-                .map(|i| Shard {
-                    index: index.shard(i),
-                    offset: index.shard_offset(i),
-                })
-                .collect(),
-            contexts: (0..n).map(|_| SlotPool::new(capacity)).collect(),
+            index: Some(index),
+            ..Self::over(shards, capacity)
+        }
+    }
+
+    /// An executor over `shards` with `capacity` warm contexts per shard;
+    /// `[Shard { index, offset: 0 }]` is the one-shard executor of a
+    /// single index.
+    pub(crate) fn over(shards: Vec<Shard<'a>>, capacity: usize) -> Self {
+        Self {
+            index: None,
+            contexts: shards.iter().map(|_| SlotPool::new(capacity)).collect(),
+            shards,
         }
     }
 
     /// The sharded index this executor serves.
     pub fn index(&self) -> &'a ShardedIndex {
         self.index
+            .expect("a public ShardedExecutor is built over a ShardedIndex")
     }
 
     /// Number of currently parked warm contexts across all shard pools.
     pub fn warm_contexts(&self) -> usize {
         self.contexts.iter().map(SlotPool::parked).sum()
+    }
+
+    /// Sum of [`QueryContext::alloc_events`] over the parked contexts of
+    /// every pool — the observable behind the zero-allocation-after-
+    /// warm-up tests (exclusive access, so no checkout races the count).
+    pub fn warm_alloc_events(&mut self) -> u64 {
+        self.contexts
+            .iter_mut()
+            .flat_map(SlotPool::iter_mut)
+            .map(|c| c.alloc_events())
+            .sum()
     }
 
     /// Answers one query over every shard: exact 1-NN and approximate
@@ -407,7 +382,8 @@ impl<'a> ShardedExecutor<'a> {
     ///
     /// # Panics
     ///
-    /// As [`crate::exec::QueryExecutor::run_one`].
+    /// Panics if the query length mismatches the index, the configuration
+    /// is invalid, `k == 0`, or `epsilon_sq` is negative or NaN.
     pub fn run_one(
         &self,
         query: &[f32],
@@ -434,18 +410,17 @@ impl<'a> ShardedExecutor<'a> {
         (answers, stats, alloc_delta, per_shard)
     }
 
-    /// Behind `run_one` / `run_one_traced`: the inline walk when there
-    /// is one shard or the caller already is a pool worker, else the
-    /// concurrent scatter. Also returns the allocation-event delta.
-    fn answer(
+    /// Behind every single query: the inline walk when there is one
+    /// shard or the caller already is a pool worker, else the concurrent
+    /// scatter. Also returns the allocation-event delta.
+    pub(crate) fn answer(
         &self,
         query: &[f32],
         spec: &QuerySpec,
         config: &QueryConfig,
         per_shard: Option<&mut Vec<QueryStats>>,
     ) -> (Vec<QueryAnswer>, QueryStats, u64) {
-        let n = self.shards.len();
-        if n == 1 || WorkerPool::on_worker_thread() {
+        if self.walks_inline() {
             let mut ctx = self.contexts[0].checkout().unwrap_or_default();
             let before = ctx.alloc_events();
             let (answers, stats) =
@@ -454,7 +429,7 @@ impl<'a> ShardedExecutor<'a> {
             self.contexts[0].checkin(ctx);
             return (answers, stats, delta);
         }
-
+        let n = self.shards.len();
         let t_start = Instant::now();
         let scatter = Scatter::new(&self.shards, query, spec, config);
         // Split the worker complement between the concurrent shards.
@@ -493,10 +468,22 @@ impl<'a> ShardedExecutor<'a> {
         (answers, stats, alloc_delta)
     }
 
-    /// Answers a whole batch of queries under `schedule`; the sharded
-    /// counterpart of [`crate::exec::QueryExecutor::run_batch`], with
-    /// the same contract (answers in query order, aggregate statistics
-    /// merged through [`QueryStatsAggregate`]).
+    /// Whether a query from this thread walks the shards inline.
+    fn walks_inline(&self) -> bool {
+        self.shards.len() == 1 || WorkerPool::on_worker_thread()
+    }
+
+    /// Answers a whole batch of queries under `schedule`.
+    ///
+    /// Returns one answer list per query, in query order, plus the
+    /// aggregate statistics (including the summed Fig. 13 breakdown when
+    /// `config.collect_breakdown` is set).
+    ///
+    /// Under [`Schedule::IntraQuery`] each query uses the full worker
+    /// complement of `config`; under [`Schedule::InterQuery`] the queries
+    /// are dispensed across `parallelism` pool workers and
+    /// `config.num_workers`/`num_queues` are ignored (each query runs
+    /// with one worker and one queue per shard).
     ///
     /// # Panics
     ///
@@ -509,9 +496,16 @@ impl<'a> ShardedExecutor<'a> {
         schedule: Schedule,
         config: &QueryConfig,
     ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
+        let mut answers = Vec::with_capacity(queries.len());
         match schedule {
+            Schedule::IntraQuery if self.walks_inline() => {
+                let mut next = 0..queries.len();
+                let push = |_, ans| answers.push(ans);
+                let agg = self.walk_batch(queries, spec, config, || next.next(), push);
+                (answers, agg)
+            }
             Schedule::IntraQuery => {
-                let mut answers = Vec::with_capacity(queries.len());
+                // A scatter per query: no context is held to check.
                 let mut agg = QueryStatsAggregate::default();
                 for q in queries.iter() {
                     let (ans, stats, _) = self.answer(q, spec, config, None);
@@ -521,72 +515,103 @@ impl<'a> ShardedExecutor<'a> {
                 (answers, agg)
             }
             Schedule::InterQuery { parallelism } => {
-                self.run_batch_inter(queries, spec, parallelism, config)
+                assert!(parallelism > 0, "parallelism must be positive");
+                let per_query = QueryConfig {
+                    num_workers: 1,
+                    num_queues: 1,
+                    ..config.clone()
+                };
+                let dispenser = Dispenser::new(queries.len());
+                let slots: Vec<Mutex<Option<Vec<QueryAnswer>>>> =
+                    (0..queries.len()).map(|_| Mutex::new(None)).collect();
+                let agg = Mutex::new(QueryStatsAggregate::default());
+                WorkerPool::global().run(parallelism.min(queries.len().max(1)), &|_pid| {
+                    let store = |qi: usize, ans| *slots[qi].lock() = Some(ans);
+                    let local =
+                        self.walk_batch(queries, spec, &per_query, || dispenser.next(), store);
+                    agg.lock().merge(&local);
+                });
+                answers.extend(slots.into_iter().map(|s| s.into_inner().expect("answered")));
+                (answers, agg.into_inner())
             }
         }
     }
 
-    /// Inter-query scheduling: queries parallel across batch workers,
-    /// each walking the shards inline (one engine worker per shard)
-    /// through one context.
-    fn run_batch_inter(
+    /// One batch worker's run: answers each query `next` hands out by an
+    /// inline walk through one context of the first pool, held
+    /// throughout, and passes its answers to `emit`.
+    fn walk_batch(
         &self,
         queries: &Dataset,
         spec: &QuerySpec,
-        parallelism: usize,
         config: &QueryConfig,
-    ) -> (Vec<Vec<QueryAnswer>>, QueryStatsAggregate) {
-        assert!(parallelism > 0, "parallelism must be positive");
-        let per_query = QueryConfig {
-            num_workers: 1,
-            num_queues: 1,
-            ..config.clone()
-        };
-        let dispenser = Dispenser::new(queries.len());
-        let slots: Vec<Mutex<Option<Vec<QueryAnswer>>>> =
-            (0..queries.len()).map(|_| Mutex::new(None)).collect();
-        let agg = Mutex::new(QueryStatsAggregate::default());
-        WorkerPool::global().run(parallelism.min(queries.len().max(1)), &|_pid| {
-            let mut local_agg = QueryStatsAggregate::default();
-            let mut ctx = self.contexts[0].checkout().unwrap_or_default();
-            while let Some(qi) = dispenser.next() {
-                let query = queries.series(qi);
-                let (ans, stats) =
-                    answer_inline(&self.shards, query, spec, &per_query, &mut ctx, None);
-                local_agg.add(&stats);
-                *slots[qi].lock() = Some(ans);
-            }
-            agg.lock().merge(&local_agg);
-            self.contexts[0].checkin(ctx);
-        });
-        let answers = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every query answered"))
-            .collect();
-        (answers, agg.into_inner())
+        mut next: impl FnMut() -> Option<usize>,
+        mut emit: impl FnMut(usize, Vec<QueryAnswer>),
+    ) -> QueryStatsAggregate {
+        let mut agg = QueryStatsAggregate::default();
+        let mut ctx = self.contexts[0].checkout().unwrap_or_default();
+        let mut warm = WarmupCheck::default();
+        while let Some(qi) = next() {
+            let query = queries.series(qi);
+            let (ans, stats) = answer_inline(&self.shards, query, spec, config, &mut ctx, None);
+            warm.observe(ctx.alloc_events());
+            agg.add(&stats);
+            emit(qi, ans);
+        }
+        self.contexts[0].checkin(ctx);
+        agg
     }
 
-    /// Warms every slot of every shard pool — the sharded counterpart of
-    /// [`crate::exec::QueryExecutor::prewarm`], with the same
-    /// post-condition: every slot is shaped ([`QueryContext::shape`]),
-    /// then `query` is answered once per pool against the owning shard
-    /// (to touch its index pages). The serve daemon calls this at boot,
-    /// and the live index on every republish, so first real queries run
-    /// allocation-free.
+    /// Warms every slot of every shard pool: each slot is *shaped*
+    /// ([`QueryContext::shape`] — the allocations its first query under
+    /// `config` would make, made without running it), then `query` is
+    /// answered once per pool against the owning shard, so the index
+    /// pages a first query walks are resident. Every slot then answers
+    /// with an `alloc_events` delta of 0 from its first query on. The
+    /// serve daemon calls this at boot, and the live index on every
+    /// republish.
     pub fn prewarm(&self, query: &[f32], spec: &QuerySpec, config: &QueryConfig) {
         for (pool, shard) in self.contexts.iter().zip(&self.shards) {
-            prewarm_pool(pool, shard.index, query, spec, config);
+            let mut held: Vec<QueryContext<'a>> = (0..pool.capacity())
+                .map(|_| pool.checkout().unwrap_or_default())
+                .collect();
+            for ctx in &mut held {
+                ctx.shape(shard.index.sax_config(), config);
+            }
+            let one = std::slice::from_ref(shard);
+            let _ = answer_inline(one, query, spec, config, &mut held[0], None);
+            for ctx in held {
+                pool.checkin(ctx);
+            }
         }
     }
 }
 
+/// Debug-build guard for the pooled zero-allocation invariant: the first
+/// query of a batch worker's run may (re)build scratch; after every later
+/// one, the allocation counter of the contexts it holds must not move.
+#[derive(Default)]
+struct WarmupCheck(Option<u64>);
+
+impl WarmupCheck {
+    #[inline]
+    fn observe(&mut self, alloc_events: u64) {
+        let warm = *self.0.get_or_insert(alloc_events);
+        debug_assert_eq!(
+            alloc_events, warm,
+            "scratch allocation after pooled warm-up"
+        );
+    }
+}
+
 /// Folds per-shard [`QueryStats`] into one query-level record: counters
-/// sum (they flow into the same [`QueryStatsAggregate`] fields the
-/// single-index path feeds), `total_time` is the scatter's wall clock,
-/// the initial BSF is the tightest seed any shard produced, breakdowns
-/// sum component-wise, and the stop reason merges pessimistically
-/// (any shard budget-exhausted ⇒ budget-exhausted; all home-leaf-only ⇒
-/// home-leaf-only; else completed).
+/// sum, `total_time` is the walk's wall clock, the initial BSF is the
+/// tightest seed any shard produced, breakdowns sum component-wise, and
+/// the stop reason merges pessimistically (any shard budget-exhausted ⇒
+/// budget-exhausted; all home-leaf-only ⇒ home-leaf-only; else
+/// completed). Every query goes through here, a single index's too; the
+/// exhaustive destructuring makes a field added later a compile error
+/// until it is merged.
 fn merge_shard_stats<'s>(
     per_shard: impl IntoIterator<Item = &'s QueryStats>,
     total_time: Duration,
@@ -596,20 +621,36 @@ fn merge_shard_stats<'s>(
         ..QueryStats::default()
     };
     let mut initial = f32::INFINITY;
-    for s in per_shard {
-        out.lb_distance_calcs += s.lb_distance_calcs;
-        out.node_lb_calcs += s.node_lb_calcs;
-        out.arenas_descended += s.arenas_descended;
-        out.real_distance_calcs += s.real_distance_calcs;
-        out.seed_real_calcs += s.seed_real_calcs;
-        out.bsf_updates += s.bsf_updates;
-        out.nodes_inserted += s.nodes_inserted;
-        out.nodes_popped += s.nodes_popped;
-        out.nodes_filtered_on_pop += s.nodes_filtered_on_pop;
-        out.approx_inflation_prunes += s.approx_inflation_prunes;
-        initial = initial.min(s.initial_bsf_dist_sq);
-        out.breakdown = sum_breakdowns(out.breakdown, s.breakdown);
-        out.stop_reason = merge_stop(out.stop_reason, s.stop_reason);
+    for &QueryStats {
+        lb_distance_calcs,
+        node_lb_calcs,
+        arenas_descended,
+        real_distance_calcs,
+        seed_real_calcs,
+        bsf_updates,
+        nodes_inserted,
+        nodes_popped,
+        nodes_filtered_on_pop,
+        total_time: _,
+        initial_bsf_dist_sq,
+        approx_inflation_prunes,
+        stop_reason,
+        breakdown,
+    } in per_shard
+    {
+        out.lb_distance_calcs += lb_distance_calcs;
+        out.node_lb_calcs += node_lb_calcs;
+        out.arenas_descended += arenas_descended;
+        out.real_distance_calcs += real_distance_calcs;
+        out.seed_real_calcs += seed_real_calcs;
+        out.bsf_updates += bsf_updates;
+        out.nodes_inserted += nodes_inserted;
+        out.nodes_popped += nodes_popped;
+        out.nodes_filtered_on_pop += nodes_filtered_on_pop;
+        out.approx_inflation_prunes += approx_inflation_prunes;
+        initial = initial.min(initial_bsf_dist_sq);
+        out.breakdown = sum_breakdowns(out.breakdown, breakdown);
+        out.stop_reason = merge_stop(out.stop_reason, stop_reason);
     }
     if initial.is_finite() {
         out.initial_bsf_dist_sq = initial;
@@ -661,6 +702,41 @@ mod tests {
         assert_eq!(merged.initial_bsf_dist_sq, 2.5);
         assert_eq!(merged.total_time, Duration::from_millis(3));
         assert_eq!(merged.stop_reason, None);
+    }
+
+    #[test]
+    fn one_shard_merges_to_itself_field_for_field() {
+        let shard = QueryStats {
+            lb_distance_calcs: 1,
+            node_lb_calcs: 2,
+            arenas_descended: 3,
+            real_distance_calcs: 4,
+            seed_real_calcs: 5,
+            bsf_updates: 6,
+            nodes_inserted: 7,
+            nodes_popped: 8,
+            nodes_filtered_on_pop: 9,
+            total_time: Duration::from_millis(10),
+            initial_bsf_dist_sq: 11.5,
+            approx_inflation_prunes: 12,
+            stop_reason: Some(StopReason::BudgetExhausted),
+            breakdown: Some(crate::stats::TimeBreakdown {
+                init_ns: 13,
+                tree_pass_ns: 14,
+                pq_insert_ns: 15,
+                pq_remove_ns: 16,
+                dist_calc_ns: 17,
+            }),
+        };
+        let walk = Duration::from_millis(18);
+        // Everything is the shard's own, except the clock: the walk's.
+        assert_eq!(
+            merge_shard_stats([&shard], walk),
+            QueryStats {
+                total_time: walk,
+                ..shard
+            }
+        );
     }
 
     #[test]

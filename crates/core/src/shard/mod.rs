@@ -36,7 +36,7 @@ mod index;
 mod persist;
 
 pub use exec::ShardedExecutor;
-pub(crate) use exec::{answer_solo, answer_solo_one, prewarm_pool, ShardReturn};
+pub(crate) use exec::{answer_solo, Shard, ShardReturn};
 pub use index::ShardedIndex;
 pub use persist::{load_sharded, save_sharded};
 
@@ -45,10 +45,10 @@ pub use persist::{load_sharded, save_sharded};
 /// global position ([`ShardedIndex::shard_offset`]).
 ///
 /// This is the *single* place global-position arithmetic lives: the
-/// shard-aware search adapters, the shared k-NN set, the gather/merge
-/// steps, and the equivalence tests all call it, so the globalization
-/// rule cannot drift between layers. The inverse direction (global →
-/// shard + local) is [`ShardedIndex::locate`].
+/// shards' search steps, the shared k-NN set, the gather/merge steps,
+/// and the equivalence tests all call it, so the globalization rule
+/// cannot drift between layers. The inverse direction (global → shard +
+/// local) is [`ShardedIndex::locate`].
 ///
 /// Shard ranges are contiguous and disjoint, so `global_pos` is
 /// injective across shards: two distinct (shard, local) pairs never

@@ -65,7 +65,7 @@ fn main() {
     }
 
     // Exact k-NN: the building block of the paper's k-NN classification.
-    let (top5, _) = messi::index::knn::exact_knn(&index, queries.series(0), 5, &qconfig);
+    let (top5, _) = index.search_knn(queries.series(0), 5, &qconfig);
     println!("\ntop-5 neighbors of query 0:");
     for (rank, a) in top5.iter().enumerate() {
         println!(

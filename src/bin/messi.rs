@@ -704,6 +704,9 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     let data = load(opts)?;
     let queries = queries_for_cli(opts, &data)?;
     let k: usize = opts.parsed("k", 1usize)?;
+    if k == 0 {
+        return Err(usage("--k must be positive"));
+    }
     let use_dtw = opts.get("dtw").is_some();
     let (index, build) = obtain_index(opts, &data)?;
     if let Some(build) = &build {

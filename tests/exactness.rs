@@ -128,7 +128,7 @@ fn dtw_algorithms_agree() {
         ..QueryConfig::default()
     };
     for q in queries.iter() {
-        let (a, _) = messi::index::dtw::exact_search_dtw(&messi, q, params, &qc);
+        let (a, _) = messi.search_dtw(q, params, &qc);
         let (b, _) = ucr::ucr_serial_dtw(&data, q, params);
         let (c, _) = ucr::ucr_parallel_dtw(&data, q, params, &qc);
         check(a.dist_sq, b.dist_sq, "MESSI-DTW vs UCR-DTW");
