@@ -4,8 +4,7 @@
 //! regenerating the same rows/series the paper plots, at a laptop-scale
 //! dataset size. Absolute numbers differ from the paper's 100 GB testbed
 //! by construction; the *shape* — who wins, by what factor, where the
-//! knees are — is the reproduction target, and `EXPERIMENTS.md` records
-//! both side by side.
+//! knees are — is the reproduction target.
 //!
 //! ## Scaling
 //!

@@ -25,9 +25,6 @@ impl Scale {
     /// Reads the scale from the environment:
     /// `MESSI_BENCH_SERIES` (default 250 000), `MESSI_BENCH_QUERIES`
     /// (default 10), `MESSI_BENCH_WARMUP` (default 2).
-    ///
-    /// The recorded EXPERIMENTS.md runs use `MESSI_BENCH_SERIES=1000000`
-    /// (1 GB of raw series standing in for the paper's 100 GB).
     pub fn from_env() -> Self {
         let get = |name: &str, default: usize| {
             std::env::var(name)

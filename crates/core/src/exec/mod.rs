@@ -24,12 +24,13 @@
 //!   first real query.
 //!
 //! Everything above this layer is thin: the `MessiIndex::search*`
-//! methods are one query each, and the CLI's `bench-query` subcommand is
-//! a command-line spelling of `(QuerySpec, Schedule)`. Everything below
-//! is shared: the executor adds **no** traversal logic of its own —
-//! every query is the plan → seed → search walk over a shard list, one
-//! shard for a single index, and [`crate::exact::exact_search_with`] is
-//! that same walk through a caller-owned context.
+//! methods are one query each, and the CLI's `query`/`range` subcommands
+//! and the daemon's `POST /query` are spellings of a [`QuerySpec`].
+//! Everything below is shared: the executor adds **no** traversal logic
+//! of its own — every query is the plan → seed → search walk over a
+//! shard list, one shard for a single index, and
+//! [`crate::exact::exact_search_with`] is that same walk through a
+//! caller-owned context.
 
 mod executor;
 mod spec;

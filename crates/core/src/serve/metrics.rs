@@ -2,10 +2,9 @@
 //!
 //! `/metrics` exports three families of numbers: the HTTP frontend's own
 //! counters (requests, sheds, in-flight gauge), the executor's
-//! [`QueryStatsAggregate`] — the same throughput / Fig. 13 phase
-//! breakdown / prune-rate / budget-stop counters the CLI bench reports,
-//! so a dashboard over the daemon reads exactly what the offline harness
-//! prints — and, when the daemon serves a sharded index, per-shard
+//! [`QueryStatsAggregate`] — throughput, the Fig. 13 phase breakdown,
+//! prune-rate and budget-stop counters, the same aggregate a batch run
+//! returns — and, when the daemon serves a sharded index, per-shard
 //! labeled counters (`messi_shard_*_total{shard="i"}`) folded from the
 //! scatter's per-shard [`QueryStats`], so load imbalance and cross-shard
 //! pruning effectiveness are visible per shard. [`encode_prometheus`]

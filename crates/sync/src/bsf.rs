@@ -10,8 +10,8 @@
 //! [`AtomicBsf`] is the natural Rust alternative — for non-negative
 //! IEEE-754 floats the total order of values coincides with the integer
 //! order of their bit patterns, so `fetch_min` on the bits implements an
-//! exact concurrent minimum. The `bsf_policy` ablation bench compares
-//! them.
+//! exact concurrent minimum. The `ablation` figure binary
+//! (`shared_queues_locked_bsf` row) compares them.
 //!
 //! Both track the *position* of the series achieving the minimum, which
 //! the paper's pseudocode leaves implicit but any real system must return.

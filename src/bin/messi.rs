@@ -6,7 +6,6 @@
 //! messi info        --data data.mds [--load index.msx] [--shards N]
 //! messi query       --data data.mds [--queries q.mds | --num-queries 10] [--k 5] [--dtw] [--load index.msx] [--shards N]
 //! messi range       --data data.mds --epsilon 5.0 [--num-queries 5] [--dtw] [--load index.msx] [--shards N]
-//! messi bench-query --data data.mds --objective {exact|knn|range|approx} --schedule {intra|inter} [--dtw] [--load index.msx] [--shards N] [--json out.json]
 //! messi serve       --data data.mds [--load index.msx] [--addr 127.0.0.1:7700] [--threads N] [--admission N] [--shards N] [--ingest-log delta.log]
 //! messi ingest      --addr 127.0.0.1:7700 --data new.mds [--batch N]
 //! messi compact     --data data.mds --log delta.log [--load index.msx|dir] [--save index.msx|dir]
@@ -22,16 +21,13 @@
 //! writes a snapshot *directory* (`shard-I.messi` files plus a
 //! checksummed manifest) and `--load` of a directory restores it,
 //! loading shards in parallel. Queries can come from a second file or be
-//! generated on the fly. Searches are exact unless `--objective approx`
-//! selects the δ-ε-approximate mode; per-query pruning statistics are
-//! printed. `bench-query` drives the pooled query executor over a whole
-//! batch — any objective × metric × schedule — and reports aggregate
-//! throughput plus the paper's Fig. 13 per-phase breakdown
-//! (`--breakdown`); for the approximate objective it additionally
-//! reports observed recall and approximation ratio against brute force.
+//! generated on the fly. Searches are exact; per-query pruning
+//! statistics are printed. Timing is the benchmark harness's job (README
+//! "Benchmarks"), not this binary's.
 //!
-//! `serve` turns the same executor into a long-running daemon (see the
-//! README's Serving section); `load-smoke` is its counterpart client.
+//! `serve` turns the pooled query executor into a long-running daemon
+//! (see the README's Serving section); `load-smoke` is its counterpart
+//! client.
 //! The daemon serves from a live [`messi::DeltaIndex`]: `POST /ingest`
 //! appends series behind an epoch seam without blocking queries, and
 //! `--ingest-log` makes those appends durable (replayed over the
@@ -124,32 +120,6 @@ fn run(command: &str, rest: &[String]) -> Result<(), CliError> {
             )?;
             cmd_range(&opts)
         }
-        "bench-query" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "queries",
-                    "num-queries",
-                    "objective",
-                    "k",
-                    "epsilon",
-                    "delta",
-                    "schedule",
-                    "parallelism",
-                    "workers",
-                    "dtw",
-                    "breakdown",
-                    "seed",
-                    "load",
-                    "json",
-                    "kernel",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_bench_query(&opts)
-        }
         "serve" => {
             opts.expect_keys(
                 command,
@@ -230,12 +200,6 @@ USAGE:
                     [--kernel <auto|simd|scalar>] [--shards <N>] [--leaf-target <N|auto>]
   messi range       --data <file.mds> --epsilon <dist> [--num-queries <N>] [--dtw] [--seed <u64>]
                     [--load <file.msx|dir>] [--shards <N>] [--leaf-target <N|auto>]
-  messi bench-query --data <file.mds> [--queries <file.mds>] [--num-queries <N>]
-                    [--objective <exact|knn|range|approx>] [--k <K>] [--epsilon <dist|ratio>]
-                    [--delta <0..=1>] [--schedule <intra|inter>] [--parallelism <P>]
-                    [--workers <Ns>] [--dtw] [--breakdown] [--seed <u64>] [--load <file.msx|dir>]
-                    [--json <out.json>] [--kernel <auto|simd|scalar>] [--shards <N>]
-                    [--leaf-target <N|auto>]
   messi serve       --data <file.mds> [--load <file.msx|dir>] [--addr <host:port>]
                     [--threads <N>] [--admission <N>] [--query-workers <N>] [--breakdown]
                     [--kernel <auto|simd|scalar>] [--shards <N>] [--leaf-target <N|auto>]
@@ -251,17 +215,13 @@ USAGE:
                     [--min-shed <N>] [--max-attempts <N>] [--wait-ready <seconds>] [--seed <u64>]
 
 Generated queries come from the same family as --kind (members + noise
-for real-data stand-ins). Searches are exact except `--objective approx`:
-there --epsilon is the *relative* error bound (the answer is within
-(1+ε) of the true nearest neighbor) and --delta the confidence in [0, 1]
-(1 = deterministic guarantee, 0 = home-leaf-only ng-approximate);
-observed recall and approximation ratio are reported against brute
-force. bench-query answers the whole batch through the pooled query
-executor: `--schedule intra` runs queries one by one, each on all
---workers search workers (the paper's protocol); `--schedule inter`
-dispenses queries across --parallelism single-threaded workers for
-throughput. `--json` additionally writes the aggregate as one JSON
-object (the CI benchmark-trajectory artifact).
+for real-data stand-ins). Searches are exact except load-smoke's
+`--objective approx`: there --epsilon is the *relative* error bound (the
+answer is within (1+ε) of the true nearest neighbor) and --delta the
+confidence in [0, 1] (1 = deterministic guarantee, 0 = home-leaf-only
+ng-approximate). Latency and throughput are measured by the benchmark
+harness that BENCHMARK.json names (README, Benchmarks), not by this
+binary.
 
 `build --save` persists the finished index as a versioned, checksummed
 snapshot; `--load` on the query commands answers from the snapshot
@@ -313,9 +273,9 @@ into contiguous scans (`messi info` prints the run-length histogram,
 --shards, --leaf-target applies at build time only and does not combine
 with --load.
 
-`--kernel` forces the distance-kernel dispatch on query, bench-query and
-serve: `auto` (default) uses AVX2+FMA when the CPU has it, `simd` asks
-for it explicitly, `scalar` (alias `sisd`, the paper's name) forces the
+`--kernel` forces the distance-kernel dispatch on query and serve:
+`auto` (default) uses AVX2+FMA when the CPU has it, `simd` asks for it
+explicitly, `scalar` (alias `sisd`, the paper's name) forces the
 bit-identical scalar twins — the Fig. 18 SIMD-vs-SISD ablation as a
 flag. Answers are identical either way; only the speed changes.
 
@@ -882,243 +842,6 @@ fn objective_from(opts: &Opts) -> Result<Objective, CliError> {
     }
 }
 
-fn cmd_bench_query(opts: &Opts) -> Result<(), CliError> {
-    let data = load(opts)?;
-    let queries = queries_for_cli(opts, &data)?;
-    if queries.is_empty() {
-        return Err(CliError::Runtime(
-            "bench-query needs at least one query".into(),
-        ));
-    }
-
-    // ---- What to run: one cell of the Objective × Metric matrix ----
-    let objective = objective_from(opts)?;
-    let metric = if opts.get("dtw").is_some() {
-        MetricSpec::Dtw(DtwParams::paper_default(data.series_len()))
-    } else {
-        MetricSpec::Euclidean
-    };
-    let spec = QuerySpec { objective, metric };
-
-    // ---- How to run it: schedule and worker configuration ----
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let schedule_name = opts.get("schedule").unwrap_or("intra");
-    let schedule = match schedule_name {
-        "intra" => {
-            if opts.get("parallelism").is_some() {
-                return Err(usage(
-                    "--parallelism only applies to --schedule inter \
-                     (intra parallelizes inside each query via --workers)",
-                ));
-            }
-            Schedule::IntraQuery
-        }
-        "inter" => {
-            if opts.get("workers").is_some() {
-                return Err(usage(
-                    "--workers only applies to --schedule intra \
-                     (inter runs each query single-threaded via --parallelism)",
-                ));
-            }
-            let parallelism: usize = opts.parsed("parallelism", cores)?;
-            if parallelism == 0 {
-                return Err(usage("--parallelism must be positive"));
-            }
-            Schedule::InterQuery { parallelism }
-        }
-        other => return Err(usage(format!("unknown schedule `{other}` (intra|inter)"))),
-    };
-    let config = QueryConfig {
-        num_workers: opts.parsed("workers", QueryConfig::default().num_workers)?,
-        collect_breakdown: opts.get("breakdown").is_some(),
-        kernel: kernel_from(opts)?,
-        ..QueryConfig::default()
-    };
-
-    let (index, build) = obtain_index(opts, &data)?;
-    println!(
-        "bench-query: {} queries · {} · {} · {} · {} shard{}",
-        queries.len(),
-        describe_objective(&objective),
-        describe_metric(&metric),
-        describe_schedule(&schedule, config.num_workers),
-        index.num_shards(),
-        if index.num_shards() == 1 { "" } else { "s" },
-    );
-    match &build {
-        Some(build) => println!(
-            "index: {} series built in {:.2?}",
-            data.len(),
-            build.total_time
-        ),
-        None => println!("index: {} series (from snapshot)", data.len()),
-    }
-
-    // One executor serves the whole batch from warm pooled contexts,
-    // sized to the schedule's concurrency (intra uses a single context);
-    // the prewarm keeps first-query allocations out of the measured
-    // window without running more unmeasured queries than needed.
-    let pool_size = match schedule {
-        Schedule::IntraQuery => 1,
-        Schedule::InterQuery { parallelism } => parallelism,
-    };
-    let exec = ShardedExecutor::with_capacity(&index, pool_size);
-    exec.prewarm(queries.series(0), &spec, &config);
-    let t = std::time::Instant::now();
-    let (answers, agg) = exec.run_batch(&queries, &spec, schedule, &config);
-    let wall = t.elapsed();
-
-    let n = queries.len() as f64;
-    let total_answers: usize = answers.iter().map(Vec::len).sum();
-    println!(
-        "batch: answered in {:.2?} → {:.1} queries/s (mean {:.3?}/query), {} answers total",
-        wall,
-        n / wall.as_secs_f64(),
-        agg.mean_time(),
-        total_answers
-    );
-    println!(
-        "latency: p50 {} µs · p99 {} µs · max {} µs",
-        agg.latency_percentile_us(50.0).unwrap_or(0),
-        agg.latency_percentile_us(99.0).unwrap_or(0),
-        agg.latency_percentile_us(100.0).unwrap_or(0),
-    );
-    println!(
-        "pruning: {:.1} lb calcs/query ({:.1} at nodes, {:.1} arenas descended) · \
-         {:.1} real calcs/query · {:.1} bsf updates/query",
-        agg.mean_lb_calcs(),
-        agg.node_lb_calcs as f64 / n,
-        agg.arenas_descended as f64 / n,
-        agg.mean_real_calcs(),
-        agg.bsf_updates as f64 / n
-    );
-    if let Objective::Approx { epsilon, delta } = objective {
-        // Quality report (outside the timed window): brute-force the true
-        // 1-NN per query and compare. DTW brute force is intentionally
-        // skipped — it would dwarf the measured batch.
-        match metric {
-            MetricSpec::Euclidean => {
-                let mut within_bound = 0usize;
-                let mut exact_hits = 0usize;
-                let mut ratio_sum = 0.0f64;
-                let mut ratio_max = 0.0f64;
-                let factor = (1.0 + epsilon as f64) * (1.0 + epsilon as f64);
-                for (qi, q) in queries.iter().enumerate() {
-                    let (_, true_nn) = data.nearest_neighbor_brute_force(q);
-                    let got = answers[qi][0].dist_sq as f64;
-                    let ratio = if true_nn > 0.0 {
-                        (got / true_nn as f64).sqrt()
-                    } else {
-                        1.0
-                    };
-                    ratio_sum += ratio;
-                    ratio_max = ratio_max.max(ratio);
-                    if got <= true_nn as f64 * (1.0 + 1e-3) {
-                        exact_hits += 1;
-                    }
-                    if got <= factor * true_nn as f64 * (1.0 + 1e-3) {
-                        within_bound += 1;
-                    }
-                }
-                println!(
-                    "quality: recall@1 {:.1}% · within (1+ε) {:.1}% (δ target {:.1}%) · \
-                     approx ratio mean {:.4} / max {:.4}",
-                    100.0 * exact_hits as f64 / n,
-                    100.0 * within_bound as f64 / n,
-                    100.0 * delta as f64,
-                    ratio_sum / n,
-                    ratio_max
-                );
-            }
-            MetricSpec::Dtw(_) => {
-                println!("quality: (skipped — DTW brute force would dwarf the batch)");
-            }
-        }
-        println!(
-            "approx:  {} / {} queries stopped on the δ budget · {:.1} ε-inflation prunes/query",
-            agg.budget_stops,
-            agg.queries,
-            agg.approx_inflation_prunes as f64 / n
-        );
-    }
-    if let Some(b) = agg.mean_breakdown() {
-        println!(
-            "breakdown (mean µs/query): init {:.0} · tree pass {:.0} · pq insert {:.0} · \
-             pq remove {:.0} · dist calc {:.0}",
-            b.init_ns as f64 / 1e3,
-            b.tree_pass_ns as f64 / 1e3,
-            b.pq_insert_ns as f64 / 1e3,
-            b.pq_remove_ns as f64 / 1e3,
-            b.dist_calc_ns as f64 / 1e3,
-        );
-    }
-
-    // ---- Machine-readable aggregate for the CI benchmark trajectory ----
-    if let Some(json_path) = opts.get("json") {
-        let breakdown = agg.mean_breakdown().map(|b| {
-            format!(
-                ",\"phase_mean_ns\":{{\"init\":{},\"tree_pass\":{},\"pq_insert\":{},\
-                 \"pq_remove\":{},\"dist_calc\":{}}}",
-                b.init_ns, b.tree_pass_ns, b.pq_insert_ns, b.pq_remove_ns, b.dist_calc_ns
-            )
-        });
-        let build_field = build
-            .as_ref()
-            .map(|b| format!(",\"build_us\":{}", b.total_time.as_micros()))
-            .unwrap_or_default();
-        let line = format!(
-            "{{\"objective\":\"{}\",\"metric\":\"{}\",\"schedule\":\"{}\",\"kernel\":\"{}\",\
-             \"shards\":{},\"available_cores\":{},\"run_batch\":{},\"queries\":{},\
-             \"wall_us\":{},\"qps\":{:.3},\"mean_query_us\":{},\
-             \"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"lb_calcs_per_query\":{:.3},\
-             \"node_lb_calcs_per_query\":{:.3},\"arenas_descended_per_query\":{:.3},\
-             \"real_calcs_per_query\":{:.3},\"bsf_updates\":{},\"budget_stops\":{},\
-             \"total_answers\":{}{}{}}}",
-            match objective {
-                Objective::Exact => "exact",
-                Objective::Knn { .. } => "knn",
-                Objective::Range { .. } => "range",
-                Objective::Approx { .. } => "approx",
-            },
-            if matches!(metric, MetricSpec::Euclidean) {
-                "ed"
-            } else {
-                "dtw"
-            },
-            schedule_name,
-            match config.kernel {
-                Kernel::Auto => "auto",
-                Kernel::Simd => "simd",
-                Kernel::Scalar => "scalar",
-            },
-            index.num_shards(),
-            cores,
-            config.run_batching(),
-            agg.queries,
-            wall.as_micros(),
-            n / wall.as_secs_f64(),
-            agg.mean_time().as_micros(),
-            agg.latency_percentile_us(50.0).unwrap_or(0),
-            agg.latency_percentile_us(99.0).unwrap_or(0),
-            agg.latency_percentile_us(100.0).unwrap_or(0),
-            agg.mean_lb_calcs(),
-            agg.node_lb_calcs as f64 / n,
-            agg.arenas_descended as f64 / n,
-            agg.mean_real_calcs(),
-            agg.bsf_updates,
-            agg.budget_stops,
-            total_answers,
-            build_field,
-            breakdown.unwrap_or_default(),
-        );
-        std::fs::write(json_path, format!("{line}\n")).map_err(|e| format!("{json_path}: {e}"))?;
-        println!("json: aggregate written to {json_path}");
-    }
-    Ok(())
-}
-
 fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let addr = opts.get("addr").unwrap_or("127.0.0.1:7700").to_string();
     let defaults = ServeConfig::default();
@@ -1406,45 +1129,26 @@ fn cmd_load_smoke(opts: &Opts) -> Result<(), CliError> {
         return Err(usage("--num-queries must be positive"));
     }
     let seed: u64 = opts.parsed("seed", 42u64)?;
-    let objective = opts.get("objective").unwrap_or("exact");
-    validate_objective_flags(opts, objective)?;
+    let objective = objective_from(opts)?;
 
     // Build the JSON query bodies the daemon's /query endpoint expects.
     let queries = messi::series::gen::queries::noisy_queries_from_dataset(&data, n, 0.1, seed);
-    let mut fields: Vec<String> = vec![format!("\"objective\":\"{objective}\"")];
-    match objective {
-        "exact" => {}
-        "knn" => {
-            let k: usize = opts.parsed("k", 10usize)?;
-            if k == 0 {
-                return Err(usage("--k must be positive"));
-            }
-            fields.push(format!("\"k\":{k}"));
+    let (name, mut fields) = match objective {
+        Objective::Exact => ("exact", vec![]),
+        Objective::Knn { k } => ("knn", vec![format!("\"k\":{k}")]),
+        // The wire carries the radius the user typed, not its square.
+        Objective::Range { epsilon_sq } => {
+            ("range", vec![format!("\"epsilon\":{}", epsilon_sq.sqrt())])
         }
-        "range" => {
-            let epsilon: f32 = opts
-                .required("epsilon")?
-                .parse()
-                .map_err(|_| usage("invalid --epsilon"))?;
-            if epsilon.is_nan() || epsilon < 0.0 {
-                return Err(usage("--epsilon must be non-negative"));
-            }
-            fields.push(format!("\"epsilon\":{epsilon}"));
-        }
-        "approx" => {
-            let epsilon: f32 = opts.parsed("epsilon", 0.05f32)?;
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return Err(usage("--epsilon must be a finite non-negative ratio"));
-            }
-            let delta: f32 = opts.parsed("delta", 1.0f32)?;
-            if !(0.0..=1.0).contains(&delta) {
-                return Err(usage("--delta must be within [0, 1]"));
-            }
-            fields.push(format!("\"epsilon\":{epsilon}"));
-            fields.push(format!("\"delta\":{delta}"));
-        }
-        _ => unreachable!("validate_objective_flags rejected unknown objectives"),
-    }
+        Objective::Approx { epsilon, delta } => (
+            "approx",
+            vec![
+                format!("\"epsilon\":{epsilon}"),
+                format!("\"delta\":{delta}"),
+            ],
+        ),
+    };
+    fields.insert(0, format!("\"objective\":\"{name}\""));
     if opts.get("dtw").is_some() {
         fields.push("\"metric\":\"dtw\"".to_string());
     }
@@ -1479,7 +1183,7 @@ fn cmd_load_smoke(opts: &Opts) -> Result<(), CliError> {
     }
 
     println!(
-        "load-smoke: {} clients × {} queries ({} bodies, objective={objective}{}) against {addr}",
+        "load-smoke: {} clients × {} queries ({} bodies, objective={name}{}) against {addr}",
         smoke.clients,
         smoke.per_client,
         bodies.len(),
@@ -1520,33 +1224,4 @@ fn cmd_load_smoke(opts: &Opts) -> Result<(), CliError> {
         )));
     }
     Ok(())
-}
-
-fn describe_objective(objective: &Objective) -> String {
-    match objective {
-        Objective::Exact => "objective=exact (1-NN)".into(),
-        Objective::Knn { k } => format!("objective=knn (k={k})"),
-        Objective::Range { epsilon_sq } => {
-            format!("objective=range (ε={})", epsilon_sq.sqrt())
-        }
-        Objective::Approx { epsilon, delta } => {
-            format!("objective=approx (ε={epsilon}, δ={delta})")
-        }
-    }
-}
-
-fn describe_metric(metric: &MetricSpec) -> String {
-    match metric {
-        MetricSpec::Euclidean => "metric=euclidean".into(),
-        MetricSpec::Dtw(p) => format!("metric=dtw (window={})", p.window),
-    }
-}
-
-fn describe_schedule(schedule: &Schedule, workers: usize) -> String {
-    match schedule {
-        Schedule::IntraQuery => format!("schedule=intra ({workers} workers/query)"),
-        Schedule::InterQuery { parallelism } => {
-            format!("schedule=inter ({parallelism} single-threaded query workers)")
-        }
-    }
 }

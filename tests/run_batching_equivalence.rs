@@ -214,3 +214,87 @@ fn per_leaf_counters_survive_coalescing() {
         );
     }
 }
+
+#[test]
+fn lower_bounds_are_bit_identical_across_leaf_targets_and_chunkings() {
+    // Adaptive leaf sizing reshapes the tree, never what the lower-bound
+    // tier computes: for one query's table, the wrapping sum of every
+    // entry's `mindist_sq_soa` bit pattern (order-independent, so equal
+    // whenever each bound is bit-identical) must agree across leaf
+    // capacities, per-leaf vs whole-run chunking, and both kernels.
+    use messi::sax::mindist::MindistTable;
+
+    fn bound_bits_sum(
+        index: &MessiIndex,
+        table: &MindistTable,
+        use_simd: bool,
+        whole_runs: bool,
+    ) -> u64 {
+        let mut sum = 0u64;
+        let mut out = [0.0f32; 8];
+        let mut scan = |cols: &[u8], stride: usize, base: usize, len: usize| {
+            for lo in (0..len).step_by(8) {
+                let chunk = (len - lo).min(8);
+                table.mindist_sq_soa(cols, stride, base + lo, chunk, use_simd, &mut out);
+                for v in &out[..chunk] {
+                    sum = sum.wrapping_add(u64::from(v.to_bits()));
+                }
+            }
+        };
+        for arena in index.arenas() {
+            if whole_runs {
+                arena.for_each_run(&mut |entries, cols, stride| {
+                    scan(cols, stride, 0, entries.len())
+                });
+            } else {
+                arena.for_each_leaf(&mut |leaf| {
+                    scan(leaf.cols, leaf.stride, leaf.base, leaf.entries.len())
+                });
+            }
+        }
+        sum
+    }
+
+    // Enough series that the auto capacity (n / 512 = 78) is a fourth,
+    // distinct tree shape; short series keep the debug build cheap.
+    let n = 40_000;
+    let generator = DatasetKind::RandomWalk.generator_with_len(12, 64);
+    let data = Arc::new(gen::generate_dataset(generator.as_ref(), n));
+    let query = gen::queries::noisy_queries_from_dataset(&data, 1, 0.1, 12);
+    let capacities = [messi::index::auto_leaf_capacity(n), 8, 32, 64];
+
+    let mut leaf_counts = Vec::new();
+    let mut sums = Vec::new();
+    for leaf_capacity in capacities {
+        let config = IndexConfig {
+            leaf_capacity,
+            ..IndexConfig::default()
+        };
+        let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
+        leaf_counts.push(index.num_leaves());
+        let sax = index.sax_config();
+        let table = MindistTable::new(&messi::series::paa::paa(query.series(0), sax.segments), sax);
+        for use_simd in [false, Kernel::Simd.uses_simd()] {
+            for whole_runs in [false, true] {
+                sums.push((
+                    leaf_capacity,
+                    use_simd,
+                    whole_runs,
+                    bound_bits_sum(&index, &table, use_simd, whole_runs),
+                ));
+            }
+        }
+    }
+    leaf_counts.sort_unstable();
+    leaf_counts.dedup();
+    assert_eq!(leaf_counts.len(), capacities.len(), "tree shapes coincide");
+    let (_, _, _, want) = sums[0];
+    assert_ne!(want, 0, "no lower bound was computed");
+    for (leaf_capacity, use_simd, whole_runs, got) in sums {
+        assert_eq!(
+            got, want,
+            "leaf_capacity={leaf_capacity} use_simd={use_simd} whole_runs={whole_runs}: \
+             a lower bound's bits changed"
+        );
+    }
+}
