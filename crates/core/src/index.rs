@@ -399,7 +399,7 @@ impl MessiIndex {
 
     /// Per-run shapes across every root subtree, in arena order:
     /// `(member leaves, entries)`. Feeds `messi info`'s run-length
-    /// histogram and the layout probe.
+    /// histogram and the benchmark's `node.leaves_per_run_mean`.
     pub fn run_shapes(&self) -> Vec<(usize, usize)> {
         self.arenas.iter().flat_map(TreeArena::run_shapes).collect()
     }

@@ -8,14 +8,15 @@
 //!
 //! ```text
 //! header:  "MESSILOG" | version u16 | series_len u32
-//!          | base_len u64 | checksum(base values) u64
-//! frame:   payload_len u32 | payload | checksum(payload) u64
+//!          | base_len u64 | XXH64(base values) u64
+//! frame:   payload_len u32 | payload | XXH64(payload) u64
 //! payload: count u32 | count × series_len × f32
 //! ```
 //!
-//! `checksum` is XXH64 in version 2 and FNV-1a 64 in version 1. A fresh
-//! or reset log is version 2; a version-1 log keeps appending FNV-1a
-//! frames (one file never mixes checksums) until compaction resets it.
+//! This build reads and writes version 2 only; an older log is refused
+//! as [`LogError::Corrupt`], naming its version. A fresh log's directory
+//! entry is synced ([`messi_series::io::sync_parent`]) before the first
+//! append can be acknowledged, so no acked frame outlives the file name.
 //!
 //! The header pins the log to the exact dataset it extends (length *and*
 //! content fingerprint), so replaying someone else's log over the wrong
@@ -27,7 +28,7 @@
 //! is a prefix of the header this open would write: no frame can
 //! precede a durable header).
 
-use messi_series::io::{Checksum, PayloadReader, PayloadWriter};
+use messi_series::io::{sync_parent, xxh64, xxh64_f32, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -36,7 +37,7 @@ use std::path::Path;
 
 /// Magic bytes opening every delta log.
 const LOG_MAGIC: &[u8; 8] = b"MESSILOG";
-/// Current log format version.
+/// Log format version, the only one this build reads.
 const LOG_VERSION: u16 = 2;
 /// Serialized header size in bytes (magic + version + series_len +
 /// base_len + base fingerprint).
@@ -128,20 +129,18 @@ pub struct DeltaLog {
     file: File,
     /// Valid byte length (header + whole frames).
     bytes: u64,
-    /// What this file's frames are sealed with (its header's version).
-    checksum: Checksum,
 }
 
 impl DeltaLog {
     /// Opens (or creates) the delta log at `path` that extends the
     /// collection `base`.
     ///
-    /// A fresh/empty file gets a header and replays nothing, and so
-    /// does a torn header (reported as torn). An existing file must
-    /// carry a header matching `base`; its whole frames are returned
-    /// (checked, not yet decoded) for the caller to replay, and a torn
-    /// tail is reported loudly on stderr and truncated so the log ends
-    /// on its last whole frame.
+    /// A fresh/empty file gets a header, synced together with its
+    /// directory entry, and replays nothing; so does a torn header
+    /// (reported as torn). An existing file must carry a header matching
+    /// `base`; its whole frames are returned (checked, not yet decoded)
+    /// for the caller to replay, and a torn tail is reported loudly on
+    /// stderr and truncated so the log ends on its last whole frame.
     ///
     /// # Errors
     ///
@@ -176,42 +175,31 @@ impl DeltaLog {
                 report.torn = true;
                 report.dropped_bytes = file_len;
             }
-            let mut log = Self {
-                file,
-                bytes: 0,
-                checksum: Checksum::Xxh64,
-            };
+            let mut log = Self { file, bytes: 0 };
             log.write_header(&header)?;
+            sync_parent(path)?;
             return Ok((log, LogFrames::default(), report));
         }
 
-        let (values, checksum, report) = decode_log(&raw, path, base)?;
+        let (values, report) = decode_log(&raw, path, base)?;
         let bytes = file_len - report.dropped_bytes;
         if report.torn {
             file.set_len(bytes)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(bytes))?;
-        let log = Self {
-            file,
-            bytes,
-            checksum,
-        };
-        Ok((log, LogFrames { raw, values }, report))
+        Ok((Self { file, bytes }, LogFrames { raw, values }, report))
     }
 
     /// Truncates every frame and (re)writes the header over `base` — how
     /// a fresh log starts, and the compaction tail step after the grown
-    /// dataset and snapshot have been saved. The reset log is always
-    /// the current version, whatever version it was opened at.
+    /// dataset and snapshot have been saved.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn reset(&mut self, base: &Dataset) -> Result<(), LogError> {
-        self.write_header(&header_bytes(base))?;
-        self.checksum = Checksum::Xxh64;
-        Ok(())
+        self.write_header(&header_bytes(base))
     }
 
     fn write_header(&mut self, header: &[u8]) -> Result<(), LogError> {
@@ -238,7 +226,7 @@ impl DeltaLog {
         w.put_u32(batch.len() as u32);
         w.put_f32_slice(values);
         let mut frame = w.into_bytes();
-        let checksum = self.checksum.bytes(&frame[4..]);
+        let checksum = xxh64(&frame[4..]);
         frame.extend_from_slice(&checksum.to_le_bytes());
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
@@ -252,43 +240,38 @@ impl DeltaLog {
     }
 }
 
-/// The current-version header that pins a log to `base`.
+/// The header that pins a log to `base`.
 fn header_bytes(base: &Dataset) -> Vec<u8> {
     let mut w = PayloadWriter::with_capacity(HEADER_LEN as usize);
     w.put_bytes(LOG_MAGIC);
     w.put_u16(LOG_VERSION);
     w.put_u32(base.series_len() as u32);
     w.put_u64(base.len() as u64);
-    w.put_u64(Checksum::Xxh64.f32s(base.as_flat()));
+    w.put_u64(xxh64_f32(base.as_flat()));
     w.into_bytes()
 }
 
 /// Checks a whole log image of at least [`HEADER_LEN`] bytes: a header
 /// that pins `base` (length *and* content fingerprint), then frames
 /// until the buffer runs dry or the tail tears. Returns the byte range
-/// of every whole frame's values and the checksum the file is sealed
-/// with.
+/// of every whole frame's values.
 fn decode_log(
     raw: &[u8],
     path: &Path,
     base: &Dataset,
-) -> Result<(Vec<Range<usize>>, Checksum, ReplayReport), LogError> {
+) -> Result<(Vec<Range<usize>>, ReplayReport), LogError> {
     let corrupt = |msg: String| LogError::Corrupt(msg);
     let mut r = PayloadReader::new(&raw[..HEADER_LEN as usize]);
     let magic = r.take_bytes(8).map_err(|e| corrupt(e.into()))?;
     if magic != LOG_MAGIC {
         return Err(corrupt("bad magic (not a MESSI delta log)".into()));
     }
-    // The version → checksum rule of the format.
-    let checksum = match r.take_u16().map_err(|e| corrupt(e.into()))? {
-        1 => Checksum::Fnv1a,
-        LOG_VERSION => Checksum::Xxh64,
-        version => {
-            return Err(corrupt(format!(
-                "unsupported log version {version} (this build reads 1..={LOG_VERSION})"
-            )))
-        }
-    };
+    let version = r.take_u16().map_err(|e| corrupt(e.into()))?;
+    if version != LOG_VERSION {
+        return Err(corrupt(format!(
+            "unsupported log version {version} (this build reads {LOG_VERSION})"
+        )));
+    }
     let log_series_len = r.take_u32().map_err(|e| corrupt(e.into()))?;
     let log_base_len = r.take_u64().map_err(|e| corrupt(e.into()))?;
     let log_fp = r.take_u64().map_err(|e| corrupt(e.into()))?;
@@ -304,7 +287,7 @@ fn decode_log(
              (was the dataset rebuilt without compacting the log?)"
         )));
     }
-    let base_fingerprint = checksum.f32s(base.as_flat());
+    let base_fingerprint = xxh64_f32(base.as_flat());
     if log_fp != base_fingerprint {
         return Err(LogError::Mismatch(format!(
             "log base fingerprint {log_fp:#018x} does not match the dataset's \
@@ -316,7 +299,7 @@ fn decode_log(
     let mut report = ReplayReport::default();
     let mut off = HEADER_LEN as usize;
     while off < raw.len() {
-        match check_frame(&raw[off..], series_len, checksum) {
+        match check_frame(&raw[off..], series_len) {
             Some(count) => {
                 let values = off + 8..off + 8 + count * series_len * 4;
                 off = values.end + 8;
@@ -340,13 +323,13 @@ fn decode_log(
             }
         }
     }
-    Ok((frames, checksum, report))
+    Ok((frames, report))
 }
 
 /// The series count of the frame at the front of `buf`, or `None` if the
 /// bytes do not form a whole, checksum-valid, well-shaped frame (= torn
 /// tail). The frame's values start 8 bytes in (length prefix + count).
-fn check_frame(buf: &[u8], series_len: usize, checksum: Checksum) -> Option<usize> {
+fn check_frame(buf: &[u8], series_len: usize) -> Option<usize> {
     if buf.len() < 4 {
         return None;
     }
@@ -357,7 +340,7 @@ fn check_frame(buf: &[u8], series_len: usize, checksum: Checksum) -> Option<usiz
     }
     let payload = &buf[4..4 + payload_len];
     let stored = u64::from_le_bytes(buf[4 + payload_len..frame_len].try_into().unwrap());
-    if checksum.bytes(payload) != stored {
+    if xxh64(payload) != stored {
         return None;
     }
     let mut r = PayloadReader::new(payload);
@@ -491,64 +474,25 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Re-seals a current log image as version 1: the version field, the
-    /// base fingerprint and every frame checksum recomputed with FNV-1a —
-    /// the file an older build wrote.
-    fn legacy_log(raw: &[u8], base: &Dataset) -> Vec<u8> {
-        let mut out = raw.to_vec();
-        out[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let fingerprint = Checksum::Fnv1a.f32s(base.as_flat());
-        out[22..30].copy_from_slice(&fingerprint.to_le_bytes());
-        let mut off = HEADER_LEN as usize;
-        while off < out.len() {
-            let len = u32::from_le_bytes(out[off..off + 4].try_into().unwrap()) as usize;
-            let sum = Checksum::Fnv1a.bytes(&out[off + 4..off + 4 + len]);
-            out[off + 4 + len..off + 12 + len].copy_from_slice(&sum.to_le_bytes());
-            off += 12 + len;
-        }
-        out
-    }
-
     #[test]
-    fn a_v1_log_replays_keeps_appending_fnv_frames_and_resets_to_v2() {
-        use crate::config::IndexConfig;
-        use crate::ingest::{DeltaIndex, IngestOptions};
-        use crate::shard::ShardedIndex;
+    fn a_v1_log_is_refused_naming_its_version() {
         let path = tmp("legacy");
         let base = batch(0.0, 64, 16);
-        let (b1, b2) = (batch(1.0, 3, 16), batch(2.0, 5, 16));
         let (mut log, _, _) = open(&path, &base).unwrap();
-        log.append(&b1).unwrap();
+        log.append(&batch(1.0, 3, 16)).unwrap();
         drop(log);
-        let v1 = legacy_log(&std::fs::read(&path).unwrap(), &base);
-        std::fs::write(&path, &v1).unwrap();
-
-        let (mut log, replayed, report) = open(&path, &base).unwrap();
-        assert_eq!((report.batches, report.torn), (1, false));
-        assert_eq!(decoded(&replayed, &report, 16), flat(&[&b1]));
-        log.append(&b2).unwrap();
-        drop(log);
-        let raw = std::fs::read(&path).unwrap();
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[8..10].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        match open(&path, &base) {
+            Err(LogError::Corrupt(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         assert_eq!(
+            std::fs::read(&path).unwrap(),
             raw,
-            legacy_log(&raw, &base),
-            "the append is FNV-1a sealed too"
+            "a refused log is untouched"
         );
-        let (log, replayed, report) = open(&path, &base).unwrap();
-        assert_eq!(report.batches, 2);
-        assert_eq!(decoded(&replayed, &report, 16), flat(&[&b1, &b2]));
-        drop(log);
-
-        // Compaction's checkpoint rewrites it as a current-version log
-        // over the grown base.
-        let base = std::sync::Arc::new(base);
-        let (index, _) = ShardedIndex::build(base, 1, &IndexConfig::for_tests());
-        let (live, report) = DeltaIndex::with_log(index, IngestOptions::default(), &path).unwrap();
-        assert_eq!(report.series, 8);
-        assert_eq!(live.checkpoint_log().unwrap(), 72);
-        let raw = std::fs::read(&path).unwrap();
-        assert_eq!(raw, header_bytes(live.index().dataset()));
-        assert_eq!(u16::from_le_bytes([raw[8], raw[9]]), LOG_VERSION);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -481,8 +481,8 @@ impl TreeArena {
     }
 
     /// Per-run shape, in run order: `(member leaves, entries)`. What
-    /// `messi info`'s run-length histogram and the layout probe
-    /// aggregate.
+    /// `messi info`'s run-length histogram and the benchmark's
+    /// `node.leaves_per_run_mean` aggregate.
     pub fn run_shapes(&self) -> Vec<(usize, usize)> {
         let mut shapes = vec![(0usize, 0usize); self.runs.len()];
         for (ord, &r) in self.run_of.iter().enumerate() {

@@ -8,19 +8,22 @@
 //! the build again (the ROADMAP's serve-from-prebuilt-snapshot
 //! scenario).
 //!
-//! ## Container format (little-endian throughout)
+//! ## Sealed container (little-endian throughout)
 //!
 //! ```text
 //! [0..8)    magic   b"MESSIIDX"
 //! [8..12)   format version (u32)
 //! [12..20)  payload length in bytes (u64)
 //! [20..+n)  payload (see below)
-//! [+n..+n+8) checksum of the payload
+//! [+n..+n+8) XXH64 of the payload
 //! ```
 //!
-//! The checksum and the payload's dataset fingerprint are XXH64 in
-//! version 3, which this build writes, and FNV-1a 64 in versions 1 and
-//! 2, which it still reads.
+//! `seal` writes this framing and `unseal` is its one reader; the
+//! shard manifest ([`crate::shard`]) is the same container under its own
+//! magic. Files are written through [`messi_series::io::write_durable`],
+//! so a save is all-or-nothing and durable once it returns. This build
+//! reads only the version it writes (3): older snapshots are refused
+//! with [`PersistError::Version`].
 //!
 //! The payload carries the [`IndexConfig`], a dataset fingerprint
 //! (shape + content hash — snapshots store tree structure, not raw
@@ -44,27 +47,22 @@ use crate::index::MessiIndex;
 use crate::node::{LeafEntry, NodeRecord, TreeArena};
 use messi_sax::convert::SaxConverter;
 use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
-use messi_series::io::{Checksum, PayloadReader, PayloadWriter};
+use messi_series::io::{write_durable, xxh64, xxh64_f32, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
 /// File magic: `MESSIIDX`.
 const MAGIC: [u8; 8] = *b"MESSIIDX";
-/// Current snapshot format version.
-///
-/// Version 2 marks builds whose arenas carry the struct-of-arrays leaf
-/// symbol columns. The columns are *derived* state — rebuilt by
-/// `TreeArena::from_raw` at load, never serialized (a snapshot cannot
-/// smuggle in columns that disagree with its entries) — so the payload
-/// is byte-identical to version 1 and version-1 files still load.
-/// Version 3 seals the payload and fingerprints the dataset with XXH64
-/// instead of FNV-1a; the layout is unchanged.
+/// Snapshot format version, the only one this build reads: the payload
+/// is sealed and the dataset fingerprinted with XXH64. The leaf symbol
+/// columns are derived state, rebuilt by `TreeArena::from_raw` at load
+/// and never serialized.
 pub const FORMAT_VERSION: u32 = 3;
-/// Oldest format version this build still reads.
-pub const MIN_FORMAT_VERSION: u32 = 1;
+/// Bytes before a sealed container's payload: magic, version, length.
+const SEAL_HEADER: usize = 20;
 
 /// Serialized bytes per node record: word (16×u16 + 16×u8) + tag + lo + hi.
 const NODE_WIRE_BYTES: usize = 2 * MAX_SEGMENTS + MAX_SEGMENTS + 1 + 4 + 4;
@@ -120,38 +118,16 @@ impl std::fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Saves `index` as a snapshot file at `path`.
-///
-/// The write is all-or-nothing: the snapshot is assembled in a `.tmp`
-/// sibling, synced, and renamed over `path`, so an interrupted save
-/// (crash, Ctrl-C, full disk) never destroys a previous good snapshot.
+/// Saves `index` as a snapshot file at `path`, all-or-nothing and
+/// durable ([`write_durable`]): an interrupted save (crash, Ctrl-C, full
+/// disk) never destroys a previous good snapshot.
 ///
 /// # Errors
 ///
 /// Any I/O error from creating, writing, or renaming the file.
 pub fn save_index(index: &MessiIndex, path: &Path) -> Result<(), PersistError> {
     let payload = encode_payload(index);
-    let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
-    let write = || -> std::io::Result<()> {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        w.write_all(&MAGIC)?;
-        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.write_all(&Checksum::Xxh64.bytes(&payload).to_le_bytes())?;
-        w.flush()?;
-        w.into_inner()
-            .map_err(|e| std::io::Error::other(format!("flush failed: {e}")))?
-            .sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
+    write_durable(path, |w| seal(w, &MAGIC, FORMAT_VERSION, &payload))?;
     Ok(())
 }
 
@@ -161,51 +137,14 @@ pub fn save_index(index: &MessiIndex, path: &Path) -> Result<(), PersistError> {
 /// # Errors
 ///
 /// [`PersistError::Io`] for filesystem problems; [`PersistError::
-/// BadMagic`] / [`PersistError::Version`] for foreign or future files;
-/// [`PersistError::Corrupt`] for truncation, checksum mismatches, or
-/// invalid content; [`PersistError::DatasetMismatch`] when `dataset` is
-/// not the collection the snapshot was built over.
+/// BadMagic`] / [`PersistError::Version`] for foreign, older or future
+/// files; [`PersistError::Corrupt`] for truncation, checksum mismatches,
+/// or invalid content; [`PersistError::DatasetMismatch`] when `dataset`
+/// is not the collection the snapshot was built over.
 pub fn load_index(path: &Path, dataset: Arc<Dataset>) -> Result<MessiIndex, PersistError> {
-    let file = std::fs::File::open(path)?;
-    let mut bytes = Vec::new();
-    std::io::BufReader::new(file).read_to_end(&mut bytes)?;
-    if bytes.len() < 20 || bytes[..8] != MAGIC {
-        if bytes.len() >= 8 && bytes[..8] == MAGIC {
-            return Err(PersistError::Corrupt("truncated header".into()));
-        }
-        return Err(PersistError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(PersistError::Version {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let expected_total = 20usize
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(|| PersistError::Corrupt("payload length overflows".into()))?;
-    if bytes.len() != expected_total {
-        return Err(PersistError::Corrupt(format!(
-            "file is {} bytes, header promises {expected_total}",
-            bytes.len()
-        )));
-    }
-    let payload = &bytes[20..20 + payload_len];
-    let stored = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
-    let checksum = match version {
-        1 | 2 => Checksum::Fnv1a,
-        _ => Checksum::Xxh64,
-    };
-    let actual = checksum.bytes(payload);
-    if stored != actual {
-        return Err(PersistError::Corrupt(format!(
-            "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        )));
-    }
-    let index = decode_payload(payload, dataset, checksum)?;
+    let bytes = std::fs::read(path)?;
+    let payload = unseal(&bytes, &MAGIC, FORMAT_VERSION)?;
+    let index = decode_payload(payload, dataset)?;
     // Semantic validation: the structural checks above cannot notice a
     // resealed forgery that tampers with iSAX words or positions while
     // keeping the arenas well-formed — wrong summaries would corrupt
@@ -217,6 +156,61 @@ pub fn load_index(path: &Path, dataset: Arc<Dataset>) -> Result<MessiIndex, Pers
     validate_loaded(&index)
         .map_err(|e| PersistError::Corrupt(format!("index invariants violated: {e}")))?;
     Ok(index)
+}
+
+/// Writes `payload` as a sealed container: `magic | version u32 | len
+/// u64 | payload | XXH64(payload)`.
+pub(crate) fn seal(
+    w: &mut impl Write,
+    magic: &[u8; 8],
+    version: u32,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    w.write_all(magic)?;
+    w.write_all(&version.to_le_bytes())?;
+    w.write_all(&(payload.len() as u64).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&xxh64(payload).to_le_bytes())
+}
+
+/// The payload of a container written by [`seal`], checked in order:
+/// magic ([`PersistError::BadMagic`]), version ([`PersistError::
+/// Version`]), then length and checksum ([`PersistError::Corrupt`]).
+pub(crate) fn unseal<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+) -> Result<&'a [u8], PersistError> {
+    if !bytes.starts_with(magic) {
+        return Err(PersistError::BadMagic);
+    }
+    if bytes.len() < SEAL_HEADER {
+        return Err(PersistError::Corrupt("truncated header".into()));
+    }
+    let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if found != version {
+        return Err(PersistError::Version {
+            found,
+            expected: version,
+        });
+    }
+    let len = u64::from_le_bytes(bytes[12..SEAL_HEADER].try_into().expect("8 bytes"));
+    let body = &bytes[SEAL_HEADER..];
+    if (body.len() as u64).checked_sub(8) != Some(len) {
+        return Err(PersistError::Corrupt(format!(
+            "file is {} bytes, header promises a {len}-byte payload",
+            bytes.len()
+        )));
+    }
+    let (payload, sum) = body.split_at(body.len() - 8);
+    let stored = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+    let actual = xxh64(payload);
+    if stored != actual {
+        return Err(PersistError::Corrupt(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
+        )));
+    }
+    Ok(payload)
 }
 
 /// Load-time semantic validation — the parallel counterpart of
@@ -295,7 +289,7 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
     let dataset = index.dataset();
     w.put_u32(dataset.series_len() as u32);
     w.put_u64(dataset.len() as u64);
-    w.put_u64(Checksum::Xxh64.f32s(dataset.as_flat()));
+    w.put_u64(xxh64_f32(dataset.as_flat()));
 
     w.put_u32(index.scales().len() as u32);
     for &s in index.scales() {
@@ -328,11 +322,7 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_payload(
-    payload: &[u8],
-    dataset: Arc<Dataset>,
-    checksum: Checksum,
-) -> Result<MessiIndex, PersistError> {
+fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, PersistError> {
     let corrupt = |what: &str| PersistError::Corrupt(what.into());
     let mut r = PayloadReader::new(payload);
 
@@ -378,7 +368,7 @@ fn decode_payload(
             dataset.series_len()
         )));
     }
-    if data_hash != checksum.f32s(dataset.as_flat()) {
+    if data_hash != xxh64_f32(dataset.as_flat()) {
         return Err(PersistError::DatasetMismatch(
             "dataset content hash differs — same shape, different values".into(),
         ));
@@ -518,28 +508,6 @@ fn take_node_word(r: &mut PayloadReader<'_>, _segments: usize) -> Result<NodeWor
     Ok(NodeWord::new(&symbols, &bits))
 }
 
-/// Re-seals a current snapshot image as format `version` (1 or 2): the
-/// version field, and the dataset fingerprint and container checksum
-/// recomputed with FNV-1a — the file an older build wrote.
-#[cfg(test)]
-pub(crate) fn legacy_snapshot(bytes: &[u8], version: u32, data: &Dataset) -> Vec<u8> {
-    assert!(
-        version < FORMAT_VERSION,
-        "versions 1 and 2 were FNV-1a sealed"
-    );
-    // Payload offset of the content hash: config 33 B, then series
-    // length and count (12 B).
-    const FINGERPRINT_AT: usize = 20 + 33 + 12;
-    let mut out = bytes.to_vec();
-    out[8..12].copy_from_slice(&version.to_le_bytes());
-    let fingerprint = Checksum::Fnv1a.f32s(data.as_flat());
-    out[FINGERPRINT_AT..FINGERPRINT_AT + 8].copy_from_slice(&fingerprint.to_le_bytes());
-    let end = out.len() - 8;
-    let sum = Checksum::Fnv1a.bytes(&out[20..end]);
-    out[end..].copy_from_slice(&sum.to_le_bytes());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,50 +580,57 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Saves `index`, patches the version field of the file to `version`
+    /// and returns what `load_index` makes of it.
+    fn load_as_version(
+        index: &MessiIndex,
+        data: &Arc<Dataset>,
+        version: u32,
+        name: &str,
+    ) -> Result<MessiIndex, PersistError> {
+        let path = tmp(name);
+        save_index(index, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = load_index(&path, Arc::clone(data));
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
     #[test]
     fn loads_version_1_snapshots() {
-        // The v1 → v2 bump only marks the SoA-column derivation; the
-        // payload is unchanged, so a v1 file (FNV-1a sealed, like v2)
-        // must load.
+        // Version 1 was FNV-1a sealed and is no longer read: loading one
+        // fails cleanly by its version field, before its contents are
+        // looked at. It must be re-saved by a build that still reads it.
         let (data, index) = build_small();
-        let path = tmp("v1.msx");
-        save_index(&index, &path).unwrap();
-        let bytes = legacy_snapshot(&std::fs::read(&path).unwrap(), 1, &data);
-        std::fs::write(&path, &bytes).unwrap();
-        let loaded = load_index(&path, Arc::clone(&data)).unwrap();
-        assert_eq!(loaded.num_entries(), index.num_entries());
-        // The derived SoA columns are rebuilt regardless of file version.
-        for &key in loaded.touched_keys() {
-            let arena = loaded.root(key).unwrap();
-            assert!(arena.col_bytes() >= arena.num_entries());
+        match load_as_version(&index, &data, 1, "v1.msx") {
+            Err(PersistError::Version { found, expected }) => {
+                assert_eq!((found, expected), (1, FORMAT_VERSION));
+                assert_eq!(expected, 3);
+            }
+            other => panic!("expected Version for v1, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn version_2_snapshots_load_and_answer_identically() {
+        // Version 2 was FNV-1a sealed too and is refused by its version;
+        // the same index re-saved at the current version loads and
+        // answers bit-identically to the one built in memory.
         let (data, index) = build_small();
-        let path = tmp("v2.msx");
-        save_index(&index, &path).unwrap();
-        let current = load_index(&path, Arc::clone(&data)).unwrap();
-        let bytes = legacy_snapshot(&std::fs::read(&path).unwrap(), 2, &data);
-        std::fs::write(&path, &bytes).unwrap();
-        let legacy = load_index(&path, Arc::clone(&data)).unwrap();
-        let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 5);
+        match load_as_version(&index, &data, 2, "v2.msx") {
+            Err(PersistError::Version { found, expected }) => {
+                assert_eq!((found, expected), (2, FORMAT_VERSION));
+            }
+            other => panic!("expected Version for v2, got {other:?}"),
+        }
+        let loaded = load_as_version(&index, &data, FORMAT_VERSION, "v3.msx").unwrap();
+        let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 23);
         let config = QueryConfig::for_tests();
         for q in queries.iter() {
-            let (a, _) = current.search(q, &config);
-            let (b, _) = legacy.search(q, &config);
-            assert_eq!(a.pos, b.pos);
-            assert_eq!(a.dist_sq.to_bits(), b.dist_sq.to_bits());
+            assert_eq!(index.search(q, &config).0, loaded.search(q, &config).0);
         }
-        // A legacy file's fingerprint still pins its dataset.
-        let other = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 24));
-        assert!(matches!(
-            load_index(&path, other),
-            Err(PersistError::DatasetMismatch(_))
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -732,7 +707,7 @@ mod tests {
         let mut out = bytes.to_vec();
         out[20 + patch_at..20 + patch_at + patch.len()].copy_from_slice(patch);
         let payload_len = out.len() - 28;
-        let sum = Checksum::Xxh64.bytes(&out[20..20 + payload_len]);
+        let sum = xxh64(&out[20..20 + payload_len]);
         let at = 20 + payload_len;
         out[at..at + 8].copy_from_slice(&sum.to_le_bytes());
         out

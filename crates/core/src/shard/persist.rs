@@ -17,24 +17,23 @@
 //! parallel. A corrupt, missing, or swapped shard file fails the load
 //! loudly with the offending path in the error.
 //!
-//! The manifest is [`crate::persist`]'s container (magic `MESSISHD`,
-//! version, payload length, payload, checksum) around the payload
-//! `shards u32 | series_len u32 | total u64 | shards × (offset u64, len
-//! u64)`. Its checksum is XXH64 in version 2, which this build writes,
-//! and FNV-1a 64 in version 1, which it still reads.
+//! The manifest is [`crate::persist`]'s sealed container (magic
+//! `MESSISHD`, version 2, payload length, payload, XXH64) around the
+//! payload `shards u32 | series_len u32 | total u64 | shards × (offset
+//! u64, len u64)`. Older manifests are refused with
+//! [`PersistError::Version`].
 
 use super::index::{shard_dataset, ShardedIndex};
-use crate::persist::{load_index, save_index, PersistError};
-use messi_series::io::{Checksum, PayloadReader, PayloadWriter};
+use crate::persist::{load_index, save_index, seal, unseal, PersistError};
+use messi_series::io::{sync_parent, write_durable, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
 use parking_lot::Mutex;
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
 /// Magic prefix of a sharded-snapshot manifest.
 const MANIFEST_MAGIC: [u8; 8] = *b"MESSISHD";
-/// Current manifest format version.
+/// Manifest format version, the only one this build reads.
 const MANIFEST_VERSION: u32 = 2;
 /// Manifest file name inside a snapshot directory.
 const MANIFEST_NAME: &str = "manifest.messi";
@@ -48,16 +47,18 @@ fn shard_file_name(i: usize) -> String {
 /// absent): one `shard-N.messi` per shard plus a checksummed
 /// `manifest.messi` recording the partition.
 ///
-/// Every file is written through the same tmp-file + rename discipline
-/// as [`save_index`], and the manifest is written *last*, so a
-/// directory with a valid manifest always has valid shard files newer
-/// than it — an interrupted save leaves no loadable-but-wrong state.
+/// Every file goes through [`write_durable`], which syncs each rename
+/// into the directory before the next file starts, and the manifest is
+/// written *last*. So a directory with a valid manifest always has
+/// valid shard files newer than it, even after a crash: an interrupted
+/// save leaves no loadable-but-wrong state.
 ///
 /// # Errors
 ///
 /// Any I/O error from creating the directory or writing its files.
 pub fn save_sharded(index: &ShardedIndex, dir: &Path) -> Result<(), PersistError> {
     std::fs::create_dir_all(dir)?;
+    sync_parent(dir)?;
     for (i, shard) in index.shards().iter().enumerate() {
         save_index(shard, &dir.join(shard_file_name(i)))?;
     }
@@ -73,25 +74,9 @@ pub fn save_sharded(index: &ShardedIndex, dir: &Path) -> Result<(), PersistError
     let payload = w.into_bytes();
 
     let path = dir.join(MANIFEST_NAME);
-    let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-    let write = || -> std::io::Result<()> {
-        let file = std::fs::File::create(&tmp)?;
-        let mut out = std::io::BufWriter::new(file);
-        out.write_all(&MANIFEST_MAGIC)?;
-        out.write_all(&MANIFEST_VERSION.to_le_bytes())?;
-        out.write_all(&(payload.len() as u64).to_le_bytes())?;
-        out.write_all(&payload)?;
-        out.write_all(&Checksum::Xxh64.bytes(&payload).to_le_bytes())?;
-        out.flush()?;
-        out.into_inner()
-            .map_err(|e| std::io::Error::other(format!("flush failed: {e}")))?
-            .sync_all()?;
-        std::fs::rename(&tmp, &path)
-    };
-    if let Err(e) = write() {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e.into());
-    }
+    write_durable(&path, |w| {
+        seal(w, &MANIFEST_MAGIC, MANIFEST_VERSION, &payload)
+    })?;
     Ok(())
 }
 
@@ -175,42 +160,7 @@ struct Manifest {
 /// checksum), then decodes the partition table.
 fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < 20 || bytes[..8] != MANIFEST_MAGIC {
-        if bytes.len() >= 8 && bytes[..8] == MANIFEST_MAGIC {
-            return Err(PersistError::Corrupt("truncated manifest header".into()));
-        }
-        return Err(PersistError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if !(1..=MANIFEST_VERSION).contains(&version) {
-        return Err(PersistError::Version {
-            found: version,
-            expected: MANIFEST_VERSION,
-        });
-    }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    let expected_total = 20usize
-        .checked_add(payload_len)
-        .and_then(|n| n.checked_add(8))
-        .ok_or_else(|| PersistError::Corrupt("manifest payload length overflows".into()))?;
-    if bytes.len() != expected_total {
-        return Err(PersistError::Corrupt(format!(
-            "manifest is {} bytes, header promises {expected_total}",
-            bytes.len()
-        )));
-    }
-    let payload = &bytes[20..20 + payload_len];
-    let stored = u64::from_le_bytes(bytes[20 + payload_len..].try_into().expect("8 bytes"));
-    let checksum = match version {
-        1 => Checksum::Fnv1a,
-        _ => Checksum::Xxh64,
-    };
-    let actual = checksum.bytes(payload);
-    if stored != actual {
-        return Err(PersistError::Corrupt(format!(
-            "manifest checksum mismatch (stored {stored:#018x}, computed {actual:#018x})"
-        )));
-    }
+    let payload = unseal(&bytes, &MANIFEST_MAGIC, MANIFEST_VERSION)?;
 
     let corrupt = |what: &str| PersistError::Corrupt(format!("manifest: {what}"));
     let mut r = PayloadReader::new(payload);
@@ -379,35 +329,20 @@ mod tests {
     }
 
     #[test]
-    fn a_v1_manifest_over_v2_shards_loads_and_answers_identically() {
+    fn a_v1_manifest_is_refused_by_its_version() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 41));
         let (built, _) = ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::for_tests());
         let dir = tmp_dir("legacy");
         save_sharded(&built, &dir).expect("save");
-        let current = load_sharded(&dir, Arc::clone(&data)).expect("v2 load");
-        // Re-seal every file as an older build wrote it.
-        for (i, shard) in built.shards().iter().enumerate() {
-            let path = dir.join(shard_file_name(i));
-            let bytes = std::fs::read(&path).expect("read shard");
-            let legacy = crate::persist::legacy_snapshot(&bytes, 2, shard.dataset());
-            std::fs::write(&path, legacy).expect("rewrite shard");
-        }
         let path = dir.join(MANIFEST_NAME);
         let mut bytes = std::fs::read(&path).expect("read manifest");
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let end = bytes.len() - 8;
-        let sum = Checksum::Fnv1a.bytes(&bytes[20..end]);
-        bytes[end..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite manifest");
-
-        let legacy = load_sharded(&dir, Arc::clone(&data)).expect("v1 load");
-        let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 41);
-        let config = QueryConfig::for_tests();
-        let (e_current, e_legacy) = (current.executor(), legacy.executor());
-        for q in queries.iter() {
-            let (a, _) = e_current.run_one(q, &QuerySpec::exact(), &config);
-            let (b, _) = e_legacy.run_one(q, &QuerySpec::exact(), &config);
-            assert_eq!(a, b);
+        match load_sharded(&dir, Arc::clone(&data)) {
+            Err(PersistError::Version { found, expected }) => {
+                assert_eq!((found, expected), (1, 2));
+            }
+            other => panic!("expected Version, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,5 @@
-//! Dataset file persistence, plus the little-endian payload codec shared
-//! with the index-snapshot container.
+//! Dataset file persistence, the one durable file writer, and the
+//! little-endian payload codec shared with the index-snapshot container.
 //!
 //! A minimal binary container so datasets can move between the CLI,
 //! examples, and external tools: a 24-byte header (magic, version,
@@ -8,50 +8,94 @@
 //! the paper's pipeline treats raw series files exactly this way (ParIS
 //! reads "raw data series from disk … into a raw data buffer in memory").
 //!
+//! [`write_durable`] is how every file the repo saves reaches the disk —
+//! datasets, index snapshots and shard manifests alike: fill a `.tmp`
+//! sibling, `fsync` it, rename it over the target, `fsync` the
+//! directory. A crash at any step leaves the old file or the new one,
+//! never a torn mix, and a completed write survives power loss.
+//!
 //! [`PayloadWriter`] / [`PayloadReader`] are the building blocks for
 //! richer containers: append/consume fixed-width little-endian scalars
 //! and byte runs over one contiguous buffer, with [`xxh64`] providing
 //! the content checksum. `messi_core::persist` uses them for the
 //! versioned, checksummed index snapshot files.
-//!
-//! | checksummed file | FNV-1a ([`fnv1a64`]), read only | XXH64 ([`xxh64`]), written |
-//! |---|---|---|
-//! | index snapshot | versions 1, 2 | version 3 |
-//! | shard manifest, delta log | version 1 | version 2 |
 
 use crate::error::Error;
 use crate::types::Dataset;
+use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic: `MESSIDS\0`.
 const MAGIC: [u8; 8] = *b"MESSIDS\0";
 /// Current format version.
 const VERSION: u32 = 1;
 
-/// Writes `dataset` to `path` in the container format.
+/// Writes `path` all-or-nothing: `fill` writes the contents into a
+/// `.tmp` sibling, which is `fsync`ed, renamed over `path`, and made
+/// durable by syncing the directory. If any step fails the `.tmp` is
+/// removed and a previous file at `path` is left untouched.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from creating or writing the file.
+/// Any I/O error from `fill` or from creating, syncing, or renaming.
+pub fn write_durable<F>(path: &Path, fill: F) -> std::io::Result<()>
+where
+    F: FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+{
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let write = || -> std::io::Result<()> {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        fill(&mut w)?;
+        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        sync_parent(path)
+    };
+    write().map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        e
+    })
+}
+
+/// Syncs the directory holding `path`, so that a create or rename of
+/// `path` survives a crash. A bare file name's directory is `.`.
+///
+/// # Errors
+///
+/// Any I/O error from opening or syncing the directory.
+pub fn sync_parent(path: &Path) -> std::io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
+/// Writes `dataset` to `path` in the container format, through
+/// [`write_durable`].
+///
+/// # Errors
+///
+/// Returns any I/O error from creating, writing, or renaming the file.
 pub fn write_dataset(dataset: &Dataset, path: &Path) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(&MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(dataset.series_len() as u32).to_le_bytes())?;
-    w.write_all(&(dataset.len() as u64).to_le_bytes())?;
-    // Raw values; f32 -> LE bytes.
-    let mut buf = Vec::with_capacity(64 * 1024);
-    for &v in dataset.as_flat() {
-        buf.extend_from_slice(&v.to_le_bytes());
-        if buf.len() >= 64 * 1024 {
-            w.write_all(&buf)?;
-            buf.clear();
+    write_durable(path, |w| {
+        w.write_all(&MAGIC)?;
+        w.write_all(&VERSION.to_le_bytes())?;
+        w.write_all(&(dataset.series_len() as u32).to_le_bytes())?;
+        w.write_all(&(dataset.len() as u64).to_le_bytes())?;
+        // Raw values; f32 -> LE bytes.
+        let mut buf = Vec::with_capacity(64 * 1024);
+        for &v in dataset.as_flat() {
+            buf.extend_from_slice(&v.to_le_bytes());
+            if buf.len() >= 64 * 1024 {
+                w.write_all(&buf)?;
+                buf.clear();
+            }
         }
-    }
-    w.write_all(&buf)?;
-    w.flush()
+        w.write_all(&buf)
+    })
 }
 
 /// Reads a dataset previously written by [`write_dataset`].
@@ -96,8 +140,7 @@ pub fn read_dataset(path: &Path) -> std::result::Result<Dataset, ReadError> {
 
 /// Streaming XXH64 (Collet's xxHash64, seed 0), the checksum of every
 /// file the repo writes: four 64-bit lanes each take one word of a
-/// 32-byte stripe, so it runs at memory speed where FNV-1a's multiply per
-/// byte does not. Any split of the input across [`Xxh64::update`] calls
+/// 32-byte stripe, so it runs at memory speed. Any split of the input across [`Xxh64::update`] calls
 /// gives the same digest.
 #[derive(Debug, Clone)]
 pub struct Xxh64 {
@@ -226,52 +269,6 @@ pub fn xxh64_f32(values: &[f32]) -> u64 {
     h.total = 4 * (values.len() - rest.len()) as u64;
     rest.iter().for_each(|v| h.update(&v.to_le_bytes()));
     h.finish()
-}
-
-/// The hash a file format version is sealed with (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Checksum {
-    /// FNV-1a 64 ([`fnv1a64`]), kept to read files from before XXH64.
-    Fnv1a,
-    /// XXH64 ([`xxh64`]), every format's current version.
-    Xxh64,
-}
-
-impl Checksum {
-    /// The checksum of `bytes`.
-    pub fn bytes(self, bytes: &[u8]) -> u64 {
-        match self {
-            Checksum::Fnv1a => fnv1a64(bytes),
-            Checksum::Xxh64 => xxh64(bytes),
-        }
-    }
-
-    /// The checksum of `values`' little-endian bytes: a dataset fingerprint.
-    pub fn f32s(self, values: &[f32]) -> u64 {
-        match self {
-            Checksum::Fnv1a => fnv1a64_f32(values),
-            Checksum::Xxh64 => xxh64_f32(values),
-        }
-    }
-}
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
-/// FNV-1a 64 of `bytes`: the legacy checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// [`fnv1a64`] of `values`' little-endian bytes: the legacy fingerprint.
-pub fn fnv1a64_f32(values: &[f32]) -> u64 {
-    let step = |h, v: &f32| fnv1a(h, &v.to_le_bytes());
-    values.iter().fold(fnv1a64(&[]), step)
 }
 
 /// Appends fixed-width little-endian values to a growing byte buffer.
@@ -460,6 +457,29 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_durable_write_keeps_the_old_file_and_leaves_no_tmp() {
+        let path = tmp("durable.bin");
+        write_durable(&path, |w| w.write_all(b"old contents")).unwrap();
+        let err = write_durable(&path, |w| {
+            w.write_all(&[0xAB; 100_000])?;
+            Err(std::io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert_eq!(std::fs::read(&path).unwrap(), b"old contents");
+        let mut tmp_name = path.clone().into_os_string();
+        tmp_name.push(".tmp");
+        assert!(!Path::new(&tmp_name).exists(), "the .tmp is removed");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sync_parent_of_a_bare_file_name_syncs_the_working_directory() {
+        sync_parent(Path::new("no-such-file.mds")).unwrap();
+        sync_parent(&std::env::temp_dir().join("no-such-file.mds")).unwrap();
+    }
+
+    #[test]
     fn rejects_bad_magic() {
         let path = tmp("badmagic.mds");
         std::fs::write(&path, b"NOTMESSI00000000000000000000").unwrap();
@@ -533,27 +553,10 @@ mod tests {
     }
 
     #[test]
-    fn fnv_checksums_are_stable_and_sensitive() {
-        // Regression-pinned: the checksum is part of the on-disk format.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a64(b"ab"), fnv1a64(b"ba"));
-        // The f32 variant equals hashing the serialized bytes.
-        let values = [1.0f32, -2.5, 0.0, f32::MAX];
-        let mut bytes = Vec::new();
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        assert_eq!(fnv1a64_f32(&values), fnv1a64(&bytes));
-    }
-
-    #[test]
     fn xxh64_matches_the_reference_answers() {
         // Regression-pinned: the checksum is part of the on-disk format.
         assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
         assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
-        assert_eq!(Checksum::Xxh64.bytes(b"abc"), xxh64(b"abc"));
-        assert_eq!(Checksum::Fnv1a.bytes(b"abc"), fnv1a64(b"abc"));
     }
 
     #[test]
@@ -581,7 +584,6 @@ mod tests {
                 bytes.extend_from_slice(&v.to_le_bytes());
             }
             assert_eq!(xxh64_f32(&values), xxh64(&bytes), "len {len}");
-            assert_eq!(Checksum::Fnv1a.f32s(&values), fnv1a64(&bytes), "len {len}");
         }
     }
 

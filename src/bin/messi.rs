@@ -259,7 +259,7 @@ mid-append) is detected, reported and dropped. `messi ingest` streams
 the series of a .mds file into a running daemon in batches, retrying
 shed (503) batches. `messi compact` folds a delta log into its base
 collection offline: it replays the log, rewrites --data (or --out)
-with the grown collection (tmp + atomic rename), optionally re-saves
+with the grown collection (tmp, fsync, atomic rename), optionally re-saves
 the snapshot (--save), and truncates the log to a fresh header over
 the new base.
 
@@ -1079,14 +1079,13 @@ fn cmd_compact(opts: &Opts) -> Result<(), CliError> {
     live.republish()
         .map_err(|e| CliError::Runtime(format!("republish: {e}")))?;
 
-    // Persist the grown collection *before* truncating the log: a crash
-    // in between leaves a stale log header that fails loudly on the next
-    // open (fingerprint mismatch) instead of silently losing series.
+    // Persist the grown collection durably *before* truncating the log:
+    // a crash in between leaves a stale log header that fails loudly on
+    // the next open (fingerprint mismatch) instead of silently losing
+    // series.
     let out = opts.get("out").map(PathBuf::from).unwrap_or(data_path);
     let index = live.index();
-    let tmp = out.with_extension("mds.tmp");
-    write_dataset(index.dataset(), &tmp).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &out).map_err(|e| format!("{}: {e}", out.display()))?;
+    write_dataset(index.dataset(), &out).map_err(|e| format!("{}: {e}", out.display()))?;
     println!(
         "compact: {} series ({} from the log) written to {}",
         index.dataset().len(),
