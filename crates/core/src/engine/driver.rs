@@ -54,7 +54,7 @@ use crate::config::QueuePolicy;
 use crate::index::MessiIndex;
 use crate::node::{LeafEntry, LeafRun, NodeId, TreeArena};
 use crate::stats::{LocalStats, SharedQueryStats};
-use messi_sax::MindistTable;
+use messi_sax::{FastScanLut, MindistTable};
 use messi_sync::{ConcurrentMinQueue, Dispenser, QueueSet, SenseBarrier};
 use std::time::Instant;
 
@@ -75,6 +75,10 @@ pub(crate) struct Engine<'e, 'a> {
     /// `MESSI_NO_RUN_BATCH` escape hatch, resolved by the caller).
     /// The driver additionally honors the objective's veto.
     pub(crate) coalesce: bool,
+    /// The 4-bit fast-scan tier's LUT, built from the objective's bound
+    /// after seeding; `None` when that bound is not finite and positive
+    /// (the tier is then off for the whole run).
+    pub(crate) fastscan: Option<FastScanLut>,
 }
 
 /// A run of consecutive surviving leaves accumulated during the tree
@@ -249,7 +253,15 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
             // work on").
             let mut rng = (pid as u32).wrapping_mul(0x9E37_79B9) | 1;
             loop {
-                process_queue(metric, objective, queues.queue(q), local, timers, results);
+                process_queue(
+                    engine,
+                    metric,
+                    objective,
+                    queues.queue(q),
+                    local,
+                    timers,
+                    results,
+                );
                 rng ^= rng << 13;
                 rng ^= rng >> 17;
                 rng ^= rng << 5;
@@ -263,7 +275,15 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
             // The rejected design: drain only your own queue, then stop —
             // no helping, which is exactly where the load imbalance the
             // paper describes comes from.
-            process_queue(metric, objective, queues.queue(pid), local, timers, results);
+            process_queue(
+                engine,
+                metric,
+                objective,
+                queues.queue(pid),
+                local,
+                timers,
+                results,
+            );
         }
     }
 }
@@ -293,7 +313,7 @@ fn scan_worker<M: Metric, O: SearchObjective>(
         &mut |run, _, local, results| {
             timers.timed(
                 |t| &mut t.dist_calc_ns,
-                || scan_run(metric, objective, run, local, results),
+                || scan_run(engine, metric, objective, run, local, results),
             );
         },
     );
@@ -426,6 +446,7 @@ fn descend<'a, O: SearchObjective>(
 /// Drains one queue (Alg. 8) until it is empty or its minimum reaches
 /// the objective's bound; either way the queue ends marked finished.
 fn process_queue<M: Metric, O: SearchObjective>(
+    engine: &Engine<'_, '_>,
     metric: &M,
     objective: &O,
     queue: &ConcurrentMinQueue<LeafRun<'_>>,
@@ -466,7 +487,7 @@ fn process_queue<M: Metric, O: SearchObjective>(
                     let run = if vetoed { run.prefix(admitted) } else { run };
                     timers.timed(
                         |t| &mut t.dist_calc_ns,
-                        || scan_run(metric, objective, run, local, results),
+                        || scan_run(engine, metric, objective, run, local, results),
                     );
                 }
                 if vetoed {
@@ -481,15 +502,21 @@ fn process_queue<M: Metric, O: SearchObjective>(
     }
 }
 
-/// Scans one leaf run (Alg. 9): the metric's first lower bound runs
-/// *batched*, 8 entries at a time, over the run's struct-of-arrays
-/// symbol block — full-width chunks straddle member-leaf boundaries,
-/// which is the whole point of coalescing; each chunk then goes through
-/// [`scan_bounded`]. Each per-entry lower bound is computed
+/// Scans one leaf run (Alg. 9) in two tiers over the run's
+/// struct-of-arrays symbol block. With the engine's fast-scan LUT, each
+/// full block of [`FastScanLut::BLOCK`] entries is first tested 4 bits a
+/// symbol against the live bound: an 8-entry chunk with no survivor is
+/// only counted, any other chunk goes on with its non-survivors' bounds
+/// at +∞ (the tier is conservative, so those would have been pruned
+/// anyway). Remaining entries take the metric's first lower bound
+/// batched, 8 at a time — full-width chunks straddle member-leaf
+/// boundaries, which is the whole point of coalescing. Every chunk then
+/// goes through [`scan_bounded`]. Each per-entry lower bound is computed
 /// independently of the chunking (bit-identical whether the entry is
 /// scanned alone or mid-run).
 #[inline]
 fn scan_run<M: Metric, O: SearchObjective>(
+    engine: &Engine<'_, '_>,
     metric: &M,
     objective: &O,
     run: LeafRun<'_>,
@@ -501,6 +528,28 @@ fn scan_run<M: Metric, O: SearchObjective>(
     let n = run.entries.len();
     let mut lbs = [0.0f32; 8];
     let mut base = 0;
+    if let Some(lut) = &engine.fastscan {
+        while n - base >= FastScanLut::BLOCK {
+            let threshold = lut.threshold(objective.bound());
+            let survivors = lut.survivors(run.cols, stride, run_base + base, threshold, use_simd);
+            for (chunk, mask) in survivors.to_le_bytes().into_iter().enumerate() {
+                let at = base + 8 * chunk;
+                if mask == 0 {
+                    local.lb += 8;
+                    continue;
+                }
+                table.mindist_sq_soa(run.cols, stride, run_base + at, 8, use_simd, &mut lbs);
+                for (lane, lb) in lbs.iter_mut().enumerate() {
+                    if mask >> lane & 1 == 0 {
+                        *lb = f32::INFINITY;
+                    }
+                }
+                let entries = &run.entries[at..at + 8];
+                scan_bounded(metric, objective, entries, &lbs, local, results);
+            }
+            base += FastScanLut::BLOCK;
+        }
+    }
     while base < n {
         let len = (n - base).min(8);
         table.mindist_sq_soa(run.cols, stride, run_base + base, len, use_simd, &mut lbs);

@@ -5,8 +5,11 @@
 //! from its PAA for Euclidean search, from its LB_Keogh envelope's PAAs
 //! for DTW — holds the contribution of every region of every
 //! cardinality, so the driver resolves arena roots (8 per sweep), inner
-//! nodes and leaf entries (8 per SoA chunk, SIMD or the bit-identical
-//! scalar twin) from it without asking which metric it serves. What a
+//! nodes and leaf entries from it without asking which metric it
+//! serves. Leaf entries are bounded in two tiers over the SoA columns: a
+//! 4-bit fast scan prunes 32 entries per step from the table's
+//! 16-region level, and the entries it keeps take the f32 bound, 8 per
+//! SoA chunk (each tier SIMD or its bit-identical scalar twin). What a
 //! [`Metric`] adds is the rest of the per-entry cascade: the
 //! early-abandoning real distance of Fig. 4/Alg. 9 for Euclidean search,
 //! LB_Keogh then banded DTW (§IV, Fig. 19's

@@ -190,6 +190,7 @@ impl ShardRun<'_, '_> {
             num_workers: config.num_workers,
             collect_breakdown: config.collect_breakdown,
             coalesce: config.run_batching(),
+            fastscan: table.fastscan_lut(objective.bound()),
         };
         match &plan.dtw {
             None => {

@@ -37,5 +37,5 @@ pub mod split;
 pub mod word;
 
 pub use convert::{SaxConfig, SaxConverter};
-pub use mindist::MindistTable;
+pub use mindist::{FastScanLut, MindistTable};
 pub use word::{NodeWord, SaxWord, CARD_BITS, MAX_CARDINALITY, MAX_SEGMENTS};

@@ -24,6 +24,10 @@
 //! contribution of every region of every cardinality, so a bound is
 //! `segments` loads and adds; the SIMD leaf kernels perform the loads
 //! with AVX2 gathers and the root sweep bounds 8 arena roots per call.
+//! In front of the leaf gathers, a [`FastScanLut`] quantises the
+//! table's 16-region level to u8 and prunes 32 entries per `vpshufb`
+//! sweep over the same symbol columns, never dropping an entry whose
+//! f32 bound is below the live bound.
 //! This is the "SIMD ... for the computation of the lower bound
 //! distances" of §II-A (the branches are resolved at table-build time,
 //! once per query, instead of once per candidate). The branchy
@@ -35,7 +39,7 @@
 
 use crate::breakpoints::{self, region_lower, region_upper};
 use crate::convert::SaxConfig;
-use crate::word::{NodeWord, RootWord, SaxWord, CARD_BITS, MAX_CARDINALITY};
+use crate::word::{NodeWord, RootWord, SaxWord, CARD_BITS, MAX_CARDINALITY, MAX_SEGMENTS};
 
 /// Per-segment gap between a query PAA value and a breakpoint region.
 #[inline]
@@ -636,6 +640,230 @@ impl MindistTable {
             }
             _mm256_storeu_ps(out.as_mut_ptr(), acc);
         }
+    }
+
+    /// The 4-bit fast-scan LUT for pruning against `bound` (see
+    /// [`FastScanLut`]): per segment, the table's 16-region level
+    /// (slots 15..31) on a scale of `bound / 1024`, floored and
+    /// saturating at 255. `None` when `bound` is not finite or `<= 0`,
+    /// where no scale exists.
+    pub fn fastscan_lut(&self, bound: f32) -> Option<FastScanLut> {
+        if !(bound.is_finite() && bound > 0.0) {
+            return None;
+        }
+        let inv = FASTSCAN_UNITS / f64::from(bound);
+        let mut lut = [[0u8; 16]; MAX_SEGMENTS];
+        for (row, out) in self.table.chunks_exact(ROW).zip(&mut lut) {
+            for (&slot, q) in row[NIBBLE..NIBBLE + 16].iter().zip(out.iter_mut()) {
+                // `as` floors a non-negative value and saturates at 255.
+                *q = (f64::from(slot) * inv) as u8;
+            }
+        }
+        Some(FastScanLut {
+            segments: self.segments,
+            inv,
+            lut,
+        })
+    }
+}
+
+// # Design: a 4-bit fast-scan tier for the entry bound
+//
+// **Context.** An exact `explore-ed` query (1 M random walks) bounds
+// ~249 k leaf entries through `mindist_sq_soa`'s AVX2 gathers — 16
+// gathers per 8 entries, ~10 ns an entry — and the distance phase was
+// the largest of the query's span (2 892 of 4 527 µs traced, seed 13).
+// 99 in 100 of those bounds end at or above the best-so-far.
+//
+// **Goals.** Prune most entries 32 at a time from registers, with no
+// float gather, in front of the unchanged f32 tier, so that every
+// real-distance decision, answer and counter stays what it was.
+//
+// **Non-goals.** New storage (the tier reads the existing u8 SoA
+// columns); an option, env var, feature or `Kernel` variant; AVX-512;
+// a tier in front of node bounds or of the seed's home-leaf scan.
+//
+// **Decisions** (André, Kermarrec & Le Scouarnec's PQ fast scan, PVLDB
+// 2015, on iSAX's multi-resolution symbols).
+// * *The 16-region level of the same table.* A symbol's top four bits
+//   name the 16-region cell that contains its 256-region cell, so slot
+//   `15 + (sym >> 4)` lower-bounds slot `255 + sym`. Per engine run the
+//   LUT holds those 16 slots per segment as u8 on a scale of
+//   `B / 1024` (B the bound after seeding): one `vpshufb` a segment
+//   looks up 32 entries, summed in u16 (at most 16 · 255 = 4 080).
+// * *The threshold follows the live bound.* Each 32-entry block is
+//   tested against `t(b) = ⌈b · inv · (1 + 2⁻¹⁶)⌉ + 1` for the bound `b`
+//   read at the block; an entry survives iff its sum is `< t(b)`. Every
+//   objective's bound only falls (a min-only BSF, the k-th best, a
+//   fixed radius), so an entry pruned at `b` would have failed the f32
+//   test `lb >= bound` at its own, later turn as well.
+// * *Conservative under f32 rounding.* Write `v₄ ≤ v₈` for a segment's
+//   16- and 256-region slots, `inv = fl₆₄(1024 / B)`, `q = ⌊fl₆₄(v₄ ·
+//   inv)⌋` saturated at 255, `Q = Σ q`, and `u = 2⁻²⁴`.
+//   1. `v₄ ≤ v₈` in f32, not only in reals: both slots are
+//      `scale · g · g` with `g = below[l] + above[h]` for the cell's
+//      boundaries, `below` is non-decreasing and `above` non-increasing
+//      in the boundary index, and the 16-region cell's boundaries
+//      enclose the 256-region cell's; f32 `+` and `·` by a non-negative
+//      value are monotone.
+//   2. f32 summation is monotone in every term, so `mindist_sq_soa`'s
+//      sum `S₈ ≥ S₄`, the same-order f32 sum of the `v₄`.
+//   3. Flooring and saturation only lower `q`: `q ≤ v₄ · (1024/B) ·
+//      (1 + 2⁻⁵³)²`, so the exact sum `R₄ = Σ v₄ ≥ Q · (B/1024) /
+//      (1 + 2⁻⁵³)²`.
+//   4. A sum of at most 16 non-negative f32 terms loses at most a factor
+//      `1 − γ₁₅`, `γ₁₅ = 15u / (1 − 15u) < 2⁻²⁰`: `S₄ ≥ R₄ · (1 − γ₁₅)`.
+//   5. A prune means `Q ≥ t(b) > b · (1024/B) · (1 + 2⁻¹⁶) · (1 −
+//      2⁻⁵³)³`. With 3–4, `S₄ > b · (1 + 2⁻¹⁶)(1 − 2⁻²⁰)(1 − 2⁻⁵³)⁵
+//      > b`, and by 2 `S₈ > b`: the f32 tier prunes the entry too. An
+//      overflowing `S₈` is +∞, which prunes as well.
+//   `t(b)` clamps into u16: a NaN or huge `b` gives 65 535 > 4 080 (no
+//   prune), a non-positive one 0 or 1 (every f32 bound is `>= 0 >= b`).
+// * *Skip whole 8-entry chunks, gather the rest.* The engine walks a
+//   run's full 32-entry blocks; a chunk of 8 with no survivor is counted
+//   as 8 bounded entries and never gathered, any other chunk takes
+//   `mindist_sq_soa` and `scan_bounded` with non-survivors' bounds set
+//   to +∞. Shorter remainders keep the 8-wide path. Counters move
+//   nowhere: `lb_calcs` still counts every entry either tier bounded.
+// * *Measured* (`explore-ed`, 1 M random walks, 2-core Xeon, W = 2).
+//   Per phase, traced at seed 13, before → after, µs a query: distance
+//   2 892 → 2 112, span 4 527 → 3 599; tree pass 820 → 729, queue
+//   insert 311 → 283, remove 196 → 185, other 195 → 186 and init
+//   113 → 104 moved within run-to-run noise (the tier runs in none of
+//   them). 84 % of bounded entries sit in full 32-entry blocks; 9.2 % of
+//   those survive, and 29 % sit in a chunk that is still gathered.
+//   Untraced `query_p50_us` over 10 alternating pairs: 3 011 → 2 520
+//   (10/10 wins; CHANGES.md lists every run).
+
+/// Units of the fast-scan scale: a LUT entry of 1 is `bound / 1024`.
+const FASTSCAN_UNITS: f64 = 1024.0;
+
+/// Offset of the 16-region (4-bit) level within a table row.
+const NIBBLE: usize = 15;
+
+/// A per-query, per-run u8 LUT over the 16-region level of a
+/// [`MindistTable`]: prunes 32 entries of a struct-of-arrays symbol
+/// block per step, conservatively, ahead of the f32 entry bound (see
+/// the design note above; built by [`MindistTable::fastscan_lut`]).
+#[derive(Debug, Clone)]
+pub struct FastScanLut {
+    segments: usize,
+    /// `1024 / B` for the bound `B` the LUT was built at.
+    inv: f64,
+    lut: [[u8; 16]; MAX_SEGMENTS],
+}
+
+impl FastScanLut {
+    /// Entries one [`FastScanLut::survivors`] call tests.
+    pub const BLOCK: usize = 32;
+
+    /// The integer threshold for a live bound `bound`: an entry whose
+    /// quantised sum is `>= threshold(bound)` has an f32 mindist above
+    /// `bound`.
+    #[inline]
+    pub fn threshold(&self, bound: f32) -> u16 {
+        let t = (f64::from(bound) * self.inv * (1.0 + 1.0 / 65_536.0)).ceil() + 1.0;
+        // `min` maps NaN to the cap; `as` sends negatives to 0.
+        t.min(f64::from(u16::MAX)) as u16
+    }
+
+    /// Survivor mask of the 32 entries `[base, base + 32)` of a
+    /// struct-of-arrays symbol block (`cols`, column stride `n`, as in
+    /// [`MindistTable::mindist_sq_soa`]): bit `j` is set iff entry
+    /// `base + j`'s quantised sum is below `threshold`. The AVX2 kernel
+    /// runs when `use_simd` is set; the scalar twin returns the same
+    /// mask bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is out of bounds or `cols` is shorter than
+    /// `segments * n`.
+    #[inline]
+    pub fn survivors(
+        &self,
+        cols: &[u8],
+        n: usize,
+        base: usize,
+        threshold: u16,
+        use_simd: bool,
+    ) -> u32 {
+        assert!(base + Self::BLOCK <= n, "fast-scan block out of bounds");
+        assert!(
+            cols.len() >= self.segments * n,
+            "SoA column block too short"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if use_simd {
+            // SAFETY: bounds asserted above; `use_simd` is only true
+            // after `simd_available()` confirmed AVX2 (via
+            // `Kernel::uses_simd`).
+            return unsafe { self.survivors_avx2(cols, n, base, threshold) };
+        }
+        let _ = use_simd;
+        self.survivors_scalar(cols, n, base, threshold)
+    }
+
+    /// Scalar twin of the fast-scan kernel: per entry, the u16 sum of
+    /// its segments' LUT values at the symbol's top four bits, walked
+    /// segment by segment like the AVX2 kernel.
+    pub fn survivors_scalar(&self, cols: &[u8], n: usize, base: usize, threshold: u16) -> u32 {
+        let mut sums = [0u16; Self::BLOCK];
+        for (s, lut) in self.lut[..self.segments].iter().enumerate() {
+            let col = &cols[s * n + base..][..Self::BLOCK];
+            for (sum, &sym) in sums.iter_mut().zip(col) {
+                *sum += u16::from(lut[usize::from(sym >> 4)]);
+            }
+        }
+        let mut mask = 0u32;
+        for (lane, &sum) in sums.iter().enumerate() {
+            mask |= u32::from(sum < threshold) << lane;
+        }
+        mask
+    }
+
+    /// AVX2 fast-scan kernel: per segment one 32-byte column load, `>> 4`
+    /// and mask, one `vpshufb` into the segment's LUT (broadcast to both
+    /// 128-bit lanes), and u16 accumulation of even and odd entries in
+    /// two registers; `sum >= t` is `max_epu16(sum, t) == sum`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 on the executing CPU; `base + 32 <= n` and
+    /// `cols.len() >= segments * n` (asserted by the public dispatcher).
+    // SAFETY: the one caller, `survivors`, asserts the bounds and holds
+    // `use_simd` only when AVX2 is present.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn survivors_avx2(&self, cols: &[u8], n: usize, base: usize, threshold: u16) -> u32 {
+        #[allow(clippy::wildcard_imports)]
+        use core::arch::x86_64::*;
+        let nibble = _mm256_set1_epi8(0x0F);
+        let low = _mm256_set1_epi16(0x00FF);
+        let (mut even, mut odd) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        for (s, lut) in self.lut[..self.segments].iter().enumerate() {
+            // SAFETY: the 32-byte load at `s*n + base` stays inside
+            // `cols` (`base + 32 <= n`, `s < segments`, block len `>=
+            // segments*n`); `lut` is 16 bytes, the 128-bit load's width.
+            let (syms, table) = unsafe {
+                (
+                    _mm256_loadu_si256(cols.as_ptr().add(s * n + base) as *const __m256i),
+                    _mm_loadu_si128(lut.as_ptr() as *const __m128i),
+                )
+            };
+            let idx = _mm256_and_si256(_mm256_srli_epi16(syms, 4), nibble);
+            let q = _mm256_shuffle_epi8(_mm256_broadcastsi128_si256(table), idx);
+            even = _mm256_add_epi16(even, _mm256_and_si256(q, low));
+            odd = _mm256_add_epi16(odd, _mm256_srli_epi16(q, 8));
+        }
+        let t = _mm256_set1_epi16(threshold as i16);
+        let pruned_even = _mm256_cmpeq_epi16(_mm256_max_epu16(even, t), even);
+        let pruned_odd = _mm256_cmpeq_epi16(_mm256_max_epu16(odd, t), odd);
+        // Byte `j` of the merge is entry `j`'s prune flag.
+        let pruned = _mm256_or_si256(
+            _mm256_and_si256(pruned_even, low),
+            _mm256_andnot_si256(low, pruned_odd),
+        );
+        !(_mm256_movemask_epi8(pruned) as u32)
     }
 }
 

@@ -19,7 +19,9 @@
 //!   the branchy `mindist_sq_node` / `mindist_sq_node_env` oracles for
 //!   every cardinality mix, the packed root block bounds each arena as
 //!   its root word does (built, grown and reloaded), and the 8-wide root
-//!   sweep equals its scalar twin at every chunk length.
+//!   sweep equals its scalar twin at every chunk length. The 4-bit
+//!   fast-scan tier drops only entries whose f32 bound reaches the live
+//!   bound, and its AVX2 survivor mask equals the scalar twin's.
 //! * **Query level** — a full search under forced-SIMD and
 //!   forced-scalar kernels returns bit-identical answers (position and
 //!   `dist_sq` bits) for every objective × metric cell. Run single-
@@ -38,7 +40,9 @@ use messi::index::node::TreeArena;
 use messi::prelude::*;
 use messi::sax::breakpoints;
 use messi::sax::convert::SaxConfig;
-use messi::sax::mindist::{mindist_sq_node, mindist_sq_node_env, segment_scales, MindistTable};
+use messi::sax::mindist::{
+    mindist_sq_node, mindist_sq_node_env, segment_scales, FastScanLut, MindistTable,
+};
 use messi::sax::word::{NodeWord, RootWord};
 use messi::series::distance::dtw::{
     cascade_sq, dtw_sq, dtw_sq_early_abandon, dtw_sq_early_abandon_suffix, dtw_sq_reference,
@@ -576,4 +580,114 @@ fn root_block_bounds_every_arena_as_its_root_word_does() {
         assert_eq!(loaded.roots(), grown.roots(), "{tag}: derived on load");
         assert_root_block_matches(&format!("{tag} loaded"), &loaded, &table, &paa);
     }
+}
+
+/// `entries` entries of random symbol columns, transposed (column `s`
+/// at `s * entries`), and their f32 bounds under `table`.
+fn random_block(table: &MindistTable, entries: usize, seed: u64) -> (Vec<u8>, Vec<f32>) {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut cols = vec![0u8; table.segments() * entries];
+    for byte in cols.iter_mut() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *byte = (state >> 32) as u8;
+    }
+    let mut lbs = vec![0.0f32; entries];
+    for (base, out) in (0..entries).step_by(8).zip(lbs.chunks_mut(8)) {
+        let mut chunk = [0.0f32; 8];
+        table.mindist_sq_soa(&cols, entries, base, out.len(), false, &mut chunk);
+        out.copy_from_slice(&chunk[..out.len()]);
+    }
+    (cols, lbs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The 4-bit fast-scan tier only drops entries the f32 tier drops:
+    /// for point and envelope tables (PAAs on breakpoints and at extreme
+    /// magnitudes), LUT bounds from tiny (every slot saturates) to huge
+    /// (every slot is 0) and live bounds at or below the LUT's, every
+    /// entry outside the survivor mask has an f32 bound `>=` the live
+    /// bound, and the AVX2 mask equals the scalar twin's bit for bit.
+    #[test]
+    fn fastscan_tier_is_admissible_and_its_kernels_agree(
+        wide in 0usize..2,
+        envelope in proptest::bool::ANY,
+        seed in 0u64..1_000_000,
+        magnitude in scale_strategy(),
+        pick in (0usize..7, 0usize..5),
+    ) {
+        let segments = [8usize, 16][wide];
+        let config = SaxConfig::new(segments, 256);
+        let paa: Vec<f32> = paa_on_breakpoints(segments, seed)
+            .iter()
+            .zip(series(segments, seed + 3, magnitude))
+            .enumerate()
+            .map(|(i, (&p, m))| if i % 2 == 0 { p } else { m })
+            .collect();
+        let table = if envelope {
+            let lower: Vec<f32> = paa.iter().map(|v| v - 0.25).collect();
+            let upper: Vec<f32> = paa.iter().map(|v| v + 0.5).collect();
+            MindistTable::from_envelope(&lower, &upper, config)
+        } else {
+            MindistTable::new(&paa, config)
+        };
+        let entries = 3 * FastScanLut::BLOCK + 8;
+        let (cols, lbs) = random_block(&table, entries, seed);
+        let mut sorted = lbs.clone();
+        sorted.sort_by(f32::total_cmp);
+        let lut_bound = [
+            f32::MIN_POSITIVE,
+            1.0e-30,
+            sorted[entries / 10],
+            sorted[entries / 2],
+            sorted[entries - 1],
+            1.0e30,
+            f32::MAX,
+        ][pick.0];
+        let Some(lut) = table.fastscan_lut(lut_bound) else {
+            // Only a drawn f32 bound of 0 or +inf (an overflowed slot) has
+            // no LUT.
+            prop_assert!(lut_bound == 0.0 || !lut_bound.is_finite());
+            return;
+        };
+        let live = [
+            lut_bound,
+            f32::from_bits(lut_bound.to_bits() - 1),
+            lut_bound * 0.5,
+            lut_bound * 1.0e-3,
+            0.0,
+        ][pick.1];
+        let threshold = lut.threshold(live);
+        for base in [0, 32, 64, 72] {
+            let scalar = lut.survivors_scalar(&cols, entries, base, threshold);
+            // `simd_available()` is false under MESSI_FORCE_SCALAR=1: the
+            // dispatcher then takes the scalar twin on both arms.
+            let dispatched = lut.survivors(&cols, entries, base, threshold, simd_available());
+            prop_assert_eq!(dispatched, scalar, "base {} threshold {}", base, threshold);
+            for lane in 0..FastScanLut::BLOCK {
+                if scalar >> lane & 1 == 0 {
+                    let lb = lbs[base + lane];
+                    prop_assert!(
+                        lb >= live,
+                        "dropped entry {} has f32 bound {} < live bound {} (LUT at {})",
+                        base + lane, lb, live, lut_bound
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fastscan_lut_needs_a_finite_positive_bound() {
+    let config = SaxConfig::new(16, 256);
+    let table = MindistTable::new(&paa_on_breakpoints(16, 5), config);
+    for bound in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, -0.0, -1.0] {
+        assert!(table.fastscan_lut(bound).is_none(), "bound {bound}");
+    }
+    assert!(table.fastscan_lut(f32::MIN_POSITIVE).is_some());
+    assert!(table.fastscan_lut(f32::MAX).is_some());
 }
