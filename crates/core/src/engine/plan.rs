@@ -287,11 +287,11 @@ mod tests {
         // k-NN: the set's contents after seeding, and the shard's rank.
         for k in [1usize, 5, 50] {
             let offset = 1_000;
-            let seeded = KnnSet::new(k);
+            let seeded = KnnSet::new(k, index.num_series());
             let objective = crate::engine::KnnObjective::new(&seeded, offset);
             let _uncounted = plan.seed(index, &mut ctx, &objective, false);
             let rank = objective.best_offered();
-            let reference = KnnSet::new(k);
+            let reference = KnnSet::new(k, index.num_series());
             let mut best = f32::INFINITY;
             for e in leaf {
                 let bound = reference.bound();

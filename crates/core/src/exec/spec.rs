@@ -114,6 +114,97 @@ impl QuerySpec {
             ..self
         }
     }
+
+    /// The one rule book for a query's fields, shared by the `/query`
+    /// wire protocol and the `messi` CLI: builds the spec named by
+    /// `objective` and `metric`, reading its numeric fields through
+    /// `number` (`Ok(None)` when a field is absent, `Err` when it is not
+    /// a number) for an index whose series have `series_len` points.
+    ///
+    /// `k` is valid only with `knn` (default 10), `epsilon` is a
+    /// *distance* for `range` (required) and a *relative error ratio* for
+    /// `approx` (default 0.05), `delta` is valid only with `approx`
+    /// (default 1, within [0, 1]), and `window` only with `dtw` (an
+    /// integer in `1..series_len`, default the paper's 10%).
+    pub fn from_fields(
+        objective: &str,
+        metric: &str,
+        number: &dyn Fn(&str) -> Result<Option<f64>, String>,
+        series_len: usize,
+    ) -> Result<QuerySpec, String> {
+        let reject = |name: &str| match number(name)? {
+            Some(_) => Err(format!("`{name}` is not valid for objective `{objective}`")),
+            None => Ok(()),
+        };
+        let objective = match objective {
+            "exact" => {
+                reject("k")?;
+                reject("epsilon")?;
+                reject("delta")?;
+                Objective::Exact
+            }
+            "knn" => {
+                reject("epsilon")?;
+                reject("delta")?;
+                let k = number("k")?.unwrap_or(10.0);
+                if k < 1.0 || k.fract() != 0.0 || k > u32::MAX as f64 {
+                    return Err("`k` must be a positive integer".into());
+                }
+                Objective::Knn { k: k as usize }
+            }
+            "range" => {
+                reject("k")?;
+                reject("delta")?;
+                let epsilon = number("epsilon")?.ok_or("`range` needs `epsilon`")?;
+                if !epsilon.is_finite() || epsilon < 0.0 {
+                    return Err("`epsilon` must be a non-negative distance".into());
+                }
+                let epsilon = epsilon as f32;
+                Objective::Range {
+                    epsilon_sq: epsilon * epsilon,
+                }
+            }
+            "approx" => {
+                reject("k")?;
+                let epsilon = number("epsilon")?.unwrap_or(0.05);
+                if !epsilon.is_finite() || epsilon < 0.0 {
+                    return Err("`epsilon` must be a finite non-negative ratio".into());
+                }
+                let delta = number("delta")?.unwrap_or(1.0);
+                if !(0.0..=1.0).contains(&delta) {
+                    return Err("`delta` must be within [0, 1]".into());
+                }
+                Objective::Approx {
+                    epsilon: epsilon as f32,
+                    delta: delta as f32,
+                }
+            }
+            other => {
+                return Err(format!(
+                    "unknown objective `{other}` (exact|knn|range|approx)"
+                ))
+            }
+        };
+        let metric = match metric {
+            "ed" | "euclidean" => {
+                if number("window")?.is_some() {
+                    return Err("`window` is only valid with `metric: \"dtw\"`".into());
+                }
+                MetricSpec::Euclidean
+            }
+            "dtw" => MetricSpec::Dtw(match number("window")? {
+                None => DtwParams::paper_default(series_len),
+                Some(w) => {
+                    if w < 1.0 || w.fract() != 0.0 || w as usize >= series_len {
+                        return Err(format!("`window` must be an integer in 1..{series_len}"));
+                    }
+                    DtwParams { window: w as usize }
+                }
+            }),
+            other => return Err(format!("unknown metric `{other}` (ed|dtw)")),
+        };
+        Ok(QuerySpec { objective, metric })
+    }
 }
 
 /// How a batch of queries maps onto the search workers.

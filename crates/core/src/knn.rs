@@ -53,11 +53,14 @@ pub(crate) struct KnnSet {
 }
 
 impl KnnSet {
-    pub(crate) fn new(k: usize) -> Self {
+    /// A set for the `k` best of `searched` series: the heap never holds
+    /// more than `min(k, searched) + 1` candidates, so a `k` far beyond
+    /// the collection reserves no more than the collection needs.
+    pub(crate) fn new(k: usize, searched: usize) -> Self {
         assert!(k > 0, "k must be positive");
         Self {
             k,
-            heap: Mutex::new(BinaryHeap::with_capacity(k + 1)),
+            heap: Mutex::new(BinaryHeap::with_capacity(k.min(searched) + 1)),
             bound_bits: AtomicU32::new(f32::INFINITY.to_bits()),
         }
     }
@@ -247,7 +250,7 @@ mod tests {
 
     #[test]
     fn knn_set_semantics() {
-        let set = KnnSet::new(2);
+        let set = KnnSet::new(2, 10);
         assert_eq!(set.bound(), f32::INFINITY);
         assert!(set.offer(5.0, 1));
         assert_eq!(set.bound(), f32::INFINITY, "not full yet");
@@ -266,6 +269,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn rejects_zero_k() {
-        KnnSet::new(0);
+        KnnSet::new(0, 10);
     }
 }

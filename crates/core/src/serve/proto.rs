@@ -7,17 +7,17 @@
 //! {"objective": "knn", "k": 5, "metric": "dtw", "series": [0.1, -0.2]}
 //! ```
 //!
-//! Field rules mirror the CLI exactly (and are validated just as
-//! strictly): `k` only with `knn`; `epsilon` is a *distance* for `range`
-//! and a *relative error ratio* for `approx`; `delta` only with `approx`;
-//! `window` only with `metric: "dtw"`. Unknown fields are rejected so
-//! typos fail loudly instead of silently running a default query.
+//! The field rules live in [`QuerySpec::from_fields`], the one rule book
+//! the `messi` CLI shares: `k` only with `knn`; `epsilon` is a *distance*
+//! for `range` and a *relative error ratio* for `approx`; `delta` only
+//! with `approx`; `window` only with `metric: "dtw"`. Unknown fields are
+//! rejected so typos fail loudly instead of silently running a default
+//! query.
 
 use super::json::{escape, Json};
 use crate::exact::QueryAnswer;
-use crate::exec::{MetricSpec, Objective, QuerySpec};
+use crate::exec::{Objective, QuerySpec};
 use crate::stats::{QueryStats, StopReason};
-use messi_series::distance::dtw::DtwParams;
 
 /// A decoding/validation failure, reported to the client as a 400.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,111 +93,28 @@ pub fn decode_query(body: &[u8], series_len: usize) -> Result<(QuerySpec, Vec<f3
         series.push(x);
     }
 
-    // --- the objective, with per-objective field rules ---
-    let objective_name = match doc.get("objective") {
-        None => "exact",
+    // --- the objective and metric, by the one rule book ---
+    let name = |field: &str, default: &'static str| match doc.get(field) {
+        None => Ok(default),
         Some(v) => v
             .as_str()
-            .ok_or_else(|| err("`objective` must be a string"))?,
+            .ok_or_else(|| err(format!("`{field}` must be a string"))),
     };
-    let field_f64 = |name: &str| -> Result<Option<f64>, ProtoError> {
-        match doc.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| err(format!("`{name}` must be a number"))),
-        }
+    let number = |field: &str| match doc.get(field) {
+        None => Ok(None),
+        Some(v) => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| format!("`{field}` must be a number")),
     };
-    let reject = |name: &str| -> Result<(), ProtoError> {
-        if doc.get(name).is_some() {
-            Err(err(format!(
-                "`{name}` is not valid for objective `{objective_name}`"
-            )))
-        } else {
-            Ok(())
-        }
-    };
-    let objective = match objective_name {
-        "exact" => {
-            reject("k")?;
-            reject("epsilon")?;
-            reject("delta")?;
-            Objective::Exact
-        }
-        "knn" => {
-            reject("epsilon")?;
-            reject("delta")?;
-            let k = field_f64("k")?.unwrap_or(10.0);
-            if k < 1.0 || k.fract() != 0.0 || k > u32::MAX as f64 {
-                return Err(err("`k` must be a positive integer"));
-            }
-            Objective::Knn { k: k as usize }
-        }
-        "range" => {
-            reject("k")?;
-            reject("delta")?;
-            let epsilon = field_f64("epsilon")?.ok_or_else(|| err("`range` needs `epsilon`"))?;
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return Err(err("`epsilon` must be a non-negative distance"));
-            }
-            let epsilon = epsilon as f32;
-            Objective::Range {
-                epsilon_sq: epsilon * epsilon,
-            }
-        }
-        "approx" => {
-            reject("k")?;
-            let epsilon = field_f64("epsilon")?.unwrap_or(0.05);
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return Err(err("`epsilon` must be a finite non-negative ratio"));
-            }
-            let delta = field_f64("delta")?.unwrap_or(1.0);
-            if !(0.0..=1.0).contains(&delta) {
-                return Err(err("`delta` must be within [0, 1]"));
-            }
-            Objective::Approx {
-                epsilon: epsilon as f32,
-                delta: delta as f32,
-            }
-        }
-        other => {
-            return Err(err(format!(
-                "unknown objective `{other}` (exact|knn|range|approx)"
-            )))
-        }
-    };
-
-    // --- the metric ---
-    let metric_name = match doc.get("metric") {
-        None => "ed",
-        Some(v) => v.as_str().ok_or_else(|| err("`metric` must be a string"))?,
-    };
-    let metric = match metric_name {
-        "ed" | "euclidean" => {
-            if doc.get("window").is_some() {
-                return Err(err("`window` is only valid with `metric: \"dtw\"`"));
-            }
-            MetricSpec::Euclidean
-        }
-        "dtw" => {
-            let params = match field_f64("window")? {
-                None => DtwParams::paper_default(series_len),
-                Some(w) => {
-                    if w < 1.0 || w.fract() != 0.0 || w as usize >= series_len {
-                        return Err(err(format!(
-                            "`window` must be an integer in 1..{series_len}"
-                        )));
-                    }
-                    DtwParams { window: w as usize }
-                }
-            };
-            MetricSpec::Dtw(params)
-        }
-        other => return Err(err(format!("unknown metric `{other}` (ed|dtw)"))),
-    };
-
-    Ok((QuerySpec { objective, metric }, series))
+    let spec = QuerySpec::from_fields(
+        name("objective", "exact")?,
+        name("metric", "ed")?,
+        &number,
+        series_len,
+    )
+    .map_err(ProtoError)?;
+    Ok((spec, series))
 }
 
 /// The fields a `/ingest` body may carry (anything else is rejected).
@@ -316,6 +233,8 @@ fn objective_name(spec: &QuerySpec) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::MetricSpec;
+    use messi_series::distance::dtw::DtwParams;
 
     const LEN: usize = 8;
 

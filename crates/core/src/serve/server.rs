@@ -566,6 +566,31 @@ mod tests {
     }
 
     #[test]
+    fn knn_beyond_the_collection_answers_every_series_in_order() {
+        let live = test_live();
+        let state = ServeState::new(&live, &ServeConfig::default());
+        state.prewarm();
+        let fields = format!("\"objective\":\"knn\",\"k\":{},", u32::MAX);
+        let resp = route(&state, &post_query(query_body(&live, &fields)));
+        assert_eq!(
+            resp.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&resp.body)
+        );
+        let doc =
+            super::super::json::Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let answers = doc.get("answers").unwrap().as_arr().unwrap();
+        assert_eq!(
+            answers.len() as u64,
+            live.num_series(),
+            "every series answers"
+        );
+        let dist = |a: &super::super::json::Json| a.get("dist_sq").unwrap().as_f64().unwrap();
+        assert!(answers.windows(2).all(|w| dist(&w[0]) <= dist(&w[1])));
+    }
+
+    #[test]
     fn ingest_route_appends_and_serves_the_new_series() {
         let live = test_live();
         let state = ServeState::new(&live, &ServeConfig::default());

@@ -118,7 +118,10 @@ impl<'q> Scatter<'q> {
             objective: spec.objective,
             bound: (shards.len() > 1).then(SharedBound::new),
             knn: match spec.objective {
-                Objective::Knn { k } => Some(KnnSet::new(k)),
+                Objective::Knn { k } => Some(KnnSet::new(
+                    k,
+                    shards.iter().map(|s| s.index.num_series()).sum(),
+                )),
                 _ => None,
             },
         }

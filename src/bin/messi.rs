@@ -1,16 +1,8 @@
 //! `messi` — command-line interface to the index.
 //!
-//! ```text
-//! messi generate    --kind random --count 100000 --out data.mds [--len 256] [--seed 42]
-//! messi build       --data data.mds --save index.msx [--shards N]
-//! messi info        --data data.mds [--load index.msx] [--shards N]
-//! messi query       --data data.mds [--queries q.mds | --num-queries 10] [--k 5] [--dtw] [--load index.msx] [--shards N]
-//! messi range       --data data.mds --epsilon 5.0 [--num-queries 5] [--dtw] [--load index.msx] [--shards N]
-//! messi serve       --data data.mds [--load index.msx] [--addr 127.0.0.1:7700] [--threads N] [--admission N] [--shards N] [--ingest-log delta.log]
-//! messi ingest      --addr 127.0.0.1:7700 --data new.mds [--batch N]
-//! messi compact     --data data.mds --log delta.log [--load index.msx|dir] [--save index.msx|dir]
-//! messi load-smoke  --addr 127.0.0.1:7700 --data data.mds [--clients N] [--per-client M] [--objective …]
-//! ```
+//! `messi help` prints every command's synopsis. Those synopses are one
+//! table, `COMMANDS`, which is also each command's flag list and its
+//! dispatch: a flag a command's synopsis does not list is a usage error.
 //!
 //! Datasets live in the `.mds` container of `messi::series::io`; built
 //! indexes persist in the `.msx` snapshot container of
@@ -27,7 +19,9 @@
 //!
 //! `serve` turns the pooled query executor into a long-running daemon
 //! (see the README's Serving section); `load-smoke` is its counterpart
-//! client.
+//! client. A query's fields — from `query`, `range` and `load-smoke`
+//! flags, or from a `/query` body — follow one rule book,
+//! [`messi::index::exec::QuerySpec::from_fields`].
 //! The daemon serves from a live [`messi::DeltaIndex`]: `POST /ingest`
 //! appends series behind an epoch seam without blocking queries, and
 //! `--ingest-log` makes those appends durable (replayed over the
@@ -42,14 +36,14 @@ use messi::index::serve::{self, SmokeConfig};
 use messi::prelude::*;
 use messi::series::io::{read_dataset, write_dataset};
 use messi::{DeltaIndex, IndexServer, IngestOptions, ServeConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", help());
         return ExitCode::from(2);
     };
     let result = run(command, rest);
@@ -67,161 +61,110 @@ fn main() -> ExitCode {
 }
 
 fn run(command: &str, rest: &[String]) -> Result<(), CliError> {
+    // The daemon and its two clients write to sockets, which rely on
+    // EPIPE; every other command writes only to stdout and files.
+    if !matches!(command, "serve" | "ingest" | "load-smoke") {
+        default_sigpipe();
+    }
     if matches!(command, "help" | "--help" | "-h") {
-        println!("{USAGE}");
+        println!("{}", help());
         return Ok(());
     }
-    let opts = Opts::parse(rest)?;
-    match command {
-        "generate" => {
-            opts.expect_keys(command, &["kind", "count", "out", "len", "seed"])?;
-            cmd_generate(&opts)
-        }
-        "build" => {
-            opts.expect_keys(command, &["data", "save", "shards", "leaf-target"])?;
-            cmd_build(&opts)
-        }
-        "info" => {
-            opts.expect_keys(command, &["data", "load", "shards", "leaf-target"])?;
-            cmd_info(&opts)
-        }
-        "query" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "queries",
-                    "num-queries",
-                    "k",
-                    "dtw",
-                    "seed",
-                    "load",
-                    "kernel",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_query(&opts)
-        }
-        "range" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "queries",
-                    "num-queries",
-                    "epsilon",
-                    "dtw",
-                    "seed",
-                    "load",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_range(&opts)
-        }
-        "serve" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "load",
-                    "addr",
-                    "threads",
-                    "admission",
-                    "query-workers",
-                    "breakdown",
-                    "kernel",
-                    "shards",
-                    "leaf-target",
-                    "ingest-log",
-                    "republish-after",
-                ],
-            )?;
-            cmd_serve(&opts)
-        }
-        "ingest" => {
-            opts.expect_keys(command, &["addr", "data", "batch", "wait-ready"])?;
-            cmd_ingest(&opts)
-        }
-        "compact" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "data",
-                    "log",
-                    "out",
-                    "load",
-                    "save",
-                    "shards",
-                    "leaf-target",
-                ],
-            )?;
-            cmd_compact(&opts)
-        }
-        "load-smoke" => {
-            opts.expect_keys(
-                command,
-                &[
-                    "addr",
-                    "data",
-                    "clients",
-                    "per-client",
-                    "num-queries",
-                    "seed",
-                    "objective",
-                    "k",
-                    "epsilon",
-                    "delta",
-                    "dtw",
-                    "no-retry",
-                    "min-shed",
-                    "max-attempts",
-                    "wait-ready",
-                ],
-            )?;
-            cmd_load_smoke(&opts)
-        }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
-    }
+    let Some(&(_, synopsis, handler)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(usage(format!("unknown command `{command}`")));
+    };
+    handler(&Opts::parse(command, synopsis, rest)?)
 }
 
-const USAGE: &str = "messi — in-memory data series indexing (MESSI, ICDE 2020)
+type Handler = fn(&Opts) -> Result<(), CliError>;
 
-USAGE:
-  messi generate    --kind <random|seismic|sald> --count <N> --out <file.mds>
-                    [--len <points>] [--seed <u64>]
-  messi build       --data <file.mds> --save <file.msx|dir> [--shards <N>]
-                    [--leaf-target <N|auto>]
-  messi info        --data <file.mds> [--load <file.msx|dir>] [--shards <N>]
-                    [--leaf-target <N|auto>]
-  messi query       --data <file.mds> [--queries <file.mds>] [--num-queries <N>]
+/// Every command: its name, its synopsis and its handler. The synopsis
+/// is also the command's flag list: `--name <…>` takes a value, a bare
+/// `--name` is a switch, and [`Opts::parse`] rejects any other flag.
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    (
+        "generate",
+        "--kind <random|seismic|sald> --count <N> --out <file.mds>
+                    [--len <points>] [--seed <u64>]",
+        cmd_generate,
+    ),
+    (
+        "build",
+        "--data <file.mds> --save <file.msx|dir> [--shards <N>]
+                    [--leaf-target <N|auto>]",
+        cmd_build,
+    ),
+    (
+        "info",
+        "--data <file.mds> [--load <file.msx|dir>] [--shards <N>]
+                    [--leaf-target <N|auto>]",
+        cmd_info,
+    ),
+    (
+        "query",
+        "--data <file.mds> [--queries <file.mds>] [--num-queries <N>]
                     [--k <K>] [--dtw] [--seed <u64>] [--load <file.msx|dir>]
-                    [--kernel <auto|simd|scalar>] [--shards <N>] [--leaf-target <N|auto>]
-  messi range       --data <file.mds> --epsilon <dist> [--num-queries <N>] [--dtw] [--seed <u64>]
-                    [--load <file.msx|dir>] [--shards <N>] [--leaf-target <N|auto>]
-  messi serve       --data <file.mds> [--load <file.msx|dir>] [--addr <host:port>]
+                    [--kernel <auto|simd|scalar>] [--shards <N>] [--leaf-target <N|auto>]",
+        cmd_query,
+    ),
+    (
+        "range",
+        "--data <file.mds> --epsilon <dist> [--queries <file.mds>]
+                    [--num-queries <N>] [--dtw] [--seed <u64>] [--load <file.msx|dir>]
+                    [--shards <N>] [--leaf-target <N|auto>]",
+        cmd_range,
+    ),
+    (
+        "serve",
+        "--data <file.mds> [--load <file.msx|dir>] [--addr <host:port>]
                     [--threads <N>] [--admission <N>] [--query-workers <N>] [--breakdown]
                     [--kernel <auto|simd|scalar>] [--shards <N>] [--leaf-target <N|auto>]
-                    [--ingest-log <file.log>] [--republish-after <N>]
-  messi ingest      --addr <host:port> --data <file.mds> [--batch <N>]
-                    [--wait-ready <seconds>]
-  messi compact     --data <file.mds> --log <file.log> [--out <file.mds>]
+                    [--ingest-log <file.log>] [--republish-after <N>]",
+        cmd_serve,
+    ),
+    (
+        "ingest",
+        "--addr <host:port> --data <file.mds> [--batch <N>]
+                    [--wait-ready <seconds>]",
+        cmd_ingest,
+    ),
+    (
+        "compact",
+        "--data <file.mds> --log <file.log> [--out <file.mds>]
                     [--load <file.msx|dir>] [--save <file.msx|dir>] [--shards <N>]
-                    [--leaf-target <N|auto>]
-  messi load-smoke  --addr <host:port> --data <file.mds> [--clients <N>] [--per-client <M>]
+                    [--leaf-target <N|auto>]",
+        cmd_compact,
+    ),
+    (
+        "load-smoke",
+        "--addr <host:port> --data <file.mds> [--clients <N>] [--per-client <M>]
                     [--num-queries <N>] [--objective <exact|knn|range|approx>] [--k <K>]
                     [--epsilon <dist|ratio>] [--delta <0..=1>] [--dtw] [--no-retry]
-                    [--min-shed <N>] [--max-attempts <N>] [--wait-ready <seconds>] [--seed <u64>]
+                    [--min-shed <N>] [--max-attempts <N>] [--wait-ready <seconds>] [--seed <u64>]",
+        cmd_load_smoke,
+    ),
+];
 
+/// `messi help`: the synopsis of every command in [`COMMANDS`], then the
+/// notes.
+fn help() -> String {
+    let mut out =
+        String::from("messi — in-memory data series indexing (MESSI, ICDE 2020)\n\nUSAGE:\n");
+    for (name, synopsis, _) in COMMANDS {
+        out += &format!("  messi {name:<11} {synopsis}\n");
+    }
+    out + NOTES
+}
+
+const NOTES: &str = "
 Generated queries come from the same family as --kind (members + noise
 for real-data stand-ins). Searches are exact except load-smoke's
 `--objective approx`: there --epsilon is the *relative* error bound (the
 answer is within (1+ε) of the true nearest neighbor) and --delta the
 confidence in [0, 1] (1 = deterministic guarantee, 0 = home-leaf-only
-ng-approximate). Latency and throughput are measured by the benchmark
-harness that BENCHMARK.json names (README, Benchmarks), not by this
-binary.
+ng-approximate). `query --k` runs k-NN (`--k 1` is the default 1-NN).
+Latency and throughput are measured by the benchmark harness that
+BENCHMARK.json names (README, Benchmarks), not by this binary.
 
 `build --save` persists the finished index as a versioned, checksummed
 snapshot; `--load` on the query commands answers from the snapshot
@@ -283,6 +226,25 @@ Contradictory flags are rejected with exit code 2: an option a command
 does not know, or one whose objective does not apply (e.g. --epsilon
 with --objective exact, --delta with knn, --k with range).";
 
+/// Restores the default SIGPIPE action, which the Rust runtime sets to
+/// ignore: a command piped into a reader that exits early (`messi help |
+/// head -1`) then ends quietly instead of panicking in `println!`.
+fn default_sigpipe() {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `SIG_DFL` is a valid disposition for SIGPIPE and
+        // installs no handler code.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
+}
+
 /// CLI failure, split by exit code: usage errors (bad/contradictory
 /// flags) exit 2, runtime errors (I/O, bad data, failed assertions)
 /// exit 1.
@@ -302,48 +264,47 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
-/// Parsed `--key value` options.
+/// Parsed `--key value` options (a switch's value is `true`).
 struct Opts(Vec<(String, String)>);
 
-/// Options that are bare flags (no value).
-const FLAG_KEYS: &[&str] = &["dtw", "breakdown", "no-retry"];
-
 impl Opts {
-    fn parse(args: &[String]) -> Result<Self, CliError> {
+    /// Parses `args` against the flags `command`'s synopsis lists,
+    /// rejecting any other flag — the alternative is a flag that
+    /// silently does nothing.
+    fn parse(command: &str, synopsis: &str, args: &[String]) -> Result<Self, CliError> {
+        let tokens: Vec<&str> = synopsis.split_whitespace().collect();
+        let flags: Vec<(&str, bool)> = tokens
+            .iter()
+            .enumerate()
+            .filter_map(|(i, token)| {
+                let name = token.trim_start_matches('[').strip_prefix("--")?;
+                let takes_value = tokens.get(i + 1).is_some_and(|t| t.starts_with('<'));
+                Some((name.trim_end_matches(']'), takes_value))
+            })
+            .collect();
         let mut out = Vec::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(usage(format!("expected --option, got `{key}`")));
             };
-            if FLAG_KEYS.contains(&name) {
-                out.push((name.to_string(), "true".to_string()));
-                continue;
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| usage(format!("--{name} needs a value")))?;
-            out.push((name.to_string(), value.clone()));
+            let Some(&(_, takes_value)) = flags.iter().find(|(flag, _)| *flag == name) else {
+                let allowed: Vec<String> = flags.iter().map(|(f, _)| format!("--{f}")).collect();
+                return Err(usage(format!(
+                    "`messi {command}` does not accept --{name} (allowed: {})",
+                    allowed.join(" ")
+                )));
+            };
+            let value = if takes_value {
+                it.next()
+                    .ok_or_else(|| usage(format!("--{name} needs a value")))?
+                    .clone()
+            } else {
+                "true".to_string()
+            };
+            out.push((name.to_string(), value));
         }
         Ok(Self(out))
-    }
-
-    /// Rejects any option the command does not understand — the
-    /// alternative is a flag that silently does nothing.
-    fn expect_keys(&self, command: &str, allowed: &[&str]) -> Result<(), CliError> {
-        for (key, _) in &self.0 {
-            if !allowed.contains(&key.as_str()) {
-                return Err(usage(format!(
-                    "`messi {command}` does not accept --{key} (allowed: {})",
-                    allowed
-                        .iter()
-                        .map(|k| format!("--{k}"))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                )));
-            }
-        }
-        Ok(())
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -366,6 +327,25 @@ impl Opts {
                 .map_err(|_| usage(format!("invalid --{name}: `{v}`"))),
         }
     }
+
+    /// `--name` as a number, the lookup [`QuerySpec::from_fields`] reads.
+    fn number(&self, name: &str) -> Result<Option<f64>, String> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| format!("invalid --{name}: `{v}`")))
+            .transpose()
+    }
+}
+
+/// The query `objective` the flags describe, checked by the wire's own
+/// rule book: `--k`, `--epsilon` and `--delta` are its numeric fields,
+/// `--dtw` selects the metric.
+fn spec_from(opts: &Opts, objective: &str, series_len: usize) -> Result<QuerySpec, CliError> {
+    let metric = if opts.get("dtw").is_some() {
+        "dtw"
+    } else {
+        "ed"
+    };
+    QuerySpec::from_fields(objective, metric, &|name| opts.number(name), series_len).map_err(usage)
 }
 
 /// Parses `--kernel`, defaulting to auto-dispatch. Unknown spellings are
@@ -375,6 +355,65 @@ fn kernel_from(opts: &Opts) -> Result<Kernel, CliError> {
         None => Ok(Kernel::Auto),
         Some(v) => v.parse().map_err(usage),
     }
+}
+
+/// Refuses a collection holding NaN or ∞; `why` ends the message.
+fn refuse_non_finite(data: &Dataset, why: &str) -> Result<(), CliError> {
+    match data.find_non_finite() {
+        Some((pos, idx)) => Err(CliError::Runtime(format!(
+            "series {pos} has a non-finite value at point {idx}; {why}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Honours `--wait-ready <seconds>` (0, the default, does not wait):
+/// polls the daemon at `addr` until it reports ready. Returns whether
+/// it waited.
+fn wait_ready(opts: &Opts, addr: &str) -> Result<bool, CliError> {
+    let secs: u64 = opts.parsed("wait-ready", 0u64)?;
+    if secs > 0 && !serve::wait_ready(addr, std::time::Duration::from_secs(secs)) {
+        return Err(CliError::Runtime(format!(
+            "daemon at {addr} not ready within {secs}s"
+        )));
+    }
+    Ok(secs > 0)
+}
+
+/// Saves `index` to `out`: as a snapshot directory when `--shards` was
+/// given or `--load` read a directory — so a deployment's layout never
+/// flips on its shard count, even at N = 1 — and as one `.msx` file
+/// otherwise.
+fn save_snapshot(opts: &Opts, index: &ShardedIndex, out: &Path) -> Result<(), CliError> {
+    let t = std::time::Instant::now();
+    let as_dir =
+        opts.get("shards").is_some() || opts.get("load").is_some_and(|p| Path::new(p).is_dir());
+    let saved = if as_dir {
+        messi::index::shard::save_sharded(index, out)
+    } else {
+        messi::index::persist::save_index(index.shard(0), out)
+    };
+    saved.map_err(|e| format!("{}: {e}", out.display()))?;
+    let bytes: u64 = match std::fs::read_dir(out) {
+        Ok(entries) => entries
+            .flatten()
+            .filter_map(|e| e.metadata().ok())
+            .map(|m| m.len())
+            .sum(),
+        Err(_) => std::fs::metadata(out).map_or(0, |m| m.len()),
+    };
+    println!(
+        "snapshot: {:.1} MB written to {}{} in {:.2?}",
+        bytes as f64 / (1 << 20) as f64,
+        out.display(),
+        if as_dir {
+            format!("/ ({} shard files)", index.num_shards())
+        } else {
+            String::new()
+        },
+        t.elapsed()
+    );
+    Ok(())
 }
 
 fn kind_from(name: &str) -> Result<DatasetKind, CliError> {
@@ -503,13 +542,7 @@ fn obtain_index(
 fn cmd_build(opts: &Opts) -> Result<(), CliError> {
     let data = load(opts)?;
     let out = PathBuf::from(opts.required("save")?);
-    if let Some((pos, idx)) = data.find_non_finite() {
-        return Err(CliError::Runtime(format!(
-            "series {pos} has a non-finite value at point {idx}; \
-             similarity search over NaN/∞ is undefined"
-        )));
-    }
-    let sharded = opts.get("shards").is_some();
+    refuse_non_finite(&data, "similarity search over NaN/∞ is undefined")?;
     let shards = shards_from(opts, &data)?;
     let config = index_config_from(opts, &data)?;
     let (index, stats) = ShardedIndex::build(Arc::clone(&data), shards, &config);
@@ -522,40 +555,7 @@ fn cmd_build(opts: &Opts) -> Result<(), CliError> {
         stats.summarize_time,
         stats.tree_time
     );
-    let t = std::time::Instant::now();
-    if sharded {
-        // --shards selects the directory snapshot even at N = 1, so a
-        // sharded deployment's layout does not flip on the shard count.
-        messi::index::shard::save_sharded(&index, &out)
-            .map_err(|e| format!("{}: {e}", out.display()))?;
-        let bytes: u64 = std::fs::read_dir(&out)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0);
-        println!(
-            "snapshot: {:.1} MB across {} shard files written to {}/ in {:.2?}",
-            bytes as f64 / (1 << 20) as f64,
-            index.num_shards(),
-            out.display(),
-            t.elapsed()
-        );
-    } else {
-        messi::index::persist::save_index(index.shard(0), &out)
-            .map_err(|e| format!("{}: {e}", out.display()))?;
-        let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-        println!(
-            "snapshot: {:.1} MB written to {} in {:.2?}",
-            bytes as f64 / (1 << 20) as f64,
-            out.display(),
-            t.elapsed()
-        );
-    }
-    Ok(())
+    save_snapshot(opts, &index, &out)
 }
 
 fn cmd_info(opts: &Opts) -> Result<(), CliError> {
@@ -566,12 +566,7 @@ fn cmd_info(opts: &Opts) -> Result<(), CliError> {
         data.series_len(),
         data.raw_bytes() / (1 << 20)
     );
-    if let Some((pos, idx)) = data.find_non_finite() {
-        return Err(CliError::Runtime(format!(
-            "series {pos} has a non-finite value at point {idx}; \
-             similarity search over NaN/∞ is undefined"
-        )));
-    }
+    refuse_non_finite(&data, "similarity search over NaN/∞ is undefined")?;
     let (index, stats) = obtain_index(opts, &data)?;
     if let Some(stats) = stats {
         println!(
@@ -663,11 +658,16 @@ fn queries_for_cli(opts: &Opts, data: &Arc<Dataset>) -> Result<Dataset, CliError
 fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     let data = load(opts)?;
     let queries = queries_for_cli(opts, &data)?;
-    let k: usize = opts.parsed("k", 1usize)?;
-    if k == 0 {
-        return Err(usage("--k must be positive"));
+    let objective = if opts.get("k").is_some() {
+        "knn"
+    } else {
+        "exact"
+    };
+    let mut spec = spec_from(opts, objective, data.series_len())?;
+    // `--k 1` keeps running the exact 1-NN search, as it always has.
+    if spec.objective == (Objective::Knn { k: 1 }) {
+        spec.objective = Objective::Exact;
     }
-    let use_dtw = opts.get("dtw").is_some();
     let (index, build) = obtain_index(opts, &data)?;
     if let Some(build) = &build {
         println!("index built in {:.2?}", build.total_time);
@@ -677,19 +677,15 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
         kernel: kernel_from(opts)?,
         ..QueryConfig::default()
     };
-    let mut spec = if k > 1 {
-        QuerySpec::knn(k)
-    } else {
-        QuerySpec::exact()
-    };
-    if use_dtw {
-        spec = spec.with_dtw(DtwParams::paper_default(data.series_len()));
-    }
     let exec = index.executor();
-    let tag = if use_dtw { "dtw " } else { "" };
+    let tag = if opts.get("dtw").is_some() {
+        "dtw "
+    } else {
+        ""
+    };
     for (qi, q) in queries.iter().enumerate() {
         let (answers, stats) = exec.run_one(q, &spec, &config);
-        if k > 1 {
+        if let Objective::Knn { k } = spec.objective {
             let list: Vec<String> = answers
                 .iter()
                 .map(|a| format!("#{}@{:.3}", a.pos, a.distance()))
@@ -716,23 +712,11 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
 
 fn cmd_range(opts: &Opts) -> Result<(), CliError> {
     let data = load(opts)?;
-    let epsilon: f32 = opts
-        .required("epsilon")?
-        .parse()
-        .map_err(|_| usage("invalid --epsilon"))?;
-    if epsilon.is_nan() || epsilon < 0.0 {
-        return Err(usage("--epsilon must be non-negative"));
-    }
-    let use_dtw = opts.get("dtw").is_some();
+    let spec = spec_from(opts, "range", data.series_len())?;
     let queries = queries_for_cli(opts, &data)?;
     let (index, _) = obtain_index(opts, &data)?;
     let config = QueryConfig::default();
-    // User supplies a distance; the search APIs want it squared.
-    let epsilon_sq = epsilon * epsilon;
-    let mut spec = QuerySpec::range(epsilon_sq);
-    if use_dtw {
-        spec = spec.with_dtw(DtwParams::paper_default(data.series_len()));
-    }
+    let epsilon = opts.number("epsilon")?.unwrap_or_default() as f32;
     let exec = index.executor();
     for (qi, q) in queries.iter().enumerate() {
         let (matches, stats) = exec.run_one(q, &spec, &config);
@@ -744,102 +728,17 @@ fn cmd_range(opts: &Opts) -> Result<(), CliError> {
         println!(
             "query {qi}: {} series within {}ε={epsilon} in {:.2?} [{}{}]",
             matches.len(),
-            if use_dtw { "DTW " } else { "" },
+            if opts.get("dtw").is_some() {
+                "DTW "
+            } else {
+                ""
+            },
             stats.total_time,
             preview.join(", "),
             if matches.len() > 8 { ", …" } else { "" }
         );
     }
     Ok(())
-}
-
-/// Rejects objective-dependent flags that the selected objective does
-/// not use — they would otherwise be accepted and silently ignored.
-fn validate_objective_flags(opts: &Opts, objective: &str) -> Result<(), CliError> {
-    let reject = |flag: &str, why: &str| -> Result<(), CliError> {
-        if opts.get(flag).is_some() {
-            Err(usage(format!(
-                "--{flag} does not apply to --objective {objective} ({why})"
-            )))
-        } else {
-            Ok(())
-        }
-    };
-    match objective {
-        "exact" => {
-            reject("k", "--k selects the knn objective's answer count")?;
-            reject(
-                "epsilon",
-                "--epsilon is the range radius or approx error bound",
-            )?;
-            reject("delta", "--delta is the approx confidence")?;
-        }
-        "knn" => {
-            reject(
-                "epsilon",
-                "--epsilon is the range radius or approx error bound",
-            )?;
-            reject("delta", "--delta is the approx confidence")?;
-        }
-        "range" => {
-            reject("k", "--k selects the knn objective's answer count")?;
-            reject("delta", "--delta is the approx confidence")?;
-        }
-        "approx" => {
-            reject("k", "--k selects the knn objective's answer count")?;
-        }
-        other => {
-            return Err(usage(format!(
-                "unknown objective `{other}` (exact|knn|range|approx)"
-            )))
-        }
-    }
-    Ok(())
-}
-
-/// Parses `--objective` and its dependent flags into an [`Objective`],
-/// rejecting contradictory combinations.
-fn objective_from(opts: &Opts) -> Result<Objective, CliError> {
-    let name = opts.get("objective").unwrap_or("exact");
-    validate_objective_flags(opts, name)?;
-    match name {
-        "exact" => Ok(Objective::Exact),
-        "knn" => {
-            let k: usize = opts.parsed("k", 10usize)?;
-            if k == 0 {
-                return Err(usage("--k must be positive"));
-            }
-            Ok(Objective::Knn { k })
-        }
-        "range" => {
-            let epsilon: f32 = opts
-                .required("epsilon")?
-                .parse()
-                .map_err(|_| usage("invalid --epsilon"))?;
-            if epsilon.is_nan() || epsilon < 0.0 {
-                return Err(usage("--epsilon must be non-negative"));
-            }
-            Ok(Objective::Range {
-                epsilon_sq: epsilon * epsilon,
-            })
-        }
-        "approx" => {
-            // For the approximate objective, --epsilon is the *relative*
-            // error bound (a ratio, not a distance) and --delta the
-            // confidence; the defaults give the deterministic ε-approximate
-            // mode with a 5% error bound.
-            let epsilon: f32 = opts.parsed("epsilon", 0.05f32)?;
-            if !epsilon.is_finite() || epsilon < 0.0 {
-                return Err(usage("--epsilon must be a finite non-negative ratio"));
-            }
-            let delta: f32 = opts.parsed("delta", 1.0f32)?;
-            if !(0.0..=1.0).contains(&delta) {
-                return Err(usage("--delta must be within [0, 1]"));
-            }
-            Ok(Objective::Approx { epsilon, delta })
-        }
-        _ => unreachable!("validate_objective_flags rejected unknown objectives"),
-    }
 }
 
 fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
@@ -864,11 +763,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let shutdown = serve::shutdown_flag();
 
     let data = load(opts)?;
-    if let Some((pos, idx)) = data.find_non_finite() {
-        return Err(CliError::Runtime(format!(
-            "series {pos} has a non-finite value at point {idx}; refusing to serve"
-        )));
-    }
+    refuse_non_finite(&data, "refusing to serve")?;
     let (index, build) = obtain_index(opts, &data)?;
     if let Some(build) = build {
         println!(
@@ -965,24 +860,12 @@ fn ingest_body(data: &Dataset, start: usize, end: usize) -> Vec<u8> {
 fn cmd_ingest(opts: &Opts) -> Result<(), CliError> {
     let addr = opts.required("addr")?.to_string();
     let data = load(opts)?;
-    if let Some((pos, idx)) = data.find_non_finite() {
-        return Err(CliError::Runtime(format!(
-            "series {pos} has a non-finite value at point {idx}; refusing to ingest"
-        )));
-    }
+    refuse_non_finite(&data, "refusing to ingest")?;
     let batch: usize = opts.parsed("batch", 64usize)?;
     if batch == 0 {
         return Err(usage("--batch must be positive"));
     }
-    let wait_ready_secs: u64 = opts.parsed("wait-ready", 0u64)?;
-    if wait_ready_secs > 0 {
-        let timeout = std::time::Duration::from_secs(wait_ready_secs);
-        if !serve::wait_ready(&addr, timeout) {
-            return Err(CliError::Runtime(format!(
-                "daemon at {addr} not ready within {wait_ready_secs}s"
-            )));
-        }
-    }
+    wait_ready(opts, &addr)?;
 
     let connect =
         || serve::Client::connect(&addr).map_err(|e| CliError::Runtime(format!("{addr}: {e}")));
@@ -1093,20 +976,9 @@ fn cmd_compact(opts: &Opts) -> Result<(), CliError> {
         out.display()
     );
 
+    // The re-saved snapshot keeps the layout it was loaded from.
     if let Some(save) = opts.get("save") {
-        let save_path = PathBuf::from(save);
-        let t = std::time::Instant::now();
-        if index.num_shards() > 1 || save_path.is_dir() {
-            messi::index::shard::save_sharded(&index, &save_path)
-                .map_err(|e| format!("{save}: {e}"))?;
-        } else {
-            messi::index::persist::save_index(index.shard(0), &save_path)
-                .map_err(|e| format!("{save}: {e}"))?;
-        }
-        println!(
-            "compact: snapshot re-saved to {save} in {:.2?}",
-            t.elapsed()
-        );
+        save_snapshot(opts, &index, Path::new(save))?;
     }
 
     let new_base = live
@@ -1128,29 +1000,22 @@ fn cmd_load_smoke(opts: &Opts) -> Result<(), CliError> {
         return Err(usage("--num-queries must be positive"));
     }
     let seed: u64 = opts.parsed("seed", 42u64)?;
-    let objective = objective_from(opts)?;
+    let name = opts.get("objective").unwrap_or("exact");
+    spec_from(opts, name, data.series_len())?;
 
-    // Build the JSON query bodies the daemon's /query endpoint expects.
-    let queries = messi::series::gen::queries::noisy_queries_from_dataset(&data, n, 0.1, seed);
-    let (name, mut fields) = match objective {
-        Objective::Exact => ("exact", vec![]),
-        Objective::Knn { k } => ("knn", vec![format!("\"k\":{k}")]),
-        // The wire carries the radius the user typed, not its square.
-        Objective::Range { epsilon_sq } => {
-            ("range", vec![format!("\"epsilon\":{}", epsilon_sq.sqrt())])
+    // Build the JSON query bodies the daemon's /query endpoint expects:
+    // the checked flags, as typed (the rules let only finite numbers
+    // through, which print as JSON numbers).
+    let mut fields = vec![format!("\"objective\":\"{name}\"")];
+    for field in ["k", "epsilon", "delta"] {
+        if let Some(v) = opts.number(field)? {
+            fields.push(format!("\"{field}\":{v}"));
         }
-        Objective::Approx { epsilon, delta } => (
-            "approx",
-            vec![
-                format!("\"epsilon\":{epsilon}"),
-                format!("\"delta\":{delta}"),
-            ],
-        ),
-    };
-    fields.insert(0, format!("\"objective\":\"{name}\""));
+    }
     if opts.get("dtw").is_some() {
         fields.push("\"metric\":\"dtw\"".to_string());
     }
+    let queries = messi::series::gen::queries::noisy_queries_from_dataset(&data, n, 0.1, seed);
     let bodies: Vec<Vec<u8>> = queries
         .iter()
         .map(|q| {
@@ -1169,15 +1034,7 @@ fn cmd_load_smoke(opts: &Opts) -> Result<(), CliError> {
         return Err(usage("--clients and --per-client must be positive"));
     }
     let min_shed: u64 = opts.parsed("min-shed", 0u64)?;
-    let wait_ready_secs: u64 = opts.parsed("wait-ready", 0u64)?;
-
-    if wait_ready_secs > 0 {
-        let timeout = std::time::Duration::from_secs(wait_ready_secs);
-        if !serve::wait_ready(&addr, timeout) {
-            return Err(CliError::Runtime(format!(
-                "daemon at {addr} not ready within {wait_ready_secs}s"
-            )));
-        }
+    if wait_ready(opts, &addr)? {
         println!("load-smoke: {addr} ready");
     }
 
