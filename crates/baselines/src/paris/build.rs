@@ -14,14 +14,22 @@
 //!   per-worker parts eliminate. [`ParisBuildVariant::NoSynch`] is the
 //!   Fig. 5 baseline with that one cost removed (per-worker parts, but
 //!   still position-only buffers and fixed ranges).
+//!
+//! Tree construction is MESSI's own tree phase
+//! ([`messi_core::build::build_forests`]), fed through the SAX-array
+//! indirection. `NoSynch` drains each buffer in position order, so it
+//! builds exactly the tree MESSI builds; `Locked` inserts in whatever
+//! order the racing workers took each buffer's lock, so its leaf shapes
+//! may differ from run to run.
 
-use messi_core::node::{LeafEntry, SubtreeBuilder, TreeArena};
-use messi_core::{BuildStats, IndexConfig, MessiIndex};
+use messi_core::build::build_forests;
+use messi_core::node::{LeafEntry, SubtreeBuilder};
+use messi_core::{BuildStats, IndexConfig};
 use messi_sax::convert::{SaxConfig, SaxConverter};
-use messi_sax::root_key::{node_word_for_root_key, root_key};
+use messi_sax::root_key::root_key;
 use messi_sax::word::SaxWord;
 use messi_series::Dataset;
-use messi_sync::{Dispenser, PartitionedBuffers};
+use messi_sync::PartitionedBuffers;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,63 +114,29 @@ pub fn build_paris(
     }
     let summarize_time = t0.elapsed();
 
-    // ---- Phase 2: index construction workers (one subtree at a time) ----
+    // ---- Phase 2: index construction workers (MESSI's tree phase) ----
     let t1 = Instant::now();
-    let locked_touched: Vec<usize>;
-    let touched: &[usize] = match variant {
-        ParisBuildVariant::Locked => {
-            locked_touched = (0..num_keys)
-                .filter(|&k| !locked_bufs[k].lock().is_empty())
-                .collect();
-            &locked_touched
-        }
-        ParisBuildVariant::NoSynch => part_bufs.touched_keys(),
+    let key_len = |key: usize| match variant {
+        ParisBuildVariant::Locked => locked_bufs[key].lock().len(),
+        ParisBuildVariant::NoSynch => part_bufs.key_len(key),
     };
-    let dispenser = Dispenser::new(touched.len());
-    let built: Mutex<Vec<(usize, TreeArena)>> = Mutex::new(Vec::with_capacity(touched.len()));
-    std::thread::scope(|s| {
-        for _ in 0..num_workers {
-            let touched = &touched;
-            let dispenser = &dispenser;
-            let built = &built;
-            let locked_bufs = &locked_bufs;
-            let part_bufs = &part_bufs;
-            let sax_array = &sax_array;
-            s.spawn(move || {
-                let mut builder = SubtreeBuilder::new(segments, config.leaf_capacity);
-                let mut local = Vec::new();
-                while let Some(i) = dispenser.next() {
-                    let key = touched[i];
-                    builder.begin(node_word_for_root_key(key, segments));
-                    // The indirection through the SAX array is ParIS's
-                    // layout: buffers hold pointers, not summaries.
-                    let mut insert_pos = |pos: u32| {
-                        builder.insert(LeafEntry {
-                            sax: sax_array[pos as usize],
-                            pos,
-                        });
-                    };
-                    match variant {
-                        ParisBuildVariant::Locked => {
-                            for &pos in locked_bufs[key].lock().iter() {
-                                insert_pos(pos);
-                            }
-                        }
-                        ParisBuildVariant::NoSynch => {
-                            for &pos in part_bufs.iter_key(key) {
-                                insert_pos(pos);
-                            }
-                        }
-                    }
-                    local.push((key, builder.finish()));
-                }
-                built.lock().extend(local);
-            });
+    let keys = (0..num_keys).map(|key| (key, key_len(key)));
+    let keys = keys.filter(|&(_, len)| len > 0).collect();
+    let fill = |key: usize, builder: &mut SubtreeBuilder| {
+        // The indirection through the SAX array is ParIS's layout:
+        // buffers hold pointers, not summaries.
+        let mut insert = |pos: u32| {
+            let sax = sax_array[pos as usize];
+            builder.insert(LeafEntry { sax, pos });
+        };
+        match variant {
+            ParisBuildVariant::Locked => locked_bufs[key].lock().iter().for_each(|&p| insert(p)),
+            ParisBuildVariant::NoSynch => part_bufs.iter_key(key, |&p| p).for_each(|&p| insert(p)),
         }
-    });
+    };
+    let tree = build_forests(dataset, config, keys, fill);
     let tree_time = t1.elapsed();
 
-    let tree = MessiIndex::from_parts(dataset, config.clone(), built.into_inner());
     let stats = BuildStats {
         summarize_time,
         tree_time,
@@ -178,6 +152,7 @@ pub fn build_paris(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use messi_core::MessiIndex;
     use messi_series::gen::{self, DatasetKind};
 
     fn build(variant: ParisBuildVariant, count: usize) -> (ParisIndex, BuildStats) {
@@ -226,6 +201,52 @@ mod tests {
                 v
             };
             assert_eq!(collect(&a.tree), collect(&b.tree));
+        }
+    }
+
+    #[test]
+    fn every_worker_count_and_paris_nosynch_build_one_index() {
+        // 1 000 series in 64-series chunks: 16 chunks for Fetch&Inc to
+        // deal out. MESSI at W ∈ {1, 2, 4, 13} and ParIS-NoSynch must all
+        // build the same arenas, and snapshots that differ only in the
+        // stored worker count.
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 1000, 29));
+        let with = |num_workers| IndexConfig {
+            num_workers,
+            ..IndexConfig::for_tests()
+        };
+        let payload = |index: &MessiIndex, tag: usize| -> Vec<u8> {
+            let path = std::env::temp_dir()
+                .join(format!("messi-one-index-{}-{tag}.msx", std::process::id()));
+            messi_core::save_index(index, &path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            // The payload alone (20-byte header, 8-byte checksum), its
+            // worker count (payload bytes 4..8) blanked.
+            bytes.truncate(bytes.len() - 8);
+            bytes.drain(..20);
+            bytes[4..8].fill(0);
+            bytes
+        };
+        let (reference, _) = MessiIndex::build(Arc::clone(&data), &with(1));
+        let want = payload(&reference, 0);
+        let mut builds: Vec<(String, MessiIndex)> = [2, 4, 13]
+            .into_iter()
+            .map(|w| {
+                let (index, _) = MessiIndex::build(Arc::clone(&data), &with(w));
+                (format!("MESSI W={w}"), index)
+            })
+            .collect();
+        let (paris, _) = build_paris(Arc::clone(&data), &with(4), ParisBuildVariant::NoSynch);
+        builds.push(("ParIS-NoSynch W=4".into(), paris.tree));
+        for (tag, (name, index)) in builds.iter().enumerate() {
+            assert_eq!(index.touched_keys(), reference.touched_keys(), "{name}");
+            assert_eq!(index.roots(), reference.roots(), "{name}");
+            assert!(
+                index.arenas() == reference.arenas(),
+                "{name}: arenas differ"
+            );
+            assert!(payload(index, tag + 1) == want, "{name}: payload differs");
         }
     }
 

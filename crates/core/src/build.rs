@@ -7,12 +7,17 @@
 //!    `chunk_size`-series chunks handed out by Fetch&Inc; each worker
 //!    converts its chunk's series to iSAX and files `(summary, position)`
 //!    into *its own part* of the target subtree's buffer — no locks.
-//! 2. **TreeConstruction** (Alg. 4): buffers (= root subtrees) are handed
-//!    out by Fetch&Inc; each worker drains all parts of its buffer into
-//!    that subtree through a reusable [`SubtreeBuilder`], splitting
-//!    leaves as needed, then flattens it into a [`TreeArena`] — two
-//!    exact-capacity allocations per subtree, however many nodes it has.
-//!    Subtree ownership is exclusive, so this phase is also lock-free.
+//! 2. **TreeConstruction** (Alg. 4): *forest groups* (the consecutive
+//!    root subtrees that share one arena; see [`crate::node`]) are handed
+//!    out by Fetch&Inc. For each member key a worker drains all parts of
+//!    its buffer, in position order, through a reusable
+//!    [`SubtreeBuilder`], splitting leaves as needed; then it assembles
+//!    the group's arena once. Group ownership is exclusive, so this phase
+//!    is also lock-free; [`build_forests`] is shared with ParIS.
+//!
+//! Position order makes the index a function of its data: the same
+//! arenas and snapshot bytes (bar the stored worker count) for any
+//! worker count and chunk schedule. [`BuildVariant::NoBuffers`] is not.
 //!
 //! The paper's barrier between the phases (Alg. 2 line 2) is realized by
 //! ending the first thread scope and opening a second one: joining all
@@ -22,23 +27,23 @@
 //! carefully avoids. The extra spawn cost (~tens of µs) is negligible at
 //! any realistic scale.
 
-use crate::config::IndexConfig;
+use crate::config::{BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, SubtreeBuilder, TreeArena};
+use crate::node::{assemble_forest, forest_groups, LeafEntry, PartScratch, SubtreeBuilder};
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::{node_word_for_root_key, root_key};
 use messi_series::Dataset;
 use messi_sync::{Dispenser, PartitionedBuffers};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Rejects datasets whose positions would overflow the `u32` stored in
 /// every [`LeafEntry`]. Without this, `pos as u32` would silently wrap
 /// on collections above 4.29 G series and the index would return wrong
-/// answers instead of failing loudly. Shared with
-/// [`MessiIndex::from_parts`], the other door an index can enter by.
+/// answers instead of failing loudly. Checked again by the one index
+/// constructor, which a load and an absorb go through as well.
 pub(crate) fn assert_positions_fit(dataset: &Dataset) {
     assert!(
         dataset.len() <= u32::MAX as usize,
@@ -60,7 +65,7 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     config.validate(dataset.series_len());
     assert!(!dataset.is_empty(), "cannot index an empty dataset");
     assert_positions_fit(&dataset);
-    if config.variant == crate::config::BuildVariant::NoBuffers {
+    if config.variant == BuildVariant::NoBuffers {
         return build_index_no_buffers(dataset, config);
     }
 
@@ -106,38 +111,15 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     // ---- Phase 2: TreeConstruction (Alg. 4) ----
     let t1 = Instant::now();
     // The paper's workers fetch all 2^w buffer ids and skip empty ones;
-    // pre-computing the touched list is the same scan done once (the
-    // buffers cache it; the index keeps its own copy since it outlives
-    // them).
-    let touched = buffers.touched_keys().to_vec();
-    let tree_dispenser = Dispenser::new(touched.len());
-    let built: Mutex<Vec<(usize, TreeArena)>> = Mutex::new(Vec::with_capacity(touched.len()));
-    std::thread::scope(|s| {
-        for _ in 0..num_workers {
-            let buffers = &buffers;
-            let touched = &touched;
-            let tree_dispenser = &tree_dispenser;
-            let built = &built;
-            s.spawn(move || {
-                // One builder per worker: its scratch is reused across
-                // every subtree this worker constructs.
-                let mut builder = SubtreeBuilder::new(segments, config.leaf_capacity);
-                let mut local = Vec::new();
-                while let Some(i) = tree_dispenser.next() {
-                    let key = touched[i];
-                    builder.begin(node_word_for_root_key(key, segments));
-                    for entry in buffers.iter_key(key) {
-                        builder.insert(*entry);
-                    }
-                    local.push((key, builder.finish()));
-                }
-                built.lock().extend(local);
-            });
+    // pre-computing the touched list is the same scan done once.
+    let keys = (buffers.touched_keys().iter()).map(|&key| (key, buffers.key_len(key)));
+    let index = build_forests(dataset, config, keys.collect(), |key, builder| {
+        for entry in buffers.iter_key(key, |e| e.pos) {
+            builder.insert(*entry);
         }
     });
     let tree_time = t1.elapsed();
 
-    let index = MessiIndex::from_parts(dataset, config.clone(), built.into_inner());
     let stats = BuildStats {
         summarize_time,
         tree_time,
@@ -150,13 +132,56 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     (index, stats)
 }
 
+/// Alg. 4's TreeConstruction, shared by MESSI's buffered build and the
+/// ParIS baselines: `keys` lists the non-empty root keys, ascending,
+/// with their entry counts. Workers claim whole forest groups by
+/// Fetch&Inc; `fill(key, builder)` inserts a member key's entries into a
+/// builder begun on its root word, the finished subtrees go back to back
+/// into the worker's scratch, and the group's arena is assembled once.
+#[doc(hidden)]
+pub fn build_forests(
+    dataset: Arc<Dataset>,
+    config: &IndexConfig,
+    keys: Vec<(usize, usize)>,
+    fill: impl Fn(usize, &mut SubtreeBuilder) + Sync,
+) -> MessiIndex {
+    let (touched, counts): (Vec<usize>, Vec<usize>) = keys.into_iter().unzip();
+    let segments = config.segments;
+    let groups = forest_groups(&counts);
+    let dispenser = Dispenser::new(groups.len());
+    let built: Vec<OnceLock<_>> = groups.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
+        for _ in 0..config.num_workers {
+            s.spawn(|| {
+                let mut builder = SubtreeBuilder::new(segments, config.leaf_capacity);
+                let mut scratch = PartScratch::default();
+                while let Some(g) = dispenser.next() {
+                    scratch.clear();
+                    for &key in &touched[groups[g].clone()] {
+                        builder.begin(node_word_for_root_key(key, segments));
+                        fill(key, &mut builder);
+                        scratch.open(key);
+                        builder.finish_into(&mut scratch.nodes, &mut scratch.pool);
+                    }
+                    let arena = assemble_forest(&scratch.parts(), segments);
+                    assert!(built[g].set(arena).is_ok(), "group {g} built twice");
+                }
+            });
+        }
+    });
+    let arenas: Option<Vec<_>> = built.into_iter().map(OnceLock::into_inner).collect();
+    let arenas = arenas.expect("every group built");
+    MessiIndex::from_forests(dataset, config.clone(), touched, &groups, arenas)
+}
+
 /// The rejected no-buffer design (§III-A footnote): workers insert each
 /// summary straight into its root subtree, taking a per-subtree lock.
 /// Kept for the ablation bench — the paper found it "slower … due to the
 /// worse cache locality" (every insertion touches a different subtree's
 /// nodes, instead of one worker streaming through one subtree at a time).
 /// Each subtree's under-construction state is its own [`SubtreeBuilder`],
-/// flattened after the insertion scope ends.
+/// emitted into one scratch after the insertion scope ends. Entries
+/// arrive in lock order, so leaf shapes may differ from run to run.
 fn build_index_no_buffers(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, BuildStats) {
     let sax_config = SaxConfig::new(config.segments, dataset.series_len());
     let segments = sax_config.segments;
@@ -199,14 +224,15 @@ fn build_index_no_buffers(dataset: Arc<Dataset>, config: &IndexConfig) -> (Messi
     });
     let total = t0.elapsed();
 
-    let mut subtrees = Vec::new();
+    let mut scratch = PartScratch::default();
     for (key, slot) in locked_builders.into_iter().enumerate() {
         if let Some(mut builder) = slot.into_inner() {
-            subtrees.push((key, builder.finish()));
+            scratch.open(key);
+            builder.finish_into(&mut scratch.nodes, &mut scratch.pool);
         }
     }
 
-    let index = MessiIndex::from_parts(dataset, config.clone(), subtrees);
+    let index = MessiIndex::from_raw_parts(dataset, config.clone(), &scratch.parts());
     let stats = BuildStats {
         // The whole build is one interleaved phase.
         summarize_time: total,
@@ -248,49 +274,29 @@ mod tests {
 
     #[test]
     fn deterministic_structure_across_worker_counts() {
-        // The tree content (not build order) must be identical for any
-        // worker count: same leaves, same entries per root subtree.
+        // The index is a function of its data: over 16 chunks, any worker
+        // count gives the same arenas — records, pools, derived columns
+        // and runs — filed under the same keys.
         let base = IndexConfig::for_tests();
-        let (i1, _) = build_with(
-            &IndexConfig {
-                num_workers: 1,
-                ..base.clone()
-            },
-            300,
-            9,
-        );
-        let (i4, _) = build_with(
-            &IndexConfig {
-                num_workers: 4,
-                ..base.clone()
-            },
-            300,
-            9,
-        );
-        let (i13, _) = build_with(
-            &IndexConfig {
-                num_workers: 13,
-                ..base
-            },
-            300,
-            9,
-        );
-        for pair in [&i4, &i13] {
-            assert_eq!(i1.touched_keys(), pair.touched_keys());
-            assert_eq!(i1.num_leaves(), pair.num_leaves());
-            for &key in i1.touched_keys() {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                i1.root(key)
-                    .unwrap()
-                    .for_each_leaf(&mut |l| a.extend(l.entries.iter().map(|e| e.pos)));
-                pair.root(key)
-                    .unwrap()
-                    .for_each_leaf(&mut |l| b.extend(l.entries.iter().map(|e| e.pos)));
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "key {key} differs");
-            }
+        let build = |num_workers| {
+            build_with(
+                &IndexConfig {
+                    num_workers,
+                    ..base.clone()
+                },
+                1000,
+                9,
+            )
+            .0
+        };
+        let i1 = build(1);
+        assert!(1000 / base.chunk_size >= 8, "too few chunks to race");
+        for workers in [4, 13] {
+            let other = build(workers);
+            assert_eq!(i1.touched_keys(), other.touched_keys(), "W={workers}");
+            assert_eq!(i1.slots, other.slots, "W={workers}");
+            assert_eq!(i1.roots(), other.roots(), "W={workers}");
+            assert!(i1.arenas() == other.arenas(), "W={workers}: arenas differ");
         }
     }
 
@@ -378,7 +384,7 @@ mod tests {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 600, 13));
         let buffered = IndexConfig::for_tests();
         let no_buffers = IndexConfig {
-            variant: crate::config::BuildVariant::NoBuffers,
+            variant: BuildVariant::NoBuffers,
             ..IndexConfig::for_tests()
         };
         let (a, sa) = build_index(Arc::clone(&data), &buffered);

@@ -115,7 +115,8 @@ pub enum BuildVariant {
     #[default]
     Buffered,
     /// The rejected design: summaries inserted straight into the tree as
-    /// they are computed, each root subtree protected by a lock.
+    /// they are computed, each root subtree protected by a lock. Entries
+    /// arrive in lock order, so leaf shapes may differ from run to run.
     NoBuffers,
 }
 

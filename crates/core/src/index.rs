@@ -2,7 +2,8 @@
 
 use crate::config::IndexConfig;
 use crate::node::{
-    assemble_forest, forest_groups, LeafEntry, LeafRun, NodeId, RawPart, SubtreeBuilder, TreeArena,
+    assemble_forest, forest_groups, LeafEntry, LeafRun, NodeId, PartScratch, RawPart,
+    SubtreeBuilder, TreeArena,
 };
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
@@ -64,71 +65,59 @@ impl MessiIndex {
         crate::build::build_index(dataset, config)
     }
 
-    /// Assembles an index from externally built root subtrees.
-    ///
-    /// This exists for the ParIS baseline (`messi-baselines`), which
-    /// shares the tree *structure* with MESSI but constructs it with its
-    /// own (locked-buffer) algorithm, and for [`crate::persist`]'s
-    /// snapshot loader. `subtrees` pairs each root key with its arena, in
-    /// any order; empty keys are simply absent.
-    ///
-    /// This is the single grouping chokepoint: consecutive sparse
-    /// subtrees are regrouped here into forest arenas by the
-    /// deterministic rule shared with validation, so every construction
-    /// path (parallel build, baselines, snapshot load) produces the same
-    /// forests for the same per-key trees.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range or duplicate keys, or an invalid
-    /// configuration.
-    #[doc(hidden)]
-    pub fn from_parts(
+    /// The one constructor, and the one place that fills `slots`,
+    /// `touched` and `roots`: `arenas[g]` holds the subtrees of the
+    /// ascending root keys `touched[groups[g]]`. Panics on a key out of
+    /// range, more than `u32::MAX` series, or an invalid configuration.
+    pub(crate) fn from_forests(
         dataset: Arc<Dataset>,
         config: IndexConfig,
-        mut subtrees: Vec<(usize, TreeArena)>,
+        touched: Vec<usize>,
+        groups: &[std::ops::Range<usize>],
+        arenas: Vec<TreeArena>,
     ) -> Self {
         config.validate(dataset.series_len());
         crate::build::assert_positions_fit(&dataset);
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(groups.len(), arenas.len());
         let sax_config = SaxConfig::new(config.segments, dataset.series_len());
         let num_keys = sax_config.num_root_subtrees();
-        subtrees.sort_by_key(|(key, _)| *key);
         let mut slots = vec![EMPTY_SLOT; num_keys];
-        let mut touched = Vec::with_capacity(subtrees.len());
-        for &(key, _) in &subtrees {
-            assert!(key < num_keys, "root key {key} out of range (< {num_keys})");
-            assert!(touched.last() != Some(&key), "subtree {key} provided twice");
-            touched.push(key);
-        }
-        let counts: Vec<usize> = subtrees.iter().map(|(_, a)| a.num_entries()).collect();
-        let groups = forest_groups(&counts);
-        let mut arenas = Vec::with_capacity(groups.len());
-        let mut remaining = subtrees.into_iter();
-        for range in groups {
-            let group: Vec<(usize, TreeArena)> = remaining.by_ref().take(range.len()).collect();
-            for &(key, _) in &group {
-                slots[key] = arenas.len() as u32;
+        for (g, range) in groups.iter().enumerate() {
+            for &key in &touched[range.clone()] {
+                assert!(key < num_keys, "root key {key} out of range (< {num_keys})");
+                slots[key] = g as u32;
             }
-            arenas.push(if group.len() == 1 {
-                group.into_iter().next().expect("one member").1
-            } else {
-                let parts: Vec<RawPart<'_>> = group
-                    .iter()
-                    .map(|(key, arena)| arena.subtree_part(*key, TreeArena::ROOT))
-                    .collect();
-                assemble_forest(&parts, config.segments)
-            });
         }
         Self {
             scales: messi_sax::mindist::segment_scales(sax_config),
             dataset,
             config,
             sax_config,
-            roots: root_block(&arenas),
+            roots: (arenas.iter())
+                .map(|arena| RootWord::pack(arena.word(TreeArena::ROOT)))
+                .collect(),
             arenas,
             slots,
             touched,
         }
+    }
+
+    /// An index from per-key raw parts, ascending by key, assembled one
+    /// forest group at a time (snapshot load, no-buffer build, absorb).
+    pub(crate) fn from_raw_parts(
+        dataset: Arc<Dataset>,
+        config: IndexConfig,
+        parts: &[RawPart<'_>],
+    ) -> Self {
+        let counts: Vec<usize> = parts.iter().map(|p| p.entries.len()).collect();
+        let groups = forest_groups(&counts);
+        let arenas = groups
+            .iter()
+            .map(|range| assemble_forest(&parts[range.clone()], config.segments))
+            .collect();
+        let touched = parts.iter().map(|p| p.key).collect();
+        Self::from_forests(dataset, config, touched, &groups, arenas)
     }
 
     // # Design: absorb by insertion, not rebuild
@@ -137,9 +126,8 @@ impl MessiIndex {
     // position)` pair into its leaf and splitting only the leaf that
     // overflows (Alg. 4 lines 7–11). `insert_batch` used to slice every
     // root subtree out to owned raw parts, re-validate and re-derive a
-    // layout per key (`from_raw`), re-insert every entry of a key that
-    // received one, and regroup through `from_parts`, which threw the
-    // per-key layouts away.
+    // layout per key, re-insert every entry of a key that received one,
+    // and regroup, throwing the per-key layouts away.
     //
     // **Goals.** One merge pass over old and new keys: untouched subtrees
     // spliced from borrowed slices, touched ones grown leaf-locally, one
@@ -148,10 +136,9 @@ impl MessiIndex {
     // sequential build over the grown collection.
     //
     // **Non-goals.** `Arc`-sharing unchanged forest groups across epochs;
-    // a layout-free assembly for `build.rs`; re-validation —
-    // `TreeArena::from_raw` guards where bytes enter the process
-    // (`persist.rs`), this pass reads arenas built or validated here, and
-    // debug builds audit its output with `validate`.
+    // re-validation — `TreeArena::check_raw` guards where bytes enter the
+    // process (`persist.rs`), this pass reads arenas built or validated
+    // here, and debug builds audit its output with `validate`.
     //
     // **Decisions** (200 k base, 2 shards, 4 096-series batches, last
     // shard 104 k → 149 k series in ~12 k keys, 2 cores).
@@ -165,7 +152,8 @@ impl MessiIndex {
     //   (summarise + route + sort 1.3–1.4, grow 0.5–1.6, key walk 1.0,
     //   assemble 2.9–3.4); prewarm 2.9–3.6 ms (8 queries) → 0.8 ms (2).
     // * *No knob, no fork:* the per-key rebuild is deleted;
-    //   `assemble_forest` is the one splice for build, load and absorb.
+    //   `assemble_forest` is the one splice for build, load and absorb,
+    //   and `from_forests` the one constructor.
 
     /// A grown copy of this index over `grown`: the same collection with
     /// `grown.len() - start` new series appended at local positions
@@ -239,37 +227,29 @@ impl MessiIndex {
             .collect();
         fresh.sort_by_key(|f| (f.0, f.1));
 
-        // Grow every key the batch reaches, back to back into one scratch
-        // pair; `starts` files each as `(key, node start, pool start)`.
+        // Grow every key the batch reaches, back to back into one scratch.
         let mut builder = SubtreeBuilder::new(segments, self.config.leaf_capacity);
-        let (mut nodes, mut pool) = (Vec::new(), Vec::new());
-        let mut starts: Vec<(usize, usize, usize)> = Vec::new();
+        let mut scratch = PartScratch::default();
         let mut rest = &fresh[..];
         while let Some(&(key, ..)) = rest.first() {
             let (run, tail) = rest.split_at(rest.partition_point(|f| f.0 == key));
             rest = tail;
-            starts.push((key, nodes.len(), pool.len()));
+            scratch.open(key);
+            let (nodes, pool) = (&mut scratch.nodes, &mut scratch.pool);
             if let Some((arena, root)) = self.key_root(key) {
-                let unrouted = arena.grow_subtree(root, run, &mut builder, &mut nodes, &mut pool);
+                let unrouted = arena.grow_subtree(root, run, &mut builder, nodes, pool);
                 debug_assert!(unrouted.is_empty());
             } else {
                 builder.begin(node_word_for_root_key(key, segments));
                 run.iter().for_each(|f| builder.insert(f.2));
-                builder.finish_into(&mut nodes, &mut pool);
+                builder.finish_into(nodes, pool);
             }
         }
-        starts.push((usize::MAX, nodes.len(), pool.len()));
-        let grown_parts = starts.windows(2).map(|w| RawPart {
-            key: w[0].0,
-            nodes: &nodes[w[0].1..w[1].1],
-            entries: &pool[w[0].2..w[1].2],
-            node_base: w[0].1 as u32,
-            pool_base: w[0].2 as u32,
-        });
-        let mut grown_parts = grown_parts.peekable();
+        let grown_parts = scratch.parts();
+        let mut grown_parts = grown_parts.iter().copied().peekable();
 
         // Walk old and grown keys together, ascending, and emit.
-        let mut parts = Vec::with_capacity(self.touched.len() + starts.len());
+        let mut parts = Vec::with_capacity(self.touched.len() + grown_parts.len());
         for &key in &self.touched {
             parts.extend(std::iter::from_fn(|| grown_parts.next_if(|p| p.key < key)));
             parts.push(grown_parts.next_if(|p| p.key == key).unwrap_or_else(|| {
@@ -278,25 +258,7 @@ impl MessiIndex {
             }));
         }
         parts.extend(grown_parts);
-        let counts: Vec<usize> = parts.iter().map(|p| p.entries.len()).collect();
-        let mut slots = vec![EMPTY_SLOT; self.slots.len()];
-        let mut arenas = Vec::new();
-        for range in forest_groups(&counts) {
-            for part in &parts[range.clone()] {
-                slots[part.key] = arenas.len() as u32;
-            }
-            arenas.push(assemble_forest(&parts[range], segments));
-        }
-        let index = Self {
-            dataset: grown,
-            touched: parts.iter().map(|p| p.key).collect(),
-            roots: root_block(&arenas),
-            arenas,
-            slots,
-            scales: self.scales.clone(),
-            config: self.config.clone(),
-            sax_config: self.sax_config,
-        };
+        let index = Self::from_raw_parts(grown, self.config.clone(), &parts);
         debug_assert!(crate::validate::validate(&index).is_empty());
         Ok(index)
     }
@@ -811,14 +773,6 @@ impl MessiIndex {
         }
         (arena, id)
     }
-}
-
-/// Packs every arena's root word into the contiguous root block.
-fn root_block(arenas: &[TreeArena]) -> Vec<RootWord> {
-    arenas
-        .iter()
-        .map(|arena| RootWord::pack(arena.word(TreeArena::ROOT)))
-        .collect()
 }
 
 #[cfg(test)]

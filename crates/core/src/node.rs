@@ -36,9 +36,11 @@
 //! Construction still follows the paper's incremental protocol (Alg. 4:
 //! insert, split overflowing leaves): [`SubtreeBuilder`] runs exactly the
 //! old insert/split algorithm against reusable index-linked scratch, then
-//! flattens into the arena with exact-capacity allocations. One builder
-//! serves many subtrees back to back, so its own scratch amortizes to
-//! zero.
+//! emits the subtree's preorder records and pool entries into a
+//! caller's `PartScratch`. One builder serves many subtrees back to
+//! back, so its own scratch amortizes to zero. `assemble_forest` is the
+//! one place an arena is made: it splices one or more emitted subtrees
+//! into exact-capacity storage and derives their layout once.
 //!
 //! ## Forest arenas
 //!
@@ -57,8 +59,8 @@
 //! on any root-to-leaf path is a **per-key root**: the original subtree,
 //! spliced in verbatim (preorder preserved, ids and pool offsets
 //! rebased). Grouping is derived deterministically from the per-key
-//! entry counts alone (`forest_groups`), so builds, baselines, and the
-//! snapshot loader regroup identically — and snapshots still serialize
+//! entry counts alone (`forest_groups`), so builds, baselines, the
+//! snapshot loader and absorbs group identically — and snapshots serialize
 //! per key by slicing each per-key subtree back out of its forest
 //! (`TreeArena::subtree_part`, rebased), keeping the format byte-identical.
 
@@ -159,11 +161,52 @@ impl RawPart<'_> {
     }
 }
 
+/// Per-key subtrees back to back in one node array and one entry pool,
+/// ids and offsets absolute in them, for [`assemble_forest`] to splice.
+#[derive(Debug, Default)]
+pub(crate) struct PartScratch {
+    pub(crate) nodes: Vec<NodeRecord>,
+    pub(crate) pool: Vec<LeafEntry>,
+    /// `(key, first node, first pool entry)` of each part.
+    starts: Vec<(usize, usize, usize)>,
+}
+
+impl PartScratch {
+    /// Empties the scratch, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.pool.clear();
+        self.starts.clear();
+    }
+
+    /// Files what is appended to `nodes` / `pool` until the next `open`
+    /// as `key`'s subtree.
+    pub(crate) fn open(&mut self, key: usize) {
+        self.starts.push((key, self.nodes.len(), self.pool.len()));
+    }
+
+    /// The filed subtrees as raw parts, in fill order.
+    pub(crate) fn parts(&self) -> Vec<RawPart<'_>> {
+        let end = (0, self.nodes.len(), self.pool.len());
+        let ends = self.starts.iter().skip(1).chain([&end]);
+        (self.starts.iter().zip(ends))
+            .map(|(&(key, n0, p0), &(_, n1, p1))| RawPart {
+                key,
+                nodes: &self.nodes[n0..n1],
+                entries: &self.pool[p0..p1],
+                node_base: n0 as u32,
+                pool_base: p0 as u32,
+            })
+            .collect()
+    }
+}
+
 /// Assembles one arena from one or more per-key subtrees with ascending
-/// keys — the one assembly behind builds, baselines, snapshot loads and
-/// absorbs. A single part becomes a plain per-key arena; several are
-/// joined under the synthetic iSAX trie described in the module docs.
-/// The layout is derived once, on the assembled arena.
+/// keys — the one place an arena is made, behind builds, baselines,
+/// snapshot loads and absorbs. A single part becomes a plain per-key
+/// arena; several are joined under the synthetic iSAX trie described in
+/// the module docs. Every vector is allocated once at its final size,
+/// and the layout is derived once, on the assembled arena.
 pub(crate) fn assemble_forest(parts: &[RawPart<'_>], segments: usize) -> TreeArena {
     debug_assert!(parts.windows(2).all(|w| w[0].key < w[1].key));
     // A path-compressed binary trie over k distinct keys has exactly
@@ -180,7 +223,18 @@ pub(crate) fn assemble_forest(parts: &[RawPart<'_>], segments: usize) -> TreeAre
         (0..MAX_SEGMENTS).all(|s| nodes[0].word.bits(s) <= 1),
         "arena root refined past one bit per segment"
     );
-    TreeArena::assemble(nodes, pool)
+    let layout = derive_layout(&nodes, &pool);
+    let arena = TreeArena {
+        nodes,
+        entries: pool,
+        cols: layout.cols,
+        leaf_starts: layout.leaf_starts,
+        leaf_ordinals: layout.leaf_ordinals,
+        runs: layout.runs,
+        run_of: layout.run_of,
+    };
+    debug_assert!(arena.allocation_flat(), "arena storage reallocated");
+    arena
 }
 
 /// Recursive splice step of [`assemble_forest`]: emits (in preorder)
@@ -323,8 +377,8 @@ impl<'a> LeafRun<'a> {
 }
 
 /// All derived (never serialized) per-arena layout: the SoA symbol pool
-/// plus the leaf-run metadata. Rebuilt identically at build time and at
-/// load time by [`derive_layout`].
+/// plus the leaf-run metadata, derived by [`derive_layout`] for every
+/// assembled arena, however it was made.
 #[derive(Debug)]
 struct DerivedLayout {
     cols: Vec<u8>,
@@ -339,10 +393,11 @@ struct DerivedLayout {
 /// partition walks leaves in pool order, opening a new run whenever
 /// adding the next non-empty leaf would push the current run past
 /// [`RUN_TARGET_ENTRIES`] (empty leaves always join the current run; an
-/// oversized leaf gets a run of its own). Shared by
-/// [`SubtreeBuilder::finish`] and [`TreeArena::from_raw`], so snapshots
-/// round-trip to byte-identical metadata; every vector is allocated once
-/// at exact capacity.
+/// oversized leaf gets a run of its own). Called once per arena, by
+/// [`assemble_forest`] — for a build, a load and an absorb alike, so
+/// snapshots round-trip to byte-identical metadata — and by the
+/// validator's recomputation; every vector is allocated once at exact
+/// capacity.
 fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
     let num_leaves = nodes.iter().filter(|n| n.tag == LEAF_TAG).count();
     let mut leaf_starts = Vec::with_capacity(num_leaves + 1);
@@ -426,7 +481,7 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
 /// whole run of small leaves as one sequential stretch of cache lines.
 /// `cols` and all run metadata are derived data — rebuilt on load, never
 /// serialized.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct TreeArena {
     nodes: Vec<NodeRecord>,
     entries: Vec<LeafEntry>,
@@ -447,19 +502,6 @@ impl TreeArena {
     /// The root node's id (arenas are built root-first).
     pub const ROOT: NodeId = 0;
 
-    fn assemble(nodes: Vec<NodeRecord>, entries: Vec<LeafEntry>) -> Self {
-        let layout = derive_layout(&nodes, &entries);
-        Self {
-            nodes,
-            entries,
-            cols: layout.cols,
-            leaf_starts: layout.leaf_starts,
-            leaf_ordinals: layout.leaf_ordinals,
-            runs: layout.runs,
-            run_of: layout.run_of,
-        }
-    }
-
     /// Number of nodes (inner + leaf) in the subtree.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -473,11 +515,6 @@ impl TreeArena {
     /// Number of leaves in the subtree.
     pub fn num_leaves(&self) -> usize {
         self.leaf_starts.len() - 1
-    }
-
-    /// Number of leaf runs in the subtree (see the module docs).
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
     }
 
     /// Per-run shape, in run order: `(member leaves, entries)`. What
@@ -681,10 +718,9 @@ impl TreeArena {
     }
 
     /// Whether all backing allocations are capacity-tight (length ==
-    /// capacity) — true for every arena produced by
-    /// [`SubtreeBuilder::finish`], which allocates each exactly once at
-    /// its final size. The build tests assert this "allocation-flat"
-    /// invariant on whole indexes.
+    /// capacity) — true for every arena produced by `assemble_forest`,
+    /// which allocates each exactly once at its final size. The build
+    /// tests assert this "allocation-flat" invariant on whole indexes.
     pub fn allocation_flat(&self) -> bool {
         self.nodes.capacity() == self.nodes.len()
             && self.entries.capacity() == self.entries.len()
@@ -703,15 +739,6 @@ impl TreeArena {
     /// Bytes held by the leaf-entry pool (capacity).
     pub fn entry_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<LeafEntry>()
-    }
-
-    /// Bytes held by the SoA symbol pool plus the derived run metadata
-    /// (capacities).
-    pub fn col_bytes(&self) -> usize {
-        self.cols.capacity()
-            + (self.leaf_starts.capacity() + self.leaf_ordinals.capacity() + self.run_of.capacity())
-                * std::mem::size_of::<u32>()
-            + self.runs.capacity() * std::mem::size_of::<RunSpan>()
     }
 
     /// A leaf's `[start, end)` range in the entry pool (validation and
@@ -850,21 +877,20 @@ impl TreeArena {
     /// path has at most `MAX_SEGMENTS × CARD_BITS` splits.
     const MAX_DEPTH: usize = messi_sax::MAX_SEGMENTS * messi_sax::CARD_BITS + 1;
 
-    /// Reassembles an arena from raw parts (the deserialization path),
-    /// verifying the structural invariants the accessors rely on: the
-    /// records must form exactly one preorder tree — a left-then-right
-    /// depth-first walk from the root enumerates ids `0..n` in ascending
-    /// order, which rules out unreachable nodes, shared children, and
-    /// cycles in one pass — no deeper than any legitimate build can
-    /// produce, whose leaves partition the entry pool left to right.
+    /// Checks one subtree's raw records (the deserialization path, ids
+    /// and pool offsets counting from zero, `num_entries` pool entries)
+    /// for the structural invariants the accessors rely on before
+    /// [`assemble_forest`] may splice them: the records must form exactly
+    /// one preorder tree — a left-then-right depth-first walk from the
+    /// root enumerates ids `0..n` in ascending order, which rules out
+    /// unreachable nodes, shared children, and cycles in one pass — no
+    /// deeper than any legitimate build can produce, whose leaves
+    /// partition the entry pool left to right.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violated invariant.
-    pub(crate) fn from_raw(
-        nodes: Vec<NodeRecord>,
-        entries: Vec<LeafEntry>,
-    ) -> Result<Self, String> {
+    pub(crate) fn check_raw(nodes: &[NodeRecord], num_entries: usize) -> Result<(), String> {
         if nodes.is_empty() {
             return Err("arena with zero nodes".into());
         }
@@ -878,7 +904,7 @@ impl TreeArena {
                         n.lo
                     ));
                 }
-                if n.hi < n.lo || entries.len() < n.hi as usize {
+                if n.hi < n.lo || num_entries < n.hi as usize {
                     return Err(format!(
                         "leaf {id}: pool range {}..{} out of bounds",
                         n.lo, n.hi
@@ -900,10 +926,9 @@ impl TreeArena {
                 }
             }
         }
-        if covered != entries.len() as u64 {
+        if covered != num_entries as u64 {
             return Err(format!(
-                "leaves cover {covered} pool entries of {}",
-                entries.len()
+                "leaves cover {covered} pool entries of {num_entries}"
             ));
         }
         // Preorder tree-ness, checked by one explicit-stack DFS: visiting
@@ -939,11 +964,7 @@ impl TreeArena {
                 nn - expect
             ));
         }
-        // The SoA symbol pool and run metadata are derived data: rebuild
-        // them from the (now validated) records instead of trusting
-        // serialized bytes. Same derivation as the build path, so a
-        // round-trip is byte-identical.
-        Ok(Self::assemble(nodes, entries))
+        Ok(())
     }
 }
 
@@ -986,7 +1007,8 @@ impl<'a> Iterator for SaxLinkIter<'a> {
 
 /// Builds one subtree incrementally — the paper's insert-and-split
 /// protocol (Alg. 4 lines 7–11: "while targetLeaf is full do SplitNode")
-/// — into a flat [`TreeArena`].
+/// — and emits it flat, as preorder records and pool entries for
+/// `assemble_forest` to splice into an arena.
 ///
 /// Splits follow the balanced-segment policy of `messi_sax::split`. When
 /// a leaf's entries cannot be separated (identical summaries, or every
@@ -994,11 +1016,10 @@ impl<'a> Iterator for SaxLinkIter<'a> {
 /// further splits would loop forever without separating anything.
 ///
 /// The builder's scratch (index-linked entry lists, a flat scratch-node
-/// array) is retained across subtrees: `begin` → `insert`* → `finish`
-/// cycles reuse the same buffers, and `finish` performs a fixed handful
-/// of exact-capacity allocations — the arena's node array, entry pool,
-/// SoA symbol pool, and run metadata — regardless of how many nodes the
-/// subtree has (the "allocation-flat" invariant, debug-asserted).
+/// array) is retained across subtrees: `begin` → `insert`* →
+/// `finish_into` cycles reuse the same buffers and append to the same
+/// caller scratch, so emitting a subtree allocates nothing once both
+/// have grown to their working size.
 #[derive(Debug)]
 pub struct SubtreeBuilder {
     /// Number of PAA segments (the paper's w).
@@ -1013,7 +1034,7 @@ pub struct SubtreeBuilder {
 
 impl SubtreeBuilder {
     /// Creates an empty builder for the given tree parameters.
-    pub fn new(segments: usize, leaf_capacity: usize) -> Self {
+    pub(crate) fn new(segments: usize, leaf_capacity: usize) -> Self {
         assert!(leaf_capacity > 0, "leaf capacity must be positive");
         Self {
             segments,
@@ -1026,7 +1047,7 @@ impl SubtreeBuilder {
 
     /// Starts a fresh subtree covering `word`: clears the scratch
     /// (retaining capacity) and plants an empty root leaf.
-    pub fn begin(&mut self, word: NodeWord) {
+    pub(crate) fn begin(&mut self, word: NodeWord) {
         self.nodes.clear();
         self.entries.clear();
         self.next.clear();
@@ -1049,7 +1070,7 @@ impl SubtreeBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`SubtreeBuilder::begin`].
+    /// Panics if called before `SubtreeBuilder::begin`.
     pub fn insert(&mut self, entry: LeafEntry) {
         assert!(!self.nodes.is_empty(), "insert before begin");
         // Descend to the leaf responsible for this entry.
@@ -1181,31 +1202,11 @@ impl SubtreeBuilder {
         true
     }
 
-    /// Flattens the finished subtree into a [`TreeArena`] (preorder node
-    /// array + packed leaf pool + derived SoA/run layout) and resets the
-    /// scratch for the next subtree.
-    ///
-    /// The arena is built with a fixed handful of exact-capacity
-    /// allocations — the node-count and entry-count are known, and the
-    /// derived layout is a post-pass over the emitted leaves — which
-    /// debug assertions verify (the "allocation-flat subtree" invariant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`SubtreeBuilder::begin`].
-    pub fn finish(&mut self) -> TreeArena {
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        let mut pool = Vec::with_capacity(self.entries.len());
-        self.finish_into(&mut nodes, &mut pool);
-        let arena = TreeArena::assemble(nodes, pool);
-        debug_assert!(arena.allocation_flat(), "arena storage reallocated");
-        arena
-    }
-
-    /// [`SubtreeBuilder::finish`] without the arena: appends the subtree's
-    /// preorder records and pool entries to `nodes` / `pool` (ids and
-    /// offsets absolute in them) and resets the scratch — for callers
-    /// that splice it into a larger arena, whose layout is derived once.
+    /// Flattens the finished subtree: appends its preorder records and
+    /// pool entries to `nodes` / `pool` (ids and offsets absolute in
+    /// them) and resets the scratch for the next subtree. The caller
+    /// splices the result into an arena with [`assemble_forest`], which
+    /// derives the layout once per arena.
     ///
     /// # Panics
     ///
@@ -1252,19 +1253,6 @@ impl SubtreeBuilder {
         }
         fid
     }
-
-    /// Convenience: builds a whole subtree in one call.
-    pub fn build_subtree(
-        &mut self,
-        word: NodeWord,
-        entries: impl IntoIterator<Item = LeafEntry>,
-    ) -> TreeArena {
-        self.begin(word);
-        for e in entries {
-            self.insert(e);
-        }
-        self.finish()
-    }
 }
 
 #[cfg(test)]
@@ -1280,6 +1268,34 @@ mod tests {
         }
     }
 
+    /// One subtree built alone and assembled as a one-part forest.
+    fn build_subtree(
+        builder: &mut SubtreeBuilder,
+        word: NodeWord,
+        entries: impl IntoIterator<Item = LeafEntry>,
+    ) -> TreeArena {
+        builder.begin(word);
+        entries.into_iter().for_each(|e| builder.insert(e));
+        let mut scratch = PartScratch::default();
+        scratch.open(0);
+        builder.finish_into(&mut scratch.nodes, &mut scratch.pool);
+        assemble_forest(&scratch.parts(), builder.segments)
+    }
+
+    /// The loader's path for one subtree: structural checks, then
+    /// assembly.
+    fn from_raw(nodes: Vec<NodeRecord>, entries: Vec<LeafEntry>) -> Result<TreeArena, String> {
+        TreeArena::check_raw(&nodes, entries.len())?;
+        let part = RawPart {
+            key: 0,
+            nodes: &nodes,
+            entries: &entries,
+            node_base: 0,
+            pool_base: 0,
+        };
+        Ok(assemble_forest(&[part], 1))
+    }
+
     fn series(seed: u32, n: usize) -> Vec<f32> {
         (0..n)
             .map(|i| ((i as f32 + seed as f32 * 13.7) * (0.11 + 0.01 * seed as f32)).sin() * 2.0)
@@ -1291,7 +1307,8 @@ mod tests {
         let word = NodeWord::root();
         let mut builder = SubtreeBuilder::new(4, 100);
         let config = SaxConfig::new(4, 32);
-        let arena = builder.build_subtree(
+        let arena = build_subtree(
+            &mut builder,
             word,
             (0..50u32).map(|i| entry_for(&series(i, 32), i, config)),
         );
@@ -1325,7 +1342,11 @@ mod tests {
             .expect("some group");
         assert!(entries.len() > 8, "need a non-trivial group");
         let mut builder = SubtreeBuilder::new(4, 8);
-        let arena = builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+        let arena = build_subtree(
+            &mut builder,
+            node_word_for_root_key(key, 4),
+            entries.iter().copied(),
+        );
         assert_eq!(arena.num_entries(), entries.len());
         assert!(arena.num_leaves() > 1, "should have split");
         // Every leaf's entries are contained in the leaf's word, and no
@@ -1355,7 +1376,8 @@ mod tests {
         let e = entry_for(&s, 0, config);
         let key = root_key(&e.sax, 4);
         let mut builder = SubtreeBuilder::new(4, 4);
-        let arena = builder.build_subtree(
+        let arena = build_subtree(
+            &mut builder,
             node_word_for_root_key(key, 4),
             (0..20u32).map(|i| LeafEntry { pos: i, ..e }),
         );
@@ -1370,7 +1392,7 @@ mod tests {
     fn structure_accessors() {
         let word = NodeWord::root();
         let mut builder = SubtreeBuilder::new(4, 8);
-        let arena = builder.build_subtree(word, std::iter::empty());
+        let arena = build_subtree(&mut builder, word, std::iter::empty());
         assert!(arena.is_leaf(TreeArena::ROOT));
         assert_eq!(arena.word(TreeArena::ROOT), &word);
         assert_eq!(arena.num_entries(), 0);
@@ -1378,7 +1400,7 @@ mod tests {
         assert!(arena.node_bytes() > 0 || arena.num_nodes() == 1);
         assert_eq!(arena.leaf(TreeArena::ROOT).entries.len(), 0);
         // Even an empty arena has one (empty) run covering its one leaf.
-        assert_eq!(arena.num_runs(), 1);
+        assert_eq!(arena.runs.len(), 1);
         assert_eq!(arena.run_shapes(), vec![(1, 0)]);
     }
 
@@ -1395,8 +1417,12 @@ mod tests {
         // reused builder — and require identical flattened storage.
         for (key, entries) in groups {
             let word = node_word_for_root_key(key, 4);
-            let reused = builder.build_subtree(word, entries.iter().copied());
-            let fresh = SubtreeBuilder::new(4, 4).build_subtree(word, entries.iter().copied());
+            let reused = build_subtree(&mut builder, word, entries.iter().copied());
+            let fresh = build_subtree(
+                &mut SubtreeBuilder::new(4, 4),
+                word,
+                entries.iter().copied(),
+            );
             assert_eq!(reused.num_nodes(), fresh.num_nodes(), "key {key}");
             assert_eq!(reused.num_leaves(), fresh.num_leaves(), "key {key}");
             let collect = |a: &TreeArena| {
@@ -1421,23 +1447,27 @@ mod tests {
             .max_by_key(|(_, v)| v.len())
             .expect("some group");
         let mut builder = SubtreeBuilder::new(4, 4);
-        let arena = builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+        let arena = build_subtree(
+            &mut builder,
+            node_word_for_root_key(key, 4),
+            entries.iter().copied(),
+        );
         // Round-tripping through from_raw accepts the builder's output…
         let nodes = arena.raw_nodes().to_vec();
         let pool = arena.raw_entries().to_vec();
-        let back = TreeArena::from_raw(nodes.clone(), pool.clone()).expect("valid arena");
+        let back = from_raw(nodes.clone(), pool.clone()).expect("valid arena");
         assert_eq!(back.num_leaves(), arena.num_leaves());
         // …and rejects structural corruption.
-        assert!(TreeArena::from_raw(Vec::new(), Vec::new()).is_err());
+        assert!(from_raw(Vec::new(), Vec::new()).is_err());
         if arena.num_nodes() > 1 {
             let mut bad = nodes.clone();
             bad[0].lo = 0; // self-referential child breaks preorder
-            assert!(TreeArena::from_raw(bad, pool.clone()).is_err());
+            assert!(from_raw(bad, pool.clone()).is_err());
         }
         let mut bad = nodes;
         if let Some(last_leaf) = bad.iter().rposition(|n| n.tag == LEAF_TAG) {
             bad[last_leaf].hi += 1; // range past the pool
-            assert!(TreeArena::from_raw(bad, pool).is_err());
+            assert!(from_raw(bad, pool).is_err());
         }
     }
 
@@ -1451,10 +1481,13 @@ mod tests {
         }
         let mut builder = SubtreeBuilder::new(4, 8);
         for (key, entries) in groups {
-            let arena =
-                builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+            let arena = build_subtree(
+                &mut builder,
+                node_word_for_root_key(key, 4),
+                entries.iter().copied(),
+            );
             assert!(arena.allocation_flat());
-            assert!(arena.col_bytes() >= arena.num_entries() * MAX_SEGMENTS);
+            assert_eq!(arena.cols.len(), arena.num_entries() * MAX_SEGMENTS);
             let mut total = 0usize;
             arena.for_each_leaf(&mut |leaf| {
                 let n = leaf.entries.len();
@@ -1473,9 +1506,8 @@ mod tests {
             });
             assert_eq!(total, arena.num_entries());
             // The round-tripped arena rebuilds identical derived layout.
-            let back =
-                TreeArena::from_raw(arena.raw_nodes().to_vec(), arena.raw_entries().to_vec())
-                    .expect("valid arena");
+            let back = from_raw(arena.raw_nodes().to_vec(), arena.raw_entries().to_vec())
+                .expect("valid arena");
             assert_eq!(back.cols, arena.cols);
             assert_eq!(back.leaf_starts, arena.leaf_starts);
             assert_eq!(back.runs, arena.runs);
@@ -1494,10 +1526,13 @@ mod tests {
         }
         let mut builder = SubtreeBuilder::new(4, 4); // tiny leaves → multi-leaf runs
         for (key, entries) in groups {
-            let arena =
-                builder.build_subtree(node_word_for_root_key(key, 4), entries.iter().copied());
+            let arena = build_subtree(
+                &mut builder,
+                node_word_for_root_key(key, 4),
+                entries.iter().copied(),
+            );
             let shapes = arena.run_shapes();
-            assert_eq!(shapes.len(), arena.num_runs(), "key {key}");
+            assert_eq!(shapes.len(), arena.runs.len(), "key {key}");
             let leaves: usize = shapes.iter().map(|s| s.0).sum();
             let spanned: usize = shapes.iter().map(|s| s.1).sum();
             assert_eq!(leaves, arena.num_leaves(), "runs partition the leaves");
@@ -1574,12 +1609,12 @@ mod tests {
         // gets visited, but its pool range keeps the linear partition
         // consistent — only the DFS walk can catch it.
         let orphan = vec![inner(1, 2), leaf(0, 3), leaf(3, 6), leaf(6, 9)];
-        let err = TreeArena::from_raw(orphan, entries(9)).unwrap_err();
+        let err = from_raw(orphan, entries(9)).unwrap_err();
         assert!(err.contains("unreachable"), "{err}");
         // Shared child: two parents point at leaf 3 — the DFS visits it
         // twice, out of preorder.
         let shared = vec![inner(1, 3), inner(2, 3), leaf(0, 1), leaf(1, 2)];
-        assert!(TreeArena::from_raw(shared, entries(2)).is_err());
+        assert!(from_raw(shared, entries(2)).is_err());
         // A left spine deeper than any legitimate build must be refused
         // (honest depth is bounded by total refinable bits), keeping the
         // recursive traversals within sane stack bounds. The spine is a
@@ -1590,7 +1625,7 @@ mod tests {
         for _ in 0..=d {
             spine.push(leaf(0, 0));
         }
-        let err = TreeArena::from_raw(spine, entries(0)).unwrap_err();
+        let err = from_raw(spine, entries(0)).unwrap_err();
         assert!(err.contains("deeper"), "{err}");
     }
 
@@ -1632,7 +1667,10 @@ mod tests {
             .into_iter()
             .map(|(key, entries)| {
                 let word = node_word_for_root_key(key, segments);
-                (key, builder.build_subtree(word, entries.iter().copied()))
+                (
+                    key,
+                    build_subtree(&mut builder, word, entries.iter().copied()),
+                )
             })
             .collect();
         assert!(built.len() >= 2, "need several keys to form a forest");

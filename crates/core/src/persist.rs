@@ -44,7 +44,7 @@
 
 use crate::config::{BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, NodeRecord, TreeArena};
+use crate::node::{LeafEntry, NodeRecord, PartScratch, TreeArena};
 use messi_sax::convert::SaxConverter;
 use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
 use messi_series::io::{write_durable, xxh64, xxh64_f32, PayloadReader, PayloadWriter};
@@ -58,8 +58,9 @@ use std::sync::Arc;
 const MAGIC: [u8; 8] = *b"MESSIIDX";
 /// Snapshot format version, the only one this build reads: the payload
 /// is sealed and the dataset fingerprinted with XXH64. The leaf symbol
-/// columns are derived state, rebuilt by `TreeArena::from_raw` at load
-/// and never serialized.
+/// columns and run metadata are derived state, never serialized: a load
+/// checks each stored subtree (`TreeArena::check_raw`), and the one
+/// arena assembly derives them as a build does.
 pub const FORMAT_VERSION: u32 = 3;
 /// Bytes before a sealed container's payload: magic, version, length.
 const SEAL_HEADER: usize = 20;
@@ -388,15 +389,16 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
 
     let num_subtrees = r.take_u32().map_err(corrupt)? as usize;
     let num_keys = 1usize << segments;
-    // Every count below is untrusted: cap it by the bytes actually left
-    // in the payload before passing it to `Vec::with_capacity`, so a
-    // tiny crafted file cannot request a multi-gigabyte allocation (an
-    // abort, not a catchable error) by lying about its sizes.
+    // Every count below is untrusted: it must fit in the bytes actually
+    // left in the payload, so a tiny crafted file that lies about its
+    // sizes fails here, with a catchable error, before any loop or
+    // allocation is sized by it.
     if num_subtrees > r.remaining() / SUBTREE_HEADER_BYTES {
         return Err(corrupt("subtree count exceeds payload size"));
     }
-    let mut subtrees = Vec::with_capacity(num_subtrees);
-    let mut total_entries = 0usize;
+    // Every subtree decodes into one node/entry scratch, ids and offsets
+    // counting from its own start, as stored.
+    let mut scratch = PartScratch::default();
     for _ in 0..num_subtrees {
         let key = r.take_u32().map_err(corrupt)? as usize;
         if key >= num_keys {
@@ -411,15 +413,16 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
         {
             return Err(corrupt("subtree counts exceed payload size"));
         }
-        let mut nodes = Vec::with_capacity(num_nodes);
+        scratch.open(key);
+        let (nodes, pool) = (&mut scratch.nodes, &mut scratch.pool);
+        let node_start = nodes.len();
         for _ in 0..num_nodes {
-            let word = take_node_word(&mut r, segments).map_err(PersistError::Corrupt)?;
+            let word = take_node_word(&mut r).map_err(PersistError::Corrupt)?;
             let tag = r.take_u8().map_err(corrupt)?;
             let lo = r.take_u32().map_err(corrupt)?;
             let hi = r.take_u32().map_err(corrupt)?;
             nodes.push(NodeRecord { word, tag, lo, hi });
         }
-        let mut entries = Vec::with_capacity(num_entries);
         for _ in 0..num_entries {
             let symbols = r.take_bytes(MAX_SEGMENTS).map_err(corrupt)?;
             let pos = r.take_u32().map_err(corrupt)?;
@@ -428,35 +431,35 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
                     "entry position {pos} out of range (< {num_series})"
                 )));
             }
-            entries.push(LeafEntry {
+            pool.push(LeafEntry {
                 sax: SaxWord::new(symbols),
                 pos,
             });
         }
-        let arena = TreeArena::from_raw(nodes, entries).map_err(PersistError::Corrupt)?;
-        total_entries += arena.num_entries();
-        subtrees.push((key, arena));
+        TreeArena::check_raw(&nodes[node_start..], num_entries).map_err(PersistError::Corrupt)?;
     }
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes after the last subtree"));
     }
+    let total_entries = scratch.pool.len();
     if total_entries != num_series {
         return Err(PersistError::Corrupt(format!(
             "subtrees store {total_entries} entries for {num_series} series"
         )));
     }
-    // Duplicate keys are rejected by `from_parts` with a panic; turn that
-    // into a recoverable error here.
-    {
-        let mut keys: Vec<usize> = subtrees.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        if keys.windows(2).any(|w| w[0] == w[1]) {
-            return Err(corrupt("duplicate root key"));
-        }
+    let mut parts = scratch.parts();
+    for part in &mut parts {
+        (part.node_base, part.pool_base) = (0, 0); // stored ids are local
+    }
+    // Forest grouping needs ascending keys; a file may list them in any
+    // order, but not twice.
+    parts.sort_unstable_by_key(|p| p.key);
+    if parts.windows(2).any(|w| w[0].key == w[1].key) {
+        return Err(corrupt("duplicate root key"));
     }
 
-    let index = MessiIndex::from_parts(dataset, config, subtrees);
-    // The scales are derivable state: `from_parts` already rederived
+    let index = MessiIndex::from_raw_parts(dataset, config, &parts);
+    // The scales are derivable state: the constructor already rederived
     // them from the sax config. The persisted copy exists so a snapshot
     // is self-describing — but it must never *override* the derivation
     // (a crafted file could inflate them and make mindist prune the true
@@ -483,7 +486,7 @@ fn put_node_word(w: &mut PayloadWriter, word: &NodeWord) {
     }
 }
 
-fn take_node_word(r: &mut PayloadReader<'_>, _segments: usize) -> Result<NodeWord, String> {
+fn take_node_word(r: &mut PayloadReader<'_>) -> Result<NodeWord, String> {
     let mut symbols = [0u16; MAX_SEGMENTS];
     for s in &mut symbols {
         *s = r.take_u16().map_err(String::from)?;

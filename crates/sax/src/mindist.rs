@@ -380,13 +380,15 @@ impl MindistTable {
     /// # Safety
     ///
     /// Requires AVX2 on the executing CPU and `roots.len() == 8`.
+    // SAFETY: the one caller, `root_bounds`, passes exactly 8 roots and
+    // holds `use_simd` only when AVX2 is present.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn root_bounds_avx2(&self, roots: &[RootWord], out: &mut [f32; 8]) {
         #[allow(clippy::wildcard_imports)]
         use core::arch::x86_64::*;
         debug_assert_eq!(roots.len(), 8);
-        // SAFETY (whole block): `RootWord` is a transparent `u32`, so 8
+        // SAFETY: (whole block) `RootWord` is a transparent `u32`, so 8
         // roots are the 32 bytes of the unaligned load; `out` has exactly
         // 8 lanes for the store; rows are indexed with bounds checks.
         unsafe {
@@ -435,13 +437,14 @@ impl MindistTable {
     /// # Safety
     ///
     /// Requires AVX2 on the executing CPU and `self.segments == 16`.
+    // SAFETY: the one caller, `mindist_sq`, checks both conditions first.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn mindist_sq_avx2(&self, word: &SaxWord) -> f32 {
         #[allow(clippy::wildcard_imports)]
         use core::arch::x86_64::*;
         debug_assert_eq!(self.segments, 16);
-        // SAFETY (whole block): `word.symbols()` is 16 contiguous bytes;
+        // SAFETY: (whole block) `word.symbols()` is 16 contiguous bytes;
         // indices are 512·i + 255 + sym < 16·512 = table length.
         unsafe {
             let base = self.table.as_ptr().add(LEAF);
@@ -566,6 +569,8 @@ impl MindistTable {
     /// `cols.len() >= segments * n` (asserted by the public dispatcher).
     /// SSE2 is baseline on `x86_64`, so no runtime feature check is
     /// needed.
+    // SAFETY: the one caller, `mindist_sq_soa`, asserts the bounds and
+    // calls this only for `4 <= len < 8`.
     #[cfg(target_arch = "x86_64")]
     unsafe fn mindist_sq_soa_tail_sse(
         &self,
@@ -578,7 +583,7 @@ impl MindistTable {
         #[allow(clippy::wildcard_imports)]
         use core::arch::x86_64::*;
         debug_assert!((4..8).contains(&len));
-        // SAFETY (whole block): per segment `s < segments`, the four byte
+        // SAFETY: (whole block) per segment `s < segments`, the four byte
         // reads at `s*n + base .. +4` stay inside `cols` (`base + 4 <=
         // base + len <= n`, block len `>= segments*n`); each table index
         // is `512·s + 255 + sym < segments·512` = table length; the store
@@ -617,12 +622,15 @@ impl MindistTable {
     ///
     /// Requires AVX2 on the executing CPU; `base + 8 <= n` and
     /// `cols.len() >= segments * n` (asserted by the public dispatcher).
+    // SAFETY: the one caller, `mindist_sq_soa`, asserts the bounds, calls
+    // this only for `len == 8`, and holds `use_simd` only when AVX2 is
+    // present.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn mindist_sq_soa_avx2(&self, cols: &[u8], n: usize, base: usize, out: &mut [f32; 8]) {
         #[allow(clippy::wildcard_imports)]
         use core::arch::x86_64::*;
-        // SAFETY (whole block): per segment `s < segments`, the 8-byte load
+        // SAFETY: (whole block) per segment `s < segments`, the 8-byte load
         // at `s*n + base` stays inside `cols` (`base + 8 <= n`, block len
         // `>= segments*n`); gather indices are `512·s + 255 + sym <
         // segments·512` = table length; `out` has exactly 8 lanes.

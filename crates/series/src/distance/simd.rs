@@ -111,6 +111,8 @@ pub(crate) mod avx {
     /// # Safety
     ///
     /// Requires AVX on the executing CPU.
+    // SAFETY: called only from the AVX2 kernels below, which run only
+    // where AVX2 (a superset of AVX) is present.
     #[inline]
     #[target_feature(enable = "avx")]
     unsafe fn hsum256(v: __m256) -> f32 {
@@ -131,6 +133,8 @@ pub(crate) mod avx {
     ///
     /// Requires AVX2+FMA on the executing CPU. `a` and `b` must have equal
     /// lengths (checked by a debug assertion).
+    // SAFETY: callers uphold the module's contract: gated on
+    // `simd_available`, equal slice lengths.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn ed_sq(a: &[f32], b: &[f32]) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -169,6 +173,7 @@ pub(crate) mod avx {
     /// # Safety
     ///
     /// Requires AVX2+FMA on the executing CPU; `a.len() == b.len()`.
+    // SAFETY: as for `ed_sq`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn ed_sq_early_abandon(a: &[f32], b: &[f32], bound: f32) -> f32 {
         debug_assert_eq!(a.len(), b.len());
@@ -229,6 +234,8 @@ pub(crate) mod avx {
     ///
     /// Requires AVX2+FMA on the executing CPU. All three slices must have
     /// equal lengths (checked by debug assertions).
+    // SAFETY: callers uphold the module's contract: gated on
+    // `simd_available`, equal slice lengths.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn lb_keogh_sq(lower: &[f32], upper: &[f32], candidate: &[f32]) -> f32 {
         debug_assert_eq!(lower.len(), candidate.len());
@@ -269,6 +276,7 @@ pub(crate) mod avx {
     /// # Safety
     ///
     /// Requires AVX2+FMA on the executing CPU; all slices equal length.
+    // SAFETY: as for `lb_keogh_sq`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn lb_keogh_sq_early_abandon(
         lower: &[f32],

@@ -60,16 +60,6 @@ impl<T> BufferPart<T> {
     pub fn part(&self, key: usize) -> &[T] {
         &self.parts[key]
     }
-
-    /// Number of keys (root subtrees).
-    pub fn num_keys(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// Entries this worker stored across all keys.
-    pub fn total_len(&self) -> usize {
-        self.parts.iter().map(Vec::len).sum()
-    }
 }
 
 /// The complete set of iSAX buffers: `num_keys × num_workers` parts.
@@ -101,16 +91,6 @@ impl<T> PartitionedBuffers<T> {
         }
     }
 
-    /// Number of keys (root subtrees).
-    pub fn num_keys(&self) -> usize {
-        self.num_keys
-    }
-
-    /// Number of workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Mutable access to every worker's parts, for handing one to each
     /// spawned worker thread (`parts_mut().iter_mut()` yields disjoint
     /// `&mut BufferPart`s, so phase 1 needs no locks). Invalidates the
@@ -123,19 +103,31 @@ impl<T> PartitionedBuffers<T> {
 
     /// Iterates over all entries of buffer `key` across every worker's
     /// part — what Alg. 4 line 5–6 does ("traverses all parts of the
-    /// assigned buffer").
-    pub fn iter_key(&self, key: usize) -> impl Iterator<Item = &T> {
-        self.workers.iter().flat_map(move |w| w.part(key).iter())
+    /// assigned buffer") — as a merge of the parts, ascending by `order`.
+    /// Each part must already ascend (a worker's chunk ids rise, so the
+    /// positions it files do), so the drain is the same for any worker
+    /// count and any chunk schedule: the trees built from it depend on
+    /// the data alone.
+    pub fn iter_key<'a, K: Ord>(
+        &'a self,
+        key: usize,
+        order: impl Fn(&T) -> K + 'a,
+    ) -> impl Iterator<Item = &'a T> {
+        let mut heads: Vec<&[T]> = self.workers.iter().map(|w| w.part(key)).collect();
+        std::iter::from_fn(move || {
+            let head = heads
+                .iter_mut()
+                .filter(|p| !p.is_empty())
+                .min_by_key(|p| order(&p[0]))?;
+            let (first, rest) = head.split_first()?;
+            *head = rest;
+            Some(first)
+        })
     }
 
     /// Total entries stored under `key`.
     pub fn key_len(&self, key: usize) -> usize {
         self.workers.iter().map(|w| w.part(key).len()).sum()
-    }
-
-    /// Total entries across all keys and workers.
-    pub fn total_len(&self) -> usize {
-        self.workers.iter().map(BufferPart::total_len).sum()
     }
 
     /// Keys that received at least one entry, ascending. Tree construction
@@ -199,8 +191,6 @@ mod tests {
         assert_eq!(part.part(0), &["a", "b"]);
         assert_eq!(part.part(1), &[] as &[&str]);
         assert_eq!(part.part(2), &["c"]);
-        assert_eq!(part.total_len(), 3);
-        assert_eq!(part.num_keys(), 3);
     }
 
     #[test]
@@ -222,17 +212,42 @@ mod tests {
                 });
             }
         });
-        assert_eq!(buffers.total_len(), num_workers * per_worker);
         let mut seen = vec![false; num_workers * per_worker];
         for key in 0..num_keys {
-            for &id in buffers.iter_key(key) {
+            let mut last = None;
+            for &id in buffers.iter_key(key, |&id| id) {
                 assert_eq!(id % num_keys, key, "entry filed under wrong key");
+                assert!(last < Some(id), "drain of key {key} not ascending");
+                last = Some(id);
                 assert!(!seen[id], "id {id} seen twice");
                 seen[id] = true;
             }
         }
         assert!(seen.iter().all(|&s| s), "some ids lost");
         assert_eq!(buffers.touched_keys().len(), num_keys);
+    }
+
+    #[test]
+    fn drain_merges_parts_in_order_whoever_filed_them() {
+        // Chunks 0..8 of two positions each, handed out as a racy
+        // Fetch&Inc might: every assignment drains the same.
+        let chunks: [&[usize]; 3] = [
+            &[0, 1, 1, 0, 0, 1, 1, 0],
+            &[0; 8],
+            &[1, 0, 2, 2, 0, 1, 2, 0],
+        ];
+        for owners in chunks {
+            let mut buffers: PartitionedBuffers<usize> = PartitionedBuffers::new(2, 3, 1);
+            for (chunk, &w) in owners.iter().enumerate() {
+                for pos in [2 * chunk, 2 * chunk + 1] {
+                    buffers.parts_mut()[w].push(pos % 2, pos);
+                }
+            }
+            let even: Vec<usize> = buffers.iter_key(0, |&p| p).copied().collect();
+            let odd: Vec<usize> = buffers.iter_key(1, |&p| p).copied().collect();
+            assert_eq!(even, [0, 2, 4, 6, 8, 10, 12, 14], "owners {owners:?}");
+            assert_eq!(odd, [1, 3, 5, 7, 9, 11, 13, 15], "owners {owners:?}");
+        }
     }
 
     #[test]
@@ -244,8 +259,6 @@ mod tests {
         assert_eq!(buffers.touched_keys(), vec![3, 5]);
         assert_eq!(buffers.key_len(3), 2);
         assert_eq!(buffers.key_len(0), 0);
-        assert_eq!(buffers.num_keys(), 8);
-        assert_eq!(buffers.num_workers(), 2);
     }
 
     #[test]

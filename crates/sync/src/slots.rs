@@ -57,6 +57,9 @@ pub struct SlotPool<T> {
 // `UnsafeCell` is only ever accessed by the thread that CAS-ed the slot
 // into `BUSY` (see the state protocol on `checkout`/`checkin`).
 unsafe impl<T: Send> Send for SlotPool<T> {}
+// SAFETY: shared access is the CAS state protocol above: a `&SlotPool`
+// reaches a slot's value only after winning the CAS into `BUSY`, so no
+// two threads touch one `UnsafeCell` at once.
 unsafe impl<T: Send> Sync for SlotPool<T> {}
 
 impl<T> SlotPool<T> {
