@@ -22,6 +22,12 @@ pub(crate) fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
+/// `requested` threads capped at the machine's cores (at least one):
+/// how many a loader starts for a count it read from a file.
+pub(crate) fn capped_workers(requested: usize) -> usize {
+    requested.clamp(1, available_cores())
+}
+
 /// Adaptive leaf split threshold for `--leaf-target auto`: one leaf per
 /// ~512 series, clamped to `[64, 2_000]` (the paper's default stays the
 /// upper bound). Small datasets get small leaves so the tree still fans
@@ -340,5 +346,15 @@ mod tests {
             ..QueryConfig::default()
         };
         qc.validate();
+    }
+
+    #[test]
+    fn counts_read_from_a_file_are_capped_at_the_cores() {
+        let cores = available_cores();
+        assert_eq!(capped_workers(0), 1);
+        assert_eq!(capped_workers(1), 1);
+        assert_eq!(capped_workers(cores), cores);
+        assert_eq!(capped_workers(u32::MAX as usize), cores);
+        assert_eq!(capped_workers(usize::MAX), cores);
     }
 }

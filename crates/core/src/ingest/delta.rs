@@ -260,10 +260,19 @@ impl DeltaIndex {
     /// handle so every subsequent [`DeltaIndex::insert_batch`] is
     /// appended and fsynced before it becomes queryable.
     ///
-    /// Replay decodes every frame straight into the collection buffer
-    /// and publishes them together, so it republishes at most once
-    /// however long the log is. The returned [`ReplayReport`] says how
-    /// many batches were recovered and whether a torn tail was dropped.
+    /// Replay decodes every frame straight into the collection buffer,
+    /// checking that each value is finite as it goes, and publishes them
+    /// together, so it republishes at most once however long the log is.
+    /// The returned [`ReplayReport`] says how many batches were recovered
+    /// and whether a torn tail was dropped.
+    ///
+    /// # Errors
+    ///
+    /// What [`DeltaLog::open`] refuses, [`IngestError::NonFinite`] for a
+    /// checksum-valid frame holding a NaN or an infinity (its position
+    /// counted from the first replayed series), and
+    /// [`IngestError::PositionOverflow`] for a replay that would push the
+    /// last shard past its position ceiling.
     pub fn with_log(
         index: ShardedIndex,
         options: IngestOptions,
@@ -278,11 +287,11 @@ impl DeltaIndex {
                 // (the handle is installed below).
                 let epoch = live.snapshot();
                 epoch.check_room(report.series)?;
-                let data = epoch
-                    .data
-                    .append_with(report.series, |dst| frames.decode_into(dst));
-                let replayed = data.view(epoch.data.len(), data.len());
-                if let Some((pos, index)) = replayed.find_non_finite() {
+                let mut non_finite = None;
+                let data = epoch.data.append_with(report.series, |dst| {
+                    non_finite = frames.decode_into(dst);
+                });
+                if let Some((pos, index)) = non_finite {
                     return Err(IngestError::NonFinite { pos, index });
                 }
                 live.publish(&mut writer, &epoch, data, report.batches as u64);
@@ -716,6 +725,36 @@ mod tests {
 
         assert_eq!(live.epoch(), epoch, "rejected batches publish nothing");
         assert_eq!(live.num_series(), 100);
+    }
+
+    #[test]
+    fn a_checksum_valid_non_finite_frame_is_refused_at_replay() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
+        let log =
+            std::env::temp_dir().join(format!("messi-delta-non-finite-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&log);
+        let (mut writer, _, _) = DeltaLog::open(&log, &data).expect("fresh log");
+        writer
+            .append(&gen::generate(DatasetKind::RandomWalk, 3, 6))
+            .expect("clean frame");
+        for (at, poison) in [(5, f32::NAN), (9, f32::INFINITY)] {
+            let mut values = gen::generate(DatasetKind::RandomWalk, 2, 7)
+                .as_flat()
+                .to_vec();
+            values[256 + at] = poison;
+            let batch = Dataset::from_flat(values, 256).expect("shape ok");
+            writer
+                .append(&batch)
+                .expect("the log checks frames, not values");
+        }
+        drop(writer);
+        let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
+        // Counted from the first replayed series: frame 2's second series.
+        match DeltaIndex::with_log(index, IngestOptions::default(), &log) {
+            Err(IngestError::NonFinite { pos: 4, index: 5 }) => {}
+            other => panic!("expected NonFinite at (4, 5), got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_file(&log).expect("cleanup log");
     }
 
     #[test]

@@ -95,27 +95,41 @@ pub struct LogFrames {
     raw: Vec<u8>,
     /// Byte range of each frame's values inside `raw`, in append order.
     values: Vec<Range<usize>>,
+    series_len: usize,
 }
 
 impl LogFrames {
     /// Decodes every frame's values, back to back in append order, into
-    /// `dst` — `ReplayReport::series × series_len` values.
+    /// `dst` — `ReplayReport::series × series_len` values — and returns
+    /// the first non-finite one as `(series, point index)` counted from
+    /// the start of `dst`, as [`Dataset::find_non_finite`] would over
+    /// the decoded values. Each frame is checked while it is still in
+    /// cache, so replay reads the values once.
     ///
     /// # Panics
     ///
     /// Panics if `dst` has a different length.
-    pub fn decode_into(&self, mut dst: &mut [f32]) {
+    pub fn decode_into(&self, mut dst: &mut [f32]) -> Option<(usize, usize)> {
+        let mut first_non_finite = None;
+        let mut done = 0;
         for range in &self.values {
             let (head, rest) = dst.split_at_mut(range.len() / 4);
             for (v, bytes) in head.iter_mut().zip(self.raw[range.clone()].chunks_exact(4)) {
                 *v = f32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
             }
+            // A branch-free sweep first: frames are almost always finite.
+            if first_non_finite.is_none() && !head.iter().fold(true, |ok, v| ok & v.is_finite()) {
+                let at = head.iter().position(|v| !v.is_finite()).map(|i| done + i);
+                first_non_finite = at.map(|at| (at / self.series_len, at % self.series_len));
+            }
+            done += head.len();
             dst = rest;
         }
         assert!(
             dst.is_empty(),
             "destination longer than the replayed frames"
         );
+        first_non_finite
     }
 }
 
@@ -188,7 +202,12 @@ impl DeltaLog {
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(bytes))?;
-        Ok((Self { file, bytes }, LogFrames { raw, values }, report))
+        let frames = LogFrames {
+            raw,
+            values,
+            series_len: base.series_len(),
+        };
+        Ok((Self { file, bytes }, frames, report))
     }
 
     /// Truncates every frame and (re)writes the header over `base` — how
@@ -373,7 +392,7 @@ mod tests {
     /// What a replay of `frames` appends, and what `batches` hold.
     fn decoded(frames: &LogFrames, report: &ReplayReport, series_len: usize) -> Vec<f32> {
         let mut out = vec![0.0; report.series * series_len];
-        frames.decode_into(&mut out);
+        assert_eq!(frames.decode_into(&mut out), None);
         out
     }
 

@@ -35,17 +35,20 @@
 //! summary correctness against the dataset, position completeness), so
 //! a torn or tampered file — even one with a correctly resealed
 //! checksum — fails with a [`PersistError`] instead of producing a
-//! quietly wrong index. The semantic pass recomputes every summary
-//! across the configured worker count (subtrees are independent), so a
-//! load is a verification-speed streaming pass over the data — it skips
-//! all tree construction, splitting, and buffer staging, but it is
-//! *not* free: callers loading from a trusted local file at very large
-//! scale can measure it against a rebuild with `messi info --load`.
+//! quietly wrong index. The semantic pass first files every stored
+//! summary by position, then recomputes the summaries in position
+//! order, in chunks claimed by the configured worker count capped at
+//! the machine's cores — one sequential read of the data, like the
+//! build's summarize phase. So a load is a verification-speed streaming
+//! pass over the data — it skips all tree construction, splitting, and
+//! buffer staging, but it is *not* free: callers loading from a trusted
+//! local file at very large scale can measure it against a rebuild with
+//! `messi info --load`.
 
-use crate::config::{BuildVariant, IndexConfig};
+use crate::config::{capped_workers, BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
 use crate::node::{LeafEntry, NodeRecord, PartScratch, TreeArena};
-use messi_sax::convert::SaxConverter;
+use crate::validate::{check_arena_semantics, PositionTable};
 use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
 use messi_series::io::{write_durable, xxh64, xxh64_f32, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
@@ -150,10 +153,11 @@ pub fn load_index(path: &Path, dataset: Arc<Dataset>) -> Result<MessiIndex, Pers
     // resealed forgery that tampers with iSAX words or positions while
     // keeping the arenas well-formed — wrong summaries would corrupt
     // pruning bounds and make "exact" answers quietly wrong. The
-    // invariant sweep (refinement, containment, key filing, recomputed
-    // summaries, each position exactly once) closes that hole; it runs
-    // across the configured worker count, so its cost tracks the build's
-    // parallel summarize phase, not a serial re-derivation.
+    // invariant sweep (refinement, containment, key filing, each
+    // position exactly once, then recomputed summaries in position
+    // order) closes that hole; it runs across the configured worker
+    // count capped at the cores, so its cost tracks the build's parallel
+    // summarize phase, not a serial re-derivation.
     validate_loaded(&index)
         .map_err(|e| PersistError::Corrupt(format!("index invariants violated: {e}")))?;
     Ok(index)
@@ -217,44 +221,38 @@ pub(crate) fn unseal<'a>(
 /// Load-time semantic validation — the parallel counterpart of
 /// [`crate::validate::validate`] for the snapshot trust boundary, built
 /// on the *same* per-arena checker
-/// ([`crate::validate::check_arena_semantics`]), so an invariant
+/// ([`crate::validate::check_arena_semantics`]) and position-order
+/// summary pass ([`PositionTable::check_summaries`]), so an invariant
 /// added there automatically guards loaded snapshots. Arenas are
-/// independent, so workers claim them via Fetch&Inc; position
-/// completeness is folded through a shared atomic seen-array (the
-/// `record` hook rejects duplicates on the spot).
+/// independent, so workers claim them via Fetch&Inc and file every
+/// stored summary by position (the `record` hook rejects a duplicate
+/// position on the spot). Once every position is known to be filed
+/// exactly once, the summaries are recomputed in position order. Both
+/// sweeps run on the snapshot's stored worker count capped at the
+/// machine's cores. Derived run metadata (invariant 9) is not
+/// re-derived: these arenas were just derived from the checked records.
 fn validate_loaded(index: &MessiIndex) -> Result<(), String> {
-    use std::sync::atomic::{AtomicU8, Ordering};
     let arenas = index.arenas();
-    let seen: Vec<AtomicU8> = (0..index.num_series()).map(|_| AtomicU8::new(0)).collect();
+    let table = PositionTable::new(index.num_series());
     let first_error: Mutex<Option<String>> = Mutex::new(None);
     let dispenser = messi_sync::Dispenser::new(arenas.len());
-    let workers = index.config().num_workers.min(arenas.len().max(1));
+    let workers = capped_workers(index.config().num_workers);
     std::thread::scope(|s| {
-        for _ in 0..workers {
-            let seen = &seen;
+        for _ in 0..workers.min(arenas.len().max(1)) {
+            let table = &table;
             let first_error = &first_error;
             let dispenser = &dispenser;
             s.spawn(move || {
-                let mut conv = SaxConverter::new(index.sax_config());
                 while let Some(i) = dispenser.next() {
                     if first_error.lock().is_some() {
                         return; // someone already failed: stop early
                     }
-                    let arena = &arenas[i];
-                    let mut record = |pos: usize| -> Result<(), String> {
-                        match seen.get(pos) {
-                            Some(count) if count.fetch_add(1, Ordering::Relaxed) == 0 => Ok(()),
-                            Some(_) => Err(format!("position {pos} appears in more than one leaf")),
-                            None => Err(format!("position {pos} out of range")),
-                        }
+                    let mut record = |pos: usize, sax: &SaxWord| match table.file(pos, sax) {
+                        Some(0) => Ok(()),
+                        Some(_) => Err(format!("position {pos} appears in more than one leaf")),
+                        None => Err(format!("position {pos} out of range")),
                     };
-                    if let Err(e) = crate::validate::check_arena_semantics(
-                        index,
-                        arena,
-                        i,
-                        &mut conv,
-                        &mut record,
-                    ) {
+                    if let Err(e) = check_arena_semantics(index, &arenas[i], i, &mut record) {
                         let mut slot = first_error.lock();
                         if slot.is_none() {
                             *slot = Some(e);
@@ -268,10 +266,10 @@ fn validate_loaded(index: &MessiIndex) -> Result<(), String> {
     if let Some(e) = first_error.into_inner() {
         return Err(e);
     }
-    if let Some(pos) = seen.iter().position(|c| c.load(Ordering::Relaxed) == 0) {
+    if let Some(pos) = (0..index.num_series()).find(|&pos| table.count(pos) == 0) {
         return Err(format!("position {pos} missing from every leaf"));
     }
-    Ok(())
+    table.check_summaries(index, workers)
 }
 
 fn encode_payload(index: &MessiIndex) -> Vec<u8> {

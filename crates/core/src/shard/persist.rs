@@ -24,9 +24,11 @@
 //! [`PersistError::Version`].
 
 use super::index::{shard_dataset, ShardedIndex};
+use crate::config::capped_workers;
 use crate::persist::{load_index, save_index, seal, unseal, PersistError};
 use messi_series::io::{sync_parent, write_durable, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
+use messi_sync::Dispenser;
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::Arc;
@@ -83,7 +85,8 @@ pub fn save_sharded(index: &ShardedIndex, dir: &Path) -> Result<(), PersistError
 /// Loads a sharded snapshot directory previously written by
 /// [`save_sharded`], pairing it with the *full* `dataset` (shard
 /// sub-datasets are reconstructed from the manifest's partition table).
-/// Shards load in parallel, one thread each.
+/// Shards load in parallel on at most one thread per core, each thread
+/// claiming the next shard by Fetch&Inc.
 ///
 /// # Errors
 ///
@@ -118,14 +121,21 @@ pub fn load_sharded(dir: &Path, dataset: Arc<Dataset>) -> Result<ShardedIndex, P
     let n = manifest.shards.len();
     let slots: Vec<Mutex<Option<Result<crate::MessiIndex, PersistError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
+    // At most one thread per core, however many shards the manifest
+    // lists; each claims the next shard by Fetch&Inc.
+    let dispenser = Dispenser::new(n);
     std::thread::scope(|scope| {
-        for (i, slot) in slots.iter().enumerate() {
-            let (offset, len) = manifest.shards[i];
-            let sub = shard_dataset(&dataset, offset as usize, (offset + len) as usize);
-            let path = dir.join(shard_file_name(i));
+        for _ in 0..capped_workers(n) {
+            let (slots, dispenser, dataset) = (&slots, &dispenser, &dataset);
+            let shards = &manifest.shards;
             scope.spawn(move || {
-                let loaded = load_index(&path, sub).map_err(|e| annotate(&path, e));
-                *slot.lock() = Some(loaded);
+                while let Some(i) = dispenser.next() {
+                    let (offset, len) = shards[i];
+                    let sub = shard_dataset(dataset, offset as usize, (offset + len) as usize);
+                    let path = dir.join(shard_file_name(i));
+                    let loaded = load_index(&path, sub).map_err(|e| annotate(&path, e));
+                    *slots[i].lock() = Some(loaded);
+                }
             });
         }
     });
@@ -170,6 +180,11 @@ fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
     }
     let series_len = r.take_u32().map_err(corrupt)? as usize;
     let total_series = r.take_u64().map_err(corrupt)?;
+    // The count is untrusted: it must fit in the bytes actually left
+    // (16 per shard) before it sizes anything.
+    if num_shards > r.remaining() / 16 {
+        return Err(corrupt("shard count exceeds payload size"));
+    }
     let mut shards = Vec::with_capacity(num_shards);
     let mut expected_offset = 0u64;
     for i in 0..num_shards {
@@ -324,6 +339,28 @@ mod tests {
         match load_sharded(&dir, Arc::clone(&data)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected Corrupt(checksum), got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resealed_manifest_claiming_u32_max_shards_is_corrupt() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 200, 19));
+        let (built, _) = ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::for_tests());
+        let dir = tmp_dir("huge-count");
+        save_sharded(&built, &dir).expect("save");
+        let path = dir.join(MANIFEST_NAME);
+        let bytes = std::fs::read(&path).expect("read manifest");
+        let mut payload = unseal(&bytes, &MANIFEST_MAGIC, MANIFEST_VERSION)
+            .expect("valid manifest")
+            .to_vec();
+        payload[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut forged = Vec::new();
+        seal(&mut forged, &MANIFEST_MAGIC, MANIFEST_VERSION, &payload).expect("reseal");
+        std::fs::write(&path, &forged).expect("rewrite manifest");
+        match load_sharded(&dir, Arc::clone(&data)) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("shard count"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,25 +3,33 @@
 //! Used by the test suite (including the cross-crate property tests) to
 //! assert that a built index is structurally sound, and by the snapshot
 //! loader ([`crate::persist`]) as its semantic trust boundary — both
-//! call the same per-arena checker, so an invariant added here
-//! automatically guards loaded snapshots too. Every invariant is one
-//! the search algorithms silently rely on; a violation would make
-//! "exact" answers wrong rather than slow.
+//! call the same per-arena checker and the same position-order summary
+//! pass, so an invariant added there automatically guards loaded
+//! snapshots too. Every invariant is one the search algorithms silently
+//! rely on; a violation would make "exact" answers wrong rather than
+//! slow.
 
 use crate::index::{MessiIndex, EMPTY_SLOT};
 use crate::node::{NodeId, TreeArena};
 use messi_sax::convert::SaxConverter;
 use messi_sax::root_key::{node_word_for_root_key, root_key};
+use messi_sax::word::{SaxWord, MAX_SEGMENTS};
+use messi_sync::Dispenser;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Checks all structural invariants of `index`.
 ///
 /// Returns the list of violations (empty = valid; at most one semantic
-/// violation is reported per subtree). Checked invariants:
+/// violation is reported per subtree, and one summary mismatch in all).
+/// Checked invariants:
 ///
 /// 1. **Completeness**: every dataset position appears in exactly one
 ///    leaf.
 /// 2. **Summary correctness**: each stored iSAX summary equals the
-///    recomputed summary of its raw series.
+///    recomputed summary of its raw series. Checked in position order,
+///    one chunked pass over the dataset, once the leaves have filed
+///    their summaries by position; the lowest mismatching position is
+///    reported.
 /// 3. **Containment**: every leaf entry's summary is contained in the
 ///    leaf's node word, and files under the root key of its subtree.
 /// 4. **Refinement**: each subtree's root word matches its key, and
@@ -40,8 +48,10 @@ use messi_sax::root_key::{node_word_for_root_key, root_key};
 ///    the columns, so a divergence would silently change pruning bounds.
 /// 9. **Run metadata**: every arena's derived leaf-run metadata (cols,
 ///    leaf starts, ordinals, run spans, run ids) equals a from-scratch
-///    recomputation — what the queue coalescing and the snapshot loader
-///    both rely on being deterministic.
+///    recomputation — what the queue coalescing relies on being
+///    deterministic. Checked here only: the snapshot loader's arenas
+///    were just derived from the records it checks, by the same
+///    function, and derived layouts are never read from disk.
 /// 10. **Forest spine**: in a grouped arena, every synthetic node splits
 ///     an unrefined segment, its children's words extend its own, and
 ///     each walk bottoms out at a per-key root whose word refines exactly
@@ -53,8 +63,7 @@ use messi_sax::root_key::{node_word_for_root_key, root_key};
 ///     the loader (and any rebuild) reproduce the same forests.
 pub fn validate(index: &MessiIndex) -> Vec<String> {
     let mut errors = Vec::new();
-    let mut conv = SaxConverter::new(index.sax_config());
-    let mut seen = vec![0u32; index.num_series()];
+    let table = PositionTable::new(index.num_series());
 
     // Bookkeeping (6).
     for (key, &slot) in index.slots.iter().enumerate() {
@@ -73,26 +82,25 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         }
     }
 
-    // Per-arena semantics (2, 3, 4, 5, 7, 8, 9, 10), shared with the
-    // snapshot loader. Position tallies feed the completeness check
-    // below.
+    // Per-arena semantics (3, 4, 5, 7, 8, 10), shared with the snapshot
+    // loader, then run metadata (9). Every entry files its summary by
+    // position for the completeness and summary checks below.
     for (arena_idx, arena) in index.arenas.iter().enumerate() {
-        let mut record = |pos: usize| -> Result<(), String> {
-            match seen.get_mut(pos) {
-                Some(count) => {
-                    *count += 1;
-                    Ok(())
-                }
-                None => Err(format!("arena {arena_idx}: position {pos} out of range")),
-            }
+        let mut record = |pos: usize, sax: &SaxWord| match table.file(pos, sax) {
+            Some(_) => Ok(()),
+            None => Err(format!("arena {arena_idx}: position {pos} out of range")),
         };
-        if let Err(e) = check_arena_semantics(index, arena, arena_idx, &mut conv, &mut record) {
+        if let Err(e) = check_arena_semantics(index, arena, arena_idx, &mut record) {
             errors.push(e);
+        }
+        if let Err(e) = arena.check_derived_layout() {
+            errors.push(format!("arena {arena_idx}: {e}"));
         }
     }
 
     // Completeness (1).
-    for (pos, &count) in seen.iter().enumerate() {
+    for pos in 0..index.num_series() {
+        let count = table.count(pos);
         if count != 1 {
             errors.push(format!("position {pos} appears {count} times"));
             if errors.len() > 20 {
@@ -100,6 +108,11 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
                 break;
             }
         }
+    }
+
+    // Summary correctness (2), sequentially.
+    if let Err(e) = table.check_summaries(index, 1) {
+        errors.push(e);
     }
 
     // Grouping determinism (11).
@@ -138,26 +151,133 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
     errors
 }
 
+/// `u64` words per filed summary.
+const WORDS: usize = MAX_SEGMENTS / 8;
+
+/// Every stored summary filed by dataset position: what the arena
+/// sweep's `record` hook fills, so that completeness (invariant 1) and
+/// summary correctness (invariant 2) are checked afterwards in position
+/// order — one sequential read of the collection, as the build's
+/// summarize phase reads it, instead of one random series fetch per
+/// leaf entry. Shared by [`validate`] and the snapshot loader.
+///
+/// Every access is `Relaxed`: the arena sweep files and the summary pass
+/// reads in separate `thread::scope`s, whose join orders every store
+/// before every load.
+pub(crate) struct PositionTable {
+    /// Leaf entries that named each position.
+    counts: Vec<AtomicU32>,
+    /// The summary the first entry naming a position stores, as
+    /// [`WORDS`] little-endian words from `WORDS * pos` on.
+    words: Vec<AtomicU64>,
+}
+
+impl PositionTable {
+    /// An empty table over positions `0 .. num_series`.
+    pub(crate) fn new(num_series: usize) -> Self {
+        Self {
+            counts: (0..num_series).map(|_| AtomicU32::new(0)).collect(),
+            words: (0..WORDS * num_series).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Files `sax` as the summary stored for `pos` and returns how many
+    /// entries named `pos` before this one, or `None` when `pos` is out
+    /// of range. The first entry's summary is the one kept.
+    pub(crate) fn file(&self, pos: usize, sax: &SaxWord) -> Option<u32> {
+        let before = self.counts.get(pos)?.fetch_add(1, Ordering::Relaxed);
+        if before == 0 {
+            let slots = &self.words[WORDS * pos..WORDS * (pos + 1)];
+            for (slot, bytes) in slots.iter().zip(sax.symbols().chunks_exact(8)) {
+                let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                slot.store(word, Ordering::Relaxed);
+            }
+        }
+        Some(before)
+    }
+
+    /// How many leaf entries named `pos`.
+    pub(crate) fn count(&self, pos: usize) -> u32 {
+        self.counts[pos].load(Ordering::Relaxed)
+    }
+
+    /// The first-filed summary of `pos`.
+    fn word(&self, pos: usize) -> SaxWord {
+        let mut symbols = [0u8; MAX_SEGMENTS];
+        let slots = &self.words[WORDS * pos..WORDS * (pos + 1)];
+        for (bytes, slot) in symbols.chunks_exact_mut(8).zip(slots) {
+            bytes.copy_from_slice(&slot.load(Ordering::Relaxed).to_le_bytes());
+        }
+        SaxWord::new(&symbols)
+    }
+
+    /// Summary correctness (invariant 2): recomputes the summary of every
+    /// filed position from the dataset and compares it with the filed
+    /// one. Positions go out in `chunk_size` chunks by Fetch&Inc to
+    /// `workers` threads, so the collection is read in position order.
+    /// Reports the lowest mismatching position, whatever the schedule,
+    /// naming the root key of its stored summary.
+    ///
+    /// # Errors
+    ///
+    /// `key {key}: entry {pos} has a forged or stale summary`.
+    pub(crate) fn check_summaries(&self, index: &MessiIndex, workers: usize) -> Result<(), String> {
+        let n = self.counts.len();
+        let chunk_size = index.config().chunk_size.max(1);
+        let dispenser = Dispenser::new(n.div_ceil(chunk_size));
+        let lowest = AtomicUsize::new(usize::MAX);
+        let scan = || {
+            let mut conv = SaxConverter::new(index.sax_config());
+            while let Some(chunk) = dispenser.next() {
+                let start = chunk * chunk_size;
+                // Chunks go out in ascending order: once a mismatch lies
+                // below this one, no later chunk can hold a lower one.
+                if start >= lowest.load(Ordering::Relaxed) {
+                    return;
+                }
+                let end = usize::min(start + chunk_size, n);
+                let stale = (start..end).find(|&pos| {
+                    self.count(pos) != 0
+                        && conv.convert(index.dataset.series(pos)) != self.word(pos)
+                });
+                if let Some(pos) = stale {
+                    lowest.fetch_min(pos, Ordering::Relaxed);
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 0..workers.max(1) {
+                s.spawn(scan);
+            }
+        });
+        match lowest.into_inner() {
+            usize::MAX => Ok(()),
+            pos => {
+                let key = root_key(&self.word(pos), index.sax_config().segments);
+                Err(format!(
+                    "key {key}: entry {pos} has a forged or stale summary"
+                ))
+            }
+        }
+    }
+}
+
 /// Fail-fast semantic check of one arena — the single implementation
 /// behind both [`validate`] and the snapshot loader's parallel sweep
 /// ([`crate::persist`]). Verifies the forest spine (invariant 10), then
-/// every member subtree's per-key semantics, then the arena-wide derived
-/// run metadata (invariant 9).
+/// every member subtree's per-key semantics. Summaries are not
+/// recomputed here: `record` receives every stored `(position,
+/// summary)` to file for the position-order pass
+/// ([`PositionTable::check_summaries`]).
 pub(crate) fn check_arena_semantics(
     index: &MessiIndex,
     arena: &TreeArena,
     arena_idx: usize,
-    conv: &mut SaxConverter,
-    record: &mut dyn FnMut(usize) -> Result<(), String>,
+    record: &mut dyn FnMut(usize, &SaxWord) -> Result<(), String>,
 ) -> Result<(), String> {
     let members = check_forest_spine(index, arena, arena_idx)?;
     for &(key, root) in &members {
-        check_subtree_semantics(index, arena, key, root, conv, record)?;
-    }
-    // Run metadata (9): the derived layout must equal a from-scratch
-    // recomputation.
-    if let Err(e) = arena.check_derived_layout() {
-        return Err(format!("arena {arena_idx}: {e}"));
+        check_subtree_semantics(index, arena, key, root, record)?;
     }
     Ok(())
 }
@@ -244,17 +364,16 @@ fn check_forest_spine(
 
 /// Fail-fast semantic check of one member subtree rooted at `root`:
 /// root word vs key, refinement chains, arena pool layout, leaf
-/// capacity, containment, key filing, and recomputed summary
-/// correctness against the dataset. `record` tallies every stored
-/// position (and may reject duplicates or out-of-range values — how
-/// duplicates are detected differs between the two callers).
+/// capacity, containment and key filing. `record` files every stored
+/// `(position, summary)` (and may reject duplicates or out-of-range
+/// values — how duplicates are detected differs between the two
+/// callers).
 fn check_subtree_semantics(
     index: &MessiIndex,
     arena: &TreeArena,
     key: usize,
     root: NodeId,
-    conv: &mut SaxConverter,
-    record: &mut dyn FnMut(usize) -> Result<(), String>,
+    record: &mut dyn FnMut(usize, &SaxWord) -> Result<(), String>,
 ) -> Result<(), String> {
     let segments = index.sax_config().segments;
     // Refinement (4), at the root: the subtree must cover exactly its key.
@@ -312,7 +431,7 @@ fn check_subtree_semantics(
         }
         for (j, e) in leaf.entries.iter().enumerate() {
             let pos = e.pos as usize;
-            record(pos)?;
+            record(pos, &e.sax)?;
             // SoA mirror (8), through the run block's stride/base.
             for (s, &sym) in e.sax.symbols().iter().enumerate() {
                 let byte = leaf.cols[s * leaf.stride + leaf.base + j];
@@ -329,12 +448,6 @@ fn check_subtree_semantics(
             }
             if root_key(&e.sax, segments) != key {
                 return Err(format!("key {key}: entry {pos} filed under wrong key"));
-            }
-            // Summary correctness (2).
-            if conv.convert(index.dataset.series(pos)) != e.sax {
-                return Err(format!(
-                    "key {key}: entry {pos} has a forged or stale summary"
-                ));
             }
         }
     }
@@ -374,6 +487,109 @@ mod tests {
         let (index, _) = MessiIndex::build(data, &IndexConfig::default());
         let errors = validate(&index);
         assert!(errors.is_empty(), "{errors:?}");
+    }
+
+    /// `index` with the stored summary of each pool entry in `victims`
+    /// (counted across the per-key subtrees in key order) flipped in its
+    /// lowest bit, on a segment its leaf word has not refined that far:
+    /// containment, key filing and the SoA mirror all still hold, so
+    /// only recomputing the summary can tell. Returns the forged index
+    /// and the victims' positions.
+    fn forge_below_refinement(index: &MessiIndex, victims: &[usize]) -> (MessiIndex, Vec<u32>) {
+        use crate::node::PartScratch;
+        let segments = index.sax_config().segments;
+        let mut scratch = PartScratch::default();
+        let mut leaf_words = Vec::new();
+        for &key in index.touched_keys() {
+            let (arena, root) = index.key_root(key).expect("touched");
+            let part = arena.subtree_part(key, root);
+            scratch.open(key);
+            scratch.nodes.extend(part.rebased(0, 0));
+            scratch.pool.extend_from_slice(part.entries);
+            let (node_end, _, _) = arena.subtree_extent(root);
+            for leaf in (root..node_end).filter(|&id| arena.is_leaf(id)) {
+                let leaf = arena.leaf(leaf);
+                leaf_words.extend(std::iter::repeat(*leaf.word).take(leaf.entries.len()));
+            }
+        }
+        let positions = (victims.iter())
+            .map(|&v| {
+                let word = leaf_words[v];
+                let s = (0..segments)
+                    .find(|&s| usize::from(word.bits(s)) < messi_sax::word::CARD_BITS)
+                    .expect("a segment refined below full cardinality");
+                let entry = &mut scratch.pool[v];
+                let mut symbols = *entry.sax.symbols();
+                symbols[s] ^= 1;
+                entry.sax = SaxWord::new(&symbols);
+                assert!(word.contains(&entry.sax, segments));
+                entry.pos
+            })
+            .collect();
+        let mut parts = scratch.parts();
+        for part in &mut parts {
+            (part.node_base, part.pool_base) = (0, 0);
+        }
+        let dataset = Arc::clone(index.dataset());
+        let forged = MessiIndex::from_raw_parts(dataset, index.config().clone(), &parts);
+        (forged, positions)
+    }
+
+    fn load_forged(forged: &MessiIndex, name: &str) -> crate::persist::PersistError {
+        let path =
+            std::env::temp_dir().join(format!("messi-validate-test-{}-{name}", std::process::id()));
+        crate::persist::save_index(forged, &path).expect("save");
+        let loaded = crate::persist::load_index(&path, Arc::clone(forged.dataset()));
+        std::fs::remove_file(&path).ok();
+        match loaded {
+            Ok(_) => panic!("a forged summary must not load"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn a_contained_summary_forgery_is_caught_by_recomputation() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 23));
+        let (index, _) = MessiIndex::build(data, &IndexConfig::for_tests());
+        let victim = index.num_entries() / 2;
+        let (forged, positions) = forge_below_refinement(&index, &[victim]);
+        let wanted = format!("entry {} has a forged or stale summary", positions[0]);
+        let errors = validate(&forged);
+        let first = errors.first().map(String::as_str);
+        assert!(first.is_some_and(|e| e.contains(&wanted)), "{errors:?}");
+        match load_forged(&forged, "contained.msx") {
+            crate::persist::PersistError::Corrupt(msg) => assert!(msg.contains(&wanted), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_lowest_stale_position_is_reported_whatever_the_schedule() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 600, 29));
+        let (index, _) = MessiIndex::build(data, &IndexConfig::for_tests());
+        let n = index.num_entries();
+        let (forged, positions) = forge_below_refinement(&index, &[0, n / 3, n - 1]);
+        let lowest = positions.iter().min().expect("three victims");
+        let wanted = format!("entry {lowest} has a forged or stale summary");
+        let table = PositionTable::new(forged.num_series());
+        for (i, arena) in forged.arenas().iter().enumerate() {
+            check_arena_semantics(&forged, arena, i, &mut |pos, sax| {
+                table
+                    .file(pos, sax)
+                    .map(|_| ())
+                    .ok_or_else(|| "out of range".into())
+            })
+            .expect("everything but the summaries holds");
+        }
+        for workers in [1, 2, 3] {
+            let e = table.check_summaries(&forged, workers).unwrap_err();
+            assert!(e.contains(&wanted), "{workers} workers: {e}");
+        }
+        assert!(validate(&forged).iter().any(|e| e.contains(&wanted)));
+        for round in 0..4 {
+            let e = load_forged(&forged, &format!("lowest-{round}.msx")).to_string();
+            assert!(e.contains(&wanted), "{e}");
+        }
     }
 
     #[test]

@@ -23,13 +23,15 @@
 use crate::error::Error;
 use crate::types::Dataset;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic: `MESSIDS\0`.
 const MAGIC: [u8; 8] = *b"MESSIDS\0";
 /// Current format version.
 const VERSION: u32 = 1;
+/// Header bytes: magic, version, series length, series count.
+const HEADER_BYTES: usize = 24;
 
 /// Writes `path` all-or-nothing: `fill` writes the contents into a
 /// `.tmp` sibling, which is `fsync`ed, renamed over `path`, and made
@@ -98,19 +100,23 @@ pub fn write_dataset(dataset: &Dataset, path: &Path) -> std::io::Result<()> {
     })
 }
 
-/// Reads a dataset previously written by [`write_dataset`].
+/// Reads a dataset previously written by [`write_dataset`], straight
+/// into one buffer with the same geometric headroom a growth copy
+/// reserves ([`Dataset::append_with`]), so the first appends to it (a
+/// replayed delta log, live ingest) run in place. The file is decoded
+/// through a small chunk buffer, never held whole.
 ///
 /// # Errors
 ///
 /// [`ReadError::Io`] for filesystem problems, [`ReadError::Format`] for
-/// structurally malformed files (bad magic, version, or truncated
-/// payload), [`ReadError::Data`] for well-formed files whose content
-/// cannot form a valid [`Dataset`].
+/// structurally malformed files (bad magic, version, or a payload whose
+/// size disagrees with the header), [`ReadError::Data`] for well-formed
+/// files whose content cannot form a valid [`Dataset`].
 pub fn read_dataset(path: &Path) -> std::result::Result<Dataset, ReadError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 24];
-    r.read_exact(&mut header)?;
+    const CHUNK_BYTES: usize = 64 * 1024;
+    let mut file = File::open(path)?;
+    let mut header = [0u8; HEADER_BYTES];
+    file.read_exact(&mut header)?;
     if header[..8] != MAGIC {
         return Err(ReadError::Format("bad magic: not a MESSI dataset file"));
     }
@@ -126,16 +132,22 @@ pub fn read_dataset(path: &Path) -> std::result::Result<Dataset, ReadError> {
     let total = count
         .checked_mul(series_len)
         .ok_or(ReadError::Format("size overflow"))?;
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    if bytes.len() != total * 4 {
+    // The header's count is untrusted: nothing is sized by it until the
+    // file's length agrees.
+    let payload = file.metadata()?.len().checked_sub(HEADER_BYTES as u64);
+    if payload != (total as u64).checked_mul(4) {
         return Err(ReadError::Format("payload size disagrees with header"));
     }
-    let values: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
-    Dataset::from_flat(values, series_len).map_err(ReadError::Data)
+    let mut values = crate::types::zeroed_with_headroom(total);
+    let mut bytes = vec![0u8; CHUNK_BYTES];
+    for dst in values[..total].chunks_mut(CHUNK_BYTES / 4) {
+        let bytes = &mut bytes[..dst.len() * 4];
+        file.read_exact(bytes)?;
+        for (v, b) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = f32::from_le_bytes(b.try_into().expect("4 bytes"));
+        }
+    }
+    Dataset::with_spare(values, total, series_len).map_err(ReadError::Data)
 }
 
 /// Streaming XXH64 (Collet's xxHash64, seed 0), the checksum of every
@@ -453,6 +465,39 @@ mod tests {
         write_dataset(&ds, &path).unwrap();
         let back = read_dataset(&path).unwrap();
         assert_eq!(ds, back);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_read_dataset_has_headroom_to_append_in_place() {
+        let ds = gen::generate(DatasetKind::RandomWalk, 40, 6);
+        let path = tmp("headroom.mds");
+        write_dataset(&ds, &path).unwrap();
+        let read = read_dataset(&path).unwrap();
+        let tail = gen::generate(DatasetKind::RandomWalk, 20, 7);
+        let grown = read.append_with(tail.len(), |dst| dst.copy_from_slice(tail.as_flat()));
+        assert!(std::ptr::eq(
+            grown.as_flat().as_ptr(),
+            read.as_flat().as_ptr()
+        ));
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(grown.view(0, 40).as_flat()), bits(ds.as_flat()));
+        assert_eq!(bits(grown.view(40, 60).as_flat()), bits(tail.as_flat()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_header_claiming_more_series_than_the_file_holds_allocates_nothing() {
+        let ds = gen::generate(DatasetKind::RandomWalk, 3, 8);
+        let path = tmp("liar.mds");
+        write_dataset(&ds, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[16..24].copy_from_slice(&(u64::MAX / 256).to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        match read_dataset(&path) {
+            Err(ReadError::Format(msg)) => assert!(msg.contains("payload"), "{msg}"),
+            other => panic!("expected format error, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -827,12 +827,14 @@ fn live_index_from(opts: &Opts, index: ShardedIndex) -> Result<DeltaIndex, CliEr
     match opts.get("ingest-log") {
         None => Ok(DeltaIndex::new(index, options)),
         Some(path) => {
+            let t = std::time::Instant::now();
             let (live, report) = DeltaIndex::with_log(index, options, std::path::Path::new(path))
                 .map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
             println!(
-                "ingest-log: {path} replayed {} batches / {} series{}",
+                "ingest-log: {path} replayed {} batches / {} series in {:.2?}{}",
                 report.batches,
                 report.series,
+                t.elapsed(),
                 if report.torn {
                     format!(" (torn tail: dropped {} bytes)", report.dropped_bytes)
                 } else {
