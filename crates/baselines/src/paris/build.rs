@@ -23,7 +23,7 @@
 //! may differ from run to run.
 
 use messi_core::build::build_forests;
-use messi_core::node::{LeafEntry, SubtreeBuilder};
+use messi_core::node::{SaxEntry, SubtreeBuilder};
 use messi_core::{BuildStats, IndexConfig};
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::root_key;
@@ -127,7 +127,7 @@ pub fn build_paris(
         // buffers hold pointers, not summaries.
         let mut insert = |pos: u32| {
             let sax = sax_array[pos as usize];
-            builder.insert(LeafEntry { sax, pos });
+            builder.insert(SaxEntry { sax, pos });
         };
         match variant {
             ParisBuildVariant::Locked => locked_bufs[key].lock().iter().for_each(|&p| insert(p)),
@@ -176,7 +176,7 @@ mod tests {
         assert_eq!(paris.num_series(), 300);
         for &key in paris.tree.touched_keys() {
             paris.tree.root(key).unwrap().for_each_leaf(&mut |leaf| {
-                for e in leaf.entries {
+                for e in leaf.sax_entries() {
                     assert_eq!(paris.sax_array[e.pos as usize], e.sax);
                 }
             });

@@ -100,10 +100,12 @@ pub fn ts_search(
                             for e in arena.leaf_entries(id) {
                                 local.lb += 1;
                                 let bound = bsf.load();
+                                // ParIS's leaves point into its SAX array.
+                                let sax = &paris.sax_array[e.pos as usize];
                                 let lb = if use_simd {
-                                    table.mindist_sq(&e.sax)
+                                    table.mindist_sq(sax)
                                 } else {
-                                    mindist_sq_leaf_scalar(query_paa, scales, &e.sax)
+                                    mindist_sq_leaf_scalar(query_paa, scales, sax)
                                 };
                                 if lb >= bound {
                                     continue;

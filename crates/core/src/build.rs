@@ -29,7 +29,7 @@
 
 use crate::config::{BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
-use crate::node::{assemble_forest, forest_groups, LeafEntry, PartScratch, SubtreeBuilder};
+use crate::node::{assemble_forest, forest_groups, PartScratch, SaxEntry, SubtreeBuilder};
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::{node_word_for_root_key, root_key};
@@ -40,10 +40,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Rejects datasets whose positions would overflow the `u32` stored in
-/// every [`LeafEntry`]. Without this, `pos as u32` would silently wrap
-/// on collections above 4.29 G series and the index would return wrong
-/// answers instead of failing loudly. Checked again by the one index
-/// constructor, which a load and an absorb go through as well.
+/// every [`crate::node::LeafEntry`]. Without this, `pos as u32` would
+/// silently wrap on collections above 4.29 G series and the index would
+/// return wrong answers instead of failing loudly. Checked again by the
+/// one index constructor, which a load and an absorb go through as well.
 pub(crate) fn assert_positions_fit(dataset: &Dataset) {
     assert!(
         dataset.len() <= u32::MAX as usize,
@@ -78,7 +78,7 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     let num_workers = config.num_workers;
 
     // ---- Phase 1: CalculateiSAXSummaries (Alg. 3) ----
-    let mut buffers: PartitionedBuffers<LeafEntry> =
+    let mut buffers: PartitionedBuffers<SaxEntry> =
         PartitionedBuffers::new(num_keys, num_workers, config.initial_buffer_capacity);
     let chunk_dispenser = Dispenser::new(num_chunks);
     let t0 = Instant::now();
@@ -96,7 +96,7 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
                         let key = root_key(&sax, segments);
                         part.push(
                             key,
-                            LeafEntry {
+                            SaxEntry {
                                 sax,
                                 pos: pos as u32,
                             },
@@ -213,7 +213,7 @@ fn build_index_no_buffers(dataset: Arc<Dataset>, config: &IndexConfig) -> (Messi
                             b.begin(node_word_for_root_key(key, segments));
                             b
                         });
-                        builder.insert(LeafEntry {
+                        builder.insert(SaxEntry {
                             sax,
                             pos: pos as u32,
                         });
@@ -311,9 +311,8 @@ mod tests {
         for &key in index.touched_keys() {
             index.root(key).unwrap().for_each_leaf(&mut |leaf| {
                 if leaf.entries.len() > 16 {
-                    let first = leaf.entries[0].sax;
                     assert!(
-                        leaf.entries.iter().all(|e| e.sax == first),
+                        (0..leaf.entries.len()).all(|j| leaf.sax(j) == leaf.sax(0)),
                         "oversized leaf must hold identical summaries only"
                     );
                 }
@@ -352,10 +351,10 @@ mod tests {
 
     #[test]
     fn subtree_storage_is_allocation_flat() {
-        // The arena invariant made observable: each subtree's storage is
-        // exactly two tight allocations (node array + entry pool), so
-        // capacity equals length — no per-node or per-leaf allocations
-        // survive into the finished index.
+        // The arena invariant made observable: each arena's storage is
+        // a fixed set of tight allocations (nodes, positions, columns and
+        // run metadata), so capacity equals length — no per-node or
+        // per-leaf allocations survive into the finished index.
         let (index, _) = build_with(&IndexConfig::for_tests(), 800, 21);
         for (i, arena) in index.arenas().iter().enumerate() {
             assert!(

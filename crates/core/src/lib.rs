@@ -31,10 +31,10 @@
 //!
 //! * [`config`] — index/query parameters (§IV-B's tuning knobs).
 //! * [`node`] — arena-backed tree storage: root fan-out ≤ 2^w, binary
-//!   inner nodes, leaves holding `(iSAX summary, position)` pairs
-//!   (§II-B, Fig. 1d), each root subtree flattened into one preorder
-//!   node array plus one packed leaf-entry pool (two allocations per
-//!   subtree).
+//!   inner nodes, leaves holding iSAX summaries and positions (§II-B,
+//!   Fig. 1d), groups of root subtrees flattened into one preorder node
+//!   array, one packed position pool, and the summaries once, as
+//!   segment-major symbol columns.
 //! * [`build`] — two-phase parallel construction (Alg. 1–4, Fig. 3).
 //! * [`index`] — the [`MessiIndex`] handle and approximate search.
 //! * [`persist`] — versioned, checksummed index snapshots: save a built

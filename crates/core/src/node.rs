@@ -4,43 +4,45 @@
 //! children (represented in [`crate::index::MessiIndex`] as a dense array
 //! indexed by root key), binary inner nodes carrying a
 //! variable-cardinality iSAX summary, and leaves holding the
-//! full-cardinality `(iSAX summary, position)` pairs of the series below
+//! full-cardinality iSAX summaries and positions of the series below
 //! them. Storing the summaries *in* the leaf (not pointers to a separate
 //! array) keeps queue-driven leaf scans sequential in memory — one of
 //! MESSI's deltas over ParIS (§I).
 //!
 //! This module takes that layout argument to its conclusion: instead of
 //! one heap allocation per node (`Box<Node>`) and one `Vec` per leaf, a
-//! whole root subtree lives in a [`TreeArena`] — one contiguous node
-//! array in preorder (parent before children, left subtree before right)
-//! plus one packed [`LeafEntry`] pool in the same leaf order, plus a
-//! struct-of-arrays transposition of the pool's SAX symbols that the
-//! batched mindist cascade streams cache-line by cache-line. Inner-node
-//! traversal walks an index-linked flat array, leaf scans walk flat
-//! slices, and `for_each_leaf` is a linear sweep of the node array. The
-//! flat layout is also what makes the index serializable
-//! ([`crate::persist`]) — the SoA pool and all run metadata are derived
-//! data, rebuilt rather than stored.
+//! group of root subtrees lives in a [`TreeArena`] — one contiguous node
+//! array in preorder (parent before children, left subtree before right),
+//! one packed pool of [`LeafEntry`] positions in the same leaf order, and
+//! the pool's summaries transposed into segment-major symbol columns that
+//! the batched mindist cascade streams cache-line by cache-line. The
+//! columns are the only place an arena keeps a summary: [`LeafRef::sax`]
+//! reads one back. Inner-node traversal walks an index-linked flat
+//! array, leaf scans walk flat slices, and `for_each_leaf` is a linear
+//! sweep of the node array. The flat layout is also what makes the index
+//! serializable ([`crate::persist`]); the run metadata is derived data,
+//! rebuilt rather than stored.
 //!
-//! The SoA transposition is grouped into **leaf runs**: maximal groups
-//! of consecutive leaves (in pool order — siblings and cousins alike)
-//! whose combined entry count stays within `RUN_TARGET_ENTRIES`. Each
-//! run owns one segment-major symbol block, so the batched mindist
-//! kernel can scan *several* small leaves as one contiguous 8-wide
-//! stream instead of falling into the partial-chunk tail on every
-//! ~6-entry paper-default leaf. Runs are derived deterministically from
-//! the node/entry layout alone (no configuration input), so a
-//! deserialized arena rebuilds byte-identical run metadata — the
-//! snapshot format is unchanged.
+//! The columns are grouped into **leaf runs**: maximal groups of
+//! consecutive leaves (in pool order — siblings and cousins alike) whose
+//! combined entry count stays within `RUN_TARGET_ENTRIES`. Each run owns
+//! one segment-major symbol block, so the batched mindist kernel can
+//! scan *several* small leaves as one contiguous 8-wide stream instead
+//! of falling into the partial-chunk tail on every ~6-entry
+//! paper-default leaf. Runs are derived deterministically from the node
+//! records alone (no configuration input), so a deserialized arena
+//! rebuilds byte-identical run metadata — the snapshot format is
+//! unchanged.
 //!
 //! Construction still follows the paper's incremental protocol (Alg. 4:
 //! insert, split overflowing leaves): [`SubtreeBuilder`] runs exactly the
 //! old insert/split algorithm against reusable index-linked scratch, then
-//! emits the subtree's preorder records and pool entries into a
+//! emits the subtree's preorder records and [`SaxEntry`] pairs into a
 //! caller's `PartScratch`. One builder serves many subtrees back to
 //! back, so its own scratch amortizes to zero. `assemble_forest` is the
 //! one place an arena is made: it splices one or more emitted subtrees
-//! into exact-capacity storage and derives their layout once.
+//! into exact-capacity storage, derives their runs once and transposes
+//! the summaries straight into the run columns.
 //!
 //! ## Forest arenas
 //!
@@ -61,16 +63,29 @@
 //! rebased). Grouping is derived deterministically from the per-key
 //! entry counts alone (`forest_groups`), so builds, baselines, the
 //! snapshot loader and absorbs group identically — and snapshots serialize
-//! per key by slicing each per-key subtree back out of its forest
-//! (`TreeArena::subtree_part`, rebased), keeping the format byte-identical.
+//! per key by copying each per-key subtree back out of its forest
+//! (`TreeArena::copy_subtree`, rebased, summaries gathered from the
+//! columns), keeping the format byte-identical.
 
 use messi_sax::split::choose_split;
 use messi_sax::word::{NodeWord, SaxWord};
 use messi_sax::MAX_SEGMENTS;
 
-/// A `(iSAX summary, series position)` pair — the unit the index stores.
+/// One stored series of a leaf: its position. Its summary lives in the
+/// leaf's run columns ([`LeafRef::sax`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
 pub struct LeafEntry {
+    /// Position of the raw series in the dataset (`RawData` index).
+    pub pos: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<LeafEntry>() == 4);
+
+/// A `(iSAX summary, series position)` pair: what a build inserts, a
+/// snapshot stores, and an arena splits its pool and columns from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SaxEntry {
     /// Full-cardinality iSAX summary of the series.
     pub sax: SaxWord,
     /// Position of the raw series in the dataset (`RawData` index).
@@ -125,15 +140,15 @@ pub(crate) fn forest_groups(counts: &[usize]) -> Vec<std::ops::Range<usize>> {
     groups
 }
 
-/// One per-key subtree as *borrowed* raw parts — a whole arena, or a
-/// slice of a forest or of scratch holding many subtrees back to back.
-/// Child ids and pool offsets in `nodes` count from `node_base` /
-/// `pool_base`, the subtree's start in the storage it was sliced from.
+/// One per-key subtree as raw parts borrowed from a [`PartScratch`],
+/// which may hold many subtrees back to back. Child ids and pool offsets
+/// in `nodes` count from `node_base` / `pool_base`, the subtree's start
+/// in the scratch it was sliced from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RawPart<'a> {
     pub(crate) key: usize,
     pub(crate) nodes: &'a [NodeRecord],
-    pub(crate) entries: &'a [LeafEntry],
+    pub(crate) entries: &'a [SaxEntry],
     pub(crate) node_base: u32,
     pub(crate) pool_base: u32,
 }
@@ -166,7 +181,7 @@ impl RawPart<'_> {
 #[derive(Debug, Default)]
 pub(crate) struct PartScratch {
     pub(crate) nodes: Vec<NodeRecord>,
-    pub(crate) pool: Vec<LeafEntry>,
+    pub(crate) pool: Vec<SaxEntry>,
     /// `(key, first node, first pool entry)` of each part.
     starts: Vec<(usize, usize, usize)>,
 }
@@ -205,8 +220,10 @@ impl PartScratch {
 /// keys — the one place an arena is made, behind builds, baselines,
 /// snapshot loads and absorbs. A single part becomes a plain per-key
 /// arena; several are joined under the synthetic iSAX trie described in
-/// the module docs. Every vector is allocated once at its final size,
-/// and the layout is derived once, on the assembled arena.
+/// the module docs. The pool takes the positions, and the summaries go
+/// straight into the run columns: the parts' entries, concatenated, are
+/// the pool in order. Every vector is allocated once at its final size,
+/// and the runs are derived once, on the assembled records.
 pub(crate) fn assemble_forest(parts: &[RawPart<'_>], segments: usize) -> TreeArena {
     debug_assert!(parts.windows(2).all(|w| w[0].key < w[1].key));
     // A path-compressed binary trie over k distinct keys has exactly
@@ -223,15 +240,13 @@ pub(crate) fn assemble_forest(parts: &[RawPart<'_>], segments: usize) -> TreeAre
         (0..MAX_SEGMENTS).all(|s| nodes[0].word.bits(s) <= 1),
         "arena root refined past one bit per segment"
     );
-    let layout = derive_layout(&nodes, &pool);
+    let layout = derive_runs(&nodes, total_entries);
+    let words = parts.iter().flat_map(|p| p.entries).map(|e| &e.sax);
     let arena = TreeArena {
+        cols: fill_columns(&layout.runs, total_entries, words),
         nodes,
         entries: pool,
-        cols: layout.cols,
-        leaf_starts: layout.leaf_starts,
-        leaf_ordinals: layout.leaf_ordinals,
-        runs: layout.runs,
-        run_of: layout.run_of,
+        layout,
     };
     debug_assert!(arena.allocation_flat(), "arena storage reallocated");
     arena
@@ -250,7 +265,7 @@ fn splice_forest(
     let my = nodes.len();
     if let [part] = parts {
         nodes.extend(part.rebased(my as u32, pool.len() as u32));
-        pool.extend_from_slice(part.entries);
+        pool.extend(part.entries.iter().map(|e| LeafEntry { pos: e.pos }));
         return my as NodeId;
     }
     // Which key bits all members of the range share. Segment i's key bit
@@ -313,24 +328,45 @@ pub(crate) struct RunSpan {
     pub(crate) hi: u32,
 }
 
-/// Borrowed view of one leaf: its covering word, its packed entries, and
-/// its position inside its run's segment-major symbol block.
+/// Borrowed view of one leaf: its covering word, its packed positions,
+/// and its place inside its run's segment-major symbol block.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRef<'a> {
     /// Variable-cardinality summary covering everything in this leaf.
     pub word: &'a NodeWord,
-    /// The stored `(summary, position)` pairs, contiguous in the pool.
+    /// The stored positions, contiguous in the pool.
     pub entries: &'a [LeafEntry],
     /// The segment-major symbol block of the leaf's *run*: `MAX_SEGMENTS`
-    /// columns of `stride` bytes each. This leaf's symbols sit at
-    /// `cols[s * stride + base + j] == entries[j].sax.symbol(s)` — the
-    /// transposed copy the mindist cascade streams instead of striding
-    /// over interleaved [`SaxWord`]s.
+    /// columns of `stride` bytes each. Segment `s` of this leaf's entry
+    /// `j` sits at `cols[s * stride + base + j]`; [`LeafRef::sax`] reads
+    /// a whole summary back.
     pub cols: &'a [u8],
     /// Entry count of the whole run (the column stride of `cols`).
     pub stride: usize,
     /// Offset of this leaf's first entry within the run.
     pub base: usize,
+}
+
+impl<'a> LeafRef<'a> {
+    /// The stored summary of entry `j`, gathered from the run columns —
+    /// the one way to read a stored summary back out of an arena.
+    pub fn sax(&self, j: usize) -> SaxWord {
+        debug_assert!(j < self.entries.len());
+        let mut symbols = [0u8; MAX_SEGMENTS];
+        for (s, sym) in symbols.iter_mut().enumerate() {
+            *sym = self.cols[s * self.stride + self.base + j];
+        }
+        SaxWord::new(&symbols)
+    }
+
+    /// The leaf's `(summary, position)` pairs in pool order — the gather
+    /// over its pool range that a copy or a re-split starts from.
+    pub fn sax_entries(self) -> impl Iterator<Item = SaxEntry> + 'a {
+        (self.entries.iter().enumerate()).map(move |(j, e)| SaxEntry {
+            sax: self.sax(j),
+            pos: e.pos,
+        })
+    }
 }
 
 /// The unit a search worker scans: one or more *consecutive* leaves of
@@ -339,7 +375,7 @@ pub struct LeafRef<'a> {
 /// the old per-leaf `LeafSlice`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LeafRun<'a> {
-    /// The spanned leaves' `(summary, position)` pairs, contiguous.
+    /// The spanned leaves' positions, contiguous.
     pub(crate) entries: &'a [LeafEntry],
     /// The whole run's symbol block (see [`LeafRef::cols`]).
     pub(crate) cols: &'a [u8],
@@ -376,20 +412,24 @@ impl<'a> LeafRun<'a> {
     }
 }
 
-/// All derived (never serialized) per-arena layout: the SoA symbol pool
-/// plus the leaf-run metadata, derived by [`derive_layout`] for every
-/// assembled arena, however it was made.
-#[derive(Debug)]
-struct DerivedLayout {
-    cols: Vec<u8>,
+/// The derived (never serialized) run metadata of an arena, from
+/// [`derive_runs`].
+#[derive(Debug, PartialEq, Eq)]
+struct RunLayout {
+    /// Pool-absolute entry offset of each leaf in ordinal (pool) order,
+    /// plus a trailing `num_entries` sentinel.
     leaf_starts: Vec<u32>,
+    /// Parallel to the node records: the leaf's ordinal, or `u32::MAX`
+    /// for inner nodes.
     leaf_ordinals: Vec<u32>,
+    /// Entry span of each leaf run, in pool order.
     runs: Vec<RunSpan>,
+    /// Run id of each leaf, by ordinal (non-decreasing).
     run_of: Vec<u32>,
 }
 
-/// Derives the run partition and SoA symbol pool for a finished
-/// node/entry layout. Deterministic and configuration-free: the greedy
+/// Derives the run partition of a finished node layout over a pool of
+/// `num_entries`. Deterministic and configuration-free: the greedy
 /// partition walks leaves in pool order, opening a new run whenever
 /// adding the next non-empty leaf would push the current run past
 /// [`RUN_TARGET_ENTRIES`] (empty leaves always join the current run; an
@@ -398,7 +438,7 @@ struct DerivedLayout {
 /// snapshots round-trip to byte-identical metadata — and by the
 /// validator's recomputation; every vector is allocated once at exact
 /// capacity.
-fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
+fn derive_runs(nodes: &[NodeRecord], num_entries: usize) -> RunLayout {
     let num_leaves = nodes.iter().filter(|n| n.tag == LEAF_TAG).count();
     let mut leaf_starts = Vec::with_capacity(num_leaves + 1);
     let mut leaf_ordinals = Vec::with_capacity(nodes.len());
@@ -410,7 +450,7 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
             leaf_ordinals.push(NIL);
         }
     }
-    leaf_starts.push(entries.len() as u32);
+    leaf_starts.push(num_entries as u32);
 
     // Greedy partition, run twice — once to count runs, once to fill the
     // exact-capacity vectors (the decision depends only on leaf lengths,
@@ -438,25 +478,7 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
         run_of.push(runs.len() as u32 - 1);
     });
 
-    // One segment-major symbol block per run: inside run `[lo, hi)`
-    // (n = hi − lo entries), column `s` occupies
-    // `[lo·16 + s·n, lo·16 + (s+1)·n)`. All MAX_SEGMENTS columns are
-    // materialized regardless of the configured segment count, so the
-    // layout needs no config to decode.
-    let mut cols = vec![0u8; entries.len() * MAX_SEGMENTS];
-    for r in &runs {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let n = hi - lo;
-        let block = &mut cols[lo * MAX_SEGMENTS..hi * MAX_SEGMENTS];
-        for (j, e) in entries[lo..hi].iter().enumerate() {
-            for (s, &sym) in e.sax.symbols().iter().enumerate() {
-                block[s * n + j] = sym;
-            }
-        }
-    }
-
-    DerivedLayout {
-        cols,
+    RunLayout {
         leaf_starts,
         leaf_ordinals,
         runs,
@@ -464,38 +486,56 @@ fn derive_layout(nodes: &[NodeRecord], entries: &[LeafEntry]) -> DerivedLayout {
     }
 }
 
-/// A root subtree flattened into contiguous storage: node records in
-/// preorder, one packed leaf-entry pool, and the pool's run-grouped
-/// struct-of-arrays symbol transposition plus run metadata.
+/// Transposes `words`, the pool's summaries in pool order, into one
+/// segment-major symbol block per run: inside run `[lo, hi)` (n = hi − lo
+/// entries), column `s` occupies `[lo·16 + s·n, lo·16 + (s+1)·n)`. All
+/// MAX_SEGMENTS columns are materialized regardless of the configured
+/// segment count, so the layout needs no config to decode.
+fn fill_columns<'w>(
+    runs: &[RunSpan],
+    num_entries: usize,
+    mut words: impl Iterator<Item = &'w SaxWord>,
+) -> Vec<u8> {
+    let mut cols = vec![0u8; num_entries * MAX_SEGMENTS];
+    for r in runs {
+        let (lo, hi) = (r.lo as usize, r.hi as usize);
+        let n = hi - lo;
+        let block = &mut cols[lo * MAX_SEGMENTS..hi * MAX_SEGMENTS];
+        for (j, word) in words.by_ref().take(n).enumerate() {
+            for (s, &sym) in word.symbols().iter().enumerate() {
+                block[s * n + j] = sym;
+            }
+        }
+    }
+    debug_assert!(words.next().is_none(), "more summaries than pool entries");
+    cols
+}
+
+/// One or more root subtrees flattened into contiguous storage: node
+/// records in preorder, one packed pool of positions, the pool's
+/// summaries as run-grouped segment-major symbol columns, and the run
+/// metadata.
 ///
 /// Node accessors take a [`NodeId`]; traversal starts at
 /// [`TreeArena::ROOT`] and follows [`TreeArena::children`]. Leaves are in
 /// depth-first (left-to-right) order both in the node array and in the
 /// pool, so [`TreeArena::for_each_leaf`] is a linear sweep.
 ///
-/// The `cols` pool mirrors `entries` segment-major *per leaf run* (see
-/// the module docs and `derive_layout`): the run with pool span
+/// `cols` holds every stored summary, once, segment-major *per leaf run*
+/// (see the module docs and `fill_columns`): the run with pool span
 /// `[lo, hi)` (n = hi − lo entries) owns the byte block `[lo·16, hi·16)`,
 /// inside which column `s` occupies `[lo·16 + s·n, lo·16 + (s+1)·n)`.
 /// The batched mindist kernel thus reads each segment's symbols across a
 /// whole run of small leaves as one sequential stretch of cache lines.
-/// `cols` and all run metadata are derived data — rebuilt on load, never
-/// serialized.
+/// The run metadata is derived from the node records — rebuilt on load,
+/// never serialized.
 #[derive(Debug, PartialEq, Eq)]
 pub struct TreeArena {
     nodes: Vec<NodeRecord>,
     entries: Vec<LeafEntry>,
+    /// Every entry's summary, transposed per run.
     cols: Vec<u8>,
-    /// Pool-absolute entry offset of each leaf in ordinal (pool) order,
-    /// plus a trailing `num_entries` sentinel.
-    leaf_starts: Vec<u32>,
-    /// Parallel to `nodes`: the leaf's ordinal, or `u32::MAX` for inner
-    /// nodes.
-    leaf_ordinals: Vec<u32>,
-    /// Entry span of each leaf run, in pool order.
-    runs: Vec<RunSpan>,
-    /// Run id of each leaf, by ordinal (non-decreasing).
-    run_of: Vec<u32>,
+    layout: RunLayout,
 }
 
 impl TreeArena {
@@ -514,18 +554,18 @@ impl TreeArena {
 
     /// Number of leaves in the subtree.
     pub fn num_leaves(&self) -> usize {
-        self.leaf_starts.len() - 1
+        self.layout.leaf_starts.len() - 1
     }
 
     /// Per-run shape, in run order: `(member leaves, entries)`. What
     /// `messi info`'s run-length histogram and the benchmark's
     /// `node.leaves_per_run_mean` aggregate.
     pub fn run_shapes(&self) -> Vec<(usize, usize)> {
-        let mut shapes = vec![(0usize, 0usize); self.runs.len()];
-        for (ord, &r) in self.run_of.iter().enumerate() {
+        let mut shapes = vec![(0usize, 0usize); self.layout.runs.len()];
+        for (ord, &r) in self.layout.run_of.iter().enumerate() {
             let s = &mut shapes[r as usize];
             s.0 += 1;
-            s.1 += (self.leaf_starts[ord + 1] - self.leaf_starts[ord]) as usize;
+            s.1 += (self.layout.leaf_starts[ord + 1] - self.layout.leaf_starts[ord]) as usize;
         }
         shapes
     }
@@ -601,7 +641,7 @@ impl TreeArena {
     /// Debug-panics when `id` is an inner node.
     #[inline]
     pub(crate) fn leaf_ordinal(&self, id: NodeId) -> u32 {
-        let ord = self.leaf_ordinals[id as usize];
+        let ord = self.layout.leaf_ordinals[id as usize];
         debug_assert_ne!(ord, NIL, "leaf_ordinal of an inner node");
         ord
     }
@@ -609,7 +649,7 @@ impl TreeArena {
     /// The id of the run containing the leaf with ordinal `ord`.
     #[inline]
     pub(crate) fn run_of(&self, ord: u32) -> u32 {
-        self.run_of[ord as usize]
+        self.layout.run_of[ord as usize]
     }
 
     /// Borrowed view of the leaf at `id`.
@@ -621,13 +661,14 @@ impl TreeArena {
     pub fn leaf(&self, id: NodeId) -> LeafRef<'_> {
         let n = &self.nodes[id as usize];
         debug_assert_eq!(n.tag, LEAF_TAG, "leaf of an inner node");
-        let run = self.runs[self.run_of[self.leaf_ordinals[id as usize] as usize] as usize];
+        let ord = self.layout.leaf_ordinals[id as usize];
+        let run = self.leaf_run(ord, ord + 1);
         LeafRef {
             word: &n.word,
-            entries: &self.entries[n.lo as usize..n.hi as usize],
-            cols: &self.cols[run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
-            stride: (run.hi - run.lo) as usize,
-            base: (n.lo - run.lo) as usize,
+            entries: run.entries,
+            cols: run.cols,
+            stride: run.stride as usize,
+            base: run.base as usize,
         }
     }
 
@@ -639,25 +680,25 @@ impl TreeArena {
     pub(crate) fn leaf_run(&self, ord_lo: u32, ord_hi: u32) -> LeafRun<'_> {
         debug_assert!(ord_lo < ord_hi, "empty run span");
         debug_assert!(
-            (ord_hi as usize) < self.leaf_starts.len(),
+            (ord_hi as usize) < self.layout.leaf_starts.len(),
             "span out of bounds"
         );
         debug_assert_eq!(
-            self.run_of[ord_lo as usize],
-            self.run_of[ord_hi as usize - 1],
+            self.layout.run_of[ord_lo as usize],
+            self.layout.run_of[ord_hi as usize - 1],
             "span crosses a run boundary"
         );
-        let run = self.runs[self.run_of[ord_lo as usize] as usize];
+        let run = self.layout.runs[self.layout.run_of[ord_lo as usize] as usize];
         let (elo, ehi) = (
-            self.leaf_starts[ord_lo as usize],
-            self.leaf_starts[ord_hi as usize],
+            self.layout.leaf_starts[ord_lo as usize],
+            self.layout.leaf_starts[ord_hi as usize],
         );
         LeafRun {
             entries: &self.entries[elo as usize..ehi as usize],
             cols: &self.cols[run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
             stride: run.hi - run.lo,
             base: elo - run.lo,
-            starts: &self.leaf_starts[ord_lo as usize..=ord_hi as usize],
+            starts: &self.layout.leaf_starts[ord_lo as usize..=ord_hi as usize],
         }
     }
 
@@ -665,29 +706,19 @@ impl TreeArena {
     /// layout this is a linear sweep of the node array, not a pointer
     /// chase.
     pub fn for_each_leaf<'a>(&'a self, f: &mut impl FnMut(LeafRef<'a>)) {
-        let mut ord = 0usize;
-        for n in &self.nodes {
-            if n.tag == LEAF_TAG {
-                let run = self.runs[self.run_of[ord] as usize];
-                f(LeafRef {
-                    word: &n.word,
-                    entries: &self.entries[n.lo as usize..n.hi as usize],
-                    cols: &self.cols
-                        [run.lo as usize * MAX_SEGMENTS..run.hi as usize * MAX_SEGMENTS],
-                    stride: (run.hi - run.lo) as usize,
-                    base: (n.lo - run.lo) as usize,
-                });
-                ord += 1;
+        for id in 0..self.nodes.len() as NodeId {
+            if self.is_leaf(id) {
+                f(self.leaf(id));
             }
         }
     }
 
-    /// Visits every leaf run in pool order as `f(entries, cols, stride)`
-    /// where `cols[s * stride + j] == entries[j].sax.symbol(s)` — the
-    /// whole-run analog of [`TreeArena::for_each_leaf`], for probes that
-    /// stream full runs through the batched mindist kernel.
+    /// Visits every leaf run in pool order as `f(entries, cols, stride)`,
+    /// where segment `s` of the run's entry `j` is `cols[s * stride + j]`
+    /// — the whole-run analog of [`TreeArena::for_each_leaf`], for probes
+    /// that stream full runs through the batched mindist kernel.
     pub fn for_each_run<'a>(&'a self, f: &mut impl FnMut(&'a [LeafEntry], &'a [u8], usize)) {
-        for r in &self.runs {
+        for r in &self.layout.runs {
             let (lo, hi) = (r.lo as usize, r.hi as usize);
             f(
                 &self.entries[lo..hi],
@@ -725,10 +756,10 @@ impl TreeArena {
         self.nodes.capacity() == self.nodes.len()
             && self.entries.capacity() == self.entries.len()
             && self.cols.capacity() == self.cols.len()
-            && self.leaf_starts.capacity() == self.leaf_starts.len()
-            && self.leaf_ordinals.capacity() == self.leaf_ordinals.len()
-            && self.runs.capacity() == self.runs.len()
-            && self.run_of.capacity() == self.run_of.len()
+            && self.layout.leaf_starts.capacity() == self.layout.leaf_starts.len()
+            && self.layout.leaf_ordinals.capacity() == self.layout.leaf_ordinals.len()
+            && self.layout.runs.capacity() == self.layout.runs.len()
+            && self.layout.run_of.capacity() == self.layout.run_of.len()
     }
 
     /// Bytes held by the node array (capacity, i.e. the allocation).
@@ -753,17 +784,13 @@ impl TreeArena {
         (n.lo, n.hi)
     }
 
-    /// Raw node records (test-only: the snapshot writer slices per-key
-    /// subtrees out via [`TreeArena::subtree_part`] instead).
+    /// Segment `s` of leaf `id`'s entry `j` in the columns (test-only).
     #[cfg(test)]
-    pub(crate) fn raw_nodes(&self) -> &[NodeRecord] {
-        &self.nodes
-    }
-
-    /// Raw pool entries (test-only; see [`TreeArena::raw_nodes`]).
-    #[cfg(test)]
-    pub(crate) fn raw_entries(&self) -> &[LeafEntry] {
-        &self.entries
+    pub(crate) fn symbol_mut(&mut self, id: NodeId, j: usize, s: usize) -> &mut u8 {
+        let leaf = self.leaf(id);
+        let at = leaf.cols.as_ptr() as usize - self.cols.as_ptr() as usize;
+        let at = at + s * leaf.stride + leaf.base + j;
+        &mut self.cols[at]
     }
 
     /// Preorder extent of the subtree rooted at `id`: `(one past the
@@ -784,36 +811,33 @@ impl TreeArena {
         (rightmost + 1, pool_lo, pool_hi)
     }
 
-    /// The subtree rooted at `id`, filed under `key`, as borrowed raw
-    /// parts: slices of this arena's storage, with the bases that make
-    /// them relocatable. Inverse of the [`assemble_forest`] splice.
-    pub(crate) fn subtree_part(&self, key: usize, id: NodeId) -> RawPart<'_> {
-        let (node_end, pool_lo, pool_hi) = self.subtree_extent(id);
-        RawPart {
-            key,
-            nodes: &self.nodes[id as usize..node_end as usize],
-            entries: &self.entries[pool_lo as usize..pool_hi as usize],
-            node_base: id,
-            pool_base: pool_lo,
-        }
+    /// Files a copy of the subtree at `id` in `scratch` as `key`'s part,
+    /// its summaries gathered from the run columns — the inverse of the
+    /// [`assemble_forest`] splice, for the snapshot writer.
+    pub(crate) fn copy_subtree(&self, key: usize, id: NodeId, scratch: &mut PartScratch) {
+        scratch.open(key);
+        // With no arrivals no leaf overflows, so the builder stays idle.
+        let idle = &mut SubtreeBuilder::new(1, 1);
+        self.grow_subtree(id, &[], idle, &mut scratch.nodes, &mut scratch.pool);
     }
 
     /// The paper's insert (Alg. 4 lines 7–11) on a flat subtree: appends
     /// to `nodes` / `pool` (ids and offsets absolute in them) the subtree
     /// at `id` after inserting `arrivals` — `(key, home leaf id, entry)`,
     /// ascending by leaf, then in insertion order. Each leaf appends its
-    /// arrivals, found at the front of the list since leaf ids ascend in
-    /// preorder; only a leaf pushed past capacity is re-split, through
-    /// `builder` seeded with its word and old entries, and spliced back.
-    /// Returns the arrivals homed after this subtree.
+    /// arrivals to its old entries, gathered from the columns, found at
+    /// the front of the list since leaf ids ascend in preorder; only a
+    /// leaf pushed past capacity is re-split, through `builder` seeded
+    /// with its word and old entries, and spliced back. With no arrivals
+    /// this is a copy. Returns the arrivals homed after this subtree.
     pub(crate) fn grow_subtree<'r>(
         &self,
         id: NodeId,
-        arrivals: &'r [(usize, NodeId, LeafEntry)],
+        arrivals: &'r [(usize, NodeId, SaxEntry)],
         builder: &mut SubtreeBuilder,
         nodes: &mut Vec<NodeRecord>,
-        pool: &mut Vec<LeafEntry>,
-    ) -> &'r [(usize, NodeId, LeafEntry)] {
+        pool: &mut Vec<SaxEntry>,
+    ) -> &'r [(usize, NodeId, SaxEntry)] {
         let n = self.nodes[id as usize];
         let my = nodes.len();
         if n.tag != LEAF_TAG {
@@ -823,51 +847,33 @@ impl TreeArena {
             nodes[my].hi = nodes.len() as NodeId;
             return self.grow_subtree(n.hi, arrivals, builder, nodes, pool);
         }
-        let old = &self.entries[n.lo as usize..n.hi as usize];
+        let old = self.leaf(id);
         let (mine, rest) = arrivals.split_at(arrivals.partition_point(|a| a.1 == id));
-        let overflows = !mine.is_empty() && old.len() + mine.len() > builder.leaf_capacity;
+        let overflows = !mine.is_empty() && old.entries.len() + mine.len() > builder.leaf_capacity;
         let mine = mine.iter().map(|a| a.2);
         if overflows {
             builder.begin(n.word);
-            old.iter()
-                .copied()
-                .chain(mine)
-                .for_each(|e| builder.insert(e));
+            (old.sax_entries().chain(mine)).for_each(|e| builder.insert(e));
             builder.finish_into(nodes, pool);
         } else {
             let lo = pool.len() as u32;
-            pool.extend_from_slice(old);
-            pool.extend(mine);
+            pool.extend(old.sax_entries().chain(mine));
             let hi = pool.len() as u32;
             nodes.push(NodeRecord { lo, hi, ..n });
         }
         rest
     }
 
-    /// Verifies that the stored derived layout (SoA pool + run metadata)
-    /// equals a fresh recomputation from the raw node/entry records —
-    /// the run-metadata invariant [`crate::validate`] audits on every
-    /// arena, built or loaded.
+    /// Verifies that the stored run metadata equals a fresh recomputation
+    /// from the node records — the run-metadata invariant
+    /// [`crate::validate`] audits on every arena, built or loaded.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first mismatching vector.
+    /// When any of the four run vectors differs.
     pub(crate) fn check_derived_layout(&self) -> Result<(), String> {
-        let fresh = derive_layout(&self.nodes, &self.entries);
-        if fresh.leaf_starts != self.leaf_starts {
-            return Err("leaf_starts differ from per-leaf recomputation".into());
-        }
-        if fresh.leaf_ordinals != self.leaf_ordinals {
-            return Err("leaf_ordinals differ from per-leaf recomputation".into());
-        }
-        if fresh.runs != self.runs {
-            return Err("run spans differ from per-leaf recomputation".into());
-        }
-        if fresh.run_of != self.run_of {
-            return Err("run membership differs from per-leaf recomputation".into());
-        }
-        if fresh.cols != self.cols {
-            return Err("SoA symbol pool differs from per-leaf recomputation".into());
+        if derive_runs(&self.nodes, self.entries.len()) != self.layout {
+            return Err("run metadata differs from its recomputation".into());
         }
         Ok(())
     }
@@ -987,7 +993,7 @@ struct ScratchNode {
 /// list, in insertion order (what [`choose_split`] consumes).
 #[derive(Clone, Copy)]
 struct SaxLinkIter<'a> {
-    entries: &'a [LeafEntry],
+    entries: &'a [SaxEntry],
     next: &'a [u32],
     cur: u32,
 }
@@ -1027,7 +1033,7 @@ pub struct SubtreeBuilder {
     /// Leaf capacity before a split is attempted.
     leaf_capacity: usize,
     nodes: Vec<ScratchNode>,
-    entries: Vec<LeafEntry>,
+    entries: Vec<SaxEntry>,
     /// Parallel to `entries`: next entry in the owning leaf's list.
     next: Vec<u32>,
 }
@@ -1071,7 +1077,7 @@ impl SubtreeBuilder {
     /// # Panics
     ///
     /// Panics if called before `SubtreeBuilder::begin`.
-    pub fn insert(&mut self, entry: LeafEntry) {
+    pub fn insert(&mut self, entry: SaxEntry) {
         assert!(!self.nodes.is_empty(), "insert before begin");
         // Descend to the leaf responsible for this entry.
         let mut id = 0usize;
@@ -1211,7 +1217,7 @@ impl SubtreeBuilder {
     /// # Panics
     ///
     /// Panics if called before [`SubtreeBuilder::begin`].
-    pub(crate) fn finish_into(&mut self, nodes: &mut Vec<NodeRecord>, pool: &mut Vec<LeafEntry>) {
+    pub(crate) fn finish_into(&mut self, nodes: &mut Vec<NodeRecord>, pool: &mut Vec<SaxEntry>) {
         assert!(!self.nodes.is_empty(), "finish before begin");
         self.emit(0, nodes, pool);
         self.nodes.clear();
@@ -1221,7 +1227,7 @@ impl SubtreeBuilder {
 
     /// Emits the scratch node `sid` (and its subtree) in preorder,
     /// returning its final arena id.
-    fn emit(&self, sid: usize, out: &mut Vec<NodeRecord>, pool: &mut Vec<LeafEntry>) -> u32 {
+    fn emit(&self, sid: usize, out: &mut Vec<NodeRecord>, pool: &mut Vec<SaxEntry>) -> u32 {
         let fid = out.len() as u32;
         let n = self.nodes[sid];
         if n.tag == LEAF_TAG {
@@ -1261,8 +1267,8 @@ mod tests {
     use messi_sax::convert::{sax_word, SaxConfig};
     use messi_sax::root_key::{node_word_for_root_key, root_key};
 
-    fn entry_for(series: &[f32], pos: u32, config: SaxConfig) -> LeafEntry {
-        LeafEntry {
+    fn entry_for(series: &[f32], pos: u32, config: SaxConfig) -> SaxEntry {
+        SaxEntry {
             sax: sax_word(series, config),
             pos,
         }
@@ -1272,7 +1278,7 @@ mod tests {
     fn build_subtree(
         builder: &mut SubtreeBuilder,
         word: NodeWord,
-        entries: impl IntoIterator<Item = LeafEntry>,
+        entries: impl IntoIterator<Item = SaxEntry>,
     ) -> TreeArena {
         builder.begin(word);
         entries.into_iter().for_each(|e| builder.insert(e));
@@ -1284,7 +1290,7 @@ mod tests {
 
     /// The loader's path for one subtree: structural checks, then
     /// assembly.
-    fn from_raw(nodes: Vec<NodeRecord>, entries: Vec<LeafEntry>) -> Result<TreeArena, String> {
+    fn from_raw(nodes: Vec<NodeRecord>, entries: Vec<SaxEntry>) -> Result<TreeArena, String> {
         TreeArena::check_raw(&nodes, entries.len())?;
         let part = RawPart {
             key: 0,
@@ -1294,6 +1300,14 @@ mod tests {
             pool_base: 0,
         };
         Ok(assemble_forest(&[part], 1))
+    }
+
+    /// The subtree at `id` copied back out of its arena, ids and offsets
+    /// counting from zero.
+    fn copy_out(arena: &TreeArena, id: NodeId) -> (Vec<NodeRecord>, Vec<SaxEntry>) {
+        let mut scratch = PartScratch::default();
+        arena.copy_subtree(0, id, &mut scratch);
+        (scratch.nodes, scratch.pool)
     }
 
     fn series(seed: u32, n: usize) -> Vec<f32> {
@@ -1331,7 +1345,7 @@ mod tests {
         let config = SaxConfig::new(4, 32);
         // Insert everything under its proper root subtree word so splits
         // are meaningful.
-        let mut groups: std::collections::HashMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut groups: std::collections::HashMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..400u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
@@ -1354,14 +1368,13 @@ mod tests {
         let mut seen = 0;
         arena.for_each_leaf(&mut |leaf| {
             seen += leaf.entries.len();
-            for e in leaf.entries {
-                assert!(leaf.word.contains(&e.sax, 4));
+            for j in 0..leaf.entries.len() {
+                assert!(leaf.word.contains(&leaf.sax(j), 4));
             }
             if leaf.entries.len() > 8 {
                 // Only allowed when every entry has the same summary.
-                let first = leaf.entries[0].sax;
                 assert!(
-                    leaf.entries.iter().all(|e| e.sax == first),
+                    (0..leaf.entries.len()).all(|j| leaf.sax(j) == leaf.sax(0)),
                     "oversized leaf with separable entries"
                 );
             }
@@ -1379,7 +1392,7 @@ mod tests {
         let arena = build_subtree(
             &mut builder,
             node_word_for_root_key(key, 4),
-            (0..20u32).map(|i| LeafEntry { pos: i, ..e }),
+            (0..20u32).map(|i| SaxEntry { pos: i, ..e }),
         );
         assert!(
             arena.is_leaf(TreeArena::ROOT),
@@ -1400,7 +1413,7 @@ mod tests {
         assert!(arena.node_bytes() > 0 || arena.num_nodes() == 1);
         assert_eq!(arena.leaf(TreeArena::ROOT).entries.len(), 0);
         // Even an empty arena has one (empty) run covering its one leaf.
-        assert_eq!(arena.runs.len(), 1);
+        assert_eq!(arena.layout.runs.len(), 1);
         assert_eq!(arena.run_shapes(), vec![(1, 0)]);
     }
 
@@ -1408,7 +1421,7 @@ mod tests {
     fn builder_reuse_across_subtrees_is_clean() {
         let config = SaxConfig::new(4, 32);
         let mut builder = SubtreeBuilder::new(4, 4);
-        let mut groups: std::collections::HashMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut groups: std::collections::HashMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..200u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
@@ -1437,7 +1450,7 @@ mod tests {
     #[test]
     fn preorder_invariants_hold_and_from_raw_validates() {
         let config = SaxConfig::new(4, 32);
-        let mut groups: std::collections::HashMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut groups: std::collections::HashMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..300u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
@@ -1453,8 +1466,7 @@ mod tests {
             entries.iter().copied(),
         );
         // Round-tripping through from_raw accepts the builder's output…
-        let nodes = arena.raw_nodes().to_vec();
-        let pool = arena.raw_entries().to_vec();
+        let (nodes, pool) = copy_out(&arena, TreeArena::ROOT);
         let back = from_raw(nodes.clone(), pool.clone()).expect("valid arena");
         assert_eq!(back.num_leaves(), arena.num_leaves());
         // …and rejects structural corruption.
@@ -1472,54 +1484,54 @@ mod tests {
     }
 
     #[test]
-    fn soa_columns_mirror_leaf_entries() {
+    fn leaf_sax_reads_back_the_builders_words() {
         let config = SaxConfig::new(4, 32);
-        let mut groups: std::collections::HashMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut groups: std::collections::BTreeMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..300u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
         }
-        let mut builder = SubtreeBuilder::new(4, 8);
-        for (key, entries) in groups {
-            let arena = build_subtree(
-                &mut builder,
-                node_word_for_root_key(key, 4),
-                entries.iter().copied(),
-            );
-            assert!(arena.allocation_flat());
-            assert_eq!(arena.cols.len(), arena.num_entries() * MAX_SEGMENTS);
-            let mut total = 0usize;
-            arena.for_each_leaf(&mut |leaf| {
-                let n = leaf.entries.len();
-                assert!(leaf.base + n <= leaf.stride);
-                assert_eq!(leaf.cols.len(), leaf.stride * MAX_SEGMENTS);
-                for (j, e) in leaf.entries.iter().enumerate() {
-                    for s in 0..MAX_SEGMENTS {
+        // Capacity 1 leaves most leaves alone in a run; 200 keeps whole
+        // keys in one leaf, larger than a run's target.
+        for capacity in [1, 4, 8, 200] {
+            let mut builder = SubtreeBuilder::new(4, capacity);
+            for (key, entries) in &groups {
+                let arena = build_subtree(
+                    &mut builder,
+                    node_word_for_root_key(*key, 4),
+                    entries.iter().copied(),
+                );
+                assert!(arena.allocation_flat());
+                assert_eq!(arena.cols.len(), arena.num_entries() * MAX_SEGMENTS);
+                let mut total = 0usize;
+                arena.for_each_leaf(&mut |leaf| {
+                    let n = leaf.entries.len();
+                    assert!(leaf.base + n <= leaf.stride);
+                    assert_eq!(leaf.cols.len(), leaf.stride * MAX_SEGMENTS);
+                    for (j, e) in leaf.entries.iter().enumerate() {
+                        let inserted = entries.iter().find(|i| i.pos == e.pos).expect("inserted");
                         assert_eq!(
-                            leaf.cols[s * leaf.stride + leaf.base + j],
-                            e.sax.symbol(s),
-                            "key {key} entry {j} segment {s}"
+                            leaf.sax(j),
+                            inserted.sax,
+                            "cap {capacity} key {key} pos {}",
+                            e.pos
                         );
                     }
-                }
-                total += n;
-            });
-            assert_eq!(total, arena.num_entries());
-            // The round-tripped arena rebuilds identical derived layout.
-            let back = from_raw(arena.raw_nodes().to_vec(), arena.raw_entries().to_vec())
-                .expect("valid arena");
-            assert_eq!(back.cols, arena.cols);
-            assert_eq!(back.leaf_starts, arena.leaf_starts);
-            assert_eq!(back.runs, arena.runs);
-            assert_eq!(back.run_of, arena.run_of);
-            arena.check_derived_layout().expect("derived layout intact");
+                    total += n;
+                });
+                assert_eq!(total, arena.num_entries());
+                // The round-tripped arena rebuilds identical columns and runs.
+                let (nodes, pool) = copy_out(&arena, TreeArena::ROOT);
+                assert!(from_raw(nodes, pool).expect("valid arena") == arena);
+                arena.check_derived_layout().expect("derived layout intact");
+            }
         }
     }
 
     #[test]
     fn runs_partition_leaves_and_respect_the_target() {
         let config = SaxConfig::new(4, 32);
-        let mut groups: std::collections::HashMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut groups: std::collections::HashMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..500u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
@@ -1532,7 +1544,7 @@ mod tests {
                 entries.iter().copied(),
             );
             let shapes = arena.run_shapes();
-            assert_eq!(shapes.len(), arena.runs.len(), "key {key}");
+            assert_eq!(shapes.len(), arena.layout.runs.len(), "key {key}");
             let leaves: usize = shapes.iter().map(|s| s.0).sum();
             let spanned: usize = shapes.iter().map(|s| s.1).sum();
             assert_eq!(leaves, arena.num_leaves(), "runs partition the leaves");
@@ -1598,7 +1610,7 @@ mod tests {
         };
         let entries = |n: usize| {
             vec![
-                LeafEntry {
+                SaxEntry {
                     sax: SaxWord::zeroed(),
                     pos: 0
                 };
@@ -1654,7 +1666,7 @@ mod tests {
     fn forest_assembly_preserves_per_key_subtrees() {
         let segments = 4usize;
         let config = SaxConfig::new(4, 32);
-        let mut groups: std::collections::BTreeMap<usize, Vec<LeafEntry>> = Default::default();
+        let mut groups: std::collections::BTreeMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..400u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups
@@ -1674,15 +1686,18 @@ mod tests {
             })
             .collect();
         assert!(built.len() >= 2, "need several keys to form a forest");
-        let originals: Vec<(usize, Vec<NodeRecord>, Vec<LeafEntry>)> = built
+        let originals: Vec<(usize, Vec<NodeRecord>, Vec<SaxEntry>)> = built
             .iter()
-            .map(|(k, a)| (*k, a.raw_nodes().to_vec(), a.raw_entries().to_vec()))
+            .map(|(k, a)| {
+                let (nodes, pool) = copy_out(a, TreeArena::ROOT);
+                (*k, nodes, pool)
+            })
             .collect();
-        let parts: Vec<RawPart<'_>> = built
-            .iter()
-            .map(|(k, a)| a.subtree_part(*k, TreeArena::ROOT))
-            .collect();
-        let forest = assemble_forest(&parts, segments);
+        let mut scratch = PartScratch::default();
+        for (k, a) in &built {
+            a.copy_subtree(*k, TreeArena::ROOT, &mut scratch);
+        }
+        let forest = assemble_forest(&scratch.parts(), segments);
         // k member subtrees need exactly k−1 synthetic spine nodes, and
         // the spliced storage stays capacity-tight with a clean derived
         // layout.
@@ -1696,8 +1711,8 @@ mod tests {
             forest.num_entries(),
             originals.iter().map(|o| o.2.len()).sum::<usize>()
         );
-        // Every member subtree slices back out byte-identical through
-        // the spine (descending by the key's bits at each synthetic
+        // Every member subtree copies back out identical, summaries
+        // included, through the spine (descending by the key's bits at each synthetic
         // split, which must land on an unrefined segment).
         for (key, nodes, entries) in &originals {
             let mut id = TreeArena::ROOT;
@@ -1716,14 +1731,9 @@ mod tests {
                 };
             }
             assert_eq!(forest.word(id), &node_word_for_root_key(*key, segments));
-            let got = forest.subtree_part(*key, id);
-            let got_nodes: Vec<NodeRecord> = got.rebased(0, 0).collect();
-            assert_eq!(&got_nodes, nodes, "key {key}: sliced nodes differ");
-            assert_eq!(
-                got.entries,
-                &entries[..],
-                "key {key}: sliced entries differ"
-            );
+            let (got_nodes, got_entries) = copy_out(&forest, id);
+            assert_eq!(&got_nodes, nodes, "key {key}: copied nodes differ");
+            assert_eq!(&got_entries, entries, "key {key}: copied entries differ");
         }
     }
 }

@@ -47,7 +47,7 @@
 
 use crate::config::{capped_workers, BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
-use crate::node::{LeafEntry, NodeRecord, PartScratch, TreeArena};
+use crate::node::{NodeRecord, PartScratch, SaxEntry, TreeArena};
 use crate::validate::{check_arena_semantics, PositionTable};
 use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
 use messi_series::io::{write_durable, xxh64, xxh64_f32, PayloadReader, PayloadWriter};
@@ -229,7 +229,7 @@ pub(crate) fn unseal<'a>(
 /// position on the spot). Once every position is known to be filed
 /// exactly once, the summaries are recomputed in position order. Both
 /// sweeps run on the snapshot's stored worker count capped at the
-/// machine's cores. Derived run metadata (invariant 9) is not
+/// machine's cores. Derived run metadata (invariant 8) is not
 /// re-derived: these arenas were just derived from the checked records.
 fn validate_loaded(index: &MessiIndex) -> Result<(), String> {
     let arenas = index.arenas();
@@ -296,24 +296,27 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
     }
 
     w.put_u32(index.touched_keys().len() as u32);
+    let mut scratch = PartScratch::default();
     for &key in index.touched_keys() {
-        // Slice the per-key subtree back out of its (possibly shared)
-        // forest arena, rebased to standalone ids/offsets — the exact
-        // bytes a solo per-key arena would have written, so the format
-        // is unchanged by forest grouping and old snapshots stay
-        // readable (and re-writable) bit for bit.
+        // Copy the per-key subtree back out of its (possibly shared)
+        // forest arena, at standalone ids/offsets and with its summaries
+        // gathered from the columns — the exact bytes a solo per-key
+        // arena would have written, so the format is unchanged by forest
+        // grouping and old snapshots stay readable (and re-writable) bit
+        // for bit.
         let (arena, root) = index.key_root(key).expect("touched ⇒ present");
-        let part = arena.subtree_part(key, root);
+        scratch.clear();
+        arena.copy_subtree(key, root, &mut scratch);
         w.put_u32(key as u32);
-        w.put_u32(part.nodes.len() as u32);
-        w.put_u32(part.entries.len() as u32);
-        for rec in part.rebased(0, 0) {
+        w.put_u32(scratch.nodes.len() as u32);
+        w.put_u32(scratch.pool.len() as u32);
+        for rec in &scratch.nodes {
             put_node_word(&mut w, &rec.word);
             w.put_u8(rec.tag);
             w.put_u32(rec.lo);
             w.put_u32(rec.hi);
         }
-        for e in part.entries {
+        for e in &scratch.pool {
             w.put_bytes(e.sax.symbols());
             w.put_u32(e.pos);
         }
@@ -429,7 +432,7 @@ fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, P
                     "entry position {pos} out of range (< {num_series})"
                 )));
             }
-            pool.push(LeafEntry {
+            pool.push(SaxEntry {
                 sax: SaxWord::new(symbols),
                 pos,
             });
@@ -759,11 +762,12 @@ mod tests {
         // summaries / containment — can catch this; without it the
         // forged summary corrupts pruning bounds and exact answers.
         let first_key = index.touched_keys()[0];
-        // The snapshot stores per-key subtrees (sliced back out of any
-        // forest grouping), so the first subtree's node count comes from
-        // the same slicing the writer uses — not the arena's total.
+        // The snapshot stores per-key subtrees (copied back out of any
+        // forest grouping), so the first subtree's node count is its
+        // extent — not the arena's total.
         let (arena, root) = index.key_root(first_key).expect("touched");
-        let first_nodes = arena.subtree_part(first_key, root).nodes;
+        let (node_end, _, _) = arena.subtree_extent(root);
+        let first_nodes = root..node_end;
         let first_entry_sax_at = num_subtrees_at
             + 4 // num_subtrees
             + SUBTREE_HEADER_BYTES

@@ -42,25 +42,24 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 /// 7. **Arena layout**: each arena's leaves partition its entry pool in
 ///    depth-first order, so leaf scans and `for_each_leaf` walk flat,
 ///    gapless slices.
-/// 8. **SoA mirror**: each leaf's struct-of-arrays symbol columns agree
-///    byte-for-byte with the interleaved entry words (through the run
-///    block's stride/base indexing) — the batched mindist kernels read
-///    the columns, so a divergence would silently change pruning bounds.
-/// 9. **Run metadata**: every arena's derived leaf-run metadata (cols,
-///    leaf starts, ordinals, run spans, run ids) equals a from-scratch
+/// 8. **Run metadata**: every arena's derived leaf-run metadata (leaf
+///    starts, ordinals, run spans, run ids) equals a from-scratch
 ///    recomputation — what the queue coalescing relies on being
 ///    deterministic. Checked here only: the snapshot loader's arenas
 ///    were just derived from the records it checks, by the same
 ///    function, and derived layouts are never read from disk.
-/// 10. **Forest spine**: in a grouped arena, every synthetic node splits
-///     an unrefined segment, its children's words extend its own, and
-///     each walk bottoms out at a per-key root whose word refines exactly
-///     its key — so coarse spine words only ever *loosen* mindist (the
-///     pruning-admissibility requirement) and per-key slicing for the
-///     snapshot writer is well defined.
-/// 11. **Grouping determinism**: the arena membership equals the greedy
+/// 9. **Forest spine**: in a grouped arena, every synthetic node splits
+///    an unrefined segment, its children's words extend its own, and
+///    each walk bottoms out at a per-key root whose word refines exactly
+///    its key — so coarse spine words only ever *loosen* mindist (the
+///    pruning-admissibility requirement) and per-key copying for the
+///    snapshot writer is well defined.
+/// 10. **Grouping determinism**: the arena membership equals the greedy
 ///     regrouping of the touched keys' per-key entry counts — what lets
 ///     the loader (and any rebuild) reproduce the same forests.
+///
+/// A stored summary lives only in its run's columns
+/// ([`crate::node::LeafRef::sax`]), so invariant 2 covers every byte.
 pub fn validate(index: &MessiIndex) -> Vec<String> {
     let mut errors = Vec::new();
     let table = PositionTable::new(index.num_series());
@@ -82,8 +81,8 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         }
     }
 
-    // Per-arena semantics (3, 4, 5, 7, 8, 10), shared with the snapshot
-    // loader, then run metadata (9). Every entry files its summary by
+    // Per-arena semantics (3, 4, 5, 7, 9), shared with the snapshot
+    // loader, then run metadata (8). Every entry files its summary by
     // position for the completeness and summary checks below.
     for (arena_idx, arena) in index.arenas.iter().enumerate() {
         let mut record = |pos: usize, sax: &SaxWord| match table.file(pos, sax) {
@@ -115,7 +114,7 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         errors.push(e);
     }
 
-    // Grouping determinism (11).
+    // Grouping determinism (10).
     let counts: Vec<usize> = index
         .touched
         .iter()
@@ -264,7 +263,7 @@ impl PositionTable {
 
 /// Fail-fast semantic check of one arena — the single implementation
 /// behind both [`validate`] and the snapshot loader's parallel sweep
-/// ([`crate::persist`]). Verifies the forest spine (invariant 10), then
+/// ([`crate::persist`]). Verifies the forest spine (invariant 9), then
 /// every member subtree's per-key semantics. Summaries are not
 /// recomputed here: `record` receives every stored `(position,
 /// summary)` to file for the position-order pass
@@ -283,7 +282,7 @@ pub(crate) fn check_arena_semantics(
 }
 
 /// Walks an arena's synthetic spine (empty for a solo per-key arena),
-/// verifying invariant 10, and returns the member `(key, per-key root)`
+/// verifying invariant 9, and returns the member `(key, per-key root)`
 /// pairs in ascending key order.
 fn check_forest_spine(
     index: &MessiIndex,
@@ -419,34 +418,23 @@ fn check_subtree_semantics(
         let leaf = arena.leaf(id);
         cursor += leaf.entries.len() as u32;
         // Capacity (5).
-        if leaf.entries.len() > index.config.leaf_capacity {
-            let first = leaf.entries.first().map(|e| e.sax);
-            if !leaf.entries.iter().all(|e| Some(e.sax) == first) {
-                return Err(format!(
-                    "key {key}: oversized leaf ({} > {}) with separable entries",
-                    leaf.entries.len(),
-                    index.config.leaf_capacity
-                ));
-            }
+        if leaf.entries.len() > index.config.leaf_capacity
+            && !(0..leaf.entries.len()).all(|j| leaf.sax(j) == leaf.sax(0))
+        {
+            return Err(format!(
+                "key {key}: oversized leaf ({} > {}) with separable entries",
+                leaf.entries.len(),
+                index.config.leaf_capacity
+            ));
         }
         for (j, e) in leaf.entries.iter().enumerate() {
-            let pos = e.pos as usize;
-            record(pos, &e.sax)?;
-            // SoA mirror (8), through the run block's stride/base.
-            for (s, &sym) in e.sax.symbols().iter().enumerate() {
-                let byte = leaf.cols[s * leaf.stride + leaf.base + j];
-                if byte != sym {
-                    return Err(format!(
-                        "key {key}: entry {pos} segment {s}: SoA column byte {byte} \
-                         disagrees with AoS symbol {sym}"
-                    ));
-                }
-            }
+            let (pos, sax) = (e.pos as usize, leaf.sax(j));
+            record(pos, &sax)?;
             // Containment (3).
-            if !leaf.word.contains(&e.sax, segments) {
+            if !leaf.word.contains(&sax, segments) {
                 return Err(format!("key {key}: entry {pos} not contained in leaf word"));
             }
-            if root_key(&e.sax, segments) != key {
+            if root_key(&sax, segments) != key {
                 return Err(format!("key {key}: entry {pos} filed under wrong key"));
             }
         }
@@ -492,9 +480,9 @@ mod tests {
     /// `index` with the stored summary of each pool entry in `victims`
     /// (counted across the per-key subtrees in key order) flipped in its
     /// lowest bit, on a segment its leaf word has not refined that far:
-    /// containment, key filing and the SoA mirror all still hold, so
-    /// only recomputing the summary can tell. Returns the forged index
-    /// and the victims' positions.
+    /// containment and key filing still hold, so only recomputing the
+    /// summary can tell. Returns the forged index and the victims'
+    /// positions.
     fn forge_below_refinement(index: &MessiIndex, victims: &[usize]) -> (MessiIndex, Vec<u32>) {
         use crate::node::PartScratch;
         let segments = index.sax_config().segments;
@@ -502,10 +490,7 @@ mod tests {
         let mut leaf_words = Vec::new();
         for &key in index.touched_keys() {
             let (arena, root) = index.key_root(key).expect("touched");
-            let part = arena.subtree_part(key, root);
-            scratch.open(key);
-            scratch.nodes.extend(part.rebased(0, 0));
-            scratch.pool.extend_from_slice(part.entries);
+            arena.copy_subtree(key, root, &mut scratch);
             let (node_end, _, _) = arena.subtree_extent(root);
             for leaf in (root..node_end).filter(|&id| arena.is_leaf(id)) {
                 let leaf = arena.leaf(leaf);
@@ -526,13 +511,34 @@ mod tests {
                 entry.pos
             })
             .collect();
-        let mut parts = scratch.parts();
-        for part in &mut parts {
-            (part.node_base, part.pool_base) = (0, 0);
-        }
         let dataset = Arc::clone(index.dataset());
-        let forged = MessiIndex::from_raw_parts(dataset, index.config().clone(), &parts);
+        let forged = MessiIndex::from_raw_parts(dataset, index.config().clone(), &scratch.parts());
         (forged, positions)
+    }
+
+    #[test]
+    fn a_flipped_column_byte_is_caught_by_recomputation() {
+        // The columns are the only copy of a stored summary: one wrong
+        // byte there, below its leaf's refinement, leaves containment and
+        // key filing intact and must surface as that entry's summary.
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 31));
+        let (mut index, _) = MessiIndex::build(data, &IndexConfig::for_tests());
+        let segments = index.sax_config().segments;
+        let arena = &mut index.arenas[0];
+        let id = (0..arena.num_nodes() as NodeId)
+            .find(|&id| arena.is_leaf(id) && !arena.leaf_entries(id).is_empty())
+            .expect("a non-empty leaf");
+        let leaf = arena.leaf(id);
+        let j = leaf.entries.len() - 1;
+        let pos = leaf.entries[j].pos;
+        let s = (0..segments)
+            .find(|&s| usize::from(leaf.word.bits(s)) < messi_sax::word::CARD_BITS)
+            .expect("a segment refined below full cardinality");
+        *arena.symbol_mut(id, j, s) ^= 1;
+        let errors = validate(&index);
+        let wanted = format!("entry {pos} has a forged or stale summary");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains(&wanted), "{errors:?}");
     }
 
     fn load_forged(forged: &MessiIndex, name: &str) -> crate::persist::PersistError {

@@ -624,10 +624,12 @@ fn cmd_info(opts: &Opts) -> Result<(), CliError> {
         hist[2],
         hist[3],
     );
+    let mb = |bytes: usize| bytes as f64 / (1 << 20) as f64;
     println!(
-        "storage: node arenas {:.2} MB + leaf pools {:.2} MB (flat, 2 allocations/subtree)",
-        index.node_storage_bytes() as f64 / (1 << 20) as f64,
-        index.entry_storage_bytes() as f64 / (1 << 20) as f64
+        "storage: nodes {:.2} MB + positions {:.2} MB + symbol columns {:.2} MB",
+        mb(index.node_storage_bytes()),
+        mb(index.entry_storage_bytes()),
+        mb(index.num_entries() * messi::sax::MAX_SEGMENTS)
     );
     Ok(())
 }

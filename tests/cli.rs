@@ -279,3 +279,33 @@ fn a_reader_closing_the_pipe_early_is_not_a_panic() {
     }
     std::fs::remove_file(&data).expect("cleanup");
 }
+
+#[test]
+fn info_reports_node_position_and_column_bytes() {
+    let (path, data) = dataset_file("info.mds", 8_000, 5);
+    let out = messi(&["info", "--data", arg(&path)]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = String::from_utf8(out.stdout).expect("utf-8 info");
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("storage: "))
+        .expect("a storage line");
+    let figures: Vec<&str> = line
+        .split(" MB")
+        .filter_map(|part| part.rsplit(' ').next())
+        .filter(|f| !f.is_empty())
+        .collect();
+    let mb = |bytes: usize| format!("{:.2}", bytes as f64 / (1 << 20) as f64);
+    let n = data.len();
+    assert_eq!(
+        line,
+        format!(
+            "storage: nodes {} MB + positions {} MB + symbol columns {} MB",
+            figures[0],
+            mb(4 * n),
+            mb(messi::sax::MAX_SEGMENTS * n)
+        )
+    );
+    assert!(figures[0].parse::<f64>().expect("node MB") > 0.0, "{line}");
+    std::fs::remove_file(&path).expect("cleanup");
+}
