@@ -23,6 +23,20 @@
 //!   until their last reader drops: a view never covers bytes beyond
 //!   its own length, and nothing below it is ever rewritten.
 //!
+//! The republish runs **off the ack path**, on a thread of its own: the
+//! insert that crosses the size trigger starts it and returns, and the
+//! writer keeps logging, appending and publishing while it absorbs. At
+//! most one republish is in flight. Only the writer changes the
+//! collection view and a republish only swaps in a new core, each under
+//! the publication lock, so neither loses the other's successor: series
+//! that arrive during an absorb stay overlay and go into the next one.
+//! The trigger counts series past what the in-flight republish covers,
+//! and the writer waits for that republish only when the next one is
+//! due, so the overlay stays under about twice the trigger. Boot replay
+//! ([`DeltaIndex::with_log`]), [`DeltaIndex::index`],
+//! [`DeltaIndex::republish`], [`DeltaIndex::checkpoint_log`] and drop
+//! wait for the republish in flight.
+//!
 //! The overlay is scanned with the engine's own distance kernels at a
 //! bound no answer reaches, so merged answers are bit-identical to a
 //! fresh build over the grown collection (`tests/ingest_equivalence.rs`).
@@ -41,18 +55,20 @@ use parking_lot::{Mutex, RwLock};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Knobs of the live-ingest layer.
 #[derive(Debug, Clone)]
 pub struct IngestOptions {
-    /// Overlay size (in series) that triggers an inline republish right
-    /// after the insert that crossed it. `0` disables the size trigger
-    /// (republish only manually or by cadence).
+    /// Overlay size (in series, past what a republish in flight already
+    /// covers) at which the insert that crossed it starts a background
+    /// republish. `0` disables the size trigger (republish only manually
+    /// or by cadence).
     pub republish_after: usize,
     /// Cadence trigger: when the published core is older than this and
-    /// the overlay is non-empty, [`DeltaIndex::maybe_republish`]
-    /// flattens it. `None` disables the cadence trigger.
+    /// the overlay is non-empty, [`DeltaIndex::maybe_republish`] starts
+    /// a republish. `None` disables the cadence trigger.
     pub max_epoch_age: Option<Duration>,
 }
 
@@ -74,8 +90,9 @@ pub struct IngestReport {
     pub total_series: u64,
     /// Epoch id now published.
     pub epoch: u64,
-    /// Whether the insert tripped the size trigger and the overlay was
-    /// flattened inline.
+    /// Whether the insert crossed the size trigger and started a
+    /// background republish (which may still be running, and may yet
+    /// fail, when the insert returns).
     pub republished: bool,
 }
 
@@ -96,12 +113,13 @@ pub struct IngestStats {
     pub batches: u64,
     /// Series ingested since boot.
     pub series_ingested: u64,
-    /// Republishes (overlay flattens) since boot.
+    /// Republishes (overlay flattens) started since boot, counted when
+    /// they start.
     pub republishes: u64,
-    /// Total wall-clock spent republishing since boot.
+    /// Total wall-clock spent in republishes that finished, since boot.
     pub republish_time: Duration,
-    /// Inline republishes that failed after their batch was accepted
-    /// (the overlay is kept).
+    /// Republishes that failed (the overlay is kept), counted when they
+    /// finish.
     pub republish_failures: u64,
     /// Current delta-log size in bytes (0 when running without a log).
     pub log_bytes: u64,
@@ -207,20 +225,13 @@ struct Counters {
     log_bytes: AtomicU64,
 }
 
-/// A live, growable MESSI index: a [`ShardedIndex`] behind an
-/// epoch/RCU seam that accepts appended series
-/// ([`DeltaIndex::insert_batch`]) while concurrent queries
-/// ([`DeltaIndex::query`]) keep reading immutable published state.
-/// See the [module docs](crate::ingest) for the design.
-pub struct DeltaIndex {
+/// What a republish thread shares with the index it grows: the
+/// published epoch, the prewarm configuration and the accounting.
+struct Shared {
     /// The published epoch. Readers hold the lock only long enough to
-    /// clone the `Arc`; writers only long enough to store a new one.
+    /// clone the `Arc`; the writer and a republish only long enough to
+    /// read the current epoch and store its successor.
     published: RwLock<Arc<Epoch>>,
-    /// Serializes writers (insert/republish/compact) and owns the
-    /// optional delta log.
-    writer: Mutex<Option<DeltaLog>>,
-    options: IngestOptions,
-    series_len: usize,
     /// Last prewarm configuration — republish warms the fresh executor
     /// with it before the swap, keeping the no-alloc discipline across
     /// epochs.
@@ -229,6 +240,89 @@ pub struct DeltaIndex {
     /// Makes the next republish fail (regression tests only).
     #[cfg(test)]
     fail_next_republish: std::sync::atomic::AtomicBool,
+    /// Holds a republish at its start while locked (tests only).
+    #[cfg(test)]
+    hold_republish: Mutex<()>,
+}
+
+impl Shared {
+    /// The current epoch snapshot: one brief read-lock to clone the
+    /// `Arc`, never held across query work.
+    fn snapshot(&self) -> Arc<Epoch> {
+        Arc::clone(&self.published.read())
+    }
+
+    /// The one republish body, run on the republish thread or by
+    /// [`DeltaIndex::republish`]: absorbs `epoch`'s overlay into a fresh,
+    /// prewarmed core and swaps that core in under whatever collection
+    /// view the writer has published since. On failure the overlay is
+    /// kept and [`IngestStats::republish_failures`] counts it.
+    fn republish(&self, epoch: &Epoch) -> Result<(), IngestError> {
+        let started = Instant::now();
+        let core = match self.absorb(epoch) {
+            Ok(core) => core,
+            Err(e) => {
+                self.counts
+                    .republish_failures
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(e);
+            }
+        };
+        {
+            let mut published = self.published.write();
+            let next = Epoch {
+                core,
+                data: Arc::clone(&published.data),
+                id: published.id + 1,
+            };
+            *published = Arc::new(next);
+        }
+        self.counts
+            .republish_micros
+            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn absorb(&self, epoch: &Epoch) -> Result<Arc<EpochCore>, IngestError> {
+        #[cfg(test)]
+        drop(self.hold_republish.lock());
+        #[cfg(test)]
+        if self.fail_next_republish.swap(false, Ordering::Relaxed) {
+            return Err(IngestError::Corrupt("injected republish failure".into()));
+        }
+        // No data movement: the grown collection is the view this epoch
+        // already answers over; the index only points into it.
+        let index = epoch.core.index.absorb(Arc::clone(&epoch.data))?;
+        let core = EpochCore::new(Arc::new(index));
+        // Warm the fresh executor *before* the swap so queries landing
+        // on the new epoch stay allocation-free from the first one.
+        core.prewarm(&self.warm.lock().clone());
+        Ok(core)
+    }
+}
+
+/// The republish in flight: the collection length it covers and its
+/// thread.
+struct InFlight {
+    covers: usize,
+    thread: JoinHandle<()>,
+}
+
+/// A live, growable MESSI index: a [`ShardedIndex`] behind an
+/// epoch/RCU seam that accepts appended series
+/// ([`DeltaIndex::insert_batch`]) while concurrent queries
+/// ([`DeltaIndex::query`]) keep reading immutable published state.
+/// See the [module docs](crate::ingest) for the design.
+pub struct DeltaIndex {
+    shared: Arc<Shared>,
+    /// Serializes writers (insert/compact) and owns the optional delta
+    /// log.
+    writer: Mutex<Option<DeltaLog>>,
+    /// At most one republish in flight. Lock order: `writer`, then
+    /// this; a republish thread takes neither.
+    inflight: Mutex<Option<InFlight>>,
+    options: IngestOptions,
+    series_len: usize,
 }
 
 impl DeltaIndex {
@@ -243,14 +337,19 @@ impl DeltaIndex {
             id: 0,
         });
         Self {
-            published: RwLock::new(epoch),
+            shared: Arc::new(Shared {
+                published: RwLock::new(epoch),
+                warm: Mutex::new(QueryConfig::default()),
+                counts: Counters::default(),
+                #[cfg(test)]
+                fail_next_republish: std::sync::atomic::AtomicBool::new(false),
+                #[cfg(test)]
+                hold_republish: Mutex::new(()),
+            }),
             writer: Mutex::new(None),
+            inflight: Mutex::new(None),
             options,
             series_len,
-            warm: Mutex::new(QueryConfig::default()),
-            counts: Counters::default(),
-            #[cfg(test)]
-            fail_next_republish: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -262,7 +361,8 @@ impl DeltaIndex {
     ///
     /// Replay decodes every frame straight into the collection buffer,
     /// checking that each value is finite as it goes, and publishes them
-    /// together, so it republishes at most once however long the log is.
+    /// together, so it republishes at most once however long the log is,
+    /// and returns only once that republish has finished.
     /// The returned [`ReplayReport`] says how many batches were recovered
     /// and whether a torn tail was dropped.
     ///
@@ -294,18 +394,23 @@ impl DeltaIndex {
                 if let Some((pos, index)) = non_finite {
                     return Err(IngestError::NonFinite { pos, index });
                 }
-                live.publish(&mut writer, &epoch, data, report.batches as u64);
+                live.publish(&epoch, data, report.batches as u64);
             }
-            live.counts.log_bytes.store(log.bytes(), Ordering::Relaxed);
+            live.counts()
+                .log_bytes
+                .store(log.bytes(), Ordering::Relaxed);
             *writer = Some(log);
         }
+        live.settle();
         Ok((live, report))
     }
 
-    /// The current epoch snapshot: one brief read-lock to clone the
-    /// `Arc`, never held across query work.
     fn snapshot(&self) -> Arc<Epoch> {
-        Arc::clone(&self.published.read())
+        self.shared.snapshot()
+    }
+
+    fn counts(&self) -> &Counters {
+        &self.shared.counts
     }
 
     /// Appends a batch of series to the live index. On return the
@@ -315,14 +420,21 @@ impl DeltaIndex {
     /// assigned consecutive global positions starting at the current
     /// total.
     ///
+    /// An insert that crosses the size trigger starts a republish on a
+    /// background thread and returns without waiting for it
+    /// (`republished` is `true`); until it finishes, queries scan the
+    /// series it absorbs as overlay. The insert waits only when a
+    /// republish is due while the previous one is still running: it
+    /// joins that one before starting the next.
+    ///
     /// Rejects (typed, atomically — nothing is logged or published on
     /// error): empty batches, shape mismatches, non-finite values, and
     /// batches that would push the absorbing shard past the `u32`
-    /// local-position ceiling. Once the batch is durable and visible the
-    /// call returns `Ok` even if the inline republish it triggered fails
-    /// (overlay kept, [`IngestStats::republish_failures`] counts it,
-    /// `republished` is `false`): an error there would make clients
-    /// re-send a batch that is already in.
+    /// local-position ceiling. A republish that fails later keeps the
+    /// overlay, says so on stderr and counts in
+    /// [`IngestStats::republish_failures`]; the batch stays
+    /// acknowledged, so a client never re-sends a batch that is
+    /// already in.
     pub fn insert_batch(&self, batch: &Dataset) -> Result<IngestReport, IngestError> {
         // Validation needs no lock: reject before queueing behind other
         // writers.
@@ -345,120 +457,161 @@ impl DeltaIndex {
         // Durability before visibility: the log append fsyncs.
         if let Some(log) = writer.as_mut() {
             log.append(batch)?;
-            self.counts.log_bytes.store(log.bytes(), Ordering::Relaxed);
+            self.counts()
+                .log_bytes
+                .store(log.bytes(), Ordering::Relaxed);
         }
         // The one copy after the log write, into spare capacity no
         // published view covers.
         let data = epoch
             .data
             .append_with(batch.len(), |dst| dst.copy_from_slice(batch.as_flat()));
-        Ok(self.publish(&mut writer, &epoch, data, 1))
+        Ok(self.publish(&epoch, data, 1))
     }
 
     /// Publishes `data` — `epoch`'s collection grown by `batches`
     /// already-durable batches — as the successor epoch and applies the
-    /// size trigger. Infallible by design: see
+    /// size trigger. The caller holds the writer lock, so `epoch` is
+    /// still the current view; a republish may have swapped in a newer
+    /// core since, and the successor keeps it. Infallible by design: see
     /// [`DeltaIndex::insert_batch`].
-    fn publish(
-        &self,
-        writer: &mut Option<DeltaLog>,
-        epoch: &Epoch,
-        data: Dataset,
-        batches: u64,
-    ) -> IngestReport {
+    fn publish(&self, epoch: &Epoch, data: Dataset, batches: u64) -> IngestReport {
         let accepted = data.len() - epoch.data.len();
-        let next = Arc::new(Epoch {
-            core: Arc::clone(&epoch.core),
-            data: Arc::new(data),
-            id: epoch.id + batches,
-        });
-        let overlay_len = next.overlay_len();
-        *self.published.write() = next;
-        self.counts.batches.fetch_add(batches, Ordering::Relaxed);
-        self.counts
+        let next = {
+            let mut published = self.shared.published.write();
+            let next = Arc::new(Epoch {
+                core: Arc::clone(&published.core),
+                data: Arc::new(data),
+                id: published.id + batches,
+            });
+            *published = Arc::clone(&next);
+            next
+        };
+        let counts = self.counts();
+        counts.batches.fetch_add(batches, Ordering::Relaxed);
+        counts
             .series_ingested
             .fetch_add(accepted as u64, Ordering::Relaxed);
 
-        let due = self.options.republish_after > 0 && overlay_len >= self.options.republish_after;
-        let republished = due
-            && self.republish_locked(writer).unwrap_or_else(|e| {
-                self.counts
-                    .republish_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "messi: inline republish failed, overlay of {overlay_len} series kept: {e}"
-                );
-                false
-            });
-        let now = self.snapshot();
+        let mut inflight = self.inflight.lock();
+        let covered = inflight
+            .as_ref()
+            .map_or(0, |r| r.covers)
+            .max(next.core_len());
+        let due = self.options.republish_after > 0
+            && next.data.len() - covered >= self.options.republish_after;
         IngestReport {
             accepted,
-            total_series: now.data.len() as u64,
-            epoch: now.id,
-            republished,
+            total_series: next.data.len() as u64,
+            epoch: next.id,
+            republished: due && self.start_republish(&mut inflight),
         }
     }
 
-    /// Flattens the overlay into a fresh index core now (regardless of
-    /// triggers). Returns `true` if there was anything to flatten.
-    pub fn republish(&self) -> Result<bool, IngestError> {
-        self.republish_locked(&mut self.writer.lock())
-    }
-
-    /// Applies the cadence trigger: republishes iff the overlay is
-    /// non-empty and the published core is older than
-    /// [`IngestOptions::max_epoch_age`]. The serve loop calls this on
-    /// idle ticks.
-    pub fn maybe_republish(&self) -> Result<bool, IngestError> {
+    /// Joins the republish in flight, if any, then starts one on a fresh
+    /// thread for the epoch published now. Returns whether it started:
+    /// a thread that cannot be spawned counts as a failed republish and
+    /// keeps the overlay.
+    fn start_republish(&self, inflight: &mut Option<InFlight>) -> bool {
+        self.join(inflight);
         let epoch = self.snapshot();
-        let due = self.options.max_epoch_age.is_some_and(|max_age| {
-            epoch.overlay_len() > 0 && epoch.core.published_at.elapsed() > max_age
-        });
-        Ok(due && self.republish()?)
+        let covers = epoch.data.len();
+        let shared = Arc::clone(&self.shared);
+        let spawned = std::thread::Builder::new()
+            .name("messi-republish".into())
+            .spawn(move || {
+                if let Err(e) = shared.republish(&epoch) {
+                    eprintln!(
+                        "messi: background republish failed, overlay of {} series kept: {e}",
+                        epoch.overlay_len()
+                    );
+                }
+            });
+        let counts = self.counts();
+        match spawned {
+            Ok(thread) => {
+                counts.republishes.fetch_add(1, Ordering::Relaxed);
+                *inflight = Some(InFlight { covers, thread });
+                true
+            }
+            Err(e) => {
+                counts.republish_failures.fetch_add(1, Ordering::Relaxed);
+                eprintln!("messi: could not start a republish thread, overlay kept: {e}");
+                false
+            }
+        }
     }
 
-    fn republish_locked(&self, _writer: &mut Option<DeltaLog>) -> Result<bool, IngestError> {
+    /// Waits for the republish in `inflight`, if any, to finish.
+    fn join(&self, inflight: &mut Option<InFlight>) {
+        if let Some(r) = inflight.take() {
+            if r.thread.join().is_err() {
+                // The panic message is already on stderr.
+                self.counts()
+                    .republish_failures
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Waits for the republish in flight, if any, to finish.
+    fn settle(&self) {
+        self.join(&mut self.inflight.lock());
+    }
+
+    /// Waits for the republish in flight, then flattens whatever overlay
+    /// is left into a fresh index core on the calling thread (regardless
+    /// of triggers). Returns `true` if anything was left to flatten.
+    pub fn republish(&self) -> Result<bool, IngestError> {
+        let mut inflight = self.inflight.lock();
+        self.join(&mut inflight);
         let epoch = self.snapshot();
         if epoch.overlay_len() == 0 {
             return Ok(false);
         }
-        #[cfg(test)]
-        if self.fail_next_republish.swap(false, Ordering::Relaxed) {
-            return Err(IngestError::Corrupt("injected republish failure".into()));
-        }
-        let started = Instant::now();
-        // No data movement: the grown collection is the view this epoch
-        // already answers over; the index only points into it.
-        let index = epoch.core.index.absorb(Arc::clone(&epoch.data))?;
-        let core = EpochCore::new(Arc::new(index));
-        // Warm the fresh executor *before* the swap so queries landing
-        // on the new epoch stay allocation-free from the first one.
-        core.prewarm(&self.warm.lock().clone());
-        let next = Arc::new(Epoch {
-            core,
-            data: Arc::clone(&epoch.data),
-            id: epoch.id + 1,
-        });
-        *self.published.write() = next;
-        self.counts.republishes.fetch_add(1, Ordering::Relaxed);
-        self.counts
-            .republish_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        self.counts().republishes.fetch_add(1, Ordering::Relaxed);
+        self.shared.republish(&epoch)?;
         Ok(true)
     }
 
-    /// Republishes, then resets the delta log to a fresh header over
-    /// the (now grown) base collection — the caller must have persisted
-    /// that collection first (see `messi compact`). Returns the new
-    /// base length. No-op on the log when none is attached.
+    /// Applies the cadence trigger: starts a background republish iff
+    /// none is running, the overlay is non-empty and the published core
+    /// is older than [`IngestOptions::max_epoch_age`]. Never waits for a
+    /// republish: while the writer or [`DeltaIndex::republish`] holds
+    /// the in-flight slot, it does nothing. The serve loop calls this on
+    /// idle ticks. Returns whether a republish started.
+    pub fn maybe_republish(&self) -> bool {
+        let Some(max_age) = self.options.max_epoch_age else {
+            return false;
+        };
+        let Some(mut inflight) = self.inflight.try_lock() else {
+            return false;
+        };
+        if inflight.as_ref().is_some_and(|r| !r.thread.is_finished()) {
+            return false;
+        }
+        self.join(&mut inflight);
+        let epoch = self.snapshot();
+        epoch.overlay_len() > 0
+            && epoch.core.published_at.elapsed() > max_age
+            && self.start_republish(&mut inflight)
+    }
+
+    /// Republishes (see [`DeltaIndex::republish`]), then resets the
+    /// delta log to a fresh header over the (now grown) base collection
+    /// — the caller must have persisted that collection first (see
+    /// `messi compact`). Returns the new base length. No-op on the log
+    /// when none is attached.
     pub fn checkpoint_log(&self) -> Result<u64, IngestError> {
         let mut writer = self.writer.lock();
-        self.republish_locked(&mut writer)?;
+        self.republish()?;
         let epoch = self.snapshot();
         let dataset = epoch.core.index.dataset();
         if let Some(log) = writer.as_mut() {
             log.reset(dataset)?;
-            self.counts.log_bytes.store(log.bytes(), Ordering::Relaxed);
+            self.counts()
+                .log_bytes
+                .store(log.bytes(), Ordering::Relaxed);
         }
         Ok(dataset.len() as u64)
     }
@@ -502,14 +655,16 @@ impl DeltaIndex {
     /// Warms every pooled context of the current epoch and remembers
     /// `config` so republish re-warms successor epochs the same way.
     pub fn prewarm(&self, config: &QueryConfig) {
-        *self.warm.lock() = config.clone();
+        *self.shared.warm.lock() = config.clone();
         self.snapshot().core.prewarm(config);
     }
 
     /// The published index core (base collection only — excludes any
-    /// un-flattened overlay). Call [`DeltaIndex::republish`] first to
-    /// fold the overlay in, e.g. before saving a snapshot.
+    /// un-flattened overlay), once the republish in flight has finished.
+    /// Call [`DeltaIndex::republish`] first to fold the overlay in, e.g.
+    /// before saving a snapshot.
     pub fn index(&self) -> Arc<ShardedIndex> {
+        self.settle();
         Arc::clone(&self.snapshot().core.index)
     }
 
@@ -531,20 +686,26 @@ impl DeltaIndex {
     /// Point-in-time ingest accounting for `/metrics`.
     pub fn stats(&self) -> IngestStats {
         let epoch = self.snapshot();
+        let counts = self.counts();
         IngestStats {
             epoch: epoch.id,
             epoch_age: epoch.core.published_at.elapsed(),
             overlay_series: epoch.overlay_len() as u64,
             total_series: epoch.data.len() as u64,
-            batches: self.counts.batches.load(Ordering::Relaxed),
-            series_ingested: self.counts.series_ingested.load(Ordering::Relaxed),
-            republishes: self.counts.republishes.load(Ordering::Relaxed),
-            republish_time: Duration::from_micros(
-                self.counts.republish_micros.load(Ordering::Relaxed),
-            ),
-            republish_failures: self.counts.republish_failures.load(Ordering::Relaxed),
-            log_bytes: self.counts.log_bytes.load(Ordering::Relaxed),
+            batches: counts.batches.load(Ordering::Relaxed),
+            series_ingested: counts.series_ingested.load(Ordering::Relaxed),
+            republishes: counts.republishes.load(Ordering::Relaxed),
+            republish_time: Duration::from_micros(counts.republish_micros.load(Ordering::Relaxed)),
+            republish_failures: counts.republish_failures.load(Ordering::Relaxed),
+            log_bytes: counts.log_bytes.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Dropping the index waits for the republish in flight.
+impl Drop for DeltaIndex {
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -757,32 +918,110 @@ mod tests {
         std::fs::remove_file(&log).expect("cleanup log");
     }
 
+    fn trigger_at(republish_after: usize) -> DeltaIndex {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
+        let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
+        DeltaIndex::new(
+            index,
+            IngestOptions {
+                republish_after,
+                max_epoch_age: None,
+            },
+        )
+    }
+
+    /// Runs `f` on a thread while every republish is held at its start,
+    /// and fails if `f` has not returned within ten seconds — a call
+    /// that waits for the held republish never would. The hold is
+    /// released either way, so a failure cannot hang the suite.
+    fn while_held<R: Send>(live: &DeltaIndex, f: impl FnOnce() -> R + Send) -> R {
+        let held = live.shared.hold_republish.lock();
+        std::thread::scope(move |s| {
+            let call = s.spawn(f);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !call.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let returned = call.is_finished();
+            drop(held);
+            assert!(returned, "the call waited for the republish in flight");
+            call.join().expect("the call does not panic")
+        })
+    }
+
     #[test]
-    fn size_trigger_republishes_inline() {
+    fn size_trigger_starts_a_background_republish() {
+        let live = trigger_at(8);
+        let batch = gen::generate(DatasetKind::RandomWalk, 5, 6);
+        assert!(!live.insert_batch(&batch).expect("first").republished);
+        let report = live.insert_batch(&batch).expect("second");
+        assert!(report.republished, "10 >= 8 starts a republish");
+        assert_eq!(live.stats().republishes, 1, "counted when it starts");
+        assert_eq!(live.index().dataset().len(), 110, "index() waits for it");
+        assert_eq!(live.stats().overlay_series, 0);
+        assert_eq!(live.num_series(), 110);
+    }
+
+    /// The point of the background republish: while one is in flight
+    /// (held here at its start), the writer keeps acknowledging, the
+    /// trigger counts only series past what it covers, and what arrived
+    /// meanwhile stays overlay for the next one.
+    #[test]
+    fn the_writer_acknowledges_while_a_republish_is_in_flight() {
+        let live = trigger_at(8);
+        let batch = gen::generate(DatasetKind::RandomWalk, 5, 6);
+        while_held(&live, || {
+            assert!(!live.insert_batch(&batch).expect("first").republished);
+            assert!(live.insert_batch(&batch).expect("second").republished);
+            let third = live.insert_batch(&batch).expect("acknowledged mid-absorb");
+            assert!(!third.republished, "5 past the 110 in flight is under 8");
+            assert_eq!(third.total_series, 115);
+            let stats = live.stats();
+            assert_eq!((stats.republishes, stats.overlay_series), (1, 15));
+            let config = QueryConfig::for_tests();
+            let (hit, _) = live.query(batch.series(1), &QuerySpec::exact(), &config);
+            assert_eq!((hit[0].pos, hit[0].dist_sq), (101, 0.0));
+        });
+        assert_eq!(live.index().dataset().len(), 110);
+        assert_eq!(live.stats().overlay_series, 5, "the third batch waits");
+        assert!(live.insert_batch(&batch).expect("fourth").republished);
+        assert_eq!(live.index().dataset().len(), 120);
+        assert_eq!(live.stats().republishes, 2);
+    }
+
+    /// The serve loop's idle tick: an aged core with an overlay starts a
+    /// republish, and the tick returns without waiting for it.
+    #[test]
+    fn the_cadence_trigger_starts_a_republish_without_waiting() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
         let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
         let live = DeltaIndex::new(
             index,
             IngestOptions {
-                republish_after: 8,
-                max_epoch_age: None,
+                republish_after: 0,
+                max_epoch_age: Some(Duration::ZERO),
             },
         );
+        assert!(!live.maybe_republish(), "nothing to flatten");
         let batch = gen::generate(DatasetKind::RandomWalk, 5, 6);
-        assert!(!live.insert_batch(&batch).expect("first").republished);
-        let report = live.insert_batch(&batch).expect("second");
-        assert!(report.republished, "10 >= 8 flattens inline");
-        assert_eq!(live.stats().overlay_series, 0);
-        assert_eq!(live.stats().republishes, 1);
-        assert_eq!(live.num_series(), 110);
+        assert!(!live.insert_batch(&batch).expect("ingest").republished);
+
+        while_held(&live, || {
+            assert!(live.maybe_republish(), "aged core, overlay of 5");
+            assert!(!live.maybe_republish(), "one republish in flight at most");
+            assert_eq!(live.stats().republishes, 1);
+        });
+        assert_eq!(live.index().dataset().len(), 105);
+        assert!(!live.maybe_republish(), "flattened");
     }
 
     /// Regression: a batch that is already durable and visible must be
-    /// acknowledged even when the inline republish it triggers fails —
-    /// an `Err` here becomes a 500 on `/ingest`, the client retries, and
-    /// the same series land twice.
+    /// acknowledged even when the republish it starts fails — an `Err`
+    /// here becomes a 500 on `/ingest`, the client retries, and the same
+    /// series land twice. The one republish body carries the failure
+    /// injection, so the background and the manual path fail alike.
     #[test]
-    fn failed_inline_republish_still_acknowledges_the_batch() {
+    fn failed_background_republish_still_acknowledges_the_batch() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
         let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
         let log = std::env::temp_dir().join(format!(
@@ -797,29 +1036,44 @@ mod tests {
         let (live, _) = DeltaIndex::with_log(index, options, &log).expect("fresh log");
         let batch = gen::generate(DatasetKind::RandomWalk, 5, 6);
 
-        live.fail_next_republish.store(true, Ordering::Relaxed);
+        live.shared
+            .fail_next_republish
+            .store(true, Ordering::Relaxed);
         let report = live
             .insert_batch(&batch)
             .expect("durable + visible means acknowledged");
         assert_eq!((report.accepted, report.total_series), (5, 105));
-        assert!(!report.republished);
+        assert!(report.republished, "the crossing started a republish");
+        assert_eq!(live.index().dataset().len(), 100, "it failed");
         let stats = live.stats();
         assert_eq!(stats.overlay_series, 5, "overlay kept");
-        assert_eq!((stats.republishes, stats.republish_failures), (0, 1));
+        assert_eq!((stats.republishes, stats.republish_failures), (1, 1));
         let config = QueryConfig::for_tests();
         let (hit, _) = live.query(batch.series(2), &QuerySpec::exact(), &config);
         assert_eq!((hit[0].pos, hit[0].dist_sq), (102, 0.0));
 
-        // The next trigger flattens everything, and the log holds each
-        // acknowledged batch exactly once.
+        // The next trigger flattens everything.
         assert!(live.insert_batch(&batch).expect("second").republished);
+        assert_eq!(live.index().dataset().len(), 110);
         assert_eq!(live.stats().overlay_series, 0);
+
+        // A manual republish fails through the same body.
+        let short = gen::generate(DatasetKind::RandomWalk, 3, 7);
+        assert!(!live.insert_batch(&short).expect("third").republished);
+        live.shared
+            .fail_next_republish
+            .store(true, Ordering::Relaxed);
+        assert!(live.republish().is_err());
+        let stats = live.stats();
+        assert_eq!((stats.overlay_series, stats.republish_failures), (3, 2));
+
+        // The log holds each acknowledged batch exactly once.
         drop(live);
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 100, 5));
         let (index, _) = ShardedIndex::build(data, 1, &IndexConfig::for_tests());
         let (_, replay) =
             DeltaIndex::with_log(index, IngestOptions::default(), &log).expect("reopen");
-        assert_eq!((replay.batches, replay.series), (2, 10));
+        assert_eq!((replay.batches, replay.series), (3, 13));
         std::fs::remove_file(&log).expect("cleanup log");
     }
 }

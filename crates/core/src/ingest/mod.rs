@@ -11,7 +11,11 @@
 //! published arenas; a republish hands the same view to the index
 //! (which inserts the overlay into the last shard's leaves in one merge
 //! pass — no series moves, no subtree is rebuilt unless a leaf
-//! overflows) and swaps in the next epoch. Readers take no lock on the read
+//! overflows) and swaps in the next epoch. The republish runs on a
+//! background thread, off the ack path: the insert that crosses the
+//! size trigger starts it and returns, and the writer waits for it only
+//! when the next one is due (boot replay, `index`, `republish`,
+//! `checkpoint_log` and drop wait too). Readers take no lock on the read
 //! path: they clone an `Arc` snapshot of the current epoch and query it
 //! to completion even while writers publish successors.
 //!

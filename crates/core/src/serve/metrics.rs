@@ -244,21 +244,21 @@ pub fn encode_prometheus(
         &mut out,
         "messi_ingest_republishes_total",
         "counter",
-        "Overlay flattens (epoch republishes).",
+        "Overlay flattens (epoch republishes) started.",
         republishes,
     );
     family(
         &mut out,
         "messi_ingest_republish_seconds_total",
         "counter",
-        "Summed republish wall time in seconds.",
+        "Summed wall time of finished republishes in seconds.",
         format_args!("{:.6}", republish_time.as_secs_f64()),
     );
     family(
         &mut out,
         "messi_ingest_republish_failures_total",
         "counter",
-        "Inline republishes that failed after their batch was accepted (overlay kept).",
+        "Republishes that failed (overlay kept; the batches stay acknowledged).",
         republish_failures,
     );
     family(

@@ -176,7 +176,9 @@ pub fn decode_ingest(body: &[u8], series_len: usize) -> Result<messi_series::Dat
     messi_series::Dataset::from_flat(values, series_len).map_err(|e| err(e.to_string()))
 }
 
-/// Encodes a successful ingest response.
+/// Encodes a successful ingest response. `republished` is `true` when
+/// the batch crossed the size trigger and started a background
+/// republish; the response does not wait for it to finish.
 pub fn encode_ingest_report(report: &crate::ingest::IngestReport) -> String {
     format!(
         "{{\"accepted\":{},\"total_series\":{},\"epoch\":{},\"republished\":{}}}",

@@ -145,8 +145,8 @@ impl IndexServer {
     /// has been prewarmed against every shard of the live index, so a
     /// load balancer polling health never routes to a cold daemon. The
     /// acceptor's idle ticks drive [`DeltaIndex::maybe_republish`], so
-    /// overlay flattening happens off the query path on the ingest
-    /// cadence trigger.
+    /// the ingest cadence trigger starts overlay flattening off the
+    /// query path.
     pub fn serve(self, live: &DeltaIndex, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
         let threads = self.config.threads.max(1);
         let state = ServeState::new(live, &self.config);
@@ -225,7 +225,8 @@ impl<'a> ServeState<'a> {
 
 /// Accepts connections until shutdown, handing them to the handler pool.
 /// Idle ticks double as the republish heartbeat: an aged epoch with a
-/// pending overlay is flattened here, off every request path.
+/// pending overlay starts a background republish here. The tick never
+/// waits for one, so accepts do not stall while it absorbs.
 fn accept_loop(
     listener: &TcpListener,
     conns: &BoundedChannel<TcpStream>,
@@ -248,11 +249,10 @@ fn accept_loop(
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if let Err(e) = live.maybe_republish() {
-                    // Republish failing is not fatal to serving — the
-                    // overlay keeps answering — but it must be loud.
-                    eprintln!("messi serve: republish failed: {e}");
-                }
+                // A failed republish is not fatal to serving — the
+                // overlay keeps answering — and its thread says so on
+                // stderr.
+                live.maybe_republish();
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

@@ -36,6 +36,7 @@ use messi::index::serve::{self, SmokeConfig};
 use messi::prelude::*;
 use messi::series::io::{read_dataset, write_dataset};
 use messi::{DeltaIndex, IndexServer, IngestOptions, ServeConfig};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -851,14 +852,34 @@ fn live_index_from(opts: &Opts, index: ShardedIndex) -> Result<DeltaIndex, CliEr
 /// One `/ingest` request body: `{"series":[[…],[…]]}` for the half-open
 /// series range `start..end`. `{:?}` prints the shortest decimal that
 /// round-trips the f32, so the daemon reconstructs the bytes exactly.
-fn ingest_body(data: &Dataset, start: usize, end: usize) -> Vec<u8> {
-    let rows: Vec<String> = (start..end)
-        .map(|pos| {
-            let vals: Vec<String> = data.series(pos).iter().map(|x| format!("{x:?}")).collect();
-            format!("[{}]", vals.join(","))
-        })
-        .collect();
+/// One series as a row of an `/ingest` body.
+fn ingest_row(series: &[f32]) -> String {
+    let vals: Vec<String> = series.iter().map(|x| format!("{x:?}")).collect();
+    format!("[{}]", vals.join(","))
+}
+
+fn ingest_body(data: &Dataset, batch: Range<usize>) -> Vec<u8> {
+    let rows: Vec<String> = batch.map(|pos| ingest_row(data.series(pos))).collect();
     format!("{{\"series\":[{}]}}", rows.join(",")).into_bytes()
+}
+
+/// Length of the `/ingest` body holding rows of these lengths.
+fn ingest_body_len(row_lens: &[usize]) -> usize {
+    r#"{"series":[]}"#.len() + row_lens.iter().sum::<usize>() + row_lens.len().saturating_sub(1)
+}
+
+/// Splits `batch` into consecutive sub-batches whose `/ingest` bodies fit
+/// in `cap` bytes, halving any that does not; `row_lens[i]` is the length
+/// of series `i`'s row. A single series is never split: the caller
+/// refuses one whose body alone is over the cap.
+fn fit_body_cap(row_lens: &[usize], batch: Range<usize>, cap: usize, out: &mut Vec<Range<usize>>) {
+    if batch.len() <= 1 || ingest_body_len(&row_lens[batch.clone()]) <= cap {
+        out.push(batch);
+        return;
+    }
+    let mid = batch.start + batch.len() / 2;
+    fit_body_cap(row_lens, batch.start..mid, cap, out);
+    fit_body_cap(row_lens, mid..batch.end, cap, out);
 }
 
 fn cmd_ingest(opts: &Opts) -> Result<(), CliError> {
@@ -869,6 +890,29 @@ fn cmd_ingest(opts: &Opts) -> Result<(), CliError> {
     if batch == 0 {
         return Err(usage("--batch must be positive"));
     }
+    // The daemon refuses a body over its cap with a 413: split a batch
+    // that would pass it, and refuse a series that alone does.
+    let cap = serve::http::MAX_BODY_BYTES;
+    let row_lens: Vec<usize> = data.iter().map(|s| ingest_row(s).len()).collect();
+    if let Some(pos) = row_lens
+        .iter()
+        .position(|&len| ingest_body_len(&[len]) > cap)
+    {
+        return Err(usage(format!(
+            "series {pos} alone makes an /ingest body of {} bytes, over the daemon's \
+             {cap}-byte cap",
+            ingest_body_len(&row_lens[pos..=pos])
+        )));
+    }
+    let mut requests = Vec::new();
+    for start in (0..data.len()).step_by(batch) {
+        fit_body_cap(
+            &row_lens,
+            start..(start + batch).min(data.len()),
+            cap,
+            &mut requests,
+        );
+    }
     wait_ready(opts, &addr)?;
 
     let connect =
@@ -876,10 +920,9 @@ fn cmd_ingest(opts: &Opts) -> Result<(), CliError> {
     let mut client = connect()?;
     let t = std::time::Instant::now();
     let mut last_body = Vec::new();
-    let mut start = 0usize;
-    while start < data.len() {
-        let end = (start + batch).min(data.len());
-        let body = ingest_body(&data, start, end);
+    for request in &requests {
+        let start = request.start;
+        let body = ingest_body(&data, request.clone());
         let mut attempts = 0u32;
         loop {
             let resp = client
@@ -920,7 +963,6 @@ fn cmd_ingest(opts: &Opts) -> Result<(), CliError> {
                 }
             }
         }
-        start = end;
     }
 
     // The final report carries the daemon's running totals.
@@ -936,7 +978,7 @@ fn cmd_ingest(opts: &Opts) -> Result<(), CliError> {
     println!(
         "ingest: {} series in {} batches to {addr} in {:.2?} (daemon now at {} series, epoch {})",
         data.len(),
-        data.len().div_ceil(batch),
+        requests.len(),
         t.elapsed(),
         field("total_series").map_or("?".into(), |v| format!("{v}")),
         field("epoch").map_or("?".into(), |v| format!("{v}")),
@@ -1084,4 +1126,58 @@ fn cmd_load_smoke(opts: &Opts) -> Result<(), CliError> {
         )));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn split(row_lens: &[usize], batch: usize, cap: usize) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        for start in (0..row_lens.len()).step_by(batch) {
+            fit_body_cap(
+                row_lens,
+                start..(start + batch).min(row_lens.len()),
+                cap,
+                &mut out,
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn oversized_ingest_batches_are_halved_until_every_body_fits() {
+        let data = messi::series::gen::generate(DatasetKind::RandomWalk, 37, 5);
+        let row_lens: Vec<usize> = data.iter().map(|s| ingest_row(s).len()).collect();
+        for (i, &len) in row_lens.iter().enumerate() {
+            assert_eq!(ingest_body_len(&[len]), ingest_body(&data, i..i + 1).len());
+        }
+        let whole = ingest_body(&data, 0..37).len();
+        assert_eq!(ingest_body_len(&row_lens), whole);
+
+        // Under the cap: the batches go as given.
+        assert_eq!(split(&row_lens, 16, whole), vec![0..16, 16..32, 32..37]);
+        // Over it: every body fits, in order, covering every series.
+        let cap = ingest_body(&data, 0..12).len();
+        let parts = split(&row_lens, 37, cap);
+        assert_eq!(parts.first().map(|r| r.start), Some(0));
+        assert!(
+            parts.windows(2).all(|w| w[0].end == w[1].start),
+            "{parts:?}"
+        );
+        assert_eq!(parts.last().map(|r| r.end), Some(37));
+        for part in &parts {
+            assert!(ingest_body(&data, part.clone()).len() <= cap, "{part:?}");
+        }
+
+        // Rows of 10 bytes: n rows make a 12 + 11n byte body. At a cap
+        // of 3 rows, 8 rows halve twice; a batch of 5 halves once, and
+        // its 2..5 half fits as it is.
+        let even = [10; 8];
+        assert_eq!(split(&even, 8, 45), vec![0..2, 2..4, 4..6, 6..8]);
+        assert_eq!(split(&even, 5, 45), vec![0..2, 2..5, 5..8]);
+        // A series over the cap on its own is kept whole, for the caller
+        // to refuse.
+        assert_eq!(split(&even[..1], 1, 20), vec![0..1]);
+    }
 }
