@@ -104,7 +104,7 @@ impl MessiIndex {
     }
 
     /// An index from per-key raw parts, ascending by key, assembled one
-    /// forest group at a time (snapshot load, no-buffer build, absorb).
+    /// forest group at a time (no-buffer build, absorb).
     pub(crate) fn from_raw_parts(
         dataset: Arc<Dataset>,
         config: IndexConfig,
@@ -136,9 +136,10 @@ impl MessiIndex {
     // the grown collection.
     //
     // **Non-goals.** `Arc`-sharing unchanged forest groups across epochs;
-    // re-validation — `TreeArena::check_raw` guards where bytes enter the
-    // process (`persist.rs`), this pass reads arenas built or validated
-    // here, and debug builds audit its output with `validate`.
+    // re-validation — no stored bytes enter the process as an arena (a
+    // snapshot load rebuilds and compares, `persist.rs`), this pass reads
+    // arenas built here, and debug builds audit its output with
+    // `validate`.
     //
     // **Decisions** (200 k base, 2 shards, 4 096-series batches, last
     // shard 104 k → 149 k series in ~12 k keys, 2 cores).
@@ -152,7 +153,7 @@ impl MessiIndex {
     //   (summarise + route + sort 1.3–1.4, grow 0.5–1.6, key walk 1.0,
     //   assemble 2.9–3.4); prewarm 2.9–3.6 ms (8 queries) → 0.8 ms (2).
     // * *No knob, no fork:* the per-key rebuild is deleted;
-    //   `assemble_forest` is the one splice for build, load and absorb,
+    //   `assemble_forest` is the one splice for build and absorb,
     //   and `from_forests` the one constructor.
     // * *Untouched keys are copied:* summaries live only in columns, so
     //   each is gathered into the scratch and transposed back. 150 k
@@ -382,7 +383,7 @@ impl MessiIndex {
         if leaves == 0 {
             return 0.0;
         }
-        self.num_entries() as f64 / (leaves * self.config.leaf_capacity) as f64
+        self.num_entries() as f64 / (leaves as f64 * self.config.leaf_capacity as f64)
     }
 
     /// Creates a pooled [`QueryExecutor`](crate::exec::QueryExecutor)

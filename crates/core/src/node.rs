@@ -30,9 +30,8 @@
 //! scan *several* small leaves as one contiguous 8-wide stream instead
 //! of falling into the partial-chunk tail on every ~6-entry
 //! paper-default leaf. Runs are derived deterministically from the node
-//! records alone (no configuration input), so a deserialized arena
-//! rebuilds byte-identical run metadata — the snapshot format is
-//! unchanged.
+//! records alone (no configuration input), so they are never stored:
+//! the snapshot format carries records and entries only.
 //!
 //! Construction still follows the paper's incremental protocol (Alg. 4:
 //! insert, split overflowing leaves): [`SubtreeBuilder`] runs exactly the
@@ -61,8 +60,8 @@
 //! on any root-to-leaf path is a **per-key root**: the original subtree,
 //! spliced in verbatim (preorder preserved, ids and pool offsets
 //! rebased). Grouping is derived deterministically from the per-key
-//! entry counts alone (`forest_groups`), so builds, baselines, the
-//! snapshot loader and absorbs group identically — and snapshots serialize
+//! entry counts alone (`forest_groups`), so builds, baselines and
+//! absorbs group identically — and snapshots serialize
 //! per key by copying each per-key subtree back out of its forest
 //! (`TreeArena::copy_subtree`, rebased, summaries gathered from the
 //! columns), keeping the format byte-identical.
@@ -113,8 +112,8 @@ pub(crate) const RUN_TARGET_ENTRIES: usize = 64;
 /// Entry target when grouping consecutive sparse root subtrees into one
 /// forest arena — the run target, so a grouped forest's many one-leaf
 /// subtrees coalesce into full batched runs. Like the run partition,
-/// the grouping takes no configuration input: build, baselines, and the
-/// snapshot loader must regroup identically.
+/// the grouping takes no configuration input: builds, baselines and
+/// absorbs must regroup identically.
 pub(crate) const FOREST_TARGET_ENTRIES: usize = RUN_TARGET_ENTRIES;
 
 /// The deterministic greedy grouping of per-key subtrees into forest
@@ -217,10 +216,10 @@ impl PartScratch {
 }
 
 /// Assembles one arena from one or more per-key subtrees with ascending
-/// keys — the one place an arena is made, behind builds, baselines,
-/// snapshot loads and absorbs. A single part becomes a plain per-key
-/// arena; several are joined under the synthetic iSAX trie described in
-/// the module docs. The pool takes the positions, and the summaries go
+/// keys — the one place an arena is made, behind builds, baselines and
+/// absorbs (a snapshot load is a build). A single part becomes a plain
+/// per-key arena; several are joined under the synthetic iSAX trie the
+/// module docs describe. The pool takes the positions, and the summaries go
 /// straight into the run columns: the parts' entries, concatenated, are
 /// the pool in order. Every vector is allocated once at its final size,
 /// and the runs are derived once, on the assembled records.
@@ -434,8 +433,7 @@ struct RunLayout {
 /// adding the next non-empty leaf would push the current run past
 /// [`RUN_TARGET_ENTRIES`] (empty leaves always join the current run; an
 /// oversized leaf gets a run of its own). Called once per arena, by
-/// [`assemble_forest`] — for a build, a load and an absorb alike, so
-/// snapshots round-trip to byte-identical metadata — and by the
+/// [`assemble_forest`] — for a build and an absorb alike — and by the
 /// validator's recomputation; every vector is allocated once at exact
 /// capacity.
 fn derive_runs(nodes: &[NodeRecord], num_entries: usize) -> RunLayout {
@@ -877,101 +875,6 @@ impl TreeArena {
         }
         Ok(())
     }
-
-    /// Deepest tree a legitimate build can produce: every inner→child
-    /// step refines exactly one bit of one segment, so a root-to-leaf
-    /// path has at most `MAX_SEGMENTS × CARD_BITS` splits.
-    const MAX_DEPTH: usize = messi_sax::MAX_SEGMENTS * messi_sax::CARD_BITS + 1;
-
-    /// Checks one subtree's raw records (the deserialization path, ids
-    /// and pool offsets counting from zero, `num_entries` pool entries)
-    /// for the structural invariants the accessors rely on before
-    /// [`assemble_forest`] may splice them: the records must form exactly
-    /// one preorder tree — a left-then-right depth-first walk from the
-    /// root enumerates ids `0..n` in ascending order, which rules out
-    /// unreachable nodes, shared children, and cycles in one pass — no
-    /// deeper than any legitimate build can produce, whose leaves
-    /// partition the entry pool left to right.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first violated invariant.
-    pub(crate) fn check_raw(nodes: &[NodeRecord], num_entries: usize) -> Result<(), String> {
-        if nodes.is_empty() {
-            return Err("arena with zero nodes".into());
-        }
-        let nn = nodes.len() as u64;
-        let mut covered = 0u64; // leaves partition the pool in order
-        for (id, n) in nodes.iter().enumerate() {
-            if n.tag == LEAF_TAG {
-                if u64::from(n.lo) != covered {
-                    return Err(format!(
-                        "leaf {id}: pool range starts at {} not {covered}",
-                        n.lo
-                    ));
-                }
-                if n.hi < n.lo || num_entries < n.hi as usize {
-                    return Err(format!(
-                        "leaf {id}: pool range {}..{} out of bounds",
-                        n.lo, n.hi
-                    ));
-                }
-                covered = u64::from(n.hi);
-            } else {
-                if usize::from(n.tag) >= messi_sax::MAX_SEGMENTS {
-                    return Err(format!(
-                        "inner node {id}: split segment {} out of range",
-                        n.tag
-                    ));
-                }
-                if u64::from(n.hi) <= u64::from(n.lo) || u64::from(n.hi) >= nn {
-                    return Err(format!(
-                        "inner node {id}: children {}/{} out of order or bounds",
-                        n.lo, n.hi
-                    ));
-                }
-            }
-        }
-        if covered != num_entries as u64 {
-            return Err(format!(
-                "leaves cover {covered} pool entries of {num_entries}"
-            ));
-        }
-        // Preorder tree-ness, checked by one explicit-stack DFS: visiting
-        // left-then-right must enumerate ids in exactly ascending order.
-        // A node with two parents gets visited twice (id ≠ expected), an
-        // unreachable node leaves the count short, and the depth cap
-        // keeps the recursive traversals (height, engine descent) within
-        // sane stack bounds for files no honest build could have written.
-        let mut stack: Vec<(u32, usize)> = vec![(0, 1)];
-        let mut expect = 0u64;
-        while let Some((id, depth)) = stack.pop() {
-            if u64::from(id) != expect {
-                return Err(format!(
-                    "node {id} visited out of preorder (expected {expect})"
-                ));
-            }
-            if depth > Self::MAX_DEPTH {
-                return Err(format!(
-                    "tree deeper than any build can produce (> {})",
-                    Self::MAX_DEPTH
-                ));
-            }
-            expect += 1;
-            let n = &nodes[id as usize];
-            if n.tag != LEAF_TAG {
-                stack.push((n.hi, depth + 1));
-                stack.push((n.lo, depth + 1));
-            }
-        }
-        if expect != nn {
-            return Err(format!(
-                "{} of {nn} nodes unreachable from the root",
-                nn - expect
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Builder scratch node: a leaf holds its entry list as `head`/`tail`
@@ -1288,26 +1191,44 @@ mod tests {
         assemble_forest(&scratch.parts(), builder.segments)
     }
 
-    /// The loader's path for one subtree: structural checks, then
-    /// assembly.
-    fn from_raw(nodes: Vec<NodeRecord>, entries: Vec<SaxEntry>) -> Result<TreeArena, String> {
-        TreeArena::check_raw(&nodes, entries.len())?;
-        let part = RawPart {
-            key: 0,
-            nodes: &nodes,
-            entries: &entries,
-            node_base: 0,
-            pool_base: 0,
-        };
-        Ok(assemble_forest(&[part], 1))
-    }
-
     /// The subtree at `id` copied back out of its arena, ids and offsets
     /// counting from zero.
     fn copy_out(arena: &TreeArena, id: NodeId) -> (Vec<NodeRecord>, Vec<SaxEntry>) {
         let mut scratch = PartScratch::default();
         arena.copy_subtree(0, id, &mut scratch);
         (scratch.nodes, scratch.pool)
+    }
+
+    /// A small built index and the subtree stored for its first
+    /// touched key, copied out as a snapshot stores it.
+    fn stored_subtree() -> (crate::MessiIndex, Vec<NodeRecord>, Vec<SaxEntry>) {
+        let data = messi_series::gen::generate(messi_series::gen::DatasetKind::RandomWalk, 300, 23);
+        let config = crate::IndexConfig::for_tests();
+        let (index, _) = crate::MessiIndex::build(std::sync::Arc::new(data), &config);
+        let key = index.touched_keys()[0];
+        let (arena, root) = index.key_root(key).expect("touched");
+        let mut scratch = PartScratch::default();
+        arena.copy_subtree(key, root, &mut scratch);
+        (index, scratch.nodes, scratch.pool)
+    }
+
+    /// The deserialization path for one subtree's raw records: a
+    /// snapshot of `index` storing them for its first key, loaded. A
+    /// refusal must name that key.
+    fn from_raw(
+        index: &crate::MessiIndex,
+        nodes: Vec<NodeRecord>,
+        entries: Vec<SaxEntry>,
+    ) -> Result<(), String> {
+        match crate::persist::load_with_first_subtree(index, &nodes, &entries) {
+            Ok(_) => Ok(()),
+            Err(crate::persist::PersistError::Corrupt(msg)) => {
+                let key = index.touched_keys()[0];
+                assert!(msg.contains(&format!("root key {key}")), "{msg}");
+                Err(msg)
+            }
+            Err(e) => panic!("expected a Corrupt refusal, got {e:?}"),
+        }
     }
 
     fn series(seed: u32, n: usize) -> Vec<f32> {
@@ -1449,37 +1370,20 @@ mod tests {
 
     #[test]
     fn preorder_invariants_hold_and_from_raw_validates() {
-        let config = SaxConfig::new(4, 32);
-        let mut groups: std::collections::HashMap<usize, Vec<SaxEntry>> = Default::default();
-        for i in 0..300u32 {
-            let e = entry_for(&series(i, 32), i, config);
-            groups.entry(root_key(&e.sax, 4)).or_default().push(e);
-        }
-        let (key, entries) = groups
-            .into_iter()
-            .max_by_key(|(_, v)| v.len())
-            .expect("some group");
-        let mut builder = SubtreeBuilder::new(4, 4);
-        let arena = build_subtree(
-            &mut builder,
-            node_word_for_root_key(key, 4),
-            entries.iter().copied(),
-        );
-        // Round-tripping through from_raw accepts the builder's output…
-        let (nodes, pool) = copy_out(&arena, TreeArena::ROOT);
-        let back = from_raw(nodes.clone(), pool.clone()).expect("valid arena");
-        assert_eq!(back.num_leaves(), arena.num_leaves());
-        // …and rejects structural corruption.
-        assert!(from_raw(Vec::new(), Vec::new()).is_err());
-        if arena.num_nodes() > 1 {
+        let (index, nodes, pool) = stored_subtree();
+        // The loader accepts the builder's own records…
+        from_raw(&index, nodes.clone(), pool.clone()).expect("valid subtree");
+        // …and refuses structural corruption.
+        assert!(from_raw(&index, Vec::new(), Vec::new()).is_err());
+        if nodes.len() > 1 {
             let mut bad = nodes.clone();
             bad[0].lo = 0; // self-referential child breaks preorder
-            assert!(from_raw(bad, pool.clone()).is_err());
+            assert!(from_raw(&index, bad, pool.clone()).is_err());
         }
         let mut bad = nodes;
         if let Some(last_leaf) = bad.iter().rposition(|n| n.tag == LEAF_TAG) {
             bad[last_leaf].hi += 1; // range past the pool
-            assert!(from_raw(bad, pool).is_err());
+            assert!(from_raw(&index, bad, pool).is_err());
         }
     }
 
@@ -1520,9 +1424,16 @@ mod tests {
                     total += n;
                 });
                 assert_eq!(total, arena.num_entries());
-                // The round-tripped arena rebuilds identical columns and runs.
-                let (nodes, pool) = copy_out(&arena, TreeArena::ROOT);
-                assert!(from_raw(nodes, pool).expect("valid arena") == arena);
+                // The copied-out subtree reassembles identical columns and runs.
+                let (nodes, entries) = copy_out(&arena, TreeArena::ROOT);
+                let part = RawPart {
+                    key: 0,
+                    nodes: &nodes,
+                    entries: &entries,
+                    node_base: 0,
+                    pool_base: 0,
+                };
+                assert!(assemble_forest(&[part], 4) == arena);
                 arena.check_derived_layout().expect("derived layout intact");
             }
         }
@@ -1595,10 +1506,11 @@ mod tests {
 
     #[test]
     fn from_raw_rejects_crafted_non_trees() {
+        let (index, _, _) = stored_subtree();
         let w = NodeWord::root();
         let leaf = |lo: u32, hi: u32| NodeRecord {
             word: w,
-            tag: u8::MAX,
+            tag: LEAF_TAG,
             lo,
             hi,
         };
@@ -1617,28 +1529,23 @@ mod tests {
                 n
             ]
         };
-        // Unreachable node: the root only spans ids 1..=2, node 3 never
-        // gets visited, but its pool range keeps the linear partition
-        // consistent — only the DFS walk can catch it.
+        // Unreachable node: the root only spans ids 1..=2, node 3 is
+        // never visited, but its pool range keeps the linear partition
+        // consistent.
         let orphan = vec![inner(1, 2), leaf(0, 3), leaf(3, 6), leaf(6, 9)];
-        let err = from_raw(orphan, entries(9)).unwrap_err();
-        assert!(err.contains("unreachable"), "{err}");
-        // Shared child: two parents point at leaf 3 — the DFS visits it
-        // twice, out of preorder.
+        assert!(from_raw(&index, orphan, entries(9)).is_err());
+        // Shared child: two parents point at leaf 3.
         let shared = vec![inner(1, 3), inner(2, 3), leaf(0, 1), leaf(1, 2)];
-        assert!(from_raw(shared, entries(2)).is_err());
-        // A left spine deeper than any legitimate build must be refused
-        // (honest depth is bounded by total refinable bits), keeping the
-        // recursive traversals within sane stack bounds. The spine is a
-        // structurally flawless preorder tree of 2D+1 nodes — only the
-        // depth cap can reject it.
-        let d = (TreeArena::MAX_DEPTH + 8) as u32;
+        assert!(from_raw(&index, shared, entries(2)).is_err());
+        // A left spine deeper than any build can make (every split
+        // refines one bit of one segment): a structurally flawless
+        // preorder tree of 2D+1 nodes.
+        let d = (MAX_SEGMENTS * messi_sax::CARD_BITS + 9) as u32;
         let mut spine: Vec<NodeRecord> = (0..d).map(|i| inner(i + 1, 2 * d - i)).collect();
         for _ in 0..=d {
             spine.push(leaf(0, 0));
         }
-        let err = from_raw(spine, entries(0)).unwrap_err();
-        assert!(err.contains("deeper"), "{err}");
+        assert!(from_raw(&index, spine, entries(0)).is_err());
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! arrays, so the whole structure — configuration, per-subtree node
 //! records, packed leaf pools, and mindist scales — serializes to one
 //! versioned, checksummed file. A server can then `messi build --save`
-//! once and answer queries from `--load`ed snapshots without ever paying
-//! the build again (the ROADMAP's serve-from-prebuilt-snapshot
-//! scenario).
+//! once and answer queries from `--load`ed snapshots.
 //!
 //! ## Sealed container (little-endian throughout)
 //!
@@ -27,32 +25,32 @@
 //!
 //! The payload carries the [`IndexConfig`], a dataset fingerprint
 //! (shape + content hash — snapshots store tree structure, not raw
-//! series, so the loader verifies it is being paired with the right
-//! data), the mindist scales, and each touched root subtree as its raw
-//! arena: node records then pool entries. Loading re-validates the
-//! preorder arena invariants *and* the full semantic invariants of
-//! [`crate::validate`] (word refinement, containment, root-key filing,
-//! summary correctness against the dataset, position completeness), so
-//! a torn or tampered file — even one with a correctly resealed
-//! checksum — fails with a [`PersistError`] instead of producing a
-//! quietly wrong index. The semantic pass first files every stored
-//! summary by position, then recomputes the summaries in position
-//! order, in chunks claimed by the configured worker count capped at
-//! the machine's cores — one sequential read of the data, like the
-//! build's summarize phase. So a load is a verification-speed streaming
-//! pass over the data — it skips all tree construction, splitting, and
-//! buffer staging, but it is *not* free: callers loading from a trusted
-//! local file at very large scale can measure it against a rebuild with
-//! `messi info --load`.
+//! series), the mindist scales, and each touched root subtree as its raw
+//! arena: node records then pool entries.
+//!
+//! ## Loading is rebuilding
+//!
+//! The buffered build is a function of its data: any worker count and
+//! chunk schedule give the same arenas, so the same payload bytes. A
+//! load therefore decodes nothing past the header. It range-checks the
+//! stored configuration, checks the dataset's shape, rebuilds the index
+//! at that configuration on all cores, encodes it and compares the
+//! result with the stored payload. A snapshot is accepted only if it is
+//! byte for byte the index its dataset determines, so a torn or tampered
+//! file — even one with a correctly resealed checksum — fails with a
+//! [`PersistError`] naming the first section that differs, instead of
+//! producing a quietly wrong index. The cost is a build plus one
+//! encoding, which hashes the dataset for the fingerprint; nothing of
+//! the file beyond its header is ever trusted. A
+//! [`BuildVariant::NoBuffers`] index depends on lock order, so no load
+//! could reproduce it: [`save_index`] refuses one.
 
 use crate::config::{capped_workers, BuildVariant, IndexConfig};
 use crate::index::MessiIndex;
-use crate::node::{NodeRecord, PartScratch, SaxEntry, TreeArena};
-use crate::validate::{check_arena_semantics, PositionTable};
-use messi_sax::word::{NodeWord, SaxWord, CARD_BITS, MAX_SEGMENTS};
+use crate::node::{NodeRecord, PartScratch, SaxEntry};
+use messi_sax::word::{NodeWord, MAX_SEGMENTS};
 use messi_series::io::{write_durable, xxh64, xxh64_f32, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
-use parking_lot::Mutex;
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
@@ -61,19 +59,11 @@ use std::sync::Arc;
 const MAGIC: [u8; 8] = *b"MESSIIDX";
 /// Snapshot format version, the only one this build reads: the payload
 /// is sealed and the dataset fingerprinted with XXH64. The leaf symbol
-/// columns and run metadata are derived state, never serialized: a load
-/// checks each stored subtree (`TreeArena::check_raw`), and the one
-/// arena assembly derives them as a build does.
+/// columns and run metadata are derived state, never serialized; a load
+/// rebuilds them with the rest of the index.
 pub const FORMAT_VERSION: u32 = 3;
 /// Bytes before a sealed container's payload: magic, version, length.
 const SEAL_HEADER: usize = 20;
-
-/// Serialized bytes per node record: word (16×u16 + 16×u8) + tag + lo + hi.
-const NODE_WIRE_BYTES: usize = 2 * MAX_SEGMENTS + MAX_SEGMENTS + 1 + 4 + 4;
-/// Serialized bytes per leaf entry: sax symbols + position.
-const ENTRY_WIRE_BYTES: usize = MAX_SEGMENTS + 4;
-/// Serialized bytes per subtree header: key + node count + entry count.
-const SUBTREE_HEADER_BYTES: usize = 12;
 
 /// Errors from loading (or, for `Io`, saving) an index snapshot.
 #[derive(Debug)]
@@ -128,39 +118,120 @@ impl std::error::Error for PersistError {}
 ///
 /// # Errors
 ///
-/// Any I/O error from creating, writing, or renaming the file.
+/// Any I/O error from creating, writing, or renaming the file; an
+/// [`std::io::ErrorKind::InvalidInput`] error, before anything is
+/// written, for a [`BuildVariant::NoBuffers`] index, which no load
+/// could rebuild.
 pub fn save_index(index: &MessiIndex, path: &Path) -> Result<(), PersistError> {
-    let payload = encode_payload(index);
+    if index.config().variant == BuildVariant::NoBuffers {
+        return Err(PersistError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "a NoBuffers index is not saved: its leaves follow lock order, so no load can \
+             rebuild it",
+        )));
+    }
+    let (payload, _) = encode_payload(index);
     write_durable(path, |w| seal(w, &MAGIC, FORMAT_VERSION, &payload))?;
     Ok(())
 }
 
 /// Loads a snapshot previously written by [`save_index`], pairing it
-/// with `dataset` (snapshots store tree structure, not raw series).
+/// with `dataset` (snapshots store tree structure, not raw series): the
+/// index is rebuilt from `dataset` at the stored configuration and
+/// accepted only if it encodes to exactly the stored payload.
 ///
 /// # Errors
 ///
 /// [`PersistError::Io`] for filesystem problems; [`PersistError::
 /// BadMagic`] / [`PersistError::Version`] for foreign, older or future
 /// files; [`PersistError::Corrupt`] for truncation, checksum mismatches,
-/// or invalid content; [`PersistError::DatasetMismatch`] when `dataset`
+/// an out-of-range configuration, or content that is not the index the
+/// dataset determines; [`PersistError::DatasetMismatch`] when `dataset`
 /// is not the collection the snapshot was built over.
 pub fn load_index(path: &Path, dataset: Arc<Dataset>) -> Result<MessiIndex, PersistError> {
     let bytes = std::fs::read(path)?;
-    let payload = unseal(&bytes, &MAGIC, FORMAT_VERSION)?;
-    let index = decode_payload(payload, dataset)?;
-    // Semantic validation: the structural checks above cannot notice a
-    // resealed forgery that tampers with iSAX words or positions while
-    // keeping the arenas well-formed — wrong summaries would corrupt
-    // pruning bounds and make "exact" answers quietly wrong. The
-    // invariant sweep (refinement, containment, key filing, each
-    // position exactly once, then recomputed summaries in position
-    // order) closes that hole; it runs across the configured worker
-    // count capped at the cores, so its cost tracks the build's parallel
-    // summarize phase, not a serial re-derivation.
-    validate_loaded(&index)
-        .map_err(|e| PersistError::Corrupt(format!("index invariants violated: {e}")))?;
+    let stored = unseal(&bytes, &MAGIC, FORMAT_VERSION)?;
+    let config = read_header(stored, &dataset)?;
+    let build = load_build_config(&config);
+    let (mut index, _) = crate::build::build_index(dataset, &build);
+    // The header is compared as stored: neither replaced field changes
+    // the index.
+    index.config = config;
+    let (built, sections) = encode_payload(&index);
+    if built != stored {
+        return Err(first_difference(&built, &sections, stored));
+    }
     Ok(index)
+}
+
+/// The configuration a load builds with: `stored` with its worker count
+/// capped at the machine's cores and the default initial buffer
+/// reservation, which every touched part of every worker makes. Neither
+/// changes the index, and a file must never size a thread count or an
+/// allocation.
+fn load_build_config(stored: &IndexConfig) -> IndexConfig {
+    IndexConfig {
+        num_workers: capped_workers(stored.num_workers),
+        initial_buffer_capacity: IndexConfig::default().initial_buffer_capacity,
+        ..stored.clone()
+    }
+}
+
+/// The stored configuration, range-checked so that no value can make
+/// [`IndexConfig::validate`] or the build panic, and the stored dataset
+/// shape, checked against `dataset`.
+fn read_header(payload: &[u8], dataset: &Dataset) -> Result<IndexConfig, PersistError> {
+    let corrupt = |what: &str| PersistError::Corrupt(what.into());
+    let mut r = PayloadReader::new(payload);
+    let segments = r.take_u32().map_err(corrupt)? as usize;
+    let num_workers = r.take_u32().map_err(corrupt)? as usize;
+    let chunk_size = r.take_u64().map_err(corrupt)? as usize;
+    let leaf_capacity = r.take_u64().map_err(corrupt)? as usize;
+    let initial_buffer_capacity = r.take_u64().map_err(corrupt)? as usize;
+    let variant = match r.take_u8().map_err(corrupt)? {
+        0 => BuildVariant::Buffered,
+        1 => return Err(corrupt("a NoBuffers build cannot be rebuilt")),
+        other => {
+            return Err(PersistError::Corrupt(format!(
+                "unknown build variant {other}"
+            )))
+        }
+    };
+    if segments == 0
+        || segments > MAX_SEGMENTS
+        || num_workers == 0
+        || chunk_size == 0
+        || leaf_capacity == 0
+    {
+        return Err(corrupt("configuration out of range"));
+    }
+    let series_len = r.take_u32().map_err(corrupt)? as usize;
+    let num_series = r.take_u64().map_err(corrupt)? as usize;
+    r.take_u64().map_err(corrupt)?; // the fingerprint, compared with the rebuild's
+    if series_len != dataset.series_len() || num_series != dataset.len() {
+        return Err(PersistError::DatasetMismatch(format!(
+            "snapshot indexes {num_series} series × {series_len} points, \
+             dataset holds {} × {}",
+            dataset.len(),
+            dataset.series_len()
+        )));
+    }
+    if segments > series_len {
+        return Err(corrupt("more segments than points"));
+    }
+    if num_series == 0 || num_series > u32::MAX as usize {
+        return Err(PersistError::Corrupt(format!(
+            "no snapshot indexes {num_series} series"
+        )));
+    }
+    Ok(IndexConfig {
+        segments,
+        num_workers,
+        chunk_size,
+        leaf_capacity,
+        initial_buffer_capacity,
+        variant,
+    })
 }
 
 /// Writes `payload` as a sealed container: `magic | version u32 | len
@@ -218,61 +289,53 @@ pub(crate) fn unseal<'a>(
     Ok(payload)
 }
 
-/// Load-time semantic validation — the parallel counterpart of
-/// [`crate::validate::validate`] for the snapshot trust boundary, built
-/// on the *same* per-arena checker
-/// ([`crate::validate::check_arena_semantics`]) and position-order
-/// summary pass ([`PositionTable::check_summaries`]), so an invariant
-/// added there automatically guards loaded snapshots. Arenas are
-/// independent, so workers claim them via Fetch&Inc and file every
-/// stored summary by position (the `record` hook rejects a duplicate
-/// position on the spot). Once every position is known to be filed
-/// exactly once, the summaries are recomputed in position order. Both
-/// sweeps run on the snapshot's stored worker count capped at the
-/// machine's cores. Derived run metadata (invariant 8) is not
-/// re-derived: these arenas were just derived from the checked records.
-fn validate_loaded(index: &MessiIndex) -> Result<(), String> {
-    let arenas = index.arenas();
-    let table = PositionTable::new(index.num_series());
-    let first_error: Mutex<Option<String>> = Mutex::new(None);
-    let dispenser = messi_sync::Dispenser::new(arenas.len());
-    let workers = capped_workers(index.config().num_workers);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(arenas.len().max(1)) {
-            let table = &table;
-            let first_error = &first_error;
-            let dispenser = &dispenser;
-            s.spawn(move || {
-                while let Some(i) = dispenser.next() {
-                    if first_error.lock().is_some() {
-                        return; // someone already failed: stop early
-                    }
-                    let mut record = |pos: usize, sax: &SaxWord| match table.file(pos, sax) {
-                        Some(0) => Ok(()),
-                        Some(_) => Err(format!("position {pos} appears in more than one leaf")),
-                        None => Err(format!("position {pos} out of range")),
-                    };
-                    if let Err(e) = check_arena_semantics(index, &arenas[i], i, &mut record) {
-                        let mut slot = first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    if let Some(pos) = (0..index.num_series()).find(|&pos| table.count(pos) == 0) {
-        return Err(format!("position {pos} missing from every leaf"));
-    }
-    table.check_summaries(index, workers)
+/// A stretch of the payload, as a difference names it.
+#[derive(Debug, Clone, Copy)]
+enum Section {
+    Config,
+    Fingerprint,
+    Scales,
+    SubtreeCount,
+    Key(usize),
 }
 
-fn encode_payload(index: &MessiIndex) -> Vec<u8> {
+impl std::fmt::Display for Section {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Section::Config => write!(f, "config"),
+            Section::Fingerprint => write!(f, "fingerprint"),
+            Section::Scales => write!(f, "scales"),
+            Section::SubtreeCount => write!(f, "subtree count"),
+            Section::Key(key) => write!(f, "root key {key}"),
+        }
+    }
+}
+
+/// Why `stored` is not `built`, the payload its dataset determines,
+/// whose sections end where `sections` says: a fingerprint that differs
+/// is a [`PersistError::DatasetMismatch`]; otherwise the first section
+/// that differs (or runs past the stored bytes) is named as
+/// [`PersistError::Corrupt`].
+fn first_difference(built: &[u8], sections: &[(Section, usize)], stored: &[u8]) -> PersistError {
+    // The payload opens with the config, then the fingerprint.
+    let fingerprint = sections[0].1..sections[1].1;
+    if built.get(fingerprint.clone()) != stored.get(fingerprint) {
+        return PersistError::DatasetMismatch(
+            "dataset content hash differs — same shape, different values".into(),
+        );
+    }
+    let mut start = 0;
+    for &(section, end) in sections {
+        if stored.get(start..end) != Some(&built[start..end]) {
+            return PersistError::Corrupt(format!("{section} differs from the rebuilt index"));
+        }
+        start = end;
+    }
+    PersistError::Corrupt("trailing bytes after the last subtree".into())
+}
+
+/// The payload of `index` and the end offset of each of its sections.
+fn encode_payload(index: &MessiIndex) -> (Vec<u8>, Vec<(Section, usize)>) {
     let mut w = PayloadWriter::new();
     let config = index.config();
     w.put_u32(config.segments as u32);
@@ -288,194 +351,50 @@ fn encode_payload(index: &MessiIndex) -> Vec<u8> {
     let dataset = index.dataset();
     w.put_u32(dataset.series_len() as u32);
     w.put_u64(dataset.len() as u64);
+    let mut sections = vec![(Section::Config, w.len())];
     w.put_u64(xxh64_f32(dataset.as_flat()));
+    sections.push((Section::Fingerprint, w.len()));
 
     w.put_u32(index.scales().len() as u32);
     for &s in index.scales() {
         w.put_f32(s);
     }
+    sections.push((Section::Scales, w.len()));
 
     w.put_u32(index.touched_keys().len() as u32);
+    sections.push((Section::SubtreeCount, w.len()));
     let mut scratch = PartScratch::default();
     for &key in index.touched_keys() {
         // Copy the per-key subtree back out of its (possibly shared)
         // forest arena, at standalone ids/offsets and with its summaries
         // gathered from the columns — the exact bytes a solo per-key
         // arena would have written, so the format is unchanged by forest
-        // grouping and old snapshots stay readable (and re-writable) bit
-        // for bit.
+        // grouping.
         let (arena, root) = index.key_root(key).expect("touched ⇒ present");
         scratch.clear();
         arena.copy_subtree(key, root, &mut scratch);
-        w.put_u32(key as u32);
-        w.put_u32(scratch.nodes.len() as u32);
-        w.put_u32(scratch.pool.len() as u32);
-        for rec in &scratch.nodes {
-            put_node_word(&mut w, &rec.word);
-            w.put_u8(rec.tag);
-            w.put_u32(rec.lo);
-            w.put_u32(rec.hi);
-        }
-        for e in &scratch.pool {
-            w.put_bytes(e.sax.symbols());
-            w.put_u32(e.pos);
-        }
+        put_subtree(&mut w, key, &scratch.nodes, &scratch.pool);
+        sections.push((Section::Key(key), w.len()));
     }
-    w.into_bytes()
+    (w.into_bytes(), sections)
 }
 
-fn decode_payload(payload: &[u8], dataset: Arc<Dataset>) -> Result<MessiIndex, PersistError> {
-    let corrupt = |what: &str| PersistError::Corrupt(what.into());
-    let mut r = PayloadReader::new(payload);
-
-    let segments = r.take_u32().map_err(corrupt)? as usize;
-    let num_workers = r.take_u32().map_err(corrupt)? as usize;
-    let chunk_size = r.take_u64().map_err(corrupt)? as usize;
-    let leaf_capacity = r.take_u64().map_err(corrupt)? as usize;
-    let initial_buffer_capacity = r.take_u64().map_err(corrupt)? as usize;
-    let variant = match r.take_u8().map_err(corrupt)? {
-        0 => BuildVariant::Buffered,
-        1 => BuildVariant::NoBuffers,
-        other => {
-            return Err(PersistError::Corrupt(format!(
-                "unknown build variant {other}"
-            )))
-        }
-    };
-    if segments == 0
-        || segments > MAX_SEGMENTS
-        || num_workers == 0
-        || chunk_size == 0
-        || leaf_capacity == 0
-    {
-        return Err(corrupt("configuration out of range"));
+/// One stored subtree: its key, its counts, its node records, then its
+/// pool entries.
+fn put_subtree(w: &mut PayloadWriter, key: usize, nodes: &[NodeRecord], pool: &[SaxEntry]) {
+    w.put_u32(key as u32);
+    w.put_u32(nodes.len() as u32);
+    w.put_u32(pool.len() as u32);
+    for rec in nodes {
+        put_node_word(w, &rec.word);
+        w.put_u8(rec.tag);
+        w.put_u32(rec.lo);
+        w.put_u32(rec.hi);
     }
-    let config = IndexConfig {
-        segments,
-        num_workers,
-        chunk_size,
-        leaf_capacity,
-        initial_buffer_capacity,
-        variant,
-    };
-
-    let series_len = r.take_u32().map_err(corrupt)? as usize;
-    let num_series = r.take_u64().map_err(corrupt)? as usize;
-    let data_hash = r.take_u64().map_err(corrupt)?;
-    if series_len != dataset.series_len() || num_series != dataset.len() {
-        return Err(PersistError::DatasetMismatch(format!(
-            "snapshot indexes {num_series} series × {series_len} points, \
-             dataset holds {} × {}",
-            dataset.len(),
-            dataset.series_len()
-        )));
+    for e in pool {
+        w.put_bytes(e.sax.symbols());
+        w.put_u32(e.pos);
     }
-    if data_hash != xxh64_f32(dataset.as_flat()) {
-        return Err(PersistError::DatasetMismatch(
-            "dataset content hash differs — same shape, different values".into(),
-        ));
-    }
-    if segments > series_len {
-        return Err(corrupt("more segments than points"));
-    }
-
-    let num_scales = r.take_u32().map_err(corrupt)? as usize;
-    if num_scales != segments {
-        return Err(corrupt("scale count disagrees with segments"));
-    }
-    let mut scales = Vec::with_capacity(num_scales);
-    for _ in 0..num_scales {
-        scales.push(r.take_f32().map_err(corrupt)?);
-    }
-
-    let num_subtrees = r.take_u32().map_err(corrupt)? as usize;
-    let num_keys = 1usize << segments;
-    // Every count below is untrusted: it must fit in the bytes actually
-    // left in the payload, so a tiny crafted file that lies about its
-    // sizes fails here, with a catchable error, before any loop or
-    // allocation is sized by it.
-    if num_subtrees > r.remaining() / SUBTREE_HEADER_BYTES {
-        return Err(corrupt("subtree count exceeds payload size"));
-    }
-    // Every subtree decodes into one node/entry scratch, ids and offsets
-    // counting from its own start, as stored.
-    let mut scratch = PartScratch::default();
-    for _ in 0..num_subtrees {
-        let key = r.take_u32().map_err(corrupt)? as usize;
-        if key >= num_keys {
-            return Err(PersistError::Corrupt(format!(
-                "root key {key} out of range"
-            )));
-        }
-        let num_nodes = r.take_u32().map_err(corrupt)? as usize;
-        let num_entries = r.take_u32().map_err(corrupt)? as usize;
-        if num_nodes > r.remaining() / NODE_WIRE_BYTES
-            || num_entries > r.remaining() / ENTRY_WIRE_BYTES
-        {
-            return Err(corrupt("subtree counts exceed payload size"));
-        }
-        scratch.open(key);
-        let (nodes, pool) = (&mut scratch.nodes, &mut scratch.pool);
-        let node_start = nodes.len();
-        for _ in 0..num_nodes {
-            let word = take_node_word(&mut r).map_err(PersistError::Corrupt)?;
-            let tag = r.take_u8().map_err(corrupt)?;
-            let lo = r.take_u32().map_err(corrupt)?;
-            let hi = r.take_u32().map_err(corrupt)?;
-            nodes.push(NodeRecord { word, tag, lo, hi });
-        }
-        for _ in 0..num_entries {
-            let symbols = r.take_bytes(MAX_SEGMENTS).map_err(corrupt)?;
-            let pos = r.take_u32().map_err(corrupt)?;
-            if pos as usize >= num_series {
-                return Err(PersistError::Corrupt(format!(
-                    "entry position {pos} out of range (< {num_series})"
-                )));
-            }
-            pool.push(SaxEntry {
-                sax: SaxWord::new(symbols),
-                pos,
-            });
-        }
-        TreeArena::check_raw(&nodes[node_start..], num_entries).map_err(PersistError::Corrupt)?;
-    }
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after the last subtree"));
-    }
-    let total_entries = scratch.pool.len();
-    if total_entries != num_series {
-        return Err(PersistError::Corrupt(format!(
-            "subtrees store {total_entries} entries for {num_series} series"
-        )));
-    }
-    let mut parts = scratch.parts();
-    for part in &mut parts {
-        (part.node_base, part.pool_base) = (0, 0); // stored ids are local
-    }
-    // Forest grouping needs ascending keys; a file may list them in any
-    // order, but not twice.
-    parts.sort_unstable_by_key(|p| p.key);
-    if parts.windows(2).any(|w| w[0].key == w[1].key) {
-        return Err(corrupt("duplicate root key"));
-    }
-
-    let index = MessiIndex::from_raw_parts(dataset, config, &parts);
-    // The scales are derivable state: the constructor already rederived
-    // them from the sax config. The persisted copy exists so a snapshot
-    // is self-describing — but it must never *override* the derivation
-    // (a crafted file could inflate them and make mindist prune the true
-    // nearest neighbor). Require bit-equality instead.
-    if index
-        .scales()
-        .iter()
-        .zip(&scales)
-        .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        return Err(corrupt(
-            "persisted mindist scales disagree with the configuration",
-        ));
-    }
-    Ok(index)
 }
 
 fn put_node_word(w: &mut PayloadWriter, word: &NodeWord) {
@@ -487,29 +406,35 @@ fn put_node_word(w: &mut PayloadWriter, word: &NodeWord) {
     }
 }
 
-fn take_node_word(r: &mut PayloadReader<'_>) -> Result<NodeWord, String> {
-    let mut symbols = [0u16; MAX_SEGMENTS];
-    for s in &mut symbols {
-        *s = r.take_u16().map_err(String::from)?;
-    }
-    let mut bits = [0u8; MAX_SEGMENTS];
-    for b in &mut bits {
-        *b = r.take_u8().map_err(String::from)?;
-    }
-    // Validate before constructing: NodeWord::new asserts, and a crafted
-    // file must not be able to panic the loader.
-    for i in 0..MAX_SEGMENTS {
-        if bits[i] as usize > CARD_BITS {
-            return Err(format!("segment {i}: {} cardinality bits", bits[i]));
-        }
-        if (u32::from(symbols[i]) >> bits[i]) != 0 {
-            return Err(format!(
-                "segment {i}: prefix {} does not fit {} bits",
-                symbols[i], bits[i]
-            ));
-        }
-    }
-    Ok(NodeWord::new(&symbols, &bits))
+/// What [`load_index`] makes of the snapshot of `index` with the
+/// subtree stored for its first touched key replaced by `nodes` over
+/// `pool` (ids and pool offsets counting from zero), the file otherwise
+/// intact and correctly sealed: how tests hand the loader raw records.
+#[cfg(test)]
+pub(crate) fn load_with_first_subtree(
+    index: &MessiIndex,
+    nodes: &[NodeRecord],
+    pool: &[SaxEntry],
+) -> Result<MessiIndex, PersistError> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let (payload, sections) = encode_payload(index);
+    // Config, fingerprint, scales, subtree count, then the first key.
+    let (start, end) = (sections[3].1, sections[4].1);
+    let mut w = PayloadWriter::new();
+    put_subtree(&mut w, index.touched_keys()[0], nodes, pool);
+    let forged = [&payload[..start], &w.into_bytes(), &payload[end..]].concat();
+    let mut bytes = Vec::new();
+    seal(&mut bytes, &MAGIC, FORMAT_VERSION, &forged)?;
+    let path = std::env::temp_dir().join(format!(
+        "messi-subtree-test-{}-{}.msx",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, &bytes)?;
+    let loaded = load_index(&path, Arc::clone(index.dataset()));
+    std::fs::remove_file(&path).ok();
+    loaded
 }
 
 #[cfg(test)]
@@ -567,6 +492,7 @@ mod tests {
             Err(PersistError::BadMagic) => {}
             other => panic!("expected BadMagic, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
         // Valid file with a bumped version byte.
         let (data, index) = build_small();
         let path = tmp("version.msx");
@@ -717,6 +643,31 @@ mod tests {
         out
     }
 
+    /// Serialized bytes per node record: word (16×u16 + 16×u8) + tag + lo + hi.
+    const NODE_WIRE_BYTES: usize = 2 * MAX_SEGMENTS + MAX_SEGMENTS + 1 + 4 + 4;
+    /// Serialized bytes per subtree header: key + node count + entry count.
+    const SUBTREE_HEADER_BYTES: usize = 12;
+
+    /// `payload` in a sealed snapshot container.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        seal(&mut out, &MAGIC, FORMAT_VERSION, payload).unwrap();
+        out
+    }
+
+    /// What `load_index` makes of the file `bytes`.
+    fn load_bytes(
+        bytes: &[u8],
+        data: &Arc<Dataset>,
+        name: &str,
+    ) -> Result<MessiIndex, PersistError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let loaded = load_index(&path, Arc::clone(data));
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
     #[test]
     fn checksum_valid_forgeries_still_fail_loudly() {
         let (data, index) = build_small();
@@ -727,6 +678,8 @@ mod tests {
         // config 33 B, dataset fingerprint 20 B, scales 4 + 8×4 B.
         let scales_at = 33 + 20 + 4;
         let num_subtrees_at = 33 + 20 + 4 + 8 * 4;
+        let first_key = index.touched_keys()[0];
+        let first_subtree = format!("root key {first_key}");
 
         // Inflated mindist scales prune the true nearest neighbor — the
         // loader must reject them even though the checksum matches.
@@ -743,25 +696,25 @@ mod tests {
         std::fs::write(&path, &forged).unwrap();
         match load_index(&path, Arc::clone(&data)) {
             Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("exceeds payload"), "{msg}")
+                assert!(msg.contains("subtree count"), "{msg}")
             }
             other => panic!("expected count rejection, got {other:?}"),
         }
 
         // An orphaned-subtree forgery: point the first subtree's node
-        // count slightly high while keeping the checksum sealed — the
-        // structural validation must refuse it (exact error varies).
+        // count slightly high while keeping the checksum sealed.
         let first_nodes_at = num_subtrees_at + 4 + 4;
         let forged = reseal(&original, first_nodes_at, &3u32.to_le_bytes());
         std::fs::write(&path, &forged).unwrap();
-        assert!(load_index(&path, Arc::clone(&data)).is_err());
+        match load_index(&path, Arc::clone(&data)) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains(&first_subtree), "{msg}"),
+            other => panic!("expected node count rejection, got {other:?}"),
+        }
 
         // A structurally flawless forgery: tamper one leaf entry's iSAX
         // summary (the arenas stay well-formed, the checksum is
-        // resealed). Only the semantic validation pass — recomputed
-        // summaries / containment — can catch this; without it the
-        // forged summary corrupts pruning bounds and exact answers.
-        let first_key = index.touched_keys()[0];
+        // resealed). Without a check against the data the forged summary
+        // corrupts pruning bounds and exact answers.
         // The snapshot stores per-key subtrees (copied back out of any
         // forest grouping), so the first subtree's node count is its
         // extent — not the arena's total.
@@ -776,12 +729,107 @@ mod tests {
         let forged = reseal(&original, first_entry_sax_at, &forged_sax);
         std::fs::write(&path, &forged).unwrap();
         match load_index(&path, Arc::clone(&data)) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("invariants violated"), "{msg}")
-            }
-            other => panic!("expected semantic rejection, got {other:?}"),
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains(&first_subtree), "{msg}"),
+            other => panic!("expected summary rejection, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_load_build_config_never_sizes_threads_or_buffers_from_the_file() {
+        let cores = crate::config::available_cores();
+        for stored_value in [u32::MAX as usize, usize::MAX, 0, 1] {
+            let stored = IndexConfig {
+                num_workers: stored_value,
+                initial_buffer_capacity: stored_value,
+                ..IndexConfig::for_tests()
+            };
+            let built = load_build_config(&stored);
+            assert!((1..=cores).contains(&built.num_workers), "{stored_value}");
+            assert_eq!(built.initial_buffer_capacity, 5, "{stored_value}");
+            assert_eq!(
+                IndexConfig {
+                    num_workers: stored_value,
+                    initial_buffer_capacity: stored_value,
+                    ..built
+                },
+                stored,
+                "only the two bounded fields move"
+            );
+        }
+    }
+
+    #[test]
+    fn header_sweep_loads_an_error_or_a_valid_index() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 64, 37));
+        let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
+        let (payload, _) = encode_payload(&index);
+        // (name, payload offset, width in bytes) of every header field.
+        let fields = [
+            ("segments", 0, 4),
+            ("num_workers", 4, 4),
+            ("chunk_size", 8, 8),
+            ("leaf_capacity", 16, 8),
+            ("initial_buffer_capacity", 24, 8),
+            ("variant", 32, 1),
+            ("series_len", 33, 4),
+            ("num_series", 37, 8),
+            ("fingerprint", 45, 8),
+            ("scale count", 53, 4),
+        ];
+        for (name, at, width) in fields {
+            let mut le = [0u8; 8];
+            le[..width].copy_from_slice(&payload[at..at + width]);
+            let n = u64::from_le_bytes(le);
+            let mut values = vec![
+                0,
+                1,
+                n.wrapping_sub(1),
+                n.wrapping_add(1),
+                u64::from(u32::MAX),
+            ];
+            if width == 8 {
+                values.push(u64::MAX);
+            }
+            for v in values {
+                let mut forged = payload.clone();
+                forged[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                let loaded = load_bytes(&sealed(&forged), &data, "sweep-header.msx");
+                if let Ok(index) = loaded {
+                    let errors = crate::validate::validate(&index);
+                    assert!(errors.is_empty(), "{name} = {v}: {errors:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_no_buffers_index_is_neither_saved_nor_loaded() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 23));
+        let racy = IndexConfig {
+            variant: BuildVariant::NoBuffers,
+            ..IndexConfig::for_tests()
+        };
+        let (index, _) = MessiIndex::build(Arc::clone(&data), &racy);
+        let path = tmp("nobuffers.msx");
+        std::fs::remove_file(&path).ok();
+        match save_index(&index, &path) {
+            Err(PersistError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                assert!(e.to_string().contains("NoBuffers"), "{e}");
+            }
+            other => panic!("expected an InvalidInput refusal, got {other:?}"),
+        }
+        assert!(!path.exists(), "a refused save leaves no file");
+
+        // A buffered snapshot with the variant byte forged to NoBuffers.
+        let (data, index) = build_small();
+        let (mut payload, _) = encode_payload(&index);
+        payload[32] = 1;
+        match load_bytes(&sealed(&payload), &data, "forged-variant.msx") {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("NoBuffers"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

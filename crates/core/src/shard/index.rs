@@ -347,7 +347,7 @@ impl ShardedIndex {
         if leaves == 0 {
             return 0.0;
         }
-        self.num_entries() as f64 / (leaves * self.shard(0).config().leaf_capacity) as f64
+        self.num_entries() as f64 / (leaves as f64 * self.shard(0).config().leaf_capacity as f64)
     }
 
     /// Creates a pooled [`super::ShardedExecutor`] over this index —

@@ -131,10 +131,16 @@ pub fn load_sharded(dir: &Path, dataset: Arc<Dataset>) -> Result<ShardedIndex, P
             scope.spawn(move || {
                 while let Some(i) = dispenser.next() {
                     let (offset, len) = shards[i];
-                    let sub = shard_dataset(dataset, offset as usize, (offset + len) as usize);
                     let path = dir.join(shard_file_name(i));
-                    let loaded = load_index(&path, sub).map_err(|e| annotate(&path, e));
-                    *slots[i].lock() = Some(loaded);
+                    let loaded = match offset.checked_add(len) {
+                        Some(end) => {
+                            load_index(&path, shard_dataset(dataset, offset as usize, end as usize))
+                        }
+                        None => Err(PersistError::Corrupt(
+                            "shard ends past u64 positions".into(),
+                        )),
+                    };
+                    *slots[i].lock() = Some(loaded.map_err(|e| annotate(&path, e)));
                 }
             });
         }
@@ -198,7 +204,9 @@ fn read_manifest(path: &Path) -> Result<Manifest, PersistError> {
         if len == 0 {
             return Err(corrupt(&format!("shard {i} is empty")));
         }
-        expected_offset += len;
+        expected_offset = expected_offset
+            .checked_add(len)
+            .ok_or_else(|| corrupt(&format!("shard {i} ends past u64 positions")))?;
         shards.push((offset, len));
     }
     if expected_offset != total_series {
@@ -360,6 +368,32 @@ mod tests {
         std::fs::write(&path, &forged).expect("rewrite manifest");
         match load_sharded(&dir, Arc::clone(&data)) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("shard count"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resealed_manifest_whose_shard_lengths_wrap_is_corrupt() {
+        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 10, 19));
+        let (built, _) = ShardedIndex::build(Arc::clone(&data), 2, &IndexConfig::for_tests());
+        let dir = tmp_dir("wrapping");
+        save_sharded(&built, &dir).expect("save");
+        let path = dir.join(MANIFEST_NAME);
+        let bytes = std::fs::read(&path).expect("read manifest");
+        let mut payload = unseal(&bytes, &MANIFEST_MAGIC, MANIFEST_VERSION)
+            .expect("valid manifest")
+            .to_vec();
+        // Partition [(0, u64::MAX), (u64::MAX, 11)]: the lengths sum to
+        // the 10 series only when the sum wraps.
+        for (at, v) in [(24, u64::MAX), (32, u64::MAX), (40, 11)] {
+            payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        let mut forged = Vec::new();
+        seal(&mut forged, &MANIFEST_MAGIC, MANIFEST_VERSION, &payload).expect("reseal");
+        std::fs::write(&path, &forged).expect("rewrite manifest");
+        match load_sharded(&dir, Arc::clone(&data)) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("past u64"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);

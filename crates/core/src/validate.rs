@@ -1,21 +1,18 @@
 //! Index invariant validation.
 //!
-//! Used by the test suite (including the cross-crate property tests) to
-//! assert that a built index is structurally sound, and by the snapshot
-//! loader ([`crate::persist`]) as its semantic trust boundary — both
-//! call the same per-arena checker and the same position-order summary
-//! pass, so an invariant added there automatically guards loaded
-//! snapshots too. Every invariant is one the search algorithms silently
-//! rely on; a violation would make "exact" answers wrong rather than
-//! slow.
+//! The library's checker: the test suite (including the cross-crate
+//! property tests) uses it to assert that a built, absorbed or loaded
+//! index is structurally sound. The snapshot loader ([`crate::persist`])
+//! does not need it: it accepts a file only if it is byte for byte the
+//! index a build over the data gives. Every invariant is one the search
+//! algorithms silently rely on; a violation would make "exact" answers
+//! wrong rather than slow.
 
 use crate::index::{MessiIndex, EMPTY_SLOT};
 use crate::node::{NodeId, TreeArena};
 use messi_sax::convert::SaxConverter;
 use messi_sax::root_key::{node_word_for_root_key, root_key};
-use messi_sax::word::{SaxWord, MAX_SEGMENTS};
-use messi_sync::Dispenser;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use messi_sax::word::SaxWord;
 
 /// Checks all structural invariants of `index`.
 ///
@@ -27,8 +24,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 ///    leaf.
 /// 2. **Summary correctness**: each stored iSAX summary equals the
 ///    recomputed summary of its raw series. Checked in position order,
-///    one chunked pass over the dataset, once the leaves have filed
-///    their summaries by position; the lowest mismatching position is
+///    one pass over the dataset, once the leaves have filed their
+///    summaries by position; the lowest mismatching position is
 ///    reported.
 /// 3. **Containment**: every leaf entry's summary is contained in the
 ///    leaf's node word, and files under the root key of its subtree.
@@ -45,9 +42,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 /// 8. **Run metadata**: every arena's derived leaf-run metadata (leaf
 ///    starts, ordinals, run spans, run ids) equals a from-scratch
 ///    recomputation — what the queue coalescing relies on being
-///    deterministic. Checked here only: the snapshot loader's arenas
-///    were just derived from the records it checks, by the same
-///    function, and derived layouts are never read from disk.
+///    deterministic. Derived layouts are never read from disk: a
+///    snapshot load rebuilds them with the rest of the index.
 /// 9. **Forest spine**: in a grouped arena, every synthetic node splits
 ///    an unrefined segment, its children's words extend its own, and
 ///    each walk bottoms out at a per-key root whose word refines exactly
@@ -56,13 +52,13 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 ///    snapshot writer is well defined.
 /// 10. **Grouping determinism**: the arena membership equals the greedy
 ///     regrouping of the touched keys' per-key entry counts — what lets
-///     the loader (and any rebuild) reproduce the same forests.
+///     any rebuild reproduce the same forests.
 ///
 /// A stored summary lives only in its run's columns
 /// ([`crate::node::LeafRef::sax`]), so invariant 2 covers every byte.
 pub fn validate(index: &MessiIndex) -> Vec<String> {
     let mut errors = Vec::new();
-    let table = PositionTable::new(index.num_series());
+    let mut table = PositionTable::new(index.num_series());
 
     // Bookkeeping (6).
     for (key, &slot) in index.slots.iter().enumerate() {
@@ -81,15 +77,11 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         }
     }
 
-    // Per-arena semantics (3, 4, 5, 7, 9), shared with the snapshot
-    // loader, then run metadata (8). Every entry files its summary by
-    // position for the completeness and summary checks below.
+    // Per-arena semantics (3, 4, 5, 7, 9), then run metadata (8). Every
+    // entry files its summary by position for the completeness and
+    // summary checks below.
     for (arena_idx, arena) in index.arenas.iter().enumerate() {
-        let mut record = |pos: usize, sax: &SaxWord| match table.file(pos, sax) {
-            Some(_) => Ok(()),
-            None => Err(format!("arena {arena_idx}: position {pos} out of range")),
-        };
-        if let Err(e) = check_arena_semantics(index, arena, arena_idx, &mut record) {
+        if let Err(e) = check_arena_semantics(index, arena, arena_idx, &mut table) {
             errors.push(e);
         }
         if let Err(e) = arena.check_derived_layout() {
@@ -109,8 +101,8 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
         }
     }
 
-    // Summary correctness (2), sequentially.
-    if let Err(e) = table.check_summaries(index, 1) {
+    // Summary correctness (2).
+    if let Err(e) = table.check_summaries(index) {
         errors.push(e);
     }
 
@@ -150,109 +142,61 @@ pub fn validate(index: &MessiIndex) -> Vec<String> {
     errors
 }
 
-/// `u64` words per filed summary.
-const WORDS: usize = MAX_SEGMENTS / 8;
-
 /// Every stored summary filed by dataset position: what the arena
-/// sweep's `record` hook fills, so that completeness (invariant 1) and
-/// summary correctness (invariant 2) are checked afterwards in position
-/// order — one sequential read of the collection, as the build's
-/// summarize phase reads it, instead of one random series fetch per
-/// leaf entry. Shared by [`validate`] and the snapshot loader.
-///
-/// Every access is `Relaxed`: the arena sweep files and the summary pass
-/// reads in separate `thread::scope`s, whose join orders every store
-/// before every load.
-pub(crate) struct PositionTable {
+/// sweep fills, so that completeness (invariant 1) and summary
+/// correctness (invariant 2) are checked afterwards in position order —
+/// one sequential read of the collection, as the build's summarize phase
+/// reads it, instead of one random series fetch per leaf entry.
+struct PositionTable {
     /// Leaf entries that named each position.
-    counts: Vec<AtomicU32>,
-    /// The summary the first entry naming a position stores, as
-    /// [`WORDS`] little-endian words from `WORDS * pos` on.
-    words: Vec<AtomicU64>,
+    counts: Vec<u32>,
+    /// The summary the first entry naming each position stores.
+    words: Vec<SaxWord>,
 }
 
 impl PositionTable {
     /// An empty table over positions `0 .. num_series`.
-    pub(crate) fn new(num_series: usize) -> Self {
+    fn new(num_series: usize) -> Self {
         Self {
-            counts: (0..num_series).map(|_| AtomicU32::new(0)).collect(),
-            words: (0..WORDS * num_series).map(|_| AtomicU64::new(0)).collect(),
+            counts: vec![0; num_series],
+            words: vec![SaxWord::zeroed(); num_series],
         }
     }
 
-    /// Files `sax` as the summary stored for `pos` and returns how many
-    /// entries named `pos` before this one, or `None` when `pos` is out
-    /// of range. The first entry's summary is the one kept.
-    pub(crate) fn file(&self, pos: usize, sax: &SaxWord) -> Option<u32> {
-        let before = self.counts.get(pos)?.fetch_add(1, Ordering::Relaxed);
-        if before == 0 {
-            let slots = &self.words[WORDS * pos..WORDS * (pos + 1)];
-            for (slot, bytes) in slots.iter().zip(sax.symbols().chunks_exact(8)) {
-                let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                slot.store(word, Ordering::Relaxed);
-            }
+    /// Files `sax` as the summary stored for `pos`; the first entry's
+    /// summary is the one kept.
+    fn file(&mut self, pos: usize, sax: &SaxWord) -> Result<(), String> {
+        let count =
+            (self.counts.get_mut(pos)).ok_or_else(|| format!("position {pos} out of range"))?;
+        if *count == 0 {
+            self.words[pos] = *sax;
         }
-        Some(before)
+        *count += 1;
+        Ok(())
     }
 
     /// How many leaf entries named `pos`.
-    pub(crate) fn count(&self, pos: usize) -> u32 {
-        self.counts[pos].load(Ordering::Relaxed)
-    }
-
-    /// The first-filed summary of `pos`.
-    fn word(&self, pos: usize) -> SaxWord {
-        let mut symbols = [0u8; MAX_SEGMENTS];
-        let slots = &self.words[WORDS * pos..WORDS * (pos + 1)];
-        for (bytes, slot) in symbols.chunks_exact_mut(8).zip(slots) {
-            bytes.copy_from_slice(&slot.load(Ordering::Relaxed).to_le_bytes());
-        }
-        SaxWord::new(&symbols)
+    fn count(&self, pos: usize) -> u32 {
+        self.counts[pos]
     }
 
     /// Summary correctness (invariant 2): recomputes the summary of every
-    /// filed position from the dataset and compares it with the filed
-    /// one. Positions go out in `chunk_size` chunks by Fetch&Inc to
-    /// `workers` threads, so the collection is read in position order.
-    /// Reports the lowest mismatching position, whatever the schedule,
+    /// filed position from the dataset, in position order, and compares
+    /// it with the filed one. Reports the lowest mismatching position,
     /// naming the root key of its stored summary.
     ///
     /// # Errors
     ///
     /// `key {key}: entry {pos} has a forged or stale summary`.
-    pub(crate) fn check_summaries(&self, index: &MessiIndex, workers: usize) -> Result<(), String> {
-        let n = self.counts.len();
-        let chunk_size = index.config().chunk_size.max(1);
-        let dispenser = Dispenser::new(n.div_ceil(chunk_size));
-        let lowest = AtomicUsize::new(usize::MAX);
-        let scan = || {
-            let mut conv = SaxConverter::new(index.sax_config());
-            while let Some(chunk) = dispenser.next() {
-                let start = chunk * chunk_size;
-                // Chunks go out in ascending order: once a mismatch lies
-                // below this one, no later chunk can hold a lower one.
-                if start >= lowest.load(Ordering::Relaxed) {
-                    return;
-                }
-                let end = usize::min(start + chunk_size, n);
-                let stale = (start..end).find(|&pos| {
-                    self.count(pos) != 0
-                        && conv.convert(index.dataset.series(pos)) != self.word(pos)
-                });
-                if let Some(pos) = stale {
-                    lowest.fetch_min(pos, Ordering::Relaxed);
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            for _ in 0..workers.max(1) {
-                s.spawn(scan);
-            }
+    fn check_summaries(&self, index: &MessiIndex) -> Result<(), String> {
+        let mut conv = SaxConverter::new(index.sax_config());
+        let stale = (0..self.counts.len()).find(|&pos| {
+            self.count(pos) != 0 && conv.convert(index.dataset.series(pos)) != self.words[pos]
         });
-        match lowest.into_inner() {
-            usize::MAX => Ok(()),
-            pos => {
-                let key = root_key(&self.word(pos), index.sax_config().segments);
+        match stale {
+            None => Ok(()),
+            Some(pos) => {
+                let key = root_key(&self.words[pos], index.sax_config().segments);
                 Err(format!(
                     "key {key}: entry {pos} has a forged or stale summary"
                 ))
@@ -261,22 +205,20 @@ impl PositionTable {
     }
 }
 
-/// Fail-fast semantic check of one arena — the single implementation
-/// behind both [`validate`] and the snapshot loader's parallel sweep
-/// ([`crate::persist`]). Verifies the forest spine (invariant 9), then
-/// every member subtree's per-key semantics. Summaries are not
-/// recomputed here: `record` receives every stored `(position,
-/// summary)` to file for the position-order pass
+/// Fail-fast semantic check of one arena: the forest spine (invariant
+/// 9), then every member subtree's per-key semantics. Summaries are not
+/// recomputed here: every stored `(position, summary)` is filed in
+/// `table` for the position-order pass
 /// ([`PositionTable::check_summaries`]).
-pub(crate) fn check_arena_semantics(
+fn check_arena_semantics(
     index: &MessiIndex,
     arena: &TreeArena,
     arena_idx: usize,
-    record: &mut dyn FnMut(usize, &SaxWord) -> Result<(), String>,
+    table: &mut PositionTable,
 ) -> Result<(), String> {
     let members = check_forest_spine(index, arena, arena_idx)?;
     for &(key, root) in &members {
-        check_subtree_semantics(index, arena, key, root, record)?;
+        check_subtree_semantics(index, arena, key, root, table)?;
     }
     Ok(())
 }
@@ -363,24 +305,22 @@ fn check_forest_spine(
 
 /// Fail-fast semantic check of one member subtree rooted at `root`:
 /// root word vs key, refinement chains, arena pool layout, leaf
-/// capacity, containment and key filing. `record` files every stored
-/// `(position, summary)` (and may reject duplicates or out-of-range
-/// values — how duplicates are detected differs between the two
-/// callers).
+/// capacity, containment and key filing. Every stored `(position,
+/// summary)` is filed in `table`.
 fn check_subtree_semantics(
     index: &MessiIndex,
     arena: &TreeArena,
     key: usize,
     root: NodeId,
-    record: &mut dyn FnMut(usize, &SaxWord) -> Result<(), String>,
+    table: &mut PositionTable,
 ) -> Result<(), String> {
     let segments = index.sax_config().segments;
     // Refinement (4), at the root: the subtree must cover exactly its key.
     if arena.word(root) != &node_word_for_root_key(key, segments) {
         return Err(format!("key {key}: root word does not match the key"));
     }
-    // The node array is in preorder (guaranteed by the builder and
-    // re-verified for loaded snapshots), so a linear sweep over the
+    // The node array is in preorder (guaranteed by the builder, and
+    // loaded snapshots are rebuilt), so a linear sweep over the
     // subtree's contiguous node range visits its leaves in depth-first
     // order, and the pool cursor check below — starting at the
     // subtree's contiguous pool slice — is exactly the arena-layout
@@ -429,7 +369,9 @@ fn check_subtree_semantics(
         }
         for (j, e) in leaf.entries.iter().enumerate() {
             let (pos, sax) = (e.pos as usize, leaf.sax(j));
-            record(pos, &sax)?;
+            table
+                .file(pos, &sax)
+                .map_err(|e| format!("key {key}: {e}"))?;
             // Containment (3).
             if !leaf.word.contains(&sax, segments) {
                 return Err(format!("key {key}: entry {pos} not contained in leaf word"));
@@ -541,6 +483,12 @@ mod tests {
         assert!(errors[0].contains(&wanted), "{errors:?}");
     }
 
+    /// The root key a build files `pos` under.
+    fn key_of(index: &MessiIndex, pos: u32) -> usize {
+        let sax = SaxConverter::new(index.sax_config()).convert(index.dataset.series(pos as usize));
+        root_key(&sax, index.sax_config().segments)
+    }
+
     fn load_forged(forged: &MessiIndex, name: &str) -> crate::persist::PersistError {
         let path =
             std::env::temp_dir().join(format!("messi-validate-test-{}-{name}", std::process::id()));
@@ -563,8 +511,9 @@ mod tests {
         let errors = validate(&forged);
         let first = errors.first().map(String::as_str);
         assert!(first.is_some_and(|e| e.contains(&wanted)), "{errors:?}");
+        let section = format!("root key {}", key_of(&index, positions[0]));
         match load_forged(&forged, "contained.msx") {
-            crate::persist::PersistError::Corrupt(msg) => assert!(msg.contains(&wanted), "{msg}"),
+            crate::persist::PersistError::Corrupt(msg) => assert!(msg.contains(&section), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
@@ -577,24 +526,21 @@ mod tests {
         let (forged, positions) = forge_below_refinement(&index, &[0, n / 3, n - 1]);
         let lowest = positions.iter().min().expect("three victims");
         let wanted = format!("entry {lowest} has a forged or stale summary");
-        let table = PositionTable::new(forged.num_series());
+        let mut table = PositionTable::new(forged.num_series());
         for (i, arena) in forged.arenas().iter().enumerate() {
-            check_arena_semantics(&forged, arena, i, &mut |pos, sax| {
-                table
-                    .file(pos, sax)
-                    .map(|_| ())
-                    .ok_or_else(|| "out of range".into())
-            })
-            .expect("everything but the summaries holds");
+            check_arena_semantics(&forged, arena, i, &mut table)
+                .expect("everything but the summaries holds");
         }
-        for workers in [1, 2, 3] {
-            let e = table.check_summaries(&forged, workers).unwrap_err();
-            assert!(e.contains(&wanted), "{workers} workers: {e}");
-        }
+        let e = table.check_summaries(&forged).unwrap_err();
+        assert!(e.contains(&wanted), "{e}");
         assert!(validate(&forged).iter().any(|e| e.contains(&wanted)));
+        // A load names the first forged subtree in key order, whatever
+        // the rebuild's schedule.
+        let first_key = positions.iter().map(|&pos| key_of(&index, pos)).min();
+        let section = format!("root key {}", first_key.expect("three victims"));
         for round in 0..4 {
             let e = load_forged(&forged, &format!("lowest-{round}.msx")).to_string();
-            assert!(e.contains(&wanted), "{e}");
+            assert!(e.contains(&section), "{e}");
         }
     }
 

@@ -402,11 +402,6 @@ impl<'a> PayloadReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    /// Consumes an `f32` stored as its little-endian bit pattern.
-    pub fn take_f32(&mut self) -> Result<f32, &'static str> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
     /// Consumes `n` raw bytes.
     pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], &'static str> {
         self.take(n)
@@ -582,7 +577,7 @@ mod tests {
         assert_eq!(r.take_u16().unwrap(), 0x1234);
         assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.take_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.take_f32().unwrap(), -1.5);
+        assert_eq!(f32::from_bits(r.take_u32().unwrap()), -1.5);
         assert_eq!(r.take_bytes(3).unwrap(), b"xyz");
         assert_eq!(r.remaining(), 0);
     }

@@ -7,10 +7,10 @@
 //! Datasets live in the `.mds` container of `messi::series::io`; built
 //! indexes persist in the `.msx` snapshot container of
 //! `messi::index::persist` (`build --save` writes one, `--load` answers
-//! from it without rebuilding). With `--shards N` the collection is
-//! partitioned into N independently-built index shards queried by
-//! scatter-gather with a shared cross-shard best-so-far; `--save` then
-//! writes a snapshot *directory* (`shard-I.messi` files plus a
+//! from it once it proves to be the index the dataset gives). With
+//! `--shards N` the collection is partitioned into N independently-built
+//! index shards queried by scatter-gather with a shared cross-shard
+//! best-so-far; `--save` then writes a snapshot *directory* (`shard-I.messi` files plus a
 //! checksummed manifest) and `--load` of a directory restores it,
 //! loading shards in parallel. Queries can come from a second file or be
 //! generated on the fly. Searches are exact; per-query pruning
@@ -168,9 +168,10 @@ Latency and throughput are measured by the benchmark harness that
 BENCHMARK.json names (README, Benchmarks), not by this binary.
 
 `build --save` persists the finished index as a versioned, checksummed
-snapshot; `--load` on the query commands answers from the snapshot
-without rebuilding (the raw dataset is still required — snapshots store
-tree structure, and the loader verifies the data fingerprint).
+snapshot; `--load` on the query commands answers from the snapshot once
+the loader has rebuilt the index from the dataset and found it byte for
+byte equal (the raw dataset is still required — snapshots store tree
+structure, and a snapshot of other data is refused as a mismatch).
 
 `--shards N` partitions the collection into N contiguous ranges, builds
 one independent index per range in parallel, and answers every query by
