@@ -21,7 +21,7 @@ use super::ParisIndex;
 use messi_core::{QueryAnswer, QueryConfig, QueryStats};
 use messi_sax::mindist::{mindist_sq_leaf_scalar, MindistTable};
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
-use messi_sync::{AtomicBsf, BestSoFar};
+use messi_sync::AtomicBsf;
 use parking_lot::Mutex;
 use std::time::Instant;
 

@@ -25,7 +25,7 @@ use messi_core::node::{NodeId, TreeArena};
 use messi_core::{QueryAnswer, QueryConfig, QueryStats};
 use messi_sax::mindist::{mindist_sq_leaf_scalar, mindist_sq_node, MindistTable};
 use messi_series::distance::euclidean::ed_sq_early_abandon_with;
-use messi_sync::{AtomicBsf, BestSoFar, ConcurrentMinQueue, Dispenser};
+use messi_sync::{AtomicBsf, ConcurrentMinQueue, Dispenser};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 

@@ -1,9 +1,6 @@
-//! Runs the design-decision ablations the paper discusses in prose:
-//! buffered vs no-buffer builds, shared vs per-worker queues, BSF policy,
-//! and approximate-search seed quality.
+//! Runs the approximate-search seed-quality measurement the paper
+//! discusses in prose (§III-B).
 fn main() {
     let scale = messi_bench::Scale::from_env();
-    messi_bench::figures::ablations::ablation_build(&scale).emit();
-    messi_bench::figures::ablations::ablation_query(&scale).emit();
     messi_bench::figures::ablations::ablation_approx_quality(&scale).emit();
 }

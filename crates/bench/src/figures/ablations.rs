@@ -1,88 +1,19 @@
-//! Ablations of design decisions the paper discusses in prose (no
-//! figure number): the no-buffer build (§III-A footnote 3), per-thread
-//! local queues (§III-B), the locked vs lock-free BSF (§III-B observes
-//! BSF synchronization is negligible), and the quality of the
-//! approximate-search seed ("the initial value of BSF is very close to
-//! its final value … updated only 10-12 times (on average) per query").
+//! A design claim the paper makes in prose (no figure number): the
+//! quality of the approximate-search seed ("the initial value of BSF is
+//! very close to its final value … updated only 10-12 times (on average)
+//! per query", §III-B).
+//!
+//! The designs the paper rejects — the no-buffer build (§III-A) and one
+//! local queue per thread (§III-B) — are not implemented, and neither is
+//! a second BSF (§III-B calls its synchronisation cost negligible), so
+//! none of them has a table here.
 
 use crate::datasets::{dataset, queries_for};
-use crate::measure_queries;
 use crate::report::Table;
 use crate::scale::Scale;
-use messi_core::{BsfPolicy, BuildVariant, IndexConfig, MessiIndex, QueryConfig, QueuePolicy};
+use messi_core::{MessiIndex, QueryConfig};
 use messi_series::gen::DatasetKind;
 use std::sync::Arc;
-
-/// Build ablation: the paper's buffered two-phase build vs the rejected
-/// direct-insert (no iSAX buffers) design.
-pub fn ablation_build(scale: &Scale) -> Table {
-    let data = dataset(
-        DatasetKind::RandomWalk,
-        scale.default_series(DatasetKind::RandomWalk),
-    );
-    let mut table = Table::new(
-        "ablation_build",
-        "index construction: buffered vs no-buffers (§III-A footnote)",
-        "the buffered design wins (\"no iSAX buffers … led to slower performance\")",
-        &["variant", "build_time"],
-    );
-    // Warmup build: the first index built in a fresh process pays the
-    // page faults of the just-generated dataset, which would be charged
-    // to whichever variant runs first.
-    let _ = MessiIndex::build(Arc::clone(&data), &scale.index_config(data.len()));
-    for (name, variant) in [
-        ("buffered", BuildVariant::Buffered),
-        ("no_buffers", BuildVariant::NoBuffers),
-    ] {
-        let config = IndexConfig {
-            variant,
-            ..scale.index_config(data.len())
-        };
-        let (_, stats) = MessiIndex::build(Arc::clone(&data), &config);
-        table.row(vec![name.into(), stats.total_time.into()]);
-    }
-    table
-}
-
-/// Query ablation: shared round-robin queues vs per-worker local queues,
-/// and the atomic vs locked BSF.
-pub fn ablation_query(scale: &Scale) -> Table {
-    let data = dataset(
-        DatasetKind::RandomWalk,
-        scale.default_series(DatasetKind::RandomWalk),
-    );
-    let (index, _) = MessiIndex::build(Arc::clone(&data), &scale.index_config(data.len()));
-    let qs = queries_for(DatasetKind::RandomWalk, &data, scale.queries);
-    let mut table = Table::new(
-        "ablation_query",
-        "query answering: queue and BSF design points (§III-B)",
-        "shared queues beat per-worker local queues (load imbalance); \
-         BSF choice is negligible",
-        &["configuration", "mean_query_time"],
-    );
-    let configs = [
-        ("shared_queues_atomic_bsf", QueryConfig::default()),
-        (
-            "local_queue_per_worker",
-            QueryConfig {
-                queue_policy: QueuePolicy::PerWorkerLocal,
-                ..QueryConfig::default()
-            },
-        ),
-        (
-            "shared_queues_locked_bsf",
-            QueryConfig {
-                bsf: BsfPolicy::Locked,
-                ..QueryConfig::default()
-            },
-        ),
-    ];
-    for (name, config) in configs {
-        let (t, _) = measure_queries(&|q| index.search(q, &config), &qs, scale.warmup);
-        table.row(vec![name.into(), t.into()]);
-    }
-    table
-}
 
 /// Approximate-search quality: how close the initial BSF is to the final
 /// answer, and how often the BSF improves per query.
@@ -130,14 +61,8 @@ mod tests {
 
     #[test]
     fn ablations_run_at_tiny_scale() {
-        let scale = Scale::for_tests();
-        for t in [
-            ablation_build(&scale),
-            ablation_query(&scale),
-            ablation_approx_quality(&scale),
-        ] {
-            assert!(!t.is_empty(), "{}", t.id);
-        }
+        let t = ablation_approx_quality(&Scale::for_tests());
+        assert!(!t.is_empty(), "{}", t.id);
         crate::datasets::clear_cache();
     }
 }

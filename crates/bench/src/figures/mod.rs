@@ -37,8 +37,6 @@ pub fn run_all(scale: &Scale) -> Vec<Table> {
         counts::fig17b,
         query_scaling::fig18,
         dtw::fig19,
-        ablations::ablation_build,
-        ablations::ablation_query,
         ablations::ablation_approx_quality,
     ];
     let mut out = Vec::new();
@@ -60,7 +58,7 @@ mod tests {
     fn every_figure_runs_at_tiny_scale() {
         let scale = Scale::for_tests();
         let tables = run_all(&scale);
-        assert_eq!(tables.len(), 19);
+        assert_eq!(tables.len(), 17);
         for t in &tables {
             assert!(!t.is_empty(), "{} produced no rows", t.id);
             // Render must not panic and must mention the figure id.

@@ -119,7 +119,7 @@ pub(crate) fn search(
     }
 
     let budget = budget_for(run.index, delta);
-    let objective = ApproxObjective::new(run.config.bsf, d0, p0, epsilon, budget, shared);
+    let objective = ApproxObjective::new(d0, p0, epsilon, budget, shared);
     let mut stats = run.run(&objective);
     let (dist_sq, pos) = objective.answer();
     if d0.is_finite() {

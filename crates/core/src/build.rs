@@ -17,7 +17,7 @@
 //!
 //! Position order makes the index a function of its data: the same
 //! arenas and snapshot bytes (bar the stored worker count) for any
-//! worker count and chunk schedule. [`BuildVariant::NoBuffers`] is not.
+//! worker count and chunk schedule.
 //!
 //! The paper's barrier between the phases (Alg. 2 line 2) is realized by
 //! ending the first thread scope and opening a second one: joining all
@@ -27,7 +27,7 @@
 //! carefully avoids. The extra spawn cost (~tens of µs) is negligible at
 //! any realistic scale.
 
-use crate::config::{BuildVariant, IndexConfig};
+use crate::config::IndexConfig;
 use crate::index::MessiIndex;
 use crate::node::{assemble_forest, forest_groups, PartScratch, SaxEntry, SubtreeBuilder};
 use crate::stats::BuildStats;
@@ -35,7 +35,6 @@ use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::{node_word_for_root_key, root_key};
 use messi_series::Dataset;
 use messi_sync::{Dispenser, PartitionedBuffers};
-use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -65,9 +64,6 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     config.validate(dataset.series_len());
     assert!(!dataset.is_empty(), "cannot index an empty dataset");
     assert_positions_fit(&dataset);
-    if config.variant == BuildVariant::NoBuffers {
-        return build_index_no_buffers(dataset, config);
-    }
 
     let sax_config = SaxConfig::new(config.segments, dataset.series_len());
     let segments = sax_config.segments;
@@ -172,78 +168,6 @@ pub fn build_forests(
     let arenas: Option<Vec<_>> = built.into_iter().map(OnceLock::into_inner).collect();
     let arenas = arenas.expect("every group built");
     MessiIndex::from_forests(dataset, config.clone(), touched, &groups, arenas)
-}
-
-/// The rejected no-buffer design (§III-A footnote): workers insert each
-/// summary straight into its root subtree, taking a per-subtree lock.
-/// Kept for the ablation bench — the paper found it "slower … due to the
-/// worse cache locality" (every insertion touches a different subtree's
-/// nodes, instead of one worker streaming through one subtree at a time).
-/// Each subtree's under-construction state is its own [`SubtreeBuilder`],
-/// emitted into one scratch after the insertion scope ends. Entries
-/// arrive in lock order, so leaf shapes may differ from run to run.
-fn build_index_no_buffers(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, BuildStats) {
-    let sax_config = SaxConfig::new(config.segments, dataset.series_len());
-    let segments = sax_config.segments;
-    let num_keys = sax_config.num_root_subtrees();
-    let n = dataset.len();
-    let chunk_size = config.chunk_size.max(1);
-    let chunk_dispenser = Dispenser::new(n.div_ceil(chunk_size));
-
-    let mut locked_builders: Vec<Mutex<Option<SubtreeBuilder>>> = Vec::with_capacity(num_keys);
-    locked_builders.resize_with(num_keys, || Mutex::new(None));
-
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..config.num_workers {
-            let dataset = &dataset;
-            let dispenser = &chunk_dispenser;
-            let locked_builders = &locked_builders;
-            s.spawn(move || {
-                let mut conv = SaxConverter::new(sax_config);
-                while let Some(chunk) = dispenser.next() {
-                    let start = chunk * chunk_size;
-                    let end = usize::min(start + chunk_size, n);
-                    for pos in start..end {
-                        let sax = conv.convert(dataset.series(pos));
-                        let key = root_key(&sax, segments);
-                        let mut guard = locked_builders[key].lock();
-                        let builder = guard.get_or_insert_with(|| {
-                            let mut b = SubtreeBuilder::new(segments, config.leaf_capacity);
-                            b.begin(node_word_for_root_key(key, segments));
-                            b
-                        });
-                        builder.insert(SaxEntry {
-                            sax,
-                            pos: pos as u32,
-                        });
-                    }
-                }
-            });
-        }
-    });
-    let total = t0.elapsed();
-
-    let mut scratch = PartScratch::default();
-    for (key, slot) in locked_builders.into_iter().enumerate() {
-        if let Some(mut builder) = slot.into_inner() {
-            scratch.open(key);
-            builder.finish_into(&mut scratch.nodes, &mut scratch.pool);
-        }
-    }
-
-    let index = MessiIndex::from_raw_parts(dataset, config.clone(), &scratch.parts());
-    let stats = BuildStats {
-        // The whole build is one interleaved phase.
-        summarize_time: total,
-        tree_time: std::time::Duration::ZERO,
-        total_time: total,
-        num_series: n,
-        num_leaves: index.num_leaves(),
-        num_root_subtrees: index.touched.len(),
-        max_height: index.max_height(),
-    };
-    (index, stats)
 }
 
 #[cfg(test)]
@@ -376,41 +300,5 @@ mod tests {
     fn rejects_empty_dataset() {
         let data = Arc::new(Dataset::from_flat(vec![], 256).unwrap());
         build_index(data, &IndexConfig::default());
-    }
-
-    #[test]
-    fn no_buffers_variant_builds_equivalent_index() {
-        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 600, 13));
-        let buffered = IndexConfig::for_tests();
-        let no_buffers = IndexConfig {
-            variant: BuildVariant::NoBuffers,
-            ..IndexConfig::for_tests()
-        };
-        let (a, sa) = build_index(Arc::clone(&data), &buffered);
-        let (b, sb) = build_index(Arc::clone(&data), &no_buffers);
-        assert_eq!(sa.num_series, sb.num_series);
-        assert_eq!(a.touched_keys(), b.touched_keys());
-        // Same per-subtree position sets (leaf layout may be permuted by
-        // the different insertion order).
-        for &key in a.touched_keys() {
-            let collect = |idx: &MessiIndex| {
-                let mut v = Vec::new();
-                idx.root(key)
-                    .unwrap()
-                    .for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(collect(&a), collect(&b), "key {key}");
-        }
-        // The no-buffers index is structurally valid and searches exactly.
-        let errors = crate::validate::validate(&b);
-        assert!(errors.is_empty(), "{errors:?}");
-        let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 13);
-        for q in queries.iter() {
-            let (ans, _) = b.search(q, &crate::config::QueryConfig::for_tests());
-            let (_, bf) = data.nearest_neighbor_brute_force(q);
-            assert!((ans.dist_sq - bf).abs() <= 1e-3 * bf.max(1.0));
-        }
     }
 }

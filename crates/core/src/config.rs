@@ -5,6 +5,10 @@
 //! initial iSAX buffer part capacity of 5 — each validated there by a
 //! dedicated experiment (Figs. 5–9, 14), all reproduced by the bench
 //! crate.
+//!
+//! The designs the paper rejects in prose — building without iSAX
+//! buffers, one local queue per search worker (§III-A, §III-B) — are not
+//! options here, and the shared BSF is always the lock-free one.
 
 use messi_series::distance::Kernel;
 
@@ -72,60 +76,6 @@ pub(crate) fn run_batch_env_allowed() -> bool {
     }
 }
 
-/// Which Best-So-Far implementation the search workers share.
-///
-/// Applies to the 1-NN objectives (Euclidean and DTW). k-NN carries its
-/// bound in the candidate set and range search has a fixed bound, so
-/// neither consults this policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BsfPolicy {
-    /// Lock-free packed CAS-min (default; see `messi_sync::AtomicBsf`).
-    #[default]
-    Atomic,
-    /// The paper's mutex-protected BSF (Alg. 8 lines 5–7).
-    Locked,
-}
-
-/// How search workers are assigned to priority queues.
-///
-/// The paper considered and rejected a per-thread-local-queue design:
-/// "using a local queue per thread results in severe load imbalance,
-/// since, depending on the workload, the size of the different queues may
-/// vary significantly" (§III-B). Both designs are implemented so the
-/// ablation bench can reproduce that comparison. The policy is handled
-/// by the unified engine driver, so it applies to every queued objective
-/// (1-NN and k-NN, Euclidean and DTW) alike; range search runs
-/// queue-less and ignores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueuePolicy {
-    /// The paper's design: Nq shared queues, round-robin insertion,
-    /// workers hop to the next unfinished queue (Alg. 6–7).
-    #[default]
-    SharedRoundRobin,
-    /// The rejected design: one private queue per worker; each worker
-    /// inserts into and drains only its own queue (`num_queues` is
-    /// ignored; Nq = Ns).
-    PerWorkerLocal,
-}
-
-/// How the index construction stages summaries before tree construction.
-///
-/// The paper also tried building without the iSAX buffers: "we also
-/// tried a design of MESSI with no iSAX buffers, but this led to slower
-/// performance (due to the worse cache locality)" (§III-A). Both designs
-/// are implemented so the ablation bench can reproduce that comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BuildVariant {
-    /// The paper's design: summaries staged in per-(subtree × worker)
-    /// buffer parts, then each subtree built by one worker (Alg. 3–4).
-    #[default]
-    Buffered,
-    /// The rejected design: summaries inserted straight into the tree as
-    /// they are computed, each root subtree protected by a lock. Entries
-    /// arrive in lock order, so leaf shapes may differ from run to run.
-    NoBuffers,
-}
-
 /// Parameters of index construction (Alg. 1–4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexConfig {
@@ -142,8 +92,6 @@ pub struct IndexConfig {
     pub leaf_capacity: usize,
     /// Initial capacity of each iSAX buffer part, in entries (default 5).
     pub initial_buffer_capacity: usize,
-    /// Staging strategy (default: the paper's buffered design).
-    pub variant: BuildVariant,
 }
 
 impl Default for IndexConfig {
@@ -154,7 +102,6 @@ impl Default for IndexConfig {
             chunk_size: 20_000,
             leaf_capacity: 2_000,
             initial_buffer_capacity: 5,
-            variant: BuildVariant::Buffered,
         }
     }
 }
@@ -192,7 +139,6 @@ impl IndexConfig {
             chunk_size: 64,
             leaf_capacity: 32,
             initial_buffer_capacity: 5,
-            variant: BuildVariant::Buffered,
         }
     }
 }
@@ -208,10 +154,6 @@ pub struct QueryConfig {
     pub num_queues: usize,
     /// Distance kernel selection (SIMD vs SISD; Fig. 18's ablation).
     pub kernel: Kernel,
-    /// Best-So-Far implementation.
-    pub bsf: BsfPolicy,
-    /// Queue assignment discipline (default: the paper's shared queues).
-    pub queue_policy: QueuePolicy,
     /// Collect the per-phase wall-time breakdown of Fig. 13 (adds two
     /// `Instant::now` calls around each phase transition; off by
     /// default). Collection lives in the engine driver, so every
@@ -228,8 +170,6 @@ impl Default for QueryConfig {
             num_workers: PAPER_SEARCH_WORKERS.min(2 * available_cores()),
             num_queues: 24,
             kernel: Kernel::Auto,
-            bsf: BsfPolicy::Atomic,
-            queue_policy: QueuePolicy::SharedRoundRobin,
             collect_breakdown: false,
             run_batch: RunBatchPolicy::Auto,
         }
@@ -259,8 +199,6 @@ impl QueryConfig {
             num_workers: 4,
             num_queues: 3,
             kernel: Kernel::Auto,
-            bsf: BsfPolicy::Atomic,
-            queue_policy: QueuePolicy::SharedRoundRobin,
             collect_breakdown: false,
             run_batch: RunBatchPolicy::Auto,
         }

@@ -22,7 +22,7 @@
 //! be (re)built, so a steady batch shows a flat counter after its first
 //! query.
 
-use crate::config::{QueryConfig, QueuePolicy};
+use crate::config::QueryConfig;
 use crate::node::LeafRun;
 use messi_sax::convert::SaxConfig;
 use messi_sax::mindist::MindistTable;
@@ -169,7 +169,7 @@ impl<'a> QueryContext<'a> {
 
     /// Readies the scratch for one engine run over the table filled by
     /// [`QueryContext::fill_table`]: when `queued` demands a queue phase,
-    /// resets the queue set to the effective queue count and re-arms the
+    /// resets the queue set to its `num_queues` queues and re-arms the
     /// barrier. Returns borrowed views whose lifetime pins the context
     /// for the duration of the run.
     ///
@@ -178,7 +178,7 @@ impl<'a> QueryContext<'a> {
     /// Panics if no table was filled.
     pub(crate) fn scratch(&mut self, queued: Option<&QueryConfig>) -> Scratch<'_, 'a> {
         if let Some(config) = queued {
-            let nq = effective_queue_count(config);
+            let nq = config.num_queues;
             match &mut self.queues {
                 Some(queues) if queues.len() == nq => queues.reset(),
                 Some(queues) => {
@@ -213,16 +213,6 @@ impl std::fmt::Debug for QueryContext<'_> {
             .field("table", &self.table.as_ref().map(MindistTable::segments))
             .field("alloc_events", &self.alloc_events)
             .finish()
-    }
-}
-
-/// The number of priority queues a query actually uses: Nq under the
-/// paper's shared design, Ns under the rejected per-worker-local design
-/// (each worker owns exactly one queue).
-pub(crate) fn effective_queue_count(config: &QueryConfig) -> usize {
-    match config.queue_policy {
-        QueuePolicy::SharedRoundRobin => config.num_queues,
-        QueuePolicy::PerWorkerLocal => config.num_workers,
     }
 }
 
@@ -279,23 +269,5 @@ mod tests {
         assert_eq!(ctx.alloc_events(), after_first + 1);
         let _ = ctx.scratch(Some(&config));
         assert_eq!(ctx.alloc_events(), after_first + 1);
-    }
-
-    #[test]
-    fn per_worker_local_policy_sizes_queues_by_workers() {
-        let config = QueryConfig {
-            num_workers: 5,
-            num_queues: 2,
-            queue_policy: QueuePolicy::PerWorkerLocal,
-            ..QueryConfig::for_tests()
-        };
-        assert_eq!(effective_queue_count(&config), 5);
-        assert_eq!(
-            effective_queue_count(&QueryConfig {
-                queue_policy: QueuePolicy::SharedRoundRobin,
-                ..config
-            }),
-            2
-        );
     }
 }

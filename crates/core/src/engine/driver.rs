@@ -50,7 +50,6 @@
 use super::context::Scratch;
 use super::metric::Metric;
 use super::objective::SearchObjective;
-use crate::config::QueuePolicy;
 use crate::index::MessiIndex;
 use crate::node::{LeafEntry, LeafRun, NodeId, TreeArena};
 use crate::stats::{LocalStats, SharedQueryStats};
@@ -66,7 +65,6 @@ pub(crate) struct Engine<'e, 'a> {
     pub(crate) index: &'a MessiIndex,
     pub(crate) scratch: Scratch<'e, 'a>,
     pub(crate) stats: &'e SharedQueryStats,
-    pub(crate) queue_policy: QueuePolicy,
     pub(crate) num_workers: usize,
     pub(crate) collect_breakdown: bool,
     /// Whether adjacent surviving leaves of one run may be coalesced
@@ -208,10 +206,8 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
     let nq = queues.len();
     let coalesce = engine.coalesce && objective.coalescing_allowed();
 
-    // Phase A: tree pass (Alg. 6 lines 3–6). Under the local-queue
-    // policy the cursor is pinned to the worker's own queue and the
-    // traversal never advances it. Workers own disjoint subtrees, so a
-    // pending run never spans two workers' leaves.
+    // Phase A: tree pass (Alg. 6 lines 3–6). Workers own disjoint
+    // subtrees, so a pending run never spans two workers' leaves.
     let t_phase = Instant::now();
     let mut cursor = pid % nq;
     tree_pass(
@@ -229,10 +225,7 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
             local.inserted += run.leaf_count() as u64;
             timers.timed(
                 |t| &mut t.pq_insert_ns,
-                || match engine.queue_policy {
-                    QueuePolicy::SharedRoundRobin => queues.push_round_robin(&mut cursor, key, run),
-                    QueuePolicy::PerWorkerLocal => queues.queue(cursor).push(key, run),
-                },
+                || queues.push_round_robin(&mut cursor, key, run),
             );
         },
     );
@@ -245,45 +238,26 @@ fn queued_worker<'a, M: Metric, O: SearchObjective>(
     barrier.wait();
 
     // Phase B: queue processing (Alg. 6 lines 8–13).
-    match engine.queue_policy {
-        QueuePolicy::SharedRoundRobin => {
-            let mut q = pid % nq;
-            // Small xorshift for the randomized queue choice (§I: "workers
-            // use randomization to choose the priority queues they will
-            // work on").
-            let mut rng = (pid as u32).wrapping_mul(0x9E37_79B9) | 1;
-            loop {
-                process_queue(
-                    engine,
-                    metric,
-                    objective,
-                    queues.queue(q),
-                    local,
-                    timers,
-                    results,
-                );
-                rng ^= rng << 13;
-                rng ^= rng >> 17;
-                rng ^= rng << 5;
-                match queues.next_unfinished(rng as usize % nq) {
-                    Some(next) => q = next,
-                    None => break,
-                }
-            }
-        }
-        QueuePolicy::PerWorkerLocal => {
-            // The rejected design: drain only your own queue, then stop —
-            // no helping, which is exactly where the load imbalance the
-            // paper describes comes from.
-            process_queue(
-                engine,
-                metric,
-                objective,
-                queues.queue(pid),
-                local,
-                timers,
-                results,
-            );
+    let mut q = pid % nq;
+    // Small xorshift for the randomized queue choice (§I: "workers use
+    // randomization to choose the priority queues they will work on").
+    let mut rng = (pid as u32).wrapping_mul(0x9E37_79B9) | 1;
+    loop {
+        process_queue(
+            engine,
+            metric,
+            objective,
+            queues.queue(q),
+            local,
+            timers,
+            results,
+        );
+        rng ^= rng << 13;
+        rng ^= rng >> 17;
+        rng ^= rng << 5;
+        match queues.next_unfinished(rng as usize % nq) {
+            Some(next) => q = next,
+            None => break,
         }
     }
 }

@@ -6,8 +6,7 @@
 //! three similarity-search primitives of the iSAX index family:
 //!
 //! * [`NearestObjective`] — exact 1-NN: a scalar shrinking Best-So-Far
-//!   (Alg. 5–9), in the atomic or locked flavor of
-//!   [`BsfPolicy`](crate::config::BsfPolicy).
+//!   (Alg. 5–9), held in a lock-free [`AtomicBsf`].
 //! * [`KnnObjective`] — exact k-NN: the bound is the k-th best distance
 //!   held by a shared [`KnnSet`](crate::knn::KnnSet).
 //! * [`RangeObjective`] — ε-range: a *fixed* bound, so no priority order
@@ -25,12 +24,11 @@
 //! and `lb > ε²` pruning fall out of the same comparisons the
 //! shrinking-bound objectives use.
 
-use crate::config::BsfPolicy;
 use crate::exact::QueryAnswer;
 use crate::knn::KnnSet;
 use crate::shard::global_pos;
 use crate::stats::StopReason;
-use messi_sync::{AtomicBsf, BestSoFar, Counter, LockedBsf};
+use messi_sync::{AtomicBsf, Counter};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
 
@@ -66,47 +64,6 @@ impl SharedBound {
     #[inline]
     pub(crate) fn update_min(&self, dist_sq: f32) {
         self.0.fetch_min(dist_sq.to_bits(), Ordering::AcqRel);
-    }
-}
-
-/// BSF implementation selected by [`BsfPolicy`], with static dispatch in
-/// the hot paths.
-#[derive(Debug)]
-pub(crate) enum Bsf {
-    Atomic(AtomicBsf),
-    Locked(LockedBsf),
-}
-
-impl Bsf {
-    pub(crate) fn new(policy: BsfPolicy, dist: f32, pos: u32) -> Self {
-        match policy {
-            BsfPolicy::Atomic => Bsf::Atomic(AtomicBsf::with_initial(dist, pos)),
-            BsfPolicy::Locked => Bsf::Locked(LockedBsf::with_initial(dist, pos)),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn load(&self) -> f32 {
-        match self {
-            Bsf::Atomic(b) => b.load(),
-            Bsf::Locked(b) => b.load(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn update_min(&self, dist: f32, pos: u32) -> bool {
-        match self {
-            Bsf::Atomic(b) => b.update_min(dist, pos),
-            Bsf::Locked(b) => b.update_min(dist, pos),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn load_with_pos(&self) -> (f32, u32) {
-        match self {
-            Bsf::Atomic(b) => b.load_with_pos(),
-            Bsf::Locked(b) => b.load_with_pos(),
-        }
     }
 }
 
@@ -178,19 +135,14 @@ pub(crate) trait SearchObjective: Sync {
 /// strictly tighter than the local bound.
 #[derive(Debug)]
 pub(crate) struct NearestObjective<'s> {
-    bsf: Bsf,
+    bsf: AtomicBsf,
     shared: Option<&'s SharedBound>,
 }
 
 impl<'s> NearestObjective<'s> {
-    pub(crate) fn new(
-        policy: BsfPolicy,
-        dist_sq: f32,
-        pos: u32,
-        shared: Option<&'s SharedBound>,
-    ) -> Self {
+    pub(crate) fn new(dist_sq: f32, pos: u32, shared: Option<&'s SharedBound>) -> Self {
         Self {
-            bsf: Bsf::new(policy, dist_sq, pos),
+            bsf: AtomicBsf::with_initial(dist_sq, pos),
             shared,
         }
     }
@@ -383,7 +335,7 @@ pub(crate) struct ApproxLocal {
 /// the inflation is applied at read time, once). The δ budget stays
 /// per-shard: each shard's budget is derived from *its own* leaf count.
 pub(crate) struct ApproxObjective<'s> {
-    bsf: Bsf,
+    bsf: AtomicBsf,
     /// Cross-shard raw BSF, when part of a sharded scatter.
     shared: Option<&'s SharedBound>,
     /// `(1+ε)⁻²`, multiplied into the BSF to form the pruning bound.
@@ -403,7 +355,6 @@ impl<'s> ApproxObjective<'s> {
     ///
     /// Panics if `epsilon` is negative or non-finite.
     pub(crate) fn new(
-        policy: BsfPolicy,
         dist_sq: f32,
         pos: u32,
         epsilon: f32,
@@ -416,7 +367,7 @@ impl<'s> ApproxObjective<'s> {
         );
         let one_plus = 1.0 + epsilon;
         Self {
-            bsf: Bsf::new(policy, dist_sq, pos),
+            bsf: AtomicBsf::with_initial(dist_sq, pos),
             shared,
             bound_scale: 1.0 / (one_plus * one_plus),
             budget: budget.map(|b| AtomicI64::new(b.min(i64::MAX as u64) as i64)),
@@ -568,7 +519,7 @@ mod tests {
 
     #[test]
     fn nearest_objective_shrinks_monotonically() {
-        let o = NearestObjective::new(BsfPolicy::Atomic, 10.0, 3, None);
+        let o = NearestObjective::new(10.0, 3, None);
         assert_eq!(o.bound(), 10.0);
         assert!(o.offer(&mut (), 4.0, 7));
         assert!(!o.offer(&mut (), 6.0, 9), "worse than bound");
@@ -599,7 +550,7 @@ mod tests {
     fn approx_objective_at_exact_corner_matches_nearest() {
         // ε = 0, δ = 1: the bound is the raw BSF bit-for-bit and every
         // leaf is admitted — the NearestObjective contract exactly.
-        let o = ApproxObjective::new(BsfPolicy::Atomic, 10.0, 3, 0.0, None, None);
+        let o = ApproxObjective::new(10.0, 3, 0.0, None, None);
         assert_eq!(o.bound().to_bits(), 10.0f32.to_bits());
         let mut local = ApproxLocal::default();
         assert!(o.admit_leaf(&mut local));
@@ -615,7 +566,7 @@ mod tests {
 
     #[test]
     fn approx_objective_inflates_the_bound_and_counts_it() {
-        let o = ApproxObjective::new(BsfPolicy::Atomic, 9.0, 1, 0.5, None, None);
+        let o = ApproxObjective::new(9.0, 1, 0.5, None, None);
         // bound = 9 / 1.5² = 4.
         assert!((o.bound() - 4.0).abs() < 1e-6);
         let mut local = ApproxLocal::default();
@@ -629,7 +580,7 @@ mod tests {
 
     #[test]
     fn approx_objective_budget_vetoes_after_exhaustion() {
-        let o = ApproxObjective::new(BsfPolicy::Atomic, 1.0, 0, 0.0, Some(2), None);
+        let o = ApproxObjective::new(1.0, 0, 0.0, Some(2), None);
         let mut local = ApproxLocal::default();
         assert!(o.admit_leaf(&mut local));
         assert!(o.admit_leaf(&mut local));
@@ -642,6 +593,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite non-negative")]
     fn approx_objective_rejects_negative_epsilon() {
-        ApproxObjective::new(BsfPolicy::Atomic, 1.0, 0, -0.1, None, None);
+        ApproxObjective::new(1.0, 0, -0.1, None, None);
     }
 }

@@ -21,7 +21,7 @@ use super::context::{QueryContext, TableSpec};
 use super::driver::{self, Engine};
 use super::metric::{DtwMetric, EuclideanMetric, Metric};
 use super::objective::{next_up, NearestObjective, SearchObjective};
-use crate::config::{BsfPolicy, QueryConfig};
+use crate::config::QueryConfig;
 use crate::dtw::DtwPlan;
 use crate::exec::MetricSpec;
 use crate::index::MessiIndex;
@@ -150,7 +150,7 @@ impl<'q> QueryPlan<'q> {
         ctx: &mut QueryContext<'_>,
         stats: &SharedQueryStats,
     ) -> (f32, u32) {
-        let best = NearestObjective::new(BsfPolicy::Atomic, f32::INFINITY, u32::MAX, None);
+        let best = NearestObjective::new(f32::INFINITY, u32::MAX, None);
         self.seed(index, ctx, &best, true).flush(stats);
         best.answer()
     }
@@ -186,7 +186,6 @@ impl ShardRun<'_, '_> {
             index,
             scratch,
             stats: &self.stats,
-            queue_policy: config.queue_policy,
             num_workers: config.num_workers,
             collect_breakdown: config.collect_breakdown,
             coalesce: config.run_batching(),
@@ -468,7 +467,7 @@ mod tests {
                 let stats = SharedQueryStats::new();
                 let got = plan.seed_nearest(index, &mut ctx, &stats);
                 first += stats.seed_real_calcs.get();
-                let scan = NearestObjective::new(BsfPolicy::Atomic, f32::INFINITY, u32::MAX, None);
+                let scan = NearestObjective::new(f32::INFINITY, u32::MAX, None);
                 in_order += plan.seed(index, &mut ctx, &scan, false).seed_real;
                 assert_eq!(got, scan.answer());
             }

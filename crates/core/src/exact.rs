@@ -77,7 +77,7 @@ pub(crate) fn search(
     seed: (f32, u32),
     shared: Option<&SharedBound>,
 ) -> ShardReturn {
-    let objective = NearestObjective::new(run.config.bsf, seed.0, seed.1, shared);
+    let objective = NearestObjective::new(seed.0, seed.1, shared);
     let mut stats = run.run(&objective);
     let (dist_sq, pos) = objective.answer();
     if seed.0.is_finite() {
@@ -90,7 +90,7 @@ pub(crate) fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BsfPolicy, IndexConfig};
+    use crate::config::IndexConfig;
     use messi_series::distance::Kernel;
     use messi_series::gen::{self, DatasetKind};
     use std::sync::Arc;
@@ -133,12 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn exact_with_single_queue_and_locked_bsf() {
+    fn exact_with_single_queue() {
         let index = build(400, 33);
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 5, 33);
         let config = QueryConfig {
             num_queues: 1,
-            bsf: BsfPolicy::Locked,
             ..QueryConfig::for_tests()
         };
         for q in queries.iter() {

@@ -104,7 +104,7 @@ impl MessiIndex {
     }
 
     /// An index from per-key raw parts, ascending by key, assembled one
-    /// forest group at a time (no-buffer build, absorb).
+    /// forest group at a time (absorb).
     pub(crate) fn from_raw_parts(
         dataset: Arc<Dataset>,
         config: IndexConfig,
@@ -446,8 +446,8 @@ impl MessiIndex {
 
     /// Exact ε-range search: every series with squared distance
     /// `<= epsilon_sq`, ascending (position breaks ties).
-    /// `config.num_queues` and `config.bsf` are ignored (no BSF exists —
-    /// the bound is the fixed ε²).
+    /// `config.num_queues` is ignored (no queues exist — the bound is the
+    /// fixed ε²).
     ///
     /// ```
     /// use messi_core::{IndexConfig, MessiIndex, QueryConfig};

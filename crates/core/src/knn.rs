@@ -228,12 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn knn_honors_queue_policy_and_breakdown() {
+    fn knn_honors_breakdown() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 23));
         let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
         let queries = gen::queries::generate_queries(DatasetKind::RandomWalk, 2, 23);
         let config = QueryConfig {
-            queue_policy: crate::config::QueuePolicy::PerWorkerLocal,
             collect_breakdown: true,
             ..QueryConfig::for_tests()
         };

@@ -108,10 +108,7 @@ pub mod shard;
 pub mod stats;
 pub mod validate;
 
-pub use config::{
-    auto_leaf_capacity, BsfPolicy, BuildVariant, IndexConfig, QueryConfig, QueuePolicy,
-    RunBatchPolicy,
-};
+pub use config::{auto_leaf_capacity, IndexConfig, QueryConfig, RunBatchPolicy};
 pub use engine::QueryContext;
 pub use exact::QueryAnswer;
 pub use exec::{MetricSpec, Objective, QueryExecutor, QuerySpec, Schedule};

@@ -39,13 +39,17 @@
 //! byte for byte the index its dataset determines, so a torn or tampered
 //! file — even one with a correctly resealed checksum — fails with a
 //! [`PersistError`] naming the first section that differs, instead of
-//! producing a quietly wrong index. The cost is a build plus one
-//! encoding, which hashes the dataset for the fingerprint; nothing of
-//! the file beyond its header is ever trusted. A
-//! [`BuildVariant::NoBuffers`] index depends on lock order, so no load
-//! could reproduce it: [`save_index`] refuses one.
+//! producing a quietly wrong index. The dataset is hashed once, before
+//! the build: a fingerprint that differs from the stored one is refused
+//! as [`PersistError::DatasetMismatch`] without building anything. An
+//! accepted load costs that hash, a build and one encoding; nothing of
+//! the file beyond its header is ever trusted.
+//!
+//! Format 3's config section holds a build-variant byte. The one build
+//! writes 0, and a load refuses any other value as
+//! [`PersistError::Corrupt`].
 
-use crate::config::{capped_workers, BuildVariant, IndexConfig};
+use crate::config::{capped_workers, IndexConfig};
 use crate::index::MessiIndex;
 use crate::node::{NodeRecord, PartScratch, SaxEntry};
 use messi_sax::word::{NodeWord, MAX_SEGMENTS};
@@ -118,19 +122,9 @@ impl std::error::Error for PersistError {}
 ///
 /// # Errors
 ///
-/// Any I/O error from creating, writing, or renaming the file; an
-/// [`std::io::ErrorKind::InvalidInput`] error, before anything is
-/// written, for a [`BuildVariant::NoBuffers`] index, which no load
-/// could rebuild.
+/// Any I/O error from creating, writing, or renaming the file.
 pub fn save_index(index: &MessiIndex, path: &Path) -> Result<(), PersistError> {
-    if index.config().variant == BuildVariant::NoBuffers {
-        return Err(PersistError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "a NoBuffers index is not saved: its leaves follow lock order, so no load can \
-             rebuild it",
-        )));
-    }
-    let (payload, _) = encode_payload(index);
+    let (payload, _) = encode_payload(index, fingerprint(index.dataset()));
     write_durable(path, |w| seal(w, &MAGIC, FORMAT_VERSION, &payload))?;
     Ok(())
 }
@@ -151,13 +145,19 @@ pub fn save_index(index: &MessiIndex, path: &Path) -> Result<(), PersistError> {
 pub fn load_index(path: &Path, dataset: Arc<Dataset>) -> Result<MessiIndex, PersistError> {
     let bytes = std::fs::read(path)?;
     let stored = unseal(&bytes, &MAGIC, FORMAT_VERSION)?;
-    let config = read_header(stored, &dataset)?;
+    let (config, stored_hash) = read_header(stored, &dataset)?;
+    let hash = fingerprint(&dataset);
+    if hash != stored_hash {
+        return Err(PersistError::DatasetMismatch(
+            "dataset content hash differs — same shape, different values".into(),
+        ));
+    }
     let build = load_build_config(&config);
     let (mut index, _) = crate::build::build_index(dataset, &build);
     // The header is compared as stored: neither replaced field changes
     // the index.
     index.config = config;
-    let (built, sections) = encode_payload(&index);
+    let (built, sections) = encode_payload(&index, hash);
     if built != stored {
         return Err(first_difference(&built, &sections, stored));
     }
@@ -179,8 +179,8 @@ fn load_build_config(stored: &IndexConfig) -> IndexConfig {
 
 /// The stored configuration, range-checked so that no value can make
 /// [`IndexConfig::validate`] or the build panic, and the stored dataset
-/// shape, checked against `dataset`.
-fn read_header(payload: &[u8], dataset: &Dataset) -> Result<IndexConfig, PersistError> {
+/// fingerprint; the stored dataset shape is checked against `dataset`.
+fn read_header(payload: &[u8], dataset: &Dataset) -> Result<(IndexConfig, u64), PersistError> {
     let corrupt = |what: &str| PersistError::Corrupt(what.into());
     let mut r = PayloadReader::new(payload);
     let segments = r.take_u32().map_err(corrupt)? as usize;
@@ -188,15 +188,12 @@ fn read_header(payload: &[u8], dataset: &Dataset) -> Result<IndexConfig, Persist
     let chunk_size = r.take_u64().map_err(corrupt)? as usize;
     let leaf_capacity = r.take_u64().map_err(corrupt)? as usize;
     let initial_buffer_capacity = r.take_u64().map_err(corrupt)? as usize;
-    let variant = match r.take_u8().map_err(corrupt)? {
-        0 => BuildVariant::Buffered,
-        1 => return Err(corrupt("a NoBuffers build cannot be rebuilt")),
-        other => {
-            return Err(PersistError::Corrupt(format!(
-                "unknown build variant {other}"
-            )))
-        }
-    };
+    let variant = r.take_u8().map_err(corrupt)?;
+    if variant != 0 {
+        return Err(PersistError::Corrupt(format!(
+            "unknown build variant {variant}"
+        )));
+    }
     if segments == 0
         || segments > MAX_SEGMENTS
         || num_workers == 0
@@ -207,7 +204,7 @@ fn read_header(payload: &[u8], dataset: &Dataset) -> Result<IndexConfig, Persist
     }
     let series_len = r.take_u32().map_err(corrupt)? as usize;
     let num_series = r.take_u64().map_err(corrupt)? as usize;
-    r.take_u64().map_err(corrupt)?; // the fingerprint, compared with the rebuild's
+    let fingerprint = r.take_u64().map_err(corrupt)?;
     if series_len != dataset.series_len() || num_series != dataset.len() {
         return Err(PersistError::DatasetMismatch(format!(
             "snapshot indexes {num_series} series × {series_len} points, \
@@ -224,14 +221,14 @@ fn read_header(payload: &[u8], dataset: &Dataset) -> Result<IndexConfig, Persist
             "no snapshot indexes {num_series} series"
         )));
     }
-    Ok(IndexConfig {
+    let config = IndexConfig {
         segments,
         num_workers,
         chunk_size,
         leaf_capacity,
         initial_buffer_capacity,
-        variant,
-    })
+    };
+    Ok((config, fingerprint))
 }
 
 /// Writes `payload` as a sealed container: `magic | version u32 | len
@@ -312,18 +309,10 @@ impl std::fmt::Display for Section {
 }
 
 /// Why `stored` is not `built`, the payload its dataset determines,
-/// whose sections end where `sections` says: a fingerprint that differs
-/// is a [`PersistError::DatasetMismatch`]; otherwise the first section
-/// that differs (or runs past the stored bytes) is named as
+/// whose sections end where `sections` says: the first section that
+/// differs (or runs past the stored bytes), named as
 /// [`PersistError::Corrupt`].
 fn first_difference(built: &[u8], sections: &[(Section, usize)], stored: &[u8]) -> PersistError {
-    // The payload opens with the config, then the fingerprint.
-    let fingerprint = sections[0].1..sections[1].1;
-    if built.get(fingerprint.clone()) != stored.get(fingerprint) {
-        return PersistError::DatasetMismatch(
-            "dataset content hash differs — same shape, different values".into(),
-        );
-    }
     let mut start = 0;
     for &(section, end) in sections {
         if stored.get(start..end) != Some(&built[start..end]) {
@@ -334,8 +323,14 @@ fn first_difference(built: &[u8], sections: &[(Section, usize)], stored: &[u8]) 
     PersistError::Corrupt("trailing bytes after the last subtree".into())
 }
 
-/// The payload of `index` and the end offset of each of its sections.
-fn encode_payload(index: &MessiIndex) -> (Vec<u8>, Vec<(Section, usize)>) {
+/// The content hash a snapshot stores for its dataset.
+fn fingerprint(dataset: &Dataset) -> u64 {
+    xxh64_f32(dataset.as_flat())
+}
+
+/// The payload of `index`, whose dataset hashes to `fingerprint`, and
+/// the end offset of each of its sections.
+fn encode_payload(index: &MessiIndex, fingerprint: u64) -> (Vec<u8>, Vec<(Section, usize)>) {
     let mut w = PayloadWriter::new();
     let config = index.config();
     w.put_u32(config.segments as u32);
@@ -343,16 +338,13 @@ fn encode_payload(index: &MessiIndex) -> (Vec<u8>, Vec<(Section, usize)>) {
     w.put_u64(config.chunk_size as u64);
     w.put_u64(config.leaf_capacity as u64);
     w.put_u64(config.initial_buffer_capacity as u64);
-    w.put_u8(match config.variant {
-        BuildVariant::Buffered => 0,
-        BuildVariant::NoBuffers => 1,
-    });
+    w.put_u8(0); // the build variant
 
     let dataset = index.dataset();
     w.put_u32(dataset.series_len() as u32);
     w.put_u64(dataset.len() as u64);
     let mut sections = vec![(Section::Config, w.len())];
-    w.put_u64(xxh64_f32(dataset.as_flat()));
+    w.put_u64(fingerprint);
     sections.push((Section::Fingerprint, w.len()));
 
     w.put_u32(index.scales().len() as u32);
@@ -418,7 +410,7 @@ pub(crate) fn load_with_first_subtree(
 ) -> Result<MessiIndex, PersistError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static FILES: AtomicUsize = AtomicUsize::new(0);
-    let (payload, sections) = encode_payload(index);
+    let (payload, sections) = encode_payload(index, fingerprint(index.dataset()));
     // Config, fingerprint, scales, subtree count, then the first key.
     let (start, end) = (sections[3].1, sections[4].1);
     let mut w = PayloadWriter::new();
@@ -763,7 +755,7 @@ mod tests {
     fn header_sweep_loads_an_error_or_a_valid_index() {
         let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 64, 37));
         let (index, _) = MessiIndex::build(Arc::clone(&data), &IndexConfig::for_tests());
-        let (payload, _) = encode_payload(&index);
+        let (payload, _) = encode_payload(&index, fingerprint(&data));
         // (name, payload offset, width in bytes) of every header field.
         let fields = [
             ("segments", 0, 4),
@@ -804,31 +796,21 @@ mod tests {
     }
 
     #[test]
-    fn a_no_buffers_index_is_neither_saved_nor_loaded() {
-        let data = Arc::new(gen::generate(DatasetKind::RandomWalk, 300, 23));
-        let racy = IndexConfig {
-            variant: BuildVariant::NoBuffers,
-            ..IndexConfig::for_tests()
-        };
-        let (index, _) = MessiIndex::build(Arc::clone(&data), &racy);
-        let path = tmp("nobuffers.msx");
-        std::fs::remove_file(&path).ok();
-        match save_index(&index, &path) {
-            Err(PersistError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
-                assert!(e.to_string().contains("NoBuffers"), "{e}");
-            }
-            other => panic!("expected an InvalidInput refusal, got {other:?}"),
-        }
-        assert!(!path.exists(), "a refused save leaves no file");
-
-        // A buffered snapshot with the variant byte forged to NoBuffers.
+    fn a_forged_build_variant_is_corrupt() {
+        // Only the buffered build is left, so the variant byte is always
+        // 0; a resealed snapshot with any other value is refused.
         let (data, index) = build_small();
-        let (mut payload, _) = encode_payload(&index);
-        payload[32] = 1;
-        match load_bytes(&sealed(&payload), &data, "forged-variant.msx") {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("NoBuffers"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        let (payload, _) = encode_payload(&index, fingerprint(&data));
+        assert_eq!(payload[32], 0);
+        for variant in [1u8, 2, 255] {
+            let mut forged = payload.clone();
+            forged[32] = variant;
+            match load_bytes(&sealed(&forged), &data, "forged-variant.msx") {
+                Err(PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains("build variant"), "{variant}: {msg}")
+                }
+                other => panic!("{variant}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

@@ -11,11 +11,10 @@
 //! * [`barrier::SenseBarrier`] — the barrier between the summarization
 //!   and tree-construction phases (Alg. 2 line 2) and between the tree
 //!   pass and queue processing of search workers (Alg. 6 line 7).
-//! * [`bsf`] — the shared Best-So-Far: the paper's lock-protected
-//!   variant ([`bsf::LockedBsf`], Alg. 8 lines 5–7) and a lock-free
-//!   atomic-min variant ([`bsf::AtomicBsf`]) exploiting the order
-//!   isomorphism between non-negative IEEE-754 floats and their bit
-//!   patterns.
+//! * [`bsf::AtomicBsf`] — the shared Best-So-Far: a lock-free atomic
+//!   minimum in place of the paper's BSFLock (Alg. 8 lines 5–7),
+//!   exploiting the order isomorphism between non-negative IEEE-754
+//!   floats and their bit patterns.
 //! * [`pqueue`] — the concurrent minimum priority queues search workers
 //!   insert leaves into and drain (Alg. 5–8), with the `finished` flag
 //!   protocol and the multi-queue round-robin insertion discipline.
@@ -47,7 +46,7 @@ pub mod pqueue;
 pub mod slots;
 
 pub use barrier::SenseBarrier;
-pub use bsf::{AtomicBsf, BestSoFar, LockedBsf};
+pub use bsf::AtomicBsf;
 pub use buffers::{BufferPart, PartitionedBuffers};
 pub use channel::BoundedChannel;
 pub use counters::Counter;

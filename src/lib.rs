@@ -80,10 +80,9 @@ pub use messi_core::{
 /// The commonly needed imports in one place.
 pub mod prelude {
     pub use messi_core::{
-        load_index, load_sharded, save_index, save_sharded, BsfPolicy, BuildStats, BuildVariant,
-        IndexConfig, MessiIndex, MetricSpec, Objective, PersistError, QueryAnswer, QueryConfig,
-        QueryContext, QueryExecutor, QuerySpec, QueryStats, QueuePolicy, Schedule, ShardedExecutor,
-        ShardedIndex, StopReason,
+        load_index, load_sharded, save_index, save_sharded, BuildStats, IndexConfig, MessiIndex,
+        MetricSpec, Objective, PersistError, QueryAnswer, QueryConfig, QueryContext, QueryExecutor,
+        QuerySpec, QueryStats, Schedule, ShardedExecutor, ShardedIndex, StopReason,
     };
     pub use messi_series::distance::dtw::DtwParams;
     pub use messi_series::distance::Kernel;

@@ -31,7 +31,6 @@ fn index_config() -> IndexConfig {
         chunk_size: 64,
         leaf_capacity: 8,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     }
 }
 

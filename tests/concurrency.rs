@@ -23,7 +23,6 @@ fn test_index(count: usize, seed: u64) -> (Arc<Dataset>, MessiIndex) {
         chunk_size: 64,
         leaf_capacity: 32,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     (data, index)
@@ -117,7 +116,6 @@ fn rebuilds_of_same_data_are_structurally_identical() {
         chunk_size: 10,
         leaf_capacity: 16,
         initial_buffer_capacity: 2,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let collect = |index: &MessiIndex| {
         let mut per_key: Vec<(usize, Vec<u32>)> = Vec::new();

@@ -1,7 +1,7 @@
 //! Exactness and validity across the whole configuration space the
 //! paper's tuning experiments sweep (Figs. 5–8, 14): chunk sizes, leaf
 //! capacities, buffer capacities, segment counts, queue counts, worker
-//! counts, BSF policies — every combination must stay exact.
+//! counts — every combination must stay exact.
 
 use messi::prelude::*;
 use std::sync::Arc;
@@ -41,7 +41,6 @@ fn build_parameter_sweep_preserves_exactness() {
                     chunk_size,
                     leaf_capacity,
                     initial_buffer_capacity,
-                    variant: messi::index::BuildVariant::Buffered,
                 };
                 let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
                 let errors = messi::index::validate::validate(&index);
@@ -68,7 +67,6 @@ fn segment_count_sweep() {
             chunk_size: 50,
             leaf_capacity: 32,
             initial_buffer_capacity: 5,
-            variant: messi::index::BuildVariant::Buffered,
         };
         let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
         let errors = messi::index::validate::validate(&index);
@@ -87,64 +85,46 @@ fn query_parameter_sweep_preserves_exactness() {
         chunk_size: 64,
         leaf_capacity: 32,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     for num_workers in [1usize, 2, 5, 24, 48] {
         for num_queues in [1usize, 2, 24, 64] {
-            for bsf in [BsfPolicy::Atomic, BsfPolicy::Locked] {
-                let qc = QueryConfig {
-                    num_workers,
-                    num_queues,
-                    bsf,
-                    kernel: Kernel::Auto,
-                    queue_policy: messi::index::QueuePolicy::SharedRoundRobin,
-                    collect_breakdown: num_workers == 5,
-                    run_batch: messi::index::RunBatchPolicy::default(),
-                };
-                check_exact(&index, &data, &queries, &qc);
-            }
+            let qc = QueryConfig {
+                num_workers,
+                num_queues,
+                kernel: Kernel::Auto,
+                collect_breakdown: num_workers == 5,
+                run_batch: messi::index::RunBatchPolicy::default(),
+            };
+            check_exact(&index, &data, &queries, &qc);
         }
     }
 }
 
 #[test]
-fn queue_policy_and_build_variant_sweep() {
-    // The rejected designs (per-worker local queues, no-buffer build)
-    // must still be exact — the paper rejected them for speed, not
-    // correctness.
+fn shared_queue_worker_sweep() {
+    // The default 24 shared queues drained by 1, 3 and 8 workers, over
+    // an 8-segment random-walk index.
     let data = Arc::new(messi::series::gen::generate(
         DatasetKind::RandomWalk,
         400,
         21,
     ));
     let queries = messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 3, 21);
-    for variant in [
-        messi::index::BuildVariant::Buffered,
-        messi::index::BuildVariant::NoBuffers,
-    ] {
-        let config = IndexConfig {
-            segments: 8,
-            num_workers: 4,
-            chunk_size: 64,
-            leaf_capacity: 32,
-            initial_buffer_capacity: 5,
-            variant,
+    let config = IndexConfig {
+        segments: 8,
+        num_workers: 4,
+        chunk_size: 64,
+        leaf_capacity: 32,
+        initial_buffer_capacity: 5,
+    };
+    let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
+    for workers in [1usize, 3, 8] {
+        let qc = QueryConfig {
+            num_workers: workers,
+            ..QueryConfig::default()
         };
-        let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
-        for policy in [
-            messi::index::QueuePolicy::SharedRoundRobin,
-            messi::index::QueuePolicy::PerWorkerLocal,
-        ] {
-            for workers in [1usize, 3, 8] {
-                let qc = QueryConfig {
-                    num_workers: workers,
-                    queue_policy: policy,
-                    ..QueryConfig::default()
-                };
-                check_exact(&index, &data, &queries, &qc);
-            }
-        }
+        check_exact(&index, &data, &queries, &qc);
     }
 }
 
@@ -157,7 +137,6 @@ fn range_search_is_exact_across_configs() {
         chunk_size: 50,
         leaf_capacity: 16,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     let queries = messi::series::gen::queries::generate_queries(DatasetKind::Sald, 2, 31);
@@ -194,7 +173,6 @@ fn non_multiple_series_length_is_supported() {
         chunk_size: 32,
         leaf_capacity: 16,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     let errors = messi::index::validate::validate(&index);
@@ -215,7 +193,6 @@ fn short_series_lengths() {
             chunk_size: 16,
             leaf_capacity: 16,
             initial_buffer_capacity: 5,
-            variant: messi::index::BuildVariant::Buffered,
         };
         let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
         let queries = messi::series::gen::queries::generate_queries_with_len(
@@ -240,7 +217,6 @@ fn single_series_dataset() {
             chunk_size: 64,
             leaf_capacity: 4,
             initial_buffer_capacity: 5,
-            variant: messi::index::BuildVariant::Buffered,
         },
     );
     assert_eq!(stats.num_series, 1);

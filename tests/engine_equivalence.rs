@@ -32,34 +32,22 @@ struct Scenario {
     num_queues: usize,
     k: usize,
     scalar_kernel: bool,
-    locked_bsf: bool,
-    local_queues: bool,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         (30usize..250, 0u64..1_000_000),
         (1usize..=8, 1usize..=5, 1usize..=8),
-        (
-            proptest::bool::ANY,
-            proptest::bool::ANY,
-            proptest::bool::ANY,
-        ),
+        proptest::bool::ANY,
     )
         .prop_map(
-            |(
-                (count, seed),
-                (num_workers, num_queues, k),
-                (scalar_kernel, locked_bsf, local_queues),
-            )| Scenario {
+            |((count, seed), (num_workers, num_queues, k), scalar_kernel)| Scenario {
                 count,
                 seed,
                 num_workers,
                 num_queues,
                 k,
                 scalar_kernel,
-                locked_bsf,
-                local_queues,
             },
         )
 }
@@ -72,16 +60,6 @@ fn query_config(s: &Scenario) -> QueryConfig {
             Kernel::Scalar
         } else {
             Kernel::Auto
-        },
-        bsf: if s.locked_bsf {
-            BsfPolicy::Locked
-        } else {
-            BsfPolicy::Atomic
-        },
-        queue_policy: if s.local_queues {
-            messi::index::QueuePolicy::PerWorkerLocal
-        } else {
-            messi::index::QueuePolicy::SharedRoundRobin
         },
         collect_breakdown: false,
         run_batch: messi::index::RunBatchPolicy::default(),
@@ -100,7 +78,6 @@ fn build_index(s: &Scenario) -> (Arc<Dataset>, MessiIndex) {
         chunk_size: 32,
         leaf_capacity: 16,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     (data, index)

@@ -25,7 +25,6 @@ fn index_config() -> IndexConfig {
         chunk_size: 100,
         leaf_capacity: 64,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     }
 }
 

@@ -53,7 +53,6 @@ fn build_index(s: &Scenario) -> (Arc<Dataset>, MessiIndex) {
         chunk_size: 32,
         leaf_capacity: 16,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     (data, index)

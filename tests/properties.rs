@@ -123,7 +123,6 @@ proptest! {
             chunk_size: 7,
             leaf_capacity,
             initial_buffer_capacity: 2,
-            variant: messi::index::BuildVariant::Buffered,
         };
         let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
         // Structural invariants.
@@ -154,7 +153,6 @@ proptest! {
             chunk_size: 16,
             leaf_capacity: 16,
             initial_buffer_capacity: 5,
-            variant: messi::index::BuildVariant::Buffered,
         });
         let queries = messi::series::gen::queries::generate_queries(DatasetKind::RandomWalk, 1, seed);
         let q = queries.series(0);
@@ -191,7 +189,6 @@ fn degenerate_dataset_of_identical_series_is_searchable() {
         chunk_size: 16,
         leaf_capacity: 8,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, stats) = MessiIndex::build(Arc::clone(&data), &config);
     assert_eq!(stats.num_leaves, 1, "identical summaries cannot split");
@@ -215,7 +212,6 @@ fn constant_series_dataset_is_searchable() {
         chunk_size: 8,
         leaf_capacity: 4,
         initial_buffer_capacity: 1,
-        variant: messi::index::BuildVariant::Buffered,
     };
     let (index, _) = MessiIndex::build(Arc::clone(&data), &config);
     let q = vec![0.0f32; 64];

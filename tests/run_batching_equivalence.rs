@@ -36,7 +36,6 @@ fn small_leaf_config() -> IndexConfig {
         chunk_size: 64,
         leaf_capacity: 8,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     }
 }
 

@@ -43,7 +43,6 @@ fn config(num_workers: usize) -> IndexConfig {
         chunk_size: 1_000,
         leaf_capacity: 16,
         initial_buffer_capacity: 5,
-        variant: messi::index::BuildVariant::Buffered,
     }
 }
 
