@@ -16,14 +16,16 @@
 //!   still position-only buffers and fixed ranges).
 //!
 //! Tree construction is MESSI's own tree phase
-//! ([`messi_core::build::build_forests`]), fed through the SAX-array
-//! indirection. `NoSynch` drains each buffer in position order, so it
-//! builds exactly the tree MESSI builds; `Locked` inserts in whatever
-//! order the racing workers took each buffer's lock, so its leaf shapes
-//! may differ from run to run.
+//! ([`messi_core::build::build_forests`]): each buffer's positions are
+//! resolved through the SAX array into a worker's scratch, and that
+//! sequence is split top-down into the tree inserting it entry by entry
+//! would build. `NoSynch` drains each buffer in position order, so it
+//! builds exactly the tree MESSI builds; `Locked` keeps whatever order
+//! the racing workers took each buffer's lock in, so its leaf shapes may
+//! differ from run to run.
 
 use messi_core::build::build_forests;
-use messi_core::node::{SaxEntry, SubtreeBuilder};
+use messi_core::node::SaxEntry;
 use messi_core::{BuildStats, IndexConfig};
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::root_key;
@@ -122,16 +124,16 @@ pub fn build_paris(
     };
     let keys = (0..num_keys).map(|key| (key, key_len(key)));
     let keys = keys.filter(|&(_, len)| len > 0).collect();
-    let fill = |key: usize, builder: &mut SubtreeBuilder| {
+    let fill = |key: usize, pool: &mut Vec<SaxEntry>| {
         // The indirection through the SAX array is ParIS's layout:
         // buffers hold pointers, not summaries.
-        let mut insert = |pos: u32| {
-            let sax = sax_array[pos as usize];
-            builder.insert(SaxEntry { sax, pos });
+        let entry = |&pos: &u32| SaxEntry {
+            sax: sax_array[pos as usize],
+            pos,
         };
         match variant {
-            ParisBuildVariant::Locked => locked_bufs[key].lock().iter().for_each(|&p| insert(p)),
-            ParisBuildVariant::NoSynch => part_bufs.iter_key(key, |&p| p).for_each(|&p| insert(p)),
+            ParisBuildVariant::Locked => pool.extend(locked_bufs[key].lock().iter().map(entry)),
+            ParisBuildVariant::NoSynch => pool.extend(part_bufs.iter_key(key, |&p| p).map(entry)),
         }
     };
     let tree = build_forests(dataset, config, keys, fill);

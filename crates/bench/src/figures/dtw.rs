@@ -3,7 +3,7 @@
 use crate::datasets::{dataset, queries_for};
 use crate::report::Table;
 use crate::scale::Scale;
-use crate::{assert_same_answer, measure_queries, QueryFn};
+use crate::{assert_same_answer, measure_queries, time_both_orders, QueryFn};
 use messi_baselines::ucr;
 use messi_core::{MessiIndex, QueryConfig};
 use messi_series::distance::dtw::DtwParams;
@@ -40,14 +40,16 @@ pub fn fig19(scale: &Scale) -> Table {
         assert_same_answer(&parallel(qs.series(0)).0, &reference, "ucr_p_dtw");
         assert_same_answer(&messi(qs.series(0)).0, &reference, "messi_dtw");
 
-        let (t_serial, _) = measure_queries(&serial, &qs, 0);
-        let (t_parallel, _) = measure_queries(&parallel, &qs, scale.warmup);
-        let (t_messi, _) = measure_queries(&messi, &qs, scale.warmup);
+        // The serial scan is slow enough to skip its warm-up.
+        let rows = [(serial, 0), (parallel, scale.warmup), (messi, scale.warmup)];
+        let times = time_both_orders(rows.len(), |i| {
+            measure_queries(&rows[i].0, &qs, rows[i].1).0
+        });
         table.row(vec![
             (gb as u64).into(),
-            t_serial.into(),
-            t_parallel.into(),
-            t_messi.into(),
+            times[0].into(),
+            times[1].into(),
+            times[2].into(),
         ]);
     }
     table

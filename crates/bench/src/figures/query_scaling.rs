@@ -4,7 +4,7 @@
 use crate::datasets::{dataset, queries_for};
 use crate::report::Table;
 use crate::scale::Scale;
-use crate::{assert_same_answer, measure_queries, query_config, QueryFn};
+use crate::{assert_same_answer, measure_queries, query_config, time_both_orders, QueryFn};
 use messi_baselines::paris::query::sims_search;
 use messi_baselines::paris::ts::ts_search;
 use messi_baselines::paris::{build_paris, ParisBuildVariant, ParisIndex};
@@ -59,7 +59,8 @@ fn competitors<'a>(
     ]
 }
 
-/// Cross-checks all competitors on the first query, then measures each.
+/// Cross-checks all competitors on the first query, then measures each
+/// in both orders.
 fn measure_competitors(
     algos: &[(&'static str, Box<QueryFn<'_>>)],
     qs: &Dataset,
@@ -69,10 +70,7 @@ fn measure_competitors(
     for (name, f) in algos.iter().skip(1) {
         assert_same_answer(&f(qs.series(0)).0, &reference, name);
     }
-    algos
-        .iter()
-        .map(|(_, f)| measure_queries(f, qs, warmup).0)
-        .collect()
+    time_both_orders(algos.len(), |i| measure_queries(&algos[i].1, qs, warmup).0)
 }
 
 /// Fig. 11 — query answering vs number of cores (log-scale in the paper).

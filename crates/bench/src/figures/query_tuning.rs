@@ -4,7 +4,7 @@
 use crate::datasets::{dataset, queries_for};
 use crate::report::Table;
 use crate::scale::Scale;
-use crate::{measure_queries, query_config};
+use crate::{measure_queries, query_config, time_both_orders};
 use messi_core::{IndexConfig, MessiIndex, QueryConfig, TimeBreakdown};
 use messi_series::gen::DatasetKind;
 use std::sync::Arc;
@@ -39,9 +39,11 @@ pub fn fig07(scale: &Scale) -> Table {
             ..QueryConfig::default()
         };
         let mq = QueryConfig::default();
-        let (t_sq, _) = measure_queries(&|q| index.search(q, &sq), &qs, scale.warmup);
-        let (t_mq, _) = measure_queries(&|q| index.search(q, &mq), &qs, scale.warmup);
-        table.row(vec![leaf.into(), t_sq.into(), t_mq.into()]);
+        let configs = [sq, mq];
+        let times = time_both_orders(configs.len(), |i| {
+            measure_queries(&|q| index.search(q, &configs[i]), &qs, scale.warmup).0
+        });
+        table.row(vec![leaf.into(), times[0].into(), times[1].into()]);
     }
     table
 }

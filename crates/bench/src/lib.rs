@@ -57,6 +57,19 @@ pub fn measure_queries(
     (mean, agg)
 }
 
+/// Times `n` compared rows twice, forward and then in reverse order, and
+/// returns each row's mean of its two times; `time(i)` measures row `i`.
+/// Rows timed one after another in one process read faster the later
+/// they run (warmer caches, settled clocks), so a single pass would
+/// favour whichever row comes last.
+pub fn time_both_orders(n: usize, mut time: impl FnMut(usize) -> Duration) -> Vec<Duration> {
+    let mut total = vec![Duration::ZERO; n];
+    for i in (0..n).chain((0..n).rev()) {
+        total[i] += time(i);
+    }
+    total.into_iter().map(|t| t / 2).collect()
+}
+
 /// Sanity guard used by every figure: the algorithm's answer must equal
 /// the reference algorithm's answer on the first query (all algorithms
 /// are exact; a mismatch means the measurement is meaningless).
@@ -95,6 +108,19 @@ mod tests {
         let (mean, agg) = measure_queries(&|q| index.search(q, &qc), &queries, 1);
         assert_eq!(agg.queries, 4);
         assert!(mean.as_nanos() > 0);
+    }
+
+    #[test]
+    fn both_orders_time_every_row_forward_then_back() {
+        let mut order = Vec::new();
+        let means = time_both_orders(3, |i| {
+            order.push(i);
+            Duration::from_millis(10 * (i as u64 + 1) + order.len() as u64)
+        });
+        assert_eq!(order, [0, 1, 2, 2, 1, 0]);
+        // Row i ran at steps i+1 and 6-i: the mean drops the order term.
+        let want = |i: u64| Duration::from_millis(10 * (i + 1)) + Duration::from_micros(3_500);
+        assert_eq!(means, [want(0), want(1), want(2)]);
     }
 
     #[test]

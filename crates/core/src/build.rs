@@ -10,10 +10,11 @@
 //! 2. **TreeConstruction** (Alg. 4): *forest groups* (the consecutive
 //!    root subtrees that share one arena; see [`crate::node`]) are handed
 //!    out by Fetch&Inc. For each member key a worker drains all parts of
-//!    its buffer, in position order, through a reusable
-//!    [`SubtreeBuilder`], splitting leaves as needed; then it assembles
-//!    the group's arena once. Group ownership is exclusive, so this phase
-//!    is also lock-free; [`build_forests`] is shared with ParIS.
+//!    its buffer, in position order, into its scratch and splits the
+//!    sequence top-down into the tree that inserting it entry by entry
+//!    would build (see [`crate::node`]); then it assembles the group's
+//!    arena once. Group ownership is exclusive, so this phase is also
+//!    lock-free; [`build_forests`] is shared with ParIS.
 //!
 //! Position order makes the index a function of its data: the same
 //! arenas and snapshot bytes (bar the stored worker count) for any
@@ -29,7 +30,7 @@
 
 use crate::config::IndexConfig;
 use crate::index::MessiIndex;
-use crate::node::{assemble_forest, forest_groups, PartScratch, SaxEntry, SubtreeBuilder};
+use crate::node::{assemble_forest, forest_groups, PartScratch, SaxEntry, Splitter};
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
 use messi_sax::root_key::{node_word_for_root_key, root_key};
@@ -109,10 +110,8 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
     // The paper's workers fetch all 2^w buffer ids and skip empty ones;
     // pre-computing the touched list is the same scan done once.
     let keys = (buffers.touched_keys().iter()).map(|&key| (key, buffers.key_len(key)));
-    let index = build_forests(dataset, config, keys.collect(), |key, builder| {
-        for entry in buffers.iter_key(key, |e| e.pos) {
-            builder.insert(*entry);
-        }
+    let index = build_forests(dataset, config, keys.collect(), |key, pool| {
+        pool.extend(buffers.iter_key(key, |e| e.pos));
     });
     let tree_time = t1.elapsed();
 
@@ -131,33 +130,37 @@ pub fn build_index(dataset: Arc<Dataset>, config: &IndexConfig) -> (MessiIndex, 
 /// Alg. 4's TreeConstruction, shared by MESSI's buffered build and the
 /// ParIS baselines: `keys` lists the non-empty root keys, ascending,
 /// with their entry counts. Workers claim whole forest groups by
-/// Fetch&Inc; `fill(key, builder)` inserts a member key's entries into a
-/// builder begun on its root word, the finished subtrees go back to back
-/// into the worker's scratch, and the group's arena is assembled once.
+/// Fetch&Inc; `fill(key, pool)` appends a member key's entries, in
+/// insertion order, to the worker's scratch pool, where they are split
+/// top-down into the key's subtree behind the group's earlier members,
+/// and the group's arena is assembled once.
 #[doc(hidden)]
 pub fn build_forests(
     dataset: Arc<Dataset>,
     config: &IndexConfig,
     keys: Vec<(usize, usize)>,
-    fill: impl Fn(usize, &mut SubtreeBuilder) + Sync,
+    fill: impl Fn(usize, &mut Vec<SaxEntry>) + Sync,
 ) -> MessiIndex {
     let (touched, counts): (Vec<usize>, Vec<usize>) = keys.into_iter().unzip();
     let segments = config.segments;
+    let split = Splitter {
+        segments,
+        leaf_capacity: config.leaf_capacity,
+    };
     let groups = forest_groups(&counts);
     let dispenser = Dispenser::new(groups.len());
     let built: Vec<OnceLock<_>> = groups.iter().map(|_| OnceLock::new()).collect();
     std::thread::scope(|s| {
         for _ in 0..config.num_workers {
             s.spawn(|| {
-                let mut builder = SubtreeBuilder::new(segments, config.leaf_capacity);
                 let mut scratch = PartScratch::default();
                 while let Some(g) = dispenser.next() {
                     scratch.clear();
                     for &key in &touched[groups[g].clone()] {
-                        builder.begin(node_word_for_root_key(key, segments));
-                        fill(key, &mut builder);
                         scratch.open(key);
-                        builder.finish_into(&mut scratch.nodes, &mut scratch.pool);
+                        let from = scratch.pool.len();
+                        fill(key, &mut scratch.pool);
+                        split.emit(node_word_for_root_key(key, segments), from, &mut scratch);
                     }
                     let arena = assemble_forest(&scratch.parts(), segments);
                     assert!(built[g].set(arena).is_ok(), "group {g} built twice");

@@ -2,8 +2,8 @@
 
 use crate::config::IndexConfig;
 use crate::node::{
-    assemble_forest, forest_groups, LeafRun, NodeId, PartScratch, RawPart, SaxEntry,
-    SubtreeBuilder, TreeArena,
+    assemble_forest, forest_groups, LeafRun, NodeId, PartScratch, RawPart, SaxEntry, Splitter,
+    TreeArena,
 };
 use crate::stats::BuildStats;
 use messi_sax::convert::{SaxConfig, SaxConverter};
@@ -154,7 +154,10 @@ impl MessiIndex {
     //   assemble 2.9–3.4); prewarm 2.9–3.6 ms (8 queries) → 0.8 ms (2).
     // * *No knob, no fork:* the per-key rebuild is deleted;
     //   `assemble_forest` is the one splice for build and absorb,
-    //   and `from_forests` the one constructor.
+    //   and `from_forests` the one constructor. A grown leaf's sequence
+    //   (old entries, then arrivals) and a new key's arrivals go through
+    //   the build's top-down `Splitter`, which emits what inserting them
+    //   one at a time would (see `node.rs`).
     // * *Untouched keys are copied:* summaries live only in columns, so
     //   each is gathered into the scratch and transposed back. 150 k
     //   series, 4 096-series batch, one worker, 2 cores: absorb 8.3 →
@@ -169,9 +172,11 @@ impl MessiIndex {
     /// are summarised, routed, and sorted by `(root key, leaf, position)`;
     /// old and new keys are then walked together, ascending, and each
     /// old key is grown **leaf-locally** (`TreeArena::grow_subtree` —
-    /// only a leaf pushed past `leaf_capacity` is re-split; an untouched
-    /// key is copied) into one scratch, from which every forest arena is
-    /// assembled. The result equals, node record for node record,
+    /// each leaf's old entries, then its arrivals, are split top-down,
+    /// so only a leaf pushed past `leaf_capacity` becomes a subtree and
+    /// an untouched key comes out a copy) into one scratch, from which
+    /// every forest arena is assembled. A new key's arrivals are split
+    /// the same way. The result equals, node record for node record,
     /// inserting the entries one at a time — which is what a sequential
     /// build over the grown collection gives.
     ///
@@ -240,21 +245,23 @@ impl MessiIndex {
             .collect();
         keys.sort_unstable();
         keys.dedup();
-        let mut builder = SubtreeBuilder::new(segments, self.config.leaf_capacity);
+        let split = Splitter {
+            segments,
+            leaf_capacity: self.config.leaf_capacity,
+        };
         let mut scratch = PartScratch::default();
         let mut rest = &fresh[..];
         for key in keys {
             let (run, tail) = rest.split_at(rest.partition_point(|f| f.0 == key));
             rest = tail;
             scratch.open(key);
-            let (nodes, pool) = (&mut scratch.nodes, &mut scratch.pool);
             if let Some((arena, root)) = self.key_root(key) {
-                let unrouted = arena.grow_subtree(root, run, &mut builder, nodes, pool);
+                let unrouted = arena.grow_subtree(root, run, split, &mut scratch);
                 debug_assert!(unrouted.is_empty());
             } else {
-                builder.begin(node_word_for_root_key(key, segments));
-                run.iter().for_each(|f| builder.insert(f.2));
-                builder.finish_into(nodes, pool);
+                let from = scratch.pool.len();
+                scratch.pool.extend(run.iter().map(|f| f.2));
+                split.emit(node_word_for_root_key(key, segments), from, &mut scratch);
             }
         }
         let index = Self::from_raw_parts(grown, self.config.clone(), &scratch.parts());

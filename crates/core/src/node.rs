@@ -33,12 +33,16 @@
 //! records alone (no configuration input), so they are never stored:
 //! the snapshot format carries records and entries only.
 //!
-//! Construction still follows the paper's incremental protocol (Alg. 4:
-//! insert, split overflowing leaves): [`SubtreeBuilder`] runs exactly the
-//! old insert/split algorithm against reusable index-linked scratch, then
-//! emits the subtree's preorder records and [`SaxEntry`] pairs into a
-//! caller's `PartScratch`. One builder serves many subtrees back to
-//! back, so its own scratch amortizes to zero. `assemble_forest` is the
+//! Construction builds the trees of the paper's incremental protocol
+//! (Alg. 4: insert, split overflowing leaves) without simulating one
+//! insert at a time. A subtree's whole entry sequence is known before its
+//! first insert, so `Splitter` computes the same tree top-down: a leaf
+//! splits on its *split prefix*, the first `max(leaf_capacity, d) + 1`
+//! entries where `d` indexes the first entry whose summary differs from
+//! entry 0 (exactly what it holds when insert-and-split first splits it),
+//! then every entry follows the chosen bit and each side recurses. The
+//! entries are reordered in place in a caller's `PartScratch` pool and
+//! the preorder records appended beside them. `assemble_forest` is the
 //! one place an arena is made: it splices one or more emitted subtrees
 //! into exact-capacity storage, derives their runs once and transposes
 //! the summaries straight into the run columns.
@@ -99,7 +103,7 @@ pub type NodeId = u32;
 /// segment there, which is always `< MAX_SEGMENTS`).
 const LEAF_TAG: u8 = u8::MAX;
 
-/// Linked-list terminator / "empty slot" sentinel in builder scratch.
+/// The leaf ordinal recorded for an inner node.
 const NIL: u32 = u32::MAX;
 
 /// Greedy cap on the entries a leaf run may span. 64 entries is eight
@@ -811,54 +815,54 @@ impl TreeArena {
 
     /// Files a copy of the subtree at `id` in `scratch` as `key`'s part,
     /// its summaries gathered from the run columns — the inverse of the
-    /// [`assemble_forest`] splice, for the snapshot writer.
+    /// [`assemble_forest`] splice, for the snapshot writer. The subtree's
+    /// records are one preorder stretch, so the copy is a rebase.
     pub(crate) fn copy_subtree(&self, key: usize, id: NodeId, scratch: &mut PartScratch) {
+        let (end, pool_lo, _) = self.subtree_extent(id);
+        let part = RawPart {
+            key,
+            nodes: &self.nodes[id as usize..end as usize],
+            entries: &[],
+            node_base: id,
+            pool_base: pool_lo,
+        };
         scratch.open(key);
-        // With no arrivals no leaf overflows, so the builder stays idle.
-        let idle = &mut SubtreeBuilder::new(1, 1);
-        self.grow_subtree(id, &[], idle, &mut scratch.nodes, &mut scratch.pool);
+        let (node_to, pool_to) = (scratch.nodes.len() as u32, scratch.pool.len() as u32);
+        scratch.nodes.extend(part.rebased(node_to, pool_to));
+        for leaf in (id..end).filter(|&l| self.is_leaf(l)) {
+            scratch.pool.extend(self.leaf(leaf).sax_entries());
+        }
     }
 
     /// The paper's insert (Alg. 4 lines 7–11) on a flat subtree: appends
-    /// to `nodes` / `pool` (ids and offsets absolute in them) the subtree
-    /// at `id` after inserting `arrivals` — `(key, home leaf id, entry)`,
-    /// ascending by leaf, then in insertion order. Each leaf appends its
-    /// arrivals to its old entries, gathered from the columns, found at
-    /// the front of the list since leaf ids ascend in preorder; only a
-    /// leaf pushed past capacity is re-split, through `builder` seeded
-    /// with its word and old entries, and spliced back. With no arrivals
-    /// this is a copy. Returns the arrivals homed after this subtree.
+    /// to `scratch` the subtree at `id` after inserting `arrivals` —
+    /// `(key, home leaf id, entry)`, ascending by leaf, then in insertion
+    /// order. Each leaf's sequence is its old entries, gathered from the
+    /// columns, then its arrivals, found at the front of the list since
+    /// leaf ids ascend in preorder; `split` emits it, so only a leaf
+    /// pushed past capacity becomes a subtree. Returns the arrivals homed
+    /// after this subtree.
     pub(crate) fn grow_subtree<'r>(
         &self,
         id: NodeId,
         arrivals: &'r [(usize, NodeId, SaxEntry)],
-        builder: &mut SubtreeBuilder,
-        nodes: &mut Vec<NodeRecord>,
-        pool: &mut Vec<SaxEntry>,
+        split: Splitter,
+        scratch: &mut PartScratch,
     ) -> &'r [(usize, NodeId, SaxEntry)] {
         let n = self.nodes[id as usize];
-        let my = nodes.len();
         if n.tag != LEAF_TAG {
-            nodes.push(n);
-            nodes[my].lo = nodes.len() as NodeId;
-            let arrivals = self.grow_subtree(n.lo, arrivals, builder, nodes, pool);
-            nodes[my].hi = nodes.len() as NodeId;
-            return self.grow_subtree(n.hi, arrivals, builder, nodes, pool);
+            let my = scratch.nodes.len();
+            scratch.nodes.push(n);
+            scratch.nodes[my].lo = scratch.nodes.len() as NodeId;
+            let arrivals = self.grow_subtree(n.lo, arrivals, split, scratch);
+            scratch.nodes[my].hi = scratch.nodes.len() as NodeId;
+            return self.grow_subtree(n.hi, arrivals, split, scratch);
         }
-        let old = self.leaf(id);
         let (mine, rest) = arrivals.split_at(arrivals.partition_point(|a| a.1 == id));
-        let overflows = !mine.is_empty() && old.entries.len() + mine.len() > builder.leaf_capacity;
-        let mine = mine.iter().map(|a| a.2);
-        if overflows {
-            builder.begin(n.word);
-            (old.sax_entries().chain(mine)).for_each(|e| builder.insert(e));
-            builder.finish_into(nodes, pool);
-        } else {
-            let lo = pool.len() as u32;
-            pool.extend(old.sax_entries().chain(mine));
-            let hi = pool.len() as u32;
-            nodes.push(NodeRecord { lo, hi, ..n });
-        }
+        let from = scratch.pool.len();
+        let old = self.leaf(id).sax_entries();
+        scratch.pool.extend(old.chain(mine.iter().map(|a| a.2)));
+        split.emit(n.word, from, scratch);
         rest
     }
 
@@ -877,290 +881,108 @@ impl TreeArena {
     }
 }
 
-/// Builder scratch node: a leaf holds its entry list as `head`/`tail`
-/// indices into the builder's link array; an inner node holds child ids.
+/// The top-down form of the paper's insert-and-split protocol (Alg. 4
+/// lines 7–11): given a subtree's whole entry sequence, in insertion
+/// order, it emits the very tree that inserting the entries one at a time
+/// and splitting every leaf pushed past `leaf_capacity` would build.
+///
+/// Under insert-and-split a leaf first splits at the insert that leaves it
+/// holding more than `leaf_capacity` entries not all of one summary (a
+/// leaf of identical summaries cannot be separated and overflows). At that
+/// moment it holds the first `max(leaf_capacity, d) + 1` entries of its
+/// sequence, where `d` is the index of the first entry whose summary
+/// differs from entry 0 — its *split prefix*. The split is chosen on that
+/// prefix alone, and every later entry just follows the chosen bit, so
+/// the whole sequence is partitioned stably and each child is split the
+/// same way on its own subsequence. That recursion is exact because no
+/// child receives more than its own split prefix from its parent's: with
+/// `d ≤ leaf_capacity` the parent's prefix is `leaf_capacity + 1`
+/// entries, no longer than any child's prefix; with `d > leaf_capacity`
+/// its first `d` entries are identical and go to one child, whose own `d`
+/// is at least as large, and the other child gets at most one entry. A
+/// child handed exactly its prefix splits at once, as insert-and-split
+/// re-splits it within the same insert; any other child splits when its
+/// prefix is complete, as it would on that later insert.
+///
+/// Splits follow the balanced-segment policy of `messi_sax::split`; when
+/// no single-bit split separates the prefix but its summaries still
+/// differ, a segment whose deeper bits differ is refined anyway (one
+/// child gets everything), drilling down until the differing bit is
+/// reached.
 #[derive(Debug, Clone, Copy)]
-struct ScratchNode {
-    word: NodeWord,
-    /// Split segment for inner nodes, [`LEAF_TAG`] for leaves.
-    tag: u8,
-    /// Inner: left child id. Leaf: entry-list head ([`NIL`] when empty).
-    a: u32,
-    /// Inner: right child id. Leaf: entry-list tail ([`NIL`] when empty).
-    b: u32,
-    /// Leaf only: entries in the list.
-    len: u32,
-}
-
-/// Clonable iterator over the summaries of one scratch leaf's entry
-/// list, in insertion order (what [`choose_split`] consumes).
-#[derive(Clone, Copy)]
-struct SaxLinkIter<'a> {
-    entries: &'a [SaxEntry],
-    next: &'a [u32],
-    cur: u32,
-}
-
-impl<'a> Iterator for SaxLinkIter<'a> {
-    type Item = &'a SaxWord;
-
-    fn next(&mut self) -> Option<&'a SaxWord> {
-        if self.cur == NIL {
-            return None;
-        }
-        let e = &self.entries[self.cur as usize];
-        self.cur = self.next[self.cur as usize];
-        Some(&e.sax)
-    }
-}
-
-/// Builds one subtree incrementally — the paper's insert-and-split
-/// protocol (Alg. 4 lines 7–11: "while targetLeaf is full do SplitNode")
-/// — and emits it flat, as preorder records and pool entries for
-/// `assemble_forest` to splice into an arena.
-///
-/// Splits follow the balanced-segment policy of `messi_sax::split`. When
-/// a leaf's entries cannot be separated (identical summaries, or every
-/// segment at maximum cardinality) the leaf is allowed to overflow —
-/// further splits would loop forever without separating anything.
-///
-/// The builder's scratch (index-linked entry lists, a flat scratch-node
-/// array) is retained across subtrees: `begin` → `insert`* →
-/// `finish_into` cycles reuse the same buffers and append to the same
-/// caller scratch, so emitting a subtree allocates nothing once both
-/// have grown to their working size.
-#[derive(Debug)]
-pub struct SubtreeBuilder {
+pub(crate) struct Splitter {
     /// Number of PAA segments (the paper's w).
-    segments: usize,
+    pub(crate) segments: usize,
     /// Leaf capacity before a split is attempted.
-    leaf_capacity: usize,
-    nodes: Vec<ScratchNode>,
-    entries: Vec<SaxEntry>,
-    /// Parallel to `entries`: next entry in the owning leaf's list.
-    next: Vec<u32>,
+    pub(crate) leaf_capacity: usize,
 }
 
-impl SubtreeBuilder {
-    /// Creates an empty builder for the given tree parameters.
-    pub(crate) fn new(segments: usize, leaf_capacity: usize) -> Self {
-        assert!(leaf_capacity > 0, "leaf capacity must be positive");
-        Self {
-            segments,
-            leaf_capacity,
-            nodes: Vec::new(),
-            entries: Vec::new(),
-            next: Vec::new(),
-        }
+impl Splitter {
+    /// Splits the subtree covering `word` whose entries, in insertion
+    /// order, are `scratch.pool[from..]`: reorders them in place into
+    /// leaf order and appends the subtree's preorder records to
+    /// `scratch.nodes` (ids and offsets absolute in the scratch). The
+    /// caller files the part with [`PartScratch::open`] beforehand.
+    pub(crate) fn emit(self, word: NodeWord, from: usize, scratch: &mut PartScratch) {
+        self.node(word, from, scratch.pool.len(), scratch);
     }
 
-    /// Starts a fresh subtree covering `word`: clears the scratch
-    /// (retaining capacity) and plants an empty root leaf.
-    pub(crate) fn begin(&mut self, word: NodeWord) {
-        self.nodes.clear();
-        self.entries.clear();
-        self.next.clear();
-        self.nodes.push(ScratchNode {
+    /// Emits the node covering `word` over `scratch.pool[lo..hi]` and
+    /// its subtree in preorder, returning its id.
+    fn node(self, word: NodeWord, lo: usize, hi: usize, scratch: &mut PartScratch) -> NodeId {
+        let my = scratch.nodes.len();
+        let split = self.split_segment(&word, &scratch.pool[lo..hi]);
+        let tag = split.map_or(LEAF_TAG, |segment| segment as u8);
+        scratch.nodes.push(NodeRecord {
             word,
-            tag: LEAF_TAG,
-            a: NIL,
-            b: NIL,
-            len: 0,
+            tag,
+            lo: lo as u32,
+            hi: hi as u32,
         });
-    }
-
-    /// Inserts one entry into the subtree under construction.
-    ///
-    /// Equivalent to the paper's "while targetLeaf is full do SplitNode"
-    /// loop (Alg. 4 lines 8–10), phrased as push-then-rebalance: the entry
-    /// is appended to its leaf, then the leaf is split (repeatedly,
-    /// drilling through non-separating refinements) until every leaf on
-    /// the path is back within capacity or provably inseparable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `SubtreeBuilder::begin`.
-    pub fn insert(&mut self, entry: SaxEntry) {
-        assert!(!self.nodes.is_empty(), "insert before begin");
-        // Descend to the leaf responsible for this entry.
-        let mut id = 0usize;
-        loop {
-            let n = &self.nodes[id];
-            if n.tag == LEAF_TAG {
-                break;
-            }
-            debug_assert!(n.word.contains(&entry.sax, self.segments));
-            id = if n.word.child_of(&entry.sax, n.tag as usize) {
-                n.b
-            } else {
-                n.a
-            } as usize;
-        }
-        debug_assert!(self.nodes[id].word.contains(&entry.sax, self.segments));
-        let slot = self.entries.len() as u32;
-        self.entries.push(entry);
-        self.next.push(NIL);
-        self.append_to_leaf(id, slot);
-        self.rebalance(id);
-    }
-
-    /// Links an already-stored entry slot at the tail of `leaf`'s list.
-    fn append_to_leaf(&mut self, leaf: usize, slot: u32) {
-        let tail = {
-            let n = &mut self.nodes[leaf];
-            let tail = n.b;
-            n.b = slot;
-            n.len += 1;
-            if tail == NIL {
-                n.a = slot;
-            }
-            tail
-        };
-        if tail != NIL {
-            self.next[tail as usize] = slot;
-        }
-    }
-
-    /// Splits `id` (and recursively any oversized children the split
-    /// produces) until capacity holds or the entries are inseparable.
-    fn rebalance(&mut self, id: usize) {
-        let n = &self.nodes[id];
-        let oversized = n.tag == LEAF_TAG && n.len as usize > self.leaf_capacity;
-        if !oversized || !self.split_leaf(id) {
-            return;
-        }
-        let (left, right) = {
-            let n = &self.nodes[id];
-            (n.a as usize, n.b as usize)
-        };
-        self.rebalance(left);
-        self.rebalance(right);
-    }
-
-    /// Splits the leaf at `id` in place, turning it into an inner node
-    /// with two leaf children. Returns `false` only when the entries are
-    /// inseparable (identical summaries, or every segment at maximum
-    /// cardinality), in which case the leaf is left untouched.
-    ///
-    /// When no *single-bit* split separates the entries but their
-    /// summaries still differ, a segment whose deeper bits differ is
-    /// refined anyway (one child gets everything) — the paper's
-    /// "while targetLeaf is full do SplitNode" loop drills down until the
-    /// differing bit is reached.
-    fn split_leaf(&mut self, id: usize) -> bool {
-        let node = self.nodes[id];
-        debug_assert_eq!(node.tag, LEAF_TAG, "split_leaf on inner node");
-        let list = |cur| SaxLinkIter {
-            entries: &self.entries,
-            next: &self.next,
-            cur,
-        };
-        let segment = {
-            let choice = match choose_split(&node.word, self.segments, list(node.a)) {
-                Some(c) => c,
-                None => return false, // every segment at max cardinality
-            };
-            if choice.is_separating() {
-                choice.segment
-            } else {
-                // Drill-down fallback: refine a segment whose full
-                // 8-bit symbols actually differ across entries (such a
-                // refinement chain separates within CARD_BITS splits).
-                let first = self.entries[node.a as usize].sax;
-                match (0..self.segments).find(|&i| {
-                    (node.word.bits(i) as usize) < messi_sax::CARD_BITS
-                        && list(node.a).any(|sax| sax.symbol(i) != first.symbol(i))
-                }) {
-                    Some(i) => i,
-                    None => return false, // identical summaries: inseparable
+        if let Some(segment) = split {
+            // Stable in-place partition by the chosen bit: 0-entries move
+            // up in order, 1-entries wait in the pool's spare tail, then
+            // follow them.
+            let (end, mut mid) = (scratch.pool.len(), lo);
+            let pool = &mut scratch.pool;
+            for i in lo..hi {
+                let e = pool[i];
+                if word.child_of(&e.sax, segment) {
+                    pool.push(e);
+                } else {
+                    pool[mid] = e;
+                    mid += 1;
                 }
             }
-        };
-        let (zero_word, one_word) = node.word.refine(segment);
-        let left = self.nodes.len();
-        for word in [zero_word, one_word] {
-            self.nodes.push(ScratchNode {
-                word,
-                tag: LEAF_TAG,
-                a: NIL,
-                b: NIL,
-                len: 0,
-            });
+            pool.copy_within(end.., mid);
+            pool.truncate(end);
+            let (zero_word, one_word) = word.refine(segment);
+            scratch.nodes[my].lo = self.node(zero_word, lo, mid, scratch);
+            scratch.nodes[my].hi = self.node(one_word, mid, hi, scratch);
         }
-        // Relink each entry to the child it belongs to, preserving order
-        // (stable partition, exactly like the old per-leaf Vec split).
-        let mut cur = node.a;
-        while cur != NIL {
-            let after = self.next[cur as usize];
-            self.next[cur as usize] = NIL;
-            let child = if node.word.child_of(&self.entries[cur as usize].sax, segment) {
-                left + 1
-            } else {
-                left
-            };
-            self.append_to_leaf(child, cur);
-            cur = after;
-        }
-        self.nodes[id] = ScratchNode {
-            word: node.word,
-            tag: segment as u8,
-            a: left as u32,
-            b: left as u32 + 1,
-            len: 0,
-        };
-        true
+        my as NodeId
     }
 
-    /// Flattens the finished subtree: appends its preorder records and
-    /// pool entries to `nodes` / `pool` (ids and offsets absolute in
-    /// them) and resets the scratch for the next subtree. The caller
-    /// splices the result into an arena with [`assemble_forest`], which
-    /// derives the layout once per arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`SubtreeBuilder::begin`].
-    pub(crate) fn finish_into(&mut self, nodes: &mut Vec<NodeRecord>, pool: &mut Vec<SaxEntry>) {
-        assert!(!self.nodes.is_empty(), "finish before begin");
-        self.emit(0, nodes, pool);
-        self.nodes.clear();
-        self.entries.clear();
-        self.next.clear();
-    }
-
-    /// Emits the scratch node `sid` (and its subtree) in preorder,
-    /// returning its final arena id.
-    fn emit(&self, sid: usize, out: &mut Vec<NodeRecord>, pool: &mut Vec<SaxEntry>) -> u32 {
-        let fid = out.len() as u32;
-        let n = self.nodes[sid];
-        if n.tag == LEAF_TAG {
-            let start = pool.len() as u32;
-            let mut cur = n.a;
-            while cur != NIL {
-                pool.push(self.entries[cur as usize]);
-                cur = self.next[cur as usize];
-            }
-            debug_assert_eq!(pool.len() as u32 - start, n.len);
-            out.push(NodeRecord {
-                word: n.word,
-                tag: LEAF_TAG,
-                lo: start,
-                hi: pool.len() as u32,
-            });
-        } else {
-            out.push(NodeRecord {
-                word: n.word,
-                tag: n.tag,
-                lo: 0,
-                hi: 0,
-            });
-            let left = self.emit(n.a as usize, out, pool);
-            let right = self.emit(n.b as usize, out, pool);
-            let rec = &mut out[fid as usize];
-            rec.lo = left;
-            rec.hi = right;
+    /// The segment the node covering `word` over `entries` splits on, or
+    /// `None` when it stays a leaf: at most `leaf_capacity` entries, all
+    /// of one summary, or (only possible then) every segment at maximum
+    /// cardinality.
+    fn split_segment(self, word: &NodeWord, entries: &[SaxEntry]) -> Option<usize> {
+        if entries.len() <= self.leaf_capacity {
+            return None;
         }
-        fid
+        let w = self.segments;
+        let first = entries[0].sax.symbols();
+        let d = (entries.iter()).position(|e| e.sax.symbols()[..w] != first[..w])?;
+        let prefix = &entries[..self.leaf_capacity.max(d) + 1];
+        let choice = choose_split(word, w, prefix.iter().map(|e| &e.sax))?;
+        if choice.is_separating() {
+            return Some(choice.segment);
+        }
+        (0..w).find(|&i| {
+            (word.bits(i) as usize) < messi_sax::CARD_BITS
+                && prefix.iter().any(|e| e.sax.symbol(i) != first[i])
+        })
     }
 }
 
@@ -1177,18 +999,24 @@ mod tests {
         }
     }
 
-    /// One subtree built alone and assembled as a one-part forest.
+    fn splitter(segments: usize, leaf_capacity: usize) -> Splitter {
+        Splitter {
+            segments,
+            leaf_capacity,
+        }
+    }
+
+    /// One subtree split alone and assembled as a one-part forest.
     fn build_subtree(
-        builder: &mut SubtreeBuilder,
+        split: Splitter,
         word: NodeWord,
         entries: impl IntoIterator<Item = SaxEntry>,
     ) -> TreeArena {
-        builder.begin(word);
-        entries.into_iter().for_each(|e| builder.insert(e));
         let mut scratch = PartScratch::default();
         scratch.open(0);
-        builder.finish_into(&mut scratch.nodes, &mut scratch.pool);
-        assemble_forest(&scratch.parts(), builder.segments)
+        scratch.pool.extend(entries);
+        split.emit(word, 0, &mut scratch);
+        assemble_forest(&scratch.parts(), split.segments)
     }
 
     /// The subtree at `id` copied back out of its arena, ids and offsets
@@ -1240,10 +1068,9 @@ mod tests {
     #[test]
     fn insert_without_split_accumulates() {
         let word = NodeWord::root();
-        let mut builder = SubtreeBuilder::new(4, 100);
         let config = SaxConfig::new(4, 32);
         let arena = build_subtree(
-            &mut builder,
+            splitter(4, 100),
             word,
             (0..50u32).map(|i| entry_for(&series(i, 32), i, config)),
         );
@@ -1276,9 +1103,8 @@ mod tests {
             .max_by_key(|(_, v)| v.len())
             .expect("some group");
         assert!(entries.len() > 8, "need a non-trivial group");
-        let mut builder = SubtreeBuilder::new(4, 8);
         let arena = build_subtree(
-            &mut builder,
+            splitter(4, 8),
             node_word_for_root_key(key, 4),
             entries.iter().copied(),
         );
@@ -1309,9 +1135,8 @@ mod tests {
         let s = series(1, 32);
         let e = entry_for(&s, 0, config);
         let key = root_key(&e.sax, 4);
-        let mut builder = SubtreeBuilder::new(4, 4);
         let arena = build_subtree(
-            &mut builder,
+            splitter(4, 4),
             node_word_for_root_key(key, 4),
             (0..20u32).map(|i| SaxEntry { pos: i, ..e }),
         );
@@ -1325,8 +1150,7 @@ mod tests {
     #[test]
     fn structure_accessors() {
         let word = NodeWord::root();
-        let mut builder = SubtreeBuilder::new(4, 8);
-        let arena = build_subtree(&mut builder, word, std::iter::empty());
+        let arena = build_subtree(splitter(4, 8), word, std::iter::empty());
         assert!(arena.is_leaf(TreeArena::ROOT));
         assert_eq!(arena.word(TreeArena::ROOT), &word);
         assert_eq!(arena.num_entries(), 0);
@@ -1341,31 +1165,218 @@ mod tests {
     #[test]
     fn builder_reuse_across_subtrees_is_clean() {
         let config = SaxConfig::new(4, 32);
-        let mut builder = SubtreeBuilder::new(4, 4);
-        let mut groups: std::collections::HashMap<usize, Vec<SaxEntry>> = Default::default();
+        let split = splitter(4, 4);
+        let mut groups: std::collections::BTreeMap<usize, Vec<SaxEntry>> = Default::default();
         for i in 0..200u32 {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
         }
-        // Build every group twice — with a fresh builder and with one
-        // reused builder — and require identical flattened storage.
-        for (key, entries) in groups {
-            let word = node_word_for_root_key(key, 4);
-            let reused = build_subtree(&mut builder, word, entries.iter().copied());
-            let fresh = build_subtree(
-                &mut SubtreeBuilder::new(4, 4),
-                word,
-                entries.iter().copied(),
-            );
-            assert_eq!(reused.num_nodes(), fresh.num_nodes(), "key {key}");
-            assert_eq!(reused.num_leaves(), fresh.num_leaves(), "key {key}");
-            let collect = |a: &TreeArena| {
-                let mut v = Vec::new();
-                a.for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
-                v
-            };
-            assert_eq!(collect(&reused), collect(&fresh), "key {key}");
+        // Split every group twice — into one scratch reused back to back
+        // (and once more after a clear) and into a fresh scratch each —
+        // and require identical flattened storage.
+        let mut reused = PartScratch::default();
+        for round in 0..2 {
+            reused.clear();
+            for (&key, entries) in &groups {
+                reused.open(key);
+                let from = reused.pool.len();
+                reused.pool.extend(entries.iter().copied());
+                split.emit(node_word_for_root_key(key, 4), from, &mut reused);
+            }
+            let parts = reused.parts();
+            assert_eq!(parts.len(), groups.len());
+            for (part, (&key, entries)) in parts.iter().zip(&groups) {
+                let reused = assemble_forest(&[*part], 4);
+                let word = node_word_for_root_key(key, 4);
+                let fresh = build_subtree(split, word, entries.iter().copied());
+                assert_eq!(reused.num_nodes(), fresh.num_nodes(), "key {key}");
+                assert_eq!(reused.num_leaves(), fresh.num_leaves(), "key {key}");
+                let collect = |a: &TreeArena| {
+                    let mut v = Vec::new();
+                    a.for_each_leaf(&mut |l| v.extend(l.entries.iter().map(|e| e.pos)));
+                    v
+                };
+                assert_eq!(collect(&reused), collect(&fresh), "key {key}");
+                assert!(reused == fresh, "round {round} key {key}: arenas differ");
+            }
         }
+    }
+
+    /// Alg. 4 transcribed literally, as the equivalence oracle for
+    /// [`Splitter`]: a `Vec` per leaf; an insert appends the entry to its
+    /// leaf, then splits that leaf while it holds more than the capacity
+    /// (the push-then-split phrasing of "while targetLeaf is full do
+    /// SplitNode"), recursing into the children each split makes.
+    enum Alg4 {
+        Leaf(NodeWord, Vec<SaxEntry>),
+        Inner(NodeWord, usize, Box<Alg4>, Box<Alg4>),
+    }
+
+    impl Alg4 {
+        fn insert(&mut self, e: SaxEntry, split: Splitter) {
+            match self {
+                Alg4::Inner(word, segment, zero, one) => {
+                    let child = if word.child_of(&e.sax, *segment) {
+                        one
+                    } else {
+                        zero
+                    };
+                    child.insert(e, split);
+                }
+                Alg4::Leaf(_, entries) => {
+                    entries.push(e);
+                    self.split_while_full(split);
+                }
+            }
+        }
+
+        fn split_while_full(&mut self, split: Splitter) {
+            let Alg4::Leaf(word, entries) = self else {
+                return;
+            };
+            if entries.len() <= split.leaf_capacity {
+                return;
+            }
+            let word = *word;
+            let saxes = entries.iter().map(|e| &e.sax);
+            let Some(choice) = choose_split(&word, split.segments, saxes) else {
+                return;
+            };
+            let segment = if choice.is_separating() {
+                choice.segment
+            } else {
+                let differs = |i: usize| {
+                    entries
+                        .iter()
+                        .any(|e| e.sax.symbol(i) != entries[0].sax.symbol(i))
+                };
+                let deeper = |i: usize| (word.bits(i) as usize) < messi_sax::CARD_BITS;
+                match (0..split.segments).find(|&i| deeper(i) && differs(i)) {
+                    Some(i) => i,
+                    None => return,
+                }
+            };
+            let (ones, zeros) = (entries.iter()).partition(|e| word.child_of(&e.sax, segment));
+            let (zero_word, one_word) = word.refine(segment);
+            let mut zero = Alg4::Leaf(zero_word, zeros);
+            let mut one = Alg4::Leaf(one_word, ones);
+            zero.split_while_full(split);
+            one.split_while_full(split);
+            *self = Alg4::Inner(word, segment, Box::new(zero), Box::new(one));
+        }
+
+        /// The tree's preorder records and leaf-ordered entries, ids and
+        /// offsets counting from zero.
+        fn emit(&self, nodes: &mut Vec<NodeRecord>, pool: &mut Vec<SaxEntry>) -> NodeId {
+            let my = nodes.len();
+            match self {
+                Alg4::Leaf(word, entries) => {
+                    let lo = pool.len() as u32;
+                    pool.extend(entries);
+                    let hi = pool.len() as u32;
+                    let (word, tag) = (*word, LEAF_TAG);
+                    nodes.push(NodeRecord { word, tag, lo, hi });
+                }
+                Alg4::Inner(word, segment, zero, one) => {
+                    let (word, tag) = (*word, *segment as u8);
+                    nodes.push(NodeRecord {
+                        word,
+                        tag,
+                        lo: 0,
+                        hi: 0,
+                    });
+                    nodes[my].lo = zero.emit(nodes, pool);
+                    nodes[my].hi = one.emit(nodes, pool);
+                }
+            }
+            my as NodeId
+        }
+    }
+
+    /// Seeded adversarial cases: entry sequences drawn from a few
+    /// summaries, some differing only in their deepest bits, in runs long
+    /// enough to overflow a leaf with identical entries before a
+    /// different one arrives. Every case must split, records and pool
+    /// order alike, as inserting the entries one at a time does.
+    #[test]
+    fn splitter_equals_insert_and_split() {
+        let mut state = 0x4d45_5353_4931u64;
+        let mut draw = |n: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut scratch = PartScratch::default();
+        let (mut splits, mut drills) = (0usize, 0usize);
+        for case in 0..4000 {
+            let segments = 1 + draw(4);
+            let split = splitter(segments, 1 + draw(8));
+            let key = draw(1 << segments);
+            let word = node_word_for_root_key(key, segments);
+            // A few base summaries under the key's word, then variants
+            // of them flipping one of the two deepest bits of a segment.
+            let top = |i: usize| (((key >> (segments - 1 - i)) & 1) << 7) as u8;
+            let mut kinds: Vec<SaxWord> = (0..1 + draw(3))
+                .map(|_| {
+                    let symbols: Vec<u8> =
+                        (0..segments).map(|i| top(i) | draw(128) as u8).collect();
+                    SaxWord::new(&symbols)
+                })
+                .collect();
+            for _ in 0..draw(4) {
+                let mut symbols = kinds[draw(kinds.len())].symbols()[..segments].to_vec();
+                symbols[draw(segments)] ^= 1 << draw(2);
+                kinds.push(SaxWord::new(&symbols));
+            }
+            let n = draw(151);
+            let mut entries = Vec::with_capacity(n);
+            while entries.len() < n {
+                let sax = kinds[draw(kinds.len())];
+                let run = 1 + draw(3 * split.leaf_capacity);
+                for _ in 0..run.min(n - entries.len()) {
+                    let pos = entries.len() as u32;
+                    entries.push(SaxEntry { sax, pos });
+                }
+            }
+
+            let mut oracle = Alg4::Leaf(word, Vec::new());
+            entries.iter().for_each(|&e| oracle.insert(e, split));
+            let (mut want_nodes, mut want_pool) = (Vec::new(), Vec::new());
+            oracle.emit(&mut want_nodes, &mut want_pool);
+
+            // Many cases share one scratch, so ids and offsets start
+            // past earlier parts.
+            if case % 64 == 0 {
+                scratch.clear();
+            }
+            scratch.open(case);
+            let from = scratch.pool.len();
+            scratch.pool.extend(&entries);
+            split.emit(word, from, &mut scratch);
+            let parts = scratch.parts();
+            let part = parts.last().expect("just filed");
+            let got_nodes: Vec<NodeRecord> = part.rebased(0, 0).collect();
+            let what = format!(
+                "case {case}: {segments} segments, capacity {}, {n} entries",
+                split.leaf_capacity
+            );
+            assert_eq!(got_nodes, want_nodes, "{what}: records differ");
+            assert_eq!(part.entries, &want_pool[..], "{what}: pool order differs");
+            splits += usize::from(got_nodes.len() > 1);
+            drills += (got_nodes.iter())
+                .filter(|r| r.tag != LEAF_TAG)
+                .filter(|r| {
+                    let children = [r.lo, r.hi].map(|c| got_nodes[c as usize]);
+                    children.iter().any(|c| c.tag == LEAF_TAG && c.lo == c.hi)
+                })
+                .count();
+        }
+        // The cases reach both kinds of split.
+        assert!(splits > 1000, "only {splits} cases split");
+        assert!(drills > 100, "only {drills} drill-down splits");
     }
 
     #[test]
@@ -1398,10 +1409,9 @@ mod tests {
         // Capacity 1 leaves most leaves alone in a run; 200 keeps whole
         // keys in one leaf, larger than a run's target.
         for capacity in [1, 4, 8, 200] {
-            let mut builder = SubtreeBuilder::new(4, capacity);
             for (key, entries) in &groups {
                 let arena = build_subtree(
-                    &mut builder,
+                    splitter(4, capacity),
                     node_word_for_root_key(*key, 4),
                     entries.iter().copied(),
                 );
@@ -1447,10 +1457,10 @@ mod tests {
             let e = entry_for(&series(i, 32), i, config);
             groups.entry(root_key(&e.sax, 4)).or_default().push(e);
         }
-        let mut builder = SubtreeBuilder::new(4, 4); // tiny leaves → multi-leaf runs
         for (key, entries) in groups {
+            // Tiny leaves → multi-leaf runs.
             let arena = build_subtree(
-                &mut builder,
+                splitter(4, 4),
                 node_word_for_root_key(key, 4),
                 entries.iter().copied(),
             );
@@ -1581,14 +1591,13 @@ mod tests {
                 .or_default()
                 .push(e);
         }
-        let mut builder = SubtreeBuilder::new(segments, 4);
         let built: Vec<(usize, TreeArena)> = groups
             .into_iter()
             .map(|(key, entries)| {
                 let word = node_word_for_root_key(key, segments);
                 (
                     key,
-                    build_subtree(&mut builder, word, entries.iter().copied()),
+                    build_subtree(splitter(segments, 4), word, entries.iter().copied()),
                 )
             })
             .collect();

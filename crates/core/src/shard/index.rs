@@ -84,7 +84,7 @@ impl ShardedIndex {
     /// statistics (phase times are the *maximum* across the overlapping
     /// per-shard builds; `total_time` is the scatter's wall clock).
     ///
-    /// At most `available_cores` builds run at once (extra shards queue
+    /// At most one build per core runs at once (extra shards queue
     /// behind a shared counter), and each concurrent build gets a
     /// proportional slice of the configured index workers, so the
     /// machine is never oversubscribed. `num_shards == 1` builds a single shard
@@ -121,39 +121,18 @@ impl ShardedIndex {
         }
 
         let ranges = shard_ranges(dataset.len(), num_shards);
-        // At most `available_cores` shard builds run concurrently —
-        // more would just time-slice and thrash caches (on a 1-core
-        // host the builds run back to back). Each concurrent build gets
-        // a proportional slice of the configured worker budget.
-        let concurrency = num_shards.min(crate::config::available_cores()).max(1);
+        // At most one shard build per core runs at once — more would just
+        // time-slice and thrash caches (on a 1-core host the builds run
+        // back to back). Each concurrent build gets a proportional slice
+        // of the configured worker budget.
+        let concurrency = crate::config::capped_workers(num_shards);
         let shard_config = IndexConfig {
             num_workers: (config.num_workers / concurrency).max(1),
             ..config.clone()
         };
-        let built: Vec<parking_lot::Mutex<Option<(MessiIndex, BuildStats)>>> = (0..num_shards)
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        // `concurrency` scoped threads drain the shard list via a shared
-        // counter. `MessiIndex::build` parallelizes internally with
-        // scoped threads of its own (never the global worker pool), so
-        // nesting is plain fork-join.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..concurrency {
-                let next = &next;
-                let built = &built;
-                let ranges = &ranges;
-                let dataset = &dataset;
-                let shard_config = &shard_config;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&(start, end)) = ranges.get(i) else {
-                        break;
-                    };
-                    let sub = shard_dataset(dataset, start, end);
-                    *built[i].lock() = Some(MessiIndex::build(sub, shard_config));
-                });
-            }
+        let built = super::per_shard(num_shards, |i| {
+            let (start, end) = ranges[i];
+            MessiIndex::build(shard_dataset(&dataset, start, end), &shard_config)
         });
 
         let mut shards = Vec::with_capacity(num_shards);
@@ -166,8 +145,7 @@ impl ShardedIndex {
             num_root_subtrees: 0,
             max_height: 0,
         };
-        for slot in built {
-            let (index, s) = slot.into_inner().expect("every shard built");
+        for (index, s) in built {
             stats.summarize_time = stats.summarize_time.max(s.summarize_time);
             stats.tree_time = stats.tree_time.max(s.tree_time);
             stats.num_series += s.num_series;

@@ -59,6 +59,28 @@ pub fn global_pos(offset: u64, local: u32) -> u64 {
     offset + u64::from(local)
 }
 
+/// Runs `f(i)` for every shard `i < n` and returns the results in shard
+/// order: at most one scoped thread per core, each claiming the next
+/// shard by Fetch&Inc — the one parallel loop behind a sharded build and
+/// a sharded load. `f` may fork scoped threads of its own (a shard build
+/// does), which nests as plain fork-join.
+pub(crate) fn per_shard<T: Send + Sync>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let dispenser = messi_sync::Dispenser::new(n);
+    let slots: Vec<std::sync::OnceLock<T>> = (0..n).map(|_| Default::default()).collect();
+    std::thread::scope(|s| {
+        for _ in 0..crate::config::capped_workers(n) {
+            s.spawn(|| {
+                while let Some(i) = dispenser.next() {
+                    assert!(slots[i].set(f(i)).is_ok(), "shard {i} ran twice");
+                }
+            });
+        }
+    });
+    (slots.into_iter())
+        .map(|slot| slot.into_inner().expect("every shard ran"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::global_pos;

@@ -24,12 +24,9 @@
 //! [`PersistError::Version`].
 
 use super::index::{shard_dataset, ShardedIndex};
-use crate::config::capped_workers;
 use crate::persist::{load_index, save_index, seal, unseal, PersistError};
 use messi_series::io::{sync_parent, write_durable, PayloadReader, PayloadWriter};
 use messi_series::Dataset;
-use messi_sync::Dispenser;
-use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -119,37 +116,25 @@ pub fn load_sharded(dir: &Path, dataset: Arc<Dataset>) -> Result<ShardedIndex, P
     // partition verbatim (see ShardedIndex::absorb).
 
     let n = manifest.shards.len();
-    let slots: Vec<Mutex<Option<Result<crate::MessiIndex, PersistError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    // At most one thread per core, however many shards the manifest
-    // lists; each claims the next shard by Fetch&Inc.
-    let dispenser = Dispenser::new(n);
-    std::thread::scope(|scope| {
-        for _ in 0..capped_workers(n) {
-            let (slots, dispenser, dataset) = (&slots, &dispenser, &dataset);
-            let shards = &manifest.shards;
-            scope.spawn(move || {
-                while let Some(i) = dispenser.next() {
-                    let (offset, len) = shards[i];
-                    let path = dir.join(shard_file_name(i));
-                    let loaded = match offset.checked_add(len) {
-                        Some(end) => {
-                            load_index(&path, shard_dataset(dataset, offset as usize, end as usize))
-                        }
-                        None => Err(PersistError::Corrupt(
-                            "shard ends past u64 positions".into(),
-                        )),
-                    };
-                    *slots[i].lock() = Some(loaded.map_err(|e| annotate(&path, e)));
-                }
-            });
-        }
+    let loaded = super::per_shard(n, |i| {
+        let (offset, len) = manifest.shards[i];
+        let path = dir.join(shard_file_name(i));
+        let loaded = match offset.checked_add(len) {
+            Some(end) => load_index(
+                &path,
+                shard_dataset(&dataset, offset as usize, end as usize),
+            ),
+            None => Err(PersistError::Corrupt(
+                "shard ends past u64 positions".into(),
+            )),
+        };
+        loaded.map_err(|e| annotate(&path, e))
     });
 
     let mut shards = Vec::with_capacity(n);
     let mut offsets = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        let shard = slot.into_inner().expect("every shard load ran")?;
+    for (i, shard) in loaded.into_iter().enumerate() {
+        let shard = shard?;
         if shard.num_series() as u64 != manifest.shards[i].1 {
             return Err(PersistError::Corrupt(format!(
                 "{}: holds {} series, manifest promises {}",

@@ -319,7 +319,7 @@ fn check_subtree_semantics(
     if arena.word(root) != &node_word_for_root_key(key, segments) {
         return Err(format!("key {key}: root word does not match the key"));
     }
-    // The node array is in preorder (guaranteed by the builder, and
+    // The node array is in preorder (guaranteed by the splitter, and
     // loaded snapshots are rebuilt), so a linear sweep over the
     // subtree's contiguous node range visits its leaves in depth-first
     // order, and the pool cursor check below — starting at the
